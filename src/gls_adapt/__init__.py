@@ -40,7 +40,6 @@ from .estimator import (
     true_weights,
 )
 from .losses import (
-    cdan_feature_map,
     cross_entropy_loss,
     weighted_classification_loss,
     weighted_da_loss,

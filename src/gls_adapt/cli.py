@@ -43,10 +43,6 @@ _BASE_OF = {
 }
 
 
-def _env_seed() -> int:
-    return int(os.environ.get("GLS_ADAPT_SEED", "0"))
-
-
 def _parse_bool(text) -> bool:
     if isinstance(text, bool):
         return text
@@ -103,76 +99,82 @@ def _write_csv(path: Path, header: str, rows, full_precision: bool) -> None:
 # option plumbing: defaults -> config file -> explicit flags
 # ---------------------------------------------------------------------------
 
+# Defaults live in TrainConfig and in the signature of _make_domains.
 _TRAIN_OPTS = {
-    "epochs": (int, 30),
-    "batches_per_epoch": (int, 25),
-    "batch_size": (int, 64),
-    "lr": (float, 0.05),
-    "momentum": (float, 0.9),
-    "ema_lambda": (float, 0.5),
-    "weight_update_period": (int, 1),
-    "weight_da_loss": (_parse_bool, True),
-    "weight_c_loss": (_parse_bool, True),
-    "feature_dim": (int, 32),
-    "reversal_coeff": (float, 1.0),
+    "epochs": int,
+    "batches_per_epoch": int,
+    "batch_size": int,
+    "lr": float,
+    "momentum": float,
+    "ema_lambda": float,
+    "weight_update_period": int,
+    "weight_da_loss": _parse_bool,
+    "weight_c_loss": _parse_bool,
+    "feature_dim": int,
+    "reversal_coeff": float,
 }
 
 _DOMAIN_OPTS = {
-    "k": (int, 3),
-    "dim": (int, 2),
-    "n": (int, 3000),
-    "sigma": (float, 0.25),
-    "radius": (float, 1.0),
-    "source_label_dist": (_parse_floats, None),
-    "target_label_dist": (_parse_floats, None),
+    "k": int,
+    "dim": int,
+    "n": int,
+    "sigma": float,
+    "radius": float,
+    "source_label_dist": _parse_floats,
+    "target_label_dist": _parse_floats,
 }
 
 
 def _add_opts(parser, opts) -> None:
-    for name, (typ, _default) in opts.items():
+    for name, typ in opts.items():
         parser.add_argument(f"--{name.replace('_', '-')}", type=typ, default=argparse.SUPPRESS, dest=name)
 
 
 def _resolve(ns, opts) -> dict:
-    """Layer schema defaults, then config-file values, then explicit flags."""
+    """Config-file values overridden by explicit flags; unset options are left out."""
     file_values = parse_config_file(ns.config) if getattr(ns, "config", None) else {}
     out = {}
-    for name, (typ, default) in opts.items():
+    for name, typ in opts.items():
         if hasattr(ns, name):
             out[name] = getattr(ns, name)
         elif name in file_values:
             out[name] = typ(file_values[name])
-        else:
-            out[name] = default
     return out
 
 
 def _resolve_seed(ns) -> int:
-    if hasattr(ns, "seed"):
-        return ns.seed
-    file_values = parse_config_file(ns.config) if getattr(ns, "config", None) else {}
-    if "seed" in file_values:
-        return int(file_values["seed"])
-    return _env_seed()
+    """--seed, else the config file's seed, else $GLS_ADAPT_SEED, else 0."""
+    opts = _resolve(ns, {"seed": int})
+    return opts["seed"] if "seed" in opts else int(os.environ.get("GLS_ADAPT_SEED", "0"))
 
 
-def _make_domains(opts, seed: int, subsample=None, conditional_shift: float = 0.0):
-    k = opts["k"]
+def _make_domains(
+    seed: int,
+    subsample=None,
+    conditional_shift: float = 0.0,
+    k: int = 3,
+    dim: int = 2,
+    n: int = 3000,
+    sigma: float = 0.25,
+    radius: float = 1.0,
+    source_label_dist=None,
+    target_label_dist=None,
+):
     shift = None
     if conditional_shift:
         rng = np.random.default_rng(seed + 7919)
-        direction = rng.standard_normal((k, opts["dim"]))
+        direction = rng.standard_normal((k, dim))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         shift = conditional_shift * direction
     src, tgt = make_shift_task(
         k=k,
-        d=opts["dim"],
-        n_source=opts["n"],
-        n_target=opts["n"],
-        sigma=opts["sigma"],
-        radius=opts["radius"],
-        p_source=opts["source_label_dist"],
-        p_target=opts["target_label_dist"],
+        d=dim,
+        n_source=n,
+        n_target=n,
+        sigma=sigma,
+        radius=radius,
+        p_source=source_label_dist,
+        p_target=target_label_dist,
         seed=seed,
         conditional_shift=shift,
     )
@@ -191,7 +193,7 @@ def _load_or_make_datasets(ns, opts, seed):
         if tgt.k != k:
             tgt = Dataset(tgt.features, tgt.labels, k, "target")
         return src, tgt
-    return _make_domains(opts, seed, subsample=getattr(ns, "subsample", None))
+    return _make_domains(seed, subsample=getattr(ns, "subsample", None), **opts)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +203,7 @@ def _load_or_make_datasets(ns, opts, seed):
 def cmd_generate(ns) -> int:
     opts = _resolve(ns, _DOMAIN_OPTS)
     seed = _resolve_seed(ns)
-    src, tgt = _make_domains(opts, seed, subsample=ns.subsample, conditional_shift=ns.conditional_shift)
+    src, tgt = _make_domains(seed, subsample=ns.subsample, conditional_shift=ns.conditional_shift, **opts)
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     write_dataset_csv(src, out / "source.csv")
@@ -223,10 +225,6 @@ def cmd_generate(ns) -> int:
     return 0
 
 
-def _train_config(train_opts, algorithm, seed) -> TrainConfig:
-    return TrainConfig(algorithm=algorithm, seed=seed, **train_opts)
-
-
 def _trace_header_rows(trace, k):
     header = (
         "epoch,acc_src,acc_tgt,loss_da,loss_c,"
@@ -238,6 +236,11 @@ def _trace_header_rows(trace, k):
         for r in trace.records
     ]
     return header, rows
+
+
+def _write_bounds(path: Path, sink, full_precision: bool) -> None:
+    rows = [(r.check, ep, r.lhs, r.rhs, int(r.holds), r.slack) for ep, r in sink]
+    _write_csv(path, "check,epoch,lhs,rhs,holds,slack", rows, full_precision)
 
 
 def cmd_train(ns) -> int:
@@ -252,22 +255,14 @@ def cmd_train(ns) -> int:
     best: dict[tuple[str, int], tuple[float, float]] = {}
     for alg in algorithms:
         for s in seeds:
-            cfg = _train_config(train_opts, alg, s)
+            cfg = TrainConfig(algorithm=alg, seed=s, **train_opts)
             sink: list = []
             hook = make_bound_hook(source, target, sink) if ns.bounds else None
             _, trace = train(cfg, source, target, epoch_hook=hook)
             header, rows = _trace_header_rows(trace, source.k)
             _write_csv(out / f"trace_{alg}_seed{s}.csv", header, rows, ns.full_precision)
             if ns.bounds:
-                rows = [
-                    (r.check, ep, r.lhs, r.rhs, int(r.holds), r.slack) for ep, r in sink
-                ]
-                _write_csv(
-                    out / f"bounds_{alg}_seed{s}.csv",
-                    "check,epoch,lhs,rhs,holds,slack",
-                    rows,
-                    ns.full_precision,
-                )
+                _write_bounds(out / f"bounds_{alg}_seed{s}.csv", sink, ns.full_precision)
             best[(alg, s)] = (trace.best_source_accuracy(), trace.best_target_accuracy())
     rows = []
     for alg in algorithms:
@@ -295,7 +290,7 @@ def _sweep_one(payload):
     task_id, src, tgt, base_alg, variant_alg, train_opts, seed = payload
     acc = {}
     for alg in (base_alg, variant_alg):
-        cfg = _train_config(train_opts, alg, seed)
+        cfg = TrainConfig(algorithm=alg, seed=seed, **train_opts)
         _, trace = train(cfg, src, tgt)
         acc[alg] = trace.best_target_accuracy()
     jsd_label = jsd(src.label_distribution(), tgt.label_distribution())
@@ -310,7 +305,7 @@ def cmd_sweep_jsd(ns) -> int:
     base = _BASE_OF.get(variant)
     if base is None:
         raise GlsAdaptError(f"--algorithm must be an importance-weighted variant, got {variant!r}")
-    base_src, base_tgt = _make_domains(domain_opts, seed)
+    base_src, base_tgt = _make_domains(seed, **domain_opts)
     tasks = jsd_task_suite(base_src, base_tgt, count=ns.tasks, seed=seed)
     payloads = [
         (i, t.source, t.target, base, variant, train_opts, seed) for i, t in enumerate(tasks)
@@ -413,13 +408,12 @@ def cmd_verify_bounds(ns) -> int:
     domain_opts = _resolve(ns, _DOMAIN_OPTS)
     seed = _resolve_seed(ns)
     source, target = _load_or_make_datasets(ns, domain_opts, seed)
-    cfg = _train_config(train_opts, ns.algorithm, seed)
+    cfg = TrainConfig(algorithm=ns.algorithm, seed=seed, **train_opts)
     sink: list = []
     _, trace = train(cfg, source, target, epoch_hook=make_bound_hook(source, target, sink))
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [(r.check, ep, r.lhs, r.rhs, int(r.holds), r.slack) for ep, r in sink]
-    _write_csv(out / "bounds.csv", "check,epoch,lhs,rhs,holds,slack", rows, ns.full_precision)
+    _write_bounds(out / "bounds.csv", sink, ns.full_precision)
     header, trace_rows = _trace_header_rows(trace, source.k)
     _write_csv(out / "trace.csv", header, trace_rows, ns.full_precision)
     n_fail = sum(1 for _, r in sink if not r.holds)

@@ -74,7 +74,7 @@ class EmptyClassAfterSubsample(GlsAdaptError, ValueError):
 
 
 class InvalidCount(GlsAdaptError, ValueError):
-    """A requested count must be at least 1."""
+    """A count (of tasks, classes, ...) is below its minimum."""
 
 
 class MalformedConfusion(GlsAdaptError, ValueError):
@@ -91,3 +91,11 @@ class DegenerateGamma(GlsAdaptError, ValueError):
 
 class ParseError(GlsAdaptError, ValueError):
     """A CSV or config file failed to parse; the message names the line."""
+
+
+class NonFiniteValue(GlsAdaptError, ValueError):
+    """A value that must be finite is NaN or infinite."""
+
+
+class InvalidModel(GlsAdaptError, ValueError):
+    """A network's layer sizes, activation, head or forward mode is invalid."""

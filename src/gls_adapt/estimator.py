@@ -23,9 +23,11 @@ from .distributions import Categorical
 from .errors import (
     DegenerateProblem,
     EmptyAccumulator,
+    InvalidCount,
     LabelOutOfRange,
     LambdaOutOfRange,
     LengthMismatch,
+    NonFiniteValue,
     ShapeMismatch,
     SingularMatrix,
     ZeroSourceClass,
@@ -65,9 +67,9 @@ class WeightVector:
     def __post_init__(self):
         arr = np.asarray(self.w, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
-            raise ValueError(f"w must be a vector of length >= 2, got shape {arr.shape}")
+            raise ShapeMismatch(f"w must be a vector of length >= 2, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("w contains non-finite entries")
+            raise NonFiniteValue("w contains non-finite entries")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "w", arr)
@@ -90,7 +92,7 @@ class ConfusionAccumulator:
 
     def __init__(self, k: int):
         if k < 2:
-            raise ValueError("need at least 2 classes")
+            raise InvalidCount(f"need at least 2 classes, got k={k}")
         self.k = k
         self.c_hat = np.zeros((k, k))
         self.mu_hat = np.zeros(k)

@@ -1,15 +1,13 @@
 """Adversarial, classification and kernel-discrepancy losses.
 
-Every loss takes raw model outputs and returns the batch value; the
-matching ``*_grads`` function returns the derivative with respect to
-those outputs so the caller can route it through backpropagation. With
-all-ones weights each weighted loss reduces exactly to its unweighted
-base version.
+Every loss takes raw model outputs. Each ``*_grads`` function returns
+``(value, grad...)``: the batch value and its derivative with respect to
+those outputs, so the caller can route it through backpropagation. The
+plain-named function returns the value alone. With all-ones weights each
+weighted loss reduces exactly to its unweighted base version.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,45 +23,18 @@ from .errors import (
 from .estimator import WeightVector
 
 __all__ = [
-    "BatchLosses",
     "weighted_da_loss",
     "weighted_da_loss_grads",
     "cross_entropy_loss",
     "cross_entropy_loss_grads",
     "weighted_classification_loss",
     "weighted_classification_loss_grads",
-    "cdan_feature_map",
-    "rbf_kernel",
     "median_heuristic_bandwidths",
     "weighted_mmd_loss",
     "weighted_mmd_loss_grads",
 ]
 
 LOG_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class BatchLosses:
-    """Alignment and classification loss values for one batch.
-
-    The optional per-sample vectors are the derivatives routed into
-    backpropagation (the per-sample contribution of each loss term).
-    """
-
-    l_da: float
-    l_c: float
-    per_sample_da: np.ndarray | None = None
-    per_sample_c: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.l_da):
-            raise ValueError(f"l_da must be finite, got {self.l_da!r}")
-        if self.l_c < 0:
-            raise ValueError(f"l_c must be nonnegative, got {self.l_c!r}")
-
-
-def _log(x: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(x, LOG_EPS))
 
 
 def _check_discriminator(out, name: str) -> np.ndarray:
@@ -82,13 +53,14 @@ def _class_weights(labels: np.ndarray, w: WeightVector) -> np.ndarray:
     return w.w[labels]
 
 
-def weighted_da_loss(d_src, d_tgt, labels_src, w: WeightVector) -> float:
+def weighted_da_loss_grads(d_src, d_tgt, labels_src, w: WeightVector):
     """Importance-weighted discriminator loss on a paired batch.
 
     -(1/s) * sum_i [ w_{y_i} * log d(src_i) + log(1 - d(tgt_i)) ]
 
     The discriminator is trained to drive this down (source toward 1,
     target toward 0); the feature extractor is trained to drive it up.
+    Returns (value, d(loss)/d(d_src), d(loss)/d(d_tgt)).
     """
     ds = _check_discriminator(d_src, "d_src")
     dt = _check_discriminator(d_tgt, "d_tgt")
@@ -96,120 +68,86 @@ def weighted_da_loss(d_src, d_tgt, labels_src, w: WeightVector) -> float:
         raise BatchSizeMismatch(f"paired batches of sizes {ds.size} and {dt.size}")
     ws = _class_weights(labels_src, w)
     s = ds.size
-    return float(-(np.sum(ws * _log(ds)) + np.sum(_log(1.0 - dt))) / s)
+    src = np.maximum(ds, LOG_EPS)
+    tgt = np.maximum(1.0 - dt, LOG_EPS)
+    value = float(-(np.sum(ws * np.log(src)) + np.sum(np.log(tgt))) / s)
+    return value, -ws / src / s, 1.0 / tgt / s
 
 
-def weighted_da_loss_grads(d_src, d_tgt, labels_src, w: WeightVector):
-    """d(loss)/d(d_src), d(loss)/d(d_tgt) for :func:`weighted_da_loss`."""
-    ds = _check_discriminator(d_src, "d_src")
-    dt = _check_discriminator(d_tgt, "d_tgt")
-    if ds.size != dt.size:
-        raise BatchSizeMismatch(f"paired batches of sizes {ds.size} and {dt.size}")
-    ws = _class_weights(labels_src, w)
-    s = ds.size
-    g_src = -ws / np.maximum(ds, LOG_EPS) / s
-    g_tgt = 1.0 / np.maximum(1.0 - dt, LOG_EPS) / s
-    return g_src, g_tgt
+def weighted_da_loss(d_src, d_tgt, labels_src, w: WeightVector) -> float:
+    return weighted_da_loss_grads(d_src, d_tgt, labels_src, w)[0]
+
+
+def _nll_grads(preds, labels, coeff):
+    """Mean of -coeff_i * log p_i[y_i] and its gradient in the predictions."""
+    p = np.asarray(preds, dtype=float)
+    labels = np.asarray(labels)
+    rows = np.arange(p.shape[0])
+    picked = np.maximum(p[rows, labels], LOG_EPS)
+    grad = np.zeros_like(p)
+    grad[rows, labels] = -coeff / picked / p.shape[0]
+    return float(-np.mean(coeff * np.log(picked))), grad
+
+
+def cross_entropy_loss_grads(preds, labels):
+    """Plain mean negative log likelihood of the true labels: (value, d/d(preds))."""
+    return _nll_grads(preds, labels, 1.0)
 
 
 def cross_entropy_loss(preds, labels) -> float:
-    """Plain mean negative log likelihood of the true labels."""
-    p = np.asarray(preds, dtype=float)
-    labels = np.asarray(labels)
-    return float(-np.mean(_log(p[np.arange(p.shape[0]), labels])))
+    return cross_entropy_loss_grads(preds, labels)[0]
 
 
-def cross_entropy_loss_grads(preds, labels) -> np.ndarray:
-    p = np.asarray(preds, dtype=float)
-    labels = np.asarray(labels)
-    n = p.shape[0]
-    grad = np.zeros_like(p)
-    picked = p[np.arange(n), labels]
-    grad[np.arange(n), labels] = -1.0 / np.maximum(picked, LOG_EPS) / n
-    return grad
-
-
-def _classification_coeffs(labels, p_source: Categorical, w: WeightVector | None) -> np.ndarray:
-    if np.any(p_source.probs == 0):
-        raise ZeroSourceClass("source label distribution has a zero entry")
-    labels = np.asarray(labels)
-    k = p_source.k
-    coeff = 1.0 / (k * p_source.probs[labels])
-    if w is not None:
-        coeff = coeff * w.w[labels]
-    return coeff
-
-
-def weighted_classification_loss(preds, labels, p_source: Categorical, w: WeightVector | None = None) -> float:
+def weighted_classification_loss_grads(preds, labels, p_source: Categorical, w: WeightVector | None = None):
     """Balanced cross entropy: each sample scaled by 1 / (k * p_S(y)).
 
     With uniform p_S this is exactly the plain mean cross entropy. The
     optional ``w`` adds the extra per-class ratio factor used by the
-    kernel-matching variant, giving w_y / (k * p_S(y)).
+    kernel-matching variant, giving w_y / (k * p_S(y)). Returns
+    (value, d(loss)/d(preds)).
     """
     p = np.asarray(preds, dtype=float)
     if p.ndim != 2 or p.shape[1] != p_source.k:
         raise ShapeMismatch(f"preds has shape {p.shape}, expected (n, {p_source.k})")
+    if np.any(p_source.probs == 0):
+        raise ZeroSourceClass("source label distribution has a zero entry")
     labels = np.asarray(labels)
-    coeff = _classification_coeffs(labels, p_source, w)
-    picked = p[np.arange(p.shape[0]), labels]
-    return float(-np.mean(coeff * _log(picked)))
+    coeff = 1.0 / (p_source.k * p_source.probs[labels])
+    if w is not None:
+        coeff = coeff * w.w[labels]
+    return _nll_grads(p, labels, coeff)
 
 
-def weighted_classification_loss_grads(preds, labels, p_source: Categorical, w: WeightVector | None = None) -> np.ndarray:
-    p = np.asarray(preds, dtype=float)
-    labels = np.asarray(labels)
-    coeff = _classification_coeffs(labels, p_source, w)
-    n = p.shape[0]
-    grad = np.zeros_like(p)
-    picked = p[np.arange(n), labels]
-    grad[np.arange(n), labels] = -coeff / np.maximum(picked, LOG_EPS) / n
-    return grad
+def weighted_classification_loss(preds, labels, p_source: Categorical, w: WeightVector | None = None) -> float:
+    return weighted_classification_loss_grads(preds, labels, p_source, w)[0]
 
 
-def cdan_feature_map(preds, feats) -> np.ndarray:
-    """Row-wise flattened outer product between predictions and features.
-
-    Row i is (p_i1 * z_i, ..., p_ik * z_i), so a one-hot prediction
-    selects one z-sized block. Output L2 norm per row is |p| * |z|.
-    """
-    p = np.asarray(preds, dtype=float)
-    z = np.asarray(feats, dtype=float)
-    if p.ndim != 2 or z.ndim != 2 or p.shape[0] != z.shape[0]:
-        raise ShapeMismatch(f"row counts differ: {p.shape} vs {z.shape}")
-    return np.einsum("nk,nz->nkz", p, z).reshape(p.shape[0], -1)
-
-
-def rbf_kernel(a: np.ndarray, b: np.ndarray, bandwidths) -> np.ndarray:
-    """Sum of Gaussian kernels exp(-|a_i - b_j|^2 / bw) over the bandwidth set.
-
-    Bandwidths are squared length scales.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-    sq = np.maximum(sq, 0.0)
-    out = np.zeros((a.shape[0], b.shape[0]))
-    for bw in bandwidths:
-        out += np.exp(-sq / bw)
-    return out
+    return np.maximum(sq, 0.0)
 
 
 def median_heuristic_bandwidths(feats_src, feats_tgt, scales=(0.5, 1.0, 2.0)) -> list[float]:
     """Median pairwise squared distance of the pooled batch, times each scale."""
     pooled = np.vstack([np.asarray(feats_src, dtype=float), np.asarray(feats_tgt, dtype=float)])
-    sq = (
-        np.sum(pooled * pooled, axis=1)[:, None]
-        + np.sum(pooled * pooled, axis=1)[None, :]
-        - 2.0 * (pooled @ pooled.T)
-    )
     iu = np.triu_indices(pooled.shape[0], k=1)
-    med = float(np.median(np.maximum(sq[iu], 0.0))) if iu[0].size else 1.0
+    med = float(np.median(_sq_dists(pooled, pooled)[iu])) if iu[0].size else 1.0
     med = max(med, 1e-12)
     return [s * med for s in scales]
 
 
-def _mmd_prepare(feats_src, labels_src, feats_tgt, w: WeightVector):
+def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, bandwidths):
+    """Kernel alignment loss, the negative weighted squared MMD.
+
+    -(1/s^2) sum_ij w_i w_j k(s_i, s_j) - (1/s^2) sum_ij k(t_i, t_j)
+    + (2/s^2) sum_ij w_i k(s_i, t_j)
+
+    k is the sum of Gaussian kernels exp(-|a - b|^2 / bw) over the
+    bandwidths, which are squared length scales. Maximizing this over the
+    feature extractor shrinks the discrepancy between the w-reweighted
+    source batch and the target batch. Returns
+    (value, d(loss)/d(feats_src), d(loss)/d(feats_tgt)).
+    """
     fs = np.asarray(feats_src, dtype=float)
     ft = np.asarray(feats_tgt, dtype=float)
     if fs.ndim != 2 or ft.ndim != 2 or fs.shape[1] != ft.shape[1]:
@@ -217,40 +155,22 @@ def _mmd_prepare(feats_src, labels_src, feats_tgt, w: WeightVector):
     if fs.shape[0] != ft.shape[0]:
         raise BatchSizeMismatch(f"paired batches of sizes {fs.shape[0]} and {ft.shape[0]}")
     ws = _class_weights(labels_src, w)
-    return fs, ft, ws
-
-
-def weighted_mmd_loss(feats_src, labels_src, feats_tgt, w: WeightVector, bandwidths) -> float:
-    """Kernel alignment loss, the negative weighted squared MMD.
-
-    -(1/s^2) sum_ij w_i w_j k(s_i, s_j) - (1/s^2) sum_ij k(t_i, t_j)
-    + (2/s^2) sum_ij w_i k(s_i, t_j)
-
-    Maximizing this over the feature extractor shrinks the discrepancy
-    between the w-reweighted source batch and the target batch.
-    """
-    fs, ft, ws = _mmd_prepare(feats_src, labels_src, feats_tgt, w)
-    s = fs.shape[0]
-    k_ss = rbf_kernel(fs, fs, bandwidths)
-    k_tt = rbf_kernel(ft, ft, bandwidths)
-    k_st = rbf_kernel(fs, ft, bandwidths)
-    total = -ws @ k_ss @ ws - k_tt.sum() + 2.0 * (ws @ k_st.sum(axis=1))
-    return float(total / (s * s))
-
-
-def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, bandwidths):
-    """d(loss)/d(feats_src), d(loss)/d(feats_tgt) for :func:`weighted_mmd_loss`."""
-    fs, ft, ws = _mmd_prepare(feats_src, labels_src, feats_tgt, w)
     s = fs.shape[0]
     g_src = np.zeros_like(fs)
     g_tgt = np.zeros_like(ft)
     sq_ss = _sq_dists(fs, fs)
     sq_tt = _sq_dists(ft, ft)
     sq_st = _sq_dists(fs, ft)
+    sum_ss = np.zeros_like(sq_ss)
+    sum_tt = np.zeros_like(sq_tt)
+    sum_st = np.zeros_like(sq_st)
     for bw in bandwidths:
         k_ss = np.exp(-sq_ss / bw)
         k_tt = np.exp(-sq_tt / bw)
         k_st = np.exp(-sq_st / bw)
+        sum_ss += k_ss
+        sum_tt += k_tt
+        sum_st += k_st
         # source-source block, coefficient -w_i w_j / s^2 on each pair
         a_ss = -(np.outer(ws, ws) / (s * s)) * k_ss
         g_src += (-4.0 / bw) * (a_ss.sum(axis=1)[:, None] * fs - a_ss @ fs)
@@ -261,9 +181,9 @@ def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, b
         a_st = (2.0 / (s * s)) * ws[:, None] * k_st
         g_src += (-2.0 / bw) * (a_st.sum(axis=1)[:, None] * fs - a_st @ ft)
         g_tgt += (-2.0 / bw) * (a_st.sum(axis=0)[:, None] * ft - a_st.T @ fs)
-    return g_src, g_tgt
+    total = -ws @ sum_ss @ ws - sum_tt.sum() + 2.0 * (ws @ sum_st.sum(axis=1))
+    return float(total / (s * s)), g_src, g_tgt
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(sq, 0.0)
+def weighted_mmd_loss(feats_src, labels_src, feats_tgt, w: WeightVector, bandwidths) -> float:
+    return weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w, bandwidths)[0]

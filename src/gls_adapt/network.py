@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch, StaleCache
+from .errors import InvalidModel, ParseError, ShapeMismatch, StaleCache
 
 __all__ = [
     "Mlp",
@@ -22,14 +22,12 @@ __all__ = [
     "backward",
     "outer_map",
     "sgd_step",
-    "zero_grads_like",
     "add_grads",
     "scale_grads",
     "save_model",
     "load_model",
 ]
 
-LOG_EPS = 1e-12
 SIGMOID_CLIP = 1e-12
 
 _ACTIVATIONS = ("tanh", "relu")
@@ -46,11 +44,11 @@ class Mlp:
     def __init__(self, layer_sizes, activation="tanh", head="none", rng=None):
         sizes = [int(s) for s in layer_sizes]
         if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ValueError(f"bad layer sizes {sizes}")
+            raise InvalidModel(f"bad layer sizes {sizes}: need at least 2 layers, each of size >= 1")
         if activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+            raise InvalidModel(f"activation must be one of {_ACTIVATIONS}")
         if head not in _HEADS:
-            raise ValueError(f"head must be one of {_HEADS}")
+            raise InvalidModel(f"head must be one of {_HEADS}")
         self.layer_sizes = sizes
         self.activation = activation
         self.head = head
@@ -128,9 +126,6 @@ class Mlp:
             if i > 0:
                 delta = (delta @ self.weights[i].T) * self._act_grad(inputs[i])
         return grads, delta @ self.weights[0].T
-
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
 
 @dataclass
@@ -239,7 +234,7 @@ def forward(state: ModelState, x: np.ndarray, mode: str):
         dout, cd = state.d.forward(u)
         cache.update(h=ch, p=p, d=cd, u=u)
         return dout, cache
-    raise ValueError(f"unknown mode {mode!r}")
+    raise InvalidModel(f"unknown mode {mode!r}")
 
 
 def backward(state: ModelState, cache, grad_out: np.ndarray) -> ModelGrads:
@@ -276,11 +271,7 @@ def backward(state: ModelState, cache, grad_out: np.ndarray) -> ModelGrads:
         h_grads, dz_chain = state.h.backward(cache["h"], dp)
         g_grads, _ = state.g.backward(cache["g"], dz_direct + dz_chain)
         return ModelGrads(g=g_grads, h=h_grads, d=d_grads)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def zero_grads_like(net: Mlp) -> list:
-    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
+    raise InvalidModel(f"unknown mode {mode!r}")
 
 
 def add_grads(a: list | None, b: list | None) -> list | None:
@@ -346,13 +337,13 @@ def load_model(path) -> ModelState:
     with open(path, encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("gls-adapt-model"):
-        raise ValueError("not a model file")
+        raise ParseError(f"{path}: line 1: not a model file")
     nets = {}
     i = 1
     while i < len(lines):
         parts = lines[i].split()
         if parts[0] != "net":
-            raise ValueError(f"expected a net header at line {i + 1}")
+            raise ParseError(f"{path}: line {i + 1}: expected a net header")
         name, activation, head = parts[1], parts[2], parts[3]
         sizes = [int(s) for s in parts[4:]]
         net = Mlp(sizes, activation=activation, head=head, rng=np.random.default_rng(0))

@@ -15,14 +15,14 @@ their losses, and the oracle variants pin them to the true ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import losses, network
 from .datagen import Dataset
 from .distributions import jsd
-from .errors import ConfigInvalid, DimensionMismatch, ZeroSourceClass
+from .errors import ConfigInvalid, DimensionMismatch, NonFiniteValue, ZeroSourceClass
 from .estimator import ConfusionAccumulator, WeightVector, ema_update, solve_qp, true_weights
 from .network import ModelGrads, ModelState
 
@@ -33,7 +33,6 @@ __all__ = [
     "TrainTrace",
     "train",
     "evaluate",
-    "trace_to_csv",
 ]
 
 ALGORITHMS = (
@@ -151,20 +150,16 @@ def evaluate(state: ModelState, data: Dataset) -> tuple[float, np.ndarray]:
 def _classification_grads(state, xs, ys, p_source, w_c):
     preds, cache = network.forward(state, xs, "classify")
     if w_c is None:
-        loss = losses.cross_entropy_loss(preds, ys)
-        gpred = losses.cross_entropy_loss_grads(preds, ys)
+        loss, gpred = losses.cross_entropy_loss_grads(preds, ys)
     else:
-        p_s, w = w_c
-        loss = losses.weighted_classification_loss(preds, ys, p_s, w)
-        gpred = losses.weighted_classification_loss_grads(preds, ys, p_s, w)
+        loss, gpred = losses.weighted_classification_loss_grads(preds, ys, *w_c)
     return loss, network.backward(state, cache, gpred)
 
 
 def _adversarial_grads_disc(state, xs, ys, xt, w_da, mode):
     d_src, cache_s = network.forward(state, xs, mode)
     d_tgt, cache_t = network.forward(state, xt, mode)
-    loss = losses.weighted_da_loss(d_src, d_tgt, ys, w_da)
-    g_src, g_tgt = losses.weighted_da_loss_grads(d_src, d_tgt, ys, w_da)
+    loss, g_src, g_tgt = losses.weighted_da_loss_grads(d_src, d_tgt, ys, w_da)
     back_s = network.backward(state, cache_s, g_src[:, None])
     back_t = network.backward(state, cache_t, g_tgt[:, None])
     combined = ModelGrads(
@@ -179,8 +174,7 @@ def _adversarial_grads_mmd(state, xs, ys, xt, w_da, scales):
     zs, cache_s = network.forward(state, xs, "features")
     zt, cache_t = network.forward(state, xt, "features")
     bw = losses.median_heuristic_bandwidths(zs, zt, scales)
-    loss = losses.weighted_mmd_loss(zs, ys, zt, w_da, bw)
-    g_zs, g_zt = losses.weighted_mmd_loss_grads(zs, ys, zt, w_da, bw)
+    loss, g_zs, g_zt = losses.weighted_mmd_loss_grads(zs, ys, zt, w_da, bw)
     back_s = network.backward(state, cache_s, g_zs)
     back_t = network.backward(state, cache_t, g_zt)
     return loss, ModelGrads(g=network.add_grads(back_s.g, back_t.g))
@@ -234,7 +228,7 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
             lr *= config.lr_decay_factor
         loss_da_sum = 0.0
         loss_c_sum = 0.0
-        for _ in range(config.batches_per_epoch):
+        for batch in range(config.batches_per_epoch):
             idx_s = rng.integers(0, source.n, size=config.batch_size)
             idx_t = rng.integers(0, target.n, size=config.batch_size)
             xs = source.features[idx_s]
@@ -266,10 +260,13 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
                     grads_c.g, network.scale_grads(grads_da.g, -config.reversal_coeff)
                 )
                 grads = ModelGrads(g=theta, h=grads_c.h, d=grads_da.d)
+            if not (np.isfinite(loss_da) and np.isfinite(loss_c)):
+                raise NonFiniteValue(
+                    f"epoch {epoch} batch {batch}: loss_da={loss_da!r}, loss_c={loss_c!r}"
+                )
             network.sgd_step(state, grads, lr, config.momentum)
-            batch = losses.BatchLosses(l_da=loss_da, l_c=loss_c)
-            loss_da_sum += batch.l_da
-            loss_c_sum += batch.l_c
+            loss_da_sum += loss_da
+            loss_c_sum += loss_c
 
             preds_s, _ = network.forward(state, xs, "classify")
             preds_t, _ = network.forward(state, xt, "classify")
@@ -343,25 +340,3 @@ def make_bound_hook(source: Dataset, target: Dataset, sink: list, bins: int = 16
         sink.extend((epoch, r) for r in reports)
 
     return hook
-
-
-def trace_to_csv(trace: TrainTrace, k: int) -> str:
-    """epoch,acc_src,acc_tgt,loss_da,loss_c,w_0..w_{k-1},w_dist,jsd_label."""
-    header = (
-        "epoch,acc_src,acc_tgt,loss_da,loss_c,"
-        + ",".join(f"w_{i}" for i in range(k))
-        + ",w_dist,jsd_label"
-    )
-    rows = [header]
-    for r in trace.records:
-        ws = ",".join(repr(float(v)) for v in r.w)
-        rows.append(
-            f"{r.epoch},{r.acc_src!r},{r.acc_tgt!r},{r.loss_da!r},{r.loss_c!r},"
-            f"{ws},{r.w_dist!r},{r.jsd_label!r}"
-        )
-    return "\n".join(rows) + "\n"
-
-
-def config_with(config: TrainConfig, **kwargs) -> TrainConfig:
-    """Functional update helper for frozen configs."""
-    return replace(config, **kwargs)

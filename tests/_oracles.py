@@ -172,3 +172,15 @@ def flatten_grads(grads):
 def random_categorical(rng, k, floor=0.05):
     raw = rng.uniform(floor, 1.0, size=k)
     return raw / raw.sum()
+
+
+def rbf_kernel(a, b, bandwidths):
+    """Sum of Gaussian kernels exp(-|a_i - b_j|^2 / bw) over the bandwidth set.
+
+    Bandwidths are squared length scales. Differences are formed directly
+    rather than through the |a|^2 + |b|^2 - 2ab expansion the library uses.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+    return sum(np.exp(-sq / bw) for bw in bandwidths)

@@ -128,6 +128,12 @@ class TestTrain:
         assert header == ["check", "epoch", "lhs", "rhs", "holds", "slack"]
         assert len(rows) == 2 * 4
 
+    def test_bad_feature_dim_is_one_line_error(self, tmp_path, capsys):
+        rc = run(["train", "--feature-dim", 0, "--out", tmp_path / "x"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_loads_datasets_from_files(self, tmp_path):
         data = tmp_path / "data"
         run(["generate", "--out", data, "--n", 300, "--seed", "4"])

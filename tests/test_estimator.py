@@ -5,9 +5,12 @@ from gls_adapt.distributions import Categorical
 from gls_adapt.errors import (
     DegenerateProblem,
     EmptyAccumulator,
+    GlsAdaptError,
+    InvalidCount,
     LabelOutOfRange,
     LambdaOutOfRange,
     LengthMismatch,
+    NonFiniteValue,
     ShapeMismatch,
     SingularMatrix,
     ZeroSourceClass,
@@ -116,6 +119,21 @@ class TestAccumulator:
             acc.accumulate(np.array([[0.7, 0.7]]), [0], np.array([[1.0, 0.0]]))
         with pytest.raises(LabelOutOfRange):
             acc.accumulate(np.array([[1.0, 0.0]]), [2], np.array([[1.0, 0.0]]))
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda: WeightVector(np.ones(1)), ShapeMismatch),
+            (lambda: WeightVector(np.array([1.0, np.nan])), NonFiniteValue),
+            (lambda: ConfusionAccumulator(1), InvalidCount),
+        ],
+    )
+    def test_package_errors_stay_value_errors(self, make, error):
+        with pytest.raises(error) as info:
+            make()
+        assert isinstance(info.value, GlsAdaptError) and isinstance(info.value, ValueError)
 
 
 class TestTrueWeights:

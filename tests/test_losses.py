@@ -12,16 +12,15 @@ from gls_adapt.errors import (
 )
 from gls_adapt.estimator import WeightVector
 from gls_adapt.losses import (
-    cdan_feature_map,
     cross_entropy_loss,
     median_heuristic_bandwidths,
-    rbf_kernel,
     weighted_classification_loss,
     weighted_da_loss,
     weighted_mmd_loss,
 )
+from gls_adapt.network import outer_map
 
-from _oracles import mmd_double_loop
+from _oracles import mmd_double_loop, rbf_kernel
 
 LN2 = math.log(2.0)
 
@@ -100,26 +99,28 @@ class TestWeightedClassificationLoss:
 
 
 class TestCdanFeatureMap:
+    """The CDAN discriminator input, :func:`gls_adapt.network.outer_map`."""
+
     def test_one_hot_selects_block(self):
-        got = cdan_feature_map(np.array([[1.0, 0.0]]), np.array([[3.0, 7.0]]))
+        got = outer_map(np.array([[1.0, 0.0]]), np.array([[3.0, 7.0]]))
         assert np.allclose(got, [[3.0, 7.0, 0.0, 0.0]])
 
     def test_hand_outer_product(self):
-        got = cdan_feature_map(np.array([[0.5, 0.5]]), np.array([[2.0, 0.0]]))
+        got = outer_map(np.array([[0.5, 0.5]]), np.array([[2.0, 0.0]]))
         assert np.allclose(got, [[1.0, 0.0, 1.0, 0.0]])
 
     def test_norm_identity(self):
         rng = np.random.default_rng(2)
         preds = rng.dirichlet(np.ones(3), size=10)
         feats = rng.normal(size=(10, 5))
-        out = cdan_feature_map(preds, feats)
+        out = outer_map(preds, feats)
         norms = np.linalg.norm(out, axis=1)
         expected = np.linalg.norm(preds, axis=1) * np.linalg.norm(feats, axis=1)
         assert np.allclose(norms, expected, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            cdan_feature_map(np.ones((3, 2)) / 2, np.ones((4, 5)))
+            outer_map(np.ones((3, 2)) / 2, np.ones((4, 5)))
 
 
 class TestWeightedMmdLoss:

@@ -3,7 +3,7 @@ import pytest
 
 from gls_adapt import losses, network
 from gls_adapt.distributions import Categorical
-from gls_adapt.errors import ShapeMismatch, StaleCache
+from gls_adapt.errors import GlsAdaptError, InvalidModel, ParseError, ShapeMismatch, StaleCache
 from gls_adapt.estimator import WeightVector
 from gls_adapt.network import (
     Mlp,
@@ -147,7 +147,7 @@ class TestGradientsAgainstFiniteDifferences:
             return losses.weighted_classification_loss(preds, labels, p_s)
 
         preds, cache = forward(state, x, "classify")
-        gpred = losses.weighted_classification_loss_grads(preds, labels, p_s)
+        _, gpred = losses.weighted_classification_loss_grads(preds, labels, p_s)
         grads = backward(state, cache, gpred)
         assert_grad_matches(state, "g", value, grads.g)
         assert_grad_matches(state, "h", value, grads.h)
@@ -167,7 +167,7 @@ class TestGradientsAgainstFiniteDifferences:
 
         ds, cs = forward(state, xs, "discriminate_z")
         dt, ct = forward(state, xt, "discriminate_z")
-        gs, gt = losses.weighted_da_loss_grads(ds.ravel(), dt.ravel(), labels, w)
+        _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), dt.ravel(), labels, w)
         back_s = backward(state, cs, gs[:, None])
         back_t = backward(state, ct, gt[:, None])
         g_total = network.add_grads(back_s.g, back_t.g)
@@ -190,7 +190,7 @@ class TestGradientsAgainstFiniteDifferences:
 
         ds, cs = forward(state, xs, "discriminate_outer")
         dt, ct = forward(state, xt, "discriminate_outer")
-        gs, gt = losses.weighted_da_loss_grads(ds.ravel(), dt.ravel(), labels, w)
+        _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), dt.ravel(), labels, w)
         back_s = backward(state, cs, gs[:, None])
         back_t = backward(state, ct, gt[:, None])
         assert_grad_matches(state, "g", value, network.add_grads(back_s.g, back_t.g))
@@ -213,10 +213,39 @@ class TestGradientsAgainstFiniteDifferences:
 
         zs, cs = forward(state, xs, "features")
         zt, ct = forward(state, xt, "features")
-        g_zs, g_zt = losses.weighted_mmd_loss_grads(zs, labels, zt, w, bw)
+        _, g_zs, g_zt = losses.weighted_mmd_loss_grads(zs, labels, zt, w, bw)
         back_s = backward(state, cs, g_zs)
         back_t = backward(state, ct, g_zt)
         assert_grad_matches(state, "g", value, network.add_grads(back_s.g, back_t.g))
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "sizes, kwargs",
+        [([3], {}), ([3, 0], {}), ([3, 2], {"activation": "sigmoid"}), ([3, 2], {"head": "relu"})],
+    )
+    def test_bad_mlp(self, sizes, kwargs):
+        with pytest.raises(InvalidModel) as info:
+            Mlp(sizes, **kwargs)
+        assert isinstance(info.value, GlsAdaptError) and isinstance(info.value, ValueError)
+
+    def test_unknown_mode(self):
+        state = small_state()
+        with pytest.raises(InvalidModel):
+            forward(state, np.zeros((2, 3)), "discriminate")
+        _, cache = forward(state, np.zeros((2, 3)), "features")
+        cache["mode"] = "discriminate"
+        with pytest.raises(InvalidModel):
+            backward(state, cache, np.zeros((2, 4)))
+
+    def test_load_model_names_the_line(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("not a model\n")
+        with pytest.raises(ParseError, match="line 1"):
+            load_model(path)
+        path.write_text("gls-adapt-model 1\n1.0 2.0\n")
+        with pytest.raises(ParseError, match="line 2"):
+            load_model(path)
 
 
 class TestSgd:
@@ -242,7 +271,7 @@ class TestSgd:
     def test_zero_grads_keep_params(self):
         state = small_state(seed=13)
         w0 = state.d.weights[0].copy()
-        g = network.zero_grads_like(state.d)
+        g = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(state.d.weights, state.d.biases)]
         sgd_step(state, ModelGrads(d=g), lr=0.5, momentum=0.9)
         assert np.array_equal(state.d.weights[0], w0)
 
@@ -262,7 +291,7 @@ class TestDeterminismAndCheckpoints:
                 x = rng.normal(size=(4, 3))
                 labels = rng.integers(0, 3, size=4)
                 preds, cache = forward(state, x, "classify")
-                gpred = losses.cross_entropy_loss_grads(preds, labels)
+                _, gpred = losses.cross_entropy_loss_grads(preds, labels)
                 grads = backward(state, cache, gpred)
                 sgd_step(state, ModelGrads(g=grads.g, h=grads.h), 0.05, 0.9)
             return flatten_net_params(state.g), flatten_net_params(state.h)

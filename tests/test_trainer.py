@@ -1,16 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gls_adapt.datagen import Dataset, make_shift_task
-from gls_adapt.errors import ConfigInvalid, DimensionMismatch, ZeroSourceClass
+from gls_adapt.cli import main
+from gls_adapt.datagen import Dataset, make_shift_task, write_dataset_csv
+from gls_adapt import losses
+from gls_adapt.errors import ConfigInvalid, DimensionMismatch, NonFiniteValue, ZeroSourceClass
 from gls_adapt.network import init_model_state
 from gls_adapt.trainer import (
     ALGORITHMS,
     TrainConfig,
-    config_with,
     evaluate,
     make_bound_hook,
-    trace_to_csv,
     train,
 )
 
@@ -186,8 +188,8 @@ class TestAblationIdentity:
         src, tgt = tiny_task()
         base = tiny_config(algorithm="iwdan_o", epochs=3)
         _, t_full = train(base, src, tgt)
-        _, t_da = train(config_with(base, weight_c_loss=False), src, tgt)
-        _, t_c = train(config_with(base, weight_da_loss=False), src, tgt)
+        _, t_da = train(replace(base, weight_c_loss=False), src, tgt)
+        _, t_c = train(replace(base, weight_da_loss=False), src, tgt)
         assert not np.allclose(t_full.records[-1].acc_tgt, t_da.records[-1].acc_tgt) or not np.allclose(
             t_full.records[-1].loss_c, t_da.records[-1].loss_c
         )
@@ -256,15 +258,40 @@ class TestMmdFamily:
         assert all(rec.loss_da <= 1e-9 for rec in trace.records)
 
 
+class TestNonFiniteLoss:
+    def test_error_names_epoch_and_batch(self, monkeypatch):
+        real = losses.cross_entropy_loss_grads
+        calls = []
+
+        def nan_on_eighth_call(preds, labels):
+            value, grad = real(preds, labels)
+            calls.append(value)
+            return (float("nan") if len(calls) == 8 else value), grad
+
+        monkeypatch.setattr(losses, "cross_entropy_loss_grads", nan_on_eighth_call)
+        with pytest.raises(NonFiniteValue, match="epoch 1 batch 2"):
+            train(tiny_config(algorithm="dann", epochs=2, batches_per_epoch=5), *tiny_task())
+
+
 class TestTraceCsv:
-    def test_columns(self):
+    def test_columns(self, tmp_path):
+        # the CLI's full-precision trace holds exactly the records train() returns
         src, tgt = tiny_task()
-        cfg = tiny_config(epochs=2)
-        _, trace = train(cfg, src, tgt)
-        text = trace_to_csv(trace, 3)
-        lines = text.splitlines()
+        write_dataset_csv(src, tmp_path / "source.csv")
+        write_dataset_csv(tgt, tmp_path / "target.csv")
+        opts = dict(epochs=2, batches_per_epoch=5, batch_size=32, feature_dim=8)
+        argv = ["train", "--full-precision", "--seed", "0", "--out", str(tmp_path)]
+        argv += ["--source", str(tmp_path / "source.csv"), "--target", str(tmp_path / "target.csv")]
+        for name, value in opts.items():
+            argv += [f"--{name.replace('_', '-')}", str(value)]
+        assert main(argv) == 0
+        lines = (tmp_path / "trace_iwdan_seed0.raw.csv").read_text().splitlines()
         assert lines[0] == "epoch,acc_src,acc_tgt,loss_da,loss_c,w_0,w_1,w_2,w_dist,jsd_label"
-        assert len(lines) == 3
+        _, trace = train(TrainConfig(algorithm="iwdan", seed=0, **opts), src, tgt)
+        assert len(lines) == 1 + len(trace) == 3
+        for line, r in zip(lines[1:], trace.records):
+            values = (r.acc_src, r.acc_tgt, r.loss_da, r.loss_c, *r.w, r.w_dist, r.jsd_label)
+            assert line == ",".join([str(r.epoch), *(repr(float(v)) for v in values)])
 
 
 class TestBoundHook:
