@@ -138,7 +138,10 @@ def _resolve(ns, opts) -> dict:
         if hasattr(ns, name):
             out[name] = getattr(ns, name)
         elif name in file_values:
-            out[name] = typ(file_values[name])
+            try:
+                out[name] = typ(file_values[name])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ParseError(f"{ns.config}: {name}: {exc}") from exc
     return out
 
 

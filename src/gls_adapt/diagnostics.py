@@ -19,6 +19,7 @@ from .errors import (
     InsufficientSamples,
     LengthMismatch,
     MalformedConfusion,
+    ShapeMismatch,
 )
 from .estimator import WeightVector
 
@@ -37,7 +38,6 @@ __all__ = [
     "check_discriminator_optimum",
     "check_weight_contraction",
     "bound_suite",
-    "reports_to_csv_rows",
 ]
 
 INEQ_TOL = 0.02
@@ -113,7 +113,7 @@ def conditional_error_gap(conf_src, conf_tgt) -> float:
 def _project2(feats: np.ndarray) -> np.ndarray:
     feats = np.asarray(feats, dtype=float)
     if feats.ndim != 2:
-        raise ValueError("features must be 2-d arrays")
+        raise ShapeMismatch(f"features must be 2-d arrays, got shape {feats.shape}")
     return feats[:, : min(feats.shape[1], 2)]
 
 
@@ -423,13 +423,3 @@ def bound_suite(
     ]
     return reports
 
-
-def reports_to_csv_rows(reports, epoch: int | None = None) -> list[str]:
-    """Rows check,epoch,lhs,rhs,holds,slack (header not included)."""
-    rows = []
-    for r in reports:
-        ep = "" if epoch is None else str(epoch)
-        rows.append(
-            f"{r.check},{ep},{r.lhs!r},{r.rhs!r},{int(r.holds)},{r.slack!r}"
-        )
-    return rows

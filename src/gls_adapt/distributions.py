@@ -11,7 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, LabelOutOfRange, LengthMismatch, SupportMismatch
+from .errors import (
+    EmptyInput,
+    InvalidCount,
+    InvalidDistribution,
+    LabelOutOfRange,
+    LengthMismatch,
+    NonFiniteValue,
+    ShapeMismatch,
+    SupportMismatch,
+)
 
 __all__ = [
     "Categorical",
@@ -40,16 +49,16 @@ class Categorical:
     def __post_init__(self):
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 1:
-            raise ValueError(f"probs must be a 1-d vector, got shape {arr.shape}")
+            raise ShapeMismatch(f"probs must be a 1-d vector, got shape {arr.shape}")
         if arr.size < 2:
-            raise ValueError("a categorical needs at least 2 categories")
+            raise InvalidCount("a categorical needs at least 2 categories")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("probs contains non-finite entries")
+            raise NonFiniteValue("probs contains non-finite entries")
         if np.any(arr < 0):
-            raise ValueError("probs contains negative entries")
+            raise InvalidDistribution("probs contains negative entries")
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"probs sum to {total!r}, expected 1 within {SUM_TOL}")
+            raise InvalidDistribution(f"probs sum to {total!r}, expected 1 within {SUM_TOL}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
@@ -60,7 +69,7 @@ class Categorical:
         arr = np.asarray(raw, dtype=float)
         total = arr.sum()
         if not np.isfinite(total) or total <= 0:
-            raise ValueError("cannot normalize: masses must be nonnegative with positive sum")
+            raise InvalidDistribution("cannot normalize: masses must be nonnegative with positive sum")
         return cls(arr / total)
 
     @property
@@ -138,7 +147,7 @@ def empirical_label_dist(labels, k: int) -> Categorical:
     if arr.size == 0:
         raise EmptyInput("labels is empty")
     if arr.ndim != 1:
-        raise ValueError(f"labels must be 1-d, got shape {arr.shape}")
+        raise ShapeMismatch(f"labels must be 1-d, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         if not np.all(arr == arr.astype(int)):
             raise LabelOutOfRange("labels must be integers")

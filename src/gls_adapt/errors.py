@@ -99,3 +99,7 @@ class NonFiniteValue(GlsAdaptError, ValueError):
 
 class InvalidModel(GlsAdaptError, ValueError):
     """A network's layer sizes, activation, head or forward mode is invalid."""
+
+
+class InvalidDistribution(GlsAdaptError, ValueError):
+    """A probability vector has negative entries or does not sum to 1."""

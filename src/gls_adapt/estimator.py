@@ -13,7 +13,6 @@ solved with an active-set method on the nonnegativity constraints.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 
@@ -40,9 +39,6 @@ __all__ = [
     "exact_inverse_weights",
     "solve_qp",
     "ema_update",
-    "confusion_to_csv",
-    "confusion_from_csv",
-    "weights_to_csv",
 ]
 
 ROW_SUM_TOL = 1e-6
@@ -270,36 +266,3 @@ def ema_update(w_prev: WeightVector, w_qp: WeightVector, lam: float) -> WeightVe
         raise LambdaOutOfRange(f"lambda must lie in [0, 1], got {lam!r}")
     return WeightVector(lam * w_qp.w + (1.0 - lam) * w_prev.w)
 
-
-def confusion_to_csv(c: np.ndarray) -> str:
-    """Serialize a k x k matrix row-major with header c_0_0,c_0_1,..."""
-    c = np.asarray(c, dtype=float)
-    k = c.shape[0]
-    header = ",".join(f"c_{i}_{j}" for i in range(k) for j in range(k))
-    values = ",".join(repr(float(v)) for v in c.ravel())
-    return header + "\n" + values + "\n"
-
-
-def confusion_from_csv(text: str) -> np.ndarray:
-    """Inverse of :func:`confusion_to_csv`."""
-    lines = [ln for ln in io.StringIO(text).read().splitlines() if ln.strip()]
-    if len(lines) != 2:
-        raise ValueError("expected a header line and one value line")
-    flat = np.array([float(v) for v in lines[1].split(",")])
-    k = int(round(np.sqrt(flat.size)))
-    if k * k != flat.size:
-        raise ValueError(f"{flat.size} values do not form a square matrix")
-    return flat.reshape(k, k)
-
-
-def weights_to_csv(rows: dict[str, np.ndarray]) -> str:
-    """Serialize named weight vectors, one per row: method,w_0,...,w_{k-1}."""
-    ks = {len(v) for v in rows.values()}
-    if len(ks) != 1:
-        raise LengthMismatch("all weight vectors must have equal length")
-    k = ks.pop()
-    header = "method," + ",".join(f"w_{i}" for i in range(k))
-    out = [header]
-    for name, vec in rows.items():
-        out.append(name + "," + ",".join(repr(float(v)) for v in np.asarray(vec)))
-    return "\n".join(out) + "\n"

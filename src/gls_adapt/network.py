@@ -162,6 +162,11 @@ class ModelState:
     def feature_dim(self) -> int:
         return self.g.out_dim
 
+    @property
+    def disc_mode(self) -> str:
+        """The forward mode that feeds this model's discriminator, fixed by its input size."""
+        return "discriminate_z" if self.d.in_dim == self.g.out_dim else "discriminate_outer"
+
     def net(self, name: str) -> Mlp:
         return {"g": self.g, "h": self.h, "d": self.d}[name]
 

@@ -96,6 +96,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochRecord:
+    """One epoch's summary; ``conf_src``/``conf_tgt`` are the k x k confusions of :func:`evaluate`."""
+
     epoch: int
     acc_src: float
     acc_tgt: float
@@ -104,6 +106,8 @@ class EpochRecord:
     w: np.ndarray
     w_dist: float
     jsd_label: float
+    conf_src: np.ndarray
+    conf_tgt: np.ndarray
 
 
 @dataclass
@@ -214,7 +218,6 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
 
     oracle = algo in _ORACLE
     weighted = algo in _WEIGHTED
-    disc_mode = "discriminate_outer" if algo in _CONDITIONAL else "discriminate_z"
     ones = WeightVector(np.ones(k))
     w_est = ones  # running moving-average estimate, tracked for every algorithm
     w_model = w_star if oracle else w_est  # what the losses may consume
@@ -253,7 +256,7 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
                     )
                 else:
                     loss_da, grads_da = _adversarial_grads_disc(
-                        state, xs, ys, xt, w_da, disc_mode
+                        state, xs, ys, xt, w_da, state.disc_mode
                     )
                 # reversal: the feature extractor ascends the alignment loss
                 theta = network.add_grads(
@@ -281,8 +284,8 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
                 w_model = w_est
 
         w_logged = w_star if oracle else w_est
-        acc_src, _ = evaluate(state, source)
-        acc_tgt, _ = evaluate(state, target)
+        acc_src, conf_src = evaluate(state, source)
+        acc_tgt, conf_tgt = evaluate(state, target)
         record = EpochRecord(
             epoch=epoch,
             acc_src=acc_src,
@@ -292,6 +295,8 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
             w=np.array(w_logged.w),
             w_dist=float(np.linalg.norm(w_logged.w - w_star.w)),
             jsd_label=jsd_label,
+            conf_src=conf_src,
+            conf_tgt=conf_tgt,
         )
         trace.append(record)
         if epoch_hook is not None:
@@ -301,6 +306,11 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
 
 def make_bound_hook(source: Dataset, target: Dataset, sink: list, bins: int = 16, min_count: int = 50):
     """Epoch hook that runs the full inequality suite on both datasets.
+
+    The hook reports on the run it is attached to: ``source`` and
+    ``target`` must be the datasets given to :func:`train`, whose
+    ``EpochRecord`` supplies the epoch's confusion matrices. One
+    discriminator pass per dataset supplies the features as well.
 
     Appends (epoch, BoundReport) pairs to ``sink``. The weighted feature
     divergence is estimated both from binned histograms and from the
@@ -314,22 +324,17 @@ def make_bound_hook(source: Dataset, target: Dataset, sink: list, bins: int = 16
     w_star = true_weights(p_src, p_tgt)
 
     def hook(epoch, state, record):
-        _, conf_s = evaluate(state, source)
-        _, conf_t = evaluate(state, target)
-        feats_s, _ = network.forward(state, source.features, "features")
-        feats_t, _ = network.forward(state, target.features, "features")
-        mode = "discriminate_outer" if state.d.in_dim == state.k * state.feature_dim else "discriminate_z"
-        d_src, _ = network.forward(state, source.features, mode)
-        d_tgt, _ = network.forward(state, target.features, mode)
+        d_src, cache_s = network.forward(state, source.features, state.disc_mode)
+        d_tgt, cache_t = network.forward(state, target.features, state.disc_mode)
         jsd_disc = discriminator_route_jsd(d_src, d_tgt, source.labels, w_star)
         reports = bound_suite(
-            conf_src=conf_s,
-            conf_tgt=conf_t,
+            conf_src=record.conf_src,
+            conf_tgt=record.conf_tgt,
             p_src=p_src,
             p_tgt=p_tgt,
-            feats_src=feats_s,
+            feats_src=cache_s["z"],
             labels_src=source.labels,
-            feats_tgt=feats_t,
+            feats_tgt=cache_t["z"],
             labels_tgt=target.labels,
             w_true=w_star,
             bins=bins,

@@ -48,6 +48,12 @@ class TestGenerate:
         assert (a / "source.csv").read_bytes() == (b / "source.csv").read_bytes()
         assert (a / "target.csv").read_bytes() == (b / "target.csv").read_bytes()
 
+    def test_bad_label_dist_is_one_line_error(self, tmp_path, capsys):
+        rc = run(["generate", "--target-label-dist", "0.5,0.6", "--out", tmp_path / "x"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: probs sum to 1.1") and err.count("\n") == 1
+
     def test_env_seed_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GLS_ADAPT_SEED", "17")
         out = tmp_path / "envseed"
@@ -194,6 +200,15 @@ class TestConfigFile:
         cfg.write_text("epochs 2\n")
         rc = run(["train", "--config", cfg, "--out", tmp_path / "x", "--algorithms", "none"])
         assert rc == 1
+
+    @pytest.mark.parametrize("line", ["epochs = abc", "weight_da_loss = maybe"])
+    def test_bad_value_is_one_line_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        rc = run(["train", "--config", cfg, "--out", tmp_path / "x", "--algorithms", "none"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: {line.split()[0]}: ") and err.count("\n") == 1
 
 
 class TestEstimateWeights:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from gls_adapt.cli import main
+from gls_adapt.datagen import make_shift_task, write_dataset_csv
 from gls_adapt.diagnostics import (
     balanced_error_rate,
     check_discriminator_optimum,
@@ -14,7 +16,6 @@ from gls_adapt.diagnostics import (
     conditional_error_gap,
     discriminator_route_jsd,
     gls_conditional_gap,
-    reports_to_csv_rows,
 )
 from gls_adapt.distributions import Categorical, jsd
 from gls_adapt.errors import (
@@ -22,8 +23,10 @@ from gls_adapt.errors import (
     InsufficientSamples,
     LengthMismatch,
     MalformedConfusion,
+    ShapeMismatch,
 )
 from gls_adapt.estimator import WeightVector
+from gls_adapt.trainer import TrainConfig, make_bound_hook, train
 
 from _oracles import random_categorical
 
@@ -126,6 +129,11 @@ class TestGlsConditionalGap:
         labels[:2] = 1
         with pytest.raises(InsufficientSamples):
             gls_conditional_gap(feats, labels, feats, labels, min_count=50)
+
+    def test_features_must_be_2d(self):
+        labels = np.zeros(60, dtype=int)
+        with pytest.raises(ShapeMismatch):
+            gls_conditional_gap(np.zeros(60), labels, np.zeros(60), labels)
 
 
 class TestCheckLowerBound:
@@ -291,8 +299,24 @@ class TestWeightContraction:
 
 
 class TestReportCsv:
-    def test_rows(self):
-        r = check_lower_bound(0.1, 0.1, 0.05, 0.01)
-        rows = reports_to_csv_rows([r], epoch=3)
-        assert rows[0].startswith("lower_bound,3,")
-        assert rows[0].count(",") == 5
+    def test_rows(self, tmp_path):
+        # the verify-bounds command writes exactly the reports the bound hook collects
+        src, tgt = make_shift_task(k=3, n_source=600, n_target=600, seed=0)
+        write_dataset_csv(src, tmp_path / "source.csv")
+        write_dataset_csv(tgt, tmp_path / "target.csv")
+        opts = dict(epochs=1, batches_per_epoch=3, feature_dim=8)
+        argv = ["verify-bounds", "--full-precision", "--seed", "0", "--out", str(tmp_path)]
+        argv += ["--source", str(tmp_path / "source.csv"), "--target", str(tmp_path / "target.csv")]
+        for name, value in opts.items():
+            argv += [f"--{name.replace('_', '-')}", str(value)]
+        assert main(argv) == 0
+        lines = (tmp_path / "bounds.raw.csv").read_text().splitlines()
+        assert lines[0] == "check,epoch,lhs,rhs,holds,slack"
+        assert lines[1].startswith("lower_bound,0,")
+        assert all(line.count(",") == 5 for line in lines)
+        sink = []
+        cfg = TrainConfig(algorithm="iwdan", seed=0, **opts)
+        train(cfg, src, tgt, epoch_hook=make_bound_hook(src, tgt, sink))
+        assert lines[1:] == [
+            f"{r.check},{ep},{r.lhs!r},{r.rhs!r},{int(r.holds)},{r.slack!r}" for ep, r in sink
+        ]

@@ -12,7 +12,16 @@ from gls_adapt.distributions import (
     l1_distance,
     tv_distance,
 )
-from gls_adapt.errors import EmptyInput, LabelOutOfRange, LengthMismatch, SupportMismatch
+from gls_adapt.errors import (
+    EmptyInput,
+    InvalidCount,
+    InvalidDistribution,
+    LabelOutOfRange,
+    LengthMismatch,
+    NonFiniteValue,
+    ShapeMismatch,
+    SupportMismatch,
+)
 
 from _oracles import jsd_terms, random_categorical
 
@@ -46,6 +55,22 @@ class TestCategorical:
             cat(2.0, 2.0)
         c = Categorical.normalize([2.0, 2.0])
         assert np.allclose(c.probs, [0.5, 0.5])
+
+    def test_errors_are_typed(self):
+        with pytest.raises(InvalidDistribution):
+            cat(0.5, 0.6)
+        with pytest.raises(InvalidDistribution):
+            cat(-0.1, 1.1)
+        with pytest.raises(InvalidDistribution):
+            Categorical.normalize([0.0, 0.0])
+        with pytest.raises(InvalidCount):
+            Categorical(np.array([1.0]))
+        with pytest.raises(NonFiniteValue):
+            cat(np.nan, 0.5)
+        with pytest.raises(ShapeMismatch):
+            Categorical(np.full((2, 2), 0.25))
+        with pytest.raises(ShapeMismatch):
+            empirical_label_dist(np.zeros((2, 2), dtype=int), 2)
 
     def test_probs_read_only(self):
         c = cat(0.5, 0.5)

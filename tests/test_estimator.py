@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gls_adapt.cli import main
 from gls_adapt.distributions import Categorical
 from gls_adapt.errors import (
     DegenerateProblem,
@@ -18,13 +19,10 @@ from gls_adapt.errors import (
 from gls_adapt.estimator import (
     ConfusionAccumulator,
     WeightVector,
-    confusion_from_csv,
-    confusion_to_csv,
     ema_update,
     exact_inverse_weights,
     solve_qp,
     true_weights,
-    weights_to_csv,
 )
 
 from _oracles import qp_grid_oracle, qp_objective, random_categorical
@@ -378,16 +376,35 @@ class TestEmaUpdate:
 
 
 class TestCsvRoundTrips:
-    def test_confusion_round_trip(self):
-        rng = np.random.default_rng(11)
-        c = rng.random((3, 3))
-        text = confusion_to_csv(c)
-        assert text.splitlines()[0].startswith("c_0_0,c_0_1")
-        assert np.array_equal(confusion_from_csv(text), c)
+    # the estimate-weights command is the one writer of both files
 
-    def test_weights_csv(self):
-        text = weights_to_csv({"qp": np.array([1.5, 0.5]), "exact_inverse": np.array([1.4, 0.6])})
-        lines = text.splitlines()
+    def run_cli(self, tmp_path, preds, labels):
+        header = ",".join(f"p_{i}" for i in range(preds.shape[1]))
+        rows = (",".join(repr(float(v)) for v in row) for row in preds)
+        (tmp_path / "p.csv").write_text(header + "\n" + "\n".join(rows) + "\n")
+        (tmp_path / "l.csv").write_text("label\n" + "".join(f"{y}\n" for y in labels))
+        argv = ["estimate-weights", "--full-precision", "--out", str(tmp_path / "o")]
+        argv += ["--source-preds", str(tmp_path / "p.csv"), "--source-labels", str(tmp_path / "l.csv")]
+        argv += ["--target-preds", str(tmp_path / "p.csv")]
+        assert main(argv) == 0
+        return tmp_path / "o"
+
+    def test_confusion_round_trip(self, tmp_path):
+        rng = np.random.default_rng(11)
+        preds = rng.dirichlet(np.ones(3), size=40)
+        labels = np.arange(40) % 3
+        out = self.run_cli(tmp_path, preds, labels)
+        lines = (out / "confusion.raw.csv").read_text().splitlines()
+        assert lines[0].startswith("c_0_0,c_0_1")
+        assert len(lines) == 2
+        c_hat, _ = ConfusionAccumulator(3).accumulate(preds, labels, preds).finalize()
+        assert np.array_equal(np.array([float(v) for v in lines[1].split(",")]).reshape(3, 3), c_hat)
+
+    def test_weights_csv(self, tmp_path):
+        labels = np.array([0, 0, 0, 1])
+        out = self.run_cli(tmp_path, np.eye(2)[labels], labels)
+        lines = (out / "weights.csv").read_text().splitlines()
         assert lines[0] == "method,w_0,w_1"
         assert lines[1].startswith("qp,")
+        assert lines[2].startswith("exact_inverse,")
         assert len(lines) == 3

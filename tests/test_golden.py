@@ -1,8 +1,10 @@
-"""Golden fixed-seed outputs: `train --bounds` over every algorithm, byte for byte.
+"""Golden fixed-seed outputs of every command, byte for byte.
 
-The fixtures under ``tests/golden/`` pin the full-precision trace and
-bound-report CSVs of a small run. A refactor that claims "same
-behaviour" must leave them unchanged. Regenerate them with
+The fixtures under ``tests/golden/`` pin the full-precision CSVs of small
+runs: `train --bounds` over every algorithm, `verify-bounds` for a plain
+and a conditional discriminator, `estimate-weights` on fixed prediction
+files, and `generate`. A refactor that claims "same behaviour" must
+leave them unchanged. Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py`` only for a change whose
 new outputs are intended and stated.
 """
@@ -11,6 +13,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gls_adapt.cli import main
@@ -18,25 +21,69 @@ from gls_adapt.trainer import ALGORITHMS
 
 GOLDEN = Path(__file__).parent / "golden"
 SEED = 0
-ARGS = [
-    "train",
-    "--bounds",
-    "--full-precision",
-    "--algorithms", ",".join(ALGORITHMS),
+DOMAIN = [
     "--seed", str(SEED),
     "--n", "500",
+    "--source-label-dist", "0.5,0.3,0.2",
+    "--target-label-dist", "0.2,0.3,0.5",
+]
+TRAIN = [
     "--epochs", "3",
     "--batches-per-epoch", "5",
     "--batch-size", "24",
     "--feature-dim", "8",
-    "--source-label-dist", "0.5,0.3,0.2",
-    "--target-label-dist", "0.2,0.3,0.5",
 ]
+ARGS = ["train", "--bounds", "--full-precision", "--algorithms", ",".join(ALGORITHMS), *DOMAIN, *TRAIN]
 FILES = [f"{kind}_{alg}_seed{SEED}.raw.csv" for alg in ALGORITHMS for kind in ("trace", "bounds")]
+
+# The other commands, each pinned in its own fixture directory.
+COMMANDS = {
+    "verify-bounds-iwdan": ["bounds.raw.csv", "trace.raw.csv"],
+    "verify-bounds-iwcdan": ["bounds.raw.csv", "trace.raw.csv"],
+    "estimate-weights": ["weights.raw.csv", "confusion.raw.csv"],
+    "generate": ["source.csv", "target.csv", "manifest.txt"],
+}
+COMMAND_FILES = [f"{name}/{f}" for name, files in COMMANDS.items() for f in files]
 
 
 def _run(out: Path) -> None:
     assert main([*ARGS, "--out", str(out)]) == 0
+
+
+def _write_prediction_files(out: Path) -> list:
+    """Noisy softmax predictions for a k=3 label shift, as estimate-weights reads them."""
+    rng = np.random.default_rng(SEED)
+    k = 3
+
+    def preds(labels, sharpness):
+        logits = sharpness * np.eye(k)[labels] + rng.standard_normal((labels.size, k))
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    def write(path, rows):
+        lines = ["p_0,p_1,p_2", *(",".join(repr(float(v)) for v in row) for row in rows)]
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+    labels = rng.choice(k, size=400, p=[0.5, 0.3, 0.2])
+    target_labels = rng.choice(k, size=400, p=[0.2, 0.3, 0.5])
+    write(out / "sp.csv", preds(labels, 2.0))
+    write(out / "tp.csv", preds(target_labels, 2.0))
+    (out / "sl.csv").write_text("label\n" + "".join(f"{y}\n" for y in labels), encoding="ascii")
+    return [
+        "--source-preds", str(out / "sp.csv"),
+        "--source-labels", str(out / "sl.csv"),
+        "--target-preds", str(out / "tp.csv"),
+    ]
+
+
+def _run_command(name: str, out: Path) -> None:
+    if name.startswith("verify-bounds-"):
+        argv = ["verify-bounds", "--algorithm", name.rsplit("-", 1)[1], *DOMAIN, *TRAIN]
+    elif name == "estimate-weights":
+        argv = ["estimate-weights", *_write_prediction_files(out)]
+    else:
+        argv = ["generate", *DOMAIN, "--subsample", "0.5", "--conditional-shift", "0.3"]
+    assert main([*argv, "--full-precision", "--out", str(out / name)]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -46,13 +93,29 @@ def run_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def command_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_commands")
+    for name in COMMANDS:
+        _run_command(name, out)
+    return out
+
+
 @pytest.mark.parametrize("name", FILES)
 def test_matches_golden(run_dir, name):
     assert (run_dir / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("name", COMMAND_FILES)
+def test_command_matches_golden(command_dir, name):
+    assert (command_dir / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         _run(Path(tmp))
-        for name in FILES:
+        for name in COMMANDS:
+            _run_command(name, Path(tmp))
+            (GOLDEN / name).mkdir(exist_ok=True)
+        for name in FILES + COMMAND_FILES:
             shutil.copyfile(Path(tmp) / name, GOLDEN / name)

@@ -57,6 +57,10 @@ class TestForward:
         assert d_out.shape == (7, 1)
         assert np.all((d_out > 0) & (d_out < 1))
 
+    def test_disc_mode_follows_conditional(self):
+        assert small_state(conditional=False).disc_mode == "discriminate_z"
+        assert small_state(conditional=True).disc_mode == "discriminate_outer"
+
     def test_softmax_rows_sum_to_one(self):
         state = small_state(seed=3)
         x = np.random.default_rng(3).normal(size=(50, 3)) * 5
@@ -306,6 +310,7 @@ class TestDeterminismAndCheckpoints:
         path = tmp_path / "model.txt"
         save_model(state, path)
         loaded = load_model(path)
+        assert loaded.disc_mode == state.disc_mode == "discriminate_outer"
         for name in ("g", "h", "d"):
             a, b = state.net(name), loaded.net(name)
             assert a.layer_sizes == b.layer_sizes

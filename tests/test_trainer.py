@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from gls_adapt.cli import main
 from gls_adapt.datagen import Dataset, make_shift_task, write_dataset_csv
-from gls_adapt import losses
+from gls_adapt import losses, network, trainer
 from gls_adapt.errors import ConfigInvalid, DimensionMismatch, NonFiniteValue, ZeroSourceClass
 from gls_adapt.network import init_model_state
 from gls_adapt.trainer import (
@@ -321,3 +322,38 @@ class TestBoundHook:
         cfg = tiny_config(algorithm="iwcdan", epochs=1, batches_per_epoch=8)
         train(cfg, src, tgt, epoch_hook=make_bound_hook(src, tgt, sink, min_count=30))
         assert any(r.check == "sufficiency" for _, r in sink)
+
+
+class TestFullDataPasses:
+    """Deterministic counts of full-dataset passes; a perf regression shows here without timing."""
+
+    @pytest.mark.parametrize("algorithm", ["iwdan", "iwcdan"])
+    def test_one_evaluation_per_epoch(self, monkeypatch, algorithm):
+        src, tgt = tiny_task(n=900)
+        counts = Counter()
+        real_forward, real_evaluate = network.forward, trainer.evaluate
+
+        def forward(state, x, mode):
+            counts["full_forward"] += len(x) in (src.n, tgt.n)
+            return real_forward(state, x, mode)
+
+        def evaluate(state, data):
+            counts["evaluate"] += 1
+            return real_evaluate(state, data)
+
+        monkeypatch.setattr(network, "forward", forward)
+        monkeypatch.setattr(trainer, "evaluate", evaluate)
+        cfg = tiny_config(algorithm=algorithm, epochs=2, batches_per_epoch=3)
+        train(cfg, src, tgt)
+        assert counts == {"evaluate": 2 * 2, "full_forward": 2 * 2}
+
+        counts.clear()
+        bound_hook = make_bound_hook(src, tgt, [], min_count=30)
+
+        def hook(epoch, state, record):
+            before = counts["evaluate"]
+            bound_hook(epoch, state, record)
+            assert counts["evaluate"] == before
+
+        train(cfg, src, tgt, epoch_hook=hook)
+        assert counts == {"evaluate": 2 * 2, "full_forward": 2 * 4}
