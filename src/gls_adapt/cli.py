@@ -27,7 +27,7 @@ from .datagen import (
     write_dataset_csv,
 )
 from .distributions import Categorical, empirical_label_dist, jsd
-from .errors import GlsAdaptError, ParseError
+from .errors import GlsAdaptError, InvalidSpec, ParseError
 from .estimator import ConfusionAccumulator, exact_inverse_weights, solve_qp
 from .trainer import TrainConfig, make_bound_hook, train
 
@@ -151,6 +151,20 @@ def _resolve_seed(ns) -> int:
     return opts["seed"] if "seed" in opts else int(os.environ.get("GLS_ADAPT_SEED", "0"))
 
 
+def _label_dist(name: str, probs, k: int):
+    """Check one label-distribution option, if set; errors end with the option's name."""
+    if probs is None:
+        return None
+    flag = "--" + name.replace("_", "-")
+    try:
+        dist = Categorical(np.asarray(probs, dtype=float))
+    except GlsAdaptError as exc:
+        raise type(exc)(f"{exc} ({flag})") from exc
+    if dist.k != k:
+        raise InvalidSpec(f"label_dist length must equal k ({flag})")
+    return dist.probs
+
+
 def _make_domains(
     seed: int,
     subsample=None,
@@ -176,8 +190,8 @@ def _make_domains(
         n_target=n,
         sigma=sigma,
         radius=radius,
-        p_source=source_label_dist,
-        p_target=target_label_dist,
+        p_source=_label_dist("source_label_dist", source_label_dist, k),
+        p_target=_label_dist("target_label_dist", target_label_dist, k),
         seed=seed,
         conditional_shift=shift,
     )
@@ -188,13 +202,13 @@ def _make_domains(
 
 def _load_or_make_datasets(ns, opts, seed):
     if getattr(ns, "source", None) and getattr(ns, "target", None):
-        src = read_dataset_csv(ns.source, domain_tag="source")
-        tgt = read_dataset_csv(ns.target, domain_tag="target")
+        src = read_dataset_csv(ns.source)
+        tgt = read_dataset_csv(ns.target)
         k = max(src.k, tgt.k)
         if src.k != k:
-            src = Dataset(src.features, src.labels, k, "source")
+            src = Dataset(src.features, src.labels, k)
         if tgt.k != k:
-            tgt = Dataset(tgt.features, tgt.labels, k, "target")
+            tgt = Dataset(tgt.features, tgt.labels, k)
         return src, tgt
     return _make_domains(seed, subsample=getattr(ns, "subsample", None), **opts)
 

@@ -28,6 +28,8 @@ __all__ = [
     "read_dataset_csv",
 ]
 
+JSD_ENVELOPE = (0.004, 0.095)  # label-divergence range the task ladder spans
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -40,7 +42,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     k: int
-    domain_tag: str = "source"
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
@@ -113,7 +114,7 @@ def circle_class_means(k: int, d: int = 2, radius: float = 1.0) -> np.ndarray:
     return means
 
 
-def make_gaussian_domain(spec: DomainSpec, domain_tag: str = "source") -> Dataset:
+def make_gaussian_domain(spec: DomainSpec) -> Dataset:
     """Sample labels from the spec's label distribution, then features from
     N(mean_y + shift_y, sigma^2 I). Deterministic given the spec's seed."""
     means = np.asarray(spec.class_means, dtype=float)
@@ -143,7 +144,7 @@ def make_gaussian_domain(spec: DomainSpec, domain_tag: str = "source") -> Datase
         labels = rng.choice(spec.k, size=spec.n, p=spec.label_dist.probs)
     noise = rng.standard_normal((spec.n, spec.d)) * spec.class_covariance_scale
     feats = means[labels] + shift[labels] + noise
-    return Dataset(features=feats, labels=labels, k=spec.k, domain_tag=domain_tag)
+    return Dataset(features=feats, labels=labels, k=spec.k)
 
 
 def make_shift_task(
@@ -164,12 +165,10 @@ def make_shift_task(
     p_s = Categorical(np.full(k, 1.0 / k)) if p_source is None else Categorical(np.asarray(p_source, dtype=float))
     p_t = Categorical(np.full(k, 1.0 / k)) if p_target is None else Categorical(np.asarray(p_target, dtype=float))
     src = make_gaussian_domain(
-        DomainSpec(k, d, means, sigma, p_s, n_source, seed, exact_counts=exact_counts),
-        domain_tag="source",
+        DomainSpec(k, d, means, sigma, p_s, n_source, seed, exact_counts=exact_counts)
     )
     tgt = make_gaussian_domain(
-        DomainSpec(k, d, means, sigma, p_t, n_target, seed + 1, conditional_shift, exact_counts),
-        domain_tag="target",
+        DomainSpec(k, d, means, sigma, p_t, n_target, seed + 1, conditional_shift, exact_counts)
     )
     return src, tgt
 
@@ -194,12 +193,7 @@ def subsample_protocol(data: Dataset, fraction: float, seed: int = 0) -> Dataset
             idx = rng.choice(idx, size=m, replace=False)
         keep.append(idx)
     order = np.sort(np.concatenate(keep))
-    return Dataset(
-        features=data.features[order],
-        labels=data.labels[order],
-        k=data.k,
-        domain_tag=data.domain_tag,
-    )
+    return Dataset(features=data.features[order], labels=data.labels[order], k=data.k)
 
 
 @dataclass(frozen=True)
@@ -219,7 +213,7 @@ def _apply_keep_vector(data: Dataset, keep: np.ndarray, rng) -> Dataset:
         m = max(1, int(round(keep[y] * idx.size)))
         idx_all.append(rng.choice(idx, size=min(m, idx.size), replace=False))
     order = np.sort(np.concatenate(idx_all))
-    return Dataset(data.features[order], data.labels[order], data.k, data.domain_tag)
+    return Dataset(data.features[order], data.labels[order], data.k)
 
 
 def jsd_task_suite(
@@ -227,7 +221,6 @@ def jsd_task_suite(
     base_target: Dataset,
     count: int,
     seed: int = 0,
-    jsd_envelope: tuple[float, float] = (0.004, 0.095),
 ) -> list[Task]:
     """Generate adaptation tasks with an approximately uniform spread of
     label-distribution divergences.
@@ -236,7 +229,7 @@ def jsd_task_suite(
     subsample the source, half the target. A large candidate pool is
     scored by the divergence its keep vector would induce, and one
     candidate is selected per rung of an evenly spaced divergence ladder
-    (automatic replacement for hand rejection).
+    inside ``JSD_ENVELOPE`` (automatic replacement for hand rejection).
     """
     if count < 1:
         raise InvalidCount(f"count must be >= 1, got {count}")
@@ -263,8 +256,8 @@ def jsd_task_suite(
         for i in range(pool):
             sub = Categorical.normalize(counts * keeps[i])
             cand_jsd[i] = jsd(sub, other.label_distribution())
-        lo = max(jsd_envelope[0], float(cand_jsd.min()))
-        hi = min(jsd_envelope[1], float(cand_jsd.max()))
+        lo = max(JSD_ENVELOPE[0], float(cand_jsd.min()))
+        hi = min(JSD_ENVELOPE[1], float(cand_jsd.max()))
         ladder = np.linspace(lo, hi, n_side) if n_side > 1 else np.array([(lo + hi) / 2])
         used: set[int] = set()
         for target_jsd in ladder:
@@ -288,7 +281,7 @@ def write_dataset_csv(data: Dataset, path) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
 
 
-def read_dataset_csv(path, k: int | None = None, domain_tag: str = "source") -> Dataset:
+def read_dataset_csv(path, k: int | None = None) -> Dataset:
     """Read a dataset written by :func:`write_dataset_csv`.
 
     ``k`` defaults to max(label) + 1. Parse failures name the line.
@@ -318,4 +311,4 @@ def read_dataset_csv(path, k: int | None = None, domain_tag: str = "source") -> 
         raise ParseError(f"{path}: no data rows")
     labels_arr = np.asarray(labels)
     k = int(labels_arr.max()) + 1 if k is None else k
-    return Dataset(np.asarray(feats), labels_arr, k=k, domain_tag=domain_tag)
+    return Dataset(np.asarray(feats), labels_arr, k=k)

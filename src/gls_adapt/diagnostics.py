@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Categorical, jsd
+from .distributions import Categorical, jsd, l1_distance
 from .errors import (
     DegenerateGamma,
     InsufficientSamples,
@@ -43,6 +43,7 @@ __all__ = [
 INEQ_TOL = 0.02
 EXACT_TOL = 1e-8
 ROW_TOL = 1e-6
+BINS = 16  # histogram cells per projected feature axis
 LOG4 = float(np.log(4.0))
 
 
@@ -117,13 +118,13 @@ def _project2(feats: np.ndarray) -> np.ndarray:
     return feats[:, : min(feats.shape[1], 2)]
 
 
-def _grid_edges(pooled: np.ndarray, bins: int):
+def _grid_edges(pooled: np.ndarray):
     lo = pooled.min(axis=0)
     hi = pooled.max(axis=0)
     span = np.maximum(hi - lo, 1e-9)
     lo = lo - 1e-9 * span
     hi = hi + 1e-9 * span
-    return [np.linspace(lo[j], hi[j], bins + 1) for j in range(pooled.shape[1])]
+    return [np.linspace(lo[j], hi[j], BINS + 1) for j in range(pooled.shape[1])]
 
 
 def _hist(feats: np.ndarray, edges, weights=None) -> np.ndarray:
@@ -143,7 +144,6 @@ def gls_conditional_gap(
     labels_src,
     feats_tgt,
     labels_tgt,
-    bins: int = 16,
     min_count: int = 50,
     correct: bool = True,
     permutations: int = 4,
@@ -152,17 +152,18 @@ def gls_conditional_gap(
     """Per-class total variation between binned conditional feature laws.
 
     Features beyond two dimensions are projected onto their first two
-    coordinates; histograms share a fixed grid over the pooled bounding
-    box. With ``correct=True`` a permutation baseline (the TV measured
-    after pooling and resplitting each class) is subtracted and the
-    result clipped at zero, removing most of the binning-noise bias.
+    coordinates; histograms share a fixed grid of ``BINS`` cells per axis
+    over the pooled bounding box. With ``correct=True`` a permutation
+    baseline (the TV measured after pooling and resplitting each class) is
+    subtracted and the result clipped at zero, removing most of the
+    binning-noise bias.
     """
     fs = _project2(feats_src)
     ft = _project2(feats_tgt)
     ys = np.asarray(labels_src)
     yt = np.asarray(labels_tgt)
     k = int(max(ys.max(), yt.max())) + 1
-    edges = _grid_edges(np.vstack([fs, ft]), bins)
+    edges = _grid_edges(np.vstack([fs, ft]))
     rng = np.random.default_rng(seed)
     gaps = np.zeros(k)
     for y in range(k):
@@ -184,17 +185,17 @@ def gls_conditional_gap(
     return gaps
 
 
-def binned_feature_jsd(feats_a, feats_b, bins: int = 16, weights_a=None, weights_b=None) -> float:
+def binned_feature_jsd(feats_a, feats_b, weights_a=None) -> float:
     """Plug-in divergence between two feature samples on a shared 2-d grid.
 
-    Optional per-sample weights reweight the first (or second) sample,
-    which is how the ratio-weighted source distribution is estimated.
+    Optional per-sample weights reweight the first sample, which is how
+    the ratio-weighted source distribution is estimated.
     """
     a = _project2(feats_a)
     b = _project2(feats_b)
-    edges = _grid_edges(np.vstack([a, b]), bins)
+    edges = _grid_edges(np.vstack([a, b]))
     pa = Categorical(_hist(a, edges, weights_a))
-    pb = Categorical(_hist(b, edges, weights_b))
+    pb = Categorical(_hist(b, edges))
     return jsd(pa, pb)
 
 
@@ -374,7 +375,6 @@ def bound_suite(
     feats_tgt,
     labels_tgt,
     w_true: WeightVector,
-    bins: int = 16,
     min_count: int = 50,
     seed: int = 0,
     jsd_weighted_disc: float | None = None,
@@ -396,16 +396,16 @@ def bound_suite(
     mu_t = Categorical.normalize(p_tgt.probs @ conf_t)
     jsd_labels = jsd(p_src, p_tgt)
     jsd_preds = jsd(mu_s, mu_t)
-    jsd_feats_binned = binned_feature_jsd(feats_src, feats_tgt, bins=bins)
-    l1 = float(np.abs(p_src.probs - p_tgt.probs).sum())
+    jsd_feats_binned = binned_feature_jsd(feats_src, feats_tgt)
+    l1 = l1_distance(p_src, p_tgt)
     ber = balanced_error_rate(conf_s)
     delta_ce = conditional_error_gap(conf_s, conf_t)
     gaps = gls_conditional_gap(
-        feats_src, labels_src, feats_tgt, labels_tgt, bins=bins, min_count=min_count, seed=seed
+        feats_src, labels_src, feats_tgt, labels_tgt, min_count=min_count, seed=seed
     )
     gap = float(gaps.max())
     w_sample = w_true.w[np.asarray(labels_src)]
-    jsd_w = binned_feature_jsd(feats_src, feats_tgt, bins=bins, weights_a=w_sample)
+    jsd_w = binned_feature_jsd(feats_src, feats_tgt, weights_a=w_sample)
 
     lower = check_lower_bound(eps_s, eps_t, jsd_labels, jsd_preds)
     lower.components["jsd_features_binned"] = float(jsd_feats_binned)

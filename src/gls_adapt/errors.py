@@ -98,7 +98,7 @@ class NonFiniteValue(GlsAdaptError, ValueError):
 
 
 class InvalidModel(GlsAdaptError, ValueError):
-    """A network's layer sizes, activation, head or forward mode is invalid."""
+    """A network's layer sizes, head or forward mode is invalid."""
 
 
 class InvalidDistribution(GlsAdaptError, ValueError):

@@ -152,19 +152,17 @@ def true_weights(p_source: Categorical, p_target: Categorical) -> WeightVector:
     return WeightVector(p_target.probs / p_source.probs)
 
 
-def exact_inverse_weights(
-    c: np.ndarray, mu: Categorical, condition_cap: float = CONDITION_CAP
-) -> WeightVector:
+def exact_inverse_weights(c: np.ndarray, mu: Categorical) -> WeightVector:
     """Diagnostic inversion w = C^-1 mu, with no nonnegativity enforcement.
 
-    Refuses matrices whose condition number exceeds ``condition_cap``.
+    Refuses matrices whose condition number exceeds ``CONDITION_CAP``.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] != mu.k:
         raise ShapeMismatch(f"C has shape {c.shape}, expected ({mu.k}, {mu.k})")
     cond = np.linalg.cond(c)
-    if not np.isfinite(cond) or cond > condition_cap:
-        raise SingularMatrix(f"condition number {cond:.3g} exceeds cap {condition_cap:.3g}")
+    if not np.isfinite(cond) or cond > CONDITION_CAP:
+        raise SingularMatrix(f"condition number {cond:.3g} exceeds cap {CONDITION_CAP:.3g}")
     return WeightVector(np.linalg.solve(c, mu.probs))
 
 

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 LOG_EPS = 1e-12
+MMD_SCALES = (0.5, 1.0, 2.0)
 
 
 def _check_discriminator(out, name: str) -> np.ndarray:
@@ -127,13 +128,13 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0)
 
 
-def median_heuristic_bandwidths(feats_src, feats_tgt, scales=(0.5, 1.0, 2.0)) -> list[float]:
-    """Median pairwise squared distance of the pooled batch, times each scale."""
+def median_heuristic_bandwidths(feats_src, feats_tgt) -> list[float]:
+    """Median pairwise squared distance of the pooled batch, times each of ``MMD_SCALES``."""
     pooled = np.vstack([np.asarray(feats_src, dtype=float), np.asarray(feats_tgt, dtype=float)])
     iu = np.triu_indices(pooled.shape[0], k=1)
     med = float(np.median(_sq_dists(pooled, pooled)[iu])) if iu[0].size else 1.0
     med = max(med, 1e-12)
-    return [s * med for s in scales]
+    return [s * med for s in MMD_SCALES]
 
 
 def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, bandwidths):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidModel, ParseError, ShapeMismatch, StaleCache
+from .errors import InvalidModel, ShapeMismatch, StaleCache
 
 __all__ = [
     "Mlp",
@@ -24,33 +24,27 @@ __all__ = [
     "sgd_step",
     "add_grads",
     "scale_grads",
-    "save_model",
-    "load_model",
 ]
 
 SIGMOID_CLIP = 1e-12
 
-_ACTIVATIONS = ("tanh", "relu")
 _HEADS = ("none", "softmax", "sigmoid", "tanh")
 
 
 class Mlp:
-    """Dense net: out = head(W_L(...act(W_0 x + b_0)...) + b_L).
+    """Dense net: out = head(W_L(...tanh(W_0 x + b_0)...) + b_L).
 
     Weights are initialized uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) from
     the supplied generator, so construction order is reproducible.
     """
 
-    def __init__(self, layer_sizes, activation="tanh", head="none", rng=None):
+    def __init__(self, layer_sizes, head="none", rng=None):
         sizes = [int(s) for s in layer_sizes]
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise InvalidModel(f"bad layer sizes {sizes}: need at least 2 layers, each of size >= 1")
-        if activation not in _ACTIVATIONS:
-            raise InvalidModel(f"activation must be one of {_ACTIVATIONS}")
         if head not in _HEADS:
             raise InvalidModel(f"head must be one of {_HEADS}")
         self.layer_sizes = sizes
-        self.activation = activation
         self.head = head
         rng = rng if rng is not None else np.random.default_rng(0)
         self.weights: list[np.ndarray] = []
@@ -68,16 +62,6 @@ class Mlp:
     def out_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    def _act(self, pre: np.ndarray) -> np.ndarray:
-        if self.activation == "tanh":
-            return np.tanh(pre)
-        return np.maximum(pre, 0.0)
-
-    def _act_grad(self, post: np.ndarray) -> np.ndarray:
-        if self.activation == "tanh":
-            return 1.0 - post * post
-        return (post > 0).astype(float)
-
     def forward(self, x: np.ndarray):
         """Return (output, cache). cache holds the per-layer inputs."""
         x = np.asarray(x, dtype=float)
@@ -88,7 +72,7 @@ class Mlp:
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             pre = a @ w + b
-            a = self._act(pre) if i < last else pre
+            a = np.tanh(pre) if i < last else pre
             inputs.append(a)
         out = self._head(a)
         cache = {"inputs": inputs, "out": out}
@@ -124,7 +108,7 @@ class Mlp:
             a_prev = inputs[i]
             grads[i] = (a_prev.T @ delta, delta.sum(axis=0))
             if i > 0:
-                delta = (delta @ self.weights[i].T) * self._act_grad(inputs[i])
+                delta = (delta @ self.weights[i].T) * (1.0 - inputs[i] * inputs[i])
         return grads, delta @ self.weights[0].T
 
 
@@ -139,7 +123,6 @@ class ModelState:
     h: Mlp
     d: Mlp
     velocities: dict = field(default_factory=dict)
-    step_count: int = 0
     version: int = 0
 
     def __post_init__(self):
@@ -186,7 +169,6 @@ def init_model_state(
     feature_dim: int = 32,
     g_hidden=(64,),
     d_hidden=(32,),
-    activation: str = "tanh",
     conditional: bool = False,
     seed: int = 0,
     rng=None,
@@ -197,10 +179,10 @@ def init_model_state(
     input instead of the plain z input.
     """
     rng = rng if rng is not None else np.random.default_rng(seed)
-    g = Mlp([input_dim, *g_hidden, feature_dim], activation=activation, head="tanh", rng=rng)
-    h = Mlp([feature_dim, k], activation=activation, head="softmax", rng=rng)
+    g = Mlp([input_dim, *g_hidden, feature_dim], head="tanh", rng=rng)
+    h = Mlp([feature_dim, k], head="softmax", rng=rng)
     d_in = feature_dim * k if conditional else feature_dim
-    d = Mlp([d_in, *d_hidden, 1], activation=activation, head="sigmoid", rng=rng)
+    d = Mlp([d_in, *d_hidden, 1], head="sigmoid", rng=rng)
     return ModelState(g=g, h=h, d=d)
 
 
@@ -313,51 +295,6 @@ def sgd_step(state: ModelState, grads: ModelGrads, lr: float, momentum: float) -
             vb += gb
             net.weights[i] -= lr * vw
             net.biases[i] -= lr * vb
-    state.step_count += 1
     state.version += 1
     return state
 
-
-def save_model(state: ModelState, path) -> None:
-    """Write parameters as text: one header and one value line per tensor.
-
-    Layout per net: ``net <name> <activation> <head> <size_0> ... <size_L>``
-    followed by, per layer, a row-major weight line and a bias line.
-    Optimizer state is not persisted.
-    """
-    lines = ["gls-adapt-model 1"]
-    for name in ("g", "h", "d"):
-        net = state.net(name)
-        sizes = " ".join(str(s) for s in net.layer_sizes)
-        lines.append(f"net {name} {net.activation} {net.head} {sizes}")
-        for w, b in zip(net.weights, net.biases):
-            lines.append(" ".join(repr(float(v)) for v in w.ravel()))
-            lines.append(" ".join(repr(float(v)) for v in b))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_model(path) -> ModelState:
-    """Inverse of :func:`save_model`."""
-    with open(path, encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("gls-adapt-model"):
-        raise ParseError(f"{path}: line 1: not a model file")
-    nets = {}
-    i = 1
-    while i < len(lines):
-        parts = lines[i].split()
-        if parts[0] != "net":
-            raise ParseError(f"{path}: line {i + 1}: expected a net header")
-        name, activation, head = parts[1], parts[2], parts[3]
-        sizes = [int(s) for s in parts[4:]]
-        net = Mlp(sizes, activation=activation, head=head, rng=np.random.default_rng(0))
-        i += 1
-        for layer, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-            w = np.array([float(v) for v in lines[i].split()]).reshape(fan_in, fan_out)
-            b = np.array([float(v) for v in lines[i + 1].split()])
-            net.weights[layer] = w
-            net.biases[layer] = b
-            i += 2
-        nets[name] = net
-    return ModelState(g=nets["g"], h=nets["h"], d=nets["d"])

@@ -72,11 +72,7 @@ class TrainConfig:
     feature_dim: int = 32
     g_hidden: tuple = (64,)
     d_hidden: tuple = (32,)
-    activation: str = "tanh"
     reversal_coeff: float = 1.0
-    lr_decay_factor: float = 1.0
-    lr_decay_every: int = 0
-    mmd_scales: tuple = (0.5, 1.0, 2.0)
 
     def validated(self) -> "TrainConfig":
         if self.algorithm not in ALGORITHMS:
@@ -89,8 +85,6 @@ class TrainConfig:
             raise ConfigInvalid("weight_update_period must be >= 1")
         if self.lr <= 0 or not 0.0 <= self.momentum < 1.0:
             raise ConfigInvalid("need lr > 0 and momentum in [0, 1)")
-        if self.lr_decay_factor <= 0 or self.lr_decay_factor > 1:
-            raise ConfigInvalid("lr_decay_factor must lie in (0, 1]")
         return self
 
 
@@ -174,10 +168,10 @@ def _adversarial_grads_disc(state, xs, ys, xt, w_da, mode):
     return loss, combined
 
 
-def _adversarial_grads_mmd(state, xs, ys, xt, w_da, scales):
+def _adversarial_grads_mmd(state, xs, ys, xt, w_da):
     zs, cache_s = network.forward(state, xs, "features")
     zt, cache_t = network.forward(state, xt, "features")
-    bw = losses.median_heuristic_bandwidths(zs, zt, scales)
+    bw = losses.median_heuristic_bandwidths(zs, zt)
     loss, g_zs, g_zt = losses.weighted_mmd_loss_grads(zs, ys, zt, w_da, bw)
     back_s = network.backward(state, cache_s, g_zs)
     back_t = network.backward(state, cache_t, g_zt)
@@ -211,7 +205,6 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
         feature_dim=config.feature_dim,
         g_hidden=tuple(config.g_hidden),
         d_hidden=tuple(config.d_hidden),
-        activation=config.activation,
         conditional=algo in _CONDITIONAL,
         rng=rng,
     )
@@ -224,11 +217,8 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
 
     acc = ConfusionAccumulator(k)
     trace = TrainTrace()
-    lr = config.lr
 
     for epoch in range(config.epochs):
-        if config.lr_decay_every and epoch and epoch % config.lr_decay_every == 0:
-            lr *= config.lr_decay_factor
         loss_da_sum = 0.0
         loss_c_sum = 0.0
         for batch in range(config.batches_per_epoch):
@@ -251,9 +241,7 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
                 grads = ModelGrads(g=grads_c.g, h=grads_c.h)
             else:
                 if algo in _KERNEL:
-                    loss_da, grads_da = _adversarial_grads_mmd(
-                        state, xs, ys, xt, w_da, config.mmd_scales
-                    )
+                    loss_da, grads_da = _adversarial_grads_mmd(state, xs, ys, xt, w_da)
                 else:
                     loss_da, grads_da = _adversarial_grads_disc(
                         state, xs, ys, xt, w_da, state.disc_mode
@@ -267,7 +255,7 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
                 raise NonFiniteValue(
                     f"epoch {epoch} batch {batch}: loss_da={loss_da!r}, loss_c={loss_c!r}"
                 )
-            network.sgd_step(state, grads, lr, config.momentum)
+            network.sgd_step(state, grads, config.lr, config.momentum)
             loss_da_sum += loss_da
             loss_c_sum += loss_c
 
@@ -304,7 +292,7 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
     return state, trace
 
 
-def make_bound_hook(source: Dataset, target: Dataset, sink: list, bins: int = 16, min_count: int = 50):
+def make_bound_hook(source: Dataset, target: Dataset, sink: list, min_count: int = 50):
     """Epoch hook that runs the full inequality suite on both datasets.
 
     The hook reports on the run it is attached to: ``source`` and
@@ -337,7 +325,6 @@ def make_bound_hook(source: Dataset, target: Dataset, sink: list, bins: int = 16
             feats_tgt=cache_t["z"],
             labels_tgt=target.labels,
             w_true=w_star,
-            bins=bins,
             min_count=min_count,
             seed=epoch,
             jsd_weighted_disc=jsd_disc,

@@ -54,6 +54,29 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: probs sum to 1.1") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--source-label-dist", "0.5,0.6"),
+            ("--target-label-dist", "0.5,0.6"),
+            ("--target-label-dist", "0.5,0.5"),
+        ],
+    )
+    def test_label_dist_error_names_the_option(self, tmp_path, capsys, flag, value):
+        rc = run(["generate", flag, value, "--out", tmp_path / "x"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f" ({flag})\n")
+
+    def test_config_label_dist_error_names_the_option(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("source_label_dist = 0.5,0.6\n")
+        rc = run(["generate", "--config", cfg, "--out", tmp_path / "x"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: probs sum to 1.1, expected 1 within 1e-09 (--source-label-dist)\n"
+
     def test_env_seed_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GLS_ADAPT_SEED", "17")
         out = tmp_path / "envseed"
@@ -165,6 +188,25 @@ class TestTrain:
         )
         assert rc == 0
         assert (out / "summary.csv").exists()
+
+    def train_from_files(self, tmp_path, missing_from):
+        """Train on a generated pair after deleting the class-2 rows of one file."""
+        data = tmp_path / "data"
+        run(["generate", "--out", data, "--n", 300, "--seed", "4"])
+        lines = (data / missing_from).read_text().splitlines()
+        (data / missing_from).write_text("\n".join(ln for ln in lines if not ln.endswith(",2")) + "\n")
+        argv = ["train", "--out", tmp_path / "runs", "--seed", 0, "--epochs", 1]
+        argv += ["--batches-per-epoch", 3, "--feature-dim", 8, "--algorithms", "iwdan"]
+        return run(argv + ["--source", data / "source.csv", "--target", data / "target.csv"])
+
+    def test_target_without_a_class_keeps_the_source_class_count(self, tmp_path):
+        assert self.train_from_files(tmp_path, "target.csv") == 0
+        header = (tmp_path / "runs" / "trace_iwdan_seed0.csv").read_text().splitlines()[0]
+        assert header == "epoch,acc_src,acc_tgt,loss_da,loss_c,w_0,w_1,w_2,w_dist,jsd_label"
+
+    def test_source_without_a_class_is_one_line_error(self, tmp_path, capsys):
+        assert self.train_from_files(tmp_path, "source.csv") == 1
+        assert capsys.readouterr().err == "error: every class needs at least one source sample\n"
 
 
 class TestConfigFile:

@@ -3,7 +3,7 @@ import pytest
 
 from gls_adapt import losses, network
 from gls_adapt.distributions import Categorical
-from gls_adapt.errors import GlsAdaptError, InvalidModel, ParseError, ShapeMismatch, StaleCache
+from gls_adapt.errors import GlsAdaptError, InvalidModel, ShapeMismatch, StaleCache
 from gls_adapt.estimator import WeightVector
 from gls_adapt.network import (
     Mlp,
@@ -11,9 +11,7 @@ from gls_adapt.network import (
     backward,
     forward,
     init_model_state,
-    load_model,
     outer_map,
-    save_model,
     sgd_step,
 )
 
@@ -226,7 +224,7 @@ class TestGradientsAgainstFiniteDifferences:
 class TestTypedErrors:
     @pytest.mark.parametrize(
         "sizes, kwargs",
-        [([3], {}), ([3, 0], {}), ([3, 2], {"activation": "sigmoid"}), ([3, 2], {"head": "relu"})],
+        [([3], {}), ([3, 0], {}), ([3, 0, 2], {}), ([3, 2], {"head": "relu"})],
     )
     def test_bad_mlp(self, sizes, kwargs):
         with pytest.raises(InvalidModel) as info:
@@ -241,15 +239,6 @@ class TestTypedErrors:
         cache["mode"] = "discriminate"
         with pytest.raises(InvalidModel):
             backward(state, cache, np.zeros((2, 4)))
-
-    def test_load_model_names_the_line(self, tmp_path):
-        path = tmp_path / "model.txt"
-        path.write_text("not a model\n")
-        with pytest.raises(ParseError, match="line 1"):
-            load_model(path)
-        path.write_text("gls-adapt-model 1\n1.0 2.0\n")
-        with pytest.raises(ParseError, match="line 2"):
-            load_model(path)
 
 
 class TestSgd:
@@ -304,22 +293,3 @@ class TestDeterminismAndCheckpoints:
         b_g, b_h = run()
         assert np.array_equal(a_g, b_g)
         assert np.array_equal(a_h, b_h)
-
-    def test_checkpoint_round_trip(self, tmp_path):
-        state = small_state(conditional=True, seed=16)
-        path = tmp_path / "model.txt"
-        save_model(state, path)
-        loaded = load_model(path)
-        assert loaded.disc_mode == state.disc_mode == "discriminate_outer"
-        for name in ("g", "h", "d"):
-            a, b = state.net(name), loaded.net(name)
-            assert a.layer_sizes == b.layer_sizes
-            assert a.activation == b.activation and a.head == b.head
-            for wa, wb in zip(a.weights, b.weights):
-                assert np.array_equal(wa, wb)
-            for ba, bb in zip(a.biases, b.biases):
-                assert np.array_equal(ba, bb)
-        x = np.random.default_rng(17).normal(size=(3, 3))
-        pa, _ = forward(state, x, "classify")
-        pb, _ = forward(loaded, x, "classify")
-        assert np.array_equal(pa, pb)

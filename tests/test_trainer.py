@@ -153,15 +153,15 @@ class TestTrainBasics:
 
     def test_dimension_mismatch_between_domains(self):
         src, tgt = tiny_task()
-        bad_tgt = Dataset(np.zeros((50, 3)), np.zeros(50, dtype=int), 3, "target")
+        bad_tgt = Dataset(np.zeros((50, 3)), np.zeros(50, dtype=int), 3)
         with pytest.raises(DimensionMismatch):
             train(tiny_config(), src, bad_tgt)
 
     def test_zero_source_class(self):
         feats = np.random.default_rng(0).normal(size=(60, 2))
         labels = np.zeros(60, dtype=int)
-        src = Dataset(feats, labels, 2, "source")
-        tgt = Dataset(feats, 1 - labels, 2, "target")
+        src = Dataset(feats, labels, 2)
+        tgt = Dataset(feats, 1 - labels, 2)
         with pytest.raises(ZeroSourceClass):
             train(tiny_config(algorithm="dann"), src, tgt)
 
