@@ -9,6 +9,8 @@ weighted loss reduces exactly to its unweighted base version.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .distributions import Categorical
@@ -128,25 +130,52 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(sq, 0.0)
 
 
-def median_heuristic_bandwidths(feats_src, feats_tgt) -> list[float]:
-    """Median pairwise squared distance of the pooled batch, times each of ``MMD_SCALES``."""
-    pooled = np.vstack([np.asarray(feats_src, dtype=float), np.asarray(feats_tgt, dtype=float)])
-    iu = np.triu_indices(pooled.shape[0], k=1)
-    med = float(np.median(_sq_dists(pooled, pooled)[iu])) if iu[0].size else 1.0
+@functools.lru_cache(maxsize=8)
+def _strict_upper(n: int) -> np.ndarray:
+    """Flat indices of the strict upper triangle of an n x n matrix."""
+    rows, cols = np.triu_indices(n, k=1)
+    flat = rows * n + cols
+    flat.flags.writeable = False  # shared by every caller through the cache
+    return flat
+
+
+def _median_bandwidths(sq_ss, sq_tt, sq_st) -> list[float]:
+    """The median heuristic from the three distance blocks of the pooled batch.
+
+    The pooled matrix's strict upper triangle holds exactly the strict
+    upper triangles of the two within-domain blocks plus the whole cross
+    block, so the median of their union is the pooled median.
+    """
+    pairs = np.concatenate(
+        [
+            sq_ss.ravel()[_strict_upper(sq_ss.shape[0])],
+            sq_tt.ravel()[_strict_upper(sq_tt.shape[0])],
+            sq_st.ravel(),
+        ]
+    )
+    med = float(np.median(pairs)) if pairs.size else 1.0
     med = max(med, 1e-12)
     return [s * med for s in MMD_SCALES]
 
 
-def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, bandwidths):
+def median_heuristic_bandwidths(feats_src, feats_tgt) -> list[float]:
+    """Median pairwise squared distance of the pooled batch, times each of ``MMD_SCALES``."""
+    fs = np.asarray(feats_src, dtype=float)
+    ft = np.asarray(feats_tgt, dtype=float)
+    return _median_bandwidths(_sq_dists(fs, fs), _sq_dists(ft, ft), _sq_dists(fs, ft))
+
+
+def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, bandwidths=None):
     """Kernel alignment loss, the negative weighted squared MMD.
 
     -(1/s^2) sum_ij w_i w_j k(s_i, s_j) - (1/s^2) sum_ij k(t_i, t_j)
     + (2/s^2) sum_ij w_i k(s_i, t_j)
 
     k is the sum of Gaussian kernels exp(-|a - b|^2 / bw) over the
-    bandwidths, which are squared length scales. Maximizing this over the
-    feature extractor shrinks the discrepancy between the w-reweighted
-    source batch and the target batch. Returns
+    bandwidths, which are squared length scales; ``None`` takes them from
+    :func:`median_heuristic_bandwidths` of the same batch. Maximizing this
+    over the feature extractor shrinks the discrepancy between the
+    w-reweighted source batch and the target batch. Returns
     (value, d(loss)/d(feats_src), d(loss)/d(feats_tgt)).
     """
     fs = np.asarray(feats_src, dtype=float)
@@ -157,14 +186,18 @@ def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, b
         raise BatchSizeMismatch(f"paired batches of sizes {fs.shape[0]} and {ft.shape[0]}")
     ws = _class_weights(labels_src, w)
     s = fs.shape[0]
-    g_src = np.zeros_like(fs)
-    g_tgt = np.zeros_like(ft)
     sq_ss = _sq_dists(fs, fs)
     sq_tt = _sq_dists(ft, ft)
     sq_st = _sq_dists(fs, ft)
+    if bandwidths is None:
+        bandwidths = _median_bandwidths(sq_ss, sq_tt, sq_st)
+    # kernel sums for the value, and the same sums over k / bw for the gradient
     sum_ss = np.zeros_like(sq_ss)
     sum_tt = np.zeros_like(sq_tt)
     sum_st = np.zeros_like(sq_st)
+    c_ss = np.zeros_like(sq_ss)
+    c_tt = np.zeros_like(sq_tt)
+    c_st = np.zeros_like(sq_st)
     for bw in bandwidths:
         k_ss = np.exp(-sq_ss / bw)
         k_tt = np.exp(-sq_tt / bw)
@@ -172,16 +205,16 @@ def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, b
         sum_ss += k_ss
         sum_tt += k_tt
         sum_st += k_st
-        # source-source block, coefficient -w_i w_j / s^2 on each pair
-        a_ss = -(np.outer(ws, ws) / (s * s)) * k_ss
-        g_src += (-4.0 / bw) * (a_ss.sum(axis=1)[:, None] * fs - a_ss @ fs)
-        # target-target block, coefficient -1 / s^2
-        a_tt = -(1.0 / (s * s)) * k_tt
-        g_tgt += (-4.0 / bw) * (a_tt.sum(axis=1)[:, None] * ft - a_tt @ ft)
-        # cross block, coefficient +2 w_i / s^2
-        a_st = (2.0 / (s * s)) * ws[:, None] * k_st
-        g_src += (-2.0 / bw) * (a_st.sum(axis=1)[:, None] * fs - a_st @ ft)
-        g_tgt += (-2.0 / bw) * (a_st.sum(axis=0)[:, None] * ft - a_st.T @ fs)
+        c_ss += k_ss / bw
+        c_tt += k_tt / bw
+        c_st += k_st / bw
+    # d/da exp(-|a - b|^2 / bw) = -(2 / bw) (a - b) k(a, b); each block's pair
+    # coefficient (-w_i w_j, -1 and +2 w_i, over s^2) is folded into a_*
+    a_ss = (4.0 / (s * s)) * np.outer(ws, ws) * c_ss
+    a_tt = (4.0 / (s * s)) * c_tt
+    a_st = (-4.0 / (s * s)) * ws[:, None] * c_st
+    g_src = (a_ss.sum(axis=1) + a_st.sum(axis=1))[:, None] * fs - a_ss @ fs - a_st @ ft
+    g_tgt = (a_tt.sum(axis=1) + a_st.sum(axis=0))[:, None] * ft - a_tt @ ft - a_st.T @ fs
     total = -ws @ sum_ss @ ws - sum_tt.sum() + 2.0 * (ws @ sum_st.sum(axis=1))
     return float(total / (s * s)), g_src, g_tgt
 

@@ -22,13 +22,12 @@ __all__ = [
     "backward",
     "outer_map",
     "sgd_step",
-    "add_grads",
-    "scale_grads",
 ]
 
 SIGMOID_CLIP = 1e-12
 
 _HEADS = ("none", "softmax", "sigmoid", "tanh")
+_MODES = ("features", "classify", "discriminate_z", "discriminate_outer")
 
 
 class Mlp:
@@ -193,7 +192,7 @@ def outer_map(preds: np.ndarray, feats: np.ndarray) -> np.ndarray:
     return np.einsum("nk,nz->nkz", preds, feats).reshape(preds.shape[0], -1)
 
 
-def forward(state: ModelState, x: np.ndarray, mode: str):
+def forward(state: ModelState, x: np.ndarray, mode: str, preds: bool = False):
     """Run the composed model in one of four modes.
 
     features           -> g(x)
@@ -201,78 +200,75 @@ def forward(state: ModelState, x: np.ndarray, mode: str):
     discriminate_z     -> sigmoid d(g(x))
     discriminate_outer -> sigmoid d(h(g(x)) (x) g(x))
 
-    Returns (output, cache); the cache feeds :func:`backward`.
+    ``preds=True`` also caches the predictions p = h(g(x)) under ``"p"``
+    in the features and discriminate_z modes (the other two compute them
+    anyway), so one pass feeds both losses of a training step. Returns
+    (output, cache); the cache feeds :func:`backward`.
     """
+    if mode not in _MODES:
+        raise InvalidModel(f"unknown mode {mode!r}")
     z, cg = state.g.forward(np.asarray(x, dtype=float))
     cache = {"mode": mode, "version": state.version, "g": cg, "z": z}
+    if preds or mode in ("classify", "discriminate_outer"):
+        p, ch = state.h.forward(z)
+        cache.update(h=ch, p=p)
     if mode == "features":
         return z, cache
     if mode == "classify":
-        p, ch = state.h.forward(z)
-        cache.update(h=ch, p=p)
         return p, cache
     if mode == "discriminate_z":
-        dout, cd = state.d.forward(z)
-        cache.update(d=cd)
-        return dout, cache
-    if mode == "discriminate_outer":
-        p, ch = state.h.forward(z)
-        u = outer_map(p, z)
-        dout, cd = state.d.forward(u)
-        cache.update(h=ch, p=p, d=cd, u=u)
-        return dout, cache
-    raise InvalidModel(f"unknown mode {mode!r}")
+        d_in = z
+    else:
+        d_in = cache["u"] = outer_map(p, z)
+    dout, cd = state.d.forward(d_in)
+    cache["d"] = cd
+    return dout, cache
 
 
-def backward(state: ModelState, cache, grad_out: np.ndarray) -> ModelGrads:
+def backward(
+    state: ModelState, cache, grad_out: np.ndarray, grad_preds=None, reversal: float = 1.0
+) -> ModelGrads:
     """Backpropagate dL/d(output of forward) into parameter gradients.
 
     The cache must come from a forward pass against the current parameters.
     In discriminate_outer mode the feature gradient includes both the
     direct path and the chain through the classifier.
+
+    With ``grad_preds``, the classification loss's gradient in the cached
+    predictions, this is a training step's backward and ``grad_out`` is
+    the alignment loss's gradient: d descends the alignment loss, h
+    descends the classification loss alone, and g descends the
+    classification loss while ascending the alignment loss scaled by
+    ``reversal`` (gradient reversal).
     """
     if cache["version"] != state.version:
         raise StaleCache("forward cache predates the last parameter update")
     mode = cache["mode"]
+    if mode not in _MODES:
+        raise InvalidModel(f"unknown mode {mode!r}")
+    if grad_preds is not None and (mode == "classify" or "p" not in cache):
+        raise InvalidModel("grad_preds needs an alignment mode run with preds=True")
+    grads = ModelGrads()
+    dz = dp = None
     if mode == "features":
-        g_grads, _ = state.g.backward(cache["g"], grad_out)
-        return ModelGrads(g=g_grads)
-    if mode == "classify":
-        h_grads, dz = state.h.backward(cache["h"], grad_out)
-        g_grads, _ = state.g.backward(cache["g"], dz)
-        return ModelGrads(g=g_grads, h=h_grads)
-    if mode == "discriminate_z":
-        d_grads, dz = state.d.backward(cache["d"], grad_out)
-        g_grads, _ = state.g.backward(cache["g"], dz)
-        return ModelGrads(g=g_grads, d=d_grads)
-    if mode == "discriminate_outer":
-        d_grads, du = state.d.backward(cache["d"], grad_out)
-        n = du.shape[0]
-        k = state.h.out_dim
-        z_dim = state.g.out_dim
-        du3 = du.reshape(n, k, z_dim)
-        p = cache["p"]
-        z = cache["z"]
-        dp = np.einsum("nkz,nz->nk", du3, z)
-        dz_direct = np.einsum("nkz,nk->nz", du3, p)
-        h_grads, dz_chain = state.h.backward(cache["h"], dp)
-        g_grads, _ = state.g.backward(cache["g"], dz_direct + dz_chain)
-        return ModelGrads(g=g_grads, h=h_grads, d=d_grads)
-    raise InvalidModel(f"unknown mode {mode!r}")
-
-
-def add_grads(a: list | None, b: list | None) -> list | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return [(aw + bw, ab + bb) for (aw, ab), (bw, bb) in zip(a, b)]
-
-
-def scale_grads(grads: list | None, factor: float) -> list | None:
-    if grads is None:
-        return None
-    return [(factor * gw, factor * gb) for gw, gb in grads]
+        dz = grad_out
+    elif mode == "classify":
+        dp = grad_out
+    elif mode == "discriminate_z":
+        grads.d, dz = state.d.backward(cache["d"], grad_out)
+    else:
+        grads.d, du = state.d.backward(cache["d"], grad_out)
+        du3 = du.reshape(du.shape[0], state.k, state.feature_dim)
+        dp = np.einsum("nkz,nz->nk", du3, cache["z"])
+        dz = np.einsum("nkz,nk->nz", du3, cache["p"])
+    if dp is not None:
+        grads.h, dz_chain = state.h.backward(cache["h"], dp)
+        dz = dz_chain if dz is None else dz + dz_chain
+    if grad_preds is not None:
+        grads.h, dz_cls = state.h.backward(cache["h"], grad_preds)
+        dz = dz_cls - reversal * dz
+    grads.g, _ = state.g.backward(cache["g"], dz)
+    return grads
 
 
 def sgd_step(state: ModelState, grads: ModelGrads, lr: float, momentum: float) -> ModelState:

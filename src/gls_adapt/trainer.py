@@ -1,12 +1,17 @@
 """End-to-end training loop with per-epoch weight re-estimation.
 
 One run owns all of its state. Per epoch: the soft confusion accumulator
-is reset, B paired batches are drawn with replacement, each batch takes a
-single combined SGD step per net (classification descent, adversarial
-ascent for the feature extractor via gradient reversal, adversarial
-descent for the discriminator), and the post-update predictions feed the
-accumulator. At epoch end the constrained least-squares estimate is
-blended into the running weights with an exponential moving average.
+is reset, B paired batches are drawn with replacement, and each batch
+takes a single combined SGD step per net (classification descent,
+adversarial ascent for the feature extractor via gradient reversal,
+adversarial descent for the discriminator). A step makes one forward
+over the stacked batch [source; target], which yields the features, the
+predictions and the discriminator output, and one backward, which yields
+all three nets' gradients (``none`` runs both on the source rows alone).
+A second stacked forward after the update supplies the post-update
+predictions that feed the accumulator. At epoch end the constrained
+least-squares estimate is blended into the running weights with an
+exponential moving average.
 
 The estimation bookkeeping runs for every algorithm so that traces are
 comparable; only the importance-weighted variants feed the weights into
@@ -24,7 +29,7 @@ from .datagen import Dataset
 from .distributions import jsd
 from .errors import ConfigInvalid, DimensionMismatch, NonFiniteValue, ZeroSourceClass
 from .estimator import ConfusionAccumulator, WeightVector, ema_update, solve_qp, true_weights
-from .network import ModelGrads, ModelState
+from .network import ModelState
 
 __all__ = [
     "ALGORITHMS",
@@ -145,39 +150,6 @@ def evaluate(state: ModelState, data: Dataset) -> tuple[float, np.ndarray]:
     return acc, conf
 
 
-def _classification_grads(state, xs, ys, p_source, w_c):
-    preds, cache = network.forward(state, xs, "classify")
-    if w_c is None:
-        loss, gpred = losses.cross_entropy_loss_grads(preds, ys)
-    else:
-        loss, gpred = losses.weighted_classification_loss_grads(preds, ys, *w_c)
-    return loss, network.backward(state, cache, gpred)
-
-
-def _adversarial_grads_disc(state, xs, ys, xt, w_da, mode):
-    d_src, cache_s = network.forward(state, xs, mode)
-    d_tgt, cache_t = network.forward(state, xt, mode)
-    loss, g_src, g_tgt = losses.weighted_da_loss_grads(d_src, d_tgt, ys, w_da)
-    back_s = network.backward(state, cache_s, g_src[:, None])
-    back_t = network.backward(state, cache_t, g_tgt[:, None])
-    combined = ModelGrads(
-        g=network.add_grads(back_s.g, back_t.g),
-        h=network.add_grads(back_s.h, back_t.h),
-        d=network.add_grads(back_s.d, back_t.d),
-    )
-    return loss, combined
-
-
-def _adversarial_grads_mmd(state, xs, ys, xt, w_da):
-    zs, cache_s = network.forward(state, xs, "features")
-    zt, cache_t = network.forward(state, xt, "features")
-    bw = losses.median_heuristic_bandwidths(zs, zt)
-    loss, g_zs, g_zt = losses.weighted_mmd_loss_grads(zs, ys, zt, w_da, bw)
-    back_s = network.backward(state, cache_s, g_zs)
-    back_t = network.backward(state, cache_t, g_zt)
-    return loss, ModelGrads(g=network.add_grads(back_s.g, back_t.g))
-
-
 def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None):
     """Run the full loop; returns (final ModelState, TrainTrace).
 
@@ -215,6 +187,9 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
     w_est = ones  # running moving-average estimate, tracked for every algorithm
     w_model = w_star if oracle else w_est  # what the losses may consume
 
+    s = config.batch_size
+    # the forward mode whose output the alignment loss reads
+    align_mode = "features" if algo in _KERNEL else state.disc_mode
     acc = ConfusionAccumulator(k)
     trace = TrainTrace()
 
@@ -222,11 +197,10 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
         loss_da_sum = 0.0
         loss_c_sum = 0.0
         for batch in range(config.batches_per_epoch):
-            idx_s = rng.integers(0, source.n, size=config.batch_size)
-            idx_t = rng.integers(0, target.n, size=config.batch_size)
-            xs = source.features[idx_s]
+            idx_s = rng.integers(0, source.n, size=s)
+            idx_t = rng.integers(0, target.n, size=s)
+            x = np.concatenate([source.features[idx_s], target.features[idx_t]])
             ys = source.labels[idx_s]
-            xt = target.features[idx_t]
 
             w_da = w_model if (weighted and config.weight_da_loss) else ones
             if weighted and config.weight_c_loss:
@@ -235,22 +209,29 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
             else:
                 w_c = None
 
-            loss_c, grads_c = _classification_grads(state, xs, ys, p_source, w_c)
+            if algo == "none":
+                preds, cache = network.forward(state, x[:s], "classify")
+            else:
+                out, cache = network.forward(state, x, align_mode, preds=True)
+                preds = cache["p"][:s]
+            if w_c is None:
+                loss_c, grad_c = losses.cross_entropy_loss_grads(preds, ys)
+            else:
+                loss_c, grad_c = losses.weighted_classification_loss_grads(preds, ys, *w_c)
             if algo == "none":
                 loss_da = 0.0
-                grads = ModelGrads(g=grads_c.g, h=grads_c.h)
+                grads = network.backward(state, cache, grad_c)
             else:
                 if algo in _KERNEL:
-                    loss_da, grads_da = _adversarial_grads_mmd(state, xs, ys, xt, w_da)
+                    loss_da, g_src, g_tgt = losses.weighted_mmd_loss_grads(out[:s], ys, out[s:], w_da)
+                    grad_da = np.concatenate([g_src, g_tgt])
                 else:
-                    loss_da, grads_da = _adversarial_grads_disc(
-                        state, xs, ys, xt, w_da, state.disc_mode
-                    )
-                # reversal: the feature extractor ascends the alignment loss
-                theta = network.add_grads(
-                    grads_c.g, network.scale_grads(grads_da.g, -config.reversal_coeff)
-                )
-                grads = ModelGrads(g=theta, h=grads_c.h, d=grads_da.d)
+                    loss_da, g_src, g_tgt = losses.weighted_da_loss_grads(out[:s], out[s:], ys, w_da)
+                    grad_da = np.concatenate([g_src, g_tgt])[:, None]
+                # the classification loss reads the source rows only
+                grad_preds = np.zeros_like(cache["p"])
+                grad_preds[:s] = grad_c
+                grads = network.backward(state, cache, grad_da, grad_preds, config.reversal_coeff)
             if not (np.isfinite(loss_da) and np.isfinite(loss_c)):
                 raise NonFiniteValue(
                     f"epoch {epoch} batch {batch}: loss_da={loss_da!r}, loss_c={loss_c!r}"
@@ -259,9 +240,8 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
             loss_da_sum += loss_da
             loss_c_sum += loss_c
 
-            preds_s, _ = network.forward(state, xs, "classify")
-            preds_t, _ = network.forward(state, xt, "classify")
-            acc.accumulate(preds_s, ys, preds_t)
+            preds, _ = network.forward(state, x, "classify")
+            acc.accumulate(preds[:s], ys, preds[s:])
 
         if (epoch + 1) % config.weight_update_period == 0:
             c_hat, mu_hat = acc.finalize()

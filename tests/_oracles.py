@@ -184,3 +184,29 @@ def rbf_kernel(a, b, bandwidths):
     b = np.asarray(b, dtype=float)
     sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
     return sum(np.exp(-sq / bw) for bw in bandwidths)
+
+
+def add_grads(a, b):
+    """Layer-by-layer sum of two per-net gradient lists; None marks an untouched net."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return [(aw + bw, ab + bb) for (aw, ab), (bw, bb) in zip(a, b)]
+
+
+def pooled_median_bandwidths(feats_src, feats_tgt, scales=(0.5, 1.0, 2.0)):
+    """The median heuristic over one pooled distance matrix.
+
+    Stacks both batches, forms every squared distance with the same
+    |a|^2 + |b|^2 - 2ab expansion the library uses, and takes the median
+    of the strict upper triangle, floored at 1e-12 (1.0 for fewer than two
+    rows).
+    """
+    pooled = np.vstack([np.asarray(feats_src, dtype=float), np.asarray(feats_tgt, dtype=float)])
+    norms = np.sum(pooled * pooled, axis=1)
+    sq = np.maximum(norms[:, None] + norms[None, :] - 2.0 * (pooled @ pooled.T), 0.0)
+    iu = np.triu_indices(pooled.shape[0], k=1)
+    med = float(np.median(sq[iu])) if iu[0].size else 1.0
+    med = max(med, 1e-12)
+    return [s * med for s in scales]

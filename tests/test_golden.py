@@ -4,9 +4,11 @@ The fixtures under ``tests/golden/`` pin the full-precision CSVs of small
 runs: `train --bounds` over every algorithm, `verify-bounds` for a plain
 and a conditional discriminator, `estimate-weights` on fixed prediction
 files, and `generate`. A refactor that claims "same behaviour" must
-leave them unchanged. Regenerate them with
+leave them unchanged. A mismatching CSV fails with the largest absolute
+change in each of its columns. Regenerate the fixtures with
 ``PYTHONPATH=src python tests/test_golden.py`` only for a change whose
-new outputs are intended and stated.
+new outputs are intended and stated; it rewrites the fixtures that
+changed and prints those changes.
 """
 
 import shutil
@@ -44,6 +46,35 @@ COMMANDS = {
     "generate": ["source.csv", "target.csv", "manifest.txt"],
 }
 COMMAND_FILES = [f"{name}/{f}" for name, files in COMMANDS.items() for f in files]
+
+
+def column_changes(got: bytes, want: bytes) -> str:
+    """Largest absolute change per column of two CSVs, as one line.
+
+    A column whose cells do not parse as numbers reports ``differs`` or
+    ``same``; a file that is not a CSV of matching shape says so.
+    """
+    rows_got = [line.split(",") for line in got.decode().splitlines()]
+    rows_want = [line.split(",") for line in want.decode().splitlines()]
+    if not rows_want or rows_got[:1] != rows_want[:1] or len(rows_got) != len(rows_want):
+        return "header or row count differs"
+    if any(len(a) != len(rows_want[0]) or len(b) != len(a) for a, b in zip(rows_got, rows_want)):
+        return "not a CSV with one value per column"
+    parts = []
+    for col, name in enumerate(rows_want[0]):
+        pairs = [(a[col], b[col]) for a, b in zip(rows_got[1:], rows_want[1:])]
+        try:
+            change = max((abs(float(a) - float(b)) for a, b in pairs), default=0.0)
+            parts.append(f"{name}={change:.3g}")
+        except ValueError:
+            parts.append(f"{name}={'same' if all(a == b for a, b in pairs) else 'differs'}")
+    return "max |change| per column: " + ", ".join(parts)
+
+
+def assert_same_bytes(got: Path, want: Path) -> None:
+    a, b = got.read_bytes(), want.read_bytes()
+    if a != b:
+        pytest.fail(f"{want.relative_to(GOLDEN)} differs; {column_changes(a, b)}", pytrace=False)
 
 
 def _run(out: Path) -> None:
@@ -103,12 +134,12 @@ def command_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("name", FILES)
 def test_matches_golden(run_dir, name):
-    assert (run_dir / name).read_bytes() == (GOLDEN / name).read_bytes()
+    assert_same_bytes(run_dir / name, GOLDEN / name)
 
 
 @pytest.mark.parametrize("name", COMMAND_FILES)
 def test_command_matches_golden(command_dir, name):
-    assert (command_dir / name).read_bytes() == (GOLDEN / name).read_bytes()
+    assert_same_bytes(command_dir / name, GOLDEN / name)
 
 
 if __name__ == "__main__":
@@ -118,4 +149,11 @@ if __name__ == "__main__":
             _run_command(name, Path(tmp))
             (GOLDEN / name).mkdir(exist_ok=True)
         for name in FILES + COMMAND_FILES:
-            shutil.copyfile(Path(tmp) / name, GOLDEN / name)
+            new, old = Path(tmp) / name, GOLDEN / name
+            if old.exists() and new.read_bytes() == old.read_bytes():
+                continue
+            if old.exists():
+                print(f"{name}: {column_changes(new.read_bytes(), old.read_bytes())}")
+            else:
+                print(f"{name}: new")
+            shutil.copyfile(new, old)

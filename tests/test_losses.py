@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gls_adapt.distributions import Categorical
 from gls_adapt.errors import (
@@ -20,7 +23,7 @@ from gls_adapt.losses import (
 )
 from gls_adapt.network import outer_map
 
-from _oracles import mmd_double_loop, rbf_kernel
+from _oracles import mmd_double_loop, pooled_median_bandwidths, rbf_kernel
 
 LN2 = math.log(2.0)
 
@@ -211,3 +214,37 @@ class TestKernelHelpers:
             for j in range(i + 1, pooled.shape[0]):
                 d2.append(float(np.sum((pooled[i] - pooled[j]) ** 2)))
         assert bws[1] == pytest.approx(float(np.median(d2)), rel=1e-9)
+
+
+@st.composite
+def batch_pair(draw):
+    """Two feature batches whose rows come from a small pool, so rows repeat and ties occur."""
+    dim = draw(st.integers(1, 4))
+    elements = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    pool = draw(arrays(np.float64, (draw(st.integers(1, 16)), dim), elements=elements))
+    rows = st.integers(0, pool.shape[0] - 1)
+    ns = draw(st.integers(1, 12))
+    nt = draw(st.integers(1, 12))
+    idx_s = draw(st.lists(rows, min_size=ns, max_size=ns))
+    idx_t = draw(st.lists(rows, min_size=nt, max_size=nt))
+    return pool[idx_s], pool[idx_t]
+
+
+class TestMedianHeuristic:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(batch_pair())
+    @example((np.array([[0.5, -1.0]]), np.array([[2.0, 0.25]])))  # batch size 1: one pair
+    @example((np.zeros((3, 2)), np.zeros((3, 2))))  # all ties at 0
+    @example((np.ones((2, 1)), np.ones((2, 1)) * 3.0))  # 6 pairs, even count
+    def test_blockwise_median_is_the_pooled_median(self, pair):
+        fs, ft = pair
+        assert median_heuristic_bandwidths(fs, ft) == pooled_median_bandwidths(fs, ft)
+
+    def test_pair_counts_of_both_parities(self):
+        # 2s^2 - s pairs: odd for odd s, even for even s; the last case is a
+        # training batch of 128 rows of 32 features
+        rng = np.random.default_rng(8)
+        for s, dim in ((1, 3), (2, 3), (3, 3), (4, 3), (7, 3), (8, 3), (128, 32)):
+            fs = rng.normal(size=(s, dim))
+            ft = np.vstack([fs[: s // 2], rng.normal(size=(s - s // 2, dim))])
+            assert median_heuristic_bandwidths(fs, ft) == pooled_median_bandwidths(fs, ft)

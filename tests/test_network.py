@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gls_adapt import losses, network
+from gls_adapt import losses
 from gls_adapt.distributions import Categorical
 from gls_adapt.errors import GlsAdaptError, InvalidModel, ShapeMismatch, StaleCache
 from gls_adapt.estimator import WeightVector
@@ -16,6 +16,7 @@ from gls_adapt.network import (
 )
 
 from _oracles import (
+    add_grads,
     finite_difference_gradient,
     flatten_grads,
     flatten_net_params,
@@ -94,14 +95,19 @@ class TestBackward:
         assert np.allclose(delta, 0.0, atol=1e-12)
 
     def test_gradient_reversal_is_sign_flip(self):
+        # with no classification gradient, the training-step backward hands g
+        # the negated alignment gradient and leaves d's untouched
         state = small_state(seed=5)
         x = np.random.default_rng(5).normal(size=(4, 3))
-        _, cache = forward(state, x, "discriminate_z")
+        _, cache = forward(state, x, "discriminate_z", preds=True)
         grads = backward(state, cache, np.ones((4, 1)))
-        reversed_g = network.scale_grads(grads.g, -1.0)
-        for (gw, gb), (rw, rb) in zip(grads.g, reversed_g):
+        fused = backward(state, cache, np.ones((4, 1)), np.zeros((4, 3)), 1.0)
+        for (gw, gb), (rw, rb) in zip(grads.g, fused.g):
             assert np.array_equal(rw, -gw)
             assert np.array_equal(rb, -gb)
+        for (gw, gb), (rw, rb) in zip(grads.d, fused.d):
+            assert np.array_equal(rw, gw)
+            assert np.array_equal(rb, gb)
 
     def test_stale_cache_detected(self):
         state = small_state(seed=6)
@@ -111,6 +117,45 @@ class TestBackward:
         sgd_step(state, ModelGrads(g=grads.g), 0.1, 0.0)
         with pytest.raises(StaleCache):
             backward(state, cache, np.ones((4, 3)))
+
+
+class TestTrainingStepBackward:
+    """One backward over a stacked batch matches the per-loss backwards it replaces."""
+
+    @pytest.mark.parametrize("mode", ["features", "discriminate_z", "discriminate_outer"])
+    def test_matches_separate_backwards(self, mode):
+        rng = np.random.default_rng(16)
+        state = small_state(conditional=mode == "discriminate_outer", seed=16)
+        x = rng.normal(size=(10, 3))
+        labels = rng.integers(0, 3, size=5)
+        out, cache = forward(state, x, mode, preds=True)
+        p, cache_c = forward(state, x[:5], "classify")
+        assert np.array_equal(cache["p"][:5], p)
+        _, gpred = losses.cross_entropy_loss_grads(p, labels)
+        grad_out = rng.normal(size=out.shape)
+        grad_preds = np.vstack([gpred, np.zeros((5, 3))])
+        reversal = 2.5
+        fused = backward(state, cache, grad_out, grad_preds, reversal)
+
+        cls = backward(state, cache_c, gpred)
+        align = backward(state, cache, grad_out)
+        np.testing.assert_allclose(flatten_grads(fused.h), flatten_grads(cls.h), rtol=1e-12, atol=1e-15)
+        if mode == "features":
+            assert fused.d is None
+        else:
+            np.testing.assert_array_equal(flatten_grads(fused.d), flatten_grads(align.d))
+        theta = add_grads(cls.g, [(-reversal * gw, -reversal * gb) for gw, gb in align.g])
+        np.testing.assert_allclose(flatten_grads(fused.g), flatten_grads(theta), rtol=1e-12, atol=1e-15)
+
+    def test_needs_cached_predictions_and_an_alignment_output(self):
+        state = small_state(seed=17)
+        x = np.zeros((2, 3))
+        _, cache = forward(state, x, "features")
+        with pytest.raises(InvalidModel):
+            backward(state, cache, np.zeros((2, 4)), np.zeros((2, 3)))
+        _, cache = forward(state, x, "classify")
+        with pytest.raises(InvalidModel):
+            backward(state, cache, np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 def loss_through_params(state, net_name, flat, loss_fn):
@@ -172,8 +217,8 @@ class TestGradientsAgainstFiniteDifferences:
         _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), dt.ravel(), labels, w)
         back_s = backward(state, cs, gs[:, None])
         back_t = backward(state, ct, gt[:, None])
-        g_total = network.add_grads(back_s.g, back_t.g)
-        d_total = network.add_grads(back_s.d, back_t.d)
+        g_total = add_grads(back_s.g, back_t.g)
+        d_total = add_grads(back_s.d, back_t.d)
         assert_grad_matches(state, "g", value, g_total)
         assert_grad_matches(state, "d", value, d_total)
 
@@ -195,9 +240,9 @@ class TestGradientsAgainstFiniteDifferences:
         _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), dt.ravel(), labels, w)
         back_s = backward(state, cs, gs[:, None])
         back_t = backward(state, ct, gt[:, None])
-        assert_grad_matches(state, "g", value, network.add_grads(back_s.g, back_t.g))
-        assert_grad_matches(state, "h", value, network.add_grads(back_s.h, back_t.h))
-        assert_grad_matches(state, "d", value, network.add_grads(back_s.d, back_t.d))
+        assert_grad_matches(state, "g", value, add_grads(back_s.g, back_t.g))
+        assert_grad_matches(state, "h", value, add_grads(back_s.h, back_t.h))
+        assert_grad_matches(state, "d", value, add_grads(back_s.d, back_t.d))
 
     def test_weighted_mmd_wrt_g(self):
         rng = np.random.default_rng(10)
@@ -218,7 +263,7 @@ class TestGradientsAgainstFiniteDifferences:
         _, g_zs, g_zt = losses.weighted_mmd_loss_grads(zs, labels, zt, w, bw)
         back_s = backward(state, cs, g_zs)
         back_t = backward(state, ct, g_zt)
-        assert_grad_matches(state, "g", value, network.add_grads(back_s.g, back_t.g))
+        assert_grad_matches(state, "g", value, add_grads(back_s.g, back_t.g))
 
 
 class TestTypedErrors:

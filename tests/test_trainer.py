@@ -333,9 +333,9 @@ class TestFullDataPasses:
         counts = Counter()
         real_forward, real_evaluate = network.forward, trainer.evaluate
 
-        def forward(state, x, mode):
+        def forward(state, x, *args, **kwargs):
             counts["full_forward"] += len(x) in (src.n, tgt.n)
-            return real_forward(state, x, mode)
+            return real_forward(state, x, *args, **kwargs)
 
         def evaluate(state, data):
             counts["evaluate"] += 1
@@ -357,3 +357,58 @@ class TestFullDataPasses:
 
         train(cfg, src, tgt, epoch_hook=hook)
         assert counts == {"evaluate": 2 * 2, "full_forward": 2 * 4}
+
+
+class TestStepPasses:
+    """Deterministic counts of batch passes per SGD step; a regression shows here without timing."""
+
+    @pytest.mark.parametrize("algorithm", ["none", "dann", "iwdan", "iwcdan", "iwjan"])
+    def test_one_stacked_forward_and_backward_per_step(self, monkeypatch, algorithm):
+        src, tgt = tiny_task()
+        counts = Counter()
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        real_forward = network.forward
+
+        def forward(state, x, *args, **kwargs):
+            counts["full_forward" if len(x) == src.n else "batch_forward"] += 1
+            return real_forward(state, x, *args, **kwargs)
+
+        monkeypatch.setattr(network, "forward", forward)
+        monkeypatch.setattr(network, "backward", counting("backward", network.backward))
+        monkeypatch.setattr(losses, "weighted_mmd_loss_grads", counting("mmd", losses.weighted_mmd_loss_grads))
+        monkeypatch.setattr(losses, "median_heuristic_bandwidths", counting("mmd", losses.median_heuristic_bandwidths))
+        cfg = tiny_config(algorithm=algorithm, epochs=2, batches_per_epoch=3)
+        train(cfg, src, tgt)
+        steps = 2 * 3
+        assert counts["batch_forward"] == 2 * steps  # one before the update, one after
+        assert counts["backward"] == steps
+        assert counts["mmd"] == (steps if algorithm == "iwjan" else 0)
+        assert counts["full_forward"] == 2 * 2
+
+    def test_kernel_bandwidths_are_the_median_heuristic(self, monkeypatch):
+        src, tgt = tiny_task()
+        real_loss, real_median = losses.weighted_mmd_loss_grads, losses._median_bandwidths
+        feats, used = [], []
+
+        def loss(feats_src, labels_src, feats_tgt, w, bandwidths=None):
+            feats.append((feats_src.copy(), feats_tgt.copy()))
+            return real_loss(feats_src, labels_src, feats_tgt, w, bandwidths)
+
+        def median(*blocks):
+            used.append(real_median(*blocks))
+            return used[-1]
+
+        monkeypatch.setattr(losses, "weighted_mmd_loss_grads", loss)
+        monkeypatch.setattr(losses, "_median_bandwidths", median)
+        train(tiny_config(algorithm="iwjan", epochs=1, batches_per_epoch=4), src, tgt)
+        monkeypatch.undo()
+        assert len(used) == len(feats) == 4
+        for (zs, zt), bws in zip(feats, used):
+            assert bws == losses.median_heuristic_bandwidths(zs, zt)
