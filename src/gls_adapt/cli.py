@@ -20,6 +20,7 @@ import numpy as np
 
 from .datagen import (
     Dataset,
+    _read_csv,
     jsd_task_suite,
     make_shift_task,
     read_dataset_csv,
@@ -27,7 +28,7 @@ from .datagen import (
     write_dataset_csv,
 )
 from .distributions import Categorical, empirical_label_dist, jsd
-from .errors import GlsAdaptError, InvalidSpec, ParseError
+from .errors import ConfigInvalid, GlsAdaptError, ParseError
 from .estimator import ConfusionAccumulator, exact_inverse_weights, solve_qp
 from .trainer import TrainConfig, make_bound_hook, train
 
@@ -161,7 +162,7 @@ def _label_dist(name: str, probs, k: int):
     except GlsAdaptError as exc:
         raise type(exc)(f"{exc} ({flag})") from exc
     if dist.k != k:
-        raise InvalidSpec(f"label_dist length must equal k ({flag})")
+        raise ConfigInvalid(f"label_dist length must equal k ({flag})")
     return dist.probs
 
 
@@ -201,7 +202,9 @@ def _make_domains(
 
 
 def _load_or_make_datasets(ns, opts, seed):
-    if getattr(ns, "source", None) and getattr(ns, "target", None):
+    if bool(ns.source) != bool(ns.target):
+        raise ConfigInvalid("--source and --target must be given together")
+    if ns.source:
         src = read_dataset_csv(ns.source)
         tgt = read_dataset_csv(ns.target)
         k = max(src.k, tgt.k)
@@ -210,7 +213,7 @@ def _load_or_make_datasets(ns, opts, seed):
         if tgt.k != k:
             tgt = Dataset(tgt.features, tgt.labels, k)
         return src, tgt
-    return _make_domains(seed, subsample=getattr(ns, "subsample", None), **opts)
+    return _make_domains(seed, subsample=ns.subsample, **opts)
 
 
 # ---------------------------------------------------------------------------
@@ -346,47 +349,17 @@ def cmd_sweep_jsd(ns) -> int:
 
 
 def _read_matrix_csv(path, prefix: str) -> np.ndarray:
-    with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = lines[0].split(",")
-    if not all(h.startswith(prefix) for h in header):
-        raise ParseError(f"{path}: line 1: expected columns named {prefix}*")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ParseError(
-                f"{path}: line {lineno}: expected {len(header)} fields, got {len(parts)}"
-            )
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    return np.asarray(rows)
+    def header_error(header):
+        return None if all(h.startswith(prefix) for h in header) else f"expected columns named {prefix}*"
+
+    return np.asarray(_read_csv(path, header_error, lambda parts: [float(v) for v in parts]))
 
 
 def _read_labels_csv(path) -> np.ndarray:
-    with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0].strip() != "label":
-        raise ParseError(f"{path}: line 1: expected header 'label'")
-    labels = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            labels.append(int(line.strip()))
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-    if not labels:
-        raise ParseError(f"{path}: no data rows")
-    return np.asarray(labels)
+    def header_error(header):
+        return None if [h.strip() for h in header] == ["label"] else "expected header 'label'"
+
+    return np.asarray(_read_csv(path, header_error, lambda parts: int(parts[0])))
 
 
 def cmd_estimate_weights(ns) -> int:
@@ -401,9 +374,10 @@ def cmd_estimate_weights(ns) -> int:
     acc = ConfusionAccumulator(k)
     acc.accumulate(preds, labels, tgt_preds)
     c_hat, mu_hat = acc.finalize()
-    p_source = (
-        Categorical(np.asarray(ns.p_source)) if ns.p_source else empirical_label_dist(labels, k)
-    )
+    if ns.p_source:
+        p_source = Categorical(_label_dist("p_source", ns.p_source, k))
+    else:
+        p_source = empirical_label_dist(labels, k)
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     methods = {"qp": solve_qp(c_hat, mu_hat, p_source).w}

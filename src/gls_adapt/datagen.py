@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Categorical, empirical_label_dist, jsd
-from .errors import EmptyClassAfterSubsample, InvalidCount, InvalidSpec, ParseError
+from .errors import ConfigInvalid, InvalidValue, ParseError
 
 __all__ = [
     "Dataset",
@@ -47,13 +47,13 @@ class Dataset:
         feats = np.asarray(self.features, dtype=float)
         labels = np.asarray(self.labels, dtype=int)
         if feats.ndim != 2 or feats.shape[0] < 1:
-            raise InvalidSpec(f"features must be (n >= 1, d), got {feats.shape}")
+            raise ConfigInvalid(f"features must be (n >= 1, d), got {feats.shape}")
         if labels.shape != (feats.shape[0],):
-            raise InvalidSpec("labels must be one per feature row")
+            raise ConfigInvalid("labels must be one per feature row")
         if not np.all(np.isfinite(feats)):
-            raise InvalidSpec("features contain non-finite values")
+            raise ConfigInvalid("features contain non-finite values")
         if labels.min() < 0 or labels.max() >= self.k:
-            raise InvalidSpec(f"labels must lie in [0, {self.k})")
+            raise ConfigInvalid(f"labels must lie in [0, {self.k})")
         feats = feats.copy()
         labels = labels.copy()
         feats.setflags(write=False)
@@ -105,7 +105,7 @@ def _exact_class_counts(probs: np.ndarray, n: int) -> np.ndarray:
 def circle_class_means(k: int, d: int = 2, radius: float = 1.0) -> np.ndarray:
     """k class means spread evenly on a circle in the first two coordinates."""
     if k < 2 or d < 1:
-        raise InvalidSpec("need k >= 2 and d >= 1")
+        raise ConfigInvalid("need k >= 2 and d >= 1")
     means = np.zeros((k, d))
     angles = 2.0 * np.pi * np.arange(k) / k
     means[:, 0] = radius * np.cos(angles)
@@ -119,20 +119,20 @@ def make_gaussian_domain(spec: DomainSpec) -> Dataset:
     N(mean_y + shift_y, sigma^2 I). Deterministic given the spec's seed."""
     means = np.asarray(spec.class_means, dtype=float)
     if means.shape != (spec.k, spec.d):
-        raise InvalidSpec(f"class_means has shape {means.shape}, expected ({spec.k}, {spec.d})")
+        raise ConfigInvalid(f"class_means has shape {means.shape}, expected ({spec.k}, {spec.d})")
     if not np.all(np.isfinite(means)):
-        raise InvalidSpec("class_means contain non-finite values")
+        raise ConfigInvalid("class_means contain non-finite values")
     if spec.label_dist.k != spec.k:
-        raise InvalidSpec("label_dist length must equal k")
+        raise ConfigInvalid("label_dist length must equal k")
     if spec.class_covariance_scale < 0:
-        raise InvalidSpec("covariance scale must be nonnegative")
+        raise ConfigInvalid("covariance scale must be nonnegative")
     if spec.n < 1:
-        raise InvalidSpec("n must be at least 1")
+        raise ConfigInvalid("n must be at least 1")
     shift = np.zeros((spec.k, spec.d))
     if spec.conditional_shift is not None:
         shift = np.asarray(spec.conditional_shift, dtype=float)
         if shift.shape != (spec.k, spec.d):
-            raise InvalidSpec(
+            raise ConfigInvalid(
                 f"conditional_shift has shape {shift.shape}, expected ({spec.k}, {spec.d})"
             )
     rng = np.random.default_rng(spec.seed)
@@ -180,7 +180,7 @@ def subsample_protocol(data: Dataset, fraction: float, seed: int = 0) -> Dataset
     samples each; the remaining classes are untouched.
     """
     if not 0.0 < fraction <= 1.0:
-        raise InvalidSpec(f"fraction must lie in (0, 1], got {fraction!r}")
+        raise ConfigInvalid(f"fraction must lie in (0, 1], got {fraction!r}")
     rng = np.random.default_rng(seed)
     first_half = (data.k + 1) // 2
     keep: list[np.ndarray] = []
@@ -189,7 +189,7 @@ def subsample_protocol(data: Dataset, fraction: float, seed: int = 0) -> Dataset
         if y < first_half:
             m = int(np.floor(fraction * idx.size))
             if m < 1:
-                raise EmptyClassAfterSubsample(f"class {y} would keep 0 of {idx.size} samples")
+                raise InvalidValue(f"class {y} would keep 0 of {idx.size} samples")
             idx = rng.choice(idx, size=m, replace=False)
         keep.append(idx)
     order = np.sort(np.concatenate(keep))
@@ -232,9 +232,9 @@ def jsd_task_suite(
     inside ``JSD_ENVELOPE`` (automatic replacement for hand rejection).
     """
     if count < 1:
-        raise InvalidCount(f"count must be >= 1, got {count}")
+        raise InvalidValue(f"count must be >= 1, got {count}")
     if base_source.k != base_target.k:
-        raise InvalidSpec("base domains disagree on the class count")
+        raise ConfigInvalid("base domains disagree on the class count")
     k = base_source.k
     rng = np.random.default_rng(seed)
     n_src_tasks = (count + 1) // 2
@@ -281,34 +281,50 @@ def write_dataset_csv(data: Dataset, path) -> None:
             fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
 
 
-def read_dataset_csv(path, k: int | None = None) -> Dataset:
-    """Read a dataset written by :func:`write_dataset_csv`.
+def _read_csv(path, header_error, convert) -> list:
+    """Rows of a headed CSV file, each converted by ``convert(fields)``.
 
-    ``k`` defaults to max(label) + 1. Parse failures name the line.
+    ``header_error(fields)`` returns None for a good header, else the
+    complaint. Blank lines are skipped; every row must have as many
+    fields as the header. Parse failures raise :class:`ParseError` naming
+    the line.
     """
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = lines[0].split(",")
-    if header[-1] != "label" or not all(h.startswith("feature_") for h in header[:-1]):
-        raise ParseError(f"{path}: line 1: bad header {lines[0]!r}")
-    d = len(header) - 1
-    feats = []
-    labels = []
+    complaint = header_error(header)
+    if complaint is not None:
+        raise ParseError(f"{path}: line 1: {complaint}")
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != d + 1:
-            raise ParseError(f"{path}: line {lineno}: expected {d + 1} fields, got {len(parts)}")
+        if len(parts) != len(header):
+            raise ParseError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(parts)}")
         try:
-            feats.append([float(v) for v in parts[:-1]])
-            labels.append(int(parts[-1]))
+            rows.append(convert(parts))
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from exc
-    if not feats:
+    if not rows:
         raise ParseError(f"{path}: no data rows")
-    labels_arr = np.asarray(labels)
-    k = int(labels_arr.max()) + 1 if k is None else k
-    return Dataset(np.asarray(feats), labels_arr, k=k)
+    return rows
+
+
+def read_dataset_csv(path, k: int | None = None) -> Dataset:
+    """Read a dataset written by :func:`write_dataset_csv`.
+
+    ``k`` defaults to max(label) + 1. Parse failures name the line.
+    """
+
+    def header_error(header):
+        if header[-1] != "label" or not all(h.startswith("feature_") for h in header[:-1]):
+            return f"bad header {','.join(header)!r}"
+        return None
+
+    rows = _read_csv(path, header_error, lambda parts: ([float(v) for v in parts[:-1]], int(parts[-1])))
+    labels = np.asarray([label for _, label in rows])
+    k = int(labels.max()) + 1 if k is None else k
+    return Dataset(np.asarray([feats for feats, _ in rows]), labels, k=k)

@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Categorical, jsd, l1_distance
-from .errors import (
-    DegenerateGamma,
-    InsufficientSamples,
-    LengthMismatch,
-    MalformedConfusion,
-    ShapeMismatch,
-)
+from .errors import InvalidValue, ShapeMismatch
 from .estimator import WeightVector
 
 __all__ = [
@@ -36,7 +30,6 @@ __all__ = [
     "check_joint_error_bound",
     "check_sufficiency_bound",
     "check_discriminator_optimum",
-    "check_weight_contraction",
     "bound_suite",
 ]
 
@@ -44,6 +37,7 @@ INEQ_TOL = 0.02
 EXACT_TOL = 1e-8
 ROW_TOL = 1e-6
 BINS = 16  # histogram cells per projected feature axis
+PERMUTATIONS = 4  # resplits averaged into the permutation baseline
 LOG4 = float(np.log(4.0))
 
 
@@ -82,11 +76,11 @@ def _report(check, lhs, rhs, tol, applicable=True, **components) -> BoundReport:
 def _check_confusion(conf, name: str) -> np.ndarray:
     arr = np.asarray(conf, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
-        raise MalformedConfusion(f"{name} must be square k x k with k >= 2, got {arr.shape}")
+        raise ShapeMismatch(f"{name} must be square k x k with k >= 2, got {arr.shape}")
     if np.any(arr < -ROW_TOL) or not np.all(np.isfinite(arr)):
-        raise MalformedConfusion(f"{name} has negative or non-finite entries")
+        raise ShapeMismatch(f"{name} has negative or non-finite entries")
     if np.max(np.abs(arr.sum(axis=1) - 1.0)) > ROW_TOL:
-        raise MalformedConfusion(f"{name} rows must sum to 1 within {ROW_TOL}")
+        raise ShapeMismatch(f"{name} rows must sum to 1 within {ROW_TOL}")
     return arr
 
 
@@ -105,7 +99,7 @@ def conditional_error_gap(conf_src, conf_tgt) -> float:
     a = _check_confusion(conf_src, "conf_src")
     b = _check_confusion(conf_tgt, "conf_tgt")
     if a.shape != b.shape:
-        raise MalformedConfusion(f"shapes {a.shape} and {b.shape} differ")
+        raise ShapeMismatch(f"shapes {a.shape} and {b.shape} differ")
     diff = np.abs(a - b)
     np.fill_diagonal(diff, 0.0)
     return float(diff.max())
@@ -131,7 +125,7 @@ def _hist(feats: np.ndarray, edges, weights=None) -> np.ndarray:
     h, _ = np.histogramdd(feats, bins=edges, weights=weights)
     total = h.sum()
     if total <= 0:
-        raise InsufficientSamples("empty histogram")
+        raise InvalidValue("empty histogram")
     return (h / total).ravel()
 
 
@@ -146,7 +140,6 @@ def gls_conditional_gap(
     labels_tgt,
     min_count: int = 50,
     correct: bool = True,
-    permutations: int = 4,
     seed: int = 0,
 ) -> np.ndarray:
     """Per-class total variation between binned conditional feature laws.
@@ -154,8 +147,8 @@ def gls_conditional_gap(
     Features beyond two dimensions are projected onto their first two
     coordinates; histograms share a fixed grid of ``BINS`` cells per axis
     over the pooled bounding box. With ``correct=True`` a permutation
-    baseline (the TV measured after pooling and resplitting each class) is
-    subtracted and the result clipped at zero, removing most of the
+    baseline (the mean TV over ``PERMUTATIONS`` resplits of each pooled class)
+    is subtracted and the result clipped at zero, removing most of the
     binning-noise bias.
     """
     fs = _project2(feats_src)
@@ -170,17 +163,17 @@ def gls_conditional_gap(
         a = fs[ys == y]
         b = ft[yt == y]
         if a.shape[0] < min_count or b.shape[0] < min_count:
-            raise InsufficientSamples(
+            raise InvalidValue(
                 f"class {y}: {a.shape[0]} source / {b.shape[0]} target samples, need {min_count}"
             )
         tv = _binned_tv(a, b, edges)
         if correct:
             pooled = np.vstack([a, b])
             base = 0.0
-            for _ in range(permutations):
+            for _ in range(PERMUTATIONS):
                 perm = rng.permutation(pooled.shape[0])
                 base += _binned_tv(pooled[perm[: a.shape[0]]], pooled[perm[a.shape[0]:]], edges)
-            tv = max(tv - base / permutations, 0.0)
+            tv = max(tv - base / PERMUTATIONS, 0.0)
         gaps[y] = tv
     return gaps
 
@@ -285,7 +278,7 @@ def check_sufficiency_bound(
     """
     gamma = float(p_target.probs.min())
     if gamma <= 0:
-        raise DegenerateGamma("target label distribution has a zero entry")
+        raise InvalidValue("target label distribution has a zero entry")
     w_max = float(np.max(w.w))
     rhs_raw = (w_max * eps_s + eps_t + np.sqrt(8.0 * jsd_weighted_feats)) / gamma
     return _report(
@@ -328,7 +321,7 @@ def check_discriminator_optimum(
     compared against 0 at the identity tolerance.
     """
     if p_w.k != q.k:
-        raise LengthMismatch(f"binned densities have lengths {p_w.k} and {q.k}")
+        raise ShapeMismatch(f"binned densities have lengths {p_w.k} and {q.k}")
     a = p_w.probs
     b = q.probs
     denom = a + b
@@ -352,16 +345,6 @@ def check_discriminator_optimum(
         expected=target,
         best_perturbation_improvement=best_improvement,
     )
-
-
-def check_weight_contraction(
-    w_prev: WeightVector, w_next: WeightVector, w_true: WeightVector
-) -> tuple[np.ndarray, float]:
-    """Per-class flags |w_next - w*| <= |w_prev - w*| plus their mean."""
-    if not len(w_prev) == len(w_next) == len(w_true):
-        raise LengthMismatch("weight vectors must have equal length")
-    per_class = np.abs(w_next.w - w_true.w) <= np.abs(w_prev.w - w_true.w) + 1e-12
-    return per_class, float(per_class.mean())
 
 
 def bound_suite(

@@ -11,24 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    InvalidCount,
-    InvalidDistribution,
-    LabelOutOfRange,
-    LengthMismatch,
-    NonFiniteValue,
-    ShapeMismatch,
-    SupportMismatch,
-)
+from .errors import InvalidValue, NonFiniteValue, ShapeMismatch
 
 __all__ = [
     "Categorical",
-    "kl",
     "jsd",
-    "js_distance",
     "l1_distance",
-    "tv_distance",
     "empirical_label_dist",
 ]
 
@@ -51,14 +39,14 @@ class Categorical:
         if arr.ndim != 1:
             raise ShapeMismatch(f"probs must be a 1-d vector, got shape {arr.shape}")
         if arr.size < 2:
-            raise InvalidCount("a categorical needs at least 2 categories")
+            raise InvalidValue("a categorical needs at least 2 categories")
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValue("probs contains non-finite entries")
         if np.any(arr < 0):
-            raise InvalidDistribution("probs contains negative entries")
+            raise InvalidValue("probs contains negative entries")
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:
-            raise InvalidDistribution(f"probs sum to {total!r}, expected 1 within {SUM_TOL}")
+            raise InvalidValue(f"probs sum to {total!r}, expected 1 within {SUM_TOL}")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
@@ -69,7 +57,7 @@ class Categorical:
         arr = np.asarray(raw, dtype=float)
         total = arr.sum()
         if not np.isfinite(total) or total <= 0:
-            raise InvalidDistribution("cannot normalize: masses must be nonnegative with positive sum")
+            raise InvalidValue("cannot normalize: masses must be nonnegative with positive sum")
         return cls(arr / total)
 
     @property
@@ -82,21 +70,8 @@ class Categorical:
 
 def _pair(p: Categorical, q: Categorical) -> tuple[np.ndarray, np.ndarray]:
     if p.k != q.k:
-        raise LengthMismatch(f"distributions have lengths {p.k} and {q.k}")
+        raise ShapeMismatch(f"distributions have lengths {p.k} and {q.k}")
     return p.probs, q.probs
-
-
-def kl(p: Categorical, q: Categorical) -> float:
-    """Kullback-Leibler divergence KL(p || q) in nats.
-
-    Terms with p_i = 0 contribute 0. Raises :class:`SupportMismatch` when
-    some p_i > 0 falls outside the support of q.
-    """
-    a, b = _pair(p, q)
-    mask = a > 0
-    if np.any(b[mask] == 0):
-        raise SupportMismatch("support(p) is not contained in support(q)")
-    return float(np.sum(a[mask] * np.log(a[mask] / b[mask])))
 
 
 def jsd(p: Categorical, q: Categorical) -> float:
@@ -117,20 +92,10 @@ def _kl_raw(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a[mask] * np.log(a[mask] / b[mask])))
 
 
-def js_distance(p: Categorical, q: Categorical) -> float:
-    """sqrt of the Jensen-Shannon divergence; satisfies the triangle inequality."""
-    return float(np.sqrt(jsd(p, q)))
-
-
 def l1_distance(p: Categorical, q: Categorical) -> float:
     """Sum of absolute probability differences; lies in [0, 2]."""
     a, b = _pair(p, q)
     return float(np.sum(np.abs(a - b)))
-
-
-def tv_distance(p: Categorical, q: Categorical) -> float:
-    """Total variation distance, half the L1 distance; lies in [0, 1]."""
-    return 0.5 * l1_distance(p, q)
 
 
 def empirical_label_dist(labels, k: int) -> Categorical:
@@ -145,14 +110,14 @@ def empirical_label_dist(labels, k: int) -> Categorical:
     """
     arr = np.asarray(labels)
     if arr.size == 0:
-        raise EmptyInput("labels is empty")
+        raise InvalidValue("labels is empty")
     if arr.ndim != 1:
         raise ShapeMismatch(f"labels must be 1-d, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         if not np.all(arr == arr.astype(int)):
-            raise LabelOutOfRange("labels must be integers")
+            raise InvalidValue("labels must be integers")
         arr = arr.astype(int)
     if arr.min() < 0 or arr.max() >= k:
-        raise LabelOutOfRange(f"labels must lie in [0, {k})")
+        raise InvalidValue(f"labels must lie in [0, {k})")
     counts = np.bincount(arr, minlength=k).astype(float)
     return Categorical(counts / arr.size)

@@ -19,18 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Categorical
-from .errors import (
-    DegenerateProblem,
-    EmptyAccumulator,
-    InvalidCount,
-    LabelOutOfRange,
-    LambdaOutOfRange,
-    LengthMismatch,
-    NonFiniteValue,
-    ShapeMismatch,
-    SingularMatrix,
-    ZeroSourceClass,
-)
+from .errors import InvalidValue, NonFiniteValue, ShapeMismatch
 
 __all__ = [
     "WeightVector",
@@ -73,10 +62,6 @@ class WeightVector:
     def __len__(self) -> int:
         return self.w.size
 
-    def normalization_error(self, p_source: Categorical) -> float:
-        """|w . p_S - 1|, the defect of the ratio-normalization identity."""
-        return abs(float(self.w @ p_source.probs) - 1.0)
-
 
 class ConfusionAccumulator:
     """Running soft confusion matrix and target prediction marginal.
@@ -88,7 +73,7 @@ class ConfusionAccumulator:
 
     def __init__(self, k: int):
         if k < 2:
-            raise InvalidCount(f"need at least 2 classes, got k={k}")
+            raise InvalidValue(f"need at least 2 classes, got k={k}")
         self.k = k
         self.c_hat = np.zeros((k, k))
         self.mu_hat = np.zeros(k)
@@ -111,7 +96,7 @@ class ConfusionAccumulator:
                 f"source_labels has shape {labels.shape}, expected ({sp.shape[0]},)"
             )
         if labels.size and (labels.min() < 0 or labels.max() >= self.k):
-            raise LabelOutOfRange(f"labels must lie in [0, {self.k})")
+            raise InvalidValue(f"labels must lie in [0, {self.k})")
         # Column y receives the prediction vectors of all samples with true label y.
         onehot = np.zeros((sp.shape[0], self.k))
         onehot[np.arange(sp.shape[0]), labels] = 1.0
@@ -128,7 +113,7 @@ class ConfusionAccumulator:
         to the per-row tolerance admitted in accumulate().
         """
         if self.n_source == 0 or self.n_target == 0:
-            raise EmptyAccumulator("no source or no target samples accumulated")
+            raise InvalidValue("no source or no target samples accumulated")
         c = self.c_hat / self.n_source
         mu = Categorical.normalize(self.mu_hat / self.n_target)
         return c, mu
@@ -146,9 +131,9 @@ def _check_pred_matrix(preds, k: int, name: str) -> np.ndarray:
 def true_weights(p_source: Categorical, p_target: Categorical) -> WeightVector:
     """Elementwise ratio p_target / p_source; satisfies w . p_S = 1 exactly."""
     if p_source.k != p_target.k:
-        raise LengthMismatch(f"lengths {p_source.k} and {p_target.k} differ")
+        raise ShapeMismatch(f"lengths {p_source.k} and {p_target.k} differ")
     if np.any(p_source.probs == 0):
-        raise ZeroSourceClass("source label distribution has a zero entry")
+        raise InvalidValue("source label distribution has a zero entry")
     return WeightVector(p_target.probs / p_source.probs)
 
 
@@ -162,7 +147,7 @@ def exact_inverse_weights(c: np.ndarray, mu: Categorical) -> WeightVector:
         raise ShapeMismatch(f"C has shape {c.shape}, expected ({mu.k}, {mu.k})")
     cond = np.linalg.cond(c)
     if not np.isfinite(cond) or cond > CONDITION_CAP:
-        raise SingularMatrix(f"condition number {cond:.3g} exceeds cap {CONDITION_CAP:.3g}")
+        raise NonFiniteValue(f"condition number {cond:.3g} exceeds cap {CONDITION_CAP:.3g}")
     return WeightVector(np.linalg.solve(c, mu.probs))
 
 
@@ -184,10 +169,10 @@ def solve_qp(
     if c.shape != (k, k):
         raise ShapeMismatch(f"C has shape {c.shape}, expected ({k}, {k})")
     if mu.k != k:
-        raise LengthMismatch(f"mu has length {mu.k}, expected {k}")
+        raise ShapeMismatch(f"mu has length {mu.k}, expected {k}")
     p = p_source.probs
     if np.any(p <= 0):
-        raise DegenerateProblem("p_source must be strictly positive")
+        raise InvalidValue("p_source must be strictly positive")
     zero_cols = np.flatnonzero(~c.any(axis=0))
     if zero_cols.size:
         warnings.warn(
@@ -259,8 +244,8 @@ def solve_qp(
 def ema_update(w_prev: WeightVector, w_qp: WeightVector, lam: float) -> WeightVector:
     """Convex combination lam * w_qp + (1 - lam) * w_prev."""
     if len(w_prev) != len(w_qp):
-        raise LengthMismatch(f"lengths {len(w_prev)} and {len(w_qp)} differ")
+        raise ShapeMismatch(f"lengths {len(w_prev)} and {len(w_qp)} differ")
     if not 0.0 <= lam <= 1.0:
-        raise LambdaOutOfRange(f"lambda must lie in [0, 1], got {lam!r}")
+        raise InvalidValue(f"lambda must lie in [0, 1], got {lam!r}")
     return WeightVector(lam * w_qp.w + (1.0 - lam) * w_prev.w)
 

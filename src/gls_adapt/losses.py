@@ -14,14 +14,7 @@ import functools
 import numpy as np
 
 from .distributions import Categorical
-from .errors import (
-    BatchSizeMismatch,
-    LabelOutOfRange,
-    LengthMismatch,
-    OutOfRangeDiscriminatorOutput,
-    ShapeMismatch,
-    ZeroSourceClass,
-)
+from .errors import InvalidValue, ShapeMismatch
 from .estimator import WeightVector
 
 __all__ = [
@@ -43,16 +36,16 @@ MMD_SCALES = (0.5, 1.0, 2.0)
 def _check_discriminator(out, name: str) -> np.ndarray:
     arr = np.asarray(out, dtype=float).reshape(-1)
     if arr.size and (np.any(arr <= 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr))):
-        raise OutOfRangeDiscriminatorOutput(f"{name} must lie strictly inside (0, 1)")
+        raise InvalidValue(f"{name} must lie strictly inside (0, 1)")
     return arr
 
 
 def _class_weights(labels: np.ndarray, w: WeightVector) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.size == 0:
-        raise LengthMismatch("labels is empty")
+        raise InvalidValue("labels is empty")
     if labels.min() < 0 or labels.max() >= len(w):
-        raise LabelOutOfRange("labels index outside the weight vector")
+        raise InvalidValue("labels index outside the weight vector")
     return w.w[labels]
 
 
@@ -68,7 +61,7 @@ def weighted_da_loss_grads(d_src, d_tgt, labels_src, w: WeightVector):
     ds = _check_discriminator(d_src, "d_src")
     dt = _check_discriminator(d_tgt, "d_tgt")
     if ds.size != dt.size:
-        raise BatchSizeMismatch(f"paired batches of sizes {ds.size} and {dt.size}")
+        raise ShapeMismatch(f"paired batches of sizes {ds.size} and {dt.size}")
     ws = _class_weights(labels_src, w)
     s = ds.size
     src = np.maximum(ds, LOG_EPS)
@@ -113,7 +106,7 @@ def weighted_classification_loss_grads(preds, labels, p_source: Categorical, w: 
     if p.ndim != 2 or p.shape[1] != p_source.k:
         raise ShapeMismatch(f"preds has shape {p.shape}, expected (n, {p_source.k})")
     if np.any(p_source.probs == 0):
-        raise ZeroSourceClass("source label distribution has a zero entry")
+        raise InvalidValue("source label distribution has a zero entry")
     labels = np.asarray(labels)
     coeff = 1.0 / (p_source.k * p_source.probs[labels])
     if w is not None:
@@ -183,7 +176,7 @@ def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, b
     if fs.ndim != 2 or ft.ndim != 2 or fs.shape[1] != ft.shape[1]:
         raise ShapeMismatch(f"feature shapes {fs.shape} and {ft.shape} are incompatible")
     if fs.shape[0] != ft.shape[0]:
-        raise BatchSizeMismatch(f"paired batches of sizes {fs.shape[0]} and {ft.shape[0]}")
+        raise ShapeMismatch(f"paired batches of sizes {fs.shape[0]} and {ft.shape[0]}")
     ws = _class_weights(labels_src, w)
     s = fs.shape[0]
     sq_ss = _sq_dists(fs, fs)

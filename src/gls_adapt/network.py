@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidModel, ShapeMismatch, StaleCache
+from .errors import ConfigInvalid, ShapeMismatch
 
 __all__ = [
     "Mlp",
@@ -26,7 +26,7 @@ __all__ = [
 
 SIGMOID_CLIP = 1e-12
 
-_HEADS = ("none", "softmax", "sigmoid", "tanh")
+_HEADS = ("softmax", "sigmoid", "tanh")
 _MODES = ("features", "classify", "discriminate_z", "discriminate_outer")
 
 
@@ -37,15 +37,14 @@ class Mlp:
     the supplied generator, so construction order is reproducible.
     """
 
-    def __init__(self, layer_sizes, head="none", rng=None):
+    def __init__(self, layer_sizes, head, rng):
         sizes = [int(s) for s in layer_sizes]
         if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise InvalidModel(f"bad layer sizes {sizes}: need at least 2 layers, each of size >= 1")
+            raise ConfigInvalid(f"bad layer sizes {sizes}: need at least 2 layers, each of size >= 1")
         if head not in _HEADS:
-            raise InvalidModel(f"head must be one of {_HEADS}")
+            raise ConfigInvalid(f"head must be one of {_HEADS}")
         self.layer_sizes = sizes
         self.head = head
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -85,9 +84,7 @@ class Mlp:
         if self.head == "sigmoid":
             out = 1.0 / (1.0 + np.exp(-pre))
             return np.clip(out, SIGMOID_CLIP, 1.0 - SIGMOID_CLIP)
-        if self.head == "tanh":
-            return np.tanh(pre)
-        return pre
+        return np.tanh(pre)
 
     def backward(self, cache, grad_out: np.ndarray):
         """Backpropagate dL/d(output); return (per-layer grads, dL/d(input))."""
@@ -98,10 +95,8 @@ class Mlp:
             delta = out * (grad_out - inner)
         elif self.head == "sigmoid":
             delta = grad_out * out * (1.0 - out)
-        elif self.head == "tanh":
-            delta = grad_out * (1.0 - out * out)
         else:
-            delta = grad_out
+            delta = grad_out * (1.0 - out * out)
         grads = [None] * len(self.weights)
         for i in range(len(self.weights) - 1, -1, -1):
             a_prev = inputs[i]
@@ -169,15 +164,14 @@ def init_model_state(
     g_hidden=(64,),
     d_hidden=(32,),
     conditional: bool = False,
-    seed: int = 0,
-    rng=None,
+    *,
+    rng,
 ) -> ModelState:
     """Build the default desk-scale model.
 
     ``conditional=True`` sizes the discriminator for the k*z outer-product
     input instead of the plain z input.
     """
-    rng = rng if rng is not None else np.random.default_rng(seed)
     g = Mlp([input_dim, *g_hidden, feature_dim], head="tanh", rng=rng)
     h = Mlp([feature_dim, k], head="softmax", rng=rng)
     d_in = feature_dim * k if conditional else feature_dim
@@ -206,7 +200,7 @@ def forward(state: ModelState, x: np.ndarray, mode: str, preds: bool = False):
     (output, cache); the cache feeds :func:`backward`.
     """
     if mode not in _MODES:
-        raise InvalidModel(f"unknown mode {mode!r}")
+        raise ConfigInvalid(f"unknown mode {mode!r}")
     z, cg = state.g.forward(np.asarray(x, dtype=float))
     cache = {"mode": mode, "version": state.version, "g": cg, "z": z}
     if preds or mode in ("classify", "discriminate_outer"):
@@ -242,12 +236,12 @@ def backward(
     ``reversal`` (gradient reversal).
     """
     if cache["version"] != state.version:
-        raise StaleCache("forward cache predates the last parameter update")
+        raise ConfigInvalid("forward cache predates the last parameter update")
     mode = cache["mode"]
     if mode not in _MODES:
-        raise InvalidModel(f"unknown mode {mode!r}")
+        raise ConfigInvalid(f"unknown mode {mode!r}")
     if grad_preds is not None and (mode == "classify" or "p" not in cache):
-        raise InvalidModel("grad_preds needs an alignment mode run with preds=True")
+        raise ConfigInvalid("grad_preds needs an alignment mode run with preds=True")
     grads = ModelGrads()
     dz = dp = None
     if mode == "features":

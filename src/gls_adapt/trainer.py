@@ -27,7 +27,7 @@ import numpy as np
 from . import losses, network
 from .datagen import Dataset
 from .distributions import jsd
-from .errors import ConfigInvalid, DimensionMismatch, NonFiniteValue, ZeroSourceClass
+from .errors import ConfigInvalid, InvalidValue, NonFiniteValue, ShapeMismatch
 from .estimator import ConfusionAccumulator, WeightVector, ema_update, solve_qp, true_weights
 from .network import ModelState
 
@@ -138,7 +138,7 @@ def evaluate(state: ModelState, data: Dataset) -> tuple[float, np.ndarray]:
     whose true class is y; rows for absent classes are left at zero.
     """
     if data.dim != state.g.in_dim:
-        raise DimensionMismatch(f"data dim {data.dim} != model input dim {state.g.in_dim}")
+        raise ShapeMismatch(f"data dim {data.dim} != model input dim {state.g.in_dim}")
     preds, _ = network.forward(state, data.features, "classify")
     hard = preds.argmax(axis=1)
     acc = float(np.mean(hard == data.labels))
@@ -158,14 +158,14 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
     """
     config = config.validated()
     if source.dim != target.dim:
-        raise DimensionMismatch(f"feature dims differ: {source.dim} vs {target.dim}")
+        raise ShapeMismatch(f"feature dims differ: {source.dim} vs {target.dim}")
     if source.k != target.k:
-        raise DimensionMismatch(f"class counts differ: {source.k} vs {target.k}")
+        raise ShapeMismatch(f"class counts differ: {source.k} vs {target.k}")
     k = source.k
     algo = config.algorithm
     p_source = source.label_distribution()
     if np.any(p_source.probs == 0):
-        raise ZeroSourceClass("every class needs at least one source sample")
+        raise InvalidValue("every class needs at least one source sample")
     p_target = target.label_distribution()
     w_star = true_weights(p_source, p_target)
     jsd_label = jsd(p_source, p_target)

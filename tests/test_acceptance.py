@@ -200,7 +200,7 @@ def test_criterion_3_gradient_correctness():
     for point in range(10):
         state = init_model_state(
             input_dim=3, k=3, feature_dim=4, g_hidden=(5,), d_hidden=(5,),
-            conditional=True, seed=1000 + point,
+            conditional=True, rng=np.random.default_rng(1000 + point),
         )
         xs = rng.normal(size=(5, 3))
         xt = rng.normal(size=(5, 3))

@@ -208,6 +208,15 @@ class TestTrain:
         assert self.train_from_files(tmp_path, "source.csv") == 1
         assert capsys.readouterr().err == "error: every class needs at least one source sample\n"
 
+    @pytest.mark.parametrize("command", ["train", "verify-bounds"])
+    @pytest.mark.parametrize("flag", ["--source", "--target"])
+    def test_one_dataset_file_is_one_line_error(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "runs"
+        rc = run([command, flag, tmp_path / "nonexistent.csv", "--epochs", 1, "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --source and --target must be given together\n"
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_file_values_and_flag_override(self, tmp_path):
@@ -324,6 +333,44 @@ class TestEstimateWeights:
         assert rc == 1
         err = capsys.readouterr().err
         assert "line 3" in err
+
+    @pytest.mark.parametrize(
+        "p_source, message",
+        [
+            ("0.5,0.6,0.1", "probs sum to 1.2000000000000002, expected 1 within 1e-09"),
+            ("0.5,0.5", "label_dist length must equal k"),
+        ],
+        ids=["wrong-sum", "wrong-length"],
+    )
+    def test_p_source_error_names_the_option(self, tmp_path, capsys, p_source, message):
+        sp, sl, tp, _, _ = self.write_inputs(tmp_path, n=200)
+        rc = run(
+            ["estimate-weights", "--source-preds", sp, "--source-labels", sl,
+             "--target-preds", tp, "--p-source", p_source, "--out", tmp_path / "o"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message} (--p-source)\n"
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ("", "empty file"),
+            ("lbl\n0\n", "line 1: expected header 'label'"),
+            ("label\n0\n1,2\n", "line 3: expected 1 fields, got 2"),
+            ("label\n0\nx\n", "line 3: invalid literal for int() with base 10: 'x'"),
+            ("label\n\n", "no data rows"),
+        ],
+        ids=["empty", "header", "extra-field", "not-an-int", "no-rows"],
+    )
+    def test_labels_file_errors_match_the_other_readers(self, tmp_path, capsys, labels, message):
+        sp, sl, tp, _, _ = self.write_inputs(tmp_path, n=20)
+        sl.write_text(labels)
+        rc = run(
+            ["estimate-weights", "--source-preds", sp, "--source-labels", sl,
+             "--target-preds", tp, "--out", tmp_path / "o"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {sl}: {message}\n"
 
 
 class TestIdempotence:

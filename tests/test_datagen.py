@@ -13,12 +13,7 @@ from gls_adapt.datagen import (
     write_dataset_csv,
 )
 from gls_adapt.distributions import Categorical, jsd
-from gls_adapt.errors import (
-    EmptyClassAfterSubsample,
-    InvalidCount,
-    InvalidSpec,
-    ParseError,
-)
+from gls_adapt.errors import ConfigInvalid, InvalidValue, ParseError
 
 
 def balanced_spec(k=2, d=2, n=1000, sigma=0.2, seed=0, shift=None):
@@ -76,11 +71,11 @@ class TestMakeGaussianDomain:
 
     def test_invalid_spec(self):
         spec = balanced_spec()
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigInvalid, match="class_means has shape"):
             make_gaussian_domain(
                 DomainSpec(2, 2, np.zeros((3, 2)), 0.1, spec.label_dist, 10, 0)
             )
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigInvalid, match="covariance scale must be nonnegative"):
             make_gaussian_domain(
                 DomainSpec(2, 2, spec.class_means, -1.0, spec.label_dist, 10, 0)
             )
@@ -121,12 +116,12 @@ class TestSubsampleProtocol:
 
     def test_empty_class_raises(self):
         data = self.make_uniform_dataset(k=2, per_class=3)
-        with pytest.raises(EmptyClassAfterSubsample):
+        with pytest.raises(InvalidValue, match="class 0 would keep 0 of 3 samples"):
             subsample_protocol(data, 0.1, seed=5)
 
     def test_bad_fraction(self):
         data = self.make_uniform_dataset(k=2, per_class=10)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ConfigInvalid, match="fraction must lie in"):
             subsample_protocol(data, 0.0)
 
 
@@ -218,7 +213,7 @@ class TestJsdTaskSuite:
 
     def test_invalid_count(self):
         src, tgt = make_shift_task(k=3, n_source=600, n_target=600, seed=16)
-        with pytest.raises(InvalidCount):
+        with pytest.raises(InvalidValue, match="count must be >= 1, got 0"):
             jsd_task_suite(src, tgt, count=0)
 
 

@@ -3,25 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gls_adapt.distributions import (
-    Categorical,
-    empirical_label_dist,
-    jsd,
-    js_distance,
-    kl,
-    l1_distance,
-    tv_distance,
-)
-from gls_adapt.errors import (
-    EmptyInput,
-    InvalidCount,
-    InvalidDistribution,
-    LabelOutOfRange,
-    LengthMismatch,
-    NonFiniteValue,
-    ShapeMismatch,
-    SupportMismatch,
-)
+from gls_adapt.distributions import Categorical, empirical_label_dist, jsd, l1_distance
+from gls_adapt.errors import InvalidValue, NonFiniteValue, ShapeMismatch
 
 from _oracles import jsd_terms, random_categorical
 
@@ -57,13 +40,13 @@ class TestCategorical:
         assert np.allclose(c.probs, [0.5, 0.5])
 
     def test_errors_are_typed(self):
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(InvalidValue, match="probs sum to 1.1, expected 1 within 1e-09"):
             cat(0.5, 0.6)
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(InvalidValue, match="probs contains negative entries"):
             cat(-0.1, 1.1)
-        with pytest.raises(InvalidDistribution):
+        with pytest.raises(InvalidValue, match="cannot normalize: masses must be nonnegative with positive sum"):
             Categorical.normalize([0.0, 0.0])
-        with pytest.raises(InvalidCount):
+        with pytest.raises(InvalidValue, match="a categorical needs at least 2 categories"):
             Categorical(np.array([1.0]))
         with pytest.raises(NonFiniteValue):
             cat(np.nan, 0.5)
@@ -76,28 +59,6 @@ class TestCategorical:
         c = cat(0.5, 0.5)
         with pytest.raises(ValueError):
             c.probs[0] = 0.9
-
-
-class TestKl:
-    def test_identical_is_zero(self):
-        p = cat(0.3, 0.7)
-        assert kl(p, p) == 0.0
-
-    def test_hand_value(self):
-        expected = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
-        assert kl(cat(0.5, 0.5), cat(0.25, 0.75)) == pytest.approx(expected, abs=1e-12)
-        assert expected == pytest.approx(0.1438, abs=1e-4)
-
-    def test_point_mass_vs_uniform(self):
-        assert kl(cat(1.0, 0.0), cat(0.5, 0.5)) == pytest.approx(LN2, abs=1e-15)
-
-    def test_support_mismatch(self):
-        with pytest.raises(SupportMismatch):
-            kl(cat(0.5, 0.5), cat(1.0, 0.0))
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            kl(cat(0.5, 0.5), cat(0.2, 0.3, 0.5))
 
 
 class TestJsd:
@@ -135,7 +96,8 @@ class TestJsd:
         for _ in range(1000):
             k = rng.integers(2, 6)
             p, q, r = (Categorical(random_categorical(rng, k, floor=0.0)) for _ in range(3))
-            assert js_distance(p, r) <= js_distance(p, q) + js_distance(q, r) + 1e-12
+            # sqrt(jsd) is a metric
+            assert math.sqrt(jsd(p, r)) <= math.sqrt(jsd(p, q)) + math.sqrt(jsd(q, r)) + 1e-12
 
     def test_matches_oracle_on_random_pairs(self):
         rng = np.random.default_rng(14)
@@ -152,28 +114,25 @@ class TestL1Tv:
     def test_zero_on_identical(self):
         p = cat(0.3, 0.7)
         assert l1_distance(p, p) == 0.0
-        assert tv_distance(p, p) == 0.0
 
     def test_maximal_disagreement(self):
         assert l1_distance(cat(1.0, 0.0), cat(0.0, 1.0)) == 2.0
-        assert tv_distance(cat(1.0, 0.0), cat(0.0, 1.0)) == 1.0
 
     def test_hand_value(self):
         assert l1_distance(cat(0.3, 0.7), cat(0.5, 0.5)) == pytest.approx(0.4, abs=1e-15)
-        assert tv_distance(cat(0.3, 0.7), cat(0.5, 0.5)) == pytest.approx(0.2, abs=1e-15)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ShapeMismatch, match="distributions have lengths 2 and 3"):
             l1_distance(cat(0.5, 0.5), cat(0.2, 0.3, 0.5))
 
     def test_tv_jsd_equivalence_bound(self):
-        # anchor for the sufficiency-direction estimate: tv <= sqrt(8 * jsd)
+        # anchor for the sufficiency-direction estimate: tv = l1 / 2 <= sqrt(8 * jsd)
         rng = np.random.default_rng(15)
         for _ in range(1000):
             k = rng.integers(2, 8)
             p = Categorical(random_categorical(rng, k, floor=0.0))
             q = Categorical(random_categorical(rng, k, floor=0.0))
-            assert tv_distance(p, q) <= math.sqrt(8.0 * jsd(p, q)) + 1e-12
+            assert 0.5 * l1_distance(p, q) <= math.sqrt(8.0 * jsd(p, q)) + 1e-12
 
 
 class TestEmpiricalLabelDist:
@@ -193,11 +152,11 @@ class TestEmpiricalLabelDist:
         assert np.max(np.abs(d.probs - truth)) < 0.05
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvalidValue, match="labels is empty"):
             empirical_label_dist([], 3)
 
     def test_label_out_of_range(self):
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(InvalidValue, match=r"labels must lie in \[0, 3\)"):
             empirical_label_dist([0, 3], 3)
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(InvalidValue, match=r"labels must lie in \[0, 3\)"):
             empirical_label_dist([-1, 0], 3)

@@ -3,19 +3,7 @@ import pytest
 
 from gls_adapt.cli import main
 from gls_adapt.distributions import Categorical
-from gls_adapt.errors import (
-    DegenerateProblem,
-    EmptyAccumulator,
-    GlsAdaptError,
-    InvalidCount,
-    LabelOutOfRange,
-    LambdaOutOfRange,
-    LengthMismatch,
-    NonFiniteValue,
-    ShapeMismatch,
-    SingularMatrix,
-    ZeroSourceClass,
-)
+from gls_adapt.errors import GlsAdaptError, InvalidValue, NonFiniteValue, ShapeMismatch
 from gls_adapt.estimator import (
     ConfusionAccumulator,
     WeightVector,
@@ -106,7 +94,7 @@ class TestAccumulator:
         assert abs(c.sum() - 1.0) < 1e-9
 
     def test_empty_accumulator(self):
-        with pytest.raises(EmptyAccumulator):
+        with pytest.raises(InvalidValue, match="no source or no target samples accumulated"):
             ConfusionAccumulator(2).finalize()
 
     def test_shape_and_label_errors(self):
@@ -115,8 +103,10 @@ class TestAccumulator:
             acc.accumulate(np.array([[1.0, 0.0, 0.0]]), [0], np.array([[1.0, 0.0]]))
         with pytest.raises(ShapeMismatch):
             acc.accumulate(np.array([[0.7, 0.7]]), [0], np.array([[1.0, 0.0]]))
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(InvalidValue, match=r"labels must lie in \[0, 2\)"):
             acc.accumulate(np.array([[1.0, 0.0]]), [2], np.array([[1.0, 0.0]]))
+        with pytest.raises(InvalidValue, match="need at least 2 classes, got k=1"):
+            ConfusionAccumulator(1)
 
 
 class TestTypedErrors:
@@ -125,7 +115,7 @@ class TestTypedErrors:
         [
             (lambda: WeightVector(np.ones(1)), ShapeMismatch),
             (lambda: WeightVector(np.array([1.0, np.nan])), NonFiniteValue),
-            (lambda: ConfusionAccumulator(1), InvalidCount),
+            (lambda: ConfusionAccumulator(1), InvalidValue),
         ],
     )
     def test_package_errors_stay_value_errors(self, make, error):
@@ -150,10 +140,10 @@ class TestTrueWeights:
             p_s = Categorical(random_categorical(rng, k))
             p_t = Categorical(random_categorical(rng, k, floor=0.0))
             w = true_weights(p_s, p_t)
-            assert w.normalization_error(p_s) < 1e-12
+            assert abs(float(w.w @ p_s.probs) - 1.0) < 1e-12
 
     def test_zero_source_class(self):
-        with pytest.raises(ZeroSourceClass):
+        with pytest.raises(InvalidValue, match="source label distribution has a zero entry"):
             true_weights(cat(1.0, 0.0), cat(0.5, 0.5))
 
     def test_subsampled_first_half_pattern(self):
@@ -190,7 +180,7 @@ class TestExactInverse:
         assert np.allclose(w.w, [3.0, -2.0])
 
     def test_singular_raises(self):
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(NonFiniteValue, match=r"condition number .* exceeds cap 1e\+08"):
             exact_inverse_weights(np.array([[0.5, 0.5], [0.5, 0.5]]), cat(0.5, 0.5))
 
 
@@ -251,7 +241,7 @@ class TestSolveQp:
                     warnings.simplefilter("ignore")
                     w = solve_qp(c, mu, Categorical(p_s))
             assert np.all(w.w >= 0.0)
-            assert w.normalization_error(Categorical(p_s)) < 1e-8
+            assert abs(float(w.w @ p_s) - 1.0) < 1e-8
 
     def test_candidate_dominance(self):
         # optimum must beat the normalized all-ones vector and the clamped
@@ -271,7 +261,7 @@ class TestSolveQp:
                 denom = clamped @ p_s
                 if denom > 0:
                     cands.append(clamped / denom)
-            except SingularMatrix:
+            except NonFiniteValue:
                 pass
             for cand in cands:
                 assert val <= qp_objective(c, cand, mu.probs) + 1e-10
@@ -301,7 +291,7 @@ class TestSolveQp:
             assert np.max(np.abs(w.w - tilde)) < 1e-8
 
     def test_degenerate_p_source(self):
-        with pytest.raises(DegenerateProblem):
+        with pytest.raises(InvalidValue, match="p_source must be strictly positive"):
             solve_qp(np.eye(2) / 2, cat(0.5, 0.5), Categorical(np.array([1.0, 0.0])))
 
     def test_zero_column_warns(self):
@@ -347,7 +337,7 @@ class TestSolveQp:
                 warnings.simplefilter("ignore")
                 w = solve_qp(c, mu, p)
             assert np.all(w.w >= 0)
-            assert w.normalization_error(p) < 1e-8
+            assert abs(float(w.w @ p.probs) - 1.0) < 1e-8
 
 
 class TestEmaUpdate:
@@ -367,11 +357,11 @@ class TestEmaUpdate:
 
     def test_lambda_out_of_range(self):
         v = WeightVector(np.array([1.0, 1.0]))
-        with pytest.raises(LambdaOutOfRange):
+        with pytest.raises(InvalidValue, match=r"lambda must lie in \[0, 1\], got 1.5"):
             ema_update(v, v, 1.5)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ShapeMismatch, match="lengths 2 and 3 differ"):
             ema_update(WeightVector(np.array([1.0, 1.0])), WeightVector(np.array([1.0, 1.0, 1.0])), 0.5)
 
 

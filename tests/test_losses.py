@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gls_adapt.distributions import Categorical
-from gls_adapt.errors import (
-    BatchSizeMismatch,
-    OutOfRangeDiscriminatorOutput,
-    ShapeMismatch,
-    ZeroSourceClass,
-)
+from gls_adapt.errors import InvalidValue, ShapeMismatch
 from gls_adapt.estimator import WeightVector
 from gls_adapt.losses import (
     cross_entropy_loss,
@@ -56,13 +51,13 @@ class TestWeightedDaLoss:
             assert abs(got - base) <= 1e-12
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(OutOfRangeDiscriminatorOutput):
+        with pytest.raises(InvalidValue, match=r"d_src must lie strictly inside \(0, 1\)"):
             weighted_da_loss([1.0], [0.5], [0], ones_w(2))
-        with pytest.raises(OutOfRangeDiscriminatorOutput):
+        with pytest.raises(InvalidValue, match=r"d_tgt must lie strictly inside \(0, 1\)"):
             weighted_da_loss([0.5], [0.0], [0], ones_w(2))
 
     def test_batch_size_mismatch(self):
-        with pytest.raises(BatchSizeMismatch):
+        with pytest.raises(ShapeMismatch, match="paired batches of sizes 2 and 1"):
             weighted_da_loss([0.5, 0.5], [0.5], [0, 1], ones_w(2))
 
 
@@ -97,7 +92,7 @@ class TestWeightedClassificationLoss:
 
     def test_zero_source_class(self):
         p_s = Categorical(np.array([1.0, 0.0]))
-        with pytest.raises(ZeroSourceClass):
+        with pytest.raises(InvalidValue, match="source label distribution has a zero entry"):
             weighted_classification_loss(np.array([[0.5, 0.5]]), [0], p_s)
 
 
@@ -190,7 +185,7 @@ class TestWeightedMmdLoss:
         assert abs(delta_fast - manual) < 1e-10
 
     def test_batch_size_mismatch(self):
-        with pytest.raises(BatchSizeMismatch):
+        with pytest.raises(ShapeMismatch, match="paired batches of sizes 3 and 4"):
             weighted_mmd_loss(np.zeros((3, 2)), [0, 1, 0], np.zeros((4, 2)), ones_w(2), [1.0])
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from gls_adapt import losses
 from gls_adapt.distributions import Categorical
-from gls_adapt.errors import GlsAdaptError, InvalidModel, ShapeMismatch, StaleCache
+from gls_adapt.errors import ConfigInvalid, GlsAdaptError, ShapeMismatch
 from gls_adapt.estimator import WeightVector
 from gls_adapt.network import (
     Mlp,
@@ -26,7 +26,8 @@ from _oracles import (
 
 def small_state(conditional=False, seed=0):
     return init_model_state(
-        input_dim=3, k=3, feature_dim=4, g_hidden=(5,), d_hidden=(5,), conditional=conditional, seed=seed
+        input_dim=3, k=3, feature_dim=4, g_hidden=(5,), d_hidden=(5,), conditional=conditional,
+        rng=np.random.default_rng(seed),
     )
 
 
@@ -41,14 +42,14 @@ class TestForward:
         assert np.allclose(preds, 1.0 / 3.0)
 
     def test_one_layer_hand_computation(self):
-        net = Mlp([2, 1], head="none", rng=np.random.default_rng(1))
+        net = Mlp([2, 1], head="tanh", rng=np.random.default_rng(1))
         net.weights[0] = np.array([[2.0], [-1.0]])
         net.biases[0] = np.array([0.5])
         out, _ = net.forward(np.array([[1.0, 3.0]]))
-        assert out[0, 0] == pytest.approx(2.0 - 3.0 + 0.5)
+        assert out[0, 0] == pytest.approx(np.tanh(2.0 - 3.0 + 0.5))
 
     def test_outer_product_dimension(self):
-        state = init_model_state(input_dim=5, k=3, feature_dim=4, conditional=True, seed=0)
+        state = init_model_state(input_dim=5, k=3, feature_dim=4, conditional=True, rng=np.random.default_rng(0))
         assert state.d.in_dim == 12
         x = np.random.default_rng(2).normal(size=(7, 5))
         d_out, cache = forward(state, x, "discriminate_outer")
@@ -115,7 +116,7 @@ class TestBackward:
         _, cache = forward(state, x, "classify")
         grads = backward(state, cache, np.ones((4, 3)))
         sgd_step(state, ModelGrads(g=grads.g), 0.1, 0.0)
-        with pytest.raises(StaleCache):
+        with pytest.raises(ConfigInvalid, match="forward cache predates the last parameter update"):
             backward(state, cache, np.ones((4, 3)))
 
 
@@ -151,10 +152,10 @@ class TestTrainingStepBackward:
         state = small_state(seed=17)
         x = np.zeros((2, 3))
         _, cache = forward(state, x, "features")
-        with pytest.raises(InvalidModel):
+        with pytest.raises(ConfigInvalid, match="grad_preds needs an alignment mode run with preds=True"):
             backward(state, cache, np.zeros((2, 4)), np.zeros((2, 3)))
         _, cache = forward(state, x, "classify")
-        with pytest.raises(InvalidModel):
+        with pytest.raises(ConfigInvalid, match="grad_preds needs an alignment mode run with preds=True"):
             backward(state, cache, np.zeros((2, 3)), np.zeros((2, 3)))
 
 
@@ -272,17 +273,18 @@ class TestTypedErrors:
         [([3], {}), ([3, 0], {}), ([3, 0, 2], {}), ([3, 2], {"head": "relu"})],
     )
     def test_bad_mlp(self, sizes, kwargs):
-        with pytest.raises(InvalidModel) as info:
-            Mlp(sizes, **kwargs)
+        match = "head must be one of" if "head" in kwargs else "bad layer sizes"
+        with pytest.raises(ConfigInvalid, match=match) as info:
+            Mlp(sizes, **{"head": "tanh", **kwargs}, rng=np.random.default_rng(0))
         assert isinstance(info.value, GlsAdaptError) and isinstance(info.value, ValueError)
 
     def test_unknown_mode(self):
         state = small_state()
-        with pytest.raises(InvalidModel):
+        with pytest.raises(ConfigInvalid, match="unknown mode 'discriminate'"):
             forward(state, np.zeros((2, 3)), "discriminate")
         _, cache = forward(state, np.zeros((2, 3)), "features")
         cache["mode"] = "discriminate"
-        with pytest.raises(InvalidModel):
+        with pytest.raises(ConfigInvalid, match="unknown mode 'discriminate'"):
             backward(state, cache, np.zeros((2, 4)))
 
 

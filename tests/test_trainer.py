@@ -7,7 +7,7 @@ import pytest
 from gls_adapt.cli import main
 from gls_adapt.datagen import Dataset, make_shift_task, write_dataset_csv
 from gls_adapt import losses, network, trainer
-from gls_adapt.errors import ConfigInvalid, DimensionMismatch, NonFiniteValue, ZeroSourceClass
+from gls_adapt.errors import ConfigInvalid, InvalidValue, NonFiniteValue, ShapeMismatch
 from gls_adapt.network import init_model_state
 from gls_adapt.trainer import (
     ALGORITHMS,
@@ -51,7 +51,7 @@ def tiny_config(**kwargs):
 class TestEvaluate:
     def test_perfect_classifier_identity_confusion(self):
         src, _ = tiny_task()
-        state = init_model_state(input_dim=2, k=3, feature_dim=8, g_hidden=(16,), seed=0)
+        state = init_model_state(input_dim=2, k=3, feature_dim=8, g_hidden=(16,), rng=np.random.default_rng(0))
         cfg = tiny_config(algorithm="none", epochs=8, batches_per_epoch=20)
         state, _ = train(cfg, src, src)
         acc, conf = evaluate(state, src)
@@ -61,7 +61,7 @@ class TestEvaluate:
 
     def test_constant_classifier(self):
         src, _ = tiny_task()
-        state = init_model_state(input_dim=2, k=3, feature_dim=8, g_hidden=(16,), seed=1)
+        state = init_model_state(input_dim=2, k=3, feature_dim=8, g_hidden=(16,), rng=np.random.default_rng(1))
         state.h.weights[0][:] = 0.0
         state.h.biases[0][:] = np.array([5.0, 0.0, 0.0])
         acc, conf = evaluate(state, src)
@@ -73,15 +73,15 @@ class TestEvaluate:
         accs = []
         for seed in range(8):
             src, _ = make_shift_task(k=2, n_source=1500, n_target=100, sigma=0.3, seed=seed)
-            state = init_model_state(input_dim=2, k=2, feature_dim=8, g_hidden=(16,), seed=seed)
+            state = init_model_state(input_dim=2, k=2, feature_dim=8, g_hidden=(16,), rng=np.random.default_rng(seed))
             acc, _ = evaluate(state, src)
             accs.append(acc)
         assert abs(np.mean(accs) - 0.5) < 0.15
 
     def test_dimension_mismatch(self):
         src, _ = tiny_task()
-        state = init_model_state(input_dim=5, k=3, seed=0)
-        with pytest.raises(DimensionMismatch):
+        state = init_model_state(input_dim=5, k=3, rng=np.random.default_rng(0))
+        with pytest.raises(ShapeMismatch, match="data dim 2 != model input dim 5"):
             evaluate(state, src)
 
 
@@ -154,7 +154,7 @@ class TestTrainBasics:
     def test_dimension_mismatch_between_domains(self):
         src, tgt = tiny_task()
         bad_tgt = Dataset(np.zeros((50, 3)), np.zeros(50, dtype=int), 3)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch, match="feature dims differ: 2 vs 3"):
             train(tiny_config(), src, bad_tgt)
 
     def test_zero_source_class(self):
@@ -162,7 +162,7 @@ class TestTrainBasics:
         labels = np.zeros(60, dtype=int)
         src = Dataset(feats, labels, 2)
         tgt = Dataset(feats, 1 - labels, 2)
-        with pytest.raises(ZeroSourceClass):
+        with pytest.raises(InvalidValue, match="every class needs at least one source sample"):
             train(tiny_config(algorithm="dann"), src, tgt)
 
 
