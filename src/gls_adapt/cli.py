@@ -307,13 +307,12 @@ def cmd_train(ns) -> int:
 
 
 def _sweep_one(payload):
-    task_id, src, tgt, base_alg, variant_alg, train_opts, seed = payload
+    task_id, src, tgt, jsd_label, base_alg, variant_alg, train_opts, seed = payload
     acc = {}
     for alg in (base_alg, variant_alg):
         cfg = TrainConfig(algorithm=alg, seed=seed, **train_opts)
         _, trace = train(cfg, src, tgt)
         acc[alg] = trace.best_target_accuracy()
-    jsd_label = jsd(src.label_distribution(), tgt.label_distribution())
     return task_id, jsd_label, acc[base_alg], acc[variant_alg]
 
 
@@ -328,7 +327,8 @@ def cmd_sweep_jsd(ns) -> int:
     base_src, base_tgt = _make_domains(seed, **domain_opts)
     tasks = jsd_task_suite(base_src, base_tgt, count=ns.tasks, seed=seed)
     payloads = [
-        (i, t.source, t.target, base, variant, train_opts, seed) for i, t in enumerate(tasks)
+        (i, t.source, t.target, t.jsd_label, base, variant, train_opts, seed)
+        for i, t in enumerate(tasks)
     ]
     if ns.jobs > 1:
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:

@@ -8,6 +8,7 @@ per-class target offset deliberately breaks it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,10 +314,10 @@ def _read_csv(path, header_error, convert) -> list:
     return rows
 
 
-def read_dataset_csv(path, k: int | None = None) -> Dataset:
-    """Read a dataset written by :func:`write_dataset_csv`.
+def read_dataset_csv(path) -> Dataset:
+    """Read a dataset written by :func:`write_dataset_csv`; k = max(label) + 1.
 
-    ``k`` defaults to max(label) + 1. Parse failures name the line.
+    Parse failures, non-finite features and negative labels name the line.
     """
 
     def header_error(header):
@@ -324,7 +325,15 @@ def read_dataset_csv(path, k: int | None = None) -> Dataset:
             return f"bad header {','.join(header)!r}"
         return None
 
-    rows = _read_csv(path, header_error, lambda parts: ([float(v) for v in parts[:-1]], int(parts[-1])))
+    def row(parts):
+        feats = [float(v) for v in parts[:-1]]
+        label = int(parts[-1])
+        if not all(map(math.isfinite, feats)):
+            raise ValueError("features contain non-finite values")
+        if label < 0:
+            raise ValueError(f"label {label} is negative")
+        return feats, label
+
+    rows = _read_csv(path, header_error, row)
     labels = np.asarray([label for _, label in rows])
-    k = int(labels.max()) + 1 if k is None else k
-    return Dataset(np.asarray([feats for feats, _ in rows]), labels, k=k)
+    return Dataset(np.asarray([feats for feats, _ in rows]), labels, k=int(labels.max()) + 1)

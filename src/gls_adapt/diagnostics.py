@@ -38,6 +38,7 @@ EXACT_TOL = 1e-8
 ROW_TOL = 1e-6
 BINS = 16  # histogram cells per projected feature axis
 PERMUTATIONS = 4  # resplits averaged into the permutation baseline
+MIN_COUNT = 50  # samples each class needs in each domain for the binned gap
 LOG4 = float(np.log(4.0))
 
 
@@ -138,7 +139,6 @@ def gls_conditional_gap(
     labels_src,
     feats_tgt,
     labels_tgt,
-    min_count: int = 50,
     correct: bool = True,
     seed: int = 0,
 ) -> np.ndarray:
@@ -146,7 +146,8 @@ def gls_conditional_gap(
 
     Features beyond two dimensions are projected onto their first two
     coordinates; histograms share a fixed grid of ``BINS`` cells per axis
-    over the pooled bounding box. With ``correct=True`` a permutation
+    over the pooled bounding box, and every class needs ``MIN_COUNT``
+    samples in each domain. With ``correct=True`` a permutation
     baseline (the mean TV over ``PERMUTATIONS`` resplits of each pooled class)
     is subtracted and the result clipped at zero, removing most of the
     binning-noise bias.
@@ -162,9 +163,9 @@ def gls_conditional_gap(
     for y in range(k):
         a = fs[ys == y]
         b = ft[yt == y]
-        if a.shape[0] < min_count or b.shape[0] < min_count:
+        if a.shape[0] < MIN_COUNT or b.shape[0] < MIN_COUNT:
             raise InvalidValue(
-                f"class {y}: {a.shape[0]} source / {b.shape[0]} target samples, need {min_count}"
+                f"class {y}: {a.shape[0]} source / {b.shape[0]} target samples, need {MIN_COUNT}"
             )
         tv = _binned_tv(a, b, edges)
         if correct:
@@ -178,11 +179,11 @@ def gls_conditional_gap(
     return gaps
 
 
-def binned_feature_jsd(feats_a, feats_b, weights_a=None) -> float:
+def binned_feature_jsd(feats_a, feats_b, weights_a) -> float:
     """Plug-in divergence between two feature samples on a shared 2-d grid.
 
-    Optional per-sample weights reweight the first sample, which is how
-    the ratio-weighted source distribution is estimated.
+    Per-sample weights reweight the first sample, which is how the
+    ratio-weighted source distribution is estimated.
     """
     a = _project2(feats_a)
     b = _project2(feats_b)
@@ -190,22 +191,6 @@ def binned_feature_jsd(feats_a, feats_b, weights_a=None) -> float:
     pa = Categorical(_hist(a, edges, weights_a))
     pb = Categorical(_hist(b, edges))
     return jsd(pa, pb)
-
-
-def discriminator_route_jsd(d_src, d_tgt, labels_src, w: WeightVector) -> float:
-    """Divergence lower bound read off a discriminator's achieved value.
-
-    Any discriminator's weighted objective sits at or above the optimum
-    log 4 - 2 * divergence, so (log 4 - value) / 2 bounds the divergence
-    between the reweighted source and target feature laws from below.
-    Cross-validates the binned plug-in estimate; tight only when the
-    discriminator is trained to optimality.
-    """
-    ds = np.clip(np.asarray(d_src, dtype=float).reshape(-1), 1e-12, 1.0 - 1e-12)
-    dt = np.clip(np.asarray(d_tgt, dtype=float).reshape(-1), 1e-12, 1.0 - 1e-12)
-    ws = w.w[np.asarray(labels_src)]
-    value = -float(np.mean(ws * np.log(ds))) - float(np.mean(np.log(1.0 - dt)))
-    return max(0.0, (LOG4 - value) / 2.0)
 
 
 def check_lower_bound(eps_s, eps_t, jsd_labels, jsd_features, tol: float = INEQ_TOL) -> BoundReport:
@@ -247,17 +232,14 @@ def check_error_decomposition(eps_s, eps_t, l1_labels, ber, delta_ce, k, tol: fl
     )
 
 
-def check_joint_error_bound(eps_s, eps_t, ber, gls_gap=None, tol: float = INEQ_TOL) -> BoundReport:
+def check_joint_error_bound(eps_s, eps_t, ber, gls_gap, tol: float = INEQ_TOL) -> BoundReport:
     """eps_S + eps_T <= 2 * BER, meaningful when the conditionals match.
 
-    When a measured invariance gap is supplied, the report is marked
-    not-applicable for gaps of 0.1 or more, where violations are expected.
+    The report is marked not-applicable for a measured invariance gap of
+    0.1 or more, where violations are expected.
     """
-    applicable = True if gls_gap is None else bool(gls_gap < 0.1)
-    comp = {"eps_s": eps_s, "eps_t": eps_t, "ber": ber}
-    if gls_gap is not None:
-        comp["gls_gap"] = gls_gap
-    return _report("joint_error", eps_s + eps_t, 2.0 * ber, tol, applicable=applicable, **comp)
+    comp = {"eps_s": eps_s, "eps_t": eps_t, "ber": ber, "gls_gap": gls_gap}
+    return _report("joint_error", eps_s + eps_t, 2.0 * ber, tol, applicable=bool(gls_gap < 0.1), **comp)
 
 
 def check_sufficiency_bound(
@@ -358,9 +340,7 @@ def bound_suite(
     feats_tgt,
     labels_tgt,
     w_true: WeightVector,
-    min_count: int = 50,
     seed: int = 0,
-    jsd_weighted_disc: float | None = None,
 ) -> list[BoundReport]:
     """Run every inequality check on one evaluation snapshot.
 
@@ -368,8 +348,8 @@ def bound_suite(
     same empirical joints, so the decomposition inequality is exact up to
     rounding. The representation divergence for the joint-error floor is
     instantiated on the argmax prediction marginals (the last-layer
-    representation); the binned feature estimate is logged alongside in
-    the report components.
+    representation); the sufficiency ceiling reads the binned divergence
+    between the ratio-weighted source features and the target features.
     """
     conf_s = _check_confusion(conf_src, "conf_src")
     conf_t = _check_confusion(conf_tgt, "conf_tgt")
@@ -379,30 +359,17 @@ def bound_suite(
     mu_t = Categorical.normalize(p_tgt.probs @ conf_t)
     jsd_labels = jsd(p_src, p_tgt)
     jsd_preds = jsd(mu_s, mu_t)
-    jsd_feats_binned = binned_feature_jsd(feats_src, feats_tgt)
     l1 = l1_distance(p_src, p_tgt)
     ber = balanced_error_rate(conf_s)
     delta_ce = conditional_error_gap(conf_s, conf_t)
-    gaps = gls_conditional_gap(
-        feats_src, labels_src, feats_tgt, labels_tgt, min_count=min_count, seed=seed
-    )
-    gap = float(gaps.max())
+    gap = float(gls_conditional_gap(feats_src, labels_src, feats_tgt, labels_tgt, seed=seed).max())
     w_sample = w_true.w[np.asarray(labels_src)]
     jsd_w = binned_feature_jsd(feats_src, feats_tgt, weights_a=w_sample)
 
-    lower = check_lower_bound(eps_s, eps_t, jsd_labels, jsd_preds)
-    lower.components["jsd_features_binned"] = float(jsd_feats_binned)
-    sufficiency = check_sufficiency_bound(eps_s, eps_t, w_true, p_tgt, jsd_w, gap)
-    if jsd_weighted_disc is not None:
-        # second estimation route for the same divergence; the gap between
-        # the two is diagnostic output, not part of the inequality
-        sufficiency.components["jsd_weighted_disc"] = float(jsd_weighted_disc)
-        sufficiency.components["jsd_route_discrepancy"] = float(jsd_w - jsd_weighted_disc)
-    reports = [
-        lower,
+    return [
+        check_lower_bound(eps_s, eps_t, jsd_labels, jsd_preds),
         check_error_decomposition(eps_s, eps_t, l1, ber, delta_ce, p_src.k),
         check_joint_error_bound(eps_s, eps_t, ber, gls_gap=gap),
-        sufficiency,
+        check_sufficiency_bound(eps_s, eps_t, w_true, p_tgt, jsd_w, gap),
     ]
-    return reports
 

@@ -272,42 +272,34 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
     return state, trace
 
 
-def make_bound_hook(source: Dataset, target: Dataset, sink: list, min_count: int = 50):
+def make_bound_hook(source: Dataset, target: Dataset, sink: list):
     """Epoch hook that runs the full inequality suite on both datasets.
 
     The hook reports on the run it is attached to: ``source`` and
     ``target`` must be the datasets given to :func:`train`, whose
     ``EpochRecord`` supplies the epoch's confusion matrices. One
-    discriminator pass per dataset supplies the features as well.
+    feature-extractor pass over each dataset supplies the features.
 
-    Appends (epoch, BoundReport) pairs to ``sink``. The weighted feature
-    divergence is estimated both from binned histograms and from the
-    current discriminator's achieved value; the second lands in the
-    sufficiency report's components.
+    Appends (epoch, BoundReport) pairs to ``sink``.
     """
-    from .diagnostics import bound_suite, discriminator_route_jsd
+    from .diagnostics import bound_suite
 
     p_src = source.label_distribution()
     p_tgt = target.label_distribution()
     w_star = true_weights(p_src, p_tgt)
 
     def hook(epoch, state, record):
-        d_src, cache_s = network.forward(state, source.features, state.disc_mode)
-        d_tgt, cache_t = network.forward(state, target.features, state.disc_mode)
-        jsd_disc = discriminator_route_jsd(d_src, d_tgt, source.labels, w_star)
         reports = bound_suite(
             conf_src=record.conf_src,
             conf_tgt=record.conf_tgt,
             p_src=p_src,
             p_tgt=p_tgt,
-            feats_src=cache_s["z"],
+            feats_src=network.forward(state, source.features, "features")[0],
             labels_src=source.labels,
-            feats_tgt=cache_t["z"],
+            feats_tgt=network.forward(state, target.features, "features")[0],
             labels_tgt=target.labels,
             w_true=w_star,
-            min_count=min_count,
             seed=epoch,
-            jsd_weighted_disc=jsd_disc,
         )
         sink.extend((epoch, r) for r in reports)
 

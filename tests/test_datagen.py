@@ -222,7 +222,8 @@ class TestCsvRoundTrip:
         data = make_gaussian_domain(balanced_spec(n=40, seed=20))
         path = tmp_path / "d.csv"
         write_dataset_csv(data, path)
-        back = read_dataset_csv(path, k=data.k)
+        back = read_dataset_csv(path)
+        assert back.k == data.k
         assert np.array_equal(back.labels, data.labels)
         assert np.array_equal(back.features, data.features)
 
@@ -235,3 +236,13 @@ class TestCsvRoundTrip:
         path.write_text("x,label\n1.0,0\n")
         with pytest.raises(ParseError):
             read_dataset_csv(path)
+        # values the parser accepts but a Dataset rejects still name the file and the line
+        for row, message in [
+            ("nan,1", "features contain non-finite values"),
+            ("inf,1", "features contain non-finite values"),
+            ("1.0,-1", "label -1 is negative"),
+        ]:
+            path.write_text(f"feature_0,label\n1.0,0\n{row}\n")
+            with pytest.raises(ParseError) as err:
+                read_dataset_csv(path)
+            assert str(err.value) == f"{path}: line 3: {message}"
