@@ -296,17 +296,24 @@ class TestTraceCsv:
 
 
 class TestBoundHook:
-    def test_hook_collects_reports_per_epoch(self):
+    @staticmethod
+    def assert_reports_per_epoch(algorithm):
         src, tgt = tiny_task(n=900)
-        # a plain, an outer-product and a kernel run; the hook reads g alone in each
-        for algorithm in ("iwdan", "iwcdan", "iwjan"):
-            sink = []
-            cfg = tiny_config(algorithm=algorithm, epochs=2, batches_per_epoch=8)
-            train(cfg, src, tgt, epoch_hook=make_bound_hook(src, tgt, sink))
-            epochs = sorted({ep for ep, _ in sink})
-            assert epochs == [0, 1]
-            checks = {r.check for _, r in sink}
-            assert checks == {"lower_bound", "error_decomposition", "joint_error", "sufficiency"}
+        sink = []
+        cfg = tiny_config(algorithm=algorithm, epochs=2, batches_per_epoch=8)
+        train(cfg, src, tgt, epoch_hook=make_bound_hook(src, tgt, sink))
+        epochs = sorted({ep for ep, _ in sink})
+        assert epochs == [0, 1]
+        checks = {r.check for _, r in sink}
+        assert checks == {"lower_bound", "error_decomposition", "joint_error", "sufficiency"}
+
+    def test_hook_collects_reports_per_epoch(self):
+        self.assert_reports_per_epoch("iwdan")
+
+    def test_hook_handles_outer_product_discriminator(self):
+        # an outer-product and a kernel run; the hook reads g alone in each
+        for algorithm in ("iwcdan", "iwjan"):
+            self.assert_reports_per_epoch(algorithm)
 
 
 class TestFullDataPasses:
