@@ -33,6 +33,7 @@ __all__ = [
 ROW_SUM_TOL = 1e-6
 CONDITION_CAP = 1e8
 RIDGE = 1e-12
+MAX_ITER = 200  # active-set iterations before solve_qp gives up
 
 
 @dataclass(frozen=True)
@@ -155,14 +156,15 @@ def solve_qp(
     c: np.ndarray,
     mu: Categorical,
     p_source: Categorical,
-    max_iter: int = 200,
 ) -> WeightVector:
     """Global minimizer of 0.5*||mu - C w||^2 over {w >= 0, w^T p_S = 1}.
 
     Active-set method on the nonnegativity constraints with an exact KKT
     solve per working set. Deterministic: ties are broken by lowest index.
     A 1e-12 ridge on the normal equations selects the minimum-norm optimum
-    when C is rank deficient.
+    when C is rank deficient. Raises ``NonFiniteValue`` when ``MAX_ITER``
+    iterations end without a KKT point, rather than return a truncated
+    iterate.
     """
     c = np.asarray(c, dtype=float)
     k = p_source.k
@@ -203,7 +205,7 @@ def solve_qp(
     free = np.ones(k, dtype=bool)
     w = np.ones(k)  # w = 1 is always feasible since p sums to 1
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         idx = np.flatnonzero(free)
         cand, nu = kkt_solve(h, idx, np.linalg.solve)
 
@@ -225,6 +227,8 @@ def solve_qp(
             w[drops[j]] = 0.0
             free[drops[j]] = False
             w = np.maximum(w, 0.0) * free
+    else:
+        raise NonFiniteValue(f"solve_qp did not converge in {MAX_ITER} active-set iterations")
 
     # Polish on the converged working set without the ridge; the minimum
     # norm lstsq solution keeps rank-deficient problems deterministic.

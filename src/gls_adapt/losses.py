@@ -10,6 +10,7 @@ weighted loss reduces exactly to its unweighted base version.
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 
@@ -118,9 +119,13 @@ def weighted_classification_loss(preds, labels, p_source: Categorical, w: Weight
     return weighted_classification_loss_grads(preds, labels, p_source, w)[0]
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(sq, 0.0)
+def _sq_dists(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """|a_i - b_j|^2 clipped at 0, written into ``out`` with ``tmp`` as work space when given."""
+    tmp = np.add(np.sum(a * a, axis=1)[:, None], np.sum(b * b, axis=1)[None, :], out=tmp)
+    out = np.matmul(a, b.T, out=out)
+    out *= 2.0
+    np.subtract(tmp, out, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 @functools.lru_cache(maxsize=8)
@@ -132,21 +137,31 @@ def _strict_upper(n: int) -> np.ndarray:
     return flat
 
 
-def _median_bandwidths(sq_ss, sq_tt, sq_st) -> list[float]:
+def _median_bandwidths(sq_ss, sq_tt, sq_st, pairs=None) -> list[float]:
     """The median heuristic from the three distance blocks of the pooled batch.
 
     The pooled matrix's strict upper triangle holds exactly the strict
     upper triangles of the two within-domain blocks plus the whole cross
-    block, so the median of their union is the pooled median.
+    block, so the median of their union is the pooled median. ``pairs``,
+    when given, is the work buffer for that union; it is partitioned in
+    place at the upper middle only, and the lower middle of an even count
+    is the largest value below it, so the result is ``np.median``'s float.
     """
-    pairs = np.concatenate(
-        [
-            sq_ss.ravel()[_strict_upper(sq_ss.shape[0])],
-            sq_tt.ravel()[_strict_upper(sq_tt.shape[0])],
-            sq_st.ravel(),
-        ]
-    )
-    med = float(np.median(pairs)) if pairs.size else 1.0
+    m_ss = sq_ss.shape[0] * (sq_ss.shape[0] - 1) // 2
+    m_tt = sq_tt.shape[0] * (sq_tt.shape[0] - 1) // 2
+    size = m_ss + m_tt + sq_st.size
+    if size == 0:
+        med = 1.0
+    else:
+        pairs = np.empty(size) if pairs is None else pairs
+        np.take(sq_ss, _strict_upper(sq_ss.shape[0]), out=pairs[:m_ss], mode="clip")
+        np.take(sq_tt, _strict_upper(sq_tt.shape[0]), out=pairs[m_ss : m_ss + m_tt], mode="clip")
+        pairs[m_ss + m_tt :] = sq_st.ravel()
+        half = size // 2
+        pairs.partition(half)
+        med = float(pairs[half] if size % 2 else (pairs[:half].max() + pairs[half]) / 2.0)
+        if np.isnan(pairs[half:].max()):  # NaNs sort last; np.median returns NaN for any
+            med = float("nan")
     med = max(med, 1e-12)
     return [s * med for s in MMD_SCALES]
 
@@ -156,6 +171,21 @@ def median_heuristic_bandwidths(feats_src, feats_tgt) -> list[float]:
     fs = np.asarray(feats_src, dtype=float)
     ft = np.asarray(feats_tgt, dtype=float)
     return _median_bandwidths(_sq_dists(fs, fs), _sq_dists(ft, ft), _sq_dists(fs, ft))
+
+
+class _Scratch(threading.local):
+    """The kernel loss's work arrays, private to each thread, for up to four batch sizes.
+
+    ``get(s)`` gives a (4, 3, s, s) stack (distances, kernel, kernel sums
+    and gradient coefficients, each over the source-source, target-target
+    and source-target blocks) and the buffer for the 2s^2 - s pooled pairs.
+    """
+
+    def __init__(self):
+        self.get = functools.lru_cache(maxsize=4)(lambda s: (np.empty((4, 3, s, s)), np.empty(2 * s * s - s)))
+
+
+_scratch = _Scratch()
 
 
 def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, bandwidths=None):
@@ -170,6 +200,9 @@ def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, b
     over the feature extractor shrinks the discrepancy between the
     w-reweighted source batch and the target batch. Returns
     (value, d(loss)/d(feats_src), d(loss)/d(feats_tgt)).
+
+    The s x s blocks live in a scratch kept per thread and batch size, so a
+    training step maps no fresh pages; nothing returned refers to it.
     """
     fs = np.asarray(feats_src, dtype=float)
     ft = np.asarray(feats_tgt, dtype=float)
@@ -179,35 +212,38 @@ def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, b
         raise ShapeMismatch(f"paired batches of sizes {fs.shape[0]} and {ft.shape[0]}")
     ws = _class_weights(labels_src, w)
     s = fs.shape[0]
-    sq_ss = _sq_dists(fs, fs)
-    sq_tt = _sq_dists(ft, ft)
-    sq_st = _sq_dists(fs, ft)
+    stacks, pairs = _scratch.get(s)
+    sq, kern, ksum, coef = stacks
+    for i, (a, b) in enumerate(((fs, fs), (ft, ft), (fs, ft))):
+        _sq_dists(a, b, out=sq[i], tmp=kern[i])
     if bandwidths is None:
-        bandwidths = _median_bandwidths(sq_ss, sq_tt, sq_st)
-    # kernel sums for the value, and the same sums over k / bw for the gradient
-    sum_ss = np.zeros_like(sq_ss)
-    sum_tt = np.zeros_like(sq_tt)
-    sum_st = np.zeros_like(sq_st)
-    c_ss = np.zeros_like(sq_ss)
-    c_tt = np.zeros_like(sq_tt)
-    c_st = np.zeros_like(sq_st)
+        bandwidths = _median_bandwidths(*sq, pairs)
+    # kernel sums for the value, and the same sums over k / bw for the gradient;
+    # sq holds -|a - b|^2 from here on
+    np.negative(sq, out=sq)
+    ksum.fill(0.0)
+    coef.fill(0.0)
     for bw in bandwidths:
-        k_ss = np.exp(-sq_ss / bw)
-        k_tt = np.exp(-sq_tt / bw)
-        k_st = np.exp(-sq_st / bw)
-        sum_ss += k_ss
-        sum_tt += k_tt
-        sum_st += k_st
-        c_ss += k_ss / bw
-        c_tt += k_tt / bw
-        c_st += k_st / bw
+        np.divide(sq, bw, out=kern)
+        np.exp(kern, out=kern)
+        ksum += kern
+        kern /= bw
+        coef += kern
     # d/da exp(-|a - b|^2 / bw) = -(2 / bw) (a - b) k(a, b); each block's pair
     # coefficient (-w_i w_j, -1 and +2 w_i, over s^2) is folded into a_*
-    a_ss = (4.0 / (s * s)) * np.outer(ws, ws) * c_ss
-    a_tt = (4.0 / (s * s)) * c_tt
-    a_st = (-4.0 / (s * s)) * ws[:, None] * c_st
-    g_src = (a_ss.sum(axis=1) + a_st.sum(axis=1))[:, None] * fs - a_ss @ fs - a_st @ ft
-    g_tgt = (a_tt.sum(axis=1) + a_st.sum(axis=0))[:, None] * ft - a_tt @ ft - a_st.T @ fs
+    a_ss, a_tt, a_st = coef
+    np.multiply(ws[:, None], ws[None, :], out=kern[0])
+    kern[0] *= 4.0 / (s * s)
+    a_ss *= kern[0]
+    a_tt *= 4.0 / (s * s)
+    a_st *= (-4.0 / (s * s)) * ws[:, None]
+    g_src = (a_ss.sum(axis=1) + a_st.sum(axis=1))[:, None] * fs
+    g_src -= a_ss @ fs
+    g_src -= a_st @ ft
+    g_tgt = (a_tt.sum(axis=1) + a_st.sum(axis=0))[:, None] * ft
+    g_tgt -= a_tt @ ft
+    g_tgt -= a_st.T @ fs
+    sum_ss, sum_tt, sum_st = ksum
     total = -ws @ sum_ss @ ws - sum_tt.sum() + 2.0 * (ws @ sum_st.sum(axis=1))
     return float(total / (s * s)), g_src, g_tgt
 

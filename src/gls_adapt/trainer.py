@@ -135,12 +135,12 @@ def evaluate(state: ModelState, data: Dataset) -> tuple[float, np.ndarray]:
     """Argmax accuracy and the row-normalized confusion matrix.
 
     Row y holds the empirical distribution of predictions among samples
-    whose true class is y; rows for absent classes are left at zero.
+    whose true class is y; rows for absent classes are left at zero. The
+    predictions come from one blocked pass, :func:`network.infer`.
     """
     if data.dim != state.g.in_dim:
         raise ShapeMismatch(f"data dim {data.dim} != model input dim {state.g.in_dim}")
-    preds, _ = network.forward(state, data.features, "classify")
-    hard = preds.argmax(axis=1)
+    hard = network.infer(state, data.features, "classify").argmax(axis=1)
     acc = float(np.mean(hard == data.labels))
     k = state.k
     conf = np.zeros((k, k))
@@ -277,8 +277,9 @@ def make_bound_hook(source: Dataset, target: Dataset, sink: list):
 
     The hook reports on the run it is attached to: ``source`` and
     ``target`` must be the datasets given to :func:`train`, whose
-    ``EpochRecord`` supplies the epoch's confusion matrices. One
-    feature-extractor pass over each dataset supplies the features.
+    ``EpochRecord`` supplies the epoch's confusion matrices. One blocked
+    feature-extractor pass (:func:`network.infer`) over each dataset
+    supplies the features.
 
     Appends (epoch, BoundReport) pairs to ``sink``.
     """
@@ -294,9 +295,9 @@ def make_bound_hook(source: Dataset, target: Dataset, sink: list):
             conf_tgt=record.conf_tgt,
             p_src=p_src,
             p_tgt=p_tgt,
-            feats_src=network.forward(state, source.features, "features")[0],
+            feats_src=network.infer(state, source.features, "features"),
             labels_src=source.labels,
-            feats_tgt=network.forward(state, target.features, "features")[0],
+            feats_tgt=network.infer(state, target.features, "features"),
             labels_tgt=target.labels,
             w_true=w_star,
             seed=epoch,

@@ -210,3 +210,43 @@ def pooled_median_bandwidths(feats_src, feats_tgt, scales=(0.5, 1.0, 2.0)):
     med = float(np.median(sq[iu])) if iu[0].size else 1.0
     med = max(med, 1e-12)
     return [s * med for s in scales]
+
+
+def mmd_loss_grads_fresh(feats_src, labels_src, feats_tgt, w, bandwidths=None):
+    """The kernel loss and its gradients computed with fresh arrays for every block.
+
+    Uses the same formulas and operation order as
+    ``losses.weighted_mmd_loss_grads``, which works in a reused scratch
+    instead; the two must agree bit for bit. ``w`` is the weight array.
+    """
+    fs = np.asarray(feats_src, dtype=float)
+    ft = np.asarray(feats_tgt, dtype=float)
+    ws = np.asarray(w, dtype=float)[np.asarray(labels_src)]
+    s = fs.shape[0]
+
+    def sq_dists(a, b):
+        sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+        return np.maximum(sq, 0.0)
+
+    sq_ss, sq_tt, sq_st = sq_dists(fs, fs), sq_dists(ft, ft), sq_dists(fs, ft)
+    if bandwidths is None:
+        iu = np.triu_indices(s, k=1)
+        med = float(np.median(np.concatenate([sq_ss[iu], sq_tt[iu], sq_st.ravel()])))
+        bandwidths = [scale * max(med, 1e-12) for scale in (0.5, 1.0, 2.0)]
+    sum_ss, sum_tt, sum_st = np.zeros((s, s)), np.zeros((s, s)), np.zeros((s, s))
+    c_ss, c_tt, c_st = np.zeros((s, s)), np.zeros((s, s)), np.zeros((s, s))
+    for bw in bandwidths:
+        k_ss, k_tt, k_st = np.exp(-sq_ss / bw), np.exp(-sq_tt / bw), np.exp(-sq_st / bw)
+        sum_ss += k_ss
+        sum_tt += k_tt
+        sum_st += k_st
+        c_ss += k_ss / bw
+        c_tt += k_tt / bw
+        c_st += k_st / bw
+    a_ss = (4.0 / (s * s)) * np.outer(ws, ws) * c_ss
+    a_tt = (4.0 / (s * s)) * c_tt
+    a_st = (-4.0 / (s * s)) * ws[:, None] * c_st
+    g_src = (a_ss.sum(axis=1) + a_st.sum(axis=1))[:, None] * fs - a_ss @ fs - a_st @ ft
+    g_tgt = (a_tt.sum(axis=1) + a_st.sum(axis=0))[:, None] * ft - a_tt @ ft - a_st.T @ fs
+    total = -ws @ sum_ss @ ws - sum_tt.sum() + 2.0 * (ws @ sum_st.sum(axis=1))
+    return float(total / (s * s)), g_src, g_tgt

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gls_adapt import estimator
 from gls_adapt.cli import main
 from gls_adapt.distributions import Categorical
 from gls_adapt.errors import GlsAdaptError, InvalidValue, NonFiniteValue, ShapeMismatch
@@ -289,6 +290,16 @@ class TestSolveQp:
             mu = Categorical.normalize(c @ tilde)
             w = solve_qp(c, mu, Categorical(p_s))
             assert np.max(np.abs(w.w - tilde)) < 1e-8
+
+    def test_truncation_raises(self, monkeypatch):
+        # all target mass near class 0: seven of eight weights reach zero,
+        # one active-set iteration each, so three iterations cannot finish
+        c, p_s = random_confusion(np.random.default_rng(0), 8)
+        mu = Categorical(0.9 * np.eye(8)[0] + 0.1 / 8)
+        assert np.count_nonzero(solve_qp(c, mu, Categorical(p_s)).w) == 1
+        monkeypatch.setattr(estimator, "MAX_ITER", 3)
+        with pytest.raises(NonFiniteValue, match="did not converge in 3 active-set iterations"):
+            solve_qp(c, mu, Categorical(p_s))
 
     def test_degenerate_p_source(self):
         with pytest.raises(InvalidValue, match="p_source must be strictly positive"):

@@ -1,4 +1,6 @@
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gls_adapt import losses
 from gls_adapt.distributions import Categorical
 from gls_adapt.errors import InvalidValue, ShapeMismatch
 from gls_adapt.estimator import WeightVector
@@ -15,10 +18,11 @@ from gls_adapt.losses import (
     weighted_classification_loss,
     weighted_da_loss,
     weighted_mmd_loss,
+    weighted_mmd_loss_grads,
 )
 from gls_adapt.network import outer_map
 
-from _oracles import mmd_double_loop, pooled_median_bandwidths, rbf_kernel
+from _oracles import mmd_double_loop, mmd_loss_grads_fresh, pooled_median_bandwidths, rbf_kernel
 
 LN2 = math.log(2.0)
 
@@ -189,6 +193,80 @@ class TestWeightedMmdLoss:
             weighted_mmd_loss(np.zeros((3, 2)), [0, 1, 0], np.zeros((4, 2)), ones_w(2), [1.0])
 
 
+def kernel_batch(rng, s, dim=32, k=3):
+    """A paired batch of tanh features, as a training step gives the kernel loss."""
+    fs = np.tanh(rng.normal(size=(s, dim)))
+    ft = np.tanh(rng.normal(size=(s, dim)) + 0.3)
+    return fs, rng.integers(0, k, size=s), ft, WeightVector(rng.uniform(0.2, 3.0, size=k))
+
+
+def assert_same_bits(got, want):
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.tobytes() == b.tobytes()
+
+
+class TestMmdScratch:
+    """The loss reuses one scratch per thread and batch size; results must not notice."""
+
+    def test_interleaved_batch_sizes_match_fresh_arrays(self):
+        rng = np.random.default_rng(20)
+        batches = [kernel_batch(rng, s) for s in (128, 37, 128, 37, 37, 128)]
+        kept = []
+        for fs, ys, ft, w in batches:
+            got = weighted_mmd_loss_grads(fs, ys, ft, w)
+            assert_same_bits(got, mmd_loss_grads_fresh(fs, ys, ft, w.w))
+            kept.append((got, (got[0], got[1].copy(), got[2].copy())))
+        # later calls, at either size, leave earlier results untouched
+        for got, copy in kept:
+            assert_same_bits(got, copy)
+
+    def test_given_bandwidths_match_fresh_arrays(self):
+        rng = np.random.default_rng(21)
+        for s, bws in ((5, [0.3]), (64, [0.5, 1.0, 2.0]), (5, [2.0, 0.7])):
+            fs, ys, ft, w = kernel_batch(rng, s, dim=4)
+            assert_same_bits(weighted_mmd_loss_grads(fs, ys, ft, w, bws), mmd_loss_grads_fresh(fs, ys, ft, w.w, bws))
+
+    def test_each_thread_has_its_own_scratch(self):
+        rng = np.random.default_rng(22)
+        batches = [kernel_batch(rng, 96) for _ in range(2)]
+        want = [mmd_loss_grads_fresh(fs, ys, ft, w.w) for fs, ys, ft, w in batches]
+        weighted_mmd_loss_grads(*batches[0])
+        main_scratch = losses._scratch.get(96)
+        seen, errors = [], []
+
+        def worker(i):
+            try:
+                for _ in range(20):
+                    assert_same_bits(weighted_mmd_loss_grads(*batches[i]), want[i])
+                seen.append(losses._scratch.get(96))
+            except AssertionError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert len(seen) == 2
+        assert len({id(main_scratch), *map(id, seen)}) == 3
+        assert losses._scratch.get(96) is main_scratch
+
+    def test_warm_call_allocates_under_512_kib(self):
+        # the s x s blocks (4 stacks of 3 x 128 x 128 floats) and the pair
+        # buffer come from the scratch; fresh arrays needed 2 MiB per call
+        fs, ys, ft, w = kernel_batch(np.random.default_rng(23), 128)
+        weighted_mmd_loss_grads(fs, ys, ft, w)
+        tracemalloc.start()
+        try:
+            weighted_mmd_loss_grads(fs, ys, ft, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+
 class TestKernelHelpers:
     def test_rbf_kernel_diag_is_bandwidth_count(self):
         x = np.random.default_rng(6).normal(size=(5, 3))
@@ -243,3 +321,24 @@ class TestMedianHeuristic:
             fs = rng.normal(size=(s, dim))
             ft = np.vstack([fs[: s // 2], rng.normal(size=(s - s // 2, dim))])
             assert median_heuristic_bandwidths(fs, ft) == pooled_median_bandwidths(fs, ft)
+
+    @pytest.mark.parametrize("ns,nt", [(1, 2), (2, 1), (3, 3), (4, 5), (5, 5), (6, 3), (2, 2), (4, 4)])
+    def test_partition_median_is_np_median_at_both_parities(self, ns, nt):
+        # the union of the blocks' pairs, with ties; odd counts have one
+        # middle element, even counts average the two middle ones
+        rng = np.random.default_rng(10 * ns + nt)
+        blocks = [np.round(3.0 * rng.random(shape), 1) for shape in ((ns, ns), (nt, nt), (ns, nt))]
+        union = np.concatenate([blocks[0][np.triu_indices(ns, 1)], blocks[1][np.triu_indices(nt, 1)], blocks[2].ravel()])
+        want = [scale * max(float(np.median(union)), 1e-12) for scale in losses.MMD_SCALES]
+        assert losses._median_bandwidths(*blocks) == want
+        assert losses._median_bandwidths(*blocks, np.empty(union.size)) == want
+
+    def test_the_loss_takes_the_public_median_at_both_parities(self):
+        # the loss's median comes from its scratch pair buffer; odd s gives
+        # an odd pair count, so the middle element alone is the median
+        rng = np.random.default_rng(9)
+        for s in (1, 2, 3, 4, 7, 8, 127, 128):
+            fs, ys, ft, w = kernel_batch(rng, s, dim=5)
+            assert (2 * s * s - s) % 2 == s % 2
+            bws = median_heuristic_bandwidths(fs, ft)
+            assert_same_bits(weighted_mmd_loss_grads(fs, ys, ft, w), weighted_mmd_loss_grads(fs, ys, ft, w, bws))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gls_adapt import losses
+from gls_adapt import losses, network
 from gls_adapt.distributions import Categorical
 from gls_adapt.errors import ConfigInvalid, GlsAdaptError, ShapeMismatch
 from gls_adapt.estimator import WeightVector
@@ -10,6 +10,7 @@ from gls_adapt.network import (
     ModelGrads,
     backward,
     forward,
+    infer,
     init_model_state,
     outer_map,
     sgd_step,
@@ -75,6 +76,43 @@ class TestForward:
     def test_outer_map_one_hot_selects_block(self):
         got = outer_map(np.array([[1.0, 0.0]]), np.array([[3.0, 4.0]]))
         assert np.allclose(got, [[3.0, 4.0, 0.0, 0.0]])
+
+
+class TestInfer:
+    """The blocked full-data pass must give one unblocked forward's bits."""
+
+    @pytest.mark.parametrize(
+        "conditional,mode",
+        [
+            (False, "features"),
+            (False, "classify"),
+            (False, "discriminate_z"),
+            (True, "features"),
+            (True, "classify"),
+            (True, "discriminate_outer"),
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, network.BLOCK_ROWS, network.BLOCK_ROWS + 1, 3000])
+    def test_equals_one_unblocked_forward(self, monkeypatch, conditional, mode, n):
+        # the default training model, as evaluate and the bound hook run it
+        state = init_model_state(input_dim=2, k=3, conditional=conditional, rng=np.random.default_rng(n))
+        x = np.random.default_rng(1).normal(scale=2.0, size=(n, 2))
+        want = forward(state, x, mode)[0]
+        rows = []
+
+        def counting(state, x, mode):
+            rows.append(len(x))
+            return forward(state, x, mode)
+
+        monkeypatch.setattr(network, "forward", counting)
+        got = infer(state, x, mode)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # every block goes through the module's forward, none longer than
+        # BLOCK_ROWS, and a longer input never leaves a single-row block
+        assert sum(rows) == n
+        assert max(rows) <= network.BLOCK_ROWS
+        assert n == 1 or min(rows) > 1
 
 
 class TestBackward:

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -77,6 +78,21 @@ class TestEvaluate:
             acc, _ = evaluate(state, src)
             accs.append(acc)
         assert abs(np.mean(accs) - 0.5) < 0.15
+
+    def test_warm_call_on_3000_rows_allocates_under_1_mib(self):
+        # blocked forwards need one block's temporaries; one unblocked
+        # forward over the 3,000 rows needed 4.5 MiB
+        src, _ = make_shift_task(k=3, n_source=3000, n_target=100, sigma=0.35, seed=0)
+        assert src.n == 3000
+        state = init_model_state(input_dim=2, k=3, rng=np.random.default_rng(0))
+        evaluate(state, src)
+        tracemalloc.start()
+        try:
+            evaluate(state, src)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
 
     def test_dimension_mismatch(self):
         src, _ = tiny_task()
@@ -316,46 +332,72 @@ class TestBoundHook:
             self.assert_reports_per_epoch(algorithm)
 
 
+class PassCounter:
+    """Counts forwards by caller: inside ``trainer.evaluate`` or the bound hook, or a training step's.
+
+    Keys: ``evaluate`` and ``hook`` calls, ``<caller>_<mode>_rows`` full-data
+    rows, ``batch_forward`` calls, ``max_full_block`` (the most rows one
+    full-data forward saw) and ``<outer>><inner>`` for a nested call.
+    """
+
+    def __init__(self, monkeypatch):
+        self.counts = Counter()
+        self.callers = []
+        real_forward = network.forward
+
+        def forward(state, x, mode, *args, **kwargs):
+            if self.callers:
+                self.counts[f"{self.callers[-1]}_{mode}_rows"] += len(x)
+                self.counts["max_full_block"] = max(self.counts["max_full_block"], len(x))
+            else:
+                self.counts["batch_forward"] += 1
+            return real_forward(state, x, mode, *args, **kwargs)
+
+        monkeypatch.setattr(network, "forward", forward)
+        monkeypatch.setattr(trainer, "evaluate", self.within("evaluate", trainer.evaluate))
+
+    def within(self, name, fn):
+        def wrapped(*args):
+            if self.callers:
+                self.counts[f"{self.callers[-1]}>{name}"] += 1
+            self.counts[name] += 1
+            self.callers.append(name)
+            try:
+                return fn(*args)
+            finally:
+                self.callers.pop()
+
+        return wrapped
+
+    def full_data_counts(self):
+        """The counts without the batch forwards, after checking the block size."""
+        assert 0 < self.counts["max_full_block"] <= network.BLOCK_ROWS
+        return {k: v for k, v in self.counts.items() if k not in ("batch_forward", "max_full_block")}
+
+
 class TestFullDataPasses:
     """Deterministic counts of full-dataset passes; a perf regression shows here without timing."""
 
     @pytest.mark.parametrize("algorithm", ["iwdan", "iwcdan"])
     def test_one_evaluation_per_epoch(self, monkeypatch, algorithm):
         src, tgt = tiny_task(n=900)
-        counts = Counter()
-        real_forward, real_evaluate = network.forward, trainer.evaluate
-
-        def forward(state, x, mode, *args, **kwargs):
-            if len(x) in (src.n, tgt.n):
-                counts["full_forward"] += 1
-                counts[f"full_{mode}"] += 1
-            return real_forward(state, x, mode, *args, **kwargs)
-
-        def evaluate(state, data):
-            counts["evaluate"] += 1
-            return real_evaluate(state, data)
-
-        monkeypatch.setattr(network, "forward", forward)
-        monkeypatch.setattr(trainer, "evaluate", evaluate)
-        cfg = tiny_config(algorithm=algorithm, epochs=2, batches_per_epoch=3)
+        assert src.n == tgt.n == 900
+        epochs = 2
+        passes = PassCounter(monkeypatch)
+        cfg = tiny_config(algorithm=algorithm, epochs=epochs, batches_per_epoch=3)
         train(cfg, src, tgt)
-        assert counts == {"evaluate": 2 * 2, "full_forward": 2 * 2, "full_classify": 2 * 2}
+        # 2n full-data rows per epoch, all classify, in blocks of BLOCK_ROWS
+        assert passes.full_data_counts() == {"evaluate": 2 * epochs, "evaluate_classify_rows": epochs * 2 * 900}
 
-        counts.clear()
-        bound_hook = make_bound_hook(src, tgt, [])
-
-        def hook(epoch, state, record):
-            before = counts["evaluate"]
-            bound_hook(epoch, state, record)
-            assert counts["evaluate"] == before
-
-        train(cfg, src, tgt, epoch_hook=hook)
-        # the hook's two passes per epoch run the feature extractor alone
-        assert counts == {
-            "evaluate": 2 * 2,
-            "full_forward": 2 * 4,
-            "full_classify": 2 * 2,
-            "full_features": 2 * 2,
+        passes.counts.clear()
+        train(cfg, src, tgt, epoch_hook=passes.within("hook", make_bound_hook(src, tgt, [])))
+        # 4n with the hook: its two passes per epoch run the feature extractor
+        # alone, and it calls no evaluate (no "hook>evaluate" key)
+        assert passes.full_data_counts() == {
+            "evaluate": 2 * epochs,
+            "evaluate_classify_rows": epochs * 2 * 900,
+            "hook": epochs,
+            "hook_features_rows": epochs * 2 * 900,
         }
 
 
@@ -374,23 +416,18 @@ class TestStepPasses:
 
             return wrapped
 
-        real_forward = network.forward
-
-        def forward(state, x, *args, **kwargs):
-            counts["full_forward" if len(x) == src.n else "batch_forward"] += 1
-            return real_forward(state, x, *args, **kwargs)
-
-        monkeypatch.setattr(network, "forward", forward)
+        passes = PassCounter(monkeypatch)
         monkeypatch.setattr(network, "backward", counting("backward", network.backward))
         monkeypatch.setattr(losses, "weighted_mmd_loss_grads", counting("mmd", losses.weighted_mmd_loss_grads))
         monkeypatch.setattr(losses, "median_heuristic_bandwidths", counting("mmd", losses.median_heuristic_bandwidths))
-        cfg = tiny_config(algorithm=algorithm, epochs=2, batches_per_epoch=3)
+        epochs = 2
+        cfg = tiny_config(algorithm=algorithm, epochs=epochs, batches_per_epoch=3)
         train(cfg, src, tgt)
-        steps = 2 * 3
-        assert counts["batch_forward"] == 2 * steps  # one before the update, one after
+        steps = epochs * 3
+        assert passes.counts["batch_forward"] == 2 * steps  # one before the update, one after
         assert counts["backward"] == steps
         assert counts["mmd"] == (steps if algorithm == "iwjan" else 0)
-        assert counts["full_forward"] == 2 * 2
+        assert passes.full_data_counts() == {"evaluate": 2 * epochs, "evaluate_classify_rows": epochs * (src.n + tgt.n)}
 
     def test_kernel_bandwidths_are_the_median_heuristic(self, monkeypatch):
         src, tgt = tiny_task()
