@@ -30,18 +30,12 @@ from .datagen import (
 from .distributions import Categorical, empirical_label_dist, jsd
 from .errors import ConfigInvalid, GlsAdaptError, ParseError
 from .estimator import ConfusionAccumulator, exact_inverse_weights, solve_qp
-from .trainer import TrainConfig, make_bound_hook, train
+from .trainer import ALGORITHMS, TrainConfig, make_bound_hook, train
 
 __all__ = ["main", "parse_config_file"]
 
-_BASE_OF = {
-    "iwdan": "dann",
-    "iwdan_o": "dann",
-    "iwcdan": "cdan",
-    "iwcdan_o": "cdan",
-    "iwjan": "jan",
-    "iwjan_o": "jan",
-}
+# each importance-weighted variant -> the base algorithm it is compared with
+_BASE_OF = {name: base for name, (base, weighting) in ALGORITHMS.items() if weighting != "ones"}
 
 
 def _parse_bool(text) -> bool:

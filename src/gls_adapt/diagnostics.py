@@ -139,7 +139,6 @@ def gls_conditional_gap(
     labels_src,
     feats_tgt,
     labels_tgt,
-    correct: bool = True,
     seed: int = 0,
 ) -> np.ndarray:
     """Per-class total variation between binned conditional feature laws.
@@ -147,10 +146,9 @@ def gls_conditional_gap(
     Features beyond two dimensions are projected onto their first two
     coordinates; histograms share a fixed grid of ``BINS`` cells per axis
     over the pooled bounding box, and every class needs ``MIN_COUNT``
-    samples in each domain. With ``correct=True`` a permutation
-    baseline (the mean TV over ``PERMUTATIONS`` resplits of each pooled class)
-    is subtracted and the result clipped at zero, removing most of the
-    binning-noise bias.
+    samples in each domain. A permutation baseline (the mean TV over
+    ``PERMUTATIONS`` resplits of each pooled class) is subtracted and the
+    result clipped at zero, removing most of the binning-noise bias.
     """
     fs = _project2(feats_src)
     ft = _project2(feats_tgt)
@@ -167,15 +165,12 @@ def gls_conditional_gap(
             raise InvalidValue(
                 f"class {y}: {a.shape[0]} source / {b.shape[0]} target samples, need {MIN_COUNT}"
             )
-        tv = _binned_tv(a, b, edges)
-        if correct:
-            pooled = np.vstack([a, b])
-            base = 0.0
-            for _ in range(PERMUTATIONS):
-                perm = rng.permutation(pooled.shape[0])
-                base += _binned_tv(pooled[perm[: a.shape[0]]], pooled[perm[a.shape[0]:]], edges)
-            tv = max(tv - base / PERMUTATIONS, 0.0)
-        gaps[y] = tv
+        pooled = np.vstack([a, b])
+        base = 0.0
+        for _ in range(PERMUTATIONS):
+            perm = rng.permutation(pooled.shape[0])
+            base += _binned_tv(pooled[perm[: a.shape[0]]], pooled[perm[a.shape[0]:]], edges)
+        gaps[y] = max(_binned_tv(a, b, edges) - base / PERMUTATIONS, 0.0)
     return gaps
 
 

@@ -32,7 +32,7 @@ SIGMOID_CLIP = 1e-12
 BLOCK_ROWS = 256
 
 _HEADS = ("softmax", "sigmoid", "tanh")
-_MODES = ("features", "classify", "discriminate_z", "discriminate_outer")
+_MODES = ("features", "classify", "discriminate")
 
 
 class Mlp:
@@ -144,11 +144,6 @@ class ModelState:
     def feature_dim(self) -> int:
         return self.g.out_dim
 
-    @property
-    def disc_mode(self) -> str:
-        """The forward mode that feeds this model's discriminator, fixed by its input size."""
-        return "discriminate_z" if self.d.in_dim == self.g.out_dim else "discriminate_outer"
-
     def net(self, name: str) -> Mlp:
         return {"g": self.g, "h": self.h, "d": self.d}[name]
 
@@ -191,36 +186,29 @@ def outer_map(preds: np.ndarray, feats: np.ndarray) -> np.ndarray:
     return np.einsum("nk,nz->nkz", preds, feats).reshape(preds.shape[0], -1)
 
 
-def forward(state: ModelState, x: np.ndarray, mode: str, preds: bool = False):
-    """Run the composed model in one of four modes.
+def forward(state: ModelState, x: np.ndarray, mode: str):
+    """Run the composed model in one of three modes.
 
-    features           -> g(x)
-    classify           -> softmax h(g(x))
-    discriminate_z     -> sigmoid d(g(x))
-    discriminate_outer -> sigmoid d(h(g(x)) (x) g(x))
+    features     -> g(x)
+    classify     -> softmax h(g(x))
+    discriminate -> sigmoid d(g(x)), or sigmoid d(h(g(x)) (x) g(x)) when d
+                    is sized for the outer product
 
-    ``preds=True`` also caches the predictions p = h(g(x)) under ``"p"``
-    in the features and discriminate_z modes (the other two compute them
-    anyway), so one pass feeds both losses of a training step. Returns
-    (output, cache); the cache feeds :func:`backward`.
+    Every mode caches the features z and the predictions p = h(g(x)), so
+    one pass feeds both losses of a training step. Returns (output,
+    cache); the cache feeds :func:`backward`.
     """
     if mode not in _MODES:
         raise ConfigInvalid(f"unknown mode {mode!r}")
     z, cg = state.g.forward(np.asarray(x, dtype=float))
-    cache = {"mode": mode, "version": state.version, "g": cg, "z": z}
-    if preds or mode in ("classify", "discriminate_outer"):
-        p, ch = state.h.forward(z)
-        cache.update(h=ch, p=p)
+    p, ch = state.h.forward(z)
+    cache = {"mode": mode, "version": state.version, "g": cg, "h": ch, "z": z, "p": p}
     if mode == "features":
         return z, cache
     if mode == "classify":
         return p, cache
-    if mode == "discriminate_z":
-        d_in = z
-    else:
-        d_in = cache["u"] = outer_map(p, z)
-    dout, cd = state.d.forward(d_in)
-    cache["d"] = cd
+    d_in = z if state.d.in_dim == state.g.out_dim else outer_map(p, z)
+    dout, cache["d"] = state.d.forward(d_in)
     return dout, cache
 
 
@@ -256,7 +244,7 @@ def backward(
     """Backpropagate dL/d(output of forward) into parameter gradients.
 
     The cache must come from a forward pass against the current parameters.
-    In discriminate_outer mode the feature gradient includes both the
+    When d reads the outer product, the feature gradient includes both the
     direct path and the chain through the classifier.
 
     With ``grad_preds``, the classification loss's gradient in the cached
@@ -271,15 +259,15 @@ def backward(
     mode = cache["mode"]
     if mode not in _MODES:
         raise ConfigInvalid(f"unknown mode {mode!r}")
-    if grad_preds is not None and (mode == "classify" or "p" not in cache):
-        raise ConfigInvalid("grad_preds needs an alignment mode run with preds=True")
+    if grad_preds is not None and mode == "classify":
+        raise ConfigInvalid("grad_preds needs an alignment mode, not classify")
     grads = ModelGrads()
     dz = dp = None
     if mode == "features":
         dz = grad_out
     elif mode == "classify":
         dp = grad_out
-    elif mode == "discriminate_z":
+    elif state.d.in_dim == state.g.out_dim:
         grads.d, dz = state.d.backward(cache["d"], grad_out)
     else:
         grads.d, du = state.d.backward(cache["d"], grad_out)

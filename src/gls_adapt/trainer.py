@@ -40,23 +40,24 @@ __all__ = [
     "evaluate",
 ]
 
-ALGORITHMS = (
-    "none",
-    "dann",
-    "iwdan",
-    "iwdan_o",
-    "cdan",
-    "iwcdan",
-    "iwcdan_o",
-    "jan",
-    "iwjan",
-    "iwjan_o",
-)
-
-_CONDITIONAL = {"cdan", "iwcdan", "iwcdan_o"}
-_KERNEL = {"jan", "iwjan", "iwjan_o"}
-_WEIGHTED = {"iwdan", "iwdan_o", "iwcdan", "iwcdan_o", "iwjan", "iwjan_o"}
-_ORACLE = {"iwdan_o", "iwcdan_o", "iwjan_o"}
+# name -> (base alignment, weighting). The base is an adversarial
+# discriminator on z (dann) or on the prediction/feature outer product
+# (cdan), a kernel MMD on z (jan), or no alignment at all (None). The
+# weighting is "ones" for the base algorithm itself, "estimated" for the
+# importance-weighted variant fed the running estimate of w, and "oracle"
+# for the variant fed the true ratios.
+ALGORITHMS = {
+    "none": (None, "ones"),
+    "dann": ("dann", "ones"),
+    "iwdan": ("dann", "estimated"),
+    "iwdan_o": ("dann", "oracle"),
+    "cdan": ("cdan", "ones"),
+    "iwcdan": ("cdan", "estimated"),
+    "iwcdan_o": ("cdan", "oracle"),
+    "jan": ("jan", "ones"),
+    "iwjan": ("jan", "estimated"),
+    "iwjan_o": ("jan", "oracle"),
+}
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,9 @@ class TrainConfig:
             raise ConfigInvalid("weight_update_period must be >= 1")
         if self.lr <= 0 or not 0.0 <= self.momentum < 1.0:
             raise ConfigInvalid("need lr > 0 and momentum in [0, 1)")
+        for name in ("lr", "reversal_coeff"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigInvalid(f"{name} must be finite, got {getattr(self, name)!r}")
         return self
 
 
@@ -162,7 +166,10 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
     if source.k != target.k:
         raise ShapeMismatch(f"class counts differ: {source.k} vs {target.k}")
     k = source.k
-    algo = config.algorithm
+    base, weighting = ALGORITHMS[config.algorithm]
+    kernel = base == "jan"
+    oracle = weighting == "oracle"
+    weighted = weighting != "ones"
     p_source = source.label_distribution()
     if np.any(p_source.probs == 0):
         raise InvalidValue("every class needs at least one source sample")
@@ -177,57 +184,51 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
         feature_dim=config.feature_dim,
         g_hidden=tuple(config.g_hidden),
         d_hidden=tuple(config.d_hidden),
-        conditional=algo in _CONDITIONAL,
+        conditional=base == "cdan",
         rng=rng,
     )
 
-    oracle = algo in _ORACLE
-    weighted = algo in _WEIGHTED
     ones = WeightVector(np.ones(k))
     w_est = ones  # running moving-average estimate, tracked for every algorithm
-    w_model = w_star if oracle else w_est  # what the losses may consume
+    w_model = w_star if oracle else w_est  # what the losses may consume and the trace logs
 
     s = config.batch_size
     # the forward mode whose output the alignment loss reads
-    align_mode = "features" if algo in _KERNEL else state.disc_mode
+    align_mode = "features" if kernel else "discriminate"
     acc = ConfusionAccumulator(k)
     trace = TrainTrace()
 
     for epoch in range(config.epochs):
         loss_da_sum = 0.0
         loss_c_sum = 0.0
+        # the weights change only at an epoch's end
+        w_da = w_model if weighted and config.weight_da_loss else ones
+        # the kernel variant also scales its classification loss by w
+        w_c = (p_source, w_model if kernel else None) if weighted and config.weight_c_loss else None
         for batch in range(config.batches_per_epoch):
             idx_s = rng.integers(0, source.n, size=s)
             idx_t = rng.integers(0, target.n, size=s)
             x = np.concatenate([source.features[idx_s], target.features[idx_t]])
             ys = source.labels[idx_s]
 
-            w_da = w_model if (weighted and config.weight_da_loss) else ones
-            if weighted and config.weight_c_loss:
-                extra = w_model if algo in _KERNEL else None
-                w_c = (p_source, extra)
-            else:
-                w_c = None
-
-            if algo == "none":
+            if base is None:
                 preds, cache = network.forward(state, x[:s], "classify")
             else:
-                out, cache = network.forward(state, x, align_mode, preds=True)
+                out, cache = network.forward(state, x, align_mode)
                 preds = cache["p"][:s]
             if w_c is None:
                 loss_c, grad_c = losses.cross_entropy_loss_grads(preds, ys)
             else:
                 loss_c, grad_c = losses.weighted_classification_loss_grads(preds, ys, *w_c)
-            if algo == "none":
+            if base is None:
                 loss_da = 0.0
                 grads = network.backward(state, cache, grad_c)
             else:
-                if algo in _KERNEL:
+                if kernel:
                     loss_da, g_src, g_tgt = losses.weighted_mmd_loss_grads(out[:s], ys, out[s:], w_da)
-                    grad_da = np.concatenate([g_src, g_tgt])
                 else:
                     loss_da, g_src, g_tgt = losses.weighted_da_loss_grads(out[:s], out[s:], ys, w_da)
-                    grad_da = np.concatenate([g_src, g_tgt])[:, None]
+                grad_da = np.concatenate([g_src, g_tgt]).reshape(out.shape)
                 # the classification loss reads the source rows only
                 grad_preds = np.zeros_like(cache["p"])
                 grad_preds[:s] = grad_c
@@ -251,7 +252,6 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
             if not oracle:
                 w_model = w_est
 
-        w_logged = w_star if oracle else w_est
         acc_src, conf_src = evaluate(state, source)
         acc_tgt, conf_tgt = evaluate(state, target)
         record = EpochRecord(
@@ -260,8 +260,8 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
             acc_tgt=acc_tgt,
             loss_da=loss_da_sum / config.batches_per_epoch,
             loss_c=loss_c_sum / config.batches_per_epoch,
-            w=np.array(w_logged.w),
-            w_dist=float(np.linalg.norm(w_logged.w - w_star.w)),
+            w=np.array(w_model.w),
+            w_dist=float(np.linalg.norm(w_model.w - w_star.w)),
             jsd_label=jsd_label,
             conf_src=conf_src,
             conf_tgt=conf_tgt,
@@ -278,8 +278,8 @@ def make_bound_hook(source: Dataset, target: Dataset, sink: list):
     The hook reports on the run it is attached to: ``source`` and
     ``target`` must be the datasets given to :func:`train`, whose
     ``EpochRecord`` supplies the epoch's confusion matrices. One blocked
-    feature-extractor pass (:func:`network.infer`) over each dataset
-    supplies the features.
+    ``features`` pass (:func:`network.infer`) over each dataset supplies
+    the features.
 
     Appends (epoch, BoundReport) pairs to ``sink``.
     """

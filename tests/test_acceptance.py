@@ -220,12 +220,12 @@ def test_criterion_3_gradient_correctness():
         worst = max(worst, _relative_gradient_error(state, "h", ce_value, g.h))
 
         def da_value():
-            ds, _ = forward(state, xs, "discriminate_outer")
-            dt, _ = forward(state, xt, "discriminate_outer")
+            ds, _ = forward(state, xs, "discriminate")
+            dt, _ = forward(state, xt, "discriminate")
             return losses.weighted_da_loss(ds.ravel(), dt.ravel(), ys, w)
 
-        ds, cs = forward(state, xs, "discriminate_outer")
-        dt, ct = forward(state, xt, "discriminate_outer")
+        ds, cs = forward(state, xs, "discriminate")
+        dt, ct = forward(state, xt, "discriminate")
         _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), dt.ravel(), ys, w)
         bs = backward(state, cs, gs[:, None])
         bt = backward(state, ct, gt[:, None])

@@ -163,6 +163,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--lr", "nan", "lr must be finite, got nan"),
+            ("--lr", "inf", "lr must be finite, got inf"),
+            ("--reversal-coeff", "inf", "reversal_coeff must be finite, got inf"),
+            ("--reversal-coeff", "nan", "reversal_coeff must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_step_size_is_one_line_error(self, tmp_path, capsys, flag, value, message):
+        rc = run(["train", flag, value, "--epochs", 1, "--n", 200, "--out", tmp_path / "x"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_loads_datasets_from_files(self, tmp_path):
         data = tmp_path / "data"
         run(["generate", "--out", data, "--n", 300, "--seed", "4"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gls_adapt import diagnostics
 from gls_adapt.cli import main
 from gls_adapt.datagen import make_shift_task, write_dataset_csv
 from gls_adapt.diagnostics import (
@@ -71,13 +72,28 @@ class TestConditionalErrorGap:
             assert conditional_error_gap(a, b) == pytest.approx(best, abs=1e-15)
 
 
+def uncorrected_gap(feats_a, labels_a, feats_b, labels_b):
+    """Per-class binned TV before the permutation baseline, on the gap's own grid."""
+    edges = diagnostics._grid_edges(np.vstack([feats_a, feats_b]))
+    k = int(max(labels_a.max(), labels_b.max())) + 1
+    return np.array(
+        [diagnostics._binned_tv(feats_a[labels_a == y], feats_b[labels_b == y], edges) for y in range(k)]
+    )
+
+
+def assert_gap_within_raw(gaps, raw):
+    assert np.all(gaps >= 0.0)
+    assert np.all(gaps <= raw)
+
+
 class TestGlsConditionalGap:
     def test_identical_features_give_zero(self):
         rng = np.random.default_rng(1)
         feats = rng.normal(size=(400, 2))
         labels = rng.integers(0, 2, size=400)
-        gaps = gls_conditional_gap(feats, labels, feats, labels, correct=False)
-        assert np.allclose(gaps, 0.0)
+        raw = uncorrected_gap(feats, labels, feats, labels)
+        assert np.allclose(raw, 0.0)
+        assert_gap_within_raw(gls_conditional_gap(feats, labels, feats, labels), raw)
 
     def test_disjoint_supports_saturate(self):
         rng = np.random.default_rng(2)
@@ -85,8 +101,9 @@ class TestGlsConditionalGap:
         b = rng.normal(size=(300, 2)) + 50.0
         labels = np.zeros(300, dtype=int)
         labels[:150] = 1
-        gaps = gls_conditional_gap(a, labels, b, labels, correct=False)
-        assert np.all(gaps > 0.95)
+        raw = uncorrected_gap(a, labels, b, labels)
+        assert np.all(raw > 0.95)
+        assert_gap_within_raw(gls_conditional_gap(a, labels, b, labels), raw)
 
     def test_same_distribution_below_permutation_threshold(self):
         rng = np.random.default_rng(3)
@@ -94,7 +111,7 @@ class TestGlsConditionalGap:
         b = rng.normal(size=(500, 2))
         labels_a = rng.integers(0, 2, size=500)
         labels_b = rng.integers(0, 2, size=500)
-        raw = gls_conditional_gap(a, labels_a, b, labels_b, correct=False)
+        raw = uncorrected_gap(a, labels_a, b, labels_b)
         # independent permutation threshold: TV of random splits of the pool
         thresholds = []
         for y in range(2):
@@ -112,8 +129,9 @@ class TestGlsConditionalGap:
                 tvs.append(0.5 * np.abs(ha / ha.sum() - hb / hb.sum()).sum())
             thresholds.append(np.mean(tvs) + 3 * np.std(tvs))
         assert np.all(raw < np.array(thresholds))
-        corrected = gls_conditional_gap(a, labels_a, b, labels_b, correct=True)
+        corrected = gls_conditional_gap(a, labels_a, b, labels_b)
         assert np.all(corrected < 0.1)
+        assert_gap_within_raw(corrected, raw)
 
     def test_insufficient_samples(self):
         feats = np.zeros((30, 2))

@@ -36,7 +36,10 @@ TRAIN = [
     "--feature-dim", "8",
 ]
 ARGS = ["train", "--bounds", "--full-precision", "--algorithms", ",".join(ALGORITHMS), *DOMAIN, *TRAIN]
-FILES = [f"{kind}_{alg}_seed{SEED}.raw.csv" for alg in ALGORITHMS for kind in ("trace", "bounds")]
+FILES = [
+    *(f"{kind}_{alg}_seed{SEED}.raw.csv" for alg in ALGORITHMS for kind in ("trace", "bounds")),
+    "summary.raw.csv",
+]
 
 # The other commands, each pinned in its own fixture directory.
 COMMANDS = {

@@ -53,14 +53,17 @@ class TestForward:
         state = init_model_state(input_dim=5, k=3, feature_dim=4, conditional=True, rng=np.random.default_rng(0))
         assert state.d.in_dim == 12
         x = np.random.default_rng(2).normal(size=(7, 5))
-        d_out, cache = forward(state, x, "discriminate_outer")
-        assert cache["u"].shape == (7, 12)
+        d_out, cache = forward(state, x, "discriminate")
+        assert cache["d"]["inputs"][0].shape == (7, 12)
         assert d_out.shape == (7, 1)
         assert np.all((d_out > 0) & (d_out < 1))
 
-    def test_disc_mode_follows_conditional(self):
-        assert small_state(conditional=False).disc_mode == "discriminate_z"
-        assert small_state(conditional=True).disc_mode == "discriminate_outer"
+    def test_discriminator_input_follows_conditional(self):
+        x = np.random.default_rng(2).normal(size=(6, 3))
+        for conditional in (False, True):
+            _, cache = forward(small_state(conditional=conditional, seed=2), x, "discriminate")
+            want = outer_map(cache["p"], cache["z"]) if conditional else cache["z"]
+            assert np.array_equal(cache["d"]["inputs"][0], want)
 
     def test_softmax_rows_sum_to_one(self):
         state = small_state(seed=3)
@@ -81,15 +84,16 @@ class TestForward:
 class TestInfer:
     """The blocked full-data pass must give one unblocked forward's bits."""
 
+    # the discriminate cases' ids name what d reads: z or the outer product
     @pytest.mark.parametrize(
         "conditional,mode",
         [
             (False, "features"),
             (False, "classify"),
-            (False, "discriminate_z"),
+            pytest.param(False, "discriminate", id="False-discriminate_z"),
             (True, "features"),
             (True, "classify"),
-            (True, "discriminate_outer"),
+            pytest.param(True, "discriminate", id="True-discriminate_outer"),
         ],
     )
     @pytest.mark.parametrize("n", [1, network.BLOCK_ROWS, network.BLOCK_ROWS + 1, 3000])
@@ -138,7 +142,7 @@ class TestBackward:
         # the negated alignment gradient and leaves d's untouched
         state = small_state(seed=5)
         x = np.random.default_rng(5).normal(size=(4, 3))
-        _, cache = forward(state, x, "discriminate_z", preds=True)
+        _, cache = forward(state, x, "discriminate")
         grads = backward(state, cache, np.ones((4, 1)))
         fused = backward(state, cache, np.ones((4, 1)), np.zeros((4, 3)), 1.0)
         for (gw, gb), (rw, rb) in zip(grads.g, fused.g):
@@ -161,13 +165,21 @@ class TestBackward:
 class TestTrainingStepBackward:
     """One backward over a stacked batch matches the per-loss backwards it replaces."""
 
-    @pytest.mark.parametrize("mode", ["features", "discriminate_z", "discriminate_outer"])
-    def test_matches_separate_backwards(self, mode):
+    # the discriminate cases' ids name what d reads: z or the outer product
+    @pytest.mark.parametrize(
+        "conditional,mode",
+        [
+            pytest.param(False, "features", id="features"),
+            pytest.param(False, "discriminate", id="discriminate_z"),
+            pytest.param(True, "discriminate", id="discriminate_outer"),
+        ],
+    )
+    def test_matches_separate_backwards(self, conditional, mode):
         rng = np.random.default_rng(16)
-        state = small_state(conditional=mode == "discriminate_outer", seed=16)
+        state = small_state(conditional=conditional, seed=16)
         x = rng.normal(size=(10, 3))
         labels = rng.integers(0, 3, size=5)
-        out, cache = forward(state, x, mode, preds=True)
+        out, cache = forward(state, x, mode)
         p, cache_c = forward(state, x[:5], "classify")
         assert np.array_equal(cache["p"][:5], p)
         _, gpred = losses.cross_entropy_loss_grads(p, labels)
@@ -189,11 +201,8 @@ class TestTrainingStepBackward:
     def test_needs_cached_predictions_and_an_alignment_output(self):
         state = small_state(seed=17)
         x = np.zeros((2, 3))
-        _, cache = forward(state, x, "features")
-        with pytest.raises(ConfigInvalid, match="grad_preds needs an alignment mode run with preds=True"):
-            backward(state, cache, np.zeros((2, 4)), np.zeros((2, 3)))
         _, cache = forward(state, x, "classify")
-        with pytest.raises(ConfigInvalid, match="grad_preds needs an alignment mode run with preds=True"):
+        with pytest.raises(ConfigInvalid, match="grad_preds needs an alignment mode, not classify"):
             backward(state, cache, np.zeros((2, 3)), np.zeros((2, 3)))
 
 
@@ -247,12 +256,12 @@ class TestGradientsAgainstFiniteDifferences:
         w = WeightVector(np.array([2.0, 1.0, 0.5]))
 
         def value():
-            ds, _ = forward(state, xs, "discriminate_z")
-            dt, _ = forward(state, xt, "discriminate_z")
+            ds, _ = forward(state, xs, "discriminate")
+            dt, _ = forward(state, xt, "discriminate")
             return losses.weighted_da_loss(ds.ravel(), dt.ravel(), labels, w)
 
-        ds, cs = forward(state, xs, "discriminate_z")
-        dt, ct = forward(state, xt, "discriminate_z")
+        ds, cs = forward(state, xs, "discriminate")
+        dt, ct = forward(state, xt, "discriminate")
         _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), dt.ravel(), labels, w)
         back_s = backward(state, cs, gs[:, None])
         back_t = backward(state, ct, gt[:, None])
@@ -270,12 +279,12 @@ class TestGradientsAgainstFiniteDifferences:
         w = WeightVector(np.array([0.5, 1.5, 1.0]))
 
         def value():
-            ds, _ = forward(state, xs, "discriminate_outer")
-            dt, _ = forward(state, xt, "discriminate_outer")
+            ds, _ = forward(state, xs, "discriminate")
+            dt, _ = forward(state, xt, "discriminate")
             return losses.weighted_da_loss(ds.ravel(), dt.ravel(), labels, w)
 
-        ds, cs = forward(state, xs, "discriminate_outer")
-        dt, ct = forward(state, xt, "discriminate_outer")
+        ds, cs = forward(state, xs, "discriminate")
+        dt, ct = forward(state, xt, "discriminate")
         _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), dt.ravel(), labels, w)
         back_s = backward(state, cs, gs[:, None])
         back_t = backward(state, ct, gt[:, None])
@@ -318,11 +327,11 @@ class TestTypedErrors:
 
     def test_unknown_mode(self):
         state = small_state()
-        with pytest.raises(ConfigInvalid, match="unknown mode 'discriminate'"):
-            forward(state, np.zeros((2, 3)), "discriminate")
+        with pytest.raises(ConfigInvalid, match="unknown mode 'discriminate_z'"):
+            forward(state, np.zeros((2, 3)), "discriminate_z")
         _, cache = forward(state, np.zeros((2, 3)), "features")
-        cache["mode"] = "discriminate"
-        with pytest.raises(ConfigInvalid, match="unknown mode 'discriminate'"):
+        cache["mode"] = "discriminate_z"
+        with pytest.raises(ConfigInvalid, match="unknown mode 'discriminate_z'"):
             backward(state, cache, np.zeros((2, 4)))
 
 

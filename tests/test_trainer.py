@@ -167,6 +167,17 @@ class TestTrainBasics:
         with pytest.raises(ConfigInvalid):
             tiny_config(epochs=0).validated()
 
+    @pytest.mark.parametrize("field", ["lr", "reversal_coeff"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_step_sizes_are_rejected(self, field, value):
+        with pytest.raises(ConfigInvalid, match=f"^{field} must be finite, got {value!r}$"):
+            tiny_config(**{field: value}).validated()
+
+    @pytest.mark.parametrize("lr", [0.0, -1.0, float("-inf")])
+    def test_non_positive_lr_keeps_its_message(self, lr):
+        with pytest.raises(ConfigInvalid, match=r"^need lr > 0 and momentum in \[0, 1\)$"):
+            tiny_config(lr=lr).validated()
+
     def test_dimension_mismatch_between_domains(self):
         src, tgt = tiny_task()
         bad_tgt = Dataset(np.zeros((50, 3)), np.zeros(50, dtype=int), 3)
