@@ -261,15 +261,25 @@ def cmd_train(ns) -> int:
     train_opts = _resolve(ns, _TRAIN_OPTS)
     domain_opts = _resolve(ns, _DOMAIN_OPTS)
     seed = _resolve_seed(ns)
+    algorithms = ns.algorithms
+    seeds = ns.seeds if ns.seeds else [seed]
+    for flag, values in (("--algorithms", algorithms), ("--seeds", seeds)):
+        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeated is not None:
+            raise ConfigInvalid(f"{flag} lists {repeated} more than once")
+    # every run's config is checked before the first one trains
+    configs = {
+        (alg, s): TrainConfig(algorithm=alg, seed=s, **train_opts).validated()
+        for alg in algorithms
+        for s in seeds
+    }
     source, target = _load_or_make_datasets(ns, domain_opts, seed)
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
-    algorithms = ns.algorithms
-    seeds = ns.seeds if ns.seeds else [seed]
     best: dict[tuple[str, int], tuple[float, float]] = {}
     for alg in algorithms:
         for s in seeds:
-            cfg = TrainConfig(algorithm=alg, seed=s, **train_opts)
+            cfg = configs[(alg, s)]
             sink: list = []
             hook = make_bound_hook(source, target, sink) if ns.bounds else None
             _, trace = train(cfg, source, target, epoch_hook=hook)

@@ -113,25 +113,81 @@ def _project2(feats: np.ndarray) -> np.ndarray:
     return feats[:, : min(feats.shape[1], 2)]
 
 
-def _grid_edges(pooled: np.ndarray):
-    lo = pooled.min(axis=0)
-    hi = pooled.max(axis=0)
-    span = np.maximum(hi - lo, 1e-9)
-    lo = lo - 1e-9 * span
-    hi = hi + 1e-9 * span
-    return [np.linspace(lo[j], hi[j], BINS + 1) for j in range(pooled.shape[1])]
+def _grid_edges(columns) -> list[np.ndarray]:
+    """``BINS + 1`` edges per pooled feature column, over its padded range."""
+    edges = []
+    for col in columns:
+        lo, hi = col.min(), col.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise InvalidValue("features contain non-finite values")
+        span = max(hi - lo, 1e-9)
+        edges.append(np.linspace(lo - 1e-9 * span, hi + 1e-9 * span, BINS + 1))
+    return edges
 
 
-def _hist(feats: np.ndarray, edges, weights=None) -> np.ndarray:
-    h, _ = np.histogramdd(feats, bins=edges, weights=weights)
-    total = h.sum()
+def _cell_index(feats_a, feats_b):
+    """Flat grid cell of every row of two samples, on their pooled grid.
+
+    Returns ``(cells_a, cells_b, d)`` for ``d`` projected axes; cells run
+    over ``BINS**d`` in C order. A row takes ``np.histogramdd``'s cell:
+    ``searchsorted(edges, x, side="right")`` per axis, and a value on the
+    last edge counts in the last bin. The padded range holds every row, so
+    no row falls outside the grid.
+    """
+    a = _project2(feats_a)
+    b = _project2(feats_b)
+    if a.shape[1] != b.shape[1]:
+        raise ShapeMismatch(f"feature widths {feats_a.shape[1]} and {feats_b.shape[1]} differ")
+    # one contiguous pooled column per axis: min and max along the first
+    # axis of a row-major (n, 2) array are many times slower
+    columns = [np.concatenate([a[:, j], b[:, j]]) for j in range(a.shape[1])]
+    cells = np.zeros(a.shape[0] + b.shape[0], dtype=np.intp)
+    for col, edges in zip(columns, _grid_edges(columns)):
+        i = np.searchsorted(edges, col, side="right")
+        i[col == edges[-1]] -= 1
+        cells = cells * BINS + (i - 1)
+    return cells[: a.shape[0]], cells[a.shape[0]:], a.shape[1]
+
+
+def _hist(cells: np.ndarray, d: int, weights=None) -> np.ndarray:
+    """Normalized histogram of grid cells, bit for bit ``np.histogramdd``'s."""
+    h = np.bincount(cells, weights, minlength=BINS**d)
+    # histogramdd sums its BINS^d core as a strided view of a (BINS + 2)^d
+    # array; summing the same view rounds a weighted total the same way
+    core = d * (slice(1, -1),)
+    padded = np.zeros(d * (BINS + 2,))
+    padded[core] = h.reshape(d * (BINS,))
+    total = padded[core].sum()
     if total <= 0:
         raise InvalidValue("empty histogram")
-    return (h / total).ravel()
+    return h / total
 
 
-def _binned_tv(a: np.ndarray, b: np.ndarray, edges) -> float:
-    return 0.5 * float(np.abs(_hist(a, edges) - _hist(b, edges)).sum())
+def _class_gaps(cells_src, labels_src, cells_tgt, labels_tgt, d: int, seed: int) -> np.ndarray:
+    ys = np.asarray(labels_src)
+    yt = np.asarray(labels_tgt)
+    k = int(max(ys.max(), yt.max())) + 1
+    rng = np.random.default_rng(seed)
+    gaps = np.zeros(k)
+    for y in range(k):
+        a = cells_src[ys == y]
+        b = cells_tgt[yt == y]
+        n_a, n_b = a.size, b.size
+        if n_a < MIN_COUNT or n_b < MIN_COUNT:
+            raise InvalidValue(f"class {y}: {n_a} source / {n_b} target samples, need {MIN_COUNT}")
+        pooled = np.concatenate([a, b])
+        pooled_counts = np.bincount(pooled, minlength=BINS**d)
+
+        def tv(part):
+            # the counts are exact integers, so the other half is the pool minus this one
+            counts = np.bincount(part, minlength=BINS**d)
+            return 0.5 * float(np.abs(counts / n_a - (pooled_counts - counts) / n_b).sum())
+
+        base = 0.0
+        for _ in range(PERMUTATIONS):
+            base += tv(pooled[rng.permutation(pooled.size)[:n_a]])
+        gaps[y] = max(tv(a) - base / PERMUTATIONS, 0.0)
+    return gaps
 
 
 def gls_conditional_gap(
@@ -146,32 +202,20 @@ def gls_conditional_gap(
     Features beyond two dimensions are projected onto their first two
     coordinates; histograms share a fixed grid of ``BINS`` cells per axis
     over the pooled bounding box, and every class needs ``MIN_COUNT``
-    samples in each domain. A permutation baseline (the mean TV over
-    ``PERMUTATIONS`` resplits of each pooled class) is subtracted and the
-    result clipped at zero, removing most of the binning-noise bias.
+    samples in each domain. Each row's grid cell is computed once, as a
+    flat index shared by every histogram of the call (the same cells
+    ``np.histogramdd`` would give it), so each histogram is one
+    ``np.bincount``. A permutation baseline (the mean TV over
+    ``PERMUTATIONS`` resplits of each pooled class's cell indices) is
+    subtracted and the result clipped at zero, removing most of the
+    binning-noise bias.
     """
-    fs = _project2(feats_src)
-    ft = _project2(feats_tgt)
-    ys = np.asarray(labels_src)
-    yt = np.asarray(labels_tgt)
-    k = int(max(ys.max(), yt.max())) + 1
-    edges = _grid_edges(np.vstack([fs, ft]))
-    rng = np.random.default_rng(seed)
-    gaps = np.zeros(k)
-    for y in range(k):
-        a = fs[ys == y]
-        b = ft[yt == y]
-        if a.shape[0] < MIN_COUNT or b.shape[0] < MIN_COUNT:
-            raise InvalidValue(
-                f"class {y}: {a.shape[0]} source / {b.shape[0]} target samples, need {MIN_COUNT}"
-            )
-        pooled = np.vstack([a, b])
-        base = 0.0
-        for _ in range(PERMUTATIONS):
-            perm = rng.permutation(pooled.shape[0])
-            base += _binned_tv(pooled[perm[: a.shape[0]]], pooled[perm[a.shape[0]:]], edges)
-        gaps[y] = max(_binned_tv(a, b, edges) - base / PERMUTATIONS, 0.0)
-    return gaps
+    cells_s, cells_t, d = _cell_index(feats_src, feats_tgt)
+    return _class_gaps(cells_s, labels_src, cells_t, labels_tgt, d, seed)
+
+
+def _cells_jsd(cells_a, cells_b, d: int, weights_a) -> float:
+    return jsd(Categorical(_hist(cells_a, d, weights_a)), Categorical(_hist(cells_b, d)))
 
 
 def binned_feature_jsd(feats_a, feats_b, weights_a) -> float:
@@ -180,12 +224,8 @@ def binned_feature_jsd(feats_a, feats_b, weights_a) -> float:
     Per-sample weights reweight the first sample, which is how the
     ratio-weighted source distribution is estimated.
     """
-    a = _project2(feats_a)
-    b = _project2(feats_b)
-    edges = _grid_edges(np.vstack([a, b]))
-    pa = Categorical(_hist(a, edges, weights_a))
-    pb = Categorical(_hist(b, edges))
-    return jsd(pa, pb)
+    cells_a, cells_b, d = _cell_index(feats_a, feats_b)
+    return _cells_jsd(cells_a, cells_b, d, weights_a)
 
 
 def check_lower_bound(eps_s, eps_t, jsd_labels, jsd_features, tol: float = INEQ_TOL) -> BoundReport:
@@ -357,9 +397,10 @@ def bound_suite(
     l1 = l1_distance(p_src, p_tgt)
     ber = balanced_error_rate(conf_s)
     delta_ce = conditional_error_gap(conf_s, conf_t)
-    gap = float(gls_conditional_gap(feats_src, labels_src, feats_tgt, labels_tgt, seed=seed).max())
-    w_sample = w_true.w[np.asarray(labels_src)]
-    jsd_w = binned_feature_jsd(feats_src, feats_tgt, weights_a=w_sample)
+    # the gap and the weighted divergence bin the rows on one shared grid
+    cells_s, cells_t, d = _cell_index(feats_src, feats_tgt)
+    gap = float(_class_gaps(cells_s, labels_src, cells_t, labels_tgt, d, seed).max())
+    jsd_w = _cells_jsd(cells_s, cells_t, d, w_true.w[np.asarray(labels_src)])
 
     return [
         check_lower_bound(eps_s, eps_t, jsd_labels, jsd_preds),

@@ -1,17 +1,19 @@
 """End-to-end training loop with per-epoch weight re-estimation.
 
-One run owns all of its state. Per epoch: the soft confusion accumulator
-is reset, B paired batches are drawn with replacement, and each batch
-takes a single combined SGD step per net (classification descent,
-adversarial ascent for the feature extractor via gradient reversal,
-adversarial descent for the discriminator). A step makes one forward
-over the stacked batch [source; target], which yields the features, the
-predictions and the discriminator output, and one backward, which yields
-all three nets' gradients (``none`` runs both on the source rows alone).
-A second stacked forward after the update supplies the post-update
-predictions that feed the accumulator. At epoch end the constrained
-least-squares estimate is blended into the running weights with an
-exponential moving average.
+One run owns all of its state. Per epoch, B paired batches are drawn
+with replacement, and each batch takes a single combined SGD step per
+net (classification descent, adversarial ascent for the feature
+extractor via gradient reversal, adversarial descent for the
+discriminator). A step makes one forward over the stacked batch
+[source; target], which yields the features, the predictions and the
+discriminator output, and one backward, which yields all three nets'
+gradients (``none`` runs both on the source rows alone). A second
+stacked forward after the update supplies the post-update predictions
+that feed the soft confusion accumulator. At the end of every
+``weight_update_period``-th epoch the constrained least-squares estimate
+from the accumulator is blended into the running weights with an
+exponential moving average, and only then is the accumulator reset, so
+one estimate pools the batches of ``weight_update_period`` epochs.
 
 The estimation bookkeeping runs for every algorithm so that traces are
 comparable; only the importance-weighted variants feed the weights into

@@ -250,3 +250,51 @@ def mmd_loss_grads_fresh(feats_src, labels_src, feats_tgt, w, bandwidths=None):
     g_tgt = (a_tt.sum(axis=1) + a_st.sum(axis=0))[:, None] * ft - a_tt @ ft - a_st.T @ fs
     total = -ws @ sum_ss @ ws - sum_tt.sum() + 2.0 * (ws @ sum_st.sum(axis=1))
     return float(total / (s * s)), g_src, g_tgt
+
+
+def binned_histogram(feats, pooled, weights=None, bins=16):
+    """Normalized ``np.histogramdd`` histogram of ``feats``, raveled.
+
+    The grid is the binned diagnostics' grid: ``bins`` cells per axis over
+    the bounding box of ``pooled``, widened on each side by 1e-9 of its
+    span (a span of at least 1e-9). Columns beyond the second are dropped,
+    as the diagnostics project them away.
+    """
+    feats = np.asarray(feats, dtype=float)[:, :2]
+    pooled = np.asarray(pooled, dtype=float)[:, :2]
+    lo = pooled.min(axis=0)
+    hi = pooled.max(axis=0)
+    span = np.maximum(hi - lo, 1e-9)
+    lo = lo - 1e-9 * span
+    hi = hi + 1e-9 * span
+    edges = [np.linspace(lo[j], hi[j], bins + 1) for j in range(pooled.shape[1])]
+    h, _ = np.histogramdd(feats, bins=edges, weights=weights)
+    return (h / h.sum()).ravel()
+
+
+def binned_tv(feats_a, feats_b, pooled):
+    """Total variation between two ``binned_histogram``s on the grid of ``pooled``."""
+    return 0.5 * float(np.abs(binned_histogram(feats_a, pooled) - binned_histogram(feats_b, pooled)).sum())
+
+
+def conditional_gap_reference(feats_src, labels_src, feats_tgt, labels_tgt, seed=0, permutations=4):
+    """Permutation-corrected per-class binned TV, one ``np.histogramdd`` per histogram.
+
+    Each class's pooled rows are resplit ``permutations`` times with one
+    ``default_rng(seed)`` stream, in class order; the mean resplit TV is
+    subtracted from the class's TV and the result clipped at zero.
+    """
+    pooled = np.vstack([feats_src, feats_tgt])
+    rng = np.random.default_rng(seed)
+    k = int(max(labels_src.max(), labels_tgt.max())) + 1
+    gaps = np.zeros(k)
+    for y in range(k):
+        a = feats_src[labels_src == y]
+        b = feats_tgt[labels_tgt == y]
+        pool = np.vstack([a, b])
+        base = 0.0
+        for _ in range(permutations):
+            perm = rng.permutation(pool.shape[0])
+            base += binned_tv(pool[perm[: a.shape[0]]], pool[perm[a.shape[0]:]], pooled)
+        gaps[y] = max(binned_tv(a, b, pooled) - base / permutations, 0.0)
+    return gaps

@@ -177,6 +177,27 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_unknown_algorithm_fails_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = run(["train", "--algorithms", "dann,nope", "--epochs", 1, "--n", 200, "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown algorithm 'nope'\n"
+        assert not list(tmp_path.rglob("trace_*.csv"))
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--algorithms", "iwdan,iwdan", "--algorithms lists iwdan more than once"),
+            ("--algorithms", "dann,iwdan,dann", "--algorithms lists dann more than once"),
+            ("--seeds", "3,3", "--seeds lists 3 more than once"),
+        ],
+    )
+    def test_repeated_run_is_one_line_error(self, tmp_path, capsys, flag, value, message):
+        rc = run(["train", flag, value, "--epochs", 1, "--n", 200, "--out", tmp_path / "x"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.rglob("*.csv"))
+
     def test_loads_datasets_from_files(self, tmp_path):
         data = tmp_path / "data"
         run(["generate", "--out", data, "--n", 300, "--seed", "4"])

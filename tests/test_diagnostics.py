@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gls_adapt import diagnostics
 from gls_adapt.cli import main
@@ -14,6 +16,8 @@ from gls_adapt.diagnostics import (
     check_lower_bound,
     check_sufficiency_bound,
     conditional_error_gap,
+    binned_feature_jsd,
+    bound_suite,
     gls_conditional_gap,
 )
 from gls_adapt.distributions import Categorical, jsd
@@ -21,7 +25,7 @@ from gls_adapt.errors import InvalidValue, ShapeMismatch
 from gls_adapt.estimator import WeightVector
 from gls_adapt.trainer import TrainConfig, make_bound_hook, train
 
-from _oracles import random_categorical
+from _oracles import binned_histogram, binned_tv, conditional_gap_reference, random_categorical
 
 LN2 = math.log(2.0)
 
@@ -73,12 +77,10 @@ class TestConditionalErrorGap:
 
 
 def uncorrected_gap(feats_a, labels_a, feats_b, labels_b):
-    """Per-class binned TV before the permutation baseline, on the gap's own grid."""
-    edges = diagnostics._grid_edges(np.vstack([feats_a, feats_b]))
+    """Per-class binned TV before the permutation baseline, on the gap's grid, by ``np.histogramdd``."""
+    pooled = np.vstack([feats_a, feats_b])
     k = int(max(labels_a.max(), labels_b.max())) + 1
-    return np.array(
-        [diagnostics._binned_tv(feats_a[labels_a == y], feats_b[labels_b == y], edges) for y in range(k)]
-    )
+    return np.array([binned_tv(feats_a[labels_a == y], feats_b[labels_b == y], pooled) for y in range(k)])
 
 
 def assert_gap_within_raw(gaps, raw):
@@ -144,6 +146,123 @@ class TestGlsConditionalGap:
         labels = np.zeros(60, dtype=int)
         with pytest.raises(ShapeMismatch):
             gls_conditional_gap(np.zeros(60), labels, np.zeros(60), labels)
+        with pytest.raises(ShapeMismatch, match="feature widths 1 and 2 differ"):
+            gls_conditional_gap(np.zeros((60, 1)), labels, np.zeros((60, 2)), labels)
+
+
+# 2**30 + v lies exactly on edge v of a grid over [2**30, 2**30 + 16]: the
+# grid's 1e-9 widening is below half an ulp there and the step is exactly 1
+EDGE_BASE = 2.0**30
+
+
+@st.composite
+def feature_pair(draw):
+    """Two small samples and weights for the first, with ties on grid edges.
+
+    Each column is drawn as grid points (the pool spans exactly [EDGE_BASE,
+    EDGE_BASE + 16], so every value sits on an interior or an end edge),
+    quarter-integers (many ties), or one constant.
+    """
+    d = draw(st.sampled_from([1, 2, 3]))
+    n_a = draw(st.integers(1, 30))
+    n_b = draw(st.integers(1, 30))
+    cols = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["edges", "quarters", "constant"]))
+        if kind == "edges":
+            col = draw(st.lists(st.integers(0, 16), min_size=n_a + n_b, max_size=n_a + n_b))
+            col = EDGE_BASE + np.array([0, 16] + col[2:], dtype=float)
+        elif kind == "quarters":
+            col = np.array(draw(st.lists(st.integers(-8, 8), min_size=n_a + n_b, max_size=n_a + n_b))) / 4.0
+        else:
+            col = np.full(n_a + n_b, draw(st.sampled_from([0.0, -2.5, 7.0, EDGE_BASE])))
+        cols.append(col)
+    pooled = np.stack(cols, axis=1)
+    weights = np.array(draw(st.lists(st.floats(0.01, 10.0), min_size=n_a, max_size=n_a)))
+    return pooled[:n_a], pooled[n_a:], weights
+
+
+def task_features(seed, d, kind):
+    """Labelled features with at least MIN_COUNT rows per class in both domains."""
+    rng = np.random.default_rng(seed)
+    n_a, n_b = 160 + seed % 40, 150
+    if kind == "edges":
+        a = EDGE_BASE + rng.integers(0, 17, size=(n_a, d)).astype(float)
+        b = EDGE_BASE + rng.integers(0, 17, size=(n_b, d)).astype(float)
+        a[0], b[0] = EDGE_BASE, EDGE_BASE + 16.0
+    else:
+        a = rng.normal(size=(n_a, d))
+        b = rng.normal(size=(n_b, d)) + 0.4
+        if kind == "constant":
+            a[:, 0] = b[:, 0] = 1.5
+    labels_a = np.arange(n_a) % 2
+    labels_b = np.arange(n_b) % 2
+    return a, labels_a, b, labels_b, rng.uniform(0.1, 3.0, size=2)[labels_a]
+
+
+class TestCellIndex:
+    """The shared cell index reproduces ``np.histogramdd`` bit for bit."""
+
+    def test_grid_points_lie_on_edges(self):
+        (edges,) = diagnostics._grid_edges([EDGE_BASE + np.array([0.0, 16.0])])
+        assert np.array_equal(edges, EDGE_BASE + np.arange(17.0))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(feature_pair())
+    @example((EDGE_BASE + np.arange(17.0)[:, None], EDGE_BASE + np.array([[16.0], [8.0]]), np.ones(17)))
+    @example((np.full((3, 2), 4.0), np.full((2, 2), 4.0), np.array([0.5, 1.0, 2.0])))
+    def test_histograms_match_histogramdd(self, pair):
+        a, b, weights = pair
+        cells_a, cells_b, d = diagnostics._cell_index(a, b)
+        assert d == min(a.shape[1], 2)
+        pooled = np.vstack([a, b])
+        for cells, feats, w in ((cells_a, a, None), (cells_b, b, None), (cells_a, a, weights)):
+            got = diagnostics._hist(cells, d, w)
+            want = binned_histogram(feats, pooled, w)
+            assert got.shape == want.shape == (diagnostics.BINS**d,)
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**16), st.sampled_from([1, 2, 3]), st.sampled_from(["normal", "edges", "constant"]))
+    def test_gap_and_jsd_match_histogramdd(self, seed, d, kind):
+        a, labels_a, b, labels_b, weights = task_features(seed, d, kind)
+        gap = gls_conditional_gap(a, labels_a, b, labels_b, seed=seed)
+        assert gap.tobytes() == conditional_gap_reference(a, labels_a, b, labels_b, seed=seed).tobytes()
+        pooled = np.vstack([a, b])
+        want = jsd(Categorical(binned_histogram(a, pooled, weights)), Categorical(binned_histogram(b, pooled)))
+        assert binned_feature_jsd(a, b, weights) == want
+
+    def test_non_finite_features_are_rejected(self):
+        a, labels_a, b, labels_b, _ = task_features(0, 2, "normal")
+        a[3, 1] = np.nan
+        with pytest.raises(InvalidValue, match="non-finite"):
+            gls_conditional_gap(a, labels_a, b, labels_b)
+
+    def test_bound_suite_bins_once_without_histogramdd(self, monkeypatch):
+        a, labels_a, b, labels_b, _ = task_features(1, 2, "normal")
+        grid_calls = []
+        grid_edges = diagnostics._grid_edges
+        monkeypatch.setattr(diagnostics, "_grid_edges", lambda cols: grid_calls.append(1) or grid_edges(cols))
+
+        def no_histogramdd(*args, **kwargs):
+            raise AssertionError("np.histogramdd called")
+
+        monkeypatch.setattr(np, "histogramdd", no_histogramdd)
+        p = Categorical(np.array([0.5, 0.5]))
+        conf = np.array([[0.9, 0.1], [0.2, 0.8]])
+        reports = bound_suite(
+            conf_src=conf,
+            conf_tgt=conf,
+            p_src=p,
+            p_tgt=p,
+            feats_src=a,
+            labels_src=labels_a,
+            feats_tgt=b,
+            labels_tgt=labels_b,
+            w_true=WeightVector(np.ones(2)),
+        )
+        assert len(reports) == 4
+        assert len(grid_calls) == 1
 
 
 class TestCheckLowerBound:
