@@ -262,7 +262,9 @@ def cmd_train(ns) -> int:
     domain_opts = _resolve(ns, _DOMAIN_OPTS)
     seed = _resolve_seed(ns)
     algorithms = ns.algorithms
-    seeds = ns.seeds if ns.seeds else [seed]
+    seeds = [seed] if ns.seeds is None else ns.seeds
+    if not seeds:
+        raise ConfigInvalid("--seeds lists no seed")
     for flag, values in (("--algorithms", algorithms), ("--seeds", seeds)):
         repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if repeated is not None:
@@ -274,20 +276,20 @@ def cmd_train(ns) -> int:
         for s in seeds
     }
     source, target = _load_or_make_datasets(ns, domain_opts, seed)
+    sink: list = []
+    hook = make_bound_hook(source, target, sink) if ns.bounds else None
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     best: dict[tuple[str, int], tuple[float, float]] = {}
     for alg in algorithms:
         for s in seeds:
-            cfg = configs[(alg, s)]
-            sink: list = []
-            hook = make_bound_hook(source, target, sink) if ns.bounds else None
-            _, trace = train(cfg, source, target, epoch_hook=hook)
+            sink.clear()
+            _, trace = train(configs[(alg, s)], source, target, epoch_hook=hook)
             header, rows = _trace_header_rows(trace, source.k)
             _write_csv(out / f"trace_{alg}_seed{s}.csv", header, rows, ns.full_precision)
             if ns.bounds:
                 _write_bounds(out / f"bounds_{alg}_seed{s}.csv", sink, ns.full_precision)
-            best[(alg, s)] = (trace.best_source_accuracy(), trace.best_target_accuracy())
+            best[(alg, s)] = (max(r.acc_src for r in trace.records), trace.best_target_accuracy())
     rows = []
     for alg in algorithms:
         accs = [best[(alg, s)][1] for s in seeds]
@@ -324,6 +326,8 @@ def cmd_sweep_jsd(ns) -> int:
     train_opts = _resolve(ns, _TRAIN_OPTS)
     domain_opts = _resolve(ns, _DOMAIN_OPTS)
     seed = _resolve_seed(ns)
+    if ns.jobs < 1:
+        raise ConfigInvalid(f"--jobs must be >= 1, got {ns.jobs}")
     variant = ns.algorithm
     base = _BASE_OF.get(variant)
     if base is None:

@@ -18,7 +18,6 @@ from .errors import ConfigInvalid, InvalidValue, ParseError
 
 __all__ = [
     "Dataset",
-    "DomainSpec",
     "Task",
     "circle_class_means",
     "make_gaussian_domain",
@@ -74,26 +73,6 @@ class Dataset:
         return empirical_label_dist(self.labels, self.k)
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Recipe for one Gaussian-mixture domain.
-
-    ``exact_counts`` draws class sizes by largest-remainder rounding of
-    n * label_dist instead of i.i.d. sampling, so the realized label
-    distribution matches the requested one exactly.
-    """
-
-    k: int
-    d: int
-    class_means: np.ndarray
-    class_covariance_scale: float
-    label_dist: Categorical
-    n: int
-    seed: int
-    conditional_shift: np.ndarray | None = None
-    exact_counts: bool = False
-
-
 def _exact_class_counts(probs: np.ndarray, n: int) -> np.ndarray:
     raw = probs * n
     counts = np.floor(raw).astype(int)
@@ -115,37 +94,43 @@ def circle_class_means(k: int, d: int = 2, radius: float = 1.0) -> np.ndarray:
     return means
 
 
-def make_gaussian_domain(spec: DomainSpec) -> Dataset:
-    """Sample labels from the spec's label distribution, then features from
-    N(mean_y + shift_y, sigma^2 I). Deterministic given the spec's seed."""
-    means = np.asarray(spec.class_means, dtype=float)
-    if means.shape != (spec.k, spec.d):
-        raise ConfigInvalid(f"class_means has shape {means.shape}, expected ({spec.k}, {spec.d})")
+def make_gaussian_domain(
+    class_means, sigma: float, label_dist: Categorical, n: int, seed: int,
+    conditional_shift=None, exact_counts: bool = False,
+) -> Dataset:
+    """Sample labels from ``label_dist``, then features from N(mean_y + shift_y,
+    sigma^2 I) with the k x d ``class_means``. Deterministic given ``seed``.
+
+    ``exact_counts`` draws class sizes by largest-remainder rounding of
+    n * label_dist instead of i.i.d. sampling, so the realized label
+    distribution matches the requested one exactly."""
+    means = np.asarray(class_means, dtype=float)
+    if means.ndim != 2:
+        raise ConfigInvalid(f"class_means must be k x d, got shape {means.shape}")
+    k, d = means.shape
     if not np.all(np.isfinite(means)):
         raise ConfigInvalid("class_means contain non-finite values")
-    if spec.label_dist.k != spec.k:
+    if label_dist.k != k:
         raise ConfigInvalid("label_dist length must equal k")
-    if spec.class_covariance_scale < 0:
+    if sigma < 0:
         raise ConfigInvalid("covariance scale must be nonnegative")
-    if spec.n < 1:
+    if n < 1:
         raise ConfigInvalid("n must be at least 1")
-    shift = np.zeros((spec.k, spec.d))
-    if spec.conditional_shift is not None:
-        shift = np.asarray(spec.conditional_shift, dtype=float)
-        if shift.shape != (spec.k, spec.d):
-            raise ConfigInvalid(
-                f"conditional_shift has shape {shift.shape}, expected ({spec.k}, {spec.d})"
-            )
-    rng = np.random.default_rng(spec.seed)
-    if spec.exact_counts:
-        counts = _exact_class_counts(spec.label_dist.probs, spec.n)
-        labels = np.repeat(np.arange(spec.k), counts)
+    shift = np.zeros((k, d))
+    if conditional_shift is not None:
+        shift = np.asarray(conditional_shift, dtype=float)
+        if shift.shape != (k, d):
+            raise ConfigInvalid(f"conditional_shift has shape {shift.shape}, expected ({k}, {d})")
+    rng = np.random.default_rng(seed)
+    if exact_counts:
+        counts = _exact_class_counts(label_dist.probs, n)
+        labels = np.repeat(np.arange(k), counts)
         rng.shuffle(labels)
     else:
-        labels = rng.choice(spec.k, size=spec.n, p=spec.label_dist.probs)
-    noise = rng.standard_normal((spec.n, spec.d)) * spec.class_covariance_scale
+        labels = rng.choice(k, size=n, p=label_dist.probs)
+    noise = rng.standard_normal((n, d)) * sigma
     feats = means[labels] + shift[labels] + noise
-    return Dataset(features=feats, labels=labels, k=spec.k)
+    return Dataset(features=feats, labels=labels, k=k)
 
 
 def make_shift_task(
@@ -165,12 +150,8 @@ def make_shift_task(
     means = circle_class_means(k, d, radius)
     p_s = Categorical(np.full(k, 1.0 / k)) if p_source is None else Categorical(np.asarray(p_source, dtype=float))
     p_t = Categorical(np.full(k, 1.0 / k)) if p_target is None else Categorical(np.asarray(p_target, dtype=float))
-    src = make_gaussian_domain(
-        DomainSpec(k, d, means, sigma, p_s, n_source, seed, exact_counts=exact_counts)
-    )
-    tgt = make_gaussian_domain(
-        DomainSpec(k, d, means, sigma, p_t, n_target, seed + 1, conditional_shift, exact_counts)
-    )
+    src = make_gaussian_domain(means, sigma, p_s, n_source, seed, exact_counts=exact_counts)
+    tgt = make_gaussian_domain(means, sigma, p_t, n_target, seed + 1, conditional_shift, exact_counts)
     return src, tgt
 
 

@@ -163,18 +163,25 @@ def _hist(cells: np.ndarray, d: int, weights=None) -> np.ndarray:
     return h / total
 
 
+def _check_class_counts(ys: np.ndarray, yt: np.ndarray) -> int:
+    """The class count k, once every class has ``MIN_COUNT`` samples in each domain."""
+    k = int(max(ys.max(), yt.max())) + 1
+    for y, n_a, n_b in zip(range(k), np.bincount(ys, minlength=k), np.bincount(yt, minlength=k)):
+        if n_a < MIN_COUNT or n_b < MIN_COUNT:
+            raise InvalidValue(f"class {y}: {n_a} source / {n_b} target samples, need {MIN_COUNT}")
+    return k
+
+
 def _class_gaps(cells_src, labels_src, cells_tgt, labels_tgt, d: int, seed: int) -> np.ndarray:
     ys = np.asarray(labels_src)
     yt = np.asarray(labels_tgt)
-    k = int(max(ys.max(), yt.max())) + 1
+    k = _check_class_counts(ys, yt)
     rng = np.random.default_rng(seed)
     gaps = np.zeros(k)
     for y in range(k):
         a = cells_src[ys == y]
         b = cells_tgt[yt == y]
         n_a, n_b = a.size, b.size
-        if n_a < MIN_COUNT or n_b < MIN_COUNT:
-            raise InvalidValue(f"class {y}: {n_a} source / {n_b} target samples, need {MIN_COUNT}")
         pooled = np.concatenate([a, b])
         pooled_counts = np.bincount(pooled, minlength=BINS**d)
 

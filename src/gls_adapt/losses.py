@@ -1,9 +1,10 @@
 """Adversarial, classification and kernel-discrepancy losses.
 
-Every loss takes raw model outputs. Each ``*_grads`` function returns
-``(value, grad...)``: the batch value and its derivative with respect to
-those outputs, so the caller can route it through backpropagation. The
-plain-named function returns the value alone. With all-ones weights each
+Every loss takes raw model outputs; the two alignment losses share the
+argument order ``(out_src, labels_src, out_tgt, w)``. Each ``*_grads``
+function returns ``(value, grad...)``: the batch value and its derivative
+with respect to those outputs, so the caller can route it through
+backpropagation. The plain-named function returns the value alone. With all-ones weights each
 weighted loss reduces exactly to its unweighted base version.
 """
 
@@ -50,7 +51,7 @@ def _class_weights(labels: np.ndarray, w: WeightVector) -> np.ndarray:
     return w.w[labels]
 
 
-def weighted_da_loss_grads(d_src, d_tgt, labels_src, w: WeightVector):
+def weighted_da_loss_grads(d_src, labels_src, d_tgt, w: WeightVector):
     """Importance-weighted discriminator loss on a paired batch.
 
     -(1/s) * sum_i [ w_{y_i} * log d(src_i) + log(1 - d(tgt_i)) ]
@@ -71,8 +72,8 @@ def weighted_da_loss_grads(d_src, d_tgt, labels_src, w: WeightVector):
     return value, -ws / src / s, 1.0 / tgt / s
 
 
-def weighted_da_loss(d_src, d_tgt, labels_src, w: WeightVector) -> float:
-    return weighted_da_loss_grads(d_src, d_tgt, labels_src, w)[0]
+def weighted_da_loss(d_src, labels_src, d_tgt, w: WeightVector) -> float:
+    return weighted_da_loss_grads(d_src, labels_src, d_tgt, w)[0]
 
 
 def _nll_grads(preds, labels, coeff):

@@ -121,20 +121,18 @@ class ModelState:
     g: Mlp
     h: Mlp
     d: Mlp
-    velocities: dict = field(default_factory=dict)
-    version: int = 0
+    velocities: dict = field(init=False)
+    version: int = field(init=False, default=0)
 
     def __post_init__(self):
         if self.h.in_dim != self.g.out_dim:
             raise ShapeMismatch("classifier input dim must equal feature dim")
         if self.d.in_dim not in (self.g.out_dim, self.g.out_dim * self.h.out_dim):
             raise ShapeMismatch("discriminator must read z or the outer product")
-        for name, net in (("g", self.g), ("h", self.h), ("d", self.d)):
-            if name not in self.velocities:
-                self.velocities[name] = [
-                    (np.zeros_like(w), np.zeros_like(b))
-                    for w, b in zip(net.weights, net.biases)
-                ]
+        self.velocities = {
+            name: [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
+            for name, net in (("g", self.g), ("h", self.h), ("d", self.d))
+        }
 
     @property
     def k(self) -> int:

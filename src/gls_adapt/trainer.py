@@ -121,20 +121,11 @@ class TrainTrace:
 
     records: list = field(default_factory=list)
 
-    def append(self, rec: EpochRecord) -> None:
-        self.records.append(rec)
-
     def __len__(self) -> int:
         return len(self.records)
 
     def best_target_accuracy(self) -> float:
         return max(r.acc_tgt for r in self.records)
-
-    def best_source_accuracy(self) -> float:
-        return max(r.acc_src for r in self.records)
-
-    def final_weights(self) -> np.ndarray:
-        return self.records[-1].w
 
 
 def evaluate(state: ModelState, data: Dataset) -> tuple[float, np.ndarray]:
@@ -195,8 +186,10 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
     w_model = w_star if oracle else w_est  # what the losses may consume and the trace logs
 
     s = config.batch_size
-    # the forward mode whose output the alignment loss reads
-    align_mode = "features" if kernel else "discriminate"
+    # what the alignment loss reads, from the stacked batch; none has no alignment loss
+    mode = {None: "classify", "jan": "features"}.get(base, "discriminate")
+    rows = s if base is None else 2 * s
+    align_loss = losses.weighted_mmd_loss_grads if kernel else losses.weighted_da_loss_grads
     acc = ConfusionAccumulator(k)
     trace = TrainTrace()
 
@@ -213,11 +206,8 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
             x = np.concatenate([source.features[idx_s], target.features[idx_t]])
             ys = source.labels[idx_s]
 
-            if base is None:
-                preds, cache = network.forward(state, x[:s], "classify")
-            else:
-                out, cache = network.forward(state, x, align_mode)
-                preds = cache["p"][:s]
+            out, cache = network.forward(state, x[:rows], mode)
+            preds = cache["p"][:s]
             if w_c is None:
                 loss_c, grad_c = losses.cross_entropy_loss_grads(preds, ys)
             else:
@@ -226,10 +216,7 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
                 loss_da = 0.0
                 grads = network.backward(state, cache, grad_c)
             else:
-                if kernel:
-                    loss_da, g_src, g_tgt = losses.weighted_mmd_loss_grads(out[:s], ys, out[s:], w_da)
-                else:
-                    loss_da, g_src, g_tgt = losses.weighted_da_loss_grads(out[:s], out[s:], ys, w_da)
+                loss_da, g_src, g_tgt = align_loss(out[:s], ys, out[s:], w_da)
                 grad_da = np.concatenate([g_src, g_tgt]).reshape(out.shape)
                 # the classification loss reads the source rows only
                 grad_preds = np.zeros_like(cache["p"])
@@ -268,7 +255,7 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
             conf_src=conf_src,
             conf_tgt=conf_tgt,
         )
-        trace.append(record)
+        trace.records.append(record)
         if epoch_hook is not None:
             epoch_hook(epoch, state, record)
     return state, trace
@@ -281,12 +268,14 @@ def make_bound_hook(source: Dataset, target: Dataset, sink: list):
     ``target`` must be the datasets given to :func:`train`, whose
     ``EpochRecord`` supplies the epoch's confusion matrices. One blocked
     ``features`` pass (:func:`network.infer`) over each dataset supplies
-    the features.
+    the features. Building it checks the class counts the bound suite needs,
+    so a run that could not be checked fails before it trains.
 
     Appends (epoch, BoundReport) pairs to ``sink``.
     """
-    from .diagnostics import bound_suite
+    from .diagnostics import _check_class_counts, bound_suite
 
+    _check_class_counts(source.labels, target.labels)
     p_src = source.label_distribution()
     p_tgt = target.label_distribution()
     w_star = true_weights(p_src, p_tgt)

@@ -222,11 +222,11 @@ def test_criterion_3_gradient_correctness():
         def da_value():
             ds, _ = forward(state, xs, "discriminate")
             dt, _ = forward(state, xt, "discriminate")
-            return losses.weighted_da_loss(ds.ravel(), dt.ravel(), ys, w)
+            return losses.weighted_da_loss(ds.ravel(), ys, dt.ravel(), w)
 
         ds, cs = forward(state, xs, "discriminate")
         dt, ct = forward(state, xt, "discriminate")
-        _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), dt.ravel(), ys, w)
+        _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), ys, dt.ravel(), w)
         bs = backward(state, cs, gs[:, None])
         bt = backward(state, ct, gt[:, None])
         worst = max(
@@ -259,10 +259,10 @@ def test_criterion_4_end_to_end_weight_estimation(shift_runs):
     runs = shift_runs["runs"]
     w_star = np.array([1.0 / 3.0, 1.0, 3.0])
     iw_dists = np.array(
-        [np.linalg.norm(runs[("iwdan", s)].final_weights() - w_star) for s in RUN_SEEDS]
+        [np.linalg.norm(runs[("iwdan", s)].records[-1].w - w_star) for s in RUN_SEEDS]
     )
     da_dists = np.array(
-        [np.linalg.norm(runs[("dann", s)].final_weights() - w_star) for s in RUN_SEEDS]
+        [np.linalg.norm(runs[("dann", s)].records[-1].w - w_star) for s in RUN_SEEDS]
     )
     acc_oracle = np.mean([runs[("iwdan_o", s)].best_target_accuracy() for s in RUN_SEEDS])
     acc_dann = np.mean([runs[("dann", s)].best_target_accuracy() for s in RUN_SEEDS])
@@ -347,7 +347,7 @@ def test_criterion_8_base_version_collapse():
         dt = rng.uniform(0.02, 0.98, size=s)
         ys = rng.integers(0, k, size=s)
         base_dann = float(-(np.sum(np.log(ds)) + np.sum(np.log(1.0 - dt))) / s)
-        worst = max(worst, abs(losses.weighted_da_loss(ds, dt, ys, ones) - base_dann))
+        worst = max(worst, abs(losses.weighted_da_loss(ds, ys, dt, ones) - base_dann))
 
         feats = rng.normal(size=(s, 3))
         preds = rng.dirichlet(np.ones(k), size=s)
@@ -355,7 +355,7 @@ def test_criterion_8_base_version_collapse():
         d_of_u = 1.0 / (1.0 + np.exp(-u.sum(axis=1)))  # stand-in discriminator
         base_cdan = float(-(np.sum(np.log(d_of_u)) + np.sum(np.log(1.0 - d_of_u))) / s)
         worst = max(
-            worst, abs(losses.weighted_da_loss(d_of_u, d_of_u, ys, ones) - base_cdan)
+            worst, abs(losses.weighted_da_loss(d_of_u, ys, d_of_u, ones) - base_cdan)
         )
 
         ft = rng.normal(size=(s, 3))

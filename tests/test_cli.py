@@ -198,6 +198,21 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.rglob("*.csv"))
 
+    def test_empty_seed_list_is_one_line_error(self, tmp_path, capsys):
+        rc = run(["train", "--seeds", ",", "--epochs", 1, "--n", 200, "--out", tmp_path / "x"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --seeds lists no seed\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_bounds_with_too_few_samples_fails_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = run(["train", "--bounds", "--n", 100, "--epochs", 1, "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: class 0: ") and err.endswith(" target samples, need 50\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_loads_datasets_from_files(self, tmp_path):
         data = tmp_path / "data"
         run(["generate", "--out", data, "--n", 300, "--seed", "4"])
@@ -469,8 +484,24 @@ class TestSweep:
         rc = run(["sweep-jsd", "--out", tmp_path / "s", "--algorithm", "dann", "--tasks", "1"])
         assert rc == 1
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_is_one_line_error(self, tmp_path, capsys, jobs):
+        rc = run(["sweep-jsd", "--out", tmp_path / "s", "--jobs", jobs, "--tasks", "1", "--epochs", 1])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+        assert not (tmp_path / "s").exists()
+
 
 class TestVerifyBounds:
+    def test_empty_target_class_names_the_sample_count(self, tmp_path, capsys):
+        out = tmp_path / "vb"
+        rc = run(["verify-bounds", "--target-label-dist", "0.5,0.5,0", "--n", 600, "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: class 2: ") and err.endswith(" source / 0 target samples, need 50\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_writes_bounds_and_trace(self, tmp_path):
         out = tmp_path / "vb"
         rc = run(

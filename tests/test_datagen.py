@@ -3,7 +3,6 @@ import pytest
 
 from gls_adapt.datagen import (
     Dataset,
-    DomainSpec,
     circle_class_means,
     jsd_task_suite,
     make_gaussian_domain,
@@ -16,22 +15,15 @@ from gls_adapt.distributions import Categorical, jsd
 from gls_adapt.errors import ConfigInvalid, InvalidValue, ParseError
 
 
-def balanced_spec(k=2, d=2, n=1000, sigma=0.2, seed=0, shift=None):
-    return DomainSpec(
-        k=k,
-        d=d,
-        class_means=circle_class_means(k, d),
-        class_covariance_scale=sigma,
-        label_dist=Categorical(np.full(k, 1.0 / k)),
-        n=n,
-        seed=seed,
-        conditional_shift=shift,
+def balanced_domain(k=2, d=2, n=1000, sigma=0.2, seed=0, shift=None):
+    return make_gaussian_domain(
+        circle_class_means(k, d), sigma, Categorical(np.full(k, 1.0 / k)), n, seed, shift
     )
 
 
 class TestMakeGaussianDomain:
     def test_label_distribution_close_to_spec(self):
-        data = make_gaussian_domain(balanced_spec(n=1000, seed=1))
+        data = balanced_domain(n=1000, seed=1)
         emp = data.label_distribution().probs
         assert np.max(np.abs(emp - 0.5)) < 0.05
 
@@ -39,12 +31,8 @@ class TestMakeGaussianDomain:
         # same conditionals, different label distributions: per-class means
         # agree within 3 sigma / sqrt(n_y)
         means = circle_class_means(3, 2)
-        src = make_gaussian_domain(
-            DomainSpec(3, 2, means, 0.3, Categorical(np.array([0.6, 0.2, 0.2])), 4000, 2)
-        )
-        tgt = make_gaussian_domain(
-            DomainSpec(3, 2, means, 0.3, Categorical(np.array([0.2, 0.2, 0.6])), 4000, 3)
-        )
+        src = make_gaussian_domain(means, 0.3, Categorical(np.array([0.6, 0.2, 0.2])), 4000, 2)
+        tgt = make_gaussian_domain(means, 0.3, Categorical(np.array([0.2, 0.2, 0.6])), 4000, 3)
         for y in range(3):
             a = src.features[src.labels == y]
             b = tgt.features[tgt.labels == y]
@@ -52,33 +40,32 @@ class TestMakeGaussianDomain:
             assert np.linalg.norm(a.mean(axis=0) - b.mean(axis=0)) < bound + 0.05
 
     def test_zero_sigma_collapses_to_means(self):
-        data = make_gaussian_domain(balanced_spec(sigma=0.0, n=50, seed=4))
+        data = balanced_domain(sigma=0.0, n=50, seed=4)
         means = circle_class_means(2, 2)
         assert np.allclose(data.features, means[data.labels])
 
     def test_conditional_shift_moves_target_means(self):
         shift = np.array([[1.0, 0.0], [0.0, 0.0]])
-        data = make_gaussian_domain(balanced_spec(sigma=0.0, n=50, seed=5, shift=shift))
+        data = balanced_domain(sigma=0.0, n=50, seed=5, shift=shift)
         means = circle_class_means(2, 2)
         assert np.allclose(data.features[data.labels == 0], means[0] + [1.0, 0.0])
         assert np.allclose(data.features[data.labels == 1], means[1])
 
     def test_deterministic_under_seed(self):
-        a = make_gaussian_domain(balanced_spec(seed=6))
-        b = make_gaussian_domain(balanced_spec(seed=6))
+        a = balanced_domain(seed=6)
+        b = balanced_domain(seed=6)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
     def test_invalid_spec(self):
-        spec = balanced_spec()
-        with pytest.raises(ConfigInvalid, match="class_means has shape"):
-            make_gaussian_domain(
-                DomainSpec(2, 2, np.zeros((3, 2)), 0.1, spec.label_dist, 10, 0)
-            )
+        means = circle_class_means(2, 2)
+        half = Categorical(np.full(2, 0.5))
+        with pytest.raises(ConfigInvalid, match="label_dist length must equal k"):
+            make_gaussian_domain(np.zeros((3, 2)), 0.1, half, 10, 0)
+        with pytest.raises(ConfigInvalid, match=r"class_means must be k x d, got shape \(2,\)"):
+            make_gaussian_domain(np.zeros(2), 0.1, half, 10, 0)
         with pytest.raises(ConfigInvalid, match="covariance scale must be nonnegative"):
-            make_gaussian_domain(
-                DomainSpec(2, 2, spec.class_means, -1.0, spec.label_dist, 10, 0)
-            )
+            make_gaussian_domain(means, -1.0, half, 10, 0)
 
 
 class TestSubsampleProtocol:
@@ -219,7 +206,7 @@ class TestJsdTaskSuite:
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
-        data = make_gaussian_domain(balanced_spec(n=40, seed=20))
+        data = balanced_domain(n=40, seed=20)
         path = tmp_path / "d.csv"
         write_dataset_csv(data, path)
         back = read_dataset_csv(path)

@@ -36,10 +36,10 @@ class TestWeightedDaLoss:
         n = 8
         d = np.full(n, 0.5)
         labels = np.zeros(n, dtype=int)
-        assert weighted_da_loss(d, d, labels, ones_w(2)) == pytest.approx(2 * LN2, abs=1e-12)
+        assert weighted_da_loss(d, labels, d, ones_w(2)) == pytest.approx(2 * LN2, abs=1e-12)
 
     def test_single_sample_weight_two(self):
-        val = weighted_da_loss([0.5], [0.5], [1], WeightVector(np.array([1.0, 2.0])))
+        val = weighted_da_loss([0.5], [1], [0.5], WeightVector(np.array([1.0, 2.0])))
         assert val == pytest.approx(3 * LN2, abs=1e-12)
 
     def test_equals_base_formula_with_unit_weights(self):
@@ -51,18 +51,18 @@ class TestWeightedDaLoss:
             dt = rng.uniform(0.01, 0.99, size=n)
             labels = rng.integers(0, 3, size=n)
             base = -(np.sum(np.log(ds)) + np.sum(np.log(1 - dt))) / n
-            got = weighted_da_loss(ds, dt, labels, ones_w(3))
+            got = weighted_da_loss(ds, labels, dt, ones_w(3))
             assert abs(got - base) <= 1e-12
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidValue, match=r"d_src must lie strictly inside \(0, 1\)"):
-            weighted_da_loss([1.0], [0.5], [0], ones_w(2))
+            weighted_da_loss([1.0], [0], [0.5], ones_w(2))
         with pytest.raises(InvalidValue, match=r"d_tgt must lie strictly inside \(0, 1\)"):
-            weighted_da_loss([0.5], [0.0], [0], ones_w(2))
+            weighted_da_loss([0.5], [0], [0.0], ones_w(2))
 
     def test_batch_size_mismatch(self):
         with pytest.raises(ShapeMismatch, match="paired batches of sizes 2 and 1"):
-            weighted_da_loss([0.5, 0.5], [0.5], [0, 1], ones_w(2))
+            weighted_da_loss([0.5, 0.5], [0, 1], [0.5], ones_w(2))
 
 
 class TestWeightedClassificationLoss:

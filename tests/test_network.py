@@ -258,11 +258,11 @@ class TestGradientsAgainstFiniteDifferences:
         def value():
             ds, _ = forward(state, xs, "discriminate")
             dt, _ = forward(state, xt, "discriminate")
-            return losses.weighted_da_loss(ds.ravel(), dt.ravel(), labels, w)
+            return losses.weighted_da_loss(ds.ravel(), labels, dt.ravel(), w)
 
         ds, cs = forward(state, xs, "discriminate")
         dt, ct = forward(state, xt, "discriminate")
-        _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), dt.ravel(), labels, w)
+        _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), labels, dt.ravel(), w)
         back_s = backward(state, cs, gs[:, None])
         back_t = backward(state, ct, gt[:, None])
         g_total = add_grads(back_s.g, back_t.g)
@@ -281,11 +281,11 @@ class TestGradientsAgainstFiniteDifferences:
         def value():
             ds, _ = forward(state, xs, "discriminate")
             dt, _ = forward(state, xt, "discriminate")
-            return losses.weighted_da_loss(ds.ravel(), dt.ravel(), labels, w)
+            return losses.weighted_da_loss(ds.ravel(), labels, dt.ravel(), w)
 
         ds, cs = forward(state, xs, "discriminate")
         dt, ct = forward(state, xt, "discriminate")
-        _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), dt.ravel(), labels, w)
+        _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), labels, dt.ravel(), w)
         back_s = backward(state, cs, gs[:, None])
         back_t = backward(state, ct, gt[:, None])
         assert_grad_matches(state, "g", value, add_grads(back_s.g, back_t.g))

@@ -402,8 +402,8 @@ class TestFullDataPasses:
 
         passes.counts.clear()
         train(cfg, src, tgt, epoch_hook=passes.within("hook", make_bound_hook(src, tgt, [])))
-        # 4n with the hook: its two passes per epoch run the feature extractor
-        # alone, and it calls no evaluate (no "hook>evaluate" key)
+        # 4n with the hook: its two "features" passes per epoch, and it
+        # calls no evaluate (no "hook>evaluate" key)
         assert passes.full_data_counts() == {
             "evaluate": 2 * epochs,
             "evaluate_classify_rows": epochs * 2 * 900,
@@ -431,6 +431,7 @@ class TestStepPasses:
         monkeypatch.setattr(network, "backward", counting("backward", network.backward))
         monkeypatch.setattr(losses, "weighted_mmd_loss_grads", counting("mmd", losses.weighted_mmd_loss_grads))
         monkeypatch.setattr(losses, "median_heuristic_bandwidths", counting("mmd", losses.median_heuristic_bandwidths))
+        monkeypatch.setattr(losses, "weighted_da_loss_grads", counting("adv", losses.weighted_da_loss_grads))
         epochs = 2
         cfg = tiny_config(algorithm=algorithm, epochs=epochs, batches_per_epoch=3)
         train(cfg, src, tgt)
@@ -438,6 +439,7 @@ class TestStepPasses:
         assert passes.counts["batch_forward"] == 2 * steps  # one before the update, one after
         assert counts["backward"] == steps
         assert counts["mmd"] == (steps if algorithm == "iwjan" else 0)
+        assert counts["adv"] == (steps if algorithm in ("dann", "iwdan", "iwcdan") else 0)
         assert passes.full_data_counts() == {"evaluate": 2 * epochs, "evaluate_classify_rows": epochs * (src.n + tgt.n)}
 
     def test_kernel_bandwidths_are_the_median_heuristic(self, monkeypatch):
