@@ -7,9 +7,9 @@ extractor via gradient reversal, adversarial descent for the
 discriminator). A step makes one forward over the stacked batch
 [source; target], which yields the features, the predictions and the
 discriminator output, and one backward, which yields all three nets'
-gradients (``none`` runs both on the source rows alone). A second
-stacked forward after the update supplies the post-update predictions
-that feed the soft confusion accumulator. At the end of every
+gradients (``none`` backpropagates the source rows' loss alone). The
+same forward's predictions, taken before the update, feed the soft
+confusion accumulator, so a step makes no other pass. At the end of every
 ``weight_update_period``-th epoch the constrained least-squares estimate
 from the accumulator is blended into the running weights with an
 exponential moving average, and only then is the accumulator reset, so
@@ -188,7 +188,6 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
     s = config.batch_size
     # what the alignment loss reads, from the stacked batch; none has no alignment loss
     mode = {None: "classify", "jan": "features"}.get(base, "discriminate")
-    rows = s if base is None else 2 * s
     align_loss = losses.weighted_mmd_loss_grads if kernel else losses.weighted_da_loss_grads
     acc = ConfusionAccumulator(k)
     trace = TrainTrace()
@@ -206,32 +205,30 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
             x = np.concatenate([source.features[idx_s], target.features[idx_t]])
             ys = source.labels[idx_s]
 
-            out, cache = network.forward(state, x[:rows], mode)
-            preds = cache["p"][:s]
+            out, cache = network.forward(state, x, mode)
+            preds = cache["p"]
             if w_c is None:
-                loss_c, grad_c = losses.cross_entropy_loss_grads(preds, ys)
+                loss_c, grad_c = losses.cross_entropy_loss_grads(preds[:s], ys)
             else:
-                loss_c, grad_c = losses.weighted_classification_loss_grads(preds, ys, *w_c)
+                loss_c, grad_c = losses.weighted_classification_loss_grads(preds[:s], ys, *w_c)
+            # the classification loss reads the source rows only
+            grad_preds = np.zeros_like(preds)
+            grad_preds[:s] = grad_c
             if base is None:
                 loss_da = 0.0
-                grads = network.backward(state, cache, grad_c)
+                grads = network.backward(state, cache, grad_preds)
             else:
                 loss_da, g_src, g_tgt = align_loss(out[:s], ys, out[s:], w_da)
                 grad_da = np.concatenate([g_src, g_tgt]).reshape(out.shape)
-                # the classification loss reads the source rows only
-                grad_preds = np.zeros_like(cache["p"])
-                grad_preds[:s] = grad_c
                 grads = network.backward(state, cache, grad_da, grad_preds, config.reversal_coeff)
             if not (np.isfinite(loss_da) and np.isfinite(loss_c)):
                 raise NonFiniteValue(
                     f"epoch {epoch} batch {batch}: loss_da={loss_da!r}, loss_c={loss_c!r}"
                 )
+            acc.accumulate(preds[:s], ys, preds[s:])
             network.sgd_step(state, grads, config.lr, config.momentum)
             loss_da_sum += loss_da
             loss_c_sum += loss_c
-
-            preds, _ = network.forward(state, x, "classify")
-            acc.accumulate(preds[:s], ys, preds[s:])
 
         if (epoch + 1) % config.weight_update_period == 0:
             c_hat, mu_hat = acc.finalize()

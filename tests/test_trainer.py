@@ -8,6 +8,7 @@ import pytest
 from gls_adapt.cli import main
 from gls_adapt.datagen import Dataset, make_shift_task, write_dataset_csv
 from gls_adapt import losses, network, trainer
+from gls_adapt.estimator import ConfusionAccumulator
 from gls_adapt.errors import ConfigInvalid, InvalidValue, NonFiniteValue, ShapeMismatch
 from gls_adapt.network import init_model_state
 from gls_adapt.trainer import (
@@ -347,8 +348,9 @@ class PassCounter:
     """Counts forwards by caller: inside ``trainer.evaluate`` or the bound hook, or a training step's.
 
     Keys: ``evaluate`` and ``hook`` calls, ``<caller>_<mode>_rows`` full-data
-    rows, ``batch_forward`` calls, ``max_full_block`` (the most rows one
-    full-data forward saw) and ``<outer>><inner>`` for a nested call.
+    rows, ``batch_forward`` calls and their ``batch_rows``, ``max_full_block``
+    (the most rows one full-data forward saw) and ``<outer>><inner>`` for a
+    nested call.
     """
 
     def __init__(self, monkeypatch):
@@ -362,6 +364,7 @@ class PassCounter:
                 self.counts["max_full_block"] = max(self.counts["max_full_block"], len(x))
             else:
                 self.counts["batch_forward"] += 1
+                self.counts["batch_rows"] += len(x)
             return real_forward(state, x, mode, *args, **kwargs)
 
         monkeypatch.setattr(network, "forward", forward)
@@ -383,7 +386,7 @@ class PassCounter:
     def full_data_counts(self):
         """The counts without the batch forwards, after checking the block size."""
         assert 0 < self.counts["max_full_block"] <= network.BLOCK_ROWS
-        return {k: v for k, v in self.counts.items() if k not in ("batch_forward", "max_full_block")}
+        return {k: v for k, v in self.counts.items() if k not in ("batch_forward", "batch_rows", "max_full_block")}
 
 
 class TestFullDataPasses:
@@ -436,7 +439,9 @@ class TestStepPasses:
         cfg = tiny_config(algorithm=algorithm, epochs=epochs, batches_per_epoch=3)
         train(cfg, src, tgt)
         steps = epochs * 3
-        assert passes.counts["batch_forward"] == 2 * steps  # one before the update, one after
+        # one stacked forward of 2s rows, before the update; none stacks the target rows too
+        assert passes.counts["batch_forward"] == steps
+        assert passes.counts["batch_rows"] == steps * 2 * cfg.batch_size
         assert counts["backward"] == steps
         assert counts["mmd"] == (steps if algorithm == "iwjan" else 0)
         assert counts["adv"] == (steps if algorithm in ("dann", "iwdan", "iwcdan") else 0)
@@ -462,3 +467,41 @@ class TestStepPasses:
         assert len(used) == len(feats) == 4
         for (zs, zt), bws in zip(feats, used):
             assert bws == losses.median_heuristic_bandwidths(zs, zt)
+
+
+class TestConfusionAccumulation:
+    """The ratio estimate reads each step's own forward, pooled over the update period."""
+
+    @pytest.mark.parametrize("algorithm", ["none", "iwdan"])
+    def test_reads_each_steps_pre_update_predictions(self, monkeypatch, algorithm):
+        src, tgt = tiny_task()
+        real_backward = network.backward
+        real_accumulate, real_finalize = ConfusionAccumulator.accumulate, ConfusionAccumulator.finalize
+        step_preds, accumulated, finalized = [], [], []
+
+        def backward(state, cache, *args):
+            # the step's forward cache, copied before network.sgd_step runs
+            step_preds.append(cache["p"].copy())
+            return real_backward(state, cache, *args)
+
+        def accumulate(self, source_preds, source_labels, target_preds):
+            accumulated.append((np.array(source_preds), np.array(target_preds)))
+            return real_accumulate(self, source_preds, source_labels, target_preds)
+
+        def finalize(self):
+            finalized.append((self.n_source, self.n_target))
+            return real_finalize(self)
+
+        monkeypatch.setattr(network, "backward", backward)
+        monkeypatch.setattr(ConfusionAccumulator, "accumulate", accumulate)
+        monkeypatch.setattr(ConfusionAccumulator, "finalize", finalize)
+        cfg = tiny_config(algorithm=algorithm, epochs=4, batches_per_epoch=3, weight_update_period=2)
+        train(cfg, src, tgt)
+        s = cfg.batch_size
+        assert len(accumulated) == len(step_preds) == cfg.epochs * cfg.batches_per_epoch
+        for p, (p_src, p_tgt) in zip(step_preds, accumulated):
+            assert p.shape == (2 * s, src.k)
+            assert p_src.tobytes() == p[:s].tobytes()
+            assert p_tgt.tobytes() == p[s:].tobytes()
+        pooled = cfg.weight_update_period * cfg.batches_per_epoch * s
+        assert finalized == [(pooled, pooled)] * (cfg.epochs // cfg.weight_update_period)
