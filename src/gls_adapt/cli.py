@@ -2,7 +2,8 @@
 standalone weight estimation and bound verification, all emitting CSV.
 
 Options can come from a flat ``key = value`` config file; command-line
-flags override file values. The environment variable ``GLS_ADAPT_SEED``
+flags override file values, and a file key that names no option of the
+command is an error. The environment variable ``GLS_ADAPT_SEED``
 supplies the default seed. Floating-point output is printed with six
 significant digits; ``--full-precision`` adds a ``.raw.csv`` sidecar with
 full-precision values.
@@ -14,6 +15,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -94,19 +96,12 @@ def _write_csv(path: Path, header: str, rows, full_precision: bool) -> None:
 # option plumbing: defaults -> config file -> explicit flags
 # ---------------------------------------------------------------------------
 
-# Defaults live in TrainConfig and in the signature of _make_domains.
+# The train options are TrainConfig's numeric and boolean fields other than
+# seed, so a new field gets its flag and config key. Defaults live in
+# TrainConfig and in the signature of _make_domains.
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool}
 _TRAIN_OPTS = {
-    "epochs": int,
-    "batches_per_epoch": int,
-    "batch_size": int,
-    "lr": float,
-    "momentum": float,
-    "ema_lambda": float,
-    "weight_update_period": int,
-    "weight_da_loss": _parse_bool,
-    "weight_c_loss": _parse_bool,
-    "feature_dim": int,
-    "reversal_coeff": float,
+    f.name: _PARSERS[f.type] for f in fields(TrainConfig) if f.type in _PARSERS and f.name != "seed"
 }
 
 _DOMAIN_OPTS = {
@@ -120,30 +115,42 @@ _DOMAIN_OPTS = {
 }
 
 
-def _add_opts(parser, opts) -> None:
-    for name, typ in opts.items():
-        parser.add_argument(f"--{name.replace('_', '-')}", type=typ, default=argparse.SUPPRESS, dest=name)
+def _resolve(ns) -> tuple[dict, dict, int]:
+    """The command's train options, domain options and seed, from one read of the config file.
 
-
-def _resolve(ns, opts) -> dict:
-    """Config-file values overridden by explicit flags; unset options are left out."""
-    file_values = parse_config_file(ns.config) if getattr(ns, "config", None) else {}
-    out = {}
-    for name, typ in opts.items():
-        if hasattr(ns, name):
-            out[name] = getattr(ns, name)
-        elif name in file_values:
-            try:
-                out[name] = typ(file_values[name])
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ParseError(f"{ns.config}: {name}: {exc}") from exc
-    return out
-
-
-def _resolve_seed(ns) -> int:
-    """--seed, else the config file's seed, else $GLS_ADAPT_SEED, else 0."""
-    opts = _resolve(ns, {"seed": int})
-    return opts["seed"] if "seed" in opts else int(os.environ.get("GLS_ADAPT_SEED", "0"))
+    A flag overrides the file, and an option that neither sets is left out,
+    so it takes its default; the seed's is $GLS_ADAPT_SEED, else 0. A file
+    key that names no option of the command is an error, and so is a domain
+    option or --subsample given with the --source/--target dataset files.
+    """
+    file_values = parse_config_file(ns.config) if ns.config else {}
+    tables = (*ns.tables, {"seed": int})
+    unknown = next((key for key in file_values if not any(key in table for table in tables)), None)
+    if unknown is not None:
+        raise ConfigInvalid(f"{ns.config}: {unknown}: not an option of {ns.command}")
+    resolved = []
+    for table in tables:
+        opts = {}
+        for name, typ in table.items():
+            if hasattr(ns, name):
+                opts[name] = getattr(ns, name)
+            elif name in file_values:
+                try:
+                    opts[name] = typ(file_values[name])
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    raise ParseError(f"{ns.config}: {name}: {exc}") from exc
+        resolved.append(opts)
+    train_opts, domain_opts, seed_opt = resolved
+    if getattr(ns, "source", None) or getattr(ns, "target", None):
+        if not (ns.source and ns.target):
+            raise ConfigInvalid("--source and --target must be given together")
+        given = [*domain_opts] + (["subsample"] if ns.subsample is not None else [])
+        if given:
+            name = given[0]
+            where = f"--{name.replace('_', '-')}" if hasattr(ns, name) else f"{ns.config}: {name}:"
+            raise ConfigInvalid(f"{where} does not combine with --source and --target")
+    seed = seed_opt["seed"] if seed_opt else int(os.environ.get("GLS_ADAPT_SEED", "0"))
+    return train_opts, domain_opts, seed
 
 
 def _label_dist(name: str, probs, k: int):
@@ -196,18 +203,12 @@ def _make_domains(
 
 
 def _load_or_make_datasets(ns, opts, seed):
-    if bool(ns.source) != bool(ns.target):
-        raise ConfigInvalid("--source and --target must be given together")
-    if ns.source:
-        src = read_dataset_csv(ns.source)
-        tgt = read_dataset_csv(ns.target)
-        k = max(src.k, tgt.k)
-        if src.k != k:
-            src = Dataset(src.features, src.labels, k)
-        if tgt.k != k:
-            tgt = Dataset(tgt.features, tgt.labels, k)
-        return src, tgt
-    return _make_domains(seed, subsample=ns.subsample, **opts)
+    """The --source/--target pair, both given the larger class count, else generated domains."""
+    if not ns.source:
+        return _make_domains(seed, subsample=ns.subsample, **opts)
+    src, tgt = read_dataset_csv(ns.source), read_dataset_csv(ns.target)
+    k = max(src.k, tgt.k)
+    return Dataset(src.features, src.labels, k), Dataset(tgt.features, tgt.labels, k)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +216,7 @@ def _load_or_make_datasets(ns, opts, seed):
 # ---------------------------------------------------------------------------
 
 def cmd_generate(ns) -> int:
-    opts = _resolve(ns, _DOMAIN_OPTS)
-    seed = _resolve_seed(ns)
+    _, opts, seed = _resolve(ns)
     src, tgt = _make_domains(seed, subsample=ns.subsample, conditional_shift=ns.conditional_shift, **opts)
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -239,28 +239,29 @@ def cmd_generate(ns) -> int:
     return 0
 
 
-def _trace_header_rows(trace, k):
-    header = (
-        "epoch,acc_src,acc_tgt,loss_da,loss_c,"
-        + ",".join(f"w_{i}" for i in range(k))
-        + ",w_dist,jsd_label"
-    )
+def _write_run(out: Path, suffix: str, trace, k: int, sink, full_precision: bool) -> None:
+    """Write a run's trace{suffix}.csv and, unless ``sink`` is None, its checks to bounds{suffix}.csv."""
+    w_cols = ",".join(f"w_{i}" for i in range(k))
+    header = f"epoch,acc_src,acc_tgt,loss_da,loss_c,{w_cols},w_dist,jsd_label"
     rows = [
         (r.epoch, r.acc_src, r.acc_tgt, r.loss_da, r.loss_c, *map(float, r.w), r.w_dist, r.jsd_label)
         for r in trace.records
     ]
-    return header, rows
+    _write_csv(out / f"trace{suffix}.csv", header, rows, full_precision)
+    if sink is not None:
+        rows = [(r.check, ep, r.lhs, r.rhs, int(r.holds), r.slack) for ep, r in sink]
+        _write_csv(out / f"bounds{suffix}.csv", "check,epoch,lhs,rhs,holds,slack", rows, full_precision)
 
 
-def _write_bounds(path: Path, sink, full_precision: bool) -> None:
-    rows = [(r.check, ep, r.lhs, r.rhs, int(r.holds), r.slack) for ep, r in sink]
-    _write_csv(path, "check,epoch,lhs,rhs,holds,slack", rows, full_precision)
+def _report_checks(what: str, sink) -> int:
+    """Print how many bound checks ran and failed; the exit code is 1 if any failed."""
+    n_fail = sum(1 for _, r in sink if not r.holds)
+    print(f"{what}: {len(sink)} checks, {n_fail} violations")
+    return 1 if n_fail else 0
 
 
 def cmd_train(ns) -> int:
-    train_opts = _resolve(ns, _TRAIN_OPTS)
-    domain_opts = _resolve(ns, _DOMAIN_OPTS)
-    seed = _resolve_seed(ns)
+    train_opts, domain_opts, seed = _resolve(ns)
     algorithms = ns.algorithms
     seeds = [seed] if ns.seeds is None else ns.seeds
     if not seeds:
@@ -281,15 +282,12 @@ def cmd_train(ns) -> int:
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     best: dict[tuple[str, int], tuple[float, float]] = {}
-    for alg in algorithms:
-        for s in seeds:
-            sink.clear()
-            _, trace = train(configs[(alg, s)], source, target, epoch_hook=hook)
-            header, rows = _trace_header_rows(trace, source.k)
-            _write_csv(out / f"trace_{alg}_seed{s}.csv", header, rows, ns.full_precision)
-            if ns.bounds:
-                _write_bounds(out / f"bounds_{alg}_seed{s}.csv", sink, ns.full_precision)
-            best[(alg, s)] = (max(r.acc_src for r in trace.records), trace.best_target_accuracy())
+    for (alg, s), cfg in configs.items():
+        start = len(sink)
+        _, trace = train(cfg, source, target, epoch_hook=hook)
+        run_sink = sink[start:] if ns.bounds else None
+        _write_run(out, f"_{alg}_seed{s}", trace, source.k, run_sink, ns.full_precision)
+        best[(alg, s)] = (max(r.acc_src for r in trace.records), trace.best_target_accuracy())
     rows = []
     for alg in algorithms:
         accs = [best[(alg, s)][1] for s in seeds]
@@ -309,7 +307,7 @@ def cmd_train(ns) -> int:
         ns.full_precision,
     )
     print(f"wrote {out / 'summary.csv'} ({len(algorithms)} algorithms x {len(seeds)} seeds)")
-    return 0
+    return _report_checks(f"wrote {out / 'bounds_*.csv'} ({len(configs)} runs)", sink) if ns.bounds else 0
 
 
 def _sweep_one(payload):
@@ -323,9 +321,7 @@ def _sweep_one(payload):
 
 
 def cmd_sweep_jsd(ns) -> int:
-    train_opts = _resolve(ns, _TRAIN_OPTS)
-    domain_opts = _resolve(ns, _DOMAIN_OPTS)
-    seed = _resolve_seed(ns)
+    train_opts, domain_opts, seed = _resolve(ns)
     if ns.jobs < 1:
         raise ConfigInvalid(f"--jobs must be >= 1, got {ns.jobs}")
     variant = ns.algorithm
@@ -371,6 +367,7 @@ def _read_labels_csv(path) -> np.ndarray:
 
 
 def cmd_estimate_weights(ns) -> int:
+    _resolve(ns)  # reads no option; rejects a missing or malformed config file and any key but seed
     preds = _read_matrix_csv(ns.source_preds, "p_")
     labels = _read_labels_csv(ns.source_labels)
     tgt_preds = _read_matrix_csv(ns.target_preds, "p_")
@@ -403,21 +400,15 @@ def cmd_estimate_weights(ns) -> int:
 
 
 def cmd_verify_bounds(ns) -> int:
-    train_opts = _resolve(ns, _TRAIN_OPTS)
-    domain_opts = _resolve(ns, _DOMAIN_OPTS)
-    seed = _resolve_seed(ns)
+    train_opts, domain_opts, seed = _resolve(ns)
     source, target = _load_or_make_datasets(ns, domain_opts, seed)
     cfg = TrainConfig(algorithm=ns.algorithm, seed=seed, **train_opts)
     sink: list = []
     _, trace = train(cfg, source, target, epoch_hook=make_bound_hook(source, target, sink))
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_bounds(out / "bounds.csv", sink, ns.full_precision)
-    header, trace_rows = _trace_header_rows(trace, source.k)
-    _write_csv(out / "trace.csv", header, trace_rows, ns.full_precision)
-    n_fail = sum(1 for _, r in sink if not r.holds)
-    print(f"wrote {out / 'bounds.csv'}: {len(sink)} checks, {n_fail} violations")
-    return 1 if n_fail else 0
+    _write_run(out, "", trace, source.k, sink, ns.full_precision)
+    return _report_checks(f"wrote {out / 'bounds.csv'}", sink)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -427,57 +418,53 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, train=False, domain=True, datasets=False, subsample=False):
+        """A subcommand with the flags every command has and the options that _resolve reads."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", default=None, help="flat key = value options file")
         p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
         p.add_argument("--out", default="out")
         p.add_argument("--full-precision", action="store_true", dest="full_precision")
+        tables = (_TRAIN_OPTS if train else {}, _DOMAIN_OPTS if domain else {})
+        for opt, typ in (tables[0] | tables[1]).items():
+            p.add_argument(f"--{opt.replace('_', '-')}", type=typ, default=argparse.SUPPRESS, dest=opt)
+        if datasets:
+            p.add_argument("--source", default=None)
+            p.add_argument("--target", default=None)
+        if subsample:
+            p.add_argument("--subsample", type=float, default=None)
+        p.set_defaults(func=func, tables=tables)
+        return p
 
-    p_gen = sub.add_parser("generate", help="write a synthetic source/target pair")
-    common(p_gen)
-    _add_opts(p_gen, _DOMAIN_OPTS)
-    p_gen.add_argument("--subsample", type=float, default=None)
+    p_gen = command("generate", cmd_generate, "write a synthetic source/target pair", subsample=True)
     p_gen.add_argument("--conditional-shift", type=float, default=0.0, dest="conditional_shift")
-    p_gen.set_defaults(func=cmd_generate)
 
-    p_train = sub.add_parser("train", help="train one or more algorithms over seeds")
-    common(p_train)
-    _add_opts(p_train, _TRAIN_OPTS)
-    _add_opts(p_train, _DOMAIN_OPTS)
-    p_train.add_argument("--source", default=None)
-    p_train.add_argument("--target", default=None)
-    p_train.add_argument("--subsample", type=float, default=None)
+    p_train = command(
+        "train", cmd_train, "train one or more algorithms over seeds",
+        train=True, datasets=True, subsample=True,
+    )
     p_train.add_argument("--algorithms", type=lambda t: str(t).split(","), default=["iwdan"])
     p_train.add_argument("--seeds", type=_parse_ints, default=None)
     p_train.add_argument("--bounds", action="store_true")
-    p_train.set_defaults(func=cmd_train)
 
-    p_sweep = sub.add_parser("sweep-jsd", help="gain vs label-divergence scatter")
-    common(p_sweep)
-    _add_opts(p_sweep, _TRAIN_OPTS)
-    _add_opts(p_sweep, _DOMAIN_OPTS)
+    p_sweep = command("sweep-jsd", cmd_sweep_jsd, "gain vs label-divergence scatter", train=True)
     p_sweep.add_argument("--algorithm", default="iwdan")
     p_sweep.add_argument("--tasks", type=int, default=20)
     p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.set_defaults(func=cmd_sweep_jsd)
 
-    p_est = sub.add_parser("estimate-weights", help="estimate ratios from prediction files")
-    common(p_est)
+    p_est = command(
+        "estimate-weights", cmd_estimate_weights, "estimate ratios from prediction files", domain=False
+    )
     p_est.add_argument("--source-preds", required=True, dest="source_preds")
     p_est.add_argument("--source-labels", required=True, dest="source_labels")
     p_est.add_argument("--target-preds", required=True, dest="target_preds")
     p_est.add_argument("--p-source", type=_parse_floats, default=None, dest="p_source")
-    p_est.set_defaults(func=cmd_estimate_weights)
 
-    p_ver = sub.add_parser("verify-bounds", help="train once and log every bound check")
-    common(p_ver)
-    _add_opts(p_ver, _TRAIN_OPTS)
-    _add_opts(p_ver, _DOMAIN_OPTS)
-    p_ver.add_argument("--source", default=None)
-    p_ver.add_argument("--target", default=None)
-    p_ver.add_argument("--subsample", type=float, default=None)
+    p_ver = command(
+        "verify-bounds", cmd_verify_bounds, "train once and log every bound check",
+        train=True, datasets=True, subsample=True,
+    )
     p_ver.add_argument("--algorithm", default="iwdan")
-    p_ver.set_defaults(func=cmd_verify_bounds)
 
     return parser
 

@@ -1,9 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from gls_adapt import cli
 from gls_adapt.cli import main, parse_config_file
 from gls_adapt.datagen import read_dataset_csv
+from gls_adapt.diagnostics import BoundReport
 from gls_adapt.distributions import empirical_label_dist, jsd
+from gls_adapt.trainer import TrainConfig
 
 
 def run(argv):
@@ -312,6 +317,104 @@ class TestConfigFile:
         assert err.startswith(f"error: {cfg}: {line.split()[0]}: ") and err.count("\n") == 1
 
 
+TINY_RUN = ["--epochs", 1, "--batches-per-epoch", 2, "--feature-dim", 8]
+
+
+class TestOptionsAreUsedOrRejected:
+    """Every option a command accepts reaches the run, or the command stops with one error line."""
+
+    @pytest.mark.parametrize(
+        "argv, config, inputs, needle",
+        [
+            (["train"], "epoch = 1\nalgorithms = dann\n", None, "epoch"),
+            (["train"], "bounds = yes\nseeds = 1,2\n", None, "bounds"),
+            (["train"], "k = 3\nn_source = 300\n", None, "n_source"),
+            (["estimate-weights", "--config", "does-not-exist.cfg"], None, "predictions", "does-not-exist.cfg"),
+            (["train", "--n", 50, "--k", 7, "--subsample", 0.1], None, "datasets", "--k"),
+            (["verify-bounds"], "n = 50\n", "datasets", "run.cfg: n: "),
+            (["verify-bounds", "--subsample", 0.1], None, "datasets", "--subsample"),
+        ],
+        ids=[
+            "unknown-key",
+            "flag-only-keys",
+            "manifest-key",
+            "missing-config",
+            "domain-flags-with-files",
+            "domain-key-with-files",
+            "subsample-with-files",
+        ],
+    )
+    def test_is_one_line_error_and_writes_nothing(self, tmp_path, capsys, argv, config, inputs, needle):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = [*argv, "--config", tmp_path / "run.cfg"]
+        if inputs == "datasets":
+            data = tmp_path / "data"
+            run(["generate", "--out", data, "--n", 300, "--seed", 4])
+            argv = [*argv, "--source", data / "source.csv", "--target", data / "target.csv"]
+        elif inputs == "predictions":
+            sp, sl, tp, _, _ = TestEstimateWeights().write_inputs(tmp_path, n=200)
+            argv = [*argv, "--source-preds", sp, "--source-labels", sl, "--target-preds", tp]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run([*argv, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--n", 200],
+            ["train", "--n", 200, *TINY_RUN, "--algorithms", "none"],
+            ["sweep-jsd", "--n", 200, *TINY_RUN, "--tasks", 1],
+            ["verify-bounds", "--n", 600, *TINY_RUN],
+            ["estimate-weights"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_config_file_is_parsed_once(self, tmp_path, monkeypatch, argv):
+        calls = []
+
+        def counting_parse(path):
+            calls.append(path)
+            return parse_config_file(path)
+
+        monkeypatch.setattr(cli, "parse_config_file", counting_parse)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\n")
+        if argv[0] == "estimate-weights":
+            sp, sl, tp, _, _ = TestEstimateWeights().write_inputs(tmp_path, n=200)
+            argv = [*argv, "--source-preds", sp, "--source-labels", sl, "--target-preds", tp]
+        assert run([*argv, "--config", cfg, "--out", tmp_path / "out"]) == 0
+        assert calls == [str(cfg)]
+
+    TRAIN_FIELDS = [
+        f for f in fields(TrainConfig) if f.type in ("int", "float", "bool") and f.name != "seed"
+    ]
+
+    @pytest.mark.parametrize("field", TRAIN_FIELDS, ids=lambda f: f.name)
+    def test_every_train_field_is_a_config_key(self, tmp_path, monkeypatch, field):
+        # a value from the file reaches the TrainConfig that train() receives
+        changed = {"int": field.default + 1, "float": field.default / 2, "bool": not field.default}
+        value = changed[field.type]
+        seen = []
+
+        class Captured(Exception):
+            pass
+
+        def capture(cfg, *args, **kwargs):
+            seen.append(cfg)
+            raise Captured
+
+        monkeypatch.setattr(cli, "train", capture)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{field.name} = {value}\n")
+        with pytest.raises(Captured):
+            run(["train", "--config", cfg, "--n", 200, "--out", tmp_path / "out"])
+        assert getattr(seen[0], field.name) == value
+
+
 class TestEstimateWeights:
     def write_inputs(self, tmp_path, n=4000, seed=0):
         rng = np.random.default_rng(seed)
@@ -421,6 +524,32 @@ class TestEstimateWeights:
         )
         assert rc == 1
         assert capsys.readouterr().err == f"error: {sl}: {message}\n"
+
+
+class TestBoundsExitCode:
+    @pytest.mark.parametrize("command", ["train", "verify-bounds"])
+    def test_failed_check_exits_1_after_writing_every_file(self, tmp_path, monkeypatch, capsys, command):
+        def failing_hook(source, target, sink):
+            return lambda epoch, state, record: sink.append(
+                (epoch, BoundReport(check="fake", lhs=1.0, rhs=0.0, holds=False, slack=-1.0))
+            )
+
+        monkeypatch.setattr(cli, "make_bound_hook", failing_hook)
+        out = tmp_path / "runs"
+        argv = [command, "--n", 200, "--epochs", 2, "--batches-per-epoch", 2, "--feature-dim", 8]
+        argv += ["--out", out]
+        argv += ["--bounds", "--algorithms", "none,dann", "--seeds", "0"] if command == "train" else []
+        assert run(argv) == 1
+        if command == "train":
+            runs = [f"{kind}_{alg}_seed0.csv" for alg in ("none", "dann") for kind in ("trace", "bounds")]
+            names = ["summary.csv", *runs]
+            assert capsys.readouterr().out.splitlines()[-1].endswith(": 4 checks, 4 violations")
+        else:
+            names = ["trace.csv", "bounds.csv"]
+            assert capsys.readouterr().out.splitlines()[-1].endswith(": 2 checks, 2 violations")
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        _, rows = read_csv_dict(out / names[-1])
+        assert [r["holds"] for r in rows] == ["0", "0"]
 
 
 class TestIdempotence:

@@ -1,12 +1,17 @@
-"""The README's library examples run, and every error class is raised somewhere.
+"""The README's examples run or parse, and every error class is raised somewhere.
 
 The ```python blocks run in order in one namespace, as a reader would paste
 them, so a name the README imports from the package must stay exported.
+Every ``gls-adapt`` command in the ```sh blocks must parse and resolve its
+options, so a stale flag in an example fails here.
 """
 
 import ast
 import re
+import shlex
 from pathlib import Path
+
+from gls_adapt import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gls_adapt"
@@ -18,6 +23,16 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_readme_command_examples_parse():
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("gls-adapt ")]
+    assert len(commands) >= 5
+    parser = cli._build_parser()
+    for argv in commands:
+        cli._resolve(parser.parse_args(argv[1:]))
 
 
 def test_every_error_class_is_raised():
