@@ -119,7 +119,8 @@ def _resolve(ns) -> tuple[dict, dict, int]:
     """The command's train options, domain options and seed, from one read of the config file.
 
     A flag overrides the file, and an option that neither sets is left out,
-    so it takes its default; the seed's is $GLS_ADAPT_SEED, else 0. A file
+    so it takes its default; the seed's is $GLS_ADAPT_SEED, else 0, and a
+    seed from any of the three must be a non-negative integer. A file
     key that names no option of the command is an error, and so is a domain
     option or --subsample given with the --source/--target dataset files.
     """
@@ -149,8 +150,15 @@ def _resolve(ns) -> tuple[dict, dict, int]:
             name = given[0]
             where = f"--{name.replace('_', '-')}" if hasattr(ns, name) else f"{ns.config}: {name}:"
             raise ConfigInvalid(f"{where} does not combine with --source and --target")
-    seed = seed_opt["seed"] if seed_opt else int(os.environ.get("GLS_ADAPT_SEED", "0"))
-    return train_opts, domain_opts, seed
+    where, seed = "GLS_ADAPT_SEED", os.environ.get("GLS_ADAPT_SEED", "0")
+    if seed_opt:
+        where, seed = ("--seed" if hasattr(ns, "seed") else f"{ns.config}: seed"), seed_opt["seed"]
+    try:
+        if int(seed) >= 0:
+            return train_opts, domain_opts, int(seed)
+    except ValueError:
+        pass
+    raise ConfigInvalid(f"{where}: expected a non-negative integer, got {seed!r}")
 
 
 def _label_dist(name: str, probs, k: int):
@@ -272,7 +280,7 @@ def cmd_train(ns) -> int:
             raise ConfigInvalid(f"{flag} lists {repeated} more than once")
     # every run's config is checked before the first one trains
     configs = {
-        (alg, s): TrainConfig(algorithm=alg, seed=s, **train_opts).validated()
+        (alg, s): TrainConfig(algorithm=alg, seed=s, **train_opts)
         for alg in algorithms
         for s in seeds
     }
@@ -311,13 +319,9 @@ def cmd_train(ns) -> int:
 
 
 def _sweep_one(payload):
-    task_id, src, tgt, jsd_label, base_alg, variant_alg, train_opts, seed = payload
-    acc = {}
-    for alg in (base_alg, variant_alg):
-        cfg = TrainConfig(algorithm=alg, seed=seed, **train_opts)
-        _, trace = train(cfg, src, tgt)
-        acc[alg] = trace.best_target_accuracy()
-    return task_id, jsd_label, acc[base_alg], acc[variant_alg]
+    task_id, src, tgt, jsd_label, configs = payload
+    acc_base, acc_variant = (train(cfg, src, tgt)[1].best_target_accuracy() for cfg in configs)
+    return task_id, jsd_label, acc_base, acc_variant
 
 
 def cmd_sweep_jsd(ns) -> int:
@@ -328,18 +332,15 @@ def cmd_sweep_jsd(ns) -> int:
     base = _BASE_OF.get(variant)
     if base is None:
         raise GlsAdaptError(f"--algorithm must be an importance-weighted variant, got {variant!r}")
+    configs = [TrainConfig(algorithm=alg, seed=seed, **train_opts) for alg in (base, variant)]
     base_src, base_tgt = _make_domains(seed, **domain_opts)
     tasks = jsd_task_suite(base_src, base_tgt, count=ns.tasks, seed=seed)
-    payloads = [
-        (i, t.source, t.target, t.jsd_label, base, variant, train_opts, seed)
-        for i, t in enumerate(tasks)
-    ]
+    payloads = [(i, t.source, t.target, t.jsd_label, configs) for i, t in enumerate(tasks)]
     if ns.jobs > 1:
         with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
             results = list(pool.map(_sweep_one, payloads))
     else:
         results = [_sweep_one(p) for p in payloads]
-    results.sort(key=lambda r: r[0])
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = [

@@ -23,8 +23,7 @@ __all__ = [
     "EXACT_TOL",
     "balanced_error_rate",
     "conditional_error_gap",
-    "gls_conditional_gap",
-    "binned_feature_jsd",
+    "binned_divergences",
     "check_lower_bound",
     "check_error_decomposition",
     "check_joint_error_bound",
@@ -172,7 +171,27 @@ def _check_class_counts(ys: np.ndarray, yt: np.ndarray) -> int:
     return k
 
 
-def _class_gaps(cells_src, labels_src, cells_tgt, labels_tgt, d: int, seed: int) -> np.ndarray:
+def binned_divergences(feats_src, labels_src, feats_tgt, labels_tgt, weights_src, seed: int = 0):
+    """Per-class conditional gaps and the weighted feature divergence, on one shared grid.
+
+    Returns ``(gaps, jsd_w)``. ``gaps[y]`` is the total variation between
+    the binned source and target feature laws of class y; ``jsd_w`` is the
+    JSD between the source features reweighted per sample by
+    ``weights_src`` (how the ratio-weighted source distribution is
+    estimated) and the target features.
+
+    Features beyond two dimensions are projected onto their first two
+    coordinates; histograms share a fixed grid of ``BINS`` cells per axis
+    over the pooled bounding box, and every class needs ``MIN_COUNT``
+    samples in each domain. Each row's grid cell is computed once, as a
+    flat index shared by every histogram of the call (the same cells
+    ``np.histogramdd`` would give it), so each histogram is one
+    ``np.bincount``. A permutation baseline (the mean TV over
+    ``PERMUTATIONS`` resplits of each pooled class's cell indices) is
+    subtracted from each gap and the result clipped at zero, removing most
+    of the binning-noise bias.
+    """
+    cells_src, cells_tgt, d = _cell_index(feats_src, feats_tgt)
     ys = np.asarray(labels_src)
     yt = np.asarray(labels_tgt)
     k = _check_class_counts(ys, yt)
@@ -194,45 +213,8 @@ def _class_gaps(cells_src, labels_src, cells_tgt, labels_tgt, d: int, seed: int)
         for _ in range(PERMUTATIONS):
             base += tv(pooled[rng.permutation(pooled.size)[:n_a]])
         gaps[y] = max(tv(a) - base / PERMUTATIONS, 0.0)
-    return gaps
-
-
-def gls_conditional_gap(
-    feats_src,
-    labels_src,
-    feats_tgt,
-    labels_tgt,
-    seed: int = 0,
-) -> np.ndarray:
-    """Per-class total variation between binned conditional feature laws.
-
-    Features beyond two dimensions are projected onto their first two
-    coordinates; histograms share a fixed grid of ``BINS`` cells per axis
-    over the pooled bounding box, and every class needs ``MIN_COUNT``
-    samples in each domain. Each row's grid cell is computed once, as a
-    flat index shared by every histogram of the call (the same cells
-    ``np.histogramdd`` would give it), so each histogram is one
-    ``np.bincount``. A permutation baseline (the mean TV over
-    ``PERMUTATIONS`` resplits of each pooled class's cell indices) is
-    subtracted and the result clipped at zero, removing most of the
-    binning-noise bias.
-    """
-    cells_s, cells_t, d = _cell_index(feats_src, feats_tgt)
-    return _class_gaps(cells_s, labels_src, cells_t, labels_tgt, d, seed)
-
-
-def _cells_jsd(cells_a, cells_b, d: int, weights_a) -> float:
-    return jsd(Categorical(_hist(cells_a, d, weights_a)), Categorical(_hist(cells_b, d)))
-
-
-def binned_feature_jsd(feats_a, feats_b, weights_a) -> float:
-    """Plug-in divergence between two feature samples on a shared 2-d grid.
-
-    Per-sample weights reweight the first sample, which is how the
-    ratio-weighted source distribution is estimated.
-    """
-    cells_a, cells_b, d = _cell_index(feats_a, feats_b)
-    return _cells_jsd(cells_a, cells_b, d, weights_a)
+    jsd_w = jsd(Categorical(_hist(cells_src, d, weights_src)), Categorical(_hist(cells_tgt, d)))
+    return gaps, jsd_w
 
 
 def check_lower_bound(eps_s, eps_t, jsd_labels, jsd_features, tol: float = INEQ_TOL) -> BoundReport:
@@ -404,10 +386,10 @@ def bound_suite(
     l1 = l1_distance(p_src, p_tgt)
     ber = balanced_error_rate(conf_s)
     delta_ce = conditional_error_gap(conf_s, conf_t)
-    # the gap and the weighted divergence bin the rows on one shared grid
-    cells_s, cells_t, d = _cell_index(feats_src, feats_tgt)
-    gap = float(_class_gaps(cells_s, labels_src, cells_t, labels_tgt, d, seed).max())
-    jsd_w = _cells_jsd(cells_s, cells_t, d, w_true.w[np.asarray(labels_src)])
+    gaps, jsd_w = binned_divergences(
+        feats_src, labels_src, feats_tgt, labels_tgt, w_true.w[np.asarray(labels_src)], seed
+    )
+    gap = float(gaps.max())
 
     return [
         check_lower_bound(eps_s, eps_t, jsd_labels, jsd_preds),

@@ -56,6 +56,8 @@ class Mlp:
             bound = 1.0 / np.sqrt(fan_in)
             self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
             self.biases.append(rng.uniform(-bound, bound, size=fan_out))
+        # momentum SGD's per-layer (weight, bias) velocities, zero until the first step
+        self.velocities = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(self.weights, self.biases)]
 
     @property
     def in_dim(self) -> int:
@@ -113,15 +115,15 @@ class Mlp:
 
 @dataclass
 class ModelState:
-    """Feature extractor, classifier and discriminator plus optimizer state.
+    """Feature extractor, classifier and discriminator; each net keeps its own velocities.
 
+    ``version`` counts updates, so :func:`backward` rejects a stale cache.
     Owned by a single training run; never shared across threads.
     """
 
     g: Mlp
     h: Mlp
     d: Mlp
-    velocities: dict = field(init=False)
     version: int = field(init=False, default=0)
 
     def __post_init__(self):
@@ -129,10 +131,6 @@ class ModelState:
             raise ShapeMismatch("classifier input dim must equal feature dim")
         if self.d.in_dim not in (self.g.out_dim, self.g.out_dim * self.h.out_dim):
             raise ShapeMismatch("discriminator must read z or the outer product")
-        self.velocities = {
-            name: [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
-            for name, net in (("g", self.g), ("h", self.h), ("d", self.d))
-        }
 
     @property
     def k(self) -> int:
@@ -141,9 +139,6 @@ class ModelState:
     @property
     def feature_dim(self) -> int:
         return self.g.out_dim
-
-    def net(self, name: str) -> Mlp:
-        return {"g": self.g, "h": self.h, "d": self.d}[name]
 
 
 @dataclass
@@ -288,14 +283,13 @@ def sgd_step(state: ModelState, grads: ModelGrads, lr: float, momentum: float) -
         net_grads = getattr(grads, name)
         if net_grads is None:
             continue
-        net = state.net(name)
-        vel = state.velocities[name]
+        net = getattr(state, name)
         if len(net_grads) != len(net.weights):
             raise ShapeMismatch(f"gradient list length mismatch for net {name}")
         for i, (gw, gb) in enumerate(net_grads):
             if gw.shape != net.weights[i].shape or gb.shape != net.biases[i].shape:
                 raise ShapeMismatch(f"gradient shape mismatch for net {name} layer {i}")
-            vw, vb = vel[i]
+            vw, vb = net.velocities[i]
             vw *= momentum
             vw += gw
             vb *= momentum

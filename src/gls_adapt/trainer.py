@@ -64,7 +64,7 @@ ALGORITHMS = {
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for one run. ``seed`` fixes everything."""
+    """Hyperparameters for one run, checked when built. ``seed`` fixes everything."""
 
     algorithm: str = "iwdan"
     epochs: int = 30
@@ -82,7 +82,7 @@ class TrainConfig:
     d_hidden: tuple = (32,)
     reversal_coeff: float = 1.0
 
-    def validated(self) -> "TrainConfig":
+    def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigInvalid(f"unknown algorithm {self.algorithm!r}")
         if self.epochs < 1 or self.batches_per_epoch < 1 or self.batch_size < 1:
@@ -96,7 +96,8 @@ class TrainConfig:
         for name in ("lr", "reversal_coeff"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigInvalid(f"{name} must be finite, got {getattr(self, name)!r}")
-        return self
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,6 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
     ``epoch_hook(epoch_index, state, record)``, when given, is called
     after each epoch's record is appended (diagnostics live there).
     """
-    config = config.validated()
     if source.dim != target.dim:
         raise ShapeMismatch(f"feature dims differ: {source.dim} vs {target.dim}")
     if source.k != target.k:

@@ -175,7 +175,7 @@ def test_criterion_2_ratio_recovery():
 
 
 def _relative_gradient_error(state, net_name, loss_fn, analytic):
-    net = state.net(net_name)
+    net = getattr(state, net_name)
     flat0 = flatten_net_params(net)
 
     def value(flat):

@@ -389,6 +389,35 @@ class TestOptionsAreUsedOrRejected:
         assert run([*argv, "--config", cfg, "--out", tmp_path / "out"]) == 0
         assert calls == [str(cfg)]
 
+    @pytest.mark.parametrize(
+        "argv, env, config, message",
+        [
+            (["generate", "--seed=-1"], None, None, "--seed: expected a non-negative integer, got -1"),
+            (["train"], None, "seed = -2\n", "{cfg}: seed: expected a non-negative integer, got -2"),
+            (["generate"], "-4", None, "GLS_ADAPT_SEED: expected a non-negative integer, got '-4'"),
+            (["generate"], "abc", None, "GLS_ADAPT_SEED: expected a non-negative integer, got 'abc'"),
+            (["train", "--algorithms", "dann", "--seeds=0,-1"], None, None, "seed must be >= 0, got -1"),
+        ],
+        ids=["flag", "config-key", "env-negative", "env-malformed", "seed-list"],
+    )
+    def test_bad_seed_is_one_line_error_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, argv, env, config, message
+    ):
+        if env is None:
+            monkeypatch.delenv("GLS_ADAPT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("GLS_ADAPT_SEED", env)
+        cfg = tmp_path / "run.cfg"
+        if config is not None:
+            cfg.write_text(config)
+            argv = [*argv, "--config", cfg]
+        if argv[0] == "train":
+            argv = [*argv, *TINY_RUN]
+        out = tmp_path / "out"
+        assert run([*argv, "--n", 200, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+        assert not out.exists()
+
     TRAIN_FIELDS = [
         f for f in fields(TrainConfig) if f.type in ("int", "float", "bool") and f.name != "seed"
     ]

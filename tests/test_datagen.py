@@ -114,7 +114,7 @@ class TestSubsampleProtocol:
 
 class TestLabelShiftByConstruction:
     def test_identity_features_show_no_conditional_gap(self):
-        from gls_adapt.diagnostics import gls_conditional_gap
+        from gls_adapt.diagnostics import binned_divergences
 
         src, tgt = make_shift_task(
             k=3,
@@ -125,8 +125,8 @@ class TestLabelShiftByConstruction:
             p_target=[0.2, 0.2, 0.6],
             seed=21,
         )
-        gaps = gls_conditional_gap(
-            src.features, src.labels, tgt.features, tgt.labels, seed=0
+        gaps, _ = binned_divergences(
+            src.features, src.labels, tgt.features, tgt.labels, np.ones(src.n), seed=0
         )
         assert np.all(gaps < 0.05)
 

@@ -16,9 +16,8 @@ from gls_adapt.diagnostics import (
     check_lower_bound,
     check_sufficiency_bound,
     conditional_error_gap,
-    binned_feature_jsd,
+    binned_divergences,
     bound_suite,
-    gls_conditional_gap,
 )
 from gls_adapt.distributions import Categorical, jsd
 from gls_adapt.errors import InvalidValue, ShapeMismatch
@@ -83,6 +82,11 @@ def uncorrected_gap(feats_a, labels_a, feats_b, labels_b):
     return np.array([binned_tv(feats_a[labels_a == y], feats_b[labels_b == y], pooled) for y in range(k)])
 
 
+def class_gaps(feats_a, labels_a, feats_b, labels_b, seed=0):
+    """The per-class gaps of :func:`binned_divergences`, under unit weights."""
+    return binned_divergences(feats_a, labels_a, feats_b, labels_b, np.ones(len(labels_a)), seed)[0]
+
+
 def assert_gap_within_raw(gaps, raw):
     assert np.all(gaps >= 0.0)
     assert np.all(gaps <= raw)
@@ -95,7 +99,7 @@ class TestGlsConditionalGap:
         labels = rng.integers(0, 2, size=400)
         raw = uncorrected_gap(feats, labels, feats, labels)
         assert np.allclose(raw, 0.0)
-        assert_gap_within_raw(gls_conditional_gap(feats, labels, feats, labels), raw)
+        assert_gap_within_raw(class_gaps(feats, labels, feats, labels), raw)
 
     def test_disjoint_supports_saturate(self):
         rng = np.random.default_rng(2)
@@ -105,7 +109,7 @@ class TestGlsConditionalGap:
         labels[:150] = 1
         raw = uncorrected_gap(a, labels, b, labels)
         assert np.all(raw > 0.95)
-        assert_gap_within_raw(gls_conditional_gap(a, labels, b, labels), raw)
+        assert_gap_within_raw(class_gaps(a, labels, b, labels), raw)
 
     def test_same_distribution_below_permutation_threshold(self):
         rng = np.random.default_rng(3)
@@ -131,7 +135,7 @@ class TestGlsConditionalGap:
                 tvs.append(0.5 * np.abs(ha / ha.sum() - hb / hb.sum()).sum())
             thresholds.append(np.mean(tvs) + 3 * np.std(tvs))
         assert np.all(raw < np.array(thresholds))
-        corrected = gls_conditional_gap(a, labels_a, b, labels_b)
+        corrected = class_gaps(a, labels_a, b, labels_b)
         assert np.all(corrected < 0.1)
         assert_gap_within_raw(corrected, raw)
 
@@ -140,14 +144,14 @@ class TestGlsConditionalGap:
         labels = np.zeros(30, dtype=int)
         labels[:2] = 1
         with pytest.raises(InvalidValue, match="class 0: 28 source / 28 target samples, need 50"):
-            gls_conditional_gap(feats, labels, feats, labels)
+            class_gaps(feats, labels, feats, labels)
 
     def test_features_must_be_2d(self):
         labels = np.zeros(60, dtype=int)
         with pytest.raises(ShapeMismatch):
-            gls_conditional_gap(np.zeros(60), labels, np.zeros(60), labels)
+            class_gaps(np.zeros(60), labels, np.zeros(60), labels)
         with pytest.raises(ShapeMismatch, match="feature widths 1 and 2 differ"):
-            gls_conditional_gap(np.zeros((60, 1)), labels, np.zeros((60, 2)), labels)
+            class_gaps(np.zeros((60, 1)), labels, np.zeros((60, 2)), labels)
 
 
 # 2**30 + v lies exactly on edge v of a grid over [2**30, 2**30 + 16]: the
@@ -226,17 +230,17 @@ class TestCellIndex:
     @given(st.integers(0, 2**16), st.sampled_from([1, 2, 3]), st.sampled_from(["normal", "edges", "constant"]))
     def test_gap_and_jsd_match_histogramdd(self, seed, d, kind):
         a, labels_a, b, labels_b, weights = task_features(seed, d, kind)
-        gap = gls_conditional_gap(a, labels_a, b, labels_b, seed=seed)
+        gap, jsd_w = binned_divergences(a, labels_a, b, labels_b, weights, seed=seed)
         assert gap.tobytes() == conditional_gap_reference(a, labels_a, b, labels_b, seed=seed).tobytes()
         pooled = np.vstack([a, b])
         want = jsd(Categorical(binned_histogram(a, pooled, weights)), Categorical(binned_histogram(b, pooled)))
-        assert binned_feature_jsd(a, b, weights) == want
+        assert jsd_w == want
 
     def test_non_finite_features_are_rejected(self):
         a, labels_a, b, labels_b, _ = task_features(0, 2, "normal")
         a[3, 1] = np.nan
         with pytest.raises(InvalidValue, match="non-finite"):
-            gls_conditional_gap(a, labels_a, b, labels_b)
+            class_gaps(a, labels_a, b, labels_b)
 
     def test_bound_suite_bins_once_without_histogramdd(self, monkeypatch):
         a, labels_a, b, labels_b, _ = task_features(1, 2, "normal")

@@ -207,7 +207,7 @@ class TestTrainingStepBackward:
 
 
 def loss_through_params(state, net_name, flat, loss_fn):
-    net = state.net(net_name)
+    net = getattr(state, net_name)
     saved = flatten_net_params(net)
     set_net_params(net, flat)
     state.version += 1
@@ -219,7 +219,7 @@ def loss_through_params(state, net_name, flat, loss_fn):
 
 
 def assert_grad_matches(state, net_name, loss_fn, analytic, rel_tol=1e-4):
-    net = state.net(net_name)
+    net = getattr(state, net_name)
     flat0 = flatten_net_params(net)
     fd = finite_difference_gradient(
         lambda f: loss_through_params(state, net_name, f, loss_fn), flat0

@@ -162,22 +162,26 @@ class TestTrainBasics:
 
     def test_config_validation(self):
         with pytest.raises(ConfigInvalid):
-            tiny_config(algorithm="nope").validated()
+            tiny_config(algorithm="nope")
         with pytest.raises(ConfigInvalid):
-            tiny_config(ema_lambda=1.5).validated()
+            tiny_config(ema_lambda=1.5)
         with pytest.raises(ConfigInvalid):
-            tiny_config(epochs=0).validated()
+            tiny_config(epochs=0)
+        with pytest.raises(ConfigInvalid, match="^epochs, batches_per_epoch and batch_size must be >= 1$"):
+            replace(tiny_config(), epochs=0)
+        with pytest.raises(ConfigInvalid, match="^seed must be >= 0, got -1$"):
+            tiny_config(seed=-1)
 
     @pytest.mark.parametrize("field", ["lr", "reversal_coeff"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_step_sizes_are_rejected(self, field, value):
         with pytest.raises(ConfigInvalid, match=f"^{field} must be finite, got {value!r}$"):
-            tiny_config(**{field: value}).validated()
+            tiny_config(**{field: value})
 
     @pytest.mark.parametrize("lr", [0.0, -1.0, float("-inf")])
     def test_non_positive_lr_keeps_its_message(self, lr):
         with pytest.raises(ConfigInvalid, match=r"^need lr > 0 and momentum in \[0, 1\)$"):
-            tiny_config(lr=lr).validated()
+            tiny_config(lr=lr)
 
     def test_dimension_mismatch_between_domains(self):
         src, tgt = tiny_task()
@@ -210,7 +214,7 @@ class TestAblationIdentity:
             assert ra.loss_c == rb.loss_c
             assert np.array_equal(ra.w, rb.w)
         for name in ("g", "h", "d"):
-            for wa, wb in zip(state_a.net(name).weights, state_b.net(name).weights):
+            for wa, wb in zip(getattr(state_a, name).weights, getattr(state_b, name).weights):
                 assert np.array_equal(wa, wb)
 
     def test_flags_change_the_trajectory(self):
