@@ -115,22 +115,22 @@ _DOMAIN_OPTS = {
 }
 
 
-def _resolve(ns) -> tuple[dict, dict, int]:
+def _resolve(ns) -> tuple[dict, dict, int | None]:
     """The command's train options, domain options and seed, from one read of the config file.
 
     A flag overrides the file, and an option that neither sets is left out,
     so it takes its default; the seed's is $GLS_ADAPT_SEED, else 0, and a
-    seed from any of the three must be a non-negative integer. A file
+    seed from any of the three must be a non-negative integer. A command
+    without a seed option gets None and reads no $GLS_ADAPT_SEED. A file
     key that names no option of the command is an error, and so is a domain
     option or --subsample given with the --source/--target dataset files.
     """
     file_values = parse_config_file(ns.config) if ns.config else {}
-    tables = (*ns.tables, {"seed": int})
-    unknown = next((key for key in file_values if not any(key in table for table in tables)), None)
+    unknown = next((key for key in file_values if not any(key in table for table in ns.tables)), None)
     if unknown is not None:
         raise ConfigInvalid(f"{ns.config}: {unknown}: not an option of {ns.command}")
     resolved = []
-    for table in tables:
+    for table in ns.tables:
         opts = {}
         for name, typ in table.items():
             if hasattr(ns, name):
@@ -150,6 +150,8 @@ def _resolve(ns) -> tuple[dict, dict, int]:
             name = given[0]
             where = f"--{name.replace('_', '-')}" if hasattr(ns, name) else f"{ns.config}: {name}:"
             raise ConfigInvalid(f"{where} does not combine with --source and --target")
+    if not ns.tables[2]:
+        return train_opts, domain_opts, None
     where, seed = "GLS_ADAPT_SEED", os.environ.get("GLS_ADAPT_SEED", "0")
     if seed_opt:
         where, seed = ("--seed" if hasattr(ns, "seed") else f"{ns.config}: seed"), seed_opt["seed"]
@@ -298,22 +300,16 @@ def cmd_train(ns) -> int:
         best[(alg, s)] = (max(r.acc_src for r in trace.records), trace.best_target_accuracy())
     rows = []
     for alg in algorithms:
-        accs = [best[(alg, s)][1] for s in seeds]
-        mean_acc = float(np.mean(accs))
+        mean_acc = float(np.mean([best[(alg, s)][1] for s in seeds]))
         base = _BASE_OF.get(alg)
         if base in algorithms:
-            wins = [best[(alg, s)][1] > best[(base, s)][1] for s in seeds]
-            win_fraction = float(np.mean(wins))
+            win_fraction = float(np.mean([best[(alg, s)][1] > best[(base, s)][1] for s in seeds]))
         else:
             win_fraction = float("nan")
         for s in seeds:
             rows.append((alg, s, best[(alg, s)][0], best[(alg, s)][1], mean_acc, win_fraction))
-    _write_csv(
-        out / "summary.csv",
-        "algorithm,seed,best_acc_src,best_acc_tgt,mean_best_acc_tgt,win_fraction_vs_base",
-        rows,
-        ns.full_precision,
-    )
+    header = "algorithm,seed,best_acc_src,best_acc_tgt,mean_best_acc_tgt,win_fraction_vs_base"
+    _write_csv(out / "summary.csv", header, rows, ns.full_precision)
     print(f"wrote {out / 'summary.csv'} ({len(algorithms)} algorithms x {len(seeds)} seeds)")
     return _report_checks(f"wrote {out / 'bounds_*.csv'} ({len(configs)} runs)", sink) if ns.bounds else 0
 
@@ -343,12 +339,8 @@ def cmd_sweep_jsd(ns) -> int:
         results = [_sweep_one(p) for p in payloads]
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [
-        (task_id, j, acc_b, acc_v, acc_v - acc_b) for task_id, j, acc_b, acc_v in results
-    ]
-    _write_csv(
-        out / "sweep.csv", "task_id,jsd,acc_base,acc_variant,gain", rows, ns.full_precision
-    )
+    rows = [(task_id, j, acc_b, acc_v, acc_v - acc_b) for task_id, j, acc_b, acc_v in results]
+    _write_csv(out / "sweep.csv", "task_id,jsd,acc_base,acc_variant,gain", rows, ns.full_precision)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} tasks)")
     return 0
 
@@ -368,7 +360,7 @@ def _read_labels_csv(path) -> np.ndarray:
 
 
 def cmd_estimate_weights(ns) -> int:
-    _resolve(ns)  # reads no option; rejects a missing or malformed config file and any key but seed
+    _resolve(ns)  # reads no option; rejects a missing or malformed config file and any key
     preds = _read_matrix_csv(ns.source_preds, "p_")
     labels = _read_labels_csv(ns.source_labels)
     tgt_preds = _read_matrix_csv(ns.target_preds, "p_")
@@ -412,22 +404,28 @@ def cmd_verify_bounds(ns) -> int:
     return _report_checks(f"wrote {out / 'bounds.csv'}", sink)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main prints it as one error line, not a usage dump
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gls-adapt",
         description="importance-weighted domain adaptation experiments on synthetic domains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, train=False, domain=True, datasets=False, subsample=False):
+    def command(name, func, help, train=False, domain=True, seed=True, datasets=False, subsample=False):
         """A subcommand with the flags every command has and the options that _resolve reads."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", default=None, help="flat key = value options file")
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
         p.add_argument("--out", default="out")
         p.add_argument("--full-precision", action="store_true", dest="full_precision")
-        tables = (_TRAIN_OPTS if train else {}, _DOMAIN_OPTS if domain else {})
-        for opt, typ in (tables[0] | tables[1]).items():
+        tables = (
+            _TRAIN_OPTS if train else {}, _DOMAIN_OPTS if domain else {}, {"seed": int} if seed else {}
+        )
+        for opt, typ in (tables[0] | tables[1] | tables[2]).items():
             p.add_argument(f"--{opt.replace('_', '-')}", type=typ, default=argparse.SUPPRESS, dest=opt)
         if datasets:
             p.add_argument("--source", default=None)
@@ -454,7 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--jobs", type=int, default=1)
 
     p_est = command(
-        "estimate-weights", cmd_estimate_weights, "estimate ratios from prediction files", domain=False
+        "estimate-weights", cmd_estimate_weights, "estimate ratios from prediction files",
+        domain=False, seed=False,
     )
     p_est.add_argument("--source-preds", required=True, dest="source_preds")
     p_est.add_argument("--source-labels", required=True, dest="source_labels")
@@ -471,9 +470,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (GlsAdaptError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ class ConfigInvalid(GlsAdaptError, ValueError):
 
 
 class ParseError(GlsAdaptError, ValueError):
-    """A CSV or config file failed to parse; the message names the line."""
+    """A command line, CSV or config file failed to parse; the message names the argument or line."""
 
 
 class NonFiniteValue(GlsAdaptError, ValueError):

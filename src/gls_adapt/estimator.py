@@ -8,7 +8,8 @@ path) or, robustly, by the constrained least-squares program
 
     minimize 0.5 * ||mu - C w||^2   subject to   w >= 0,  w^T p_S = 1,
 
-solved with an active-set method on the nonnegativity constraints.
+solved with an active-set method on the nonnegativity constraints and
+returned only with a passing KKT certificate.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ __all__ = [
 
 ROW_SUM_TOL = 1e-6
 CONDITION_CAP = 1e8
-RIDGE = 1e-12
+KKT_TOL = 1e-9  # relative tolerance of solve_qp's certificate
+SLOPE_TOL = 1e-12  # relative free-set residual of a KKT solve that counts as descent
 MAX_ITER = 200  # active-set iterations before solve_qp gives up
 
 
@@ -159,17 +161,22 @@ def solve_qp(
 ) -> WeightVector:
     """Global minimizer of 0.5*||mu - C w||^2 over {w >= 0, w^T p_S = 1}.
 
-    Active-set method on the nonnegativity constraints with an exact KKT
-    solve per working set. Deterministic: ties are broken by lowest index.
-    A 1e-12 ridge on the normal equations selects the minimum-norm optimum
-    when C is rank deficient. Raises ``NonFiniteValue`` when ``MAX_ITER``
-    iterations end without a KKT point, rather than return a truncated
-    iterate.
+    Active-set method on the nonnegativity constraints with one minimum-norm
+    ``lstsq`` KKT solve on C^T C per working set, which keeps rank-deficient
+    problems deterministic; ties go to the lowest index. A direction of
+    descent that the solve drops as numerically flat is followed to the
+    boundary. The loop stops when the dual sign holds on the active set, and
+    the answer must pass a certificate: stationarity on the free set and
+    |w . p_S - 1| within ``KKT_TOL`` * (1 + max|C^T C| max w + max|C^T mu|).
+    Raises ``NonFiniteValue`` with the residual when it does not, when C is
+    not finite, or when ``MAX_ITER`` iterations end without a KKT point.
     """
     c = np.asarray(c, dtype=float)
     k = p_source.k
     if c.shape != (k, k):
         raise ShapeMismatch(f"C has shape {c.shape}, expected ({k}, {k})")
+    if not np.all(np.isfinite(c)):
+        raise NonFiniteValue("C contains non-finite entries")
     if mu.k != k:
         raise ShapeMismatch(f"mu has length {mu.k}, expected {k}")
     p = p_source.probs
@@ -184,21 +191,9 @@ def solve_qp(
             stacklevel=2,
         )
 
-    h_exact = c.T @ c
-    h = h_exact + RIDGE * np.eye(k)
+    h = c.T @ c
     b = c.T @ mu.probs
-
-    def kkt_solve(hh, idx, solver):
-        nf = idx.size
-        kkt = np.zeros((nf + 1, nf + 1))
-        kkt[:nf, :nf] = hh[np.ix_(idx, idx)]
-        kkt[:nf, nf] = p[idx]
-        kkt[nf, :nf] = p[idx]
-        rhs = np.concatenate([b[idx], [1.0]])
-        sol = solver(kkt, rhs)
-        cand = np.zeros(k)
-        cand[idx] = sol[:nf]
-        return cand, sol[nf]
+    h_max, b_max = np.abs(h).max(), np.abs(b).max()
 
     feas_tol = 1e-12
     dual_tol = 1e-10
@@ -207,42 +202,46 @@ def solve_qp(
 
     for _ in range(MAX_ITER):
         idx = np.flatnonzero(free)
-        cand, nu = kkt_solve(h, idx, np.linalg.solve)
-
-        if np.all(cand[idx] >= -feas_tol):
+        nf = idx.size
+        pf = p[idx]
+        kkt = np.zeros((nf + 1, nf + 1))
+        kkt[:nf, :nf] = h[np.ix_(idx, idx)]
+        kkt[:nf, nf] = pf
+        kkt[nf, :nf] = pf
+        sol, _, rank, _ = np.linalg.lstsq(kkt, np.append(b[idx], 1.0), rcond=None)
+        cand = np.zeros(k)
+        cand[idx], nu = sol[:nf], sol[nf]
+        if rank <= nf:  # lstsq dropped a numerically flat direction; the residual shows it
+            res = kkt[:nf] @ sol - b[idx]
+            step = np.zeros(k)
+            step[idx] = (res @ pf) / (pf @ pf) * pf - res  # descent along w.p = 1
+        if rank <= nf and np.abs(step).max() > SLOPE_TOL * (1.0 + h_max * np.abs(sol).max() + b_max):
+            # the objective still falls along it: follow it to the boundary
+            drops = idx[step[idx] < 0]
+        elif np.all(cand[idx] >= -feas_tol):
             w = np.maximum(cand, 0.0) * free
             lagr = h @ w - b + nu * p
             viol = np.flatnonzero(~free & (lagr < -dual_tol))
             if viol.size == 0:
                 break
             free[viol[0]] = True
+            continue
         else:
             # Step toward the candidate until the first coordinate hits zero.
-            drops = idx[cand[idx] < -feas_tol]
-            denom = w[drops] - cand[drops]
-            alphas = np.where(denom > 0, w[drops] / denom, 0.0)
-            j = int(np.argmin(alphas))
-            alpha = float(alphas[j])
-            w = w + alpha * (cand - w)
-            w[drops[j]] = 0.0
-            free[drops[j]] = False
-            w = np.maximum(w, 0.0) * free
+            step, drops = cand - w, idx[cand[idx] < -feas_tol]
+        alphas = w[drops] / -step[drops]
+        j = int(np.argmin(alphas))
+        w = w + alphas[j] * step
+        free[drops[j]] = False
+        w = np.maximum(w, 0.0) * free
     else:
         raise NonFiniteValue(f"solve_qp did not converge in {MAX_ITER} active-set iterations")
 
-    # Polish on the converged working set without the ridge; the minimum
-    # norm lstsq solution keeps rank-deficient problems deterministic.
-    idx = np.flatnonzero(free)
-    polished, _ = kkt_solve(
-        h_exact, idx, lambda a, r: np.linalg.lstsq(a, r, rcond=None)[0]
-    )
-    if (
-        np.all(np.isfinite(polished))
-        and np.all(polished[idx] >= -1e-9)
-        and abs(polished @ p - 1.0) <= 1e-9
-    ):
-        w = np.maximum(polished, 0.0) * free
-    return WeightVector(np.maximum(w, 0.0))
+    residual = max(np.abs(lagr[free]).max(), abs(w @ p - 1.0))
+    tol = KKT_TOL * (1.0 + h_max * w.max() + b_max)
+    if not residual <= tol:
+        raise NonFiniteValue(f"solve_qp answer fails its KKT certificate: residual {residual:.3g} > {tol:.3g}")
+    return WeightVector(w)
 
 
 def ema_update(w_prev: WeightVector, w_qp: WeightVector, lam: float) -> WeightVector:

@@ -30,6 +30,27 @@ def qp_objective(c, w, mu):
     return 0.5 * float(r @ r)
 
 
+def kkt_residual(c, mu, p, w):
+    """KKT residual of w for min 0.5*||mu - C w||^2 over {w >= 0, w.p = 1}, and its scale.
+
+    The free set is {w > 0} and the multiplier nu is its least-squares fit.
+    The residual is the largest of the most negative w, |w.p - 1|, the
+    stationarity error C^T (C w - mu) + nu p on the free set and the dual-sign
+    violation on the rest; the scale is 1 + max|C^T C| max w + max|C^T mu|.
+    By convexity, w is within residual * (|w|_1 + |w*|_1) of the optimum w*.
+    """
+    c, mu, p, w = (np.asarray(a, dtype=float) for a in (c, mu, p, w))
+    h, b = c.T @ c, c.T @ mu
+    grad = h @ w - b
+    free = w > 0
+    nu = -(grad[free] @ p[free]) / (p[free] @ p[free])
+    lagrangian = grad + nu * p
+    parts = [max(-w.min(), 0.0), abs(w @ p - 1.0), np.abs(lagrangian[free]).max()]
+    if not free.all():
+        parts.append(max(-lagrangian[~free].min(), 0.0))
+    return max(parts), 1.0 + np.abs(h).max() * w.max() + np.abs(b).max()
+
+
 def _refine_segment(value_of_t, lo, hi, rounds, pts):
     """1-d refined grid minimization of a convex function on [lo, hi]."""
     full_lo, full_hi = lo, hi

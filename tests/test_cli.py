@@ -333,6 +333,7 @@ class TestOptionsAreUsedOrRejected:
             (["train", "--n", 50, "--k", 7, "--subsample", 0.1], None, "datasets", "--k"),
             (["verify-bounds"], "n = 50\n", "datasets", "run.cfg: n: "),
             (["verify-bounds", "--subsample", 0.1], None, "datasets", "--subsample"),
+            (["estimate-weights"], "seed = 3\n", "predictions", "seed: not an option of estimate-weights"),
         ],
         ids=[
             "unknown-key",
@@ -342,6 +343,7 @@ class TestOptionsAreUsedOrRejected:
             "domain-flags-with-files",
             "domain-key-with-files",
             "subsample-with-files",
+            "estimate-weights-seed-key",
         ],
     )
     def test_is_one_line_error_and_writes_nothing(self, tmp_path, capsys, argv, config, inputs, needle):
@@ -383,7 +385,8 @@ class TestOptionsAreUsedOrRejected:
         monkeypatch.setattr(cli, "parse_config_file", counting_parse)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed = 3\n")
-        if argv[0] == "estimate-weights":
+        if argv[0] == "estimate-weights":  # it has no option to put in the file
+            cfg.write_text("# no keys\n")
             sp, sl, tp, _, _ = TestEstimateWeights().write_inputs(tmp_path, n=200)
             argv = [*argv, "--source-preds", sp, "--source-labels", sl, "--target-preds", tp]
         assert run([*argv, "--config", cfg, "--out", tmp_path / "out"]) == 0
@@ -417,6 +420,36 @@ class TestOptionsAreUsedOrRejected:
         assert run([*argv, "--n", 200, "--out", out]) == 1
         assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+            (["generate", "--n", "x"], "argument --n: invalid int value: 'x'"),
+            (["train", "--lr", "y"], "argument --lr: invalid float value: 'y'"),
+            (["generate", "--epochs", "2"], "unrecognized arguments: --epochs 2"),
+            (["estimate-weights", "--seed", "3"], "unrecognized arguments: --seed 3"),
+            (
+                ["estimate-weights", "--source-labels", "l.csv", "--target-preds", "p.csv"],
+                "the following arguments are required: --source-preds",
+            ),
+        ],
+        ids=["seed", "n", "lr", "unknown-flag", "estimate-weights-seed", "missing-required"],
+    )
+    def test_malformed_command_line_is_one_line_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        if argv[0] == "estimate-weights" and "--seed" in argv:
+            sp, sl, tp, _, _ = TestEstimateWeights().write_inputs(tmp_path, n=20)
+            argv = [*argv, "--source-preds", sp, "--source-labels", sl, "--target-preds", tp]
+        assert run([*argv, "--out", out]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["estimate-weights", "--help"])
+        assert info.value.code == 0
+        assert "--seed" not in capsys.readouterr().out
 
     TRAIN_FIELDS = [
         f for f in fields(TrainConfig) if f.type in ("int", "float", "bool") and f.name != "seed"
@@ -502,6 +535,14 @@ class TestEstimateWeights:
         qp_row = next(r for r in rows if r["method"] == "qp")
         got = np.array([float(qp_row["w_0"]), float(qp_row["w_1"])])
         assert np.allclose(got, 1.0, atol=1e-9)
+
+    def test_reads_no_seed(self, tmp_path, monkeypatch):
+        # no output depends on a seed, so a malformed GLS_ADAPT_SEED is never read
+        monkeypatch.setenv("GLS_ADAPT_SEED", "abc")
+        sp, sl, tp, _, _ = self.write_inputs(tmp_path, n=200)
+        argv = ["estimate-weights", "--source-preds", sp, "--source-labels", sl, "--target-preds", tp]
+        assert run([*argv, "--out", tmp_path / "o"]) == 0
+        assert (tmp_path / "o" / "weights.csv").exists()
 
     def test_malformed_row_names_line(self, tmp_path, capsys):
         sp = tmp_path / "sp.csv"

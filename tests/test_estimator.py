@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gls_adapt import estimator
 from gls_adapt.cli import main
@@ -14,7 +19,7 @@ from gls_adapt.estimator import (
     true_weights,
 )
 
-from _oracles import qp_grid_oracle, qp_objective, random_categorical
+from _oracles import kkt_residual, qp_grid_oracle, qp_objective, random_categorical
 
 
 def cat(*probs):
@@ -195,6 +200,28 @@ def random_confusion(rng, k, diag_boost=0.6):
     return cond * p_s[None, :], p_s
 
 
+@st.composite
+def degenerate_qp(draw):
+    """A k = 2 or 3 problem whose C has a duplicated, a 1e-9-near-duplicate or a zero column,
+    or two columns in the ratio of their classes' p, up to 1e-8: indistinguishable classes."""
+    k = draw(st.integers(2, 3))
+    grid = st.integers(0, 100).map(lambda v: v / 100)
+    c = draw(arrays(np.float64, (k, k), elements=grid))
+    p = draw(arrays(np.float64, k, elements=st.integers(1, 100).map(float)))
+    p = p / p.sum()
+    j = draw(st.integers(1, k - 1))
+    style = draw(st.sampled_from(["duplicate", "near-duplicate", "zero", "indistinguishable"]))
+    c[:, j] = {
+        "duplicate": c[:, 0],
+        "near-duplicate": c[:, 0] + 1e-9 * c[:, j],
+        "zero": 0.0,
+        "indistinguishable": c[:, 0] * p[j] / p[0] * (1.0 + 1e-8 * c[:, j]),
+    }[style]
+    c = c / c.sum() if c.sum() > 0 else c
+    mu = draw(arrays(np.float64, k, elements=grid).filter(lambda v: v.sum() > 0))
+    return c, mu / mu.sum(), p
+
+
 class TestSolveQp:
     def test_zero_residual_feasible_point(self):
         p = cat(0.5, 0.3, 0.2)
@@ -236,8 +263,6 @@ class TestSolveQp:
                 c[:, rng.integers(0, k)] = 0.0  # rank-deficient column
             mu = Categorical(random_categorical(rng, k))
             with np.errstate(all="ignore"):
-                import warnings
-
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     w = solve_qp(c, mu, Categorical(p_s))
@@ -320,9 +345,7 @@ class TestSolveQp:
 
     def test_pathological_matrices_stress(self):
         # zero columns, rank-1, duplicated columns and near-diagonal, at
-        # class counts up to 65; constraints must never give
-        import warnings
-
+        # class counts up to 65; constraints and the KKT certificate must hold
         rng = np.random.default_rng(12)
         for trial in range(300):
             k = int(rng.integers(2, 66))
@@ -349,6 +372,61 @@ class TestSolveQp:
                 w = solve_qp(c, mu, p)
             assert np.all(w.w >= 0)
             assert abs(float(w.w @ p.probs) - 1.0) < 1e-8
+            residual, scale = kkt_residual(c, mu.probs, p.probs, w.w)
+            assert residual <= 1e-9 * scale
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(degenerate_qp())
+    def test_degenerate_matrices_match_grid_oracle(self, problem):
+        c, mu, p = problem
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            w = solve_qp(c, Categorical(mu), Categorical(p)).w
+        w_oracle, val_oracle = qp_grid_oracle(c, mu, p)
+        residual, scale = kkt_residual(c, mu, p, w)
+        assert residual <= 1e-9 * scale
+        # Within the residual's bound of the optimum: on indistinguishable classes the
+        # objective is flat to ~1e-9 along a direction the normal equations cannot see.
+        gap_bound = residual * (np.abs(w).sum() + np.abs(w_oracle).sum())
+        assert qp_objective(c, w, mu) <= val_oracle + 1e-12 + gap_bound
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-8, 1e-7])
+    def test_indistinguishable_classes_reach_the_optimum(self, eps):
+        # both classes are predicted 0.9/0.1, up to eps: the columns of C stand in the
+        # ratio of p, so the normal equations lose the direction that tells them apart,
+        # while the objective still falls along it to the vertex w = (1 / p_0, 0)
+        p = np.array([0.3, 0.7])
+        c = np.array([[0.9, 0.9 * (1 + eps)], [0.1, 0.1 * (1 - eps)]]) * p
+        mu = np.array([0.2, 0.8])
+        w = solve_qp(c, Categorical(mu), Categorical(p)).w
+        _, val_oracle = qp_grid_oracle(c, mu, p)
+        assert qp_objective(c, w, mu) <= val_oracle + 1e-12
+        assert np.allclose(w, [1 / 0.3, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("broken", ["normalization", "multiplier"])
+    def test_certificate_rejects_a_perturbed_kkt_solve(self, monkeypatch, broken):
+        # an interior optimum, so the first working set is the last; with C = diag(p)
+        # a shift of w by 1e-6 / p moves the gradient along p, which no free-set
+        # direction can descend, so only the certificate sees the broken w.p = 1
+        args = (np.diag([0.5, 0.3, 0.2]), cat(0.2, 0.3, 0.5), cat(0.5, 0.3, 0.2))
+        assert np.allclose(solve_qp(*args).w, [0.4, 1.0, 2.5])
+        lstsq = np.linalg.lstsq
+
+        def perturbed(a, rhs, rcond=None):
+            sol, *rest = lstsq(a, rhs, rcond=rcond)
+            if broken == "normalization":
+                sol[:-1] += 1e-6 / a[-1, :-1]  # the last KKT row is p
+            else:
+                sol[-1] += 1e-6  # stationarity fails on the free set: 1e-6 * p
+            return (sol, *rest)
+
+        monkeypatch.setattr(np.linalg, "lstsq", perturbed)
+        with pytest.raises(NonFiniteValue, match="fails its KKT certificate: residual"):
+            solve_qp(*args)
+
+    def test_non_finite_confusion_raises(self):
+        with pytest.raises(NonFiniteValue, match="C contains non-finite entries"):
+            solve_qp(np.array([[0.5, np.nan], [0.0, 0.5]]), cat(0.5, 0.5), cat(0.5, 0.5))
 
 
 class TestEmaUpdate:
