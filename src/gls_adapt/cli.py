@@ -12,6 +12,7 @@ full-precision values.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -349,7 +350,13 @@ def _read_matrix_csv(path, prefix: str) -> np.ndarray:
     def header_error(header):
         return None if all(h.startswith(prefix) for h in header) else f"expected columns named {prefix}*"
 
-    return np.asarray(_read_csv(path, header_error, lambda parts: [float(v) for v in parts]))
+    def row(parts):
+        values = [float(v) for v in parts]
+        if not all(map(math.isfinite, values)):
+            raise ValueError("values contain non-finite entries")
+        return values
+
+    return np.asarray(_read_csv(path, header_error, row))
 
 
 def _read_labels_csv(path) -> np.ndarray:

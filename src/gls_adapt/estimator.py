@@ -126,8 +126,9 @@ def _check_pred_matrix(preds, k: int, name: str) -> np.ndarray:
     arr = np.asarray(preds, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != k:
         raise ShapeMismatch(f"{name} has shape {arr.shape}, expected (n, {k})")
-    if arr.size and np.max(np.abs(arr.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
-        raise ShapeMismatch(f"{name} rows must sum to 1 within {ROW_SUM_TOL}")
+    # written so that a NaN or infinite row sum fails too
+    if arr.size and not np.all(np.abs(arr.sum(axis=1) - 1.0) <= ROW_SUM_TOL):
+        raise ShapeMismatch(f"{name} rows must be finite and sum to 1 within {ROW_SUM_TOL}")
     return arr
 
 

@@ -205,7 +205,7 @@ def forward(state: ModelState, x: np.ndarray, mode: str):
     return dout, cache
 
 
-def infer(state: ModelState, x: np.ndarray, mode: str) -> np.ndarray:
+def infer(state: ModelState, x: np.ndarray, mode: str, features_out=None) -> np.ndarray:
     """:func:`forward`'s output over all rows of ``x``, computed in row blocks.
 
     Each call of the module's ``forward`` sees at most ``BLOCK_ROWS`` rows
@@ -214,6 +214,9 @@ def infer(state: ModelState, x: np.ndarray, mode: str) -> np.ndarray:
     multiples of 128 rows, so BLAS tiles the rows as it would in one call,
     and no block is a single row of a longer input (numpy hands a one-row
     product to gemv, which rounds differently from gemm).
+
+    ``features_out``, an (n, feature_dim) array, also receives every
+    block's features z, so a pass in any mode keeps them.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -223,7 +226,9 @@ def infer(state: ModelState, x: np.ndarray, mode: str) -> np.ndarray:
     out = None
     start = 0
     for stop in stops:
-        block = forward(state, x[start:stop], mode)[0]
+        block, cache = forward(state, x[start:stop], mode)
+        if features_out is not None:
+            features_out[start:stop] = cache["z"]
         if out is None:
             out = np.empty((n, *block.shape[1:]))
         out[start:stop] = block

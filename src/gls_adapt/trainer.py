@@ -22,7 +22,7 @@ their losses, and the oracle variants pin them to the true ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -102,7 +102,14 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """One epoch's summary; ``conf_src``/``conf_tgt`` are the k x k confusions of :func:`evaluate`."""
+    """One epoch's summary; ``conf_src``/``conf_tgt`` are the k x k confusions of :func:`evaluate`.
+
+    ``feats_src``/``feats_tgt`` are the features z of the same evaluation,
+    (n, feature_dim) each. Only the record an epoch hook receives carries
+    them: read-only views of buffers that the next epoch overwrites, so
+    they are valid only during the hook call. Records kept in the trace
+    hold None there.
+    """
 
     epoch: int
     acc_src: float
@@ -114,6 +121,8 @@ class EpochRecord:
     jsd_label: float
     conf_src: np.ndarray
     conf_tgt: np.ndarray
+    feats_src: np.ndarray | None = None
+    feats_tgt: np.ndarray | None = None
 
 
 @dataclass
@@ -129,20 +138,20 @@ class TrainTrace:
         return max(r.acc_tgt for r in self.records)
 
 
-def evaluate(state: ModelState, data: Dataset) -> tuple[float, np.ndarray]:
+def evaluate(state: ModelState, data: Dataset, features_out=None) -> tuple[float, np.ndarray]:
     """Argmax accuracy and the row-normalized confusion matrix.
 
     Row y holds the empirical distribution of predictions among samples
     whose true class is y; rows for absent classes are left at zero. The
-    predictions come from one blocked pass, :func:`network.infer`.
+    predictions come from one blocked pass, :func:`network.infer`, which
+    also writes the features z into ``features_out`` when it is given.
     """
     if data.dim != state.g.in_dim:
         raise ShapeMismatch(f"data dim {data.dim} != model input dim {state.g.in_dim}")
-    hard = network.infer(state, data.features, "classify").argmax(axis=1)
+    hard = network.infer(state, data.features, "classify", features_out).argmax(axis=1)
     acc = float(np.mean(hard == data.labels))
     k = state.k
-    conf = np.zeros((k, k))
-    np.add.at(conf, (data.labels, hard), 1.0)
+    conf = np.bincount(data.labels * k + hard, minlength=k * k).reshape(k, k).astype(float)
     counts = conf.sum(axis=1, keepdims=True)
     np.divide(conf, counts, out=conf, where=counts > 0)
     return acc, conf
@@ -151,8 +160,11 @@ def evaluate(state: ModelState, data: Dataset) -> tuple[float, np.ndarray]:
 def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None):
     """Run the full loop; returns (final ModelState, TrainTrace).
 
-    ``epoch_hook(epoch_index, state, record)``, when given, is called
-    after each epoch's record is appended (diagnostics live there).
+    ``epoch_hook(epoch_index, state, record)``, when given, is called at
+    the end of each epoch (diagnostics live there). Its ``record`` is the
+    trace's record plus the evaluation's features, ``feats_src`` and
+    ``feats_tgt``: read-only views of two buffers allocated once per run,
+    valid only during the hook call. Without a hook no buffer is made.
     """
     if source.dim != target.dim:
         raise ShapeMismatch(f"feature dims differ: {source.dim} vs {target.dim}")
@@ -191,6 +203,14 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
     align_loss = losses.weighted_mmd_loss_grads if kernel else losses.weighted_da_loss_grads
     acc = ConfusionAccumulator(k)
     trace = TrainTrace()
+    # evaluate writes the features the hook reads into buffers kept for the
+    # whole run: fresh ones each epoch would be page-faulted in every time
+    feats = views = (None, None)
+    if epoch_hook is not None:
+        feats = tuple(np.empty((data.n, config.feature_dim)) for data in (source, target))
+        views = tuple(f.view() for f in feats)
+        for v in views:
+            v.flags.writeable = False
 
     for epoch in range(config.epochs):
         loss_da_sum = 0.0
@@ -238,8 +258,8 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
             if not oracle:
                 w_model = w_est
 
-        acc_src, conf_src = evaluate(state, source)
-        acc_tgt, conf_tgt = evaluate(state, target)
+        acc_src, conf_src = evaluate(state, source, feats[0])
+        acc_tgt, conf_tgt = evaluate(state, target, feats[1])
         record = EpochRecord(
             epoch=epoch,
             acc_src=acc_src,
@@ -254,7 +274,7 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
         )
         trace.records.append(record)
         if epoch_hook is not None:
-            epoch_hook(epoch, state, record)
+            epoch_hook(epoch, state, replace(record, feats_src=views[0], feats_tgt=views[1]))
     return state, trace
 
 
@@ -263,10 +283,10 @@ def make_bound_hook(source: Dataset, target: Dataset, sink: list):
 
     The hook reports on the run it is attached to: ``source`` and
     ``target`` must be the datasets given to :func:`train`, whose
-    ``EpochRecord`` supplies the epoch's confusion matrices. One blocked
-    ``features`` pass (:func:`network.infer`) over each dataset supplies
-    the features. Building it checks the class counts the bound suite needs,
-    so a run that could not be checked fails before it trains.
+    ``EpochRecord`` supplies the epoch's confusion matrices and the
+    features of the same evaluation pass, so the hook makes no pass of its
+    own. Building it checks the class counts the bound suite needs, so a
+    run that could not be checked fails before it trains.
 
     Appends (epoch, BoundReport) pairs to ``sink``.
     """
@@ -278,14 +298,16 @@ def make_bound_hook(source: Dataset, target: Dataset, sink: list):
     w_star = true_weights(p_src, p_tgt)
 
     def hook(epoch, state, record):
+        if record.feats_src is None or record.feats_tgt is None:
+            raise InvalidValue("record holds no features; use the record train hands its epoch hook")
         reports = bound_suite(
             conf_src=record.conf_src,
             conf_tgt=record.conf_tgt,
             p_src=p_src,
             p_tgt=p_tgt,
-            feats_src=network.infer(state, source.features, "features"),
+            feats_src=record.feats_src,
             labels_src=source.labels,
-            feats_tgt=network.infer(state, target.features, "features"),
+            feats_tgt=record.feats_tgt,
             labels_tgt=target.labels,
             w_true=w_star,
             seed=epoch,

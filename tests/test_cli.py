@@ -557,6 +557,23 @@ class TestEstimateWeights:
         err = capsys.readouterr().err
         assert "line 3" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("which", ["sp", "tp"])
+    def test_non_finite_prediction_names_file_and_line(self, tmp_path, capsys, value, which):
+        sp, sl, tp, _, _ = self.write_inputs(tmp_path, n=20)
+        bad = {"sp": sp, "tp": tp}[which]
+        lines = bad.read_text().splitlines()
+        lines[3] = f"{value},{value},0.0"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        rc = run(
+            ["estimate-weights", "--source-preds", sp, "--source-labels", sl,
+             "--target-preds", tp, "--out", out]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 4: values contain non-finite entries\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "p_source, message",
         [

@@ -114,6 +114,20 @@ class TestAccumulator:
         with pytest.raises(InvalidValue, match="need at least 2 classes, got k=1"):
             ConfusionAccumulator(1)
 
+    @pytest.mark.parametrize("bad_row", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0], [np.inf, -np.inf]])
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_non_finite_prediction_rows_raise(self, bad_row, side):
+        good = np.array([[0.6, 0.4], [0.2, 0.8]])
+        bad = np.array([[0.6, 0.4], bad_row])
+        src, tgt = (bad, good) if side == "source" else (good, bad)
+        acc = ConfusionAccumulator(2)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            ShapeMismatch, match=f"{side}_preds rows must be finite and sum to 1"
+        ):
+            acc.accumulate(src, [0, 1], tgt)
+        # the accumulator is left untouched
+        assert acc.n_source == acc.n_target == 0
+
 
 class TestTypedErrors:
     @pytest.mark.parametrize(

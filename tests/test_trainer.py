@@ -347,6 +347,34 @@ class TestBoundHook:
         for algorithm in ("iwcdan", "iwjan"):
             self.assert_reports_per_epoch(algorithm)
 
+    @pytest.mark.parametrize("algorithm", ["iwdan", "iwcdan"])
+    def test_hook_features_equal_a_features_pass_bit_for_bit(self, algorithm):
+        src, tgt = tiny_task(n=900)
+        seen = []
+
+        def hook(epoch, state, record):
+            for feats, data in ((record.feats_src, src), (record.feats_tgt, tgt)):
+                expected = network.infer(state, data.features, "features")
+                assert feats.shape == expected.shape
+                assert feats.tobytes() == expected.tobytes()
+                assert not feats.flags.writeable
+            seen.append(epoch)
+
+        train(tiny_config(algorithm=algorithm, epochs=3, batches_per_epoch=4), src, tgt, epoch_hook=hook)
+        assert seen == [0, 1, 2]
+
+    def test_trace_records_hold_no_features(self):
+        src, tgt = tiny_task(n=900)
+        hook = make_bound_hook(src, tgt, [])
+        state, trace = train(tiny_config(epochs=2), src, tgt, epoch_hook=hook)
+        assert len(trace) == 2
+        for r in trace.records:
+            assert r.feats_src is None and r.feats_tgt is None
+            assert not any(isinstance(v, np.ndarray) and v.shape[0] == src.n for v in vars(r).values())
+        # so the hook cannot check a kept record
+        with pytest.raises(InvalidValue, match="record holds no features"):
+            hook(1, state, trace.records[-1])
+
 
 class PassCounter:
     """Counts forwards by caller: inside ``trainer.evaluate`` or the bound hook, or a training step's.
@@ -409,14 +437,42 @@ class TestFullDataPasses:
 
         passes.counts.clear()
         train(cfg, src, tgt, epoch_hook=passes.within("hook", make_bound_hook(src, tgt, [])))
-        # 4n with the hook: its two "features" passes per epoch, and it
-        # calls no evaluate (no "hook>evaluate" key)
+        # still 2n with the hook: it reads the features of evaluate's pass,
+        # so it makes no pass of its own and calls no evaluate (no
+        # "hook_features_rows" or "hook>evaluate" key)
         assert passes.full_data_counts() == {
             "evaluate": 2 * epochs,
             "evaluate_classify_rows": epochs * 2 * 900,
             "hook": epochs,
-            "hook_features_rows": epochs * 2 * 900,
         }
+
+
+    def test_hooked_evaluate_allocates_no_feature_matrix(self, monkeypatch):
+        # a fresh (n, feature_dim) z per call would be page-faulted in every epoch;
+        # train allocates the hook's features once per run, before evaluate runs
+        src, tgt = tiny_task(n=3000)
+        cfg = tiny_config(epochs=3, batches_per_epoch=2, feature_dim=32)
+        real_evaluate = trainer.evaluate
+        peaks = []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                return real_evaluate(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(trainer, "evaluate", traced)
+        train(cfg, src, tgt)
+        plain = max(peaks)
+        peaks.clear()
+        feats = []
+        train(cfg, src, tgt, epoch_hook=lambda epoch, state, record: feats.append(record.feats_src))
+        assert len(peaks) == 2 * cfg.epochs
+        assert max(peaks) < plain + src.n * cfg.feature_dim * 8 // 2
+        # and every epoch's features live in the same run-long buffer
+        assert all(np.shares_memory(f, feats[0]) for f in feats[1:])
 
 
 class TestStepPasses:
