@@ -31,7 +31,7 @@ from .datagen import (
     write_dataset_csv,
 )
 from .distributions import Categorical, empirical_label_dist, jsd
-from .errors import ConfigInvalid, GlsAdaptError, ParseError
+from .errors import ConfigInvalid, GlsAdaptError, NonFiniteValue, ParseError, ShapeMismatch
 from .estimator import ConfusionAccumulator, exact_inverse_weights, solve_qp
 from .trainer import ALGORITHMS, TrainConfig, make_bound_hook, train
 
@@ -42,8 +42,6 @@ _BASE_OF = {name: base for name, (base, weighting) in ALGORITHMS.items() if weig
 
 
 def _parse_bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
     t = str(text).strip().lower()
     if t in ("1", "true", "yes", "on"):
         return True
@@ -328,7 +326,7 @@ def cmd_sweep_jsd(ns) -> int:
     variant = ns.algorithm
     base = _BASE_OF.get(variant)
     if base is None:
-        raise GlsAdaptError(f"--algorithm must be an importance-weighted variant, got {variant!r}")
+        raise ConfigInvalid(f"--algorithm must be an importance-weighted variant, got {variant!r}")
     configs = [TrainConfig(algorithm=alg, seed=seed, **train_opts) for alg in (base, variant)]
     base_src, base_tgt = _make_domains(seed, **domain_opts)
     tasks = jsd_task_suite(base_src, base_tgt, count=ns.tasks, seed=seed)
@@ -372,9 +370,7 @@ def cmd_estimate_weights(ns) -> int:
     labels = _read_labels_csv(ns.source_labels)
     tgt_preds = _read_matrix_csv(ns.target_preds, "p_")
     if preds.shape[0] != labels.shape[0]:
-        raise GlsAdaptError(
-            f"{preds.shape[0]} source predictions but {labels.shape[0]} labels"
-        )
+        raise ShapeMismatch(f"{preds.shape[0]} source predictions but {labels.shape[0]} labels")
     k = preds.shape[1]
     acc = ConfusionAccumulator(k)
     acc.accumulate(preds, labels, tgt_preds)
@@ -388,7 +384,7 @@ def cmd_estimate_weights(ns) -> int:
     methods = {"qp": solve_qp(c_hat, mu_hat, p_source).w}
     try:
         methods["exact_inverse"] = exact_inverse_weights(c_hat, mu_hat).w
-    except GlsAdaptError:
+    except NonFiniteValue:  # C is too ill-conditioned to invert
         pass
     header = "method," + ",".join(f"w_{i}" for i in range(k))
     rows = [(name, *map(float, vec)) for name, vec in methods.items()]

@@ -185,7 +185,6 @@ class Task:
     source: Dataset
     target: Dataset
     jsd_label: float
-    subsampled: str = "source"
 
 
 def _apply_keep_vector(data: Dataset, keep: np.ndarray, rng) -> Dataset:
@@ -250,7 +249,7 @@ def jsd_task_suite(
             src = sub if side == "source" else base_source
             tgt = base_target if side == "source" else sub
             realized = jsd(src.label_distribution(), tgt.label_distribution())
-            tasks.append(Task(source=src, target=tgt, jsd_label=realized, subsampled=side))
+            tasks.append(Task(source=src, target=tgt, jsd_label=realized))
     return tasks
 
 

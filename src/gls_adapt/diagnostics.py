@@ -189,11 +189,19 @@ def binned_divergences(feats_src, labels_src, feats_tgt, labels_tgt, weights_src
     ``np.bincount``. A permutation baseline (the mean TV over
     ``PERMUTATIONS`` resplits of each pooled class's cell indices) is
     subtracted from each gap and the result clipped at zero, removing most
-    of the binning-noise bias.
+    of the binning-noise bias. Each domain's labels, and the source
+    weights, must number its feature rows.
     """
     cells_src, cells_tgt, d = _cell_index(feats_src, feats_tgt)
     ys = np.asarray(labels_src)
     yt = np.asarray(labels_tgt)
+    for side, rows, n, what in (
+        ("source", cells_src.size, ys.size, "labels"),
+        ("target", cells_tgt.size, yt.size, "labels"),
+        ("source", cells_src.size, np.size(weights_src), "weights"),
+    ):
+        if n != rows:
+            raise ShapeMismatch(f"{rows} {side} feature rows but {n} {side} {what}")
     k = _check_class_counts(ys, yt)
     rng = np.random.default_rng(seed)
     gaps = np.zeros(k)

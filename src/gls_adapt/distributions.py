@@ -64,9 +64,6 @@ class Categorical:
     def k(self) -> int:
         return self.probs.size
 
-    def __len__(self) -> int:
-        return self.probs.size
-
 
 def _pair(p: Categorical, q: Categorical) -> tuple[np.ndarray, np.ndarray]:
     if p.k != q.k:

@@ -83,12 +83,6 @@ class ConfusionAccumulator:
         self.n_source = 0
         self.n_target = 0
 
-    def reset(self) -> None:
-        self.c_hat[:] = 0.0
-        self.mu_hat[:] = 0.0
-        self.n_source = 0
-        self.n_target = 0
-
     def accumulate(self, source_preds, source_labels, target_preds) -> "ConfusionAccumulator":
         """Add one batch of source predictions with labels and target predictions."""
         sp = _check_pred_matrix(source_preds, self.k, "source_preds")
@@ -126,8 +120,11 @@ def _check_pred_matrix(preds, k: int, name: str) -> np.ndarray:
     arr = np.asarray(preds, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != k:
         raise ShapeMismatch(f"{name} has shape {arr.shape}, expected (n, {k})")
-    # written so that a NaN or infinite row sum fails too
-    if arr.size and not np.all(np.abs(arr.sum(axis=1) - 1.0) <= ROW_SUM_TOL):
+    # written so that a NaN or infinite row sum fails too; a row holding
+    # both inf and -inf sums to NaN, which raises here instead of warning
+    with np.errstate(invalid="ignore"):
+        sums = arr.sum(axis=1)
+    if arr.size and not np.all(np.abs(sums - 1.0) <= ROW_SUM_TOL):
         raise ShapeMismatch(f"{name} rows must be finite and sum to 1 within {ROW_SUM_TOL}")
     return arr
 

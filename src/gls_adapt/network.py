@@ -205,8 +205,8 @@ def forward(state: ModelState, x: np.ndarray, mode: str):
     return dout, cache
 
 
-def infer(state: ModelState, x: np.ndarray, mode: str, features_out=None) -> np.ndarray:
-    """:func:`forward`'s output over all rows of ``x``, computed in row blocks.
+def infer(state: ModelState, x: np.ndarray, features_out=None) -> np.ndarray:
+    """The predictions h(g(x)) for all rows of ``x``, (n, k), computed in row blocks.
 
     Each call of the module's ``forward`` sees at most ``BLOCK_ROWS`` rows
     and keeps no cache, so a full-data pass needs one block's memory. The
@@ -216,22 +216,20 @@ def infer(state: ModelState, x: np.ndarray, mode: str, features_out=None) -> np.
     product to gemv, which rounds differently from gemm).
 
     ``features_out``, an (n, feature_dim) array, also receives every
-    block's features z, so a pass in any mode keeps them.
+    block's features z.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     stops = [*range(BLOCK_ROWS, n, BLOCK_ROWS), n]
     if n > 1 and n % BLOCK_ROWS == 1:
         stops[-2] -= BLOCK_ROWS // 2
-    out = None
+    out = np.empty((n, state.k))
     start = 0
     for stop in stops:
-        block, cache = forward(state, x[start:stop], mode)
+        block, cache = forward(state, x[start:stop], "classify")
+        out[start:stop] = block
         if features_out is not None:
             features_out[start:stop] = cache["z"]
-        if out is None:
-            out = np.empty((n, *block.shape[1:]))
-        out[start:stop] = block
         start = stop
     return out
 

@@ -12,8 +12,8 @@ same forward's predictions, taken before the update, feed the soft
 confusion accumulator, so a step makes no other pass. At the end of every
 ``weight_update_period``-th epoch the constrained least-squares estimate
 from the accumulator is blended into the running weights with an
-exponential moving average, and only then is the accumulator reset, so
-one estimate pools the batches of ``weight_update_period`` epochs.
+exponential moving average; a new accumulator then starts, so one
+estimate pools the batches of ``weight_update_period`` epochs.
 
 The estimation bookkeeping runs for every algorithm so that traces are
 comparable; only the importance-weighted variants feed the weights into
@@ -40,6 +40,7 @@ __all__ = [
     "TrainTrace",
     "train",
     "evaluate",
+    "make_bound_hook",
 ]
 
 # name -> (base alignment, weighting). The base is an adversarial
@@ -78,8 +79,6 @@ class TrainConfig:
     weight_da_loss: bool = True
     weight_c_loss: bool = True
     feature_dim: int = 32
-    g_hidden: tuple = (64,)
-    d_hidden: tuple = (32,)
     reversal_coeff: float = 1.0
 
     def __post_init__(self):
@@ -148,7 +147,7 @@ def evaluate(state: ModelState, data: Dataset, features_out=None) -> tuple[float
     """
     if data.dim != state.g.in_dim:
         raise ShapeMismatch(f"data dim {data.dim} != model input dim {state.g.in_dim}")
-    hard = network.infer(state, data.features, "classify", features_out).argmax(axis=1)
+    hard = network.infer(state, data.features, features_out).argmax(axis=1)
     acc = float(np.mean(hard == data.labels))
     k = state.k
     conf = np.bincount(data.labels * k + hard, minlength=k * k).reshape(k, k).astype(float)
@@ -187,8 +186,6 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
         input_dim=source.dim,
         k=k,
         feature_dim=config.feature_dim,
-        g_hidden=tuple(config.g_hidden),
-        d_hidden=tuple(config.d_hidden),
         conditional=base == "cdan",
         rng=rng,
     )
@@ -254,7 +251,7 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
             c_hat, mu_hat = acc.finalize()
             w_qp = solve_qp(c_hat, mu_hat, p_source)
             w_est = ema_update(w_est, w_qp, config.ema_lambda)
-            acc.reset()
+            acc = ConfusionAccumulator(k)
             if not oracle:
                 w_model = w_est
 

@@ -8,11 +8,20 @@ from gls_adapt.cli import main, parse_config_file
 from gls_adapt.datagen import read_dataset_csv
 from gls_adapt.diagnostics import BoundReport
 from gls_adapt.distributions import empirical_label_dist, jsd
+from gls_adapt.errors import ConfigInvalid, GlsAdaptError, ShapeMismatch
 from gls_adapt.trainer import TrainConfig
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def raised_by(argv):
+    """The typed error a command raises, which main prints as one line."""
+    args = cli._build_parser().parse_args([str(a) for a in argv])
+    with pytest.raises(GlsAdaptError) as info:
+        args.func(args)
+    return info.value
 
 
 def read_csv_dict(path):
@@ -574,6 +583,28 @@ class TestEstimateWeights:
         assert capsys.readouterr().err == f"error: {bad}: line 4: values contain non-finite entries\n"
         assert not out.exists()
 
+    def test_label_count_must_match_the_predictions(self, tmp_path, capsys):
+        sp, sl, tp, _, _ = self.write_inputs(tmp_path, n=20)
+        sl.write_text("label\n0\n1\n")
+        argv = ["estimate-weights", "--source-preds", sp, "--source-labels", sl, "--target-preds", tp]
+        assert run([*argv, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr().err == "error: 20 source predictions but 2 labels\n"
+        assert not (tmp_path / "o").exists()
+        err = raised_by([*argv, "--out", tmp_path / "o"])
+        assert type(err) is ShapeMismatch and str(err) == "20 source predictions but 2 labels"
+
+    def test_ill_conditioned_confusion_writes_only_the_qp_row(self, tmp_path):
+        # classes 0 and 1 get the same predictions, so C has two equal columns and no inverse
+        sp, sl, tp = (tmp_path / name for name in ("sp.csv", "sl.csv", "tp.csv"))
+        sp.write_text("p_0,p_1,p_2\n0.5,0.5,0.0\n0.5,0.5,0.0\n0.0,0.0,1.0\n")
+        sl.write_text("label\n0\n1\n2\n")
+        tp.write_text("p_0,p_1,p_2\n0.5,0.5,0.0\n0.0,0.0,1.0\n")
+        out = tmp_path / "est"
+        rc = run(["estimate-weights", "--source-preds", sp, "--source-labels", sl, "--target-preds", tp, "--out", out])
+        assert rc == 0
+        _, rows = read_csv_dict(out / "weights.csv")
+        assert [r["method"] for r in rows] == ["qp"]
+
     @pytest.mark.parametrize(
         "p_source, message",
         [
@@ -696,9 +727,13 @@ class TestSweep:
                 float(row["acc_variant"]) - float(row["acc_base"]), abs=2e-6
             )
 
-    def test_rejects_base_algorithm(self, tmp_path):
-        rc = run(["sweep-jsd", "--out", tmp_path / "s", "--algorithm", "dann", "--tasks", "1"])
-        assert rc == 1
+    def test_rejects_base_algorithm(self, tmp_path, capsys):
+        argv = ["sweep-jsd", "--out", tmp_path / "s", "--algorithm", "dann", "--tasks", "1"]
+        message = "--algorithm must be an importance-weighted variant, got 'dann'"
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        err = raised_by(argv)
+        assert type(err) is ConfigInvalid and str(err) == message
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_is_one_line_error(self, tmp_path, capsys, jobs):

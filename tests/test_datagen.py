@@ -152,10 +152,10 @@ class TestJsdTaskSuite:
         jsds = np.array([t.jsd_label for t in tasks])
         assert jsds.min() < 0.005
         assert jsds.max() > 0.08
-        sides = {t.subsampled for t in tasks}
-        assert sides == {"source", "target"}
-        n_src_side = sum(1 for t in tasks if t.subsampled == "source")
+        # a subsampled side is a new dataset; the other side is the base one
+        n_src_side = sum(1 for t in tasks if t.target is tgt)
         assert n_src_side == 50
+        assert all((t.source is src) != (t.target is tgt) for t in tasks)
         for t in tasks[:5]:
             expect = jsd(t.source.label_distribution(), t.target.label_distribution())
             assert t.jsd_label == pytest.approx(expect, abs=1e-12)
@@ -164,11 +164,12 @@ class TestJsdTaskSuite:
         src, tgt = make_shift_task(k=3, n_source=1500, n_target=1500, seed=12)
         tasks = jsd_task_suite(src, tgt, count=6, seed=13)
         for t in tasks:
-            if t.subsampled == "source":
-                assert t.target is tgt
+            if t.target is tgt:
+                assert t.source is not src
                 assert t.source.n <= src.n
             else:
                 assert t.source is src
+                assert t.target.n <= tgt.n
 
     def test_all_ones_keep_vector_preserves_divergence(self):
         from gls_adapt.datagen import _apply_keep_vector
@@ -233,3 +234,48 @@ class TestCsvRoundTrip:
             with pytest.raises(ParseError) as err:
                 read_dataset_csv(path)
             assert str(err.value) == f"{path}: line 3: {message}"
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            pytest.param(
+                lambda: Dataset(np.zeros(3), np.zeros(3, dtype=int), 2),
+                ConfigInvalid, "features must be (n >= 1, d), got (3,)", id="dataset-features-1d",
+            ),
+            pytest.param(
+                lambda: Dataset(np.zeros((3, 2)), np.zeros(2, dtype=int), 2),
+                ConfigInvalid, "labels must be one per feature row", id="dataset-label-count",
+            ),
+            pytest.param(
+                lambda: Dataset(np.array([[0.0, np.inf]]), [0], 2),
+                ConfigInvalid, "features contain non-finite values", id="dataset-non-finite",
+            ),
+            pytest.param(
+                lambda: Dataset(np.zeros((2, 2)), [0, 2], 2),
+                ConfigInvalid, "labels must lie in [0, 2)", id="dataset-label-range",
+            ),
+            pytest.param(lambda: circle_class_means(1), ConfigInvalid, "need k >= 2 and d >= 1", id="circle-k"),
+            pytest.param(
+                lambda: make_gaussian_domain([[0.0, np.nan], [1.0, 0.0]], 0.1, Categorical([0.5, 0.5]), 10, 0),
+                ConfigInvalid, "class_means contain non-finite values", id="domain-means-non-finite",
+            ),
+            pytest.param(
+                lambda: make_gaussian_domain(np.eye(2), 0.1, Categorical([0.5, 0.5]), 0, 0),
+                ConfigInvalid, "n must be at least 1", id="domain-n",
+            ),
+            pytest.param(
+                lambda: make_gaussian_domain(np.eye(2), 0.1, Categorical([0.5, 0.5]), 10, 0, np.zeros((2, 3))),
+                ConfigInvalid, "conditional_shift has shape (2, 3), expected (2, 2)", id="domain-shift-shape",
+            ),
+            pytest.param(
+                lambda: jsd_task_suite(Dataset(np.zeros((2, 1)), [0, 1], 2), Dataset(np.zeros((3, 1)), [0, 1, 2], 3), 1),
+                ConfigInvalid, "base domains disagree on the class count", id="suite-class-count",
+            ),
+        ],
+    )
+    def test_names_the_cause(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message

@@ -392,3 +392,59 @@ class TestReportCsv:
         assert lines[1:] == [
             f"{r.check},{ep},{r.lhs!r},{r.rhs!r},{int(r.holds)},{r.slack!r}" for ep, r in sink
         ]
+
+
+def binned_on_pair(src_labels=None, tgt_labels=None, weights=None):
+    """binned_divergences on a 200 + 200 row pair, with any of its label or weight inputs replaced."""
+    src, tgt = make_shift_task(k=2, n_source=200, n_target=200, seed=0)
+    return binned_divergences(
+        src.features,
+        src.labels if src_labels is None else src_labels,
+        tgt.features,
+        tgt.labels if tgt_labels is None else tgt_labels,
+        np.ones(src.n) if weights is None else weights,
+    )
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            pytest.param(
+                lambda: balanced_error_rate(np.ones((2, 3))),
+                ShapeMismatch, "confusion must be square k x k with k >= 2, got (2, 3)", id="confusion-shape",
+            ),
+            pytest.param(
+                lambda: balanced_error_rate([[1.5, -0.5], [0.0, 1.0]]),
+                ShapeMismatch, "confusion has negative or non-finite entries", id="confusion-negative",
+            ),
+            pytest.param(
+                lambda: conditional_error_gap(np.eye(2), np.eye(3)),
+                ShapeMismatch, "shapes (2, 2) and (3, 3) differ", id="gap-shapes",
+            ),
+            pytest.param(
+                lambda: binned_on_pair(weights=np.zeros(200)),
+                InvalidValue, "empty histogram", id="binned-zero-weights",
+            ),
+            pytest.param(
+                lambda: binned_on_pair(src_labels=np.zeros(199, dtype=int)),
+                ShapeMismatch, "200 source feature rows but 199 source labels", id="binned-source-labels",
+            ),
+            pytest.param(
+                lambda: binned_on_pair(tgt_labels=np.zeros(201, dtype=int)),
+                ShapeMismatch, "200 target feature rows but 201 target labels", id="binned-target-labels",
+            ),
+            pytest.param(
+                lambda: binned_on_pair(weights=np.ones(199)),
+                ShapeMismatch, "200 source feature rows but 199 source weights", id="binned-source-weights",
+            ),
+            pytest.param(
+                lambda: check_discriminator_optimum(Categorical([0.5, 0.5]), Categorical([0.2, 0.3, 0.5])),
+                ShapeMismatch, "binned densities have lengths 2 and 3", id="optimum-lengths",
+            ),
+        ],
+    )
+    def test_names_the_cause(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message

@@ -160,3 +160,19 @@ class TestEmpiricalLabelDist:
             empirical_label_dist([0, 3], 3)
         with pytest.raises(InvalidValue, match=r"labels must lie in \[0, 3\)"):
             empirical_label_dist([-1, 0], 3)
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            pytest.param(
+                lambda: empirical_label_dist(np.array([0.5, 1.0]), 2),
+                InvalidValue, "labels must be integers", id="empirical-float-labels",
+            ),
+        ],
+    )
+    def test_names_the_cause(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message

@@ -121,9 +121,7 @@ class TestAccumulator:
         bad = np.array([[0.6, 0.4], bad_row])
         src, tgt = (bad, good) if side == "source" else (good, bad)
         acc = ConfusionAccumulator(2)
-        with np.errstate(invalid="ignore"), pytest.raises(
-            ShapeMismatch, match=f"{side}_preds rows must be finite and sum to 1"
-        ):
+        with pytest.raises(ShapeMismatch, match=f"{side}_preds rows must be finite and sum to 1"):
             acc.accumulate(src, [0, 1], tgt)
         # the accumulator is left untouched
         assert acc.n_source == acc.n_target == 0
@@ -142,6 +140,36 @@ class TestTypedErrors:
         with pytest.raises(error) as info:
             make()
         assert isinstance(info.value, GlsAdaptError) and isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            pytest.param(
+                lambda: ConfusionAccumulator(2).accumulate(np.eye(2), [0], np.eye(2)),
+                ShapeMismatch, "source_labels has shape (1,), expected (2,)", id="accumulate-label-count",
+            ),
+            pytest.param(
+                lambda: true_weights(cat(0.5, 0.5), cat(0.2, 0.3, 0.5)),
+                ShapeMismatch, "lengths 2 and 3 differ", id="true-weights-lengths",
+            ),
+            pytest.param(
+                lambda: exact_inverse_weights(np.eye(3), cat(0.5, 0.5)),
+                ShapeMismatch, "C has shape (3, 3), expected (2, 2)", id="inverse-c-shape",
+            ),
+            pytest.param(
+                lambda: solve_qp(np.eye(2), cat(0.2, 0.3, 0.5), cat(0.2, 0.3, 0.5)),
+                ShapeMismatch, "C has shape (2, 2), expected (3, 3)", id="qp-c-shape",
+            ),
+            pytest.param(
+                lambda: solve_qp(np.eye(3), cat(0.5, 0.5), cat(0.2, 0.3, 0.5)),
+                ShapeMismatch, "mu has length 2, expected 3", id="qp-mu-length",
+            ),
+        ],
+    )
+    def test_names_the_cause(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message
 
 
 class TestTrueWeights:

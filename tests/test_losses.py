@@ -344,3 +344,31 @@ class TestMedianHeuristic:
             assert (2 * s * s - s) % 2 == s % 2
             bws = median_heuristic_bandwidths(fs, ft)
             assert_same_bits(weighted_mmd_loss_grads(fs, ys, ft, w), weighted_mmd_loss_grads(fs, ys, ft, w, bws))
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            pytest.param(
+                lambda: losses.weighted_da_loss_grads(np.array([]), np.array([], dtype=int), np.array([]), ones_w(2)),
+                InvalidValue, "labels is empty", id="da-empty-labels",
+            ),
+            pytest.param(
+                lambda: losses.weighted_da_loss_grads([0.5], [2], [0.5], ones_w(2)),
+                InvalidValue, "labels index outside the weight vector", id="da-label-range",
+            ),
+            pytest.param(
+                lambda: losses.weighted_classification_loss_grads(np.full((2, 3), 1 / 3), [0, 1], Categorical([0.5, 0.5])),
+                ShapeMismatch, "preds has shape (2, 3), expected (n, 2)", id="classification-preds-shape",
+            ),
+            pytest.param(
+                lambda: losses.weighted_mmd_loss_grads(np.zeros((2, 2)), [0, 1], np.zeros((2, 3)), ones_w(2)),
+                ShapeMismatch, "feature shapes (2, 2) and (2, 3) are incompatible", id="mmd-feature-widths",
+            ),
+        ],
+    )
+    def test_names_the_cause(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message

@@ -8,6 +8,7 @@ from gls_adapt.estimator import WeightVector
 from gls_adapt.network import (
     Mlp,
     ModelGrads,
+    ModelState,
     backward,
     forward,
     infer,
@@ -30,6 +31,12 @@ def small_state(conditional=False, seed=0):
         input_dim=3, k=3, feature_dim=4, g_hidden=(5,), d_hidden=(5,), conditional=conditional,
         rng=np.random.default_rng(seed),
     )
+
+
+def model_of(g_sizes, h_sizes, d_sizes):
+    """A model built straight from its three nets' layer sizes, unchecked by init_model_state."""
+    rng = np.random.default_rng(0)
+    return ModelState(g=Mlp(g_sizes, "tanh", rng), h=Mlp(h_sizes, "softmax", rng), d=Mlp(d_sizes, "sigmoid", rng))
 
 
 class TestForward:
@@ -84,24 +91,16 @@ class TestForward:
 class TestInfer:
     """The blocked full-data pass must give one unblocked forward's bits."""
 
-    # the discriminate cases' ids name what d reads: z or the outer product
-    @pytest.mark.parametrize(
-        "conditional,mode",
-        [
-            (False, "features"),
-            (False, "classify"),
-            pytest.param(False, "discriminate", id="False-discriminate_z"),
-            (True, "features"),
-            (True, "classify"),
-            pytest.param(True, "discriminate", id="True-discriminate_outer"),
-        ],
-    )
+    # output names which of infer's two results is compared: the returned
+    # predictions or the features written into features_out
+    @pytest.mark.parametrize("output", ["features", "classify"])
+    @pytest.mark.parametrize("conditional", [False, True])
     @pytest.mark.parametrize("n", [1, network.BLOCK_ROWS, network.BLOCK_ROWS + 1, 3000])
-    def test_equals_one_unblocked_forward(self, monkeypatch, conditional, mode, n):
-        # the default training model, as evaluate and the bound hook run it
+    def test_equals_one_unblocked_forward(self, monkeypatch, conditional, output, n):
+        # the default training model, as evaluate runs it
         state = init_model_state(input_dim=2, k=3, conditional=conditional, rng=np.random.default_rng(n))
         x = np.random.default_rng(1).normal(scale=2.0, size=(n, 2))
-        want = forward(state, x, mode)[0]
+        want = forward(state, x, output)[0]
         rows = []
 
         def counting(state, x, mode):
@@ -109,7 +108,9 @@ class TestInfer:
             return forward(state, x, mode)
 
         monkeypatch.setattr(network, "forward", counting)
-        got = infer(state, x, mode)
+        feats = np.empty((n, state.feature_dim))
+        preds = infer(state, x, feats)
+        got = preds if output == "classify" else feats
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         # every block goes through the module's forward, none longer than
@@ -333,6 +334,28 @@ class TestTypedErrors:
         cache["mode"] = "discriminate_z"
         with pytest.raises(ConfigInvalid, match="unknown mode 'discriminate_z'"):
             backward(state, cache, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            pytest.param(
+                lambda: model_of([2, 4], [3, 2], [4, 1]),
+                ShapeMismatch, "classifier input dim must equal feature dim", id="state-classifier-input",
+            ),
+            pytest.param(
+                lambda: model_of([2, 4], [4, 2], [5, 1]),
+                ShapeMismatch, "discriminator must read z or the outer product", id="state-discriminator-input",
+            ),
+            pytest.param(
+                lambda: sgd_step(small_state(), ModelGrads(g=[]), lr=0.1, momentum=0.9),
+                ShapeMismatch, "gradient list length mismatch for net g", id="sgd-gradient-count",
+            ),
+        ],
+    )
+    def test_names_the_cause(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message
 
 
 class TestSgd:

@@ -36,8 +36,9 @@ def test_readme_command_examples_parse():
 
 
 def test_every_error_class_is_raised():
+    # every subclass names one cause; the base class names none and is not a ValueError
     tree = ast.parse((PACKAGE / "errors.py").read_text())
-    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)} - {"GlsAdaptError"}
     raised = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -46,3 +47,4 @@ def test_every_error_class_is_raised():
                 if isinstance(func, ast.Name):
                     raised.add(func.id)
     assert defined - raised == set()
+    assert "GlsAdaptError" not in raised

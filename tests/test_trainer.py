@@ -43,8 +43,6 @@ def tiny_config(**kwargs):
         momentum=0.9,
         seed=0,
         feature_dim=8,
-        g_hidden=(16,),
-        d_hidden=(8,),
     )
     base.update(kwargs)
     return TrainConfig(**base)
@@ -182,6 +180,24 @@ class TestTrainBasics:
     def test_non_positive_lr_keeps_its_message(self, lr):
         with pytest.raises(ConfigInvalid, match=r"^need lr > 0 and momentum in \[0, 1\)$"):
             tiny_config(lr=lr)
+
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            pytest.param(
+                lambda: tiny_config(weight_update_period=0),
+                ConfigInvalid, "weight_update_period must be >= 1", id="config-update-period",
+            ),
+            pytest.param(
+                lambda: train(tiny_config(), tiny_task()[0], Dataset(np.zeros((4, 2)), [0, 1, 0, 1], 2)),
+                ShapeMismatch, "class counts differ: 3 vs 2", id="train-class-counts",
+            ),
+        ],
+    )
+    def test_names_the_cause(self, make, error, message):
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message
 
     def test_dimension_mismatch_between_domains(self):
         src, tgt = tiny_task()
@@ -354,7 +370,7 @@ class TestBoundHook:
 
         def hook(epoch, state, record):
             for feats, data in ((record.feats_src, src), (record.feats_tgt, tgt)):
-                expected = network.infer(state, data.features, "features")
+                expected = network.forward(state, data.features, "features")[0]
                 assert feats.shape == expected.shape
                 assert feats.tobytes() == expected.tobytes()
                 assert not feats.flags.writeable
@@ -362,6 +378,13 @@ class TestBoundHook:
 
         train(tiny_config(algorithm=algorithm, epochs=3, batches_per_epoch=4), src, tgt, epoch_hook=hook)
         assert seen == [0, 1, 2]
+
+    def test_hook_built_on_other_datasets_names_both_counts(self):
+        src, tgt = tiny_task(n=600)
+        other_src, other_tgt = tiny_task(n=500)
+        hook = make_bound_hook(other_src, other_tgt, [])
+        with pytest.raises(ShapeMismatch, match="^600 source feature rows but 500 source labels$"):
+            train(tiny_config(epochs=1), src, tgt, epoch_hook=hook)
 
     def test_trace_records_hold_no_features(self):
         src, tgt = tiny_task(n=900)
