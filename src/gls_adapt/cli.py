@@ -24,6 +24,7 @@ import numpy as np
 from .datagen import (
     Dataset,
     _read_csv,
+    _write_csv,
     jsd_task_suite,
     make_shift_task,
     read_dataset_csv,
@@ -73,22 +74,11 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def _fmt(value, full: bool) -> str:
-    if isinstance(value, float):
-        return repr(value) if full else f"{value:.6g}"
-    return str(value)
-
-
-def _write_csv(path: Path, header: str, rows, full_precision: bool) -> None:
-    def render(full: bool) -> str:
-        lines = [header]
-        for row in rows:
-            lines.append(",".join(_fmt(v, full) for v in row))
-        return "\n".join(lines) + "\n"
-
-    path.write_text(render(False), encoding="ascii")
+def _write_table(path: Path, header: str, rows, full_precision: bool) -> None:
+    """The 6-digit CSV and, with ``full_precision``, its full-precision ``.raw.csv`` sidecar."""
+    _write_csv(path, header, rows, full=False)
     if full_precision:
-        path.with_suffix(".raw.csv").write_text(render(True), encoding="ascii")
+        _write_csv(path.with_suffix(".raw.csv"), header, rows, full=True)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +87,7 @@ def _write_csv(path: Path, header: str, rows, full_precision: bool) -> None:
 
 # The train options are TrainConfig's numeric and boolean fields other than
 # seed, so a new field gets its flag and config key. Defaults live in
-# TrainConfig and in the signature of _make_domains.
+# TrainConfig, in make_shift_task and in the signature of _make_domains.
 _PARSERS = {"int": int, "float": float, "bool": _parse_bool}
 _TRAIN_OPTS = {
     f.name: _PARSERS[f.type] for f in fields(TrainConfig) if f.type in _PARSERS and f.name != "seed"
@@ -177,34 +167,19 @@ def _label_dist(name: str, probs, k: int):
 
 
 def _make_domains(
-    seed: int,
-    subsample=None,
-    conditional_shift: float = 0.0,
-    k: int = 3,
-    dim: int = 2,
-    n: int = 3000,
-    sigma: float = 0.25,
-    radius: float = 1.0,
-    source_label_dist=None,
-    target_label_dist=None,
+    seed: int, subsample=None, k: int = 3, dim: int = 2, n: int = 3000,
+    source_label_dist=None, target_label_dist=None, **shape,
 ):
-    shift = None
-    if conditional_shift:
-        rng = np.random.default_rng(seed + 7919)
-        direction = rng.standard_normal((k, dim))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        shift = conditional_shift * direction
+    """make_shift_task's pair, ``dim`` as its d and ``n`` as both sizes; ``shape`` passes through."""
     src, tgt = make_shift_task(
         k=k,
         d=dim,
         n_source=n,
         n_target=n,
-        sigma=sigma,
-        radius=radius,
         p_source=_label_dist("source_label_dist", source_label_dist, k),
         p_target=_label_dist("target_label_dist", target_label_dist, k),
         seed=seed,
-        conditional_shift=shift,
+        **shape,
     )
     if subsample is not None:
         src = subsample_protocol(src, subsample, seed=seed + 13)
@@ -227,10 +202,8 @@ def _load_or_make_datasets(ns, opts, seed):
 def cmd_generate(ns) -> int:
     _, opts, seed = _resolve(ns)
     src, tgt = _make_domains(seed, subsample=ns.subsample, conditional_shift=ns.conditional_shift, **opts)
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_dataset_csv(src, out / "source.csv")
-    write_dataset_csv(tgt, out / "target.csv")
+    write_dataset_csv(src, ns.out / "source.csv")
+    write_dataset_csv(tgt, ns.out / "target.csv")
     p_s = src.label_distribution()
     p_t = tgt.label_distribution()
     manifest = [
@@ -243,8 +216,8 @@ def cmd_generate(ns) -> int:
         "target_label_dist = " + ",".join(f"{v:.6g}" for v in p_t.probs),
         f"jsd_label_dist = {jsd(p_s, p_t):.6g}",
     ]
-    (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="ascii")
-    print(f"wrote {out / 'source.csv'}, {out / 'target.csv'}, {out / 'manifest.txt'}")
+    (ns.out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="ascii")
+    print(f"wrote {ns.out / 'source.csv'}, {ns.out / 'target.csv'}, {ns.out / 'manifest.txt'}")
     return 0
 
 
@@ -256,10 +229,10 @@ def _write_run(out: Path, suffix: str, trace, k: int, sink, full_precision: bool
         (r.epoch, r.acc_src, r.acc_tgt, r.loss_da, r.loss_c, *map(float, r.w), r.w_dist, r.jsd_label)
         for r in trace.records
     ]
-    _write_csv(out / f"trace{suffix}.csv", header, rows, full_precision)
+    _write_table(out / f"trace{suffix}.csv", header, rows, full_precision)
     if sink is not None:
         rows = [(r.check, ep, r.lhs, r.rhs, int(r.holds), r.slack) for ep, r in sink]
-        _write_csv(out / f"bounds{suffix}.csv", "check,epoch,lhs,rhs,holds,slack", rows, full_precision)
+        _write_table(out / f"bounds{suffix}.csv", "check,epoch,lhs,rhs,holds,slack", rows, full_precision)
 
 
 def _report_checks(what: str, sink) -> int:
@@ -288,14 +261,12 @@ def cmd_train(ns) -> int:
     source, target = _load_or_make_datasets(ns, domain_opts, seed)
     sink: list = []
     hook = make_bound_hook(source, target, sink) if ns.bounds else None
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
     best: dict[tuple[str, int], tuple[float, float]] = {}
     for (alg, s), cfg in configs.items():
         start = len(sink)
         _, trace = train(cfg, source, target, epoch_hook=hook)
         run_sink = sink[start:] if ns.bounds else None
-        _write_run(out, f"_{alg}_seed{s}", trace, source.k, run_sink, ns.full_precision)
+        _write_run(ns.out, f"_{alg}_seed{s}", trace, source.k, run_sink, ns.full_precision)
         best[(alg, s)] = (max(r.acc_src for r in trace.records), trace.best_target_accuracy())
     rows = []
     for alg in algorithms:
@@ -308,9 +279,9 @@ def cmd_train(ns) -> int:
         for s in seeds:
             rows.append((alg, s, best[(alg, s)][0], best[(alg, s)][1], mean_acc, win_fraction))
     header = "algorithm,seed,best_acc_src,best_acc_tgt,mean_best_acc_tgt,win_fraction_vs_base"
-    _write_csv(out / "summary.csv", header, rows, ns.full_precision)
-    print(f"wrote {out / 'summary.csv'} ({len(algorithms)} algorithms x {len(seeds)} seeds)")
-    return _report_checks(f"wrote {out / 'bounds_*.csv'} ({len(configs)} runs)", sink) if ns.bounds else 0
+    _write_table(ns.out / "summary.csv", header, rows, ns.full_precision)
+    print(f"wrote {ns.out / 'summary.csv'} ({len(algorithms)} algorithms x {len(seeds)} seeds)")
+    return _report_checks(f"wrote {ns.out / 'bounds_*.csv'} ({len(configs)} runs)", sink) if ns.bounds else 0
 
 
 def _sweep_one(payload):
@@ -336,11 +307,9 @@ def cmd_sweep_jsd(ns) -> int:
             results = list(pool.map(_sweep_one, payloads))
     else:
         results = [_sweep_one(p) for p in payloads]
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = [(task_id, j, acc_b, acc_v, acc_v - acc_b) for task_id, j, acc_b, acc_v in results]
-    _write_csv(out / "sweep.csv", "task_id,jsd,acc_base,acc_variant,gain", rows, ns.full_precision)
-    print(f"wrote {out / 'sweep.csv'} ({len(rows)} tasks)")
+    _write_table(ns.out / "sweep.csv", "task_id,jsd,acc_base,acc_variant,gain", rows, ns.full_precision)
+    print(f"wrote {ns.out / 'sweep.csv'} ({len(rows)} tasks)")
     return 0
 
 
@@ -379,8 +348,6 @@ def cmd_estimate_weights(ns) -> int:
         p_source = Categorical(_label_dist("p_source", ns.p_source, k))
     else:
         p_source = empirical_label_dist(labels, k)
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
     methods = {"qp": solve_qp(c_hat, mu_hat, p_source).w}
     try:
         methods["exact_inverse"] = exact_inverse_weights(c_hat, mu_hat).w
@@ -388,10 +355,10 @@ def cmd_estimate_weights(ns) -> int:
         pass
     header = "method," + ",".join(f"w_{i}" for i in range(k))
     rows = [(name, *map(float, vec)) for name, vec in methods.items()]
-    _write_csv(out / "weights.csv", header, rows, ns.full_precision)
+    _write_table(ns.out / "weights.csv", header, rows, ns.full_precision)
     conf_header = ",".join(f"c_{i}_{j}" for i in range(k) for j in range(k))
-    _write_csv(out / "confusion.csv", conf_header, [tuple(map(float, c_hat.ravel()))], ns.full_precision)
-    print(f"wrote {out / 'weights.csv'} and {out / 'confusion.csv'}")
+    _write_table(ns.out / "confusion.csv", conf_header, [tuple(map(float, c_hat.ravel()))], ns.full_precision)
+    print(f"wrote {ns.out / 'weights.csv'} and {ns.out / 'confusion.csv'}")
     return 0
 
 
@@ -401,10 +368,8 @@ def cmd_verify_bounds(ns) -> int:
     cfg = TrainConfig(algorithm=ns.algorithm, seed=seed, **train_opts)
     sink: list = []
     _, trace = train(cfg, source, target, epoch_hook=make_bound_hook(source, target, sink))
-    out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_run(out, "", trace, source.k, sink, ns.full_precision)
-    return _report_checks(f"wrote {out / 'bounds.csv'}", sink)
+    _write_run(ns.out, "", trace, source.k, sink, ns.full_precision)
+    return _report_checks(f"wrote {ns.out / 'bounds.csv'}", sink)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -423,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
         """A subcommand with the flags every command has and the options that _resolve reads."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", default=None, help="flat key = value options file")
-        p.add_argument("--out", default="out")
+        p.add_argument("--out", type=Path, default=Path("out"))
         p.add_argument("--full-precision", action="store_true", dest="full_precision")
         tables = (
             _TRAIN_OPTS if train else {}, _DOMAIN_OPTS if domain else {}, {"seed": int} if seed else {}

@@ -3,13 +3,15 @@
 Domains are Gaussian class-conditional clouds. With zero conditional
 shift the source and target share D(X | Y = y) exactly, so any label
 distribution pair realizes label shift by construction; the optional
-per-class target offset deliberately breaks it.
+per-class target offset deliberately breaks it. The module also reads and
+writes the package's CSV files.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -19,8 +21,6 @@ from .errors import ConfigInvalid, InvalidValue, ParseError
 __all__ = [
     "Dataset",
     "Task",
-    "circle_class_means",
-    "make_gaussian_domain",
     "make_shift_task",
     "subsample_protocol",
     "jsd_task_suite",
@@ -82,57 +82,6 @@ def _exact_class_counts(probs: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-def circle_class_means(k: int, d: int = 2, radius: float = 1.0) -> np.ndarray:
-    """k class means spread evenly on a circle in the first two coordinates."""
-    if k < 2 or d < 1:
-        raise ConfigInvalid("need k >= 2 and d >= 1")
-    means = np.zeros((k, d))
-    angles = 2.0 * np.pi * np.arange(k) / k
-    means[:, 0] = radius * np.cos(angles)
-    if d > 1:
-        means[:, 1] = radius * np.sin(angles)
-    return means
-
-
-def make_gaussian_domain(
-    class_means, sigma: float, label_dist: Categorical, n: int, seed: int,
-    conditional_shift=None, exact_counts: bool = False,
-) -> Dataset:
-    """Sample labels from ``label_dist``, then features from N(mean_y + shift_y,
-    sigma^2 I) with the k x d ``class_means``. Deterministic given ``seed``.
-
-    ``exact_counts`` draws class sizes by largest-remainder rounding of
-    n * label_dist instead of i.i.d. sampling, so the realized label
-    distribution matches the requested one exactly."""
-    means = np.asarray(class_means, dtype=float)
-    if means.ndim != 2:
-        raise ConfigInvalid(f"class_means must be k x d, got shape {means.shape}")
-    k, d = means.shape
-    if not np.all(np.isfinite(means)):
-        raise ConfigInvalid("class_means contain non-finite values")
-    if label_dist.k != k:
-        raise ConfigInvalid("label_dist length must equal k")
-    if sigma < 0:
-        raise ConfigInvalid("covariance scale must be nonnegative")
-    if n < 1:
-        raise ConfigInvalid("n must be at least 1")
-    shift = np.zeros((k, d))
-    if conditional_shift is not None:
-        shift = np.asarray(conditional_shift, dtype=float)
-        if shift.shape != (k, d):
-            raise ConfigInvalid(f"conditional_shift has shape {shift.shape}, expected ({k}, {d})")
-    rng = np.random.default_rng(seed)
-    if exact_counts:
-        counts = _exact_class_counts(label_dist.probs, n)
-        labels = np.repeat(np.arange(k), counts)
-        rng.shuffle(labels)
-    else:
-        labels = rng.choice(k, size=n, p=label_dist.probs)
-    noise = rng.standard_normal((n, d)) * sigma
-    feats = means[labels] + shift[labels] + noise
-    return Dataset(features=feats, labels=labels, k=k)
-
-
 def make_shift_task(
     k: int = 3,
     d: int = 2,
@@ -143,16 +92,55 @@ def make_shift_task(
     p_source=None,
     p_target=None,
     seed: int = 0,
-    conditional_shift: np.ndarray | None = None,
+    conditional_shift: float = 0.0,
     exact_counts: bool = False,
 ) -> tuple[Dataset, Dataset]:
-    """Build a source/target pair sharing class-conditional clouds."""
-    means = circle_class_means(k, d, radius)
-    p_s = Categorical(np.full(k, 1.0 / k)) if p_source is None else Categorical(np.asarray(p_source, dtype=float))
-    p_t = Categorical(np.full(k, 1.0 / k)) if p_target is None else Categorical(np.asarray(p_target, dtype=float))
-    src = make_gaussian_domain(means, sigma, p_s, n_source, seed, exact_counts=exact_counts)
-    tgt = make_gaussian_domain(means, sigma, p_t, n_target, seed + 1, conditional_shift, exact_counts)
-    return src, tgt
+    """Build a source/target pair sharing class-conditional clouds.
+
+    The k class means sit evenly on a circle of ``radius`` in the first two
+    coordinates. Each domain samples its labels from its label
+    distribution (uniform when None), then features from
+    N(mean_y, sigma^2 I); the source draws from ``seed``, the target from
+    ``seed + 1``. A nonzero ``conditional_shift`` moves every target class
+    by that distance along a per-class unit direction drawn from
+    ``seed + 7919``, which breaks label shift on purpose.
+
+    ``exact_counts`` draws class sizes by largest-remainder rounding of
+    n * label_dist instead of i.i.d. sampling, so the realized label
+    distribution matches the requested one exactly.
+    """
+    for name, value in (("sigma", sigma), ("radius", radius), ("conditional_shift", conditional_shift)):
+        if not math.isfinite(value):
+            raise ConfigInvalid(f"{name} must be finite, got {value!r}")
+    if k < 2 or d < 1:
+        raise ConfigInvalid("need k >= 2 and d >= 1")
+    if sigma < 0:
+        raise ConfigInvalid("covariance scale must be nonnegative")
+    if n_source < 1 or n_target < 1:
+        raise ConfigInvalid("n must be at least 1")
+    dists = [Categorical(np.full(k, 1.0 / k) if p is None else p) for p in (p_source, p_target)]
+    if any(dist.k != k for dist in dists):
+        raise ConfigInvalid("label_dist length must equal k")
+    means = np.zeros((k, d))
+    angles = 2.0 * np.pi * np.arange(k) / k
+    means[:, 0] = radius * np.cos(angles)
+    if d > 1:
+        means[:, 1] = radius * np.sin(angles)
+    shifts = [np.zeros((k, d)), np.zeros((k, d))]
+    if conditional_shift:
+        direction = np.random.default_rng(seed + 7919).standard_normal((k, d))
+        shifts[1] = conditional_shift * (direction / np.linalg.norm(direction, axis=1, keepdims=True))
+    domains = []
+    for dist, n, domain_seed, shift in zip(dists, (n_source, n_target), (seed, seed + 1), shifts):
+        rng = np.random.default_rng(domain_seed)
+        if exact_counts:
+            labels = np.repeat(np.arange(k), _exact_class_counts(dist.probs, n))
+            rng.shuffle(labels)
+        else:
+            labels = rng.choice(k, size=n, p=dist.probs)
+        noise = rng.standard_normal((n, d)) * sigma
+        domains.append(Dataset(features=means[labels] + shift[labels] + noise, labels=labels, k=k))
+    return tuple(domains)
 
 
 def subsample_protocol(data: Dataset, fraction: float, seed: int = 0) -> Dataset:
@@ -254,12 +242,28 @@ def jsd_task_suite(
 
 
 def write_dataset_csv(data: Dataset, path) -> None:
-    """CSV with header feature_0,...,feature_{d-1},label."""
+    """CSV with header feature_0,...,feature_{d-1},label; the file's directory is created."""
     header = ",".join(f"feature_{j}" for j in range(data.dim)) + ",label"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row, lab in zip(data.features, data.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
+    rows = ((*map(float, row), int(lab)) for row, lab in zip(data.features, data.labels))
+    _write_csv(path, header, rows, full=True)
+
+
+def _fmt(value, full: bool) -> str:
+    if isinstance(value, float):
+        return repr(value) if full else f"{value:.6g}"
+    return str(value)
+
+
+def _write_csv(path, header: str, rows, full: bool) -> None:
+    """Write ``header`` and one line per row, creating the file's directory.
+
+    Floats are written with ``repr`` when ``full``, else with 6 significant
+    digits; every other value with ``str``.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lines = [header, *(",".join(_fmt(v, full) for v in row) for row in rows)]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def _read_csv(path, header_error, convert) -> list:

@@ -163,7 +163,7 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
     the end of each epoch (diagnostics live there). Its ``record`` is the
     trace's record plus the evaluation's features, ``feats_src`` and
     ``feats_tgt``: read-only views of two buffers allocated once per run,
-    valid only during the hook call. Without a hook no buffer is made.
+    valid only during the hook call.
     """
     if source.dim != target.dim:
         raise ShapeMismatch(f"feature dims differ: {source.dim} vs {target.dim}")
@@ -202,12 +202,10 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
     trace = TrainTrace()
     # evaluate writes the features the hook reads into buffers kept for the
     # whole run: fresh ones each epoch would be page-faulted in every time
-    feats = views = (None, None)
-    if epoch_hook is not None:
-        feats = tuple(np.empty((data.n, config.feature_dim)) for data in (source, target))
-        views = tuple(f.view() for f in feats)
-        for v in views:
-            v.flags.writeable = False
+    feats = tuple(np.empty((data.n, config.feature_dim)) for data in (source, target))
+    views = tuple(f.view() for f in feats)
+    for v in views:
+        v.flags.writeable = False
 
     for epoch in range(config.epochs):
         loss_da_sum = 0.0

@@ -91,6 +91,22 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err == "error: probs sum to 1.1, expected 1 within 1e-09 (--source-label-dist)\n"
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--radius", "inf", "radius must be finite, got inf"),
+            ("--sigma", "inf", "sigma must be finite, got inf"),
+            ("--sigma", "nan", "sigma must be finite, got nan"),
+            ("--conditional-shift", "inf", "conditional_shift must be finite, got inf"),
+            ("--conditional-shift", "nan", "conditional_shift must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_domain_scalar_is_one_line_error(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x"
+        assert run(["generate", flag, value, "--n", 100, "--out", out]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_env_seed_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GLS_ADAPT_SEED", "17")
         out = tmp_path / "envseed"
@@ -271,6 +287,18 @@ class TestTrain:
     def test_source_without_a_class_is_one_line_error(self, tmp_path, capsys):
         assert self.train_from_files(tmp_path, "source.csv") == 1
         assert capsys.readouterr().err == "error: every class needs at least one source sample\n"
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("command", ["train", "verify-bounds"])
+    def test_feature_dims_that_differ_are_one_line_error(self, tmp_path, capsys, command):
+        for dim in (2, 3):
+            run(["generate", "--out", tmp_path / f"d{dim}", "--n", 300, "--dim", dim])
+        capsys.readouterr()
+        out = tmp_path / "o1"
+        argv = [command, "--source", tmp_path / "d2" / "source.csv", "--target", tmp_path / "d3" / "target.csv"]
+        assert run([*argv, *TINY_RUN, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: feature dims differ: 2 vs 3\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "verify-bounds"])
     @pytest.mark.parametrize("flag", ["--source", "--target"])

@@ -3,25 +3,24 @@ import pytest
 
 from gls_adapt.datagen import (
     Dataset,
-    circle_class_means,
     jsd_task_suite,
-    make_gaussian_domain,
     make_shift_task,
     read_dataset_csv,
     subsample_protocol,
     write_dataset_csv,
 )
-from gls_adapt.distributions import Categorical, jsd
+from gls_adapt.distributions import jsd
 from gls_adapt.errors import ConfigInvalid, InvalidValue, ParseError
 
 
-def balanced_domain(k=2, d=2, n=1000, sigma=0.2, seed=0, shift=None):
-    return make_gaussian_domain(
-        circle_class_means(k, d), sigma, Categorical(np.full(k, 1.0 / k)), n, seed, shift
-    )
+def balanced_domain(k=2, d=2, n=1000, sigma=0.2, seed=0):
+    """The source domain of a balanced task."""
+    return make_shift_task(k=k, d=d, n_source=n, n_target=1, sigma=sigma, seed=seed)[0]
 
 
 class TestMakeGaussianDomain:
+    """The Gaussian class clouds that make_shift_task samples for each domain."""
+
     def test_label_distribution_close_to_spec(self):
         data = balanced_domain(n=1000, seed=1)
         emp = data.label_distribution().probs
@@ -30,9 +29,10 @@ class TestMakeGaussianDomain:
     def test_label_shift_holds_between_domains(self):
         # same conditionals, different label distributions: per-class means
         # agree within 3 sigma / sqrt(n_y)
-        means = circle_class_means(3, 2)
-        src = make_gaussian_domain(means, 0.3, Categorical(np.array([0.6, 0.2, 0.2])), 4000, 2)
-        tgt = make_gaussian_domain(means, 0.3, Categorical(np.array([0.2, 0.2, 0.6])), 4000, 3)
+        src, tgt = make_shift_task(
+            k=3, n_source=4000, n_target=4000, sigma=0.3,
+            p_source=[0.6, 0.2, 0.2], p_target=[0.2, 0.2, 0.6], seed=2,
+        )
         for y in range(3):
             a = src.features[src.labels == y]
             b = tgt.features[tgt.labels == y]
@@ -41,15 +41,24 @@ class TestMakeGaussianDomain:
 
     def test_zero_sigma_collapses_to_means(self):
         data = balanced_domain(sigma=0.0, n=50, seed=4)
-        means = circle_class_means(2, 2)
-        assert np.allclose(data.features, means[data.labels])
+        circle_means = np.array([[1.0, 0.0], [-1.0, 0.0]])  # k = 2 at the default radius 1
+        assert np.allclose(data.features, circle_means[data.labels])
 
     def test_conditional_shift_moves_target_means(self):
-        shift = np.array([[1.0, 0.0], [0.0, 0.0]])
-        data = balanced_domain(sigma=0.0, n=50, seed=5, shift=shift)
-        means = circle_class_means(2, 2)
-        assert np.allclose(data.features[data.labels == 0], means[0] + [1.0, 0.0])
-        assert np.allclose(data.features[data.labels == 1], means[1])
+        # at sigma 0 the source rows sit on the circle means and every target
+        # row sits the shift's magnitude away, along one direction per class
+        for k, d, radius in [(2, 2, 1.0), (4, 3, 2.0)]:
+            src, tgt = make_shift_task(
+                k=k, d=d, n_source=200, n_target=200, sigma=0.0, radius=radius, seed=5, conditional_shift=0.3
+            )
+            angles = 2.0 * np.pi * np.arange(k) / k
+            means = np.zeros((k, d))
+            means[:, :2] = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            assert np.allclose(src.features, means[src.labels])
+            offsets = tgt.features - means[tgt.labels]
+            assert np.allclose(np.linalg.norm(offsets, axis=1), 0.3)
+            for y in range(k):
+                assert np.allclose(offsets[tgt.labels == y], offsets[tgt.labels == y][0])
 
     def test_deterministic_under_seed(self):
         a = balanced_domain(seed=6)
@@ -58,14 +67,10 @@ class TestMakeGaussianDomain:
         assert np.array_equal(a.labels, b.labels)
 
     def test_invalid_spec(self):
-        means = circle_class_means(2, 2)
-        half = Categorical(np.full(2, 0.5))
         with pytest.raises(ConfigInvalid, match="label_dist length must equal k"):
-            make_gaussian_domain(np.zeros((3, 2)), 0.1, half, 10, 0)
-        with pytest.raises(ConfigInvalid, match=r"class_means must be k x d, got shape \(2,\)"):
-            make_gaussian_domain(np.zeros(2), 0.1, half, 10, 0)
+            make_shift_task(k=3, p_target=[0.5, 0.5], n_source=10, n_target=10)
         with pytest.raises(ConfigInvalid, match="covariance scale must be nonnegative"):
-            make_gaussian_domain(means, -1.0, half, 10, 0)
+            make_shift_task(k=2, sigma=-1.0, n_source=10, n_target=10)
 
 
 class TestSubsampleProtocol:
@@ -215,6 +220,12 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.labels, data.labels)
         assert np.array_equal(back.features, data.features)
 
+    def test_writes_into_a_new_nested_directory(self, tmp_path):
+        data = balanced_domain(n=10, seed=21)
+        path = tmp_path / "a" / "b" / "d.csv"
+        write_dataset_csv(data, path)
+        assert np.array_equal(read_dataset_csv(path).features, data.features)
+
     def test_header_and_parse_errors(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("feature_0,label\n1.0,0\nnot_a_number,1\n")
@@ -256,18 +267,11 @@ class TestTypedErrors:
                 lambda: Dataset(np.zeros((2, 2)), [0, 2], 2),
                 ConfigInvalid, "labels must lie in [0, 2)", id="dataset-label-range",
             ),
-            pytest.param(lambda: circle_class_means(1), ConfigInvalid, "need k >= 2 and d >= 1", id="circle-k"),
+            pytest.param(lambda: make_shift_task(k=1), ConfigInvalid, "need k >= 2 and d >= 1", id="circle-k"),
+            pytest.param(lambda: make_shift_task(k=2, n_source=0), ConfigInvalid, "n must be at least 1", id="domain-n"),
             pytest.param(
-                lambda: make_gaussian_domain([[0.0, np.nan], [1.0, 0.0]], 0.1, Categorical([0.5, 0.5]), 10, 0),
-                ConfigInvalid, "class_means contain non-finite values", id="domain-means-non-finite",
-            ),
-            pytest.param(
-                lambda: make_gaussian_domain(np.eye(2), 0.1, Categorical([0.5, 0.5]), 0, 0),
-                ConfigInvalid, "n must be at least 1", id="domain-n",
-            ),
-            pytest.param(
-                lambda: make_gaussian_domain(np.eye(2), 0.1, Categorical([0.5, 0.5]), 10, 0, np.zeros((2, 3))),
-                ConfigInvalid, "conditional_shift has shape (2, 3), expected (2, 2)", id="domain-shift-shape",
+                lambda: make_shift_task(radius=float("inf")),
+                ConfigInvalid, "radius must be finite, got inf", id="task-radius-non-finite",
             ),
             pytest.param(
                 lambda: jsd_task_suite(Dataset(np.zeros((2, 1)), [0, 1], 2), Dataset(np.zeros((3, 1)), [0, 1, 2], 3), 1),

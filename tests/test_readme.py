@@ -1,4 +1,5 @@
-"""The README's examples run or parse, and every error class is raised somewhere.
+"""The README's examples run or parse, every CLI flag is documented, and every
+error class is raised somewhere.
 
 The ```python blocks run in order in one namespace, as a reader would paste
 them, so a name the README imports from the package must stay exported.
@@ -6,6 +7,7 @@ Every ``gls-adapt`` command in the ```sh blocks must parse and resolve its
 options, so a stale flag in an example fails here.
 """
 
+import argparse
 import ast
 import re
 import shlex
@@ -33,6 +35,23 @@ def test_readme_command_examples_parse():
     parser = cli._build_parser()
     for argv in commands:
         cli._resolve(parser.parse_args(argv[1:]))
+
+
+def test_every_flag_is_documented():
+    # a flag counts as documented when the README names it or its config key
+    readme = (ROOT / "README.md").read_text()
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    missing = [
+        f"{name} {flag}"
+        for name, sub in commands.items()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag.startswith("--")
+        and not re.search(rf"{re.escape(flag)}(?![\w-])", readme)
+        and f"`{action.dest}`" not in readme
+    ]
+    assert missing == []
 
 
 def test_every_error_class_is_raised():
