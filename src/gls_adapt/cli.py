@@ -51,6 +51,13 @@ def _parse_bool(text) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
+def _out_dir(text) -> Path:
+    # the writer makes the directory; a file in its place is refused before any run
+    if Path(text).exists() and not Path(text).is_dir():
+        raise argparse.ArgumentTypeError(f"{text} exists and is not a directory")
+    return Path(text)
+
+
 def _parse_floats(text) -> list[float]:
     return [float(v) for v in str(text).split(",") if v.strip()]
 
@@ -388,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
         """A subcommand with the flags every command has and the options that _resolve reads."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", default=None, help="flat key = value options file")
-        p.add_argument("--out", type=Path, default=Path("out"))
+        p.add_argument("--out", type=_out_dir, default="out")
         p.add_argument("--full-precision", action="store_true", dest="full_precision")
         tables = (
             _TRAIN_OPTS if train else {}, _DOMAIN_OPTS if domain else {}, {"seed": int} if seed else {}

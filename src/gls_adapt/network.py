@@ -205,7 +205,7 @@ def forward(state: ModelState, x: np.ndarray, mode: str):
     return dout, cache
 
 
-def infer(state: ModelState, x: np.ndarray, features_out=None) -> np.ndarray:
+def infer(state: ModelState, x: np.ndarray, features_out: np.ndarray) -> np.ndarray:
     """The predictions h(g(x)) for all rows of ``x``, (n, k), computed in row blocks.
 
     Each call of the module's ``forward`` sees at most ``BLOCK_ROWS`` rows
@@ -215,8 +215,8 @@ def infer(state: ModelState, x: np.ndarray, features_out=None) -> np.ndarray:
     and no block is a single row of a longer input (numpy hands a one-row
     product to gemv, which rounds differently from gemm).
 
-    ``features_out``, an (n, feature_dim) array, also receives every
-    block's features z.
+    ``features_out``, an (n, feature_dim) array, receives every block's
+    features z.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -228,8 +228,7 @@ def infer(state: ModelState, x: np.ndarray, features_out=None) -> np.ndarray:
     for stop in stops:
         block, cache = forward(state, x[start:stop], "classify")
         out[start:stop] = block
-        if features_out is not None:
-            features_out[start:stop] = cache["z"]
+        features_out[start:stop] = cache["z"]
         start = stop
     return out
 

@@ -137,13 +137,13 @@ class TrainTrace:
         return max(r.acc_tgt for r in self.records)
 
 
-def evaluate(state: ModelState, data: Dataset, features_out=None) -> tuple[float, np.ndarray]:
+def evaluate(state: ModelState, data: Dataset, features_out: np.ndarray) -> tuple[float, np.ndarray]:
     """Argmax accuracy and the row-normalized confusion matrix.
 
     Row y holds the empirical distribution of predictions among samples
     whose true class is y; rows for absent classes are left at zero. The
     predictions come from one blocked pass, :func:`network.infer`, which
-    also writes the features z into ``features_out`` when it is given.
+    also writes the features z into ``features_out``.
     """
     if data.dim != state.g.in_dim:
         raise ShapeMismatch(f"data dim {data.dim} != model input dim {state.g.in_dim}")

@@ -482,6 +482,16 @@ class TestOptionsAreUsedOrRejected:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "train", "sweep-jsd", "estimate-weights", "verify-bounds"])
+    def test_out_naming_a_file_fails_before_any_work(self, tmp_path, capsys, command):
+        # the directory is made with the first file, so without this check a
+        # train run would be spent before the file was found in the way
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        assert run([command, "--out", out]) == 1
+        assert capsys.readouterr() == ("", f"error: argument --out: {out} exists and is not a directory\n")
+        assert out.read_text() == "kept\n"
+
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
             run(["estimate-weights", "--help"])

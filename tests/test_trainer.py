@@ -33,6 +33,11 @@ def tiny_task(seed=0, k=3, n=400, **kwargs):
     )
 
 
+def features_buffer(state, data):
+    """The (n, feature_dim) array evaluate writes the features into."""
+    return np.empty((data.n, state.feature_dim))
+
+
 def tiny_config(**kwargs):
     base = dict(
         algorithm="iwdan",
@@ -54,7 +59,7 @@ class TestEvaluate:
         state = init_model_state(input_dim=2, k=3, feature_dim=8, g_hidden=(16,), rng=np.random.default_rng(0))
         cfg = tiny_config(algorithm="none", epochs=8, batches_per_epoch=20)
         state, _ = train(cfg, src, src)
-        acc, conf = evaluate(state, src)
+        acc, conf = evaluate(state, src, features_buffer(state, src))
         assert acc > 0.97
         assert np.all(np.diag(conf) > 0.9)
         assert np.max(np.abs(conf.sum(axis=1) - 1.0)) < 1e-9
@@ -64,7 +69,7 @@ class TestEvaluate:
         state = init_model_state(input_dim=2, k=3, feature_dim=8, g_hidden=(16,), rng=np.random.default_rng(1))
         state.h.weights[0][:] = 0.0
         state.h.biases[0][:] = np.array([5.0, 0.0, 0.0])
-        acc, conf = evaluate(state, src)
+        acc, conf = evaluate(state, src, features_buffer(state, src))
         p0 = src.label_distribution().probs[0]
         assert acc == pytest.approx(p0, abs=1e-12)
         assert np.allclose(conf[:, 0], 1.0)
@@ -74,7 +79,7 @@ class TestEvaluate:
         for seed in range(8):
             src, _ = make_shift_task(k=2, n_source=1500, n_target=100, sigma=0.3, seed=seed)
             state = init_model_state(input_dim=2, k=2, feature_dim=8, g_hidden=(16,), rng=np.random.default_rng(seed))
-            acc, _ = evaluate(state, src)
+            acc, _ = evaluate(state, src, features_buffer(state, src))
             accs.append(acc)
         assert abs(np.mean(accs) - 0.5) < 0.15
 
@@ -84,10 +89,11 @@ class TestEvaluate:
         src, _ = make_shift_task(k=3, n_source=3000, n_target=100, sigma=0.35, seed=0)
         assert src.n == 3000
         state = init_model_state(input_dim=2, k=3, rng=np.random.default_rng(0))
-        evaluate(state, src)
+        feats = features_buffer(state, src)
+        evaluate(state, src, feats)
         tracemalloc.start()
         try:
-            evaluate(state, src)
+            evaluate(state, src, feats)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -97,7 +103,7 @@ class TestEvaluate:
         src, _ = tiny_task()
         state = init_model_state(input_dim=5, k=3, rng=np.random.default_rng(0))
         with pytest.raises(ShapeMismatch, match="data dim 2 != model input dim 5"):
-            evaluate(state, src)
+            evaluate(state, src, features_buffer(state, src))
 
 
 class TestTrainBasics:
@@ -472,8 +478,9 @@ class TestFullDataPasses:
 
     def test_hooked_evaluate_allocates_no_feature_matrix(self, monkeypatch):
         # a fresh (n, feature_dim) z per call would be page-faulted in every epoch;
-        # train allocates the hook's features once per run, before evaluate runs
-        src, tgt = tiny_task(n=3000)
+        # train allocates the features once per run, before evaluate runs, so
+        # evaluate's peak grows with n by far less than a feature row per row
+        # (its block temporaries are a fixed cost, so the baseline is a smaller n)
         cfg = tiny_config(epochs=3, batches_per_epoch=2, feature_dim=32)
         real_evaluate = trainer.evaluate
         peaks = []
@@ -487,15 +494,17 @@ class TestFullDataPasses:
                 tracemalloc.stop()
 
         monkeypatch.setattr(trainer, "evaluate", traced)
-        train(cfg, src, tgt)
-        plain = max(peaks)
-        peaks.clear()
-        feats = []
-        train(cfg, src, tgt, epoch_hook=lambda epoch, state, record: feats.append(record.feats_src))
-        assert len(peaks) == 2 * cfg.epochs
-        assert max(peaks) < plain + src.n * cfg.feature_dim * 8 // 2
-        # and every epoch's features live in the same run-long buffer
-        assert all(np.shares_memory(f, feats[0]) for f in feats[1:])
+        peak = {}
+        for n in (3000, 6000):
+            src, tgt = tiny_task(n=n)
+            peaks.clear()
+            feats = []
+            train(cfg, src, tgt, epoch_hook=lambda epoch, state, record: feats.append(record.feats_src))
+            assert len(peaks) == 2 * cfg.epochs
+            peak[n] = max(peaks)
+            # and every epoch's features live in the same run-long buffer
+            assert all(np.shares_memory(f, feats[0]) for f in feats[1:])
+        assert peak[6000] - peak[3000] < 3000 * cfg.feature_dim * 8 // 2
 
 
 class TestStepPasses:
