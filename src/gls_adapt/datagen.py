@@ -138,8 +138,17 @@ def make_shift_task(
             rng.shuffle(labels)
         else:
             labels = rng.choice(k, size=n, p=dist.probs)
-        noise = rng.standard_normal((n, d)) * sigma
-        domains.append(Dataset(features=means[labels] + shift[labels] + noise, labels=labels, k=k))
+        with np.errstate(over="ignore"):  # an overflow raises below, naming its cause
+            noise = rng.standard_normal((n, d)) * sigma
+            features = means[labels] + shift[labels] + noise
+        if not np.isfinite(features).all():
+            # a sum of three terms overflows only if one reaches a third of the largest float
+            terms = {"sigma": (sigma, noise), "radius": (radius, means[labels]),
+                     "conditional_shift": (conditional_shift, shift[labels])}
+            causes = [f"{name}={value!r}" for name, (value, term) in terms.items()
+                      if np.abs(term).max() >= np.finfo(float).max / 3]
+            raise ConfigInvalid(f"features overflow float64; reduce {' and '.join(causes)}")
+        domains.append(Dataset(features=features, labels=labels, k=k))
     return tuple(domains)
 
 

@@ -56,7 +56,7 @@ class WeightVector:
         arr = np.asarray(self.w, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise ShapeMismatch(f"w must be a vector of length >= 2, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteValue("w contains non-finite entries")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -70,8 +70,11 @@ class ConfusionAccumulator:
     """Running soft confusion matrix and target prediction marginal.
 
     Each source sample adds its full prediction vector to the column of
-    its true label; each target sample adds its prediction vector to the
-    running marginal. Single-writer: one training loop owns an instance.
+    its integer true label; each target sample adds its prediction vector
+    to the running marginal, summed row by row in row order. Every row of
+    both inputs must be finite and sum to 1 within ``ROW_SUM_TOL``; its sum
+    comes from one matrix-vector product with a vector of ones.
+    Single-writer: one training loop owns an instance.
     """
 
     def __init__(self, k: int):
@@ -92,13 +95,15 @@ class ConfusionAccumulator:
             raise ShapeMismatch(
                 f"source_labels has shape {labels.shape}, expected ({sp.shape[0]},)"
             )
+        if labels.dtype.kind not in "iu":
+            raise InvalidValue(f"source_labels must be integers, got dtype {labels.dtype}")
         if labels.size and (labels.min() < 0 or labels.max() >= self.k):
             raise InvalidValue(f"labels must lie in [0, {self.k})")
         # Column y receives the prediction vectors of all samples with true label y.
         onehot = np.zeros((sp.shape[0], self.k))
         onehot[np.arange(sp.shape[0]), labels] = 1.0
         self.c_hat += sp.T @ onehot
-        self.mu_hat += tp.sum(axis=0)
+        self.mu_hat += np.einsum("ij->j", tp)
         self.n_source += sp.shape[0]
         self.n_target += tp.shape[0]
         return self
@@ -120,11 +125,11 @@ def _check_pred_matrix(preds, k: int, name: str) -> np.ndarray:
     arr = np.asarray(preds, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != k:
         raise ShapeMismatch(f"{name} has shape {arr.shape}, expected (n, {k})")
-    # written so that a NaN or infinite row sum fails too; a row holding
-    # both inf and -inf sums to NaN, which raises here instead of warning
-    with np.errstate(invalid="ignore"):
-        sums = arr.sum(axis=1)
-    if arr.size and not np.all(np.abs(sums - 1.0) <= ROW_SUM_TOL):
+    # written so that a NaN, infinite or overflowing row sum (inf - inf is NaN,
+    # a huge finite row sums to inf) raises here instead of warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = arr @ np.ones(k)
+    if not (np.abs(sums - 1.0) <= ROW_SUM_TOL).all():
         raise ShapeMismatch(f"{name} rows must be finite and sum to 1 within {ROW_SUM_TOL}")
     return arr
 
@@ -173,12 +178,12 @@ def solve_qp(
     k = p_source.k
     if c.shape != (k, k):
         raise ShapeMismatch(f"C has shape {c.shape}, expected ({k}, {k})")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise NonFiniteValue("C contains non-finite entries")
     if mu.k != k:
         raise ShapeMismatch(f"mu has length {mu.k}, expected {k}")
     p = p_source.probs
-    if np.any(p <= 0):
+    if (p <= 0).any():
         raise InvalidValue("p_source must be strictly positive")
     zero_cols = np.flatnonzero(~c.any(axis=0))
     if zero_cols.size:
@@ -195,40 +200,43 @@ def solve_qp(
 
     feas_tol = 1e-12
     dual_tol = 1e-10
-    free = np.ones(k, dtype=bool)
+    # KKT system of all classes bordered by w.p = 1; a working set keeps its free rows and the last
+    kkt_all = np.zeros((k + 1, k + 1))
+    kkt_all[:k, :k] = h
+    kkt_all[:k, k] = kkt_all[k, :k] = p
+    rhs_all = np.concatenate((b, [1.0]))
+    kept = np.ones(k + 1, dtype=bool)
+    free = kept[:k]  # a view: the multiplier's row is always kept
     w = np.ones(k)  # w = 1 is always feasible since p sums to 1
 
     for _ in range(MAX_ITER):
-        idx = np.flatnonzero(free)
-        nf = idx.size
-        pf = p[idx]
-        kkt = np.zeros((nf + 1, nf + 1))
-        kkt[:nf, :nf] = h[np.ix_(idx, idx)]
-        kkt[:nf, nf] = pf
-        kkt[nf, :nf] = pf
-        sol, _, rank, _ = np.linalg.lstsq(kkt, np.append(b[idx], 1.0), rcond=None)
+        rows = kept.nonzero()[0]
+        idx, nf = rows[:-1], rows.size - 1
+        kkt, rhs = kkt_all[rows[:, None], rows], rhs_all[rows]
+        sol, _, rank, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
         cand = np.zeros(k)
         cand[idx], nu = sol[:nf], sol[nf]
         if rank <= nf:  # lstsq dropped a numerically flat direction; the residual shows it
-            res = kkt[:nf] @ sol - b[idx]
+            res = kkt[:nf] @ sol - rhs[:nf]
+            pf = p[idx]
             step = np.zeros(k)
             step[idx] = (res @ pf) / (pf @ pf) * pf - res  # descent along w.p = 1
         if rank <= nf and np.abs(step).max() > SLOPE_TOL * (1.0 + h_max * np.abs(sol).max() + b_max):
             # the objective still falls along it: follow it to the boundary
             drops = idx[step[idx] < 0]
-        elif np.all(cand[idx] >= -feas_tol):
+        elif (sol[:nf] >= -feas_tol).all():
             w = np.maximum(cand, 0.0) * free
             lagr = h @ w - b + nu * p
-            viol = np.flatnonzero(~free & (lagr < -dual_tol))
-            if viol.size == 0:
+            viol = ~free & (lagr < -dual_tol)
+            if not viol.any():
                 break
-            free[viol[0]] = True
+            free[viol.argmax()] = True
             continue
         else:
             # Step toward the candidate until the first coordinate hits zero.
-            step, drops = cand - w, idx[cand[idx] < -feas_tol]
+            step, drops = cand - w, idx[sol[:nf] < -feas_tol]
         alphas = w[drops] / -step[drops]
-        j = int(np.argmin(alphas))
+        j = alphas.argmin()
         w = w + alphas[j] * step
         free[drops[j]] = False
         w = np.maximum(w, 0.0) * free

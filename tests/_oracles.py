@@ -138,6 +138,22 @@ def qp_grid_oracle(c, mu, p, rounds=16, pts=41):
     return best[0], best[1]
 
 
+def accumulated_sums(batches, k):
+    """C and mu summed over ``(source_preds, source_labels, target_preds)`` batches.
+
+    A frozen copy of the reductions ``ConfusionAccumulator.accumulate`` used
+    before it summed mu with ``einsum``: one one-hot gemm per batch for C and
+    ``sum(axis=0)`` for mu, which adds C-ordered rows one by one in row order.
+    """
+    c_hat, mu_hat = np.zeros((k, k)), np.zeros(k)
+    for source_preds, source_labels, target_preds in batches:
+        onehot = np.zeros((source_preds.shape[0], k))
+        onehot[np.arange(source_preds.shape[0]), source_labels] = 1.0
+        c_hat += source_preds.T @ onehot
+        mu_hat += target_preds.sum(axis=0)
+    return c_hat, mu_hat
+
+
 def mmd_double_loop(feats_src, labels_src, feats_tgt, w, bandwidths):
     """Pairwise double-loop evaluation of the kernel alignment loss."""
     fs = np.asarray(feats_src, dtype=float)

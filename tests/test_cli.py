@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -105,6 +106,14 @@ class TestGenerate:
         out = tmp_path / "x"
         assert run(["generate", flag, value, "--n", 100, "--out", out]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_overflowing_features_are_one_line_error_naming_sigma(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["generate", "--sigma", "1e308", "--n", 50, "--out", out]) == 1
+        assert capsys.readouterr() == ("", "error: features overflow float64; reduce sigma=1e+308\n")
         assert not out.exists()
 
     def test_env_seed_default(self, tmp_path, monkeypatch):
@@ -620,6 +629,20 @@ class TestEstimateWeights:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {bad}: line 4: values contain non-finite entries\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("which, name", [("sp", "source_preds"), ("tp", "target_preds")])
+    def test_overflowing_prediction_row_is_one_line_error(self, tmp_path, capsys, which, name):
+        sp, sl, tp, _, _ = self.write_inputs(tmp_path, n=20)
+        bad = {"sp": sp, "tp": tp}[which]
+        lines = bad.read_text().splitlines()
+        lines[3] = "1e308,1e308,0.0"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = ["estimate-weights", "--source-preds", sp, "--source-labels", sl, "--target-preds", tp]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*argv, "--out", tmp_path / "o"]) == 1
+        assert capsys.readouterr() == ("", f"error: {name} rows must be finite and sum to 1 within 1e-06\n")
+        assert not (tmp_path / "o").exists()
 
     def test_label_count_must_match_the_predictions(self, tmp_path, capsys):
         sp, sl, tp, _, _ = self.write_inputs(tmp_path, n=20)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,23 @@ class TestMakeGaussianDomain:
             make_shift_task(k=3, p_target=[0.5, 0.5], n_source=10, n_target=10)
         with pytest.raises(ConfigInvalid, match="covariance scale must be nonnegative"):
             make_shift_task(k=2, sigma=-1.0, n_source=10, n_target=10)
+
+    @pytest.mark.parametrize(
+        "options, named",
+        [
+            ({"sigma": 1e308}, "sigma=1e+308"),
+            ({"sigma": 1e307, "radius": 1.7e308}, "radius=1.7e+308"),
+            ({"sigma": 1e308, "radius": 1.5e308}, "sigma=1e+308 and radius=1.5e+308"),
+            ({"k": 2, "d": 1, "radius": 1e307, "conditional_shift": 1.7e308}, "conditional_shift=1.7e+308"),
+            ({"k": 2, "d": 1, "radius": 1e308, "conditional_shift": 1e308}, "radius=1e+308 and conditional_shift=1e+308"),
+        ],
+    )
+    def test_overflowing_features_name_their_cause_without_a_warning(self, options, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigInvalid) as info:
+                make_shift_task(**{"k": 3, "n_source": 50, "n_target": 50, **options})
+        assert str(info.value) == f"features overflow float64; reduce {named}"
 
 
 class TestSubsampleProtocol:

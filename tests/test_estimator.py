@@ -19,7 +19,7 @@ from gls_adapt.estimator import (
     true_weights,
 )
 
-from _oracles import kkt_residual, qp_grid_oracle, qp_objective, random_categorical
+from _oracles import accumulated_sums, kkt_residual, qp_grid_oracle, qp_objective, random_categorical
 
 
 def cat(*probs):
@@ -125,6 +125,125 @@ class TestAccumulator:
             acc.accumulate(src, [0, 1], tgt)
         # the accumulator is left untouched
         assert acc.n_source == acc.n_target == 0
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0.0, 1.0], np.array([0.0, 1.0], dtype=np.float32), [True, False], np.array([0.5, 1.0])],
+        ids=["float-list", "float32", "bool", "fractional"],
+    )
+    def test_non_integer_labels_raise(self, labels):
+        # boolean labels would otherwise index as a mask: both rows land in column 0
+        preds = np.array([[0.3, 0.7], [0.4, 0.6]])
+        acc = ConfusionAccumulator(2)
+        with pytest.raises(InvalidValue, match="source_labels must be integers, got dtype"):
+            acc.accumulate(preds, labels, preds)
+        assert acc.n_source == acc.n_target == 0 and not acc.c_hat.any()
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_integer_labels_of_any_width(self, dtype):
+        preds = np.array([[0.25, 0.75], [0.5, 0.5], [0.75, 0.25]])
+        acc = ConfusionAccumulator(2).accumulate(preds, np.array([1, 0, 1], dtype=dtype), preds)
+        assert np.array_equal(acc.c_hat, [[0.5, 1.0], [0.5, 1.0]])
+
+
+class TestRowSumCheck:
+    """Every prediction row must be finite and sum to 1 within ROW_SUM_TOL, and no input warns."""
+
+    def accumulate(self, k, side, row):
+        good = np.full((3, k), 1.0 / k)
+        bad = good.copy()
+        bad[1] = row
+        src, tgt = (bad, good) if side == "source" else (good, bad)
+        acc = ConfusionAccumulator(k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return acc.accumulate(src, [0, 1, k - 1], tgt)
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("side", ["source", "target"])
+    @pytest.mark.parametrize("off, passes", [(2e-6, False), (-2e-6, False), (5e-7, True), (-5e-7, True)])
+    def test_tolerance_boundary(self, k, side, off, passes):
+        assert estimator.ROW_SUM_TOL == 1e-6
+        row = np.full(k, 1.0 / k)
+        row[0] += off
+        if passes:
+            assert self.accumulate(k, side, row).n_source == 3
+        else:
+            with pytest.raises(ShapeMismatch, match=f"{side}_preds rows must be finite and sum to 1 within 1e-06"):
+                self.accumulate(k, side, row)
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    @pytest.mark.parametrize("side", ["source", "target"])
+    @pytest.mark.parametrize(
+        "values",
+        [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf], [1e308, 1e308]],
+        ids=["nan", "inf", "-inf", "inf-and-minus-inf", "huge-finite"],
+    )
+    def test_non_finite_or_overflowing_rows_raise(self, k, side, values):
+        row = np.zeros(k)
+        row[: len(values)] = values
+        with pytest.raises(ShapeMismatch, match=f"{side}_preds rows must be finite and sum to 1 within 1e-06"):
+            self.accumulate(k, side, row)
+
+
+def _softmax(logits):
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+class TestSumsMatchTheReference:
+    """C and mu equal the frozen reference reductions bit for bit on C-ordered input."""
+
+    @staticmethod
+    def batches(seed, k, n_source, n_target, calls):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, k, size=n_source)
+        source = _softmax(rng.standard_normal((n_source, k)) * 3.0)
+        target = rng.dirichlet(np.ones(k), size=n_target)
+        cuts_s = np.sort(rng.integers(0, n_source + 1, size=calls - 1))
+        cuts_t = np.sort(rng.integers(0, n_target + 1, size=calls - 1))
+        return list(zip(np.split(source, cuts_s), np.split(labels, cuts_s), np.split(target, cuts_t)))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 10),
+        n_source=st.integers(0, 3300),
+        n_target=st.integers(0, 3300),
+        calls=st.integers(1, 4),
+    )
+    def test_streamed_batches(self, seed, k, n_source, n_target, calls):
+        batches = self.batches(seed, k, n_source, n_target, calls)
+        acc = ConfusionAccumulator(k)
+        for sp, labels, tp in batches:
+            acc.accumulate(sp, labels, tp)
+        c_ref, mu_ref = accumulated_sums(batches, k)
+        assert np.array_equal(acc.c_hat, c_ref) and np.array_equal(acc.mu_hat, mu_ref)
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_training_step_halves(self, k):
+        # the trainer passes the [:128] and [128:] views of one stacked softmax output
+        rng = np.random.default_rng(k)
+        acc, batches = ConfusionAccumulator(k), []
+        for _ in range(25):
+            preds = _softmax(rng.standard_normal((256, k)) * 2.0)
+            batch = (preds[:128], rng.integers(0, k, size=128), preds[128:])
+            acc.accumulate(*batch)
+            batches.append(batch)
+        c_ref, mu_ref = accumulated_sums(batches, k)
+        assert np.array_equal(acc.c_hat, c_ref) and np.array_equal(acc.mu_hat, mu_ref)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fortran_ordered_input_agrees_within_rounding(self, seed):
+        # the reference sums F-ordered columns pairwise, the accumulator row by row
+        k, n = 2 + seed, 500 * (seed + 1)
+        batches = [(np.asfortranarray(sp), y, np.asfortranarray(tp)) for sp, y, tp in self.batches(seed, k, n, n, 3)]
+        acc = ConfusionAccumulator(k)
+        for batch in batches:
+            acc.accumulate(*batch)
+        c_ref, mu_ref = accumulated_sums(batches, k)
+        assert np.array_equal(acc.c_hat, c_ref)
+        assert np.all(np.abs(acc.mu_hat - mu_ref) <= n * np.finfo(float).eps * mu_ref)
 
 
 class TestTypedErrors:
