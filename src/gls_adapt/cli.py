@@ -15,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from .datagen import (
 from .distributions import Categorical, empirical_label_dist, jsd
 from .errors import ConfigInvalid, GlsAdaptError, NonFiniteValue, ParseError, ShapeMismatch
 from .estimator import ConfusionAccumulator, exact_inverse_weights, solve_qp
-from .trainer import ALGORITHMS, TrainConfig, make_bound_hook, train
+from .trainer import ALGORITHMS, TrainConfig, train_many
 
 __all__ = ["main", "parse_config_file"]
 
@@ -228,8 +227,8 @@ def cmd_generate(ns) -> int:
     return 0
 
 
-def _write_run(out: Path, suffix: str, trace, k: int, sink, full_precision: bool) -> None:
-    """Write a run's trace{suffix}.csv and, unless ``sink`` is None, its checks to bounds{suffix}.csv."""
+def _write_run(out: Path, suffix: str, trace, k: int, reports, full_precision: bool) -> None:
+    """Write a run's trace{suffix}.csv and, unless ``reports`` is None, its checks to bounds{suffix}.csv."""
     w_cols = ",".join(f"w_{i}" for i in range(k))
     header = f"epoch,acc_src,acc_tgt,loss_da,loss_c,{w_cols},w_dist,jsd_label"
     rows = [
@@ -237,15 +236,15 @@ def _write_run(out: Path, suffix: str, trace, k: int, sink, full_precision: bool
         for r in trace.records
     ]
     _write_table(out / f"trace{suffix}.csv", header, rows, full_precision)
-    if sink is not None:
-        rows = [(r.check, ep, r.lhs, r.rhs, int(r.holds), r.slack) for ep, r in sink]
+    if reports is not None:
+        rows = [(r.check, ep, r.lhs, r.rhs, int(r.holds), r.slack) for ep, r in reports]
         _write_table(out / f"bounds{suffix}.csv", "check,epoch,lhs,rhs,holds,slack", rows, full_precision)
 
 
-def _report_checks(what: str, sink) -> int:
+def _report_checks(what: str, reports) -> int:
     """Print how many bound checks ran and failed; the exit code is 1 if any failed."""
-    n_fail = sum(1 for _, r in sink if not r.holds)
-    print(f"{what}: {len(sink)} checks, {n_fail} violations")
+    n_fail = sum(1 for _, r in reports if not r.holds)
+    print(f"{what}: {len(reports)} checks, {n_fail} violations")
     return 1 if n_fail else 0
 
 
@@ -266,14 +265,10 @@ def cmd_train(ns) -> int:
         for s in seeds
     }
     source, target = _load_or_make_datasets(ns, domain_opts, seed)
-    sink: list = []
-    hook = make_bound_hook(source, target, sink) if ns.bounds else None
+    results = train_many([(cfg, source, target) for cfg in configs.values()], bounds=ns.bounds)
     best: dict[tuple[str, int], tuple[float, float]] = {}
-    for (alg, s), cfg in configs.items():
-        start = len(sink)
-        _, trace = train(cfg, source, target, epoch_hook=hook)
-        run_sink = sink[start:] if ns.bounds else None
-        _write_run(ns.out, f"_{alg}_seed{s}", trace, source.k, run_sink, ns.full_precision)
+    for (alg, s), (trace, reports) in zip(configs, results):
+        _write_run(ns.out, f"_{alg}_seed{s}", trace, source.k, reports if ns.bounds else None, ns.full_precision)
         best[(alg, s)] = (max(r.acc_src for r in trace.records), trace.best_target_accuracy())
     rows = []
     for alg in algorithms:
@@ -288,13 +283,8 @@ def cmd_train(ns) -> int:
     header = "algorithm,seed,best_acc_src,best_acc_tgt,mean_best_acc_tgt,win_fraction_vs_base"
     _write_table(ns.out / "summary.csv", header, rows, ns.full_precision)
     print(f"wrote {ns.out / 'summary.csv'} ({len(algorithms)} algorithms x {len(seeds)} seeds)")
-    return _report_checks(f"wrote {ns.out / 'bounds_*.csv'} ({len(configs)} runs)", sink) if ns.bounds else 0
-
-
-def _sweep_one(payload):
-    task_id, src, tgt, jsd_label, configs = payload
-    acc_base, acc_variant = (train(cfg, src, tgt)[1].best_target_accuracy() for cfg in configs)
-    return task_id, jsd_label, acc_base, acc_variant
+    reports = [r for _, run in results for r in run]
+    return _report_checks(f"wrote {ns.out / 'bounds_*.csv'} ({len(configs)} runs)", reports) if ns.bounds else 0
 
 
 def cmd_sweep_jsd(ns) -> int:
@@ -308,13 +298,10 @@ def cmd_sweep_jsd(ns) -> int:
     configs = [TrainConfig(algorithm=alg, seed=seed, **train_opts) for alg in (base, variant)]
     base_src, base_tgt = _make_domains(seed, **domain_opts)
     tasks = jsd_task_suite(base_src, base_tgt, count=ns.tasks, seed=seed)
-    payloads = [(i, t.source, t.target, t.jsd_label, configs) for i, t in enumerate(tasks)]
-    if ns.jobs > 1:
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
-            results = list(pool.map(_sweep_one, payloads))
-    else:
-        results = [_sweep_one(p) for p in payloads]
-    rows = [(task_id, j, acc_b, acc_v, acc_v - acc_b) for task_id, j, acc_b, acc_v in results]
+    runs = [(cfg, t.source, t.target) for t in tasks for cfg in configs]
+    acc = [trace.best_target_accuracy() for trace, _ in train_many(runs, jobs=ns.jobs)]
+    pairs = zip(tasks, acc[::2], acc[1::2])  # each task's base run, then its variant's
+    rows = [(i, t.jsd_label, acc_b, acc_v, acc_v - acc_b) for i, (t, acc_b, acc_v) in enumerate(pairs)]
     _write_table(ns.out / "sweep.csv", "task_id,jsd,acc_base,acc_variant,gain", rows, ns.full_precision)
     print(f"wrote {ns.out / 'sweep.csv'} ({len(rows)} tasks)")
     return 0
@@ -373,10 +360,9 @@ def cmd_verify_bounds(ns) -> int:
     train_opts, domain_opts, seed = _resolve(ns)
     source, target = _load_or_make_datasets(ns, domain_opts, seed)
     cfg = TrainConfig(algorithm=ns.algorithm, seed=seed, **train_opts)
-    sink: list = []
-    _, trace = train(cfg, source, target, epoch_hook=make_bound_hook(source, target, sink))
-    _write_run(ns.out, "", trace, source.k, sink, ns.full_precision)
-    return _report_checks(f"wrote {ns.out / 'bounds.csv'}", sink)
+    [(trace, reports)] = train_many([(cfg, source, target)], bounds=True)
+    _write_run(ns.out, "", trace, source.k, reports, ns.full_precision)
+    return _report_checks(f"wrote {ns.out / 'bounds.csv'}", reports)
 
 
 class _Parser(argparse.ArgumentParser):

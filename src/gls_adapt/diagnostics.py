@@ -1,10 +1,9 @@
 """Numeric checkers for the error bounds and identities the trainer relies on.
 
 Every check produces a :class:`BoundReport` comparing a left-hand side
-against a right-hand side: inequality checks carry a 0.02 absolute slack
-to absorb finite-sample noise, identity checks 1e-8. Checkers never
-mutate training state and may read target labels (a privilege reserved
-for diagnostics).
+against a right-hand side, with a 0.02 absolute slack to absorb
+finite-sample noise. Checkers never mutate training state and may read
+target labels (a privilege reserved for diagnostics).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .estimator import WeightVector
 __all__ = [
     "BoundReport",
     "INEQ_TOL",
-    "EXACT_TOL",
     "balanced_error_rate",
     "conditional_error_gap",
     "binned_divergences",
@@ -28,17 +26,14 @@ __all__ = [
     "check_error_decomposition",
     "check_joint_error_bound",
     "check_sufficiency_bound",
-    "check_discriminator_optimum",
     "bound_suite",
 ]
 
 INEQ_TOL = 0.02
-EXACT_TOL = 1e-8
 ROW_TOL = 1e-6
 BINS = 16  # histogram cells per projected feature axis
 PERMUTATIONS = 4  # resplits averaged into the permutation baseline
 MIN_COUNT = 50  # samples each class needs in each domain for the binned gap
-LOG4 = float(np.log(4.0))
 
 
 @dataclass(frozen=True)
@@ -306,58 +301,6 @@ def check_sufficiency_bound(
         w_max=w_max,
         jsd_weighted_feats=jsd_weighted_feats,
         rhs_uncapped=rhs_raw,
-    )
-
-
-def _discriminator_objective(p_w: np.ndarray, q: np.ndarray, d: np.ndarray) -> float:
-    # terms with zero mass contribute nothing regardless of d there
-    val = 0.0
-    mask_p = p_w > 0
-    mask_q = q > 0
-    val -= float(np.sum(p_w[mask_p] * np.log(d[mask_p])))
-    val -= float(np.sum(q[mask_q] * np.log(1.0 - d[mask_q])))
-    return val
-
-
-def check_discriminator_optimum(
-    p_w: Categorical,
-    q: Categorical,
-    perturbations: int = 100,
-    seed: int = 0,
-    tol: float = EXACT_TOL,
-) -> BoundReport:
-    """Optimal binned discriminator identity.
-
-    d*(x) = p_w(x) / (p_w(x) + q(x)) must achieve objective value
-    log 4 - 2 * jsd(p_w, q), and no perturbed discriminator may do
-    better. The report's lhs is the larger of the identity defect and
-    the best improvement any perturbation achieved (0 when none did),
-    compared against 0 at the identity tolerance.
-    """
-    if p_w.k != q.k:
-        raise ShapeMismatch(f"binned densities have lengths {p_w.k} and {q.k}")
-    a = p_w.probs
-    b = q.probs
-    denom = a + b
-    d_star = np.where(denom > 0, a / np.maximum(denom, 1e-300), 0.5)
-    d_star = np.clip(d_star, 1e-300, 1.0 - 1e-16)
-    i_star = _discriminator_objective(a, b, d_star)
-    target = LOG4 - 2.0 * jsd(p_w, q)
-    defect = abs(i_star - target)
-    rng = np.random.default_rng(seed)
-    best_improvement = 0.0
-    for _ in range(perturbations):
-        noise = rng.normal(scale=rng.uniform(0.01, 0.3), size=a.size)
-        d_pert = np.clip(d_star + noise, 1e-12, 1.0 - 1e-12)
-        best_improvement = max(best_improvement, i_star - _discriminator_objective(a, b, d_pert))
-    return _report(
-        "discriminator_optimum",
-        max(defect, best_improvement),
-        0.0,
-        tol,
-        i_star=i_star,
-        expected=target,
-        best_perturbation_improvement=best_improvement,
     )
 
 

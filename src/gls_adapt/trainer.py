@@ -22,6 +22,7 @@ their losses, and the oracle variants pin them to the true ratios.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "EpochRecord",
     "TrainTrace",
     "train",
+    "train_many",
     "evaluate",
     "make_bound_hook",
 ]
@@ -310,3 +312,35 @@ def make_bound_hook(source: Dataset, target: Dataset, sink: list):
         sink.extend((epoch, r) for r in reports)
 
     return hook
+
+
+def _train_one(run, bounds: bool):
+    config, source, target = run
+    reports: list = []
+    hook = make_bound_hook(source, target, reports) if bounds else None
+    return train(config, source, target, epoch_hook=hook)[1], reports
+
+
+def train_many(runs, bounds: bool = False, jobs: int = 1) -> list:
+    """One (TrainTrace, reports) per ``(TrainConfig, source, target)`` in ``runs``, in input order.
+
+    ``reports`` is the run's own (epoch, BoundReport) list, empty unless ``bounds``.
+    The runs train in min(jobs, len(runs), CPU count) spawned workers, or in this
+    process if that is 1; the results do not depend on it.
+    """
+    workers = min(jobs, len(runs), os.cpu_count() or 1)
+    if workers <= 1:
+        return [_train_one(run, bounds) for run in runs]
+    # imported here: their ~15 ms import would count in perfbench's setup_s
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    saved = dict(os.environ)
+    # pinned as perfbench/run.py pins them: with a BLAS thread per core, two workers ran slower than one
+    os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(_train_one, runs, [bounds] * len(runs)))
+    finally:
+        os.environ.clear()
+        os.environ.update(saved)

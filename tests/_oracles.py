@@ -9,6 +9,10 @@ import math
 
 import numpy as np
 
+from gls_adapt.diagnostics import BoundReport, _report
+from gls_adapt.distributions import Categorical, jsd
+from gls_adapt.errors import ShapeMismatch
+
 
 def kl_terms(p, q):
     """KL divergence evaluated term by term with python floats."""
@@ -335,3 +339,63 @@ def conditional_gap_reference(feats_src, labels_src, feats_tgt, labels_tgt, seed
             base += binned_tv(pool[perm[: a.shape[0]]], pool[perm[a.shape[0]:]], pooled)
         gaps[y] = max(binned_tv(a, b, pooled) - base / permutations, 0.0)
     return gaps
+
+
+# Criterion 7's oracle, moved here unchanged from the library, which never
+# called it: the optimal binned discriminator identity on random binned
+# densities, not on a run. Unlike the rest of this file it uses the
+# library's jsd and report builder.
+EXACT_TOL = 1e-8
+LOG4 = float(np.log(4.0))
+
+
+def _discriminator_objective(p_w: np.ndarray, q: np.ndarray, d: np.ndarray) -> float:
+    # terms with zero mass contribute nothing regardless of d there
+    val = 0.0
+    mask_p = p_w > 0
+    mask_q = q > 0
+    val -= float(np.sum(p_w[mask_p] * np.log(d[mask_p])))
+    val -= float(np.sum(q[mask_q] * np.log(1.0 - d[mask_q])))
+    return val
+
+
+def check_discriminator_optimum(
+    p_w: Categorical,
+    q: Categorical,
+    perturbations: int = 100,
+    seed: int = 0,
+    tol: float = EXACT_TOL,
+) -> BoundReport:
+    """Optimal binned discriminator identity.
+
+    d*(x) = p_w(x) / (p_w(x) + q(x)) must achieve objective value
+    log 4 - 2 * jsd(p_w, q), and no perturbed discriminator may do
+    better. The report's lhs is the larger of the identity defect and
+    the best improvement any perturbation achieved (0 when none did),
+    compared against 0 at the identity tolerance.
+    """
+    if p_w.k != q.k:
+        raise ShapeMismatch(f"binned densities have lengths {p_w.k} and {q.k}")
+    a = p_w.probs
+    b = q.probs
+    denom = a + b
+    d_star = np.where(denom > 0, a / np.maximum(denom, 1e-300), 0.5)
+    d_star = np.clip(d_star, 1e-300, 1.0 - 1e-16)
+    i_star = _discriminator_objective(a, b, d_star)
+    target = LOG4 - 2.0 * jsd(p_w, q)
+    defect = abs(i_star - target)
+    rng = np.random.default_rng(seed)
+    best_improvement = 0.0
+    for _ in range(perturbations):
+        noise = rng.normal(scale=rng.uniform(0.01, 0.3), size=a.size)
+        d_pert = np.clip(d_star + noise, 1e-12, 1.0 - 1e-12)
+        best_improvement = max(best_improvement, i_star - _discriminator_objective(a, b, d_pert))
+    return _report(
+        "discriminator_optimum",
+        max(defect, best_improvement),
+        0.0,
+        tol,
+        i_star=i_star,
+        expected=target,
+        best_perturbation_improvement=best_improvement,
+    )

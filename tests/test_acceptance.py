@@ -2,7 +2,8 @@
 
 Each test prints a single PASS/FAIL line (run with ``pytest -s`` to see
 them live). Training-based criteria share session fixtures so the five
-seed runs and the divergence sweep execute once.
+seed runs and the divergence sweep execute once, each fixture's runs in
+one ``train_many`` call on two workers.
 """
 
 import time
@@ -12,14 +13,14 @@ import pytest
 
 from gls_adapt import losses, network
 from gls_adapt.datagen import jsd_task_suite, make_shift_task
-from gls_adapt.diagnostics import check_discriminator_optimum
 from gls_adapt.distributions import Categorical
 from gls_adapt.estimator import WeightVector, solve_qp
 from gls_adapt.network import backward, forward, init_model_state
-from gls_adapt.trainer import TrainConfig, make_bound_hook, train
+from gls_adapt.trainer import TrainConfig, train_many
 
 from _oracles import (
     add_grads,
+    check_discriminator_optimum,
     finite_difference_gradient,
     flatten_grads,
     flatten_net_params,
@@ -75,33 +76,29 @@ def shift_config(algorithm, seed, **kwargs):
 def shift_runs():
     """Criterion-4 runs: dann / iwdan / iwdan_o over 5 seeds, bounds logged."""
     src, tgt = make_shift_task(**SHIFT_TASK)
-    out = {"elapsed": 0.0, "runs": {}, "bounds": []}
+    keys = [(alg, seed) for alg in ("dann", "iwdan", "iwdan_o") for seed in RUN_SEEDS]
     start = time.perf_counter()
-    for alg in ("dann", "iwdan", "iwdan_o"):
-        for seed in RUN_SEEDS:
-            sink = []
-            _, trace = train(
-                shift_config(alg, seed), src, tgt, epoch_hook=make_bound_hook(src, tgt, sink)
-            )
-            out["runs"][(alg, seed)] = trace
-            out["bounds"].extend(sink)
-    out["elapsed"] = time.perf_counter() - start
-    return out
+    results = train_many([(shift_config(*key), src, tgt) for key in keys], bounds=True, jobs=2)
+    return {
+        "elapsed": time.perf_counter() - start,
+        "runs": {key: trace for key, (trace, _) in zip(keys, results)},
+        "bounds": [b for _, reports in results for b in reports],
+    }
 
 
 @pytest.fixture(scope="session")
 def ablation_runs():
     """Criterion-9 runs: oracle weights with exactly one loss reweighted."""
     src, tgt = make_shift_task(**SHIFT_TASK)
-    runs = {}
-    for name, flags in (
-        ("da_only", dict(weight_c_loss=False)),
-        ("c_only", dict(weight_da_loss=False)),
-    ):
-        runs[name] = [
-            train(shift_config("iwdan_o", seed, **flags), src, tgt)[1] for seed in RUN_SEEDS
-        ]
-    return runs
+    ablations = {"da_only": dict(weight_c_loss=False), "c_only": dict(weight_da_loss=False)}
+    runs = [
+        (shift_config("iwdan_o", seed, **flags), src, tgt)
+        for flags in ablations.values()
+        for seed in RUN_SEEDS
+    ]
+    traces = [trace for trace, _ in train_many(runs, jobs=2)]
+    n = len(RUN_SEEDS)
+    return {name: traces[i * n:(i + 1) * n] for i, name in enumerate(ablations)}
 
 
 @pytest.fixture(scope="session")
@@ -111,22 +108,17 @@ def sweep_runs():
         k=3, n_source=2400, n_target=2400, sigma=0.35, seed=100
     )
     tasks = jsd_task_suite(base_src, base_tgt, count=24, seed=7)
-    rows = []
-    bounds = []
     start = time.perf_counter()
-    for task in tasks:
-        acc = {}
-        for alg in ("dann", "iwdan"):
-            cfg = TrainConfig(algorithm=alg, epochs=20, seed=5, reversal_coeff=20.0)
-            sink = []
-            _, trace = train(
-                cfg, task.source, task.target,
-                epoch_hook=make_bound_hook(task.source, task.target, sink),
-            )
-            acc[alg] = trace.best_target_accuracy()
-            bounds.extend(sink)
-        rows.append((task.jsd_label, acc["iwdan"] - acc["dann"]))
+    runs = [
+        (TrainConfig(algorithm=alg, epochs=20, seed=5, reversal_coeff=20.0), task.source, task.target)
+        for task in tasks
+        for alg in ("dann", "iwdan")
+    ]
+    results = train_many(runs, bounds=True, jobs=2)
     elapsed = time.perf_counter() - start
+    acc = [trace.best_target_accuracy() for trace, _ in results]
+    rows = [(task.jsd_label, acc_iw - acc_da) for task, acc_da, acc_iw in zip(tasks, acc[::2], acc[1::2])]
+    bounds = [b for _, reports in results for b in reports]
     return {"rows": np.array(rows), "bounds": bounds, "elapsed": elapsed}
 
 

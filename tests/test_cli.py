@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from gls_adapt import cli
+from gls_adapt import cli, trainer
 from gls_adapt.cli import main, parse_config_file
 from gls_adapt.datagen import read_dataset_csv
 from gls_adapt.diagnostics import BoundReport
@@ -525,7 +525,7 @@ class TestOptionsAreUsedOrRejected:
             seen.append(cfg)
             raise Captured
 
-        monkeypatch.setattr(cli, "train", capture)
+        monkeypatch.setattr(trainer, "train", capture)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{field.name} = {value}\n")
         with pytest.raises(Captured):
@@ -713,7 +713,7 @@ class TestBoundsExitCode:
                 (epoch, BoundReport(check="fake", lhs=1.0, rhs=0.0, holds=False, slack=-1.0))
             )
 
-        monkeypatch.setattr(cli, "make_bound_hook", failing_hook)
+        monkeypatch.setattr(trainer, "make_bound_hook", failing_hook)
         out = tmp_path / "runs"
         argv = [command, "--n", 200, "--epochs", 2, "--batches-per-epoch", 2, "--feature-dim", 8]
         argv += ["--out", out]

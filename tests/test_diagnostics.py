@@ -10,7 +10,6 @@ from gls_adapt.cli import main
 from gls_adapt.datagen import make_shift_task, write_dataset_csv
 from gls_adapt.diagnostics import (
     balanced_error_rate,
-    check_discriminator_optimum,
     check_error_decomposition,
     check_joint_error_bound,
     check_lower_bound,
@@ -24,7 +23,13 @@ from gls_adapt.errors import InvalidValue, ShapeMismatch
 from gls_adapt.estimator import WeightVector
 from gls_adapt.trainer import TrainConfig, make_bound_hook, train
 
-from _oracles import binned_histogram, binned_tv, conditional_gap_reference, random_categorical
+from _oracles import (
+    binned_histogram,
+    binned_tv,
+    check_discriminator_optimum,
+    conditional_gap_reference,
+    random_categorical,
+)
 
 LN2 = math.log(2.0)
 
@@ -339,6 +344,8 @@ class TestCheckSufficiencyBound:
 
 
 class TestDiscriminatorOptimum:
+    """Criterion 7's oracle, which lives in tests/_oracles.py."""
+
     def test_equal_distributions(self):
         p = Categorical(np.array([0.25, 0.25, 0.5]))
         r = check_discriminator_optimum(p, p)
@@ -368,6 +375,11 @@ class TestDiscriminatorOptimum:
         q = Categorical(random_categorical(rng, 12, floor=0.0))
         r = check_discriminator_optimum(p, q, perturbations=200, seed=6)
         assert r.components["best_perturbation_improvement"] <= 1e-8
+
+    def test_names_the_length_mismatch(self):
+        with pytest.raises(ShapeMismatch) as info:
+            check_discriminator_optimum(Categorical([0.5, 0.5]), Categorical([0.2, 0.3, 0.5]))
+        assert str(info.value) == "binned densities have lengths 2 and 3"
 
 
 class TestReportCsv:
@@ -437,10 +449,6 @@ class TestTypedErrors:
             pytest.param(
                 lambda: binned_on_pair(weights=np.ones(199)),
                 ShapeMismatch, "200 source feature rows but 199 source weights", id="binned-source-weights",
-            ),
-            pytest.param(
-                lambda: check_discriminator_optimum(Categorical([0.5, 0.5]), Categorical([0.2, 0.3, 0.5])),
-                ShapeMismatch, "binned densities have lengths 2 and 3", id="optimum-lengths",
             ),
         ],
     )

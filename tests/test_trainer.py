@@ -1,6 +1,8 @@
+import concurrent.futures
+import os
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from gls_adapt.trainer import (
     evaluate,
     make_bound_hook,
     train,
+    train_many,
 )
 
 
@@ -597,3 +600,109 @@ class TestConfusionAccumulation:
             assert p_tgt.tobytes() == p[s:].tobytes()
         pooled = cfg.weight_update_period * cfg.batches_per_epoch * s
         assert finalized == [(pooled, pooled)] * (cfg.epochs // cfg.weight_update_period)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def assert_identical(a, b):
+    """Two records or two bound reports agree field by field, to the bit."""
+    assert type(a) is type(b)
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+        else:
+            assert repr(x) == repr(y), f.name  # a float's repr round-trips its bits
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records how it was built and maps in this process."""
+
+    def __init__(self, seen, max_workers, mp_context):
+        seen.append((max_workers, mp_context.get_start_method(), {v: os.environ.get(v) for v in BLAS_THREAD_VARS}))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def fake_pool(monkeypatch, cpus):
+    """Every pool train_many builds is a FakePool, on a machine with ``cpus`` CPUs; returns their records."""
+    seen = []
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *a, **kw: FakePool(seen, *a, **kw))
+    return seen
+
+
+class TestTrainMany:
+    @staticmethod
+    def runs(count=3, n=600):
+        """Runs that differ in algorithm, seed and datasets, so a mixed-up order shows."""
+        tasks = [tiny_task(seed=0, n=n), tiny_task(seed=1, n=n)]
+        algorithms = ["iwdan", "dann", "iwcdan", "none"]
+        return [
+            (tiny_config(algorithm=algorithms[i % 4], seed=i, epochs=2, batches_per_epoch=3), *tasks[i % 2])
+            for i in range(count)
+        ]
+
+    @pytest.mark.parametrize("bounds", [False, True])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_equals_direct_train_calls_in_input_order(self, jobs, bounds):
+        runs = self.runs()
+        environ = dict(os.environ)
+        results = train_many(runs, bounds=bounds, jobs=jobs)
+        assert dict(os.environ) == environ
+        assert len(results) == len(runs)
+        for (cfg, src, tgt), (trace, reports) in zip(runs, results):
+            sink = []
+            _, expected = train(cfg, src, tgt, epoch_hook=make_bound_hook(src, tgt, sink) if bounds else None)
+            assert len(trace) == len(expected) == cfg.epochs
+            for got, want in zip(trace.records, expected.records):
+                assert_identical(got, want)
+            assert len(reports) == len(sink) == (4 * cfg.epochs if bounds else 0)
+            for (ep, got), (ep_want, want) in zip(reports, sink):
+                assert ep == ep_want
+                assert_identical(got, want)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_run_too_small_to_check_raises_with_environ_restored(self, jobs):
+        # class 2 holds 20 of the 100 rows, fewer than the bound suite needs
+        small = tiny_task(n=100)
+        runs = self.runs(count=2) + [(tiny_config(epochs=1), *small)]
+        environ = dict(os.environ)
+        with pytest.raises(InvalidValue, match=r"^class \d: \d+ source / \d+ target samples, need 50$"):
+            train_many(runs, bounds=True, jobs=jobs)
+        assert dict(os.environ) == environ
+
+    @pytest.mark.parametrize(
+        "jobs, count, cpus, workers",
+        [(5000, 3, 2, 2), (5000, 3, 8, 3), (2, 5, 8, 2), (5000, 1, 8, None), (1, 3, 8, None)],
+    )
+    def test_workers_are_capped_at_runs_and_cpus(self, monkeypatch, jobs, count, cpus, workers):
+        seen = fake_pool(monkeypatch, cpus)
+        runs = self.runs(count=count, n=300)
+        environ = dict(os.environ)
+        results = train_many(runs, jobs=jobs)
+        assert dict(os.environ) == environ
+        if workers is None:  # one worker trains in this process
+            assert seen == []
+        else:
+            assert seen == [(workers, "spawn", dict.fromkeys(BLAS_THREAD_VARS, "1"))]
+        for (cfg, src, tgt), (trace, reports) in zip(runs, results):
+            assert reports == []
+            for got, want in zip(trace.records, train(cfg, src, tgt)[1].records):
+                assert_identical(got, want)
+
+    def test_sweep_jobs_is_capped_at_its_runs(self, monkeypatch, tmp_path):
+        # one task is two runs, so --jobs 5000 builds a pool of two workers
+        seen = fake_pool(monkeypatch, cpus=64)
+        argv = ["sweep-jsd", "--tasks", "1", "--jobs", "5000", "--n", "300", "--epochs", "1"]
+        argv += ["--batches-per-epoch", "2", "--feature-dim", "8", "--out", str(tmp_path / "s")]
+        assert main(argv) == 0
+        assert [workers for workers, _, _ in seen] == [2]
