@@ -265,25 +265,24 @@ def cmd_train(ns) -> int:
         for s in seeds
     }
     source, target = _load_or_make_datasets(ns, domain_opts, seed)
-    results = train_many([(cfg, source, target) for cfg in configs.values()], bounds=ns.bounds)
-    best: dict[tuple[str, int], tuple[float, float]] = {}
-    for (alg, s), (trace, reports) in zip(configs, results):
-        _write_run(ns.out, f"_{alg}_seed{s}", trace, source.k, reports if ns.bounds else None, ns.full_precision)
+    best, reports = {}, []
+    for (alg, s), cfg in configs.items():  # one run per call, so each run's files are written when it ends
+        [(trace, run)] = train_many([(cfg, source, target)], bounds=ns.bounds)
+        _write_run(ns.out, f"_{alg}_seed{s}", trace, source.k, run if ns.bounds else None, ns.full_precision)
+        reports += run
         best[(alg, s)] = (max(r.acc_src for r in trace.records), trace.best_target_accuracy())
     rows = []
     for alg in algorithms:
         mean_acc = float(np.mean([best[(alg, s)][1] for s in seeds]))
         base = _BASE_OF.get(alg)
+        win_fraction = float("nan")
         if base in algorithms:
             win_fraction = float(np.mean([best[(alg, s)][1] > best[(base, s)][1] for s in seeds]))
-        else:
-            win_fraction = float("nan")
         for s in seeds:
             rows.append((alg, s, best[(alg, s)][0], best[(alg, s)][1], mean_acc, win_fraction))
     header = "algorithm,seed,best_acc_src,best_acc_tgt,mean_best_acc_tgt,win_fraction_vs_base"
     _write_table(ns.out / "summary.csv", header, rows, ns.full_precision)
     print(f"wrote {ns.out / 'summary.csv'} ({len(algorithms)} algorithms x {len(seeds)} seeds)")
-    reports = [r for _, run in results for r in run]
     return _report_checks(f"wrote {ns.out / 'bounds_*.csv'} ({len(configs)} runs)", reports) if ns.bounds else 0
 
 

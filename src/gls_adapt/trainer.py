@@ -314,8 +314,7 @@ def make_bound_hook(source: Dataset, target: Dataset, sink: list):
     return hook
 
 
-def _train_one(run, bounds: bool):
-    config, source, target = run
+def _train_one(config, source, target, bounds: bool):
     reports: list = []
     hook = make_bound_hook(source, target, reports) if bounds else None
     return train(config, source, target, epoch_hook=hook)[1], reports
@@ -324,23 +323,25 @@ def _train_one(run, bounds: bool):
 def train_many(runs, bounds: bool = False, jobs: int = 1) -> list:
     """One (TrainTrace, reports) per ``(TrainConfig, source, target)`` in ``runs``, in input order.
 
-    ``reports`` is the run's own (epoch, BoundReport) list, empty unless ``bounds``.
-    The runs train in min(jobs, len(runs), CPU count) spawned workers, or in this
-    process if that is 1; the results do not depend on it.
+    ``reports`` is the run's own (epoch, BoundReport) list, empty unless ``bounds``. The runs
+    train in min(jobs, len(runs), usable CPUs) spawned workers, or in this process if that is 1.
     """
-    workers = min(jobs, len(runs), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(runs), cpus)
     if workers <= 1:
-        return [_train_one(run, bounds) for run in runs]
+        return [_train_one(*run, bounds) for run in runs]
     # imported here: their ~15 ms import would count in perfbench's setup_s
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    saved = dict(os.environ)
     # pinned as perfbench/run.py pins them: with a BLAS thread per core, two workers ran slower than one
-    os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    saved = {var: os.environ[var] for var in blas if var in os.environ}
+    os.environ.update(blas)
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            return list(pool.map(_train_one, runs, [bounds] * len(runs)))
+            return list(pool.map(_train_one, *zip(*runs), [bounds] * len(runs)))
     finally:
-        os.environ.clear()
+        for var in blas:
+            os.environ.pop(var, None)
         os.environ.update(saved)

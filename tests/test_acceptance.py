@@ -3,16 +3,18 @@
 Each test prints a single PASS/FAIL line (run with ``pytest -s`` to see
 them live). Training-based criteria share session fixtures so the five
 seed runs and the divergence sweep execute once, each fixture's runs in
-one ``train_many`` call on two workers.
+one ``train_many`` call on two workers that turn warnings into errors,
+as this process does.
 """
 
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from gls_adapt import losses, network
-from gls_adapt.datagen import jsd_task_suite, make_shift_task
+from gls_adapt.datagen import Dataset, jsd_task_suite, make_shift_task
 from gls_adapt.distributions import Categorical
 from gls_adapt.estimator import WeightVector, solve_qp
 from gls_adapt.network import backward, forward, init_model_state
@@ -72,13 +74,35 @@ def shift_config(algorithm, seed, **kwargs):
     )
 
 
+def train_pooled(runs, bounds=False):
+    """``train_many`` on two workers; PYTHONWARNINGS carries this process's "error" filter into them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONWARNINGS", "error")
+        return train_many(runs, bounds=bounds, jobs=2)
+
+
+class WarningDataset(Dataset):
+    """A dataset whose label distribution warns when a run reads it."""
+
+    def label_distribution(self):
+        warnings.warn("read the label distribution", RuntimeWarning)
+        return super().label_distribution()
+
+
+def test_a_warning_in_a_pooled_run_fails():
+    src, tgt = make_shift_task(k=3, n_source=300, n_target=300, seed=0)
+    run = (TrainConfig(algorithm="dann", epochs=1, batches_per_epoch=1), WarningDataset(src.features, src.labels, src.k), tgt)
+    with pytest.raises(RuntimeWarning, match="read the label distribution"):
+        train_pooled([run, run], bounds=True)
+
+
 @pytest.fixture(scope="session")
 def shift_runs():
     """Criterion-4 runs: dann / iwdan / iwdan_o over 5 seeds, bounds logged."""
     src, tgt = make_shift_task(**SHIFT_TASK)
     keys = [(alg, seed) for alg in ("dann", "iwdan", "iwdan_o") for seed in RUN_SEEDS]
     start = time.perf_counter()
-    results = train_many([(shift_config(*key), src, tgt) for key in keys], bounds=True, jobs=2)
+    results = train_pooled([(shift_config(*key), src, tgt) for key in keys], bounds=True)
     return {
         "elapsed": time.perf_counter() - start,
         "runs": {key: trace for key, (trace, _) in zip(keys, results)},
@@ -96,7 +120,7 @@ def ablation_runs():
         for flags in ablations.values()
         for seed in RUN_SEEDS
     ]
-    traces = [trace for trace, _ in train_many(runs, jobs=2)]
+    traces = [trace for trace, _ in train_pooled(runs)]
     n = len(RUN_SEEDS)
     return {name: traces[i * n:(i + 1) * n] for i, name in enumerate(ablations)}
 
@@ -114,7 +138,7 @@ def sweep_runs():
         for task in tasks
         for alg in ("dann", "iwdan")
     ]
-    results = train_many(runs, bounds=True, jobs=2)
+    results = train_pooled(runs, bounds=True)
     elapsed = time.perf_counter() - start
     acc = [trace.best_target_accuracy() for trace, _ in results]
     rows = [(task.jsd_label, acc_iw - acc_da) for task, acc_da, acc_iw in zip(tasks, acc[::2], acc[1::2])]

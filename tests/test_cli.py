@@ -9,7 +9,7 @@ from gls_adapt.cli import main, parse_config_file
 from gls_adapt.datagen import read_dataset_csv
 from gls_adapt.diagnostics import BoundReport
 from gls_adapt.distributions import empirical_label_dist, jsd
-from gls_adapt.errors import ConfigInvalid, GlsAdaptError, ShapeMismatch
+from gls_adapt.errors import ConfigInvalid, GlsAdaptError, InvalidValue, ShapeMismatch
 from gls_adapt.trainer import TrainConfig
 
 
@@ -317,6 +317,20 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err == "error: --source and --target must be given together\n"
         assert not out.exists()
+
+    def test_a_failing_run_keeps_the_files_of_the_runs_before_it(self, tmp_path, monkeypatch, capsys):
+        real_train = trainer.train
+
+        def train_but_fail_dann(cfg, *args, **kwargs):
+            if cfg.algorithm == "dann":
+                raise InvalidValue("dann failed")
+            return real_train(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train", train_but_fail_dann)
+        out = tmp_path / "runs"
+        assert run(["train", *TINY_RUN, "--bounds", "--algorithms", "none,dann,iwdan", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: dann failed\n"
+        assert sorted(p.name for p in out.iterdir()) == ["bounds_none_seed0.csv", "trace_none_seed0.csv"]
 
 
 class TestConfigFile:

@@ -633,9 +633,10 @@ class FakePool:
 
 
 def fake_pool(monkeypatch, cpus):
-    """Every pool train_many builds is a FakePool, on a machine with ``cpus`` CPUs; returns their records."""
+    """Every pool train_many builds is a FakePool, in a process allowed ``cpus`` of 64 CPUs; returns their records."""
     seen = []
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *a, **kw: FakePool(seen, *a, **kw))
     return seen
 
@@ -686,6 +687,8 @@ class TestTrainMany:
     )
     def test_workers_are_capped_at_runs_and_cpus(self, monkeypatch, jobs, count, cpus, workers):
         seen = fake_pool(monkeypatch, cpus)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")  # one pinned variable set beforehand, the others not
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         runs = self.runs(count=count, n=300)
         environ = dict(os.environ)
         results = train_many(runs, jobs=jobs)
@@ -698,6 +701,13 @@ class TestTrainMany:
             assert reports == []
             for got, want in zip(trace.records, train(cfg, src, tgt)[1].records):
                 assert_identical(got, want)
+
+    def test_without_affinity_the_cap_is_the_cpu_count(self, monkeypatch):
+        seen = fake_pool(monkeypatch, cpus=8)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        train_many(self.runs(count=3, n=300), jobs=5000)
+        assert [workers for workers, _, _ in seen] == [2]
 
     def test_sweep_jobs_is_capped_at_its_runs(self, monkeypatch, tmp_path):
         # one task is two runs, so --jobs 5000 builds a pool of two workers
