@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import Categorical, empirical_label_dist, jsd
+from .distributions import Categorical, check_labels, empirical_label_dist, jsd
 from .errors import ConfigInvalid, InvalidValue, ParseError
 
 __all__ = [
@@ -45,17 +45,14 @@ class Dataset:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels, dtype=int)
         if feats.ndim != 2 or feats.shape[0] < 1:
             raise ConfigInvalid(f"features must be (n >= 1, d), got {feats.shape}")
-        if labels.shape != (feats.shape[0],):
+        labels = check_labels(self.labels, self.k, "labels").astype(int)
+        if labels.size != feats.shape[0]:
             raise ConfigInvalid("labels must be one per feature row")
         if not np.all(np.isfinite(feats)):
             raise ConfigInvalid("features contain non-finite values")
-        if labels.min() < 0 or labels.max() >= self.k:
-            raise ConfigInvalid(f"labels must lie in [0, {self.k})")
         feats = feats.copy()
-        labels = labels.copy()
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -228,12 +225,11 @@ def jsd_task_suite(
         if n_side == 0:
             continue
         base = base_source if side == "source" else base_target
-        other = base_target if side == "source" else base_source
+        other = (base_target if side == "source" else base_source).label_distribution()
         counts = np.bincount(base.labels, minlength=k).astype(float)
         cand_jsd = np.empty(pool)
         for i in range(pool):
-            sub = Categorical.normalize(counts * keeps[i])
-            cand_jsd[i] = jsd(sub, other.label_distribution())
+            cand_jsd[i] = jsd(Categorical.normalize(counts * keeps[i]), other)
         lo = max(JSD_ENVELOPE[0], float(cand_jsd.min()))
         hi = min(JSD_ENVELOPE[1], float(cand_jsd.max()))
         ladder = np.linspace(lo, hi, n_side) if n_side > 1 else np.array([(lo + hi) / 2])

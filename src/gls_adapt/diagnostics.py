@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Categorical, jsd, l1_distance
+from .distributions import Categorical, check_labels, check_rows, jsd, l1_distance
 from .errors import InvalidValue, ShapeMismatch
 from .estimator import WeightVector
 
@@ -30,7 +30,6 @@ __all__ = [
 ]
 
 INEQ_TOL = 0.02
-ROW_TOL = 1e-6
 BINS = 16  # histogram cells per projected feature axis
 PERMUTATIONS = 4  # resplits averaged into the permutation baseline
 MIN_COUNT = 50  # samples each class needs in each domain for the binned gap
@@ -38,7 +37,7 @@ MIN_COUNT = 50  # samples each class needs in each domain for the binned gap
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of one numeric check: holds iff lhs <= rhs + tolerance.
+    """Outcome of one numeric check: holds iff lhs <= rhs + ``INEQ_TOL``.
 
     ``applicable`` is False when the check's premise fails (the report
     then holds vacuously). ``components`` names the sub-terms that went
@@ -54,14 +53,14 @@ class BoundReport:
     components: dict = field(default_factory=dict)
 
 
-def _report(check, lhs, rhs, tol, applicable=True, **components) -> BoundReport:
+def _report(check, lhs, rhs, applicable=True, **components) -> BoundReport:
     lhs = float(lhs)
     rhs = float(rhs)
     return BoundReport(
         check=check,
         lhs=lhs,
         rhs=rhs,
-        holds=bool(lhs <= rhs + tol) or not applicable,
+        holds=bool(lhs <= rhs + INEQ_TOL) or not applicable,
         slack=rhs - lhs,
         applicable=applicable,
         components={k: float(v) for k, v in components.items()},
@@ -72,11 +71,7 @@ def _check_confusion(conf, name: str) -> np.ndarray:
     arr = np.asarray(conf, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
         raise ShapeMismatch(f"{name} must be square k x k with k >= 2, got {arr.shape}")
-    if np.any(arr < -ROW_TOL) or not np.all(np.isfinite(arr)):
-        raise ShapeMismatch(f"{name} has negative or non-finite entries")
-    if np.max(np.abs(arr.sum(axis=1) - 1.0)) > ROW_TOL:
-        raise ShapeMismatch(f"{name} rows must sum to 1 within {ROW_TOL}")
-    return arr
+    return check_rows(arr, arr.shape[0], name)
 
 
 def balanced_error_rate(confusion_rows) -> float:
@@ -177,8 +172,8 @@ def binned_divergences(feats_src, labels_src, feats_tgt, labels_tgt, weights_src
 
     Features beyond two dimensions are projected onto their first two
     coordinates; histograms share a fixed grid of ``BINS`` cells per axis
-    over the pooled bounding box, and every class needs ``MIN_COUNT``
-    samples in each domain. Each row's grid cell is computed once, as a
+    over the pooled bounding box, and each class up to the largest label
+    needs ``MIN_COUNT`` samples in each domain. Each row's grid cell is computed once, as a
     flat index shared by every histogram of the call (the same cells
     ``np.histogramdd`` would give it), so each histogram is one
     ``np.bincount``. A permutation baseline (the mean TV over
@@ -188,8 +183,8 @@ def binned_divergences(feats_src, labels_src, feats_tgt, labels_tgt, weights_src
     weights, must number its feature rows.
     """
     cells_src, cells_tgt, d = _cell_index(feats_src, feats_tgt)
-    ys = np.asarray(labels_src)
-    yt = np.asarray(labels_tgt)
+    ys = check_labels(labels_src, np.inf, "labels_src")
+    yt = check_labels(labels_tgt, np.inf, "labels_tgt")
     for side, rows, n, what in (
         ("source", cells_src.size, ys.size, "labels"),
         ("target", cells_tgt.size, yt.size, "labels"),
@@ -220,7 +215,7 @@ def binned_divergences(feats_src, labels_src, feats_tgt, labels_tgt, weights_src
     return gaps, jsd_w
 
 
-def check_lower_bound(eps_s, eps_t, jsd_labels, jsd_features, tol: float = INEQ_TOL) -> BoundReport:
+def check_lower_bound(eps_s, eps_t, jsd_labels, jsd_features) -> BoundReport:
     """Joint-error floor: eps_S + eps_T >= 0.5*(sqrt(jsd_labels) - sqrt(jsd_features))^2.
 
     Applicable only when jsd_labels >= jsd_features; otherwise the report
@@ -232,7 +227,6 @@ def check_lower_bound(eps_s, eps_t, jsd_labels, jsd_features, tol: float = INEQ_
         "lower_bound",
         lhs,
         eps_s + eps_t,
-        tol,
         applicable=applicable,
         eps_s=eps_s,
         eps_t=eps_t,
@@ -241,7 +235,7 @@ def check_lower_bound(eps_s, eps_t, jsd_labels, jsd_features, tol: float = INEQ_
     )
 
 
-def check_error_decomposition(eps_s, eps_t, l1_labels, ber, delta_ce, k, tol: float = INEQ_TOL) -> BoundReport:
+def check_error_decomposition(eps_s, eps_t, l1_labels, ber, delta_ce, k) -> BoundReport:
     """|eps_S - eps_T| <= L1(label dists) * BER + 2(k-1) * conditional error gap."""
     lhs = abs(eps_s - eps_t)
     rhs = l1_labels * ber + 2.0 * (k - 1) * delta_ce
@@ -249,7 +243,6 @@ def check_error_decomposition(eps_s, eps_t, l1_labels, ber, delta_ce, k, tol: fl
         "error_decomposition",
         lhs,
         rhs,
-        tol,
         eps_s=eps_s,
         eps_t=eps_t,
         l1_labels=l1_labels,
@@ -259,14 +252,14 @@ def check_error_decomposition(eps_s, eps_t, l1_labels, ber, delta_ce, k, tol: fl
     )
 
 
-def check_joint_error_bound(eps_s, eps_t, ber, gls_gap, tol: float = INEQ_TOL) -> BoundReport:
+def check_joint_error_bound(eps_s, eps_t, ber, gls_gap) -> BoundReport:
     """eps_S + eps_T <= 2 * BER, meaningful when the conditionals match.
 
     The report is marked not-applicable for a measured invariance gap of
     0.1 or more, where violations are expected.
     """
     comp = {"eps_s": eps_s, "eps_t": eps_t, "ber": ber, "gls_gap": gls_gap}
-    return _report("joint_error", eps_s + eps_t, 2.0 * ber, tol, applicable=bool(gls_gap < 0.1), **comp)
+    return _report("joint_error", eps_s + eps_t, 2.0 * ber, applicable=bool(gls_gap < 0.1), **comp)
 
 
 def check_sufficiency_bound(
@@ -276,7 +269,6 @@ def check_sufficiency_bound(
     p_target: Categorical,
     jsd_weighted_feats,
     measured_gap,
-    tol: float = INEQ_TOL,
 ) -> BoundReport:
     """Conditional-alignment ceiling.
 
@@ -294,7 +286,6 @@ def check_sufficiency_bound(
         "sufficiency",
         measured_gap,
         min(rhs_raw, 1.0),
-        tol,
         eps_s=eps_s,
         eps_t=eps_t,
         gamma=gamma,
@@ -337,9 +328,8 @@ def bound_suite(
     l1 = l1_distance(p_src, p_tgt)
     ber = balanced_error_rate(conf_s)
     delta_ce = conditional_error_gap(conf_s, conf_t)
-    gaps, jsd_w = binned_divergences(
-        feats_src, labels_src, feats_tgt, labels_tgt, w_true.w[np.asarray(labels_src)], seed
-    )
+    weights_src = w_true.w[check_labels(labels_src, len(w_true), "labels_src")]
+    gaps, jsd_w = binned_divergences(feats_src, labels_src, feats_tgt, labels_tgt, weights_src, seed)
     gap = float(gaps.max())
 
     return [

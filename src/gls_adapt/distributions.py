@@ -1,4 +1,5 @@
-"""Categorical probability vectors and the divergences used everywhere else.
+"""Categorical probability vectors, the divergences used everywhere else, and
+the one check of a label vector and of a matrix of probability rows.
 
 All divergences use natural logarithms, so the Jensen-Shannon divergence
 lives in [0, ln 2]. Zero-probability terms follow the usual convention
@@ -18,9 +19,12 @@ __all__ = [
     "jsd",
     "l1_distance",
     "empirical_label_dist",
+    "check_labels",
+    "check_rows",
 ]
 
 SUM_TOL = 1e-9
+ROW_TOL = 1e-6  # how far a probability row's sum may sit from 1, and an entry below 0
 
 
 @dataclass(frozen=True)
@@ -40,9 +44,9 @@ class Categorical:
             raise ShapeMismatch(f"probs must be a 1-d vector, got shape {arr.shape}")
         if arr.size < 2:
             raise InvalidValue("a categorical needs at least 2 categories")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteValue("probs contains non-finite entries")
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise InvalidValue("probs contains negative entries")
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:
@@ -101,20 +105,50 @@ def empirical_label_dist(labels, k: int) -> Categorical:
     Parameters
     ----------
     labels : sequence of int
-        Class indices in [0, k).
+        Class indices in [0, k), at least one; see :func:`check_labels`.
     k : int
         Number of classes, at least 2.
     """
-    arr = np.asarray(labels)
-    if arr.size == 0:
+    if np.size(labels) == 0:
         raise InvalidValue("labels is empty")
-    if arr.ndim != 1:
-        raise ShapeMismatch(f"labels must be 1-d, got shape {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == arr.astype(int)):
-            raise InvalidValue("labels must be integers")
-        arr = arr.astype(int)
-    if arr.min() < 0 or arr.max() >= k:
-        raise InvalidValue(f"labels must lie in [0, {k})")
+    arr = check_labels(labels, k, "labels")
     counts = np.bincount(arr, minlength=k).astype(float)
     return Categorical(counts / arr.size)
+
+
+def check_labels(labels, k: float, name: str) -> np.ndarray:
+    """``labels`` as an array, once it is a 1-d vector of integer class indices in [0, k).
+
+    Floats are refused even when integer-valued, and so are bools, which
+    numpy would take as a mask when indexing. An empty integer vector
+    passes. ``k`` is ``np.inf`` where the labels themselves set the class
+    count.
+    """
+    arr = np.asarray(labels)
+    if arr.ndim != 1:
+        raise ShapeMismatch(f"{name} must be 1-d, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu":
+        raise InvalidValue(f"{name} must be integers, got dtype {arr.dtype}")
+    if arr.size and (arr.min() < 0 or arr.max() >= k):
+        raise InvalidValue(f"{name} must lie in [0, {k})")
+    return arr
+
+
+def check_rows(matrix, k: int, name: str) -> np.ndarray:
+    """``matrix`` as an (n, k) float array, once every row is a probability vector.
+
+    Each row sum must lie within ``ROW_TOL`` of 1 and no entry below
+    ``-ROW_TOL``. The sums come from one matrix-vector product, written so
+    that a NaN, infinite or overflowing row sum (inf - inf is NaN, a huge
+    finite row sums to inf) raises here instead of warning.
+    """
+    arr = np.asarray(matrix, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != k:
+        raise ShapeMismatch(f"{name} has shape {arr.shape}, expected (n, {k})")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = arr @ np.ones(k)
+    if not (np.abs(sums - 1.0) <= ROW_TOL).all():
+        raise ShapeMismatch(f"{name} rows must be finite and sum to 1 within {ROW_TOL}")
+    if (arr < -ROW_TOL).any():
+        raise ShapeMismatch(f"{name} has an entry below -{ROW_TOL}")
+    return arr

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Categorical
+from .distributions import Categorical, check_labels, check_rows
 from .errors import InvalidValue, NonFiniteValue, ShapeMismatch
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "ema_update",
 ]
 
-ROW_SUM_TOL = 1e-6
 CONDITION_CAP = 1e8
 KKT_TOL = 1e-9  # relative tolerance of solve_qp's certificate
 SLOPE_TOL = 1e-12  # relative free-set residual of a KKT solve that counts as descent
@@ -71,9 +70,9 @@ class ConfusionAccumulator:
 
     Each source sample adds its full prediction vector to the column of
     its integer true label; each target sample adds its prediction vector
-    to the running marginal, summed row by row in row order. Every row of
-    both inputs must be finite and sum to 1 within ``ROW_SUM_TOL``; its sum
-    comes from one matrix-vector product with a vector of ones.
+    to the running marginal, summed row by row in row order. Both inputs
+    must pass :func:`~gls_adapt.distributions.check_rows` and the labels
+    :func:`~gls_adapt.distributions.check_labels`.
     Single-writer: one training loop owns an instance.
     """
 
@@ -88,17 +87,11 @@ class ConfusionAccumulator:
 
     def accumulate(self, source_preds, source_labels, target_preds) -> "ConfusionAccumulator":
         """Add one batch of source predictions with labels and target predictions."""
-        sp = _check_pred_matrix(source_preds, self.k, "source_preds")
-        tp = _check_pred_matrix(target_preds, self.k, "target_preds")
-        labels = np.asarray(source_labels)
-        if labels.ndim != 1 or labels.shape[0] != sp.shape[0]:
-            raise ShapeMismatch(
-                f"source_labels has shape {labels.shape}, expected ({sp.shape[0]},)"
-            )
-        if labels.dtype.kind not in "iu":
-            raise InvalidValue(f"source_labels must be integers, got dtype {labels.dtype}")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.k):
-            raise InvalidValue(f"labels must lie in [0, {self.k})")
+        sp = check_rows(source_preds, self.k, "source_preds")
+        tp = check_rows(target_preds, self.k, "target_preds")
+        labels = check_labels(source_labels, self.k, "source_labels")
+        if labels.shape[0] != sp.shape[0]:
+            raise ShapeMismatch(f"source_labels has shape {labels.shape}, expected ({sp.shape[0]},)")
         # Column y receives the prediction vectors of all samples with true label y.
         onehot = np.zeros((sp.shape[0], self.k))
         onehot[np.arange(sp.shape[0]), labels] = 1.0
@@ -119,19 +112,6 @@ class ConfusionAccumulator:
         c = self.c_hat / self.n_source
         mu = Categorical.normalize(self.mu_hat / self.n_target)
         return c, mu
-
-
-def _check_pred_matrix(preds, k: int, name: str) -> np.ndarray:
-    arr = np.asarray(preds, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != k:
-        raise ShapeMismatch(f"{name} has shape {arr.shape}, expected (n, {k})")
-    # written so that a NaN, infinite or overflowing row sum (inf - inf is NaN,
-    # a huge finite row sums to inf) raises here instead of warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = arr @ np.ones(k)
-    if not (np.abs(sums - 1.0) <= ROW_SUM_TOL).all():
-        raise ShapeMismatch(f"{name} rows must be finite and sum to 1 within {ROW_SUM_TOL}")
-    return arr
 
 
 def true_weights(p_source: Categorical, p_target: Categorical) -> WeightVector:

@@ -15,7 +15,7 @@ import threading
 
 import numpy as np
 
-from .distributions import Categorical
+from .distributions import Categorical, check_labels
 from .errors import InvalidValue, ShapeMismatch
 from .estimator import WeightVector
 
@@ -42,13 +42,11 @@ def _check_discriminator(out, name: str) -> np.ndarray:
     return arr
 
 
-def _class_weights(labels: np.ndarray, w: WeightVector) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.size == 0:
+def _labels(labels, k: int) -> np.ndarray:
+    """The batch's labels, once there is at least one and :func:`check_labels` passes them."""
+    if np.size(labels) == 0:
         raise InvalidValue("labels is empty")
-    if labels.min() < 0 or labels.max() >= len(w):
-        raise InvalidValue("labels index outside the weight vector")
-    return w.w[labels]
+    return check_labels(labels, k, "labels")
 
 
 def weighted_da_loss_grads(d_src, labels_src, d_tgt, w: WeightVector):
@@ -64,7 +62,7 @@ def weighted_da_loss_grads(d_src, labels_src, d_tgt, w: WeightVector):
     dt = _check_discriminator(d_tgt, "d_tgt")
     if ds.size != dt.size:
         raise ShapeMismatch(f"paired batches of sizes {ds.size} and {dt.size}")
-    ws = _class_weights(labels_src, w)
+    ws = w.w[_labels(labels_src, len(w))]
     s = ds.size
     src = np.maximum(ds, LOG_EPS)
     tgt = np.maximum(1.0 - dt, LOG_EPS)
@@ -76,10 +74,10 @@ def weighted_da_loss(d_src, labels_src, d_tgt, w: WeightVector) -> float:
     return weighted_da_loss_grads(d_src, labels_src, d_tgt, w)[0]
 
 
-def _nll_grads(preds, labels, coeff):
-    """Mean of -coeff_i * log p_i[y_i] and its gradient in the predictions."""
-    p = np.asarray(preds, dtype=float)
-    labels = np.asarray(labels)
+def _nll_grads(p: np.ndarray, labels, class_coeff: np.ndarray):
+    """Mean of -class_coeff[y_i] * log p_i[y_i] and its gradient in the (n, k) predictions p."""
+    labels = _labels(labels, p.shape[1])
+    coeff = class_coeff[labels]
     rows = np.arange(p.shape[0])
     picked = np.maximum(p[rows, labels], LOG_EPS)
     grad = np.zeros_like(p)
@@ -89,7 +87,8 @@ def _nll_grads(preds, labels, coeff):
 
 def cross_entropy_loss_grads(preds, labels):
     """Plain mean negative log likelihood of the true labels: (value, d/d(preds))."""
-    return _nll_grads(preds, labels, 1.0)
+    p = np.asarray(preds, dtype=float)
+    return _nll_grads(p, labels, np.ones(p.shape[1]))
 
 
 def cross_entropy_loss(preds, labels) -> float:
@@ -109,10 +108,9 @@ def weighted_classification_loss_grads(preds, labels, p_source: Categorical, w: 
         raise ShapeMismatch(f"preds has shape {p.shape}, expected (n, {p_source.k})")
     if np.any(p_source.probs == 0):
         raise InvalidValue("source label distribution has a zero entry")
-    labels = np.asarray(labels)
-    coeff = 1.0 / (p_source.k * p_source.probs[labels])
+    coeff = 1.0 / (p_source.k * p_source.probs)
     if w is not None:
-        coeff = coeff * w.w[labels]
+        coeff = coeff * w.w
     return _nll_grads(p, labels, coeff)
 
 
@@ -211,7 +209,7 @@ def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, b
         raise ShapeMismatch(f"feature shapes {fs.shape} and {ft.shape} are incompatible")
     if fs.shape[0] != ft.shape[0]:
         raise ShapeMismatch(f"paired batches of sizes {fs.shape[0]} and {ft.shape[0]}")
-    ws = _class_weights(labels_src, w)
+    ws = w.w[_labels(labels_src, len(w))]
     s = fs.shape[0]
     stacks, pairs = _scratch.get(s)
     sq, kern, ksum, coef = stacks

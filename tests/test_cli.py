@@ -658,6 +658,17 @@ class TestEstimateWeights:
         assert capsys.readouterr() == ("", f"error: {name} rows must be finite and sum to 1 within 1e-06\n")
         assert not (tmp_path / "o").exists()
 
+    def test_negative_prediction_entry_is_one_line_error(self, tmp_path, capsys):
+        # the row sums to 1, so only the sign test refuses it
+        sp, sl, tp = (tmp_path / name for name in ("sp.csv", "sl.csv", "tp.csv"))
+        sp.write_text("p_0,p_1\n0.6,0.4\n1.5,-0.5\n0.2,0.8\n")
+        sl.write_text("label\n0\n0\n1\n")
+        tp.write_text("p_0,p_1\n0.5,0.5\n0.3,0.7\n")
+        out = tmp_path / "o"
+        assert run(["estimate-weights", "--source-preds", sp, "--source-labels", sl, "--target-preds", tp, "--out", out]) == 1
+        assert capsys.readouterr() == ("", "error: source_preds has an entry below -1e-06\n")
+        assert not (out / "weights.csv").exists() and not (out / "confusion.csv").exists()
+
     def test_label_count_must_match_the_predictions(self, tmp_path, capsys):
         sp, sl, tp, _, _ = self.write_inputs(tmp_path, n=20)
         sl.write_text("label\n0\n1\n")

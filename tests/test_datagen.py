@@ -284,7 +284,7 @@ class TestTypedErrors:
             ),
             pytest.param(
                 lambda: Dataset(np.zeros((2, 2)), [0, 2], 2),
-                ConfigInvalid, "labels must lie in [0, 2)", id="dataset-label-range",
+                InvalidValue, "labels must lie in [0, 2)", id="dataset-label-range",
             ),
             pytest.param(lambda: make_shift_task(k=1), ConfigInvalid, "need k >= 2 and d >= 1", id="circle-k"),
             pytest.param(lambda: make_shift_task(k=2, n_source=0), ConfigInvalid, "n must be at least 1", id="domain-n"),

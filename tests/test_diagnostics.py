@@ -9,6 +9,7 @@ from gls_adapt import diagnostics
 from gls_adapt.cli import main
 from gls_adapt.datagen import make_shift_task, write_dataset_csv
 from gls_adapt.diagnostics import (
+    INEQ_TOL,
     balanced_error_rate,
     check_error_decomposition,
     check_joint_error_bound,
@@ -52,7 +53,7 @@ class TestBalancedErrorRate:
         assert balanced_error_rate(conf) == pytest.approx(1 - row_correct, abs=1e-12)
 
     def test_malformed(self):
-        with pytest.raises(ShapeMismatch, match="confusion rows must sum to 1"):
+        with pytest.raises(ShapeMismatch, match="confusion rows must be finite and sum to 1 within 1e-06"):
             balanced_error_rate(np.array([[0.5, 0.2], [0.5, 0.5]]))
 
 
@@ -281,11 +282,11 @@ class TestCheckLowerBound:
         assert r.lhs == 0.0
 
     def test_closed_form(self):
-        r = check_lower_bound(0.1, 0.0, 0.1, 0.0, tol=0.0)
+        # lhs = 0.5 * sqrt(0.1)^2 = 0.05 against eps_s + eps_t = lhs - INEQ_TOL +- 1e-9
+        r = check_lower_bound(0.05 - INEQ_TOL + 1e-9, 0.0, 0.1, 0.0)
         assert r.lhs == pytest.approx(0.05)
-        assert r.holds  # 0.05 <= 0.1
-        r2 = check_lower_bound(0.01, 0.0, 0.1, 0.0, tol=0.0)
-        assert not r2.holds
+        assert r.holds
+        assert not check_lower_bound(0.05 - INEQ_TOL - 1e-9, 0.0, 0.1, 0.0).holds
 
     def test_not_applicable_branch(self):
         r = check_lower_bound(0.5, 0.5, 0.0, 0.2)
@@ -295,27 +296,34 @@ class TestCheckLowerBound:
 
 class TestCheckErrorDecomposition:
     def test_identical_domains(self):
-        r = check_error_decomposition(0.1, 0.1, 0.0, 0.2, 0.0, 3, tol=0.0)
+        r = check_error_decomposition(0.1, 0.1, 0.0, 0.2, 0.0, 3)
         assert r.lhs == 0.0 and r.rhs == 0.0 and r.holds
 
     def test_gls_reduces_to_l1_term(self):
-        r = check_error_decomposition(0.3, 0.1, 0.8, 0.5, 0.0, 4, tol=0.0)
+        r = check_error_decomposition(0.3, 0.1, 0.8, 0.5, 0.0, 4)
         assert r.rhs == pytest.approx(0.4)
         assert r.holds
 
     def test_violation_detected(self):
-        r = check_error_decomposition(0.9, 0.0, 0.1, 0.1, 0.0, 2, tol=0.0)
-        assert not r.holds
+        # rhs = 0.5 * 0.2 = 0.1 against lhs = rhs + INEQ_TOL +- 1e-9
+        assert not check_error_decomposition(0.1 + INEQ_TOL + 1e-9, 0.0, 0.5, 0.2, 0.0, 2).holds
+        assert check_error_decomposition(0.1 + INEQ_TOL - 1e-9, 0.0, 0.5, 0.2, 0.0, 2).holds
 
 
 class TestCheckJointErrorBound:
     def test_perfect_classifier(self):
-        r = check_joint_error_bound(0.0, 0.0, 0.0, gls_gap=0.0, tol=0.0)
+        r = check_joint_error_bound(0.0, 0.0, 0.0, gls_gap=0.0)
         assert r.holds and r.slack == 0.0
 
     def test_random_classifier_equality_case(self):
-        r = check_joint_error_bound(0.5, 0.5, 0.5, gls_gap=0.0, tol=0.0)
+        r = check_joint_error_bound(0.5, 0.5, 0.5, gls_gap=0.0)
         assert r.holds and r.slack == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("off, holds", [(-1e-9, True), (1e-9, False)])
+    def test_tolerance_boundary(self, off, holds):
+        # rhs = 2 * 0.1 against lhs = rhs + INEQ_TOL + off
+        r = check_joint_error_bound(0.2 + INEQ_TOL + off, 0.0, 0.1, gls_gap=0.0)
+        assert r.holds is holds
 
     def test_gated_not_applicable_when_gap_large(self):
         r = check_joint_error_bound(0.9, 0.9, 0.1, gls_gap=0.5)
@@ -326,8 +334,16 @@ class TestCheckSufficiencyBound:
     def test_zero_everything_forces_zero_gap(self):
         w = WeightVector(np.ones(2))
         p_t = Categorical(np.array([0.5, 0.5]))
-        r = check_sufficiency_bound(0.0, 0.0, w, p_t, 0.0, 0.0, tol=0.0)
+        r = check_sufficiency_bound(0.0, 0.0, w, p_t, 0.0, 0.0)
         assert r.holds and r.rhs == 0.0
+
+    @pytest.mark.parametrize("off, holds", [(-1e-9, True), (1e-9, False)])
+    def test_tolerance_boundary(self, off, holds):
+        # rhs = 0.1 / gamma = 0.2 against a measured gap of rhs + INEQ_TOL + off
+        w = WeightVector(np.ones(2))
+        p_t = Categorical(np.array([0.5, 0.5]))
+        r = check_sufficiency_bound(0.1, 0.0, w, p_t, 0.0, 0.2 + INEQ_TOL + off)
+        assert r.rhs == 0.2 and r.holds is holds
 
     def test_arithmetic_and_capping(self):
         w = WeightVector(np.array([3.0, 1.0]))
@@ -428,7 +444,7 @@ class TestTypedErrors:
             ),
             pytest.param(
                 lambda: balanced_error_rate([[1.5, -0.5], [0.0, 1.0]]),
-                ShapeMismatch, "confusion has negative or non-finite entries", id="confusion-negative",
+                ShapeMismatch, "confusion has an entry below -1e-06", id="confusion-negative",
             ),
             pytest.param(
                 lambda: conditional_error_gap(np.eye(2), np.eye(3)),

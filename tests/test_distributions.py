@@ -1,10 +1,22 @@
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gls_adapt.datagen import Dataset, make_shift_task
+from gls_adapt.diagnostics import balanced_error_rate, binned_divergences, bound_suite, conditional_error_gap
 from gls_adapt.distributions import Categorical, empirical_label_dist, jsd, l1_distance
 from gls_adapt.errors import InvalidValue, NonFiniteValue, ShapeMismatch
+from gls_adapt.estimator import ConfusionAccumulator, WeightVector
+from gls_adapt.losses import (
+    cross_entropy_loss_grads,
+    weighted_classification_loss_grads,
+    weighted_da_loss_grads,
+    weighted_mmd_loss_grads,
+)
 
 from _oracles import jsd_terms, random_categorical
 
@@ -168,7 +180,7 @@ class TestTypedErrors:
         [
             pytest.param(
                 lambda: empirical_label_dist(np.array([0.5, 1.0]), 2),
-                InvalidValue, "labels must be integers", id="empirical-float-labels",
+                InvalidValue, "labels must be integers, got dtype float64", id="empirical-float-labels",
             ),
         ],
     )
@@ -176,3 +188,107 @@ class TestTypedErrors:
         with pytest.raises(error) as info:
             make()
         assert str(info.value) == message
+
+
+SRC, TGT = make_shift_task(k=2, n_source=200, n_target=200, seed=0)
+HALVES = np.full((SRC.n, 2), 0.5)
+ONES_W = WeightVector(np.ones(2))
+UNIFORM = Categorical([0.5, 0.5])
+
+# every public entry point that takes labels, called on k = 2 and SRC's 200 rows
+LABEL_ENTRY_POINTS = {
+    "Dataset": lambda y: Dataset(SRC.features, y, 2),
+    "empirical_label_dist": lambda y: empirical_label_dist(y, 2),
+    "accumulate": lambda y: ConfusionAccumulator(2).accumulate(HALVES, y, HALVES),
+    "weighted_da_loss": lambda y: weighted_da_loss_grads(HALVES[:, 0], y, HALVES[:, 0], ONES_W),
+    "weighted_mmd_loss": lambda y: weighted_mmd_loss_grads(SRC.features, y, TGT.features, ONES_W),
+    "cross_entropy_loss": lambda y: cross_entropy_loss_grads(HALVES, y),
+    "weighted_classification_loss": lambda y: weighted_classification_loss_grads(HALVES, y, UNIFORM),
+    "binned_divergences": lambda y: binned_divergences(SRC.features, y, TGT.features, TGT.labels, np.ones(SRC.n)),
+    "bound_suite": lambda y: bound_suite(
+        conf_src=np.eye(2), conf_tgt=np.eye(2), p_src=UNIFORM, p_tgt=UNIFORM, feats_src=SRC.features,
+        labels_src=y, feats_tgt=TGT.features, labels_tgt=TGT.labels, w_true=ONES_W,
+    ),
+}
+
+# each bad vector is SRC's labels with one entry or the whole vector spoiled;
+# the message names the argument, which ends or starts with "labels"
+BAD_LABELS = {
+    "minus-1": (lambda y: np.concatenate(([-1], y[1:])), InvalidValue, r"must lie in \[0, \w+\)"),
+    "k": (lambda y: np.concatenate(([2], y[1:])), InvalidValue, r"must lie in \[0, 2\)"),
+    "1.5": (lambda y: np.concatenate(([1.5], y[1:])), InvalidValue, "must be integers, got dtype float64"),
+    "integer-valued-floats": (lambda y: y.astype(float), InvalidValue, "must be integers, got dtype float64"),
+    "bools": (lambda y: y.astype(bool), InvalidValue, "must be integers, got dtype bool"),
+    "2-d": (lambda y: y[:, None], ShapeMismatch, r"must be 1-d, got shape \(200, 1\)"),
+}
+
+
+class TestOneLabelRule:
+    """Every entry point that takes labels refuses the same bad vectors with the same typed error."""
+
+    @pytest.mark.parametrize("bad", BAD_LABELS)
+    @pytest.mark.parametrize("entry", LABEL_ENTRY_POINTS)
+    def test_bad_labels(self, entry, bad):
+        spoil, error, message = BAD_LABELS[bad]
+        if (entry, bad) == ("binned_divergences", "k"):
+            # its class count is one more than the largest label, so label 2 makes
+            # a third class, which has too few samples
+            error, message = InvalidValue, "class 2: 1 source / 0 target samples, need 50"
+        else:
+            message = r"\w*labels\w* " + message
+        with pytest.raises(error) as info:
+            LABEL_ENTRY_POINTS[entry](spoil(SRC.labels))
+        assert re.fullmatch(message, str(info.value))
+
+    @pytest.mark.parametrize("entry", LABEL_ENTRY_POINTS)
+    def test_good_labels_pass(self, entry):
+        LABEL_ENTRY_POINTS[entry](SRC.labels)
+
+
+GOOD_ROWS = np.array([[0.75, 0.25], [0.25, 0.75]])
+
+# every entry point that takes probability rows, by the name its messages use
+ROW_ENTRY_POINTS = {
+    "source_preds": lambda m: ConfusionAccumulator(2).accumulate(m, [0, 1], GOOD_ROWS),
+    "target_preds": lambda m: ConfusionAccumulator(2).accumulate(GOOD_ROWS, [0, 1], m),
+    "confusion": balanced_error_rate,
+    "conf_src": lambda m: conditional_error_gap(m, GOOD_ROWS),
+    "conf_tgt": lambda m: conditional_error_gap(GOOD_ROWS, m),
+}
+
+BAD_ROWS = {
+    "negative-entry": ([1.5, -0.5], "{} has an entry below -1e-06"),
+    "sum-off-by-2e-6": ([0.25 + 2e-6, 0.75], "{} rows must be finite and sum to 1 within 1e-06"),
+    "nan": ([np.nan, 1.0], "{} rows must be finite and sum to 1 within 1e-06"),
+}
+
+
+class TestOneRowRule:
+    """Every entry point that takes probability rows refuses the same bad row with the same message."""
+
+    @pytest.mark.parametrize("bad", BAD_ROWS)
+    @pytest.mark.parametrize("entry", ROW_ENTRY_POINTS)
+    def test_bad_row(self, entry, bad):
+        row, message = BAD_ROWS[bad]
+        rows = GOOD_ROWS.copy()
+        rows[1] = row
+        with pytest.raises(ShapeMismatch) as info:
+            ROW_ENTRY_POINTS[entry](rows)
+        assert str(info.value) == message.format(entry)
+
+    @pytest.mark.parametrize("entry", ROW_ENTRY_POINTS)
+    def test_good_rows_pass(self, entry):
+        ROW_ENTRY_POINTS[entry](GOOD_ROWS)
+
+
+def test_only_distributions_holds_a_label_or_row_rule():
+    # a module that reads .dtype.kind or defines a *ROW*TOL* constant is writing its own rule
+    owners = {"dtype.kind": set(), "ROW*TOL": set()}
+    for path in (Path(__file__).resolve().parents[1] / "src" / "gls_adapt").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "kind" and getattr(node.value, "attr", None) == "dtype":
+                owners["dtype.kind"].add(path.name)
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            if any(isinstance(t, ast.Name) and re.search("ROW.*TOL", t.id) for t in targets):
+                owners["ROW*TOL"].add(path.name)
+    assert owners == {"dtype.kind": {"distributions.py"}, "ROW*TOL": {"distributions.py"}}

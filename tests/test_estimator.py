@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gls_adapt import estimator
+from gls_adapt import distributions, estimator
 from gls_adapt.cli import main
 from gls_adapt.distributions import Categorical
 from gls_adapt.errors import GlsAdaptError, InvalidValue, NonFiniteValue, ShapeMismatch
@@ -147,7 +147,7 @@ class TestAccumulator:
 
 
 class TestRowSumCheck:
-    """Every prediction row must be finite and sum to 1 within ROW_SUM_TOL, and no input warns."""
+    """Every prediction row must be finite and sum to 1 within ROW_TOL, and no input warns."""
 
     def accumulate(self, k, side, row):
         good = np.full((3, k), 1.0 / k)
@@ -163,7 +163,7 @@ class TestRowSumCheck:
     @pytest.mark.parametrize("side", ["source", "target"])
     @pytest.mark.parametrize("off, passes", [(2e-6, False), (-2e-6, False), (5e-7, True), (-5e-7, True)])
     def test_tolerance_boundary(self, k, side, off, passes):
-        assert estimator.ROW_SUM_TOL == 1e-6
+        assert distributions.ROW_TOL == 1e-6
         row = np.full(k, 1.0 / k)
         row[0] += off
         if passes:

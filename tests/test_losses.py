@@ -356,7 +356,7 @@ class TestTypedErrors:
             ),
             pytest.param(
                 lambda: losses.weighted_da_loss_grads([0.5], [2], [0.5], ones_w(2)),
-                InvalidValue, "labels index outside the weight vector", id="da-label-range",
+                InvalidValue, "labels must lie in [0, 2)", id="da-label-range",
             ),
             pytest.param(
                 lambda: losses.weighted_classification_loss_grads(np.full((2, 3), 1 / 3), [0, 1], Categorical([0.5, 0.5])),
