@@ -8,13 +8,13 @@ target labels (a privilege reserved for diagnostics).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Categorical, check_labels, check_rows, jsd, l1_distance
+from .distributions import Categorical, check_labels, check_rows, empirical_label_dist, jsd, l1_distance
 from .errors import InvalidValue, ShapeMismatch
-from .estimator import WeightVector
+from .estimator import WeightVector, true_weights
 
 __all__ = [
     "BoundReport",
@@ -40,8 +40,7 @@ class BoundReport:
     """Outcome of one numeric check: holds iff lhs <= rhs + ``INEQ_TOL``.
 
     ``applicable`` is False when the check's premise fails (the report
-    then holds vacuously). ``components`` names the sub-terms that went
-    into the two sides.
+    then holds vacuously).
     """
 
     check: str
@@ -50,10 +49,9 @@ class BoundReport:
     holds: bool
     slack: float
     applicable: bool = True
-    components: dict = field(default_factory=dict)
 
 
-def _report(check, lhs, rhs, applicable=True, **components) -> BoundReport:
+def _report(check, lhs, rhs, applicable=True) -> BoundReport:
     lhs = float(lhs)
     rhs = float(rhs)
     return BoundReport(
@@ -63,7 +61,6 @@ def _report(check, lhs, rhs, applicable=True, **components) -> BoundReport:
         holds=bool(lhs <= rhs + INEQ_TOL) or not applicable,
         slack=rhs - lhs,
         applicable=applicable,
-        components={k: float(v) for k, v in components.items()},
     )
 
 
@@ -223,33 +220,14 @@ def check_lower_bound(eps_s, eps_t, jsd_labels, jsd_features) -> BoundReport:
     """
     applicable = jsd_labels >= jsd_features
     lhs = 0.5 * (np.sqrt(jsd_labels) - np.sqrt(jsd_features)) ** 2 if applicable else 0.0
-    return _report(
-        "lower_bound",
-        lhs,
-        eps_s + eps_t,
-        applicable=applicable,
-        eps_s=eps_s,
-        eps_t=eps_t,
-        jsd_labels=jsd_labels,
-        jsd_features=jsd_features,
-    )
+    return _report("lower_bound", lhs, eps_s + eps_t, applicable=applicable)
 
 
 def check_error_decomposition(eps_s, eps_t, l1_labels, ber, delta_ce, k) -> BoundReport:
     """|eps_S - eps_T| <= L1(label dists) * BER + 2(k-1) * conditional error gap."""
     lhs = abs(eps_s - eps_t)
     rhs = l1_labels * ber + 2.0 * (k - 1) * delta_ce
-    return _report(
-        "error_decomposition",
-        lhs,
-        rhs,
-        eps_s=eps_s,
-        eps_t=eps_t,
-        l1_labels=l1_labels,
-        ber=ber,
-        delta_ce=delta_ce,
-        k=k,
-    )
+    return _report("error_decomposition", lhs, rhs)
 
 
 def check_joint_error_bound(eps_s, eps_t, ber, gls_gap) -> BoundReport:
@@ -258,8 +236,7 @@ def check_joint_error_bound(eps_s, eps_t, ber, gls_gap) -> BoundReport:
     The report is marked not-applicable for a measured invariance gap of
     0.1 or more, where violations are expected.
     """
-    comp = {"eps_s": eps_s, "eps_t": eps_t, "ber": ber, "gls_gap": gls_gap}
-    return _report("joint_error", eps_s + eps_t, 2.0 * ber, applicable=bool(gls_gap < 0.1), **comp)
+    return _report("joint_error", eps_s + eps_t, 2.0 * ber, applicable=bool(gls_gap < 0.1))
 
 
 def check_sufficiency_bound(
@@ -282,30 +259,17 @@ def check_sufficiency_bound(
         raise InvalidValue("target label distribution has a zero entry")
     w_max = float(np.max(w.w))
     rhs_raw = (w_max * eps_s + eps_t + np.sqrt(8.0 * jsd_weighted_feats)) / gamma
-    return _report(
-        "sufficiency",
-        measured_gap,
-        min(rhs_raw, 1.0),
-        eps_s=eps_s,
-        eps_t=eps_t,
-        gamma=gamma,
-        w_max=w_max,
-        jsd_weighted_feats=jsd_weighted_feats,
-        rhs_uncapped=rhs_raw,
-    )
+    return _report("sufficiency", measured_gap, min(rhs_raw, 1.0))
 
 
 def bound_suite(
     *,
     conf_src,
     conf_tgt,
-    p_src: Categorical,
-    p_tgt: Categorical,
     feats_src,
     labels_src,
     feats_tgt,
     labels_tgt,
-    w_true: WeightVector,
     seed: int = 0,
 ) -> list[BoundReport]:
     """Run every inequality check on one evaluation snapshot.
@@ -316,9 +280,18 @@ def bound_suite(
     instantiated on the argmax prediction marginals (the last-layer
     representation); the sufficiency ceiling reads the binned divergence
     between the ratio-weighted source features and the target features.
+    The label distributions p_S and p_T, over the confusions' k classes,
+    and the true ratios w* = p_T / p_S come from the two label vectors.
     """
     conf_s = _check_confusion(conf_src, "conf_src")
     conf_t = _check_confusion(conf_tgt, "conf_tgt")
+    delta_ce = conditional_error_gap(conf_s, conf_t)
+    k = conf_s.shape[0]
+    ys = check_labels(labels_src, k, "labels_src")
+    yt = check_labels(labels_tgt, k, "labels_tgt")
+    p_src = empirical_label_dist(ys, k)
+    p_tgt = empirical_label_dist(yt, k)
+    w_true = true_weights(p_src, p_tgt)
     eps_s = 1.0 - float(p_src.probs @ np.diag(conf_s))
     eps_t = 1.0 - float(p_tgt.probs @ np.diag(conf_t))
     mu_s = Categorical.normalize(p_src.probs @ conf_s)
@@ -327,14 +300,12 @@ def bound_suite(
     jsd_preds = jsd(mu_s, mu_t)
     l1 = l1_distance(p_src, p_tgt)
     ber = balanced_error_rate(conf_s)
-    delta_ce = conditional_error_gap(conf_s, conf_t)
-    weights_src = w_true.w[check_labels(labels_src, len(w_true), "labels_src")]
-    gaps, jsd_w = binned_divergences(feats_src, labels_src, feats_tgt, labels_tgt, weights_src, seed)
+    gaps, jsd_w = binned_divergences(feats_src, ys, feats_tgt, yt, w_true.w[ys], seed)
     gap = float(gaps.max())
 
     return [
         check_lower_bound(eps_s, eps_t, jsd_labels, jsd_preds),
-        check_error_decomposition(eps_s, eps_t, l1, ber, delta_ce, p_src.k),
+        check_error_decomposition(eps_s, eps_t, l1, ber, delta_ce, k),
         check_joint_error_bound(eps_s, eps_t, ber, gls_gap=gap),
         check_sufficiency_bound(eps_s, eps_t, w_true, p_tgt, jsd_w, gap),
     ]

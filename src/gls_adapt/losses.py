@@ -42,11 +42,14 @@ def _check_discriminator(out, name: str) -> np.ndarray:
     return arr
 
 
-def _labels(labels, k: int) -> np.ndarray:
-    """The batch's labels, once there is at least one and :func:`check_labels` passes them."""
+def _labels(labels, k: int, rows: int) -> np.ndarray:
+    """The batch's labels, once there is at least one, one per row, and :func:`check_labels` passes them."""
     if np.size(labels) == 0:
         raise InvalidValue("labels is empty")
-    return check_labels(labels, k, "labels")
+    arr = check_labels(labels, k, "labels")
+    if arr.size != rows:
+        raise ShapeMismatch(f"labels has {arr.size} entries for {rows} batch rows")
+    return arr
 
 
 def weighted_da_loss_grads(d_src, labels_src, d_tgt, w: WeightVector):
@@ -62,7 +65,7 @@ def weighted_da_loss_grads(d_src, labels_src, d_tgt, w: WeightVector):
     dt = _check_discriminator(d_tgt, "d_tgt")
     if ds.size != dt.size:
         raise ShapeMismatch(f"paired batches of sizes {ds.size} and {dt.size}")
-    ws = w.w[_labels(labels_src, len(w))]
+    ws = w.w[_labels(labels_src, len(w), ds.size)]
     s = ds.size
     src = np.maximum(ds, LOG_EPS)
     tgt = np.maximum(1.0 - dt, LOG_EPS)
@@ -76,7 +79,7 @@ def weighted_da_loss(d_src, labels_src, d_tgt, w: WeightVector) -> float:
 
 def _nll_grads(p: np.ndarray, labels, class_coeff: np.ndarray):
     """Mean of -class_coeff[y_i] * log p_i[y_i] and its gradient in the (n, k) predictions p."""
-    labels = _labels(labels, p.shape[1])
+    labels = _labels(labels, p.shape[1], p.shape[0])
     coeff = class_coeff[labels]
     rows = np.arange(p.shape[0])
     picked = np.maximum(p[rows, labels], LOG_EPS)
@@ -209,7 +212,7 @@ def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, b
         raise ShapeMismatch(f"feature shapes {fs.shape} and {ft.shape} are incompatible")
     if fs.shape[0] != ft.shape[0]:
         raise ShapeMismatch(f"paired batches of sizes {fs.shape[0]} and {ft.shape[0]}")
-    ws = w.w[_labels(labels_src, len(w))]
+    ws = w.w[_labels(labels_src, len(w), fs.shape[0])]
     s = fs.shape[0]
     stacks, pairs = _scratch.get(s)
     sq, kern, ksum, coef = stacks

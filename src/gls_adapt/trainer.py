@@ -290,9 +290,6 @@ def make_bound_hook(source: Dataset, target: Dataset, sink: list):
     from .diagnostics import _check_class_counts, bound_suite
 
     _check_class_counts(source.labels, target.labels)
-    p_src = source.label_distribution()
-    p_tgt = target.label_distribution()
-    w_star = true_weights(p_src, p_tgt)
 
     def hook(epoch, state, record):
         if record.feats_src is None or record.feats_tgt is None:
@@ -300,13 +297,10 @@ def make_bound_hook(source: Dataset, target: Dataset, sink: list):
         reports = bound_suite(
             conf_src=record.conf_src,
             conf_tgt=record.conf_tgt,
-            p_src=p_src,
-            p_tgt=p_tgt,
             feats_src=record.feats_src,
             labels_src=source.labels,
             feats_tgt=record.feats_tgt,
             labels_tgt=target.labels,
-            w_true=w_star,
             seed=epoch,
         )
         sink.extend((epoch, r) for r in reports)

@@ -6,10 +6,10 @@ against code that shares nothing with them.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from gls_adapt.diagnostics import BoundReport, _report
 from gls_adapt.distributions import Categorical, jsd
 from gls_adapt.errors import ShapeMismatch
 
@@ -341,10 +341,9 @@ def conditional_gap_reference(feats_src, labels_src, feats_tgt, labels_tgt, seed
     return gaps
 
 
-# Criterion 7's oracle, moved here unchanged from the library, which never
-# called it: the optimal binned discriminator identity on random binned
-# densities, not on a run. Unlike the rest of this file it uses the
-# library's jsd and report builder.
+# Criterion 7's oracle, moved here from the library, which never called it:
+# the optimal binned discriminator identity on random binned densities, not
+# on a run. Unlike the rest of this file it uses the library's jsd.
 EXACT_TOL = 1e-8
 LOG4 = float(np.log(4.0))
 
@@ -359,20 +358,27 @@ def _discriminator_objective(p_w: np.ndarray, q: np.ndarray, d: np.ndarray) -> f
     return val
 
 
+class DiscriminatorOptimum(NamedTuple):
+    lhs: float
+    holds: bool
+    i_star: float
+    best_improvement: float
+
+
 def check_discriminator_optimum(
     p_w: Categorical,
     q: Categorical,
     perturbations: int = 100,
     seed: int = 0,
-    tol: float = EXACT_TOL,
-) -> BoundReport:
+) -> DiscriminatorOptimum:
     """Optimal binned discriminator identity.
 
     d*(x) = p_w(x) / (p_w(x) + q(x)) must achieve objective value
     log 4 - 2 * jsd(p_w, q), and no perturbed discriminator may do
-    better. The report's lhs is the larger of the identity defect and
-    the best improvement any perturbation achieved (0 when none did),
-    compared against 0 at the identity tolerance.
+    better. ``lhs`` is the larger of the identity defect and the best
+    improvement any perturbation achieved (0 when none did), and
+    ``holds`` says whether it is at most ``EXACT_TOL``. ``i_star`` is
+    d*'s objective value.
     """
     if p_w.k != q.k:
         raise ShapeMismatch(f"binned densities have lengths {p_w.k} and {q.k}")
@@ -390,12 +396,5 @@ def check_discriminator_optimum(
         noise = rng.normal(scale=rng.uniform(0.01, 0.3), size=a.size)
         d_pert = np.clip(d_star + noise, 1e-12, 1.0 - 1e-12)
         best_improvement = max(best_improvement, i_star - _discriminator_objective(a, b, d_pert))
-    return _report(
-        "discriminator_optimum",
-        max(defect, best_improvement),
-        0.0,
-        tol,
-        i_star=i_star,
-        expected=target,
-        best_perturbation_improvement=best_improvement,
-    )
+    lhs = max(defect, best_improvement)
+    return DiscriminatorOptimum(lhs, lhs <= EXACT_TOL, i_star, best_improvement)

@@ -19,11 +19,12 @@ from gls_adapt.diagnostics import (
     binned_divergences,
     bound_suite,
 )
-from gls_adapt.distributions import Categorical, jsd
+from gls_adapt.distributions import Categorical, empirical_label_dist, jsd, l1_distance
 from gls_adapt.errors import InvalidValue, ShapeMismatch
-from gls_adapt.estimator import WeightVector
+from gls_adapt.estimator import WeightVector, true_weights
 from gls_adapt.trainer import TrainConfig, make_bound_hook, train
 
+import _oracles
 from _oracles import (
     binned_histogram,
     binned_tv,
@@ -258,21 +259,81 @@ class TestCellIndex:
             raise AssertionError("np.histogramdd called")
 
         monkeypatch.setattr(np, "histogramdd", no_histogramdd)
-        p = Categorical(np.array([0.5, 0.5]))
         conf = np.array([[0.9, 0.1], [0.2, 0.8]])
         reports = bound_suite(
             conf_src=conf,
             conf_tgt=conf,
-            p_src=p,
-            p_tgt=p,
             feats_src=a,
             labels_src=labels_a,
             feats_tgt=b,
             labels_tgt=labels_b,
-            w_true=WeightVector(np.ones(2)),
         )
         assert len(reports) == 4
         assert len(grid_calls) == 1
+
+
+class TestBoundSuite:
+    """The suite works out p_S, p_T and w* from the labels over the confusions' k."""
+
+    def test_reports_match_the_checks_on_hand_built_terms(self):
+        source, target = make_shift_task(
+            k=3, n_source=600, n_target=600, p_source=[0.5, 0.3, 0.2], p_target=[0.2, 0.3, 0.5], seed=3
+        )
+        rng = np.random.default_rng(0)
+        conf_s = rng.dirichlet(np.ones(3), size=3)
+        conf_t = rng.dirichlet(np.ones(3), size=3)
+        reports = bound_suite(
+            conf_src=conf_s,
+            conf_tgt=conf_t,
+            feats_src=source.features,
+            labels_src=source.labels,
+            feats_tgt=target.features,
+            labels_tgt=target.labels,
+            seed=5,
+        )
+        p_s = empirical_label_dist(source.labels, 3)
+        p_t = empirical_label_dist(target.labels, 3)
+        assert np.abs(p_s.probs - p_t.probs).max() > 0.2
+        w = true_weights(p_s, p_t)
+        eps_s = 1.0 - float(p_s.probs @ np.diag(conf_s))
+        eps_t = 1.0 - float(p_t.probs @ np.diag(conf_t))
+        mu_s = Categorical.normalize(p_s.probs @ conf_s)
+        mu_t = Categorical.normalize(p_t.probs @ conf_t)
+        ber = balanced_error_rate(conf_s)
+        delta_ce = conditional_error_gap(conf_s, conf_t)
+        gaps, jsd_w = binned_divergences(
+            source.features, source.labels, target.features, target.labels, w.w[source.labels], 5
+        )
+        assert reports == [
+            check_lower_bound(eps_s, eps_t, jsd(p_s, p_t), jsd(mu_s, mu_t)),
+            check_error_decomposition(eps_s, eps_t, l1_distance(p_s, p_t), ber, delta_ce, 3),
+            check_joint_error_bound(eps_s, eps_t, ber, gls_gap=gaps.max()),
+            check_sufficiency_bound(eps_s, eps_t, w, p_t, jsd_w, gaps.max()),
+        ]
+
+    def test_confusions_of_two_sizes_are_refused(self):
+        a, labels_a, b, labels_b, _ = task_features(1, 2, "normal")
+        with pytest.raises(ShapeMismatch, match=r"shapes \(2, 2\) and \(3, 3\) differ"):
+            bound_suite(
+                conf_src=np.eye(2),
+                conf_tgt=np.eye(3),
+                feats_src=a,
+                labels_src=labels_a,
+                feats_tgt=b,
+                labels_tgt=labels_b,
+            )
+
+    def test_a_class_no_label_names_is_refused(self):
+        a, labels_a, b, labels_b, _ = task_features(1, 2, "normal")
+        with pytest.raises(InvalidValue, match="source label distribution has a zero entry"):
+            bound_suite(
+                conf_src=np.eye(3),
+                conf_tgt=np.eye(3),
+                feats_src=a,
+                labels_src=labels_a,
+                feats_tgt=b,
+                labels_tgt=labels_b,
+            )
 
 
 class TestCheckLowerBound:
@@ -348,8 +409,10 @@ class TestCheckSufficiencyBound:
     def test_arithmetic_and_capping(self):
         w = WeightVector(np.array([3.0, 1.0]))
         p_t = Categorical(np.array([0.2, 0.8]))
+        # (3 * 0.01 + 0.01 + sqrt(8 * 0.0002)) / 0.2 = 0.08 / 0.2
+        assert check_sufficiency_bound(0.01, 0.01, w, p_t, 0.0002, 0.0).rhs == pytest.approx(0.4)
+        # (3 * 0.1 + 0.1 + sqrt(8 * 0.02)) / 0.2 = 4, capped at 1
         r = check_sufficiency_bound(0.1, 0.1, w, p_t, 0.02, 0.5)
-        assert r.components["rhs_uncapped"] == pytest.approx(4.0)
         assert r.rhs == 1.0
         assert r.holds
 
@@ -366,14 +429,14 @@ class TestDiscriminatorOptimum:
         p = Categorical(np.array([0.25, 0.25, 0.5]))
         r = check_discriminator_optimum(p, p)
         assert r.holds
-        assert r.components["i_star"] == pytest.approx(2 * LN2, abs=1e-12)
+        assert r.i_star == pytest.approx(2 * LN2, abs=1e-12)
 
     def test_disjoint_distributions(self):
         p = Categorical(np.array([0.5, 0.5, 0.0, 0.0]))
         q = Categorical(np.array([0.0, 0.0, 0.5, 0.5]))
         r = check_discriminator_optimum(p, q)
         assert r.holds
-        assert r.components["i_star"] == pytest.approx(0.0, abs=1e-10)
+        assert r.i_star == pytest.approx(0.0, abs=1e-10)
 
     def test_random_pairs_match_divergence_path(self):
         rng = np.random.default_rng(4)
@@ -382,15 +445,23 @@ class TestDiscriminatorOptimum:
             p = Categorical(random_categorical(rng, k, floor=0.0))
             q = Categorical(random_categorical(rng, k, floor=0.0))
             r = check_discriminator_optimum(p, q, perturbations=20, seed=int(rng.integers(1e6)))
-            assert r.holds, (r.lhs, r.components)
-            assert abs(r.components["i_star"] - (math.log(4) - 2 * jsd(p, q))) < 1e-8
+            assert r.holds, r
+            assert abs(r.i_star - (math.log(4) - 2 * jsd(p, q))) < 1e-8
 
     def test_perturbations_never_beat_optimum(self):
         rng = np.random.default_rng(5)
         p = Categorical(random_categorical(rng, 12, floor=0.0))
         q = Categorical(random_categorical(rng, 12, floor=0.0))
         r = check_discriminator_optimum(p, q, perturbations=200, seed=6)
-        assert r.components["best_perturbation_improvement"] <= 1e-8
+        assert r.best_improvement <= 1e-8
+
+    def test_judged_at_the_exact_tolerance(self, monkeypatch):
+        # a jsd 1e-4 too high is an identity defect of 2e-4: inside INEQ_TOL, outside EXACT_TOL
+        monkeypatch.setattr(_oracles, "jsd", lambda p, q: jsd(p, q) + 1e-4)
+        p = Categorical(np.array([0.25, 0.25, 0.5]))
+        r = check_discriminator_optimum(p, p)
+        assert r.lhs == pytest.approx(2e-4)
+        assert r.holds is False
 
     def test_names_the_length_mismatch(self):
         with pytest.raises(ShapeMismatch) as info:

@@ -206,8 +206,8 @@ LABEL_ENTRY_POINTS = {
     "weighted_classification_loss": lambda y: weighted_classification_loss_grads(HALVES, y, UNIFORM),
     "binned_divergences": lambda y: binned_divergences(SRC.features, y, TGT.features, TGT.labels, np.ones(SRC.n)),
     "bound_suite": lambda y: bound_suite(
-        conf_src=np.eye(2), conf_tgt=np.eye(2), p_src=UNIFORM, p_tgt=UNIFORM, feats_src=SRC.features,
-        labels_src=y, feats_tgt=TGT.features, labels_tgt=TGT.labels, w_true=ONES_W,
+        conf_src=np.eye(2), conf_tgt=np.eye(2), feats_src=SRC.features,
+        labels_src=y, feats_tgt=TGT.features, labels_tgt=TGT.labels,
     ),
 }
 

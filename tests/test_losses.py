@@ -372,3 +372,20 @@ class TestTypedErrors:
         with pytest.raises(error) as info:
             make()
         assert str(info.value) == message
+
+    # each loss on a 3-row batch, given labels of length n
+    LABELLED_LOSSES = {
+        "weighted_da": lambda n: losses.weighted_da_loss_grads([0.5] * 3, [1] * n, [0.5] * 3, WeightVector([2.0, 0.5])),
+        "cross_entropy": lambda n: losses.cross_entropy_loss_grads(np.full((3, 2), 0.5), [1] * n),
+        "weighted_classification": lambda n: losses.weighted_classification_loss_grads(
+            np.full((3, 2), 0.5), [1] * n, Categorical([0.5, 0.5])
+        ),
+        "weighted_mmd": lambda n: losses.weighted_mmd_loss_grads(np.eye(3), [1] * n, np.eye(3), ones_w(2)),
+    }
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("loss", LABELLED_LOSSES)
+    def test_label_count_must_match_the_batch(self, loss, n):
+        with pytest.raises(ShapeMismatch) as info:
+            self.LABELLED_LOSSES[loss](n)
+        assert str(info.value) == f"labels has {n} entries for 3 batch rows"
