@@ -37,7 +37,7 @@ MMD_SCALES = (0.5, 1.0, 2.0)
 
 def _check_discriminator(out, name: str) -> np.ndarray:
     arr = np.asarray(out, dtype=float).reshape(-1)
-    if arr.size and (np.any(arr <= 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr))):
+    if not ((arr > 0.0) & (arr < 1.0)).all():  # NaN fails both comparisons
         raise InvalidValue(f"{name} must lie strictly inside (0, 1)")
     return arr
 

@@ -32,7 +32,6 @@ SIGMOID_CLIP = 1e-12
 BLOCK_ROWS = 256
 
 _HEADS = ("softmax", "sigmoid", "tanh")
-_MODES = ("features", "classify", "discriminate")
 
 
 class Mlp:
@@ -179,27 +178,20 @@ def outer_map(preds: np.ndarray, feats: np.ndarray) -> np.ndarray:
     return np.einsum("nk,nz->nkz", preds, feats).reshape(preds.shape[0], -1)
 
 
-def forward(state: ModelState, x: np.ndarray, mode: str):
-    """Run the composed model in one of three modes.
+def forward(state: ModelState, x: np.ndarray, discriminate: bool = False):
+    """Run the composed model; return (what an alignment loss reads, cache).
 
-    features     -> g(x)
-    classify     -> softmax h(g(x))
-    discriminate -> sigmoid d(g(x)), or sigmoid d(h(g(x)) (x) g(x)) when d
-                    is sized for the outer product
-
-    Every mode caches the features z and the predictions p = h(g(x)), so
-    one pass feeds both losses of a training step. Returns (output,
-    cache); the cache feeds :func:`backward`.
+    Without ``discriminate`` that is the features z = g(x). With it, that is
+    sigmoid d(z), or sigmoid d(p (x) z) when d is sized for the outer
+    product, where p = softmax h(z). The cache feeds :func:`backward`. It
+    always holds z and p, so one pass feeds both losses of a training step,
+    and it holds d's layer inputs under "d" only when d ran.
     """
-    if mode not in _MODES:
-        raise ConfigInvalid(f"unknown mode {mode!r}")
     z, cg = state.g.forward(np.asarray(x, dtype=float))
     p, ch = state.h.forward(z)
-    cache = {"mode": mode, "version": state.version, "g": cg, "h": ch, "z": z, "p": p}
-    if mode == "features":
+    cache = {"version": state.version, "g": cg, "h": ch, "z": z, "p": p}
+    if not discriminate:
         return z, cache
-    if mode == "classify":
-        return p, cache
     d_in = z if state.d.in_dim == state.g.out_dim else outer_map(p, z)
     dout, cache["d"] = state.d.forward(d_in)
     return dout, cache
@@ -208,15 +200,16 @@ def forward(state: ModelState, x: np.ndarray, mode: str):
 def infer(state: ModelState, x: np.ndarray, features_out: np.ndarray) -> np.ndarray:
     """The predictions h(g(x)) for all rows of ``x``, (n, k), computed in row blocks.
 
-    Each call of the module's ``forward`` sees at most ``BLOCK_ROWS`` rows
-    and keeps no cache, so a full-data pass needs one block's memory. The
+    Each call of the module's ``forward`` sees at most ``BLOCK_ROWS`` rows,
+    and only its z and cached p are kept, so a full-data pass needs one
+    block's memory. The
     output equals one unblocked forward bit for bit: blocks start on
     multiples of 128 rows, so BLAS tiles the rows as it would in one call,
     and no block is a single row of a longer input (numpy hands a one-row
     product to gemv, which rounds differently from gemm).
 
     ``features_out``, an (n, feature_dim) array, receives every block's
-    features z.
+    features z, the forward's output.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
@@ -226,55 +219,46 @@ def infer(state: ModelState, x: np.ndarray, features_out: np.ndarray) -> np.ndar
     out = np.empty((n, state.k))
     start = 0
     for stop in stops:
-        block, cache = forward(state, x[start:stop], "classify")
-        out[start:stop] = block
-        features_out[start:stop] = cache["z"]
+        z, cache = forward(state, x[start:stop])
+        out[start:stop] = cache["p"]
+        features_out[start:stop] = z
         start = stop
     return out
 
 
 def backward(
-    state: ModelState, cache, grad_out: np.ndarray, grad_preds=None, reversal: float = 1.0
+    state: ModelState, cache, grad_out: np.ndarray | None, grad_preds=None, reversal: float = 1.0
 ) -> ModelGrads:
-    """Backpropagate dL/d(output of forward) into parameter gradients.
+    """Backpropagate a forward's output gradients into parameter gradients.
 
     The cache must come from a forward pass against the current parameters.
-    When d reads the outer product, the feature gradient includes both the
-    direct path and the chain through the classifier.
+    ``grad_out`` is the alignment loss's gradient in the forward's output:
+    in d's output if the cache holds "d", else in z. When d reads the outer
+    product, the feature gradient includes both the direct path and the
+    chain through the classifier. ``grad_preds`` is the classification
+    loss's gradient in the cached predictions p. Either may be None, but
+    not both.
 
-    With ``grad_preds``, the classification loss's gradient in the cached
-    predictions, this is a training step's backward and ``grad_out`` is
-    the alignment loss's gradient: d descends the alignment loss, h
-    descends the classification loss alone, and g descends the
+    With both, this is a training step's backward: d descends the alignment
+    loss, h descends the classification loss alone, and g descends the
     classification loss while ascending the alignment loss scaled by
     ``reversal`` (gradient reversal).
     """
     if cache["version"] != state.version:
         raise ConfigInvalid("forward cache predates the last parameter update")
-    mode = cache["mode"]
-    if mode not in _MODES:
-        raise ConfigInvalid(f"unknown mode {mode!r}")
-    if grad_preds is not None and mode == "classify":
-        raise ConfigInvalid("grad_preds needs an alignment mode, not classify")
+    if grad_out is None and grad_preds is None:
+        raise ConfigInvalid("backward needs grad_out, grad_preds or both")
     grads = ModelGrads()
-    dz = dp = None
-    if mode == "features":
-        dz = grad_out
-    elif mode == "classify":
-        dp = grad_out
-    elif state.d.in_dim == state.g.out_dim:
+    dz = grad_out
+    if grad_out is not None and "d" in cache:
         grads.d, dz = state.d.backward(cache["d"], grad_out)
-    else:
-        grads.d, du = state.d.backward(cache["d"], grad_out)
-        du3 = du.reshape(du.shape[0], state.k, state.feature_dim)
-        dp = np.einsum("nkz,nz->nk", du3, cache["z"])
-        dz = np.einsum("nkz,nk->nz", du3, cache["p"])
-    if dp is not None:
-        grads.h, dz_chain = state.h.backward(cache["h"], dp)
-        dz = dz_chain if dz is None else dz + dz_chain
+        if state.d.in_dim != state.g.out_dim:
+            du3 = dz.reshape(dz.shape[0], state.k, state.feature_dim)
+            grads.h, dz_chain = state.h.backward(cache["h"], np.einsum("nkz,nz->nk", du3, cache["z"]))
+            dz = np.einsum("nkz,nk->nz", du3, cache["p"]) + dz_chain
     if grad_preds is not None:
         grads.h, dz_cls = state.h.backward(cache["h"], grad_preds)
-        dz = dz_cls - reversal * dz
+        dz = dz_cls if dz is None else dz_cls - reversal * dz
     grads.g, _ = state.g.backward(cache["g"], dz)
     return grads
 

@@ -7,7 +7,7 @@ extractor via gradient reversal, adversarial descent for the
 discriminator). A step makes one forward over the stacked batch
 [source; target], which yields the features, the predictions and the
 discriminator output, and one backward, which yields all three nets'
-gradients (``none`` backpropagates the source rows' loss alone). The
+gradients (g's and h's alone under ``none``, which aligns nothing). The
 same forward's predictions, taken before the update, feed the soft
 confusion accumulator, so a step makes no other pass. At the end of every
 ``weight_update_period``-th epoch the constrained least-squares estimate
@@ -197,8 +197,8 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
     w_model = w_star if oracle else w_est  # what the losses may consume and the trace logs
 
     s = config.batch_size
-    # what the alignment loss reads, from the stacked batch; none has no alignment loss
-    mode = {None: "classify", "jan": "features"}.get(base, "discriminate")
+    # the adversarial losses read d's output on the stacked batch, jan's reads z
+    discriminate = base in ("dann", "cdan")
     align_loss = losses.weighted_mmd_loss_grads if kernel else losses.weighted_da_loss_grads
     acc = ConfusionAccumulator(k)
     trace = TrainTrace()
@@ -222,7 +222,7 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
             x = np.concatenate([source.features[idx_s], target.features[idx_t]])
             ys = source.labels[idx_s]
 
-            out, cache = network.forward(state, x, mode)
+            out, cache = network.forward(state, x, discriminate)
             preds = cache["p"]
             if w_c is None:
                 loss_c, grad_c = losses.cross_entropy_loss_grads(preds[:s], ys)
@@ -231,13 +231,11 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
             # the classification loss reads the source rows only
             grad_preds = np.zeros_like(preds)
             grad_preds[:s] = grad_c
-            if base is None:
-                loss_da = 0.0
-                grads = network.backward(state, cache, grad_preds)
-            else:
+            loss_da, grad_da = 0.0, None
+            if base is not None:
                 loss_da, g_src, g_tgt = align_loss(out[:s], ys, out[s:], w_da)
                 grad_da = np.concatenate([g_src, g_tgt]).reshape(out.shape)
-                grads = network.backward(state, cache, grad_da, grad_preds, config.reversal_coeff)
+            grads = network.backward(state, cache, grad_da, grad_preds, config.reversal_coeff)
             if not (np.isfinite(loss_da) and np.isfinite(loss_c)):
                 raise NonFiniteValue(
                     f"epoch {epoch} batch {batch}: loss_da={loss_da!r}, loss_c={loss_c!r}"

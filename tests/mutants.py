@@ -1,0 +1,133 @@
+"""Named mutants of ``src/``, and the check that the suite kills each one.
+
+A mutant is one exact edit: in ``file`` (relative to ``src/gls_adapt``),
+replace ``old``, which must occur there exactly once, with ``new``. For
+each mutant this script copies ``src/``, ``tests/`` and ``pyproject.toml``
+into a temporary directory, applies the edit there and runs the mutant's
+test files. A mutant that no test fails survives: the suite cannot see
+the fault it plants. Before any mutant runs, every test file set must
+pass on the unmutated copy.
+
+Run from the repository root::
+
+    python tests/mutants.py [NAME ...]
+
+It prints, per mutant, the tests that killed it, or ``SURVIVED``, and
+exits with 1 if any mutant survived or any edit did not apply. A change
+that removes or rewrites a mutant's ``old`` text retires or re-aims the
+mutant here; ``tests/test_mutants.py`` fails until it does.
+"""
+
+from __future__ import annotations
+
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gls_adapt"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple
+
+
+MUTANTS = [
+    Mutant(
+        "reversal-sign-flipped",
+        "network.py",
+        "dz_cls - reversal * dz",
+        "dz_cls + reversal * dz",
+        ("tests/test_network.py",),
+    ),
+    Mutant(
+        "cdan-chain-dropped",
+        "network.py",
+        'np.einsum("nkz,nk->nz", du3, cache["p"]) + dz_chain',
+        'np.einsum("nkz,nk->nz", du3, cache["p"])',
+        ("tests/test_network.py",),
+    ),
+    Mutant(
+        "d-fed-z-not-outer-product",
+        "network.py",
+        "else outer_map(p, z)",
+        "else outer_map(np.ones_like(p), z)",
+        ("tests/test_network.py",),
+    ),
+    Mutant(
+        "classification-gradient-dropped-without-alignment",
+        "network.py",
+        "dz = dz_cls if dz is None else",
+        "dz = np.zeros_like(dz_cls) if dz is None else",
+        ("tests/test_network.py",),
+    ),
+]
+
+FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)
+
+
+def occurrences(mutant: Mutant) -> int:
+    return (PACKAGE / mutant.file).read_text().count(mutant.old)
+
+
+def run_tests(root: Path, tests) -> tuple[int, list]:
+    """Run ``tests`` under ``root``; return pytest's exit code and the failed test ids."""
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests],
+        cwd=root, capture_output=True, text=True,
+    )
+    return done.returncode, FAILED.findall(done.stdout)
+
+
+def copy_tree(dest: Path) -> None:
+    # the tests travel with src/: pyproject.toml's pythonpath puts the src/ next to it first on sys.path
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def main(names) -> int:
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 1
+    bad = [m.name for m in mutants if occurrences(m) != 1]
+    if bad:
+        print(f"old text not found exactly once for: {', '.join(bad)}")
+        return 1
+    with tempfile.TemporaryDirectory(prefix="gls-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        copy_tree(clean)
+        for tests in sorted({m.tests for m in mutants}):
+            code, failed = run_tests(clean, tests)
+            if code != 0:
+                print(f"unmutated tests fail ({' '.join(tests)}): {failed or f'exit code {code}'}")
+                return 1
+        survivors = []
+        for m in mutants:
+            work = Path(tmp) / m.name
+            copy_tree(work)
+            target = work / "src" / "gls_adapt" / m.file
+            target.write_text(target.read_text().replace(m.old, m.new))
+            code, failed = run_tests(work, m.tests)
+            shutil.rmtree(work)
+            if code == 0:
+                survivors.append(m.name)
+                print(f"{m.name}: SURVIVED")
+            else:
+                print(f"{m.name}: killed by {len(failed)} tests: {', '.join(failed) or f'exit code {code}'}")
+    print(f"{len(mutants) - len(survivors)} of {len(mutants)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

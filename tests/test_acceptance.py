@@ -226,22 +226,21 @@ def test_criterion_3_gradient_correctness():
         bw = [0.8, 1.7]
 
         def ce_value():
-            preds, _ = forward(state, xs, "classify")
-            return losses.weighted_classification_loss(preds, ys, p_s)
+            return losses.weighted_classification_loss(forward(state, xs)[1]["p"], ys, p_s)
 
-        preds, cache = forward(state, xs, "classify")
-        _, gpred = losses.weighted_classification_loss_grads(preds, ys, p_s)
-        g = backward(state, cache, gpred)
+        _, cache = forward(state, xs)
+        _, gpred = losses.weighted_classification_loss_grads(cache["p"], ys, p_s)
+        g = backward(state, cache, None, gpred)
         worst = max(worst, _relative_gradient_error(state, "g", ce_value, g.g))
         worst = max(worst, _relative_gradient_error(state, "h", ce_value, g.h))
 
         def da_value():
-            ds, _ = forward(state, xs, "discriminate")
-            dt, _ = forward(state, xt, "discriminate")
+            ds, _ = forward(state, xs, discriminate=True)
+            dt, _ = forward(state, xt, discriminate=True)
             return losses.weighted_da_loss(ds.ravel(), ys, dt.ravel(), w)
 
-        ds, cs = forward(state, xs, "discriminate")
-        dt, ct = forward(state, xt, "discriminate")
+        ds, cs = forward(state, xs, discriminate=True)
+        dt, ct = forward(state, xt, discriminate=True)
         _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), ys, dt.ravel(), w)
         bs = backward(state, cs, gs[:, None])
         bt = backward(state, ct, gt[:, None])
@@ -253,12 +252,12 @@ def test_criterion_3_gradient_correctness():
         )
 
         def mmd_value():
-            zs, _ = forward(state, xs, "features")
-            zt, _ = forward(state, xt, "features")
+            zs, _ = forward(state, xs)
+            zt, _ = forward(state, xt)
             return losses.weighted_mmd_loss(zs, ys, zt, w, bw)
 
-        zs, czs = forward(state, xs, "features")
-        zt, czt = forward(state, xt, "features")
+        zs, czs = forward(state, xs)
+        zt, czt = forward(state, xt)
         _, g_zs, g_zt = losses.weighted_mmd_loss_grads(zs, ys, zt, w, bw)
         bzs = backward(state, czs, g_zs)
         bzt = backward(state, czt, g_zt)

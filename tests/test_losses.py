@@ -55,10 +55,11 @@ class TestWeightedDaLoss:
             assert abs(got - base) <= 1e-12
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidValue, match=r"d_src must lie strictly inside \(0, 1\)"):
-            weighted_da_loss([1.0], [0], [0.5], ones_w(2))
-        with pytest.raises(InvalidValue, match=r"d_tgt must lie strictly inside \(0, 1\)"):
-            weighted_da_loss([0.5], [0], [0.0], ones_w(2))
+        for bad in (0.0, 1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidValue, match=r"d_src must lie strictly inside \(0, 1\)"):
+                weighted_da_loss([0.5, bad], [0, 1], [0.5, 0.5], ones_w(2))
+            with pytest.raises(InvalidValue, match=r"d_tgt must lie strictly inside \(0, 1\)"):
+                weighted_da_loss([0.5, 0.5], [0, 1], [bad, 0.5], ones_w(2))
 
     def test_batch_size_mismatch(self):
         with pytest.raises(ShapeMismatch, match="paired batches of sizes 2 and 1"):

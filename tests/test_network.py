@@ -46,8 +46,7 @@ class TestForward:
             for arr in lst:
                 arr[:] = 0.0
         x = np.random.default_rng(0).normal(size=(6, 3))
-        preds, _ = forward(state, x, "classify")
-        assert np.allclose(preds, 1.0 / 3.0)
+        assert np.allclose(forward(state, x)[1]["p"], 1.0 / 3.0)
 
     def test_one_layer_hand_computation(self):
         net = Mlp([2, 1], head="tanh", rng=np.random.default_rng(1))
@@ -60,7 +59,7 @@ class TestForward:
         state = init_model_state(input_dim=5, k=3, feature_dim=4, conditional=True, rng=np.random.default_rng(0))
         assert state.d.in_dim == 12
         x = np.random.default_rng(2).normal(size=(7, 5))
-        d_out, cache = forward(state, x, "discriminate")
+        d_out, cache = forward(state, x, discriminate=True)
         assert cache["d"]["inputs"][0].shape == (7, 12)
         assert d_out.shape == (7, 1)
         assert np.all((d_out > 0) & (d_out < 1))
@@ -68,20 +67,20 @@ class TestForward:
     def test_discriminator_input_follows_conditional(self):
         x = np.random.default_rng(2).normal(size=(6, 3))
         for conditional in (False, True):
-            _, cache = forward(small_state(conditional=conditional, seed=2), x, "discriminate")
+            _, cache = forward(small_state(conditional=conditional, seed=2), x, discriminate=True)
             want = outer_map(cache["p"], cache["z"]) if conditional else cache["z"]
             assert np.array_equal(cache["d"]["inputs"][0], want)
 
     def test_softmax_rows_sum_to_one(self):
         state = small_state(seed=3)
         x = np.random.default_rng(3).normal(size=(50, 3)) * 5
-        preds, _ = forward(state, x, "classify")
+        preds = forward(state, x)[1]["p"]
         assert np.max(np.abs(preds.sum(axis=1) - 1.0)) < 1e-6
 
     def test_shape_mismatch(self):
         state = small_state()
         with pytest.raises(ShapeMismatch):
-            forward(state, np.zeros((4, 7)), "classify")
+            forward(state, np.zeros((4, 7)))
 
     def test_outer_map_one_hot_selects_block(self):
         got = outer_map(np.array([[1.0, 0.0]]), np.array([[3.0, 4.0]]))
@@ -100,12 +99,13 @@ class TestInfer:
         # the default training model, as evaluate runs it
         state = init_model_state(input_dim=2, k=3, conditional=conditional, rng=np.random.default_rng(n))
         x = np.random.default_rng(1).normal(scale=2.0, size=(n, 2))
-        want = forward(state, x, output)[0]
+        z, cache = forward(state, x)
+        want = cache["p"] if output == "classify" else z
         rows = []
 
-        def counting(state, x, mode):
+        def counting(state, x, discriminate=False):
             rows.append(len(x))
-            return forward(state, x, mode)
+            return forward(state, x, discriminate)
 
         monkeypatch.setattr(network, "forward", counting)
         feats = np.empty((n, state.feature_dim))
@@ -126,7 +126,7 @@ class TestBackward:
         # gradient vanish
         state = small_state(seed=4)
         x = np.random.default_rng(4).normal(size=(5, 3))
-        preds, cache = forward(state, x, "classify")
+        preds = forward(state, x)[1]["p"]
         labels = preds.argmax(axis=1)
         onehot = np.eye(3)[labels]
         # gradient of CE at its own one-hot optimum is the softmax jacobian
@@ -143,7 +143,7 @@ class TestBackward:
         # the negated alignment gradient and leaves d's untouched
         state = small_state(seed=5)
         x = np.random.default_rng(5).normal(size=(4, 3))
-        _, cache = forward(state, x, "discriminate")
+        _, cache = forward(state, x, discriminate=True)
         grads = backward(state, cache, np.ones((4, 1)))
         fused = backward(state, cache, np.ones((4, 1)), np.zeros((4, 3)), 1.0)
         for (gw, gb), (rw, rb) in zip(grads.g, fused.g):
@@ -156,11 +156,11 @@ class TestBackward:
     def test_stale_cache_detected(self):
         state = small_state(seed=6)
         x = np.random.default_rng(6).normal(size=(4, 3))
-        _, cache = forward(state, x, "classify")
-        grads = backward(state, cache, np.ones((4, 3)))
+        _, cache = forward(state, x)
+        grads = backward(state, cache, None, np.ones((4, 3)))
         sgd_step(state, ModelGrads(g=grads.g), 0.1, 0.0)
         with pytest.raises(ConfigInvalid, match="forward cache predates the last parameter update"):
-            backward(state, cache, np.ones((4, 3)))
+            backward(state, cache, None, np.ones((4, 3)))
 
 
 class TestTrainingStepBackward:
@@ -168,20 +168,21 @@ class TestTrainingStepBackward:
 
     # the discriminate cases' ids name what d reads: z or the outer product
     @pytest.mark.parametrize(
-        "conditional,mode",
+        "conditional,discriminate",
         [
-            pytest.param(False, "features", id="features"),
-            pytest.param(False, "discriminate", id="discriminate_z"),
-            pytest.param(True, "discriminate", id="discriminate_outer"),
+            pytest.param(False, False, id="features"),
+            pytest.param(False, True, id="discriminate_z"),
+            pytest.param(True, True, id="discriminate_outer"),
         ],
     )
-    def test_matches_separate_backwards(self, conditional, mode):
+    def test_matches_separate_backwards(self, conditional, discriminate):
         rng = np.random.default_rng(16)
         state = small_state(conditional=conditional, seed=16)
         x = rng.normal(size=(10, 3))
         labels = rng.integers(0, 3, size=5)
-        out, cache = forward(state, x, mode)
-        p, cache_c = forward(state, x[:5], "classify")
+        out, cache = forward(state, x, discriminate)
+        _, cache_c = forward(state, x[:5])
+        p = cache_c["p"]
         assert np.array_equal(cache["p"][:5], p)
         _, gpred = losses.cross_entropy_loss_grads(p, labels)
         grad_out = rng.normal(size=out.shape)
@@ -189,22 +190,22 @@ class TestTrainingStepBackward:
         reversal = 2.5
         fused = backward(state, cache, grad_out, grad_preds, reversal)
 
-        cls = backward(state, cache_c, gpred)
+        cls = backward(state, cache_c, None, gpred)
         align = backward(state, cache, grad_out)
         np.testing.assert_allclose(flatten_grads(fused.h), flatten_grads(cls.h), rtol=1e-12, atol=1e-15)
-        if mode == "features":
+        if not discriminate:
             assert fused.d is None
         else:
             np.testing.assert_array_equal(flatten_grads(fused.d), flatten_grads(align.d))
         theta = add_grads(cls.g, [(-reversal * gw, -reversal * gb) for gw, gb in align.g])
         np.testing.assert_allclose(flatten_grads(fused.g), flatten_grads(theta), rtol=1e-12, atol=1e-15)
 
-    def test_needs_cached_predictions_and_an_alignment_output(self):
+    def test_needs_a_gradient(self):
         state = small_state(seed=17)
-        x = np.zeros((2, 3))
-        _, cache = forward(state, x, "classify")
-        with pytest.raises(ConfigInvalid, match="grad_preds needs an alignment mode, not classify"):
-            backward(state, cache, np.zeros((2, 3)), np.zeros((2, 3)))
+        for discriminate in (False, True):
+            _, cache = forward(state, np.zeros((2, 3)), discriminate)
+            with pytest.raises(ConfigInvalid, match="^backward needs grad_out, grad_preds or both$"):
+                backward(state, cache, None)
 
 
 def loss_through_params(state, net_name, flat, loss_fn):
@@ -239,12 +240,11 @@ class TestGradientsAgainstFiniteDifferences:
         p_s = Categorical(np.array([0.5, 0.3, 0.2]))
 
         def value():
-            preds, _ = forward(state, x, "classify")
-            return losses.weighted_classification_loss(preds, labels, p_s)
+            return losses.weighted_classification_loss(forward(state, x)[1]["p"], labels, p_s)
 
-        preds, cache = forward(state, x, "classify")
-        _, gpred = losses.weighted_classification_loss_grads(preds, labels, p_s)
-        grads = backward(state, cache, gpred)
+        _, cache = forward(state, x)
+        _, gpred = losses.weighted_classification_loss_grads(cache["p"], labels, p_s)
+        grads = backward(state, cache, None, gpred)
         assert_grad_matches(state, "g", value, grads.g)
         assert_grad_matches(state, "h", value, grads.h)
 
@@ -257,12 +257,12 @@ class TestGradientsAgainstFiniteDifferences:
         w = WeightVector(np.array([2.0, 1.0, 0.5]))
 
         def value():
-            ds, _ = forward(state, xs, "discriminate")
-            dt, _ = forward(state, xt, "discriminate")
+            ds, _ = forward(state, xs, discriminate=True)
+            dt, _ = forward(state, xt, discriminate=True)
             return losses.weighted_da_loss(ds.ravel(), labels, dt.ravel(), w)
 
-        ds, cs = forward(state, xs, "discriminate")
-        dt, ct = forward(state, xt, "discriminate")
+        ds, cs = forward(state, xs, discriminate=True)
+        dt, ct = forward(state, xt, discriminate=True)
         _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), labels, dt.ravel(), w)
         back_s = backward(state, cs, gs[:, None])
         back_t = backward(state, ct, gt[:, None])
@@ -280,12 +280,12 @@ class TestGradientsAgainstFiniteDifferences:
         w = WeightVector(np.array([0.5, 1.5, 1.0]))
 
         def value():
-            ds, _ = forward(state, xs, "discriminate")
-            dt, _ = forward(state, xt, "discriminate")
+            ds, _ = forward(state, xs, discriminate=True)
+            dt, _ = forward(state, xt, discriminate=True)
             return losses.weighted_da_loss(ds.ravel(), labels, dt.ravel(), w)
 
-        ds, cs = forward(state, xs, "discriminate")
-        dt, ct = forward(state, xt, "discriminate")
+        ds, cs = forward(state, xs, discriminate=True)
+        dt, ct = forward(state, xt, discriminate=True)
         _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), labels, dt.ravel(), w)
         back_s = backward(state, cs, gs[:, None])
         back_t = backward(state, ct, gt[:, None])
@@ -303,12 +303,12 @@ class TestGradientsAgainstFiniteDifferences:
         bw = [0.7, 1.3]
 
         def value():
-            zs, _ = forward(state, xs, "features")
-            zt, _ = forward(state, xt, "features")
+            zs, _ = forward(state, xs)
+            zt, _ = forward(state, xt)
             return losses.weighted_mmd_loss(zs, labels, zt, w, bw)
 
-        zs, cs = forward(state, xs, "features")
-        zt, ct = forward(state, xt, "features")
+        zs, cs = forward(state, xs)
+        zt, ct = forward(state, xt)
         _, g_zs, g_zt = losses.weighted_mmd_loss_grads(zs, labels, zt, w, bw)
         back_s = backward(state, cs, g_zs)
         back_t = backward(state, ct, g_zt)
@@ -325,15 +325,6 @@ class TestTypedErrors:
         with pytest.raises(ConfigInvalid, match=match) as info:
             Mlp(sizes, **{"head": "tanh", **kwargs}, rng=np.random.default_rng(0))
         assert isinstance(info.value, GlsAdaptError) and isinstance(info.value, ValueError)
-
-    def test_unknown_mode(self):
-        state = small_state()
-        with pytest.raises(ConfigInvalid, match="unknown mode 'discriminate_z'"):
-            forward(state, np.zeros((2, 3)), "discriminate_z")
-        _, cache = forward(state, np.zeros((2, 3)), "features")
-        cache["mode"] = "discriminate_z"
-        with pytest.raises(ConfigInvalid, match="unknown mode 'discriminate_z'"):
-            backward(state, cache, np.zeros((2, 4)))
 
     @pytest.mark.parametrize(
         "make, error, message",
@@ -400,9 +391,9 @@ class TestDeterminismAndCheckpoints:
             for _ in range(5):
                 x = rng.normal(size=(4, 3))
                 labels = rng.integers(0, 3, size=4)
-                preds, cache = forward(state, x, "classify")
-                _, gpred = losses.cross_entropy_loss_grads(preds, labels)
-                grads = backward(state, cache, gpred)
+                _, cache = forward(state, x)
+                _, gpred = losses.cross_entropy_loss_grads(cache["p"], labels)
+                grads = backward(state, cache, None, gpred)
                 sgd_step(state, ModelGrads(g=grads.g, h=grads.h), 0.05, 0.9)
             return flatten_net_params(state.g), flatten_net_params(state.h)
 

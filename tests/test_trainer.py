@@ -379,7 +379,7 @@ class TestBoundHook:
 
         def hook(epoch, state, record):
             for feats, data in ((record.feats_src, src), (record.feats_tgt, tgt)):
-                expected = network.forward(state, data.features, "features")[0]
+                expected = network.forward(state, data.features)[0]
                 assert feats.shape == expected.shape
                 assert feats.tobytes() == expected.tobytes()
                 assert not feats.flags.writeable
@@ -411,10 +411,10 @@ class TestBoundHook:
 class PassCounter:
     """Counts forwards by caller: inside ``trainer.evaluate`` or the bound hook, or a training step's.
 
-    Keys: ``evaluate`` and ``hook`` calls, ``<caller>_<mode>_rows`` full-data
-    rows, ``batch_forward`` calls and their ``batch_rows``, ``max_full_block``
-    (the most rows one full-data forward saw) and ``<outer>><inner>`` for a
-    nested call.
+    Keys: ``evaluate`` and ``hook`` calls, ``<caller>_rows`` full-data rows
+    (none of which may run d), ``batch_forward`` calls and their
+    ``batch_rows``, ``max_full_block`` (the most rows one full-data forward
+    saw) and ``<outer>><inner>`` for a nested call.
     """
 
     def __init__(self, monkeypatch):
@@ -422,14 +422,15 @@ class PassCounter:
         self.callers = []
         real_forward = network.forward
 
-        def forward(state, x, mode, *args, **kwargs):
+        def forward(state, x, discriminate=False):
             if self.callers:
-                self.counts[f"{self.callers[-1]}_{mode}_rows"] += len(x)
+                assert not discriminate
+                self.counts[f"{self.callers[-1]}_rows"] += len(x)
                 self.counts["max_full_block"] = max(self.counts["max_full_block"], len(x))
             else:
                 self.counts["batch_forward"] += 1
                 self.counts["batch_rows"] += len(x)
-            return real_forward(state, x, mode, *args, **kwargs)
+            return real_forward(state, x, discriminate)
 
         monkeypatch.setattr(network, "forward", forward)
         monkeypatch.setattr(trainer, "evaluate", self.within("evaluate", trainer.evaluate))
@@ -464,17 +465,17 @@ class TestFullDataPasses:
         passes = PassCounter(monkeypatch)
         cfg = tiny_config(algorithm=algorithm, epochs=epochs, batches_per_epoch=3)
         train(cfg, src, tgt)
-        # 2n full-data rows per epoch, all classify, in blocks of BLOCK_ROWS
-        assert passes.full_data_counts() == {"evaluate": 2 * epochs, "evaluate_classify_rows": epochs * 2 * 900}
+        # 2n full-data rows per epoch, in blocks of BLOCK_ROWS
+        assert passes.full_data_counts() == {"evaluate": 2 * epochs, "evaluate_rows": epochs * 2 * 900}
 
         passes.counts.clear()
         train(cfg, src, tgt, epoch_hook=passes.within("hook", make_bound_hook(src, tgt, [])))
         # still 2n with the hook: it reads the features of evaluate's pass,
         # so it makes no pass of its own and calls no evaluate (no
-        # "hook_features_rows" or "hook>evaluate" key)
+        # "hook_rows" or "hook>evaluate" key)
         assert passes.full_data_counts() == {
             "evaluate": 2 * epochs,
-            "evaluate_classify_rows": epochs * 2 * 900,
+            "evaluate_rows": epochs * 2 * 900,
             "hook": epochs,
         }
 
@@ -540,7 +541,7 @@ class TestStepPasses:
         assert counts["backward"] == steps
         assert counts["mmd"] == (steps if algorithm == "iwjan" else 0)
         assert counts["adv"] == (steps if algorithm in ("dann", "iwdan", "iwcdan") else 0)
-        assert passes.full_data_counts() == {"evaluate": 2 * epochs, "evaluate_classify_rows": epochs * (src.n + tgt.n)}
+        assert passes.full_data_counts() == {"evaluate": 2 * epochs, "evaluate_rows": epochs * (src.n + tgt.n)}
 
     def test_kernel_bandwidths_are_the_median_heuristic(self, monkeypatch):
         src, tgt = tiny_task()
