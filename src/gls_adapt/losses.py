@@ -11,6 +11,7 @@ weighted loss reduces exactly to its unweighted base version.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 
 import numpy as np
@@ -121,13 +122,26 @@ def weighted_classification_loss(preds, labels, p_source: Categorical, w: Weight
     return weighted_classification_loss_grads(preds, labels, p_source, w)[0]
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
-    """|a_i - b_j|^2 clipped at 0, written into ``out`` with ``tmp`` as work space when given."""
-    tmp = np.add(np.sum(a * a, axis=1)[:, None], np.sum(b * b, axis=1)[None, :], out=tmp)
-    out = np.matmul(a, b.T, out=out)
-    out *= 2.0
-    np.subtract(tmp, out, out=out)
-    return np.maximum(out, 0.0, out=out)
+def _sq_dist_blocks(fs: np.ndarray, ft: np.ndarray, out=(None,) * 3, tmp=(None,) * 3) -> list[np.ndarray]:
+    """The source-source, target-target and source-target blocks of |a_i - b_j|^2, clipped at 0.
+
+    Each block is (|a|^2 + |b|^2) + (-2a) b^T, and each domain's row norms
+    are formed once. The norm sums are the rank-2 gemm [|a|^2, 1] [1, |b|^2]^T,
+    whose entries round once, as a broadcast add does, but faster; the product
+    is a gemm against a contiguous transposed copy (scaling by -2 is exact).
+    ``out`` and ``tmp`` give each block's storage and work space when not None.
+    """
+    norms = [np.sum(a * a, axis=1) for a in (fs, ft)]
+    lhs = [np.stack([n, np.ones_like(n)], axis=1) for n in norms]
+    rhs = [np.stack([np.ones_like(n), n]) for n in norms]
+    neg2 = [-2.0 * a for a in (fs, ft)]
+    trans = [np.ascontiguousarray(a.T) for a in (fs, ft)]
+    blocks = []
+    for (i, j), o, t in zip(((0, 0), (1, 1), (0, 1)), out, tmp):
+        block = np.matmul(lhs[i], rhs[j], out=o)
+        block += np.matmul(neg2[i], trans[j], out=t)
+        blocks.append(np.maximum(block, 0.0, out=block))
+    return blocks
 
 
 @functools.lru_cache(maxsize=8)
@@ -172,19 +186,20 @@ def median_heuristic_bandwidths(feats_src, feats_tgt) -> list[float]:
     """Median pairwise squared distance of the pooled batch, times each of ``MMD_SCALES``."""
     fs = np.asarray(feats_src, dtype=float)
     ft = np.asarray(feats_tgt, dtype=float)
-    return _median_bandwidths(_sq_dists(fs, fs), _sq_dists(ft, ft), _sq_dists(fs, ft))
+    return _median_bandwidths(*_sq_dist_blocks(fs, ft))
 
 
 class _Scratch(threading.local):
     """The kernel loss's work arrays, private to each thread, for up to four batch sizes.
 
-    ``get(s)`` gives a (4, 3, s, s) stack (distances, kernel, kernel sums
-    and gradient coefficients, each over the source-source, target-target
-    and source-target blocks) and the buffer for the 2s^2 - s pooled pairs.
+    ``get(s)`` gives a (3, 3, s, s) stack (distances, one bandwidth's k / bw,
+    and the gradient coefficients sum(k / bw) over the bandwidths, each over
+    the source-source, target-target and source-target blocks) and the
+    buffer for the 2s^2 - s pooled pairs.
     """
 
     def __init__(self):
-        self.get = functools.lru_cache(maxsize=4)(lambda s: (np.empty((4, 3, s, s)), np.empty(2 * s * s - s)))
+        self.get = functools.lru_cache(maxsize=4)(lambda s: (np.empty((3, 3, s, s)), np.empty(2 * s * s - s)))
 
 
 _scratch = _Scratch()
@@ -197,14 +212,18 @@ def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, b
     + (2/s^2) sum_ij w_i k(s_i, t_j)
 
     k is the sum of Gaussian kernels exp(-|a - b|^2 / bw) over the
-    bandwidths, which are squared length scales; ``None`` takes them from
-    :func:`median_heuristic_bandwidths` of the same batch. Maximizing this
-    over the feature extractor shrinks the discrepancy between the
-    w-reweighted source batch and the target batch. Returns
-    (value, d(loss)/d(feats_src), d(loss)/d(feats_tgt)).
+    bandwidths, which are squared length scales, each finite and > 0;
+    ``None`` takes them from :func:`median_heuristic_bandwidths` of the same
+    batch. Maximizing this over the feature extractor shrinks the
+    discrepancy between the w-reweighted source batch and the target batch.
+    Returns (value, d(loss)/d(feats_src), d(loss)/d(feats_tgt)).
 
-    The s x s blocks live in a scratch kept per thread and batch size, so a
-    training step maps no fresh pages; nothing returned refers to it.
+    Each bandwidth takes one exp of -|a - b|^2 / bw - ln bw, which is
+    k / bw: the loss value is bw times its matrix-vector products, and the
+    sums C = sum(k / bw) over the bandwidths give both gradients in four
+    gemms. The s x s blocks live in a scratch kept per thread and batch
+    size, so a training step maps no fresh pages; nothing returned refers
+    to it.
     """
     fs = np.asarray(feats_src, dtype=float)
     ft = np.asarray(feats_tgt, dtype=float)
@@ -213,41 +232,50 @@ def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, b
     if fs.shape[0] != ft.shape[0]:
         raise ShapeMismatch(f"paired batches of sizes {fs.shape[0]} and {ft.shape[0]}")
     ws = w.w[_labels(labels_src, len(w), fs.shape[0])]
-    s = fs.shape[0]
-    stacks, pairs = _scratch.get(s)
-    sq, kern, ksum, coef = stacks
-    for i, (a, b) in enumerate(((fs, fs), (ft, ft), (fs, ft))):
-        _sq_dists(a, b, out=sq[i], tmp=kern[i])
+    if bandwidths is not None:
+        bandwidths = [float(bw) for bw in bandwidths]
+        if not bandwidths:
+            raise InvalidValue("bandwidths is empty")
+        if not all(math.isfinite(bw) and bw > 0.0 for bw in bandwidths):
+            raise InvalidValue(f"bandwidths must be finite and > 0, got {bandwidths}")
+    s, dim = fs.shape
+    (sq, kern, coef), pairs = _scratch.get(s)
+    _sq_dist_blocks(fs, ft, out=sq, tmp=kern)
     if bandwidths is None:
         bandwidths = _median_bandwidths(*sq, pairs)
-    # kernel sums for the value, and the same sums over k / bw for the gradient;
-    # sq holds -|a - b|^2 from here on
-    np.negative(sq, out=sq)
-    ksum.fill(0.0)
-    coef.fill(0.0)
-    for bw in bandwidths:
-        np.divide(sq, bw, out=kern)
-        np.exp(kern, out=kern)
-        ksum += kern
-        kern /= bw
-        coef += kern
-    # d/da exp(-|a - b|^2 / bw) = -(2 / bw) (a - b) k(a, b); each block's pair
-    # coefficient (-w_i w_j, -1 and +2 w_i, over s^2) is folded into a_*
-    a_ss, a_tt, a_st = coef
-    np.multiply(ws[:, None], ws[None, :], out=kern[0])
-    kern[0] *= 4.0 / (s * s)
-    a_ss *= kern[0]
-    a_tt *= 4.0 / (s * s)
-    a_st *= (-4.0 / (s * s)) * ws[:, None]
-    g_src = (a_ss.sum(axis=1) + a_st.sum(axis=1))[:, None] * fs
-    g_src -= a_ss @ fs
-    g_src -= a_st @ ft
-    g_tgt = (a_tt.sum(axis=1) + a_st.sum(axis=0))[:, None] * ft
-    g_tgt -= a_tt @ ft
-    g_tgt -= a_st.T @ fs
-    sum_ss, sum_tt, sum_st = ksum
-    total = -ws @ sum_ss @ ws - sum_tt.sum() + 2.0 * (ws @ sum_st.sum(axis=1))
-    return float(total / (s * s)), g_src, g_tgt
+    # kv stacks K_ss ws, K_tt 1 and K_st 1, summed over the bandwidths
+    right = np.ones((3, s, 1))
+    right[0, :, 0] = ws
+    kv = np.zeros((3, s, 1))
+    for i, bw in enumerate(bandwidths):
+        k_bw = coef if i == 0 else kern
+        np.multiply(sq, -1.0 / bw, out=k_bw)
+        k_bw -= math.log(bw)
+        np.exp(k_bw, out=k_bw)  # k / bw
+        kv += bw * np.matmul(k_bw, right)
+        if i:
+            coef += kern
+    value = ws @ (2.0 * kv[2, :, 0] - kv[0, :, 0]) - kv[1].sum()
+    # d/da exp(-|a - b|^2 / bw) = -(2 / bw) (a - b) k(a, b), so with C = sum(k / bw),
+    # R_src = [w z_src | w] and R_tgt = [z_tgt | 1], M = C_own R_own - C_cross R_other
+    # gives each row's gradient (4/s^2) (M_last z - M_rest), times w_i on the source
+    c_ss, c_tt, c_st = coef
+    r_src = np.ones((s, dim + 1))
+    r_src[:, :dim] = fs
+    r_src *= ws[:, None]
+    r_tgt = np.ones((s, dim + 1))
+    r_tgt[:, :dim] = ft
+    m_src = c_ss @ r_src
+    m_src -= c_st @ r_tgt
+    m_tgt = c_tt @ r_tgt
+    m_tgt -= c_st.T @ r_src
+    g_src = m_src[:, dim:] * fs
+    g_src -= m_src[:, :dim]
+    g_src *= (4.0 / (s * s)) * ws[:, None]
+    g_tgt = m_tgt[:, dim:] * ft
+    g_tgt -= m_tgt[:, :dim]
+    g_tgt *= 4.0 / (s * s)
+    return float(value / (s * s)), g_src, g_tgt
 
 
 def weighted_mmd_loss(feats_src, labels_src, feats_tgt, w: WeightVector, bandwidths) -> float:

@@ -258,39 +258,64 @@ def mmd_loss_grads_fresh(feats_src, labels_src, feats_tgt, w, bandwidths=None):
 
     Uses the same formulas and operation order as
     ``losses.weighted_mmd_loss_grads``, which works in a reused scratch
-    instead; the two must agree bit for bit. ``w`` is the weight array.
+    instead; the two must agree bit for bit. The norm sums come from a
+    broadcast add, which rounds each entry once as the library's rank-2 gemm
+    does. ``w`` is the weight array.
+    """
+    fs = np.asarray(feats_src, dtype=float)
+    ft = np.asarray(feats_tgt, dtype=float)
+    ws = np.asarray(w, dtype=float)[np.asarray(labels_src)]
+    s, dim = fs.shape
+
+    def sq_dists(a, b):
+        norms = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+        return np.maximum(norms + (-2.0 * a) @ np.ascontiguousarray(b.T), 0.0)
+
+    sq = np.stack([sq_dists(fs, fs), sq_dists(ft, ft), sq_dists(fs, ft)])
+    if bandwidths is None:
+        iu = np.triu_indices(s, k=1)
+        med = float(np.median(np.concatenate([sq[0][iu], sq[1][iu], sq[2].ravel()])))
+        bandwidths = [scale * max(med, 1e-12) for scale in (0.5, 1.0, 2.0)]
+    right = np.stack([ws, np.ones(s), np.ones(s)])[:, :, None]
+    kv = np.zeros((3, s, 1))
+    coef = np.zeros_like(sq)
+    for bw in bandwidths:
+        k_bw = np.exp(sq * (-1.0 / bw) - math.log(bw))
+        kv = kv + bw * np.matmul(k_bw, right)
+        coef = coef + k_bw
+    value = ws @ (2.0 * kv[2, :, 0] - kv[0, :, 0]) - kv[1].sum()
+    c_ss, c_tt, c_st = coef
+    r_src = np.hstack([fs, np.ones((s, 1))]) * ws[:, None]
+    r_tgt = np.hstack([ft, np.ones((s, 1))])
+    m_src = c_ss @ r_src - c_st @ r_tgt
+    m_tgt = c_tt @ r_tgt - c_st.T @ r_src
+    g_src = (m_src[:, dim:] * fs - m_src[:, :dim]) * ((4.0 / (s * s)) * ws[:, None])
+    g_tgt = (m_tgt[:, dim:] * ft - m_tgt[:, :dim]) * (4.0 / (s * s))
+    return float(value / (s * s)), g_src, g_tgt
+
+
+def mmd_loss_grads_direct(feats_src, labels_src, feats_tgt, w, bandwidths):
+    """The kernel loss and its gradients from row differences and :func:`rbf_kernel`.
+
+    The gradient in a row a sums -(2 / bw) (a - b) k(a, b) over its pairs,
+    times each block's pair coefficient (-w_i w_j, -1 or +2 w_i, over s^2);
+    a within-domain pair counts twice, once in each order. ``w`` is the
+    weight array.
     """
     fs = np.asarray(feats_src, dtype=float)
     ft = np.asarray(feats_tgt, dtype=float)
     ws = np.asarray(w, dtype=float)[np.asarray(labels_src)]
     s = fs.shape[0]
-
-    def sq_dists(a, b):
-        sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-        return np.maximum(sq, 0.0)
-
-    sq_ss, sq_tt, sq_st = sq_dists(fs, fs), sq_dists(ft, ft), sq_dists(fs, ft)
-    if bandwidths is None:
-        iu = np.triu_indices(s, k=1)
-        med = float(np.median(np.concatenate([sq_ss[iu], sq_tt[iu], sq_st.ravel()])))
-        bandwidths = [scale * max(med, 1e-12) for scale in (0.5, 1.0, 2.0)]
-    sum_ss, sum_tt, sum_st = np.zeros((s, s)), np.zeros((s, s)), np.zeros((s, s))
-    c_ss, c_tt, c_st = np.zeros((s, s)), np.zeros((s, s)), np.zeros((s, s))
-    for bw in bandwidths:
-        k_ss, k_tt, k_st = np.exp(-sq_ss / bw), np.exp(-sq_tt / bw), np.exp(-sq_st / bw)
-        sum_ss += k_ss
-        sum_tt += k_tt
-        sum_st += k_st
-        c_ss += k_ss / bw
-        c_tt += k_tt / bw
-        c_st += k_st / bw
-    a_ss = (4.0 / (s * s)) * np.outer(ws, ws) * c_ss
-    a_tt = (4.0 / (s * s)) * c_tt
-    a_st = (-4.0 / (s * s)) * ws[:, None] * c_st
-    g_src = (a_ss.sum(axis=1) + a_st.sum(axis=1))[:, None] * fs - a_ss @ fs - a_st @ ft
-    g_tgt = (a_tt.sum(axis=1) + a_st.sum(axis=0))[:, None] * ft - a_tt @ ft - a_st.T @ fs
-    total = -ws @ sum_ss @ ws - sum_tt.sum() + 2.0 * (ws @ sum_st.sum(axis=1))
-    return float(total / (s * s)), g_src, g_tgt
+    blocks = ((fs, fs), (ft, ft), (fs, ft))
+    k_ss, k_tt, k_st = (rbf_kernel(a, b, bandwidths) for a, b in blocks)
+    value = (-ws @ k_ss @ ws - k_tt.sum() + 2.0 * ws @ k_st.sum(axis=1)) / (s * s)
+    c_ss, c_tt, c_st = (sum(rbf_kernel(a, b, [bw]) / bw for bw in bandwidths) for a, b in blocks)
+    d_ss, d_tt, d_st = (a[:, None, :] - b[None, :, :] for a, b in blocks)
+    g_src = ws[:, None] * (
+        np.einsum("ij,ijd->id", ws[None, :] * c_ss, d_ss) - np.einsum("ij,ijd->id", c_st, d_st)
+    )
+    g_tgt = np.einsum("ij,ijd->id", c_tt, d_tt) + np.einsum("ij,ijd->jd", ws[:, None] * c_st, d_st)
+    return value, 4.0 * g_src / (s * s), 4.0 * g_tgt / (s * s)
 
 
 def binned_histogram(feats, pooled, weights=None, bins=16):

@@ -69,6 +69,34 @@ MUTANTS = [
         "dz = np.zeros_like(dz_cls) if dz is None else",
         ("tests/test_network.py",),
     ),
+    Mutant(
+        "mmd-cross-term-halved",
+        "losses.py",
+        "ws @ (2.0 * kv[2, :, 0] - kv[0, :, 0])",
+        "ws @ (kv[2, :, 0] - kv[0, :, 0])",
+        ("tests/test_losses.py",),
+    ),
+    Mutant(
+        "mmd-source-weights-dropped-from-gradient",
+        "losses.py",
+        "g_src *= (4.0 / (s * s)) * ws[:, None]",
+        "g_src *= 4.0 / (s * s)",
+        ("tests/test_losses.py",),
+    ),
+    Mutant(
+        "mmd-bandwidth-coefficient-dropped",
+        "losses.py",
+        "k_bw -= math.log(bw)",
+        "k_bw -= 0.0",
+        ("tests/test_losses.py",),
+    ),
+    Mutant(
+        "mmd-cross-block-untransposed-in-target-gradient",
+        "losses.py",
+        "c_st.T @ r_src",
+        "c_st @ r_src",
+        ("tests/test_losses.py",),
+    ),
 ]
 
 FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)

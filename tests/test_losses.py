@@ -22,7 +22,13 @@ from gls_adapt.losses import (
 )
 from gls_adapt.network import outer_map
 
-from _oracles import mmd_double_loop, mmd_loss_grads_fresh, pooled_median_bandwidths, rbf_kernel
+from _oracles import (
+    mmd_double_loop,
+    mmd_loss_grads_direct,
+    mmd_loss_grads_fresh,
+    pooled_median_bandwidths,
+    rbf_kernel,
+)
 
 LN2 = math.log(2.0)
 
@@ -255,7 +261,7 @@ class TestMmdScratch:
         assert losses._scratch.get(96) is main_scratch
 
     def test_warm_call_allocates_under_512_kib(self):
-        # the s x s blocks (4 stacks of 3 x 128 x 128 floats) and the pair
+        # the s x s blocks (3 stacks of 3 x 128 x 128 floats) and the pair
         # buffer come from the scratch; fresh arrays needed 2 MiB per call
         fs, ys, ft, w = kernel_batch(np.random.default_rng(23), 128)
         weighted_mmd_loss_grads(fs, ys, ft, w)
@@ -266,6 +272,17 @@ class TestMmdScratch:
         finally:
             tracemalloc.stop()
         assert peak < 512 * 1024
+
+    def test_training_shape_matches_direct_differences(self):
+        # the library expands |a - b|^2 and forms the gradient by gemms over
+        # the coefficient blocks; the oracle subtracts rows pair by pair
+        fs, ys, ft, w = kernel_batch(np.random.default_rng(24), 128)
+        bws = median_heuristic_bandwidths(fs, ft)
+        got = weighted_mmd_loss_grads(fs, ys, ft, w, bws)
+        want = mmd_loss_grads_direct(fs, ys, ft, w.w, bws)
+        assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
+        for a, b in zip(got[1:], want[1:]):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 class TestKernelHelpers:
@@ -367,12 +384,25 @@ class TestTypedErrors:
                 lambda: losses.weighted_mmd_loss_grads(np.zeros((2, 2)), [0, 1], np.zeros((2, 3)), ones_w(2)),
                 ShapeMismatch, "feature shapes (2, 2) and (2, 3) are incompatible", id="mmd-feature-widths",
             ),
+            pytest.param(
+                lambda: losses.weighted_mmd_loss_grads(np.eye(3), [0, 1, 0], np.eye(3), ones_w(2), []),
+                InvalidValue, "bandwidths is empty", id="mmd-no-bandwidths",
+            ),
+            pytest.param(
+                lambda: losses.weighted_mmd_loss_grads(np.eye(3), [0, 1, 0], np.eye(3), ones_w(2), [-1.0]),
+                InvalidValue, "bandwidths must be finite and > 0, got [-1.0]", id="mmd-bad-bandwidth",
+            ),
         ],
     )
     def test_names_the_cause(self, make, error, message):
         with pytest.raises(error) as info:
             make()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("bws", [[float("nan")], [0.0], [float("inf")], [1.0, 0.0]])
+    def test_every_bandwidth_must_be_finite_and_positive(self, bws):
+        with pytest.raises(InvalidValue, match="bandwidths must be finite and > 0"):
+            losses.weighted_mmd_loss_grads(np.eye(3), [0, 1, 0], np.eye(3), ones_w(2), bws)
 
     # each loss on a 3-row batch, given labels of length n
     LABELLED_LOSSES = {
