@@ -10,9 +10,7 @@ weighted loss reduces exactly to its unweighted base version.
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 
 import numpy as np
 
@@ -122,108 +120,11 @@ def weighted_classification_loss(preds, labels, p_source: Categorical, w: Weight
     return weighted_classification_loss_grads(preds, labels, p_source, w)[0]
 
 
-def _sq_dist_blocks(fs: np.ndarray, ft: np.ndarray, out=(None,) * 3, tmp=(None,) * 3) -> list[np.ndarray]:
-    """The source-source, target-target and source-target blocks of |a_i - b_j|^2, clipped at 0.
+def _pair_differences(feats_src, feats_tgt) -> tuple[int, np.ndarray]:
+    """The batch size s and the (4, s // 2, d) differences s_a - s_b, t_a - t_b, s_a - t_b, s_b - t_a.
 
-    Each block is (|a|^2 + |b|^2) + (-2a) b^T, and each domain's row norms
-    are formed once. The norm sums are the rank-2 gemm [|a|^2, 1] [1, |b|^2]^T,
-    whose entries round once, as a broadcast add does, but faster; the product
-    is a gemm against a contiguous transposed copy (scaling by -2 is exact).
-    ``out`` and ``tmp`` give each block's storage and work space when not None.
-    """
-    norms = [np.sum(a * a, axis=1) for a in (fs, ft)]
-    lhs = [np.stack([n, np.ones_like(n)], axis=1) for n in norms]
-    rhs = [np.stack([np.ones_like(n), n]) for n in norms]
-    neg2 = [-2.0 * a for a in (fs, ft)]
-    trans = [np.ascontiguousarray(a.T) for a in (fs, ft)]
-    blocks = []
-    for (i, j), o, t in zip(((0, 0), (1, 1), (0, 1)), out, tmp):
-        block = np.matmul(lhs[i], rhs[j], out=o)
-        block += np.matmul(neg2[i], trans[j], out=t)
-        blocks.append(np.maximum(block, 0.0, out=block))
-    return blocks
-
-
-@functools.lru_cache(maxsize=8)
-def _strict_upper(n: int) -> np.ndarray:
-    """Flat indices of the strict upper triangle of an n x n matrix."""
-    rows, cols = np.triu_indices(n, k=1)
-    flat = rows * n + cols
-    flat.flags.writeable = False  # shared by every caller through the cache
-    return flat
-
-
-def _median_bandwidths(sq_ss, sq_tt, sq_st, pairs=None) -> list[float]:
-    """The median heuristic from the three distance blocks of the pooled batch.
-
-    The pooled matrix's strict upper triangle holds exactly the strict
-    upper triangles of the two within-domain blocks plus the whole cross
-    block, so the median of their union is the pooled median. ``pairs``,
-    when given, is the work buffer for that union; it is partitioned in
-    place at the upper middle only, and the lower middle of an even count
-    is the largest value below it, so the result is ``np.median``'s float.
-    """
-    m_ss = sq_ss.shape[0] * (sq_ss.shape[0] - 1) // 2
-    m_tt = sq_tt.shape[0] * (sq_tt.shape[0] - 1) // 2
-    size = m_ss + m_tt + sq_st.size
-    if size == 0:
-        med = 1.0
-    else:
-        pairs = np.empty(size) if pairs is None else pairs
-        np.take(sq_ss, _strict_upper(sq_ss.shape[0]), out=pairs[:m_ss], mode="clip")
-        np.take(sq_tt, _strict_upper(sq_tt.shape[0]), out=pairs[m_ss : m_ss + m_tt], mode="clip")
-        pairs[m_ss + m_tt :] = sq_st.ravel()
-        half = size // 2
-        pairs.partition(half)
-        med = float(pairs[half] if size % 2 else (pairs[:half].max() + pairs[half]) / 2.0)
-        if np.isnan(pairs[half:].max()):  # NaNs sort last; np.median returns NaN for any
-            med = float("nan")
-    med = max(med, 1e-12)
-    return [s * med for s in MMD_SCALES]
-
-
-def median_heuristic_bandwidths(feats_src, feats_tgt) -> list[float]:
-    """Median pairwise squared distance of the pooled batch, times each of ``MMD_SCALES``."""
-    fs = np.asarray(feats_src, dtype=float)
-    ft = np.asarray(feats_tgt, dtype=float)
-    return _median_bandwidths(*_sq_dist_blocks(fs, ft))
-
-
-class _Scratch(threading.local):
-    """The kernel loss's work arrays, private to each thread, for up to four batch sizes.
-
-    ``get(s)`` gives a (3, 3, s, s) stack (distances, one bandwidth's k / bw,
-    and the gradient coefficients sum(k / bw) over the bandwidths, each over
-    the source-source, target-target and source-target blocks) and the
-    buffer for the 2s^2 - s pooled pairs.
-    """
-
-    def __init__(self):
-        self.get = functools.lru_cache(maxsize=4)(lambda s: (np.empty((3, 3, s, s)), np.empty(2 * s * s - s)))
-
-
-_scratch = _Scratch()
-
-
-def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, bandwidths=None):
-    """Kernel alignment loss, the negative weighted squared MMD.
-
-    -(1/s^2) sum_ij w_i w_j k(s_i, s_j) - (1/s^2) sum_ij k(t_i, t_j)
-    + (2/s^2) sum_ij w_i k(s_i, t_j)
-
-    k is the sum of Gaussian kernels exp(-|a - b|^2 / bw) over the
-    bandwidths, which are squared length scales, each finite and > 0;
-    ``None`` takes them from :func:`median_heuristic_bandwidths` of the same
-    batch. Maximizing this over the feature extractor shrinks the
-    discrepancy between the w-reweighted source batch and the target batch.
-    Returns (value, d(loss)/d(feats_src), d(loss)/d(feats_tgt)).
-
-    Each bandwidth takes one exp of -|a - b|^2 / bw - ln bw, which is
-    k / bw: the loss value is bw times its matrix-vector products, and the
-    sums C = sum(k / bw) over the bandwidths give both gradients in four
-    gemms. The s x s blocks live in a scratch kept per thread and batch
-    size, so a training step maps no fresh pages; nothing returned refers
-    to it.
+    Row pair i is a = 2i, b = 2i + 1 of each batch; the last row of an odd
+    batch is in no pair.
     """
     fs = np.asarray(feats_src, dtype=float)
     ft = np.asarray(feats_tgt, dtype=float)
@@ -231,51 +132,68 @@ def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, b
         raise ShapeMismatch(f"feature shapes {fs.shape} and {ft.shape} are incompatible")
     if fs.shape[0] != ft.shape[0]:
         raise ShapeMismatch(f"paired batches of sizes {fs.shape[0]} and {ft.shape[0]}")
-    ws = w.w[_labels(labels_src, len(w), fs.shape[0])]
-    if bandwidths is not None:
+    s = fs.shape[0]
+    if s < 2:
+        raise InvalidValue(f"the kernel loss pairs rows, so it needs at least 2 per batch, got {s}")
+    s_a, s_b, t_a, t_b = fs[0 : s - 1 : 2], fs[1::2], ft[0 : s - 1 : 2], ft[1::2]
+    return s, np.stack([s_a - s_b, t_a - t_b, s_a - t_b, s_b - t_a])
+
+
+def _median_bandwidths(sq: np.ndarray) -> list[float]:
+    med = max(float(np.median(sq)), 1e-12)
+    return [s * med for s in MMD_SCALES]
+
+
+def median_heuristic_bandwidths(feats_src, feats_tgt) -> list[float]:
+    """Median squared distance of the 4 * (s // 2) row pairs the kernel loss compares, times each of ``MMD_SCALES``."""
+    diff = _pair_differences(feats_src, feats_tgt)[1]
+    return _median_bandwidths(np.einsum("pmd,pmd->pm", diff, diff))
+
+
+def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, bandwidths=None):
+    """Kernel alignment loss, the negative of the linear-time weighted squared MMD estimate.
+
+    -(1/m) sum_i [w_a w_b k(s_a, s_b) + k(t_a, t_b) - w_a k(s_a, t_b) - w_b k(s_b, t_a)]
+
+    over the m = s // 2 row pairs a = 2i, b = 2i + 1 of the paired batch:
+    Gretton et al.'s unbiased linear-time estimate (JMLR 2012, "A Kernel
+    Two-Sample Test", section 6), which DAN trains with (Long et al. 2015,
+    arXiv 1502.02791), with each source row weighted by w of its label. The
+    last row of an odd batch is in no pair, so its gradient is zero. k is
+    the sum of Gaussian kernels exp(-|x - y|^2 / bw) over the bandwidths,
+    which are squared length scales, each finite and > 0; ``None`` takes
+    them from :func:`median_heuristic_bandwidths` of the same batch.
+    Maximizing this over the feature extractor shrinks the discrepancy
+    between the w-reweighted source batch and the target batch. Returns
+    (value, d(loss)/d(feats_src), d(loss)/d(feats_tgt)).
+    """
+    s, diff = _pair_differences(feats_src, feats_tgt)
+    ws = w.w[_labels(labels_src, len(w), s)]
+    sq = np.einsum("pmd,pmd->pm", diff, diff)
+    if bandwidths is None:
+        bandwidths = _median_bandwidths(sq)
+    else:
         bandwidths = [float(bw) for bw in bandwidths]
         if not bandwidths:
             raise InvalidValue("bandwidths is empty")
         if not all(math.isfinite(bw) and bw > 0.0 for bw in bandwidths):
             raise InvalidValue(f"bandwidths must be finite and > 0, got {bandwidths}")
-    s, dim = fs.shape
-    (sq, kern, coef), pairs = _scratch.get(s)
-    _sq_dist_blocks(fs, ft, out=sq, tmp=kern)
-    if bandwidths is None:
-        bandwidths = _median_bandwidths(*sq, pairs)
-    # kv stacks K_ss ws, K_tt 1 and K_st 1, summed over the bandwidths
-    right = np.ones((3, s, 1))
-    right[0, :, 0] = ws
-    kv = np.zeros((3, s, 1))
-    for i, bw in enumerate(bandwidths):
-        k_bw = coef if i == 0 else kern
-        np.multiply(sq, -1.0 / bw, out=k_bw)
-        k_bw -= math.log(bw)
-        np.exp(k_bw, out=k_bw)  # k / bw
-        kv += bw * np.matmul(k_bw, right)
-        if i:
-            coef += kern
-    value = ws @ (2.0 * kv[2, :, 0] - kv[0, :, 0]) - kv[1].sum()
-    # d/da exp(-|a - b|^2 / bw) = -(2 / bw) (a - b) k(a, b), so with C = sum(k / bw),
-    # R_src = [w z_src | w] and R_tgt = [z_tgt | 1], M = C_own R_own - C_cross R_other
-    # gives each row's gradient (4/s^2) (M_last z - M_rest), times w_i on the source
-    c_ss, c_tt, c_st = coef
-    r_src = np.ones((s, dim + 1))
-    r_src[:, :dim] = fs
-    r_src *= ws[:, None]
-    r_tgt = np.ones((s, dim + 1))
-    r_tgt[:, :dim] = ft
-    m_src = c_ss @ r_src
-    m_src -= c_st @ r_tgt
-    m_tgt = c_tt @ r_tgt
-    m_tgt -= c_st.T @ r_src
-    g_src = m_src[:, dim:] * fs
-    g_src -= m_src[:, :dim]
-    g_src *= (4.0 / (s * s)) * ws[:, None]
-    g_tgt = m_tgt[:, dim:] * ft
-    g_tgt -= m_tgt[:, :dim]
-    g_tgt *= 4.0 / (s * s)
-    return float(value / (s * s)), g_src, g_tgt
+    m = s // 2
+    w_a, w_b = ws[0 : s - 1 : 2], ws[1::2]
+    coef = np.stack([w_a * w_b, np.ones(m), -w_a, -w_b])
+    kern = np.zeros_like(sq)
+    slope = np.zeros_like(sq)  # sum of k / bw: d/dx exp(-|x|^2 / bw) = -(2 / bw) x exp(-|x|^2 / bw)
+    for bw in bandwidths:
+        k_bw = np.exp(-sq / bw)
+        kern += k_bw
+        slope += k_bw / bw
+    grad = diff * ((2.0 / m) * coef * slope)[:, :, None]
+    g_src, g_tgt = np.zeros((2, s, diff.shape[2]))
+    g_src[0 : s - 1 : 2] = grad[0] + grad[2]
+    g_src[1::2] = grad[3] - grad[0]
+    g_tgt[0 : s - 1 : 2] = grad[1] - grad[3]
+    g_tgt[1::2] = -grad[1] - grad[2]
+    return -float(np.sum(coef * kern)) / m, g_src, g_tgt
 
 
 def weighted_mmd_loss(feats_src, labels_src, feats_tgt, w: WeightVector, bandwidths) -> float:

@@ -202,11 +202,12 @@ def infer(state: ModelState, x: np.ndarray, features_out: np.ndarray) -> np.ndar
 
     Each call of the module's ``forward`` sees at most ``BLOCK_ROWS`` rows,
     and only its z and cached p are kept, so a full-data pass needs one
-    block's memory. The
-    output equals one unblocked forward bit for bit: blocks start on
-    multiples of 128 rows, so BLAS tiles the rows as it would in one call,
-    and no block is a single row of a longer input (numpy hands a one-row
-    product to gemv, which rounds differently from gemm).
+    block's memory. On OpenBLAS's SkylakeX (AVX-512) kernels the output
+    equals one unblocked forward bit for bit: blocks start on multiples of
+    128 rows, so those kernels tile the rows as in one call, and no block
+    is a single row of a longer input (numpy hands a one-row product to
+    gemv, which rounds differently from gemm). Its Haswell kernels do not:
+    a 257-row input, split 128 + 129, differs from one forward.
 
     ``features_out``, an (n, feature_dim) array, receives every block's
     features z, the forward's output.

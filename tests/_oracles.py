@@ -158,24 +158,59 @@ def accumulated_sums(batches, k):
     return c_hat, mu_hat
 
 
-def mmd_double_loop(feats_src, labels_src, feats_tgt, w, bandwidths):
-    """Pairwise double-loop evaluation of the kernel alignment loss."""
+def _kernel_sum(a, b, bandwidths):
+    d2 = float(np.sum((a - b) ** 2))
+    return sum(math.exp(-d2 / bw) for bw in bandwidths)
+
+
+def mmd_pair_loop(feats_src, labels_src, feats_tgt, w, bandwidths):
+    """The linear-time kernel alignment loss, one row quadruple at a time.
+
+    Rows a = 2i and b = 2i + 1 of both batches, for i < s // 2, form a
+    quadruple; the loss is minus the mean over quadruples of
+    w_a w_b k(s_a, s_b) + k(t_a, t_b) - w_a k(s_a, t_b) - w_b k(s_b, t_a).
+    """
     fs = np.asarray(feats_src, dtype=float)
     ft = np.asarray(feats_tgt, dtype=float)
-    s = fs.shape[0]
-
-    def kern(a, b):
-        d2 = float(np.sum((a - b) ** 2))
-        return sum(math.exp(-d2 / bw) for bw in bandwidths)
-
-    ws = [w[labels_src[i]] for i in range(s)]
+    m = fs.shape[0] // 2
     total = 0.0
-    for i in range(s):
-        for j in range(s):
-            total -= ws[i] * ws[j] * kern(fs[i], fs[j])
-            total -= kern(ft[i], ft[j])
-            total += 2.0 * ws[i] * kern(fs[i], ft[j])
-    return total / (s * s)
+    for i in range(m):
+        a, b = 2 * i, 2 * i + 1
+        wa, wb = w[labels_src[a]], w[labels_src[b]]
+        total += wa * wb * _kernel_sum(fs[a], fs[b], bandwidths) + _kernel_sum(ft[a], ft[b], bandwidths)
+        total -= wa * _kernel_sum(fs[a], ft[b], bandwidths) + wb * _kernel_sum(fs[b], ft[a], bandwidths)
+    return -total / m
+
+
+def pair_median_bandwidths(feats_src, feats_tgt, scales=(0.5, 1.0, 2.0)):
+    """The median heuristic over the 4 * (s // 2) distances of :func:`mmd_pair_loop`'s quadruples, floored at 1e-12."""
+    fs = np.asarray(feats_src, dtype=float)
+    ft = np.asarray(feats_tgt, dtype=float)
+    d2 = []
+    for i in range(fs.shape[0] // 2):
+        a, b = 2 * i, 2 * i + 1
+        for x, y in ((fs[a], fs[b]), (ft[a], ft[b]), (fs[a], ft[b]), (fs[b], ft[a])):
+            d2.append(float(np.sum((x - y) ** 2)))
+    med = max(float(np.median(d2)), 1e-12)
+    return [s * med for s in scales]
+
+
+def mmd_u_statistic(feats_src, labels_src, feats_tgt, w, bandwidths):
+    """Minus the quadratic weighted squared-MMD U-statistic of the batch, from :func:`rbf_kernel`.
+
+    The mean over ordered pairs i != j of w_i w_j k(s_i, s_j) + k(t_i, t_j)
+    - w_i k(s_i, t_j) - w_j k(s_j, t_i): every term leaves out i = j, the
+    cross terms too. It is the mean of the linear-time loss over every
+    joint pairing of the rows.
+    """
+    fs = np.asarray(feats_src, dtype=float)
+    ft = np.asarray(feats_tgt, dtype=float)
+    ws = np.asarray(w, dtype=float)[np.asarray(labels_src)]
+    s = fs.shape[0]
+    k_ss, k_tt, k_st = (rbf_kernel(a, b, bandwidths) for a, b in ((fs, fs), (ft, ft), (fs, ft)))
+    total = ws @ k_ss @ ws - ws**2 @ np.diag(k_ss) + k_tt.sum() - np.trace(k_tt)
+    total -= 2.0 * (ws @ k_st.sum(axis=1) - ws @ np.diag(k_st))
+    return -total / (s * (s - 1))
 
 
 def finite_difference_gradient(fn, params, h=1e-5):
@@ -218,8 +253,7 @@ def random_categorical(rng, k, floor=0.05):
 def rbf_kernel(a, b, bandwidths):
     """Sum of Gaussian kernels exp(-|a_i - b_j|^2 / bw) over the bandwidth set.
 
-    Bandwidths are squared length scales. Differences are formed directly
-    rather than through the |a|^2 + |b|^2 - 2ab expansion the library uses.
+    Bandwidths are squared length scales; differences are formed directly.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -234,88 +268,6 @@ def add_grads(a, b):
     if b is None:
         return a
     return [(aw + bw, ab + bb) for (aw, ab), (bw, bb) in zip(a, b)]
-
-
-def pooled_median_bandwidths(feats_src, feats_tgt, scales=(0.5, 1.0, 2.0)):
-    """The median heuristic over one pooled distance matrix.
-
-    Stacks both batches, forms every squared distance with the same
-    |a|^2 + |b|^2 - 2ab expansion the library uses, and takes the median
-    of the strict upper triangle, floored at 1e-12 (1.0 for fewer than two
-    rows).
-    """
-    pooled = np.vstack([np.asarray(feats_src, dtype=float), np.asarray(feats_tgt, dtype=float)])
-    norms = np.sum(pooled * pooled, axis=1)
-    sq = np.maximum(norms[:, None] + norms[None, :] - 2.0 * (pooled @ pooled.T), 0.0)
-    iu = np.triu_indices(pooled.shape[0], k=1)
-    med = float(np.median(sq[iu])) if iu[0].size else 1.0
-    med = max(med, 1e-12)
-    return [s * med for s in scales]
-
-
-def mmd_loss_grads_fresh(feats_src, labels_src, feats_tgt, w, bandwidths=None):
-    """The kernel loss and its gradients computed with fresh arrays for every block.
-
-    Uses the same formulas and operation order as
-    ``losses.weighted_mmd_loss_grads``, which works in a reused scratch
-    instead; the two must agree bit for bit. The norm sums come from a
-    broadcast add, which rounds each entry once as the library's rank-2 gemm
-    does. ``w`` is the weight array.
-    """
-    fs = np.asarray(feats_src, dtype=float)
-    ft = np.asarray(feats_tgt, dtype=float)
-    ws = np.asarray(w, dtype=float)[np.asarray(labels_src)]
-    s, dim = fs.shape
-
-    def sq_dists(a, b):
-        norms = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-        return np.maximum(norms + (-2.0 * a) @ np.ascontiguousarray(b.T), 0.0)
-
-    sq = np.stack([sq_dists(fs, fs), sq_dists(ft, ft), sq_dists(fs, ft)])
-    if bandwidths is None:
-        iu = np.triu_indices(s, k=1)
-        med = float(np.median(np.concatenate([sq[0][iu], sq[1][iu], sq[2].ravel()])))
-        bandwidths = [scale * max(med, 1e-12) for scale in (0.5, 1.0, 2.0)]
-    right = np.stack([ws, np.ones(s), np.ones(s)])[:, :, None]
-    kv = np.zeros((3, s, 1))
-    coef = np.zeros_like(sq)
-    for bw in bandwidths:
-        k_bw = np.exp(sq * (-1.0 / bw) - math.log(bw))
-        kv = kv + bw * np.matmul(k_bw, right)
-        coef = coef + k_bw
-    value = ws @ (2.0 * kv[2, :, 0] - kv[0, :, 0]) - kv[1].sum()
-    c_ss, c_tt, c_st = coef
-    r_src = np.hstack([fs, np.ones((s, 1))]) * ws[:, None]
-    r_tgt = np.hstack([ft, np.ones((s, 1))])
-    m_src = c_ss @ r_src - c_st @ r_tgt
-    m_tgt = c_tt @ r_tgt - c_st.T @ r_src
-    g_src = (m_src[:, dim:] * fs - m_src[:, :dim]) * ((4.0 / (s * s)) * ws[:, None])
-    g_tgt = (m_tgt[:, dim:] * ft - m_tgt[:, :dim]) * (4.0 / (s * s))
-    return float(value / (s * s)), g_src, g_tgt
-
-
-def mmd_loss_grads_direct(feats_src, labels_src, feats_tgt, w, bandwidths):
-    """The kernel loss and its gradients from row differences and :func:`rbf_kernel`.
-
-    The gradient in a row a sums -(2 / bw) (a - b) k(a, b) over its pairs,
-    times each block's pair coefficient (-w_i w_j, -1 or +2 w_i, over s^2);
-    a within-domain pair counts twice, once in each order. ``w`` is the
-    weight array.
-    """
-    fs = np.asarray(feats_src, dtype=float)
-    ft = np.asarray(feats_tgt, dtype=float)
-    ws = np.asarray(w, dtype=float)[np.asarray(labels_src)]
-    s = fs.shape[0]
-    blocks = ((fs, fs), (ft, ft), (fs, ft))
-    k_ss, k_tt, k_st = (rbf_kernel(a, b, bandwidths) for a, b in blocks)
-    value = (-ws @ k_ss @ ws - k_tt.sum() + 2.0 * ws @ k_st.sum(axis=1)) / (s * s)
-    c_ss, c_tt, c_st = (sum(rbf_kernel(a, b, [bw]) / bw for bw in bandwidths) for a, b in blocks)
-    d_ss, d_tt, d_st = (a[:, None, :] - b[None, :, :] for a, b in blocks)
-    g_src = ws[:, None] * (
-        np.einsum("ij,ijd->id", ws[None, :] * c_ss, d_ss) - np.einsum("ij,ijd->id", c_st, d_st)
-    )
-    g_tgt = np.einsum("ij,ijd->id", c_tt, d_tt) + np.einsum("ij,ijd->jd", ws[:, None] * c_st, d_st)
-    return value, 4.0 * g_src / (s * s), 4.0 * g_tgt / (s * s)
 
 
 def binned_histogram(feats, pooled, weights=None, bins=16):

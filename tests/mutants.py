@@ -72,29 +72,43 @@ MUTANTS = [
     Mutant(
         "mmd-cross-term-halved",
         "losses.py",
-        "ws @ (2.0 * kv[2, :, 0] - kv[0, :, 0])",
-        "ws @ (kv[2, :, 0] - kv[0, :, 0])",
+        "-w_a, -w_b]",
+        "-0.5 * w_a, -0.5 * w_b]",
         ("tests/test_losses.py",),
     ),
     Mutant(
         "mmd-source-weights-dropped-from-gradient",
         "losses.py",
-        "g_src *= (4.0 / (s * s)) * ws[:, None]",
-        "g_src *= 4.0 / (s * s)",
+        "(2.0 / m) * coef * slope",
+        "(2.0 / m) * np.sign(coef) * slope",
         ("tests/test_losses.py",),
     ),
     Mutant(
         "mmd-bandwidth-coefficient-dropped",
         "losses.py",
-        "k_bw -= math.log(bw)",
-        "k_bw -= 0.0",
+        "slope += k_bw / bw",
+        "slope += k_bw",
         ("tests/test_losses.py",),
     ),
     Mutant(
-        "mmd-cross-block-untransposed-in-target-gradient",
+        "mmd-second-pair-member-sign-flipped",
         "losses.py",
-        "c_st.T @ r_src",
-        "c_st @ r_src",
+        "g_src[1::2] = grad[3] - grad[0]",
+        "g_src[1::2] = grad[3] + grad[0]",
+        ("tests/test_losses.py",),
+    ),
+    Mutant(
+        "mmd-bandwidth-finiteness-check-dropped",
+        "losses.py",
+        "math.isfinite(bw) and bw > 0.0",
+        "bw > 0.0",
+        ("tests/test_losses.py",),
+    ),
+    Mutant(
+        "label-count-check-one-sided",
+        "losses.py",
+        "if arr.size != rows:",
+        "if arr.size > rows:",
         ("tests/test_losses.py",),
     ),
 ]

@@ -1,12 +1,7 @@
 import math
-import threading
-import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from gls_adapt import losses
 from gls_adapt.distributions import Categorical
@@ -23,10 +18,10 @@ from gls_adapt.losses import (
 from gls_adapt.network import outer_map
 
 from _oracles import (
-    mmd_double_loop,
-    mmd_loss_grads_direct,
-    mmd_loss_grads_fresh,
-    pooled_median_bandwidths,
+    finite_difference_gradient,
+    mmd_pair_loop,
+    mmd_u_statistic,
+    pair_median_bandwidths,
     rbf_kernel,
 )
 
@@ -141,12 +136,16 @@ class TestWeightedMmdLoss:
         assert abs(val) < 1e-10
 
     def test_single_pair_closed_form(self):
-        a = np.array([[0.0, 0.0]])
-        b = np.array([[1.0, 0.0]])
+        # one quadruple: both source rows at the origin, both target rows at
+        # distance 1, so k(s_a, s_b) = k(t_a, t_b) = 1 and both cross terms are c
+        a = np.zeros((2, 2))
+        b = np.array([[1.0, 0.0], [1.0, 0.0]])
         bw = 2.0
         c = math.exp(-1.0 / bw)
-        val = weighted_mmd_loss(a, [0], b, ones_w(2), [bw])
-        assert val == pytest.approx(2 * c - 2, abs=1e-12)
+        assert weighted_mmd_loss(a, [0, 1], b, ones_w(2), [bw]) == pytest.approx(2 * c - 2, abs=1e-12)
+        # w_a = 1, w_b = 3: -(3 + 1 - c - 3c)
+        val = weighted_mmd_loss(a, [0, 1], b, WeightVector(np.array([1.0, 3.0])), [bw])
+        assert val == pytest.approx(4 * c - 4, abs=1e-12)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(4)
@@ -158,7 +157,7 @@ class TestWeightedMmdLoss:
             w = WeightVector(rng.uniform(0.2, 2.5, size=3))
             bw = [0.5, 2.0]
             got = weighted_mmd_loss(fs, labels, ft, w, bw)
-            want = mmd_double_loop(fs, labels, ft, w.w, bw)
+            want = mmd_pair_loop(fs, labels, ft, w.w, bw)
             assert abs(got - want) < 1e-10
 
     def test_weight_change_touches_only_that_class(self):
@@ -173,31 +172,57 @@ class TestWeightedMmdLoss:
         delta_fast = weighted_mmd_loss(fs, labels, ft, WeightVector(w2), bw) - weighted_mmd_loss(
             fs, labels, ft, WeightVector(w1), bw
         )
-        delta_oracle = mmd_double_loop(fs, labels, ft, w2, bw) - mmd_double_loop(
-            fs, labels, ft, w1, bw
-        )
+        delta_oracle = mmd_pair_loop(fs, labels, ft, w2, bw) - mmd_pair_loop(fs, labels, ft, w1, bw)
         assert abs(delta_fast - delta_oracle) < 1e-10
         # terms not touching class 0 cancel in the difference: recompute the
-        # difference with only class-0 interactions and compare
-        mask0 = labels == 0
+        # difference with only the weighted terms of each quadruple
         manual = 0.0
-        for i in range(s):
-            for j in range(s):
-                dw = w2[labels[i]] * w2[labels[j]] - w1[labels[i]] * w1[labels[j]]
-                if dw != 0.0:
-                    d2 = float(np.sum((fs[i] - fs[j]) ** 2))
-                    manual -= dw * math.exp(-d2)
-        for i in range(s):
-            if mask0[i]:
-                for j in range(s):
-                    d2 = float(np.sum((fs[i] - ft[j]) ** 2))
-                    manual += 2.0 * (w2[0] - w1[0]) * math.exp(-d2)
-        manual /= s * s
+        for i in range(s // 2):
+            a, b = 2 * i, 2 * i + 1
+            dw = w2[labels[a]] * w2[labels[b]] - w1[labels[a]] * w1[labels[b]]
+            manual -= dw * math.exp(-float(np.sum((fs[a] - fs[b]) ** 2)))
+            for x, y in ((a, b), (b, a)):
+                dx = w2[labels[x]] - w1[labels[x]]
+                manual += dx * math.exp(-float(np.sum((fs[x] - ft[y]) ** 2)))
+        manual /= s // 2
         assert abs(delta_fast - manual) < 1e-10
 
     def test_batch_size_mismatch(self):
         with pytest.raises(ShapeMismatch, match="paired batches of sizes 3 and 4"):
             weighted_mmd_loss(np.zeros((3, 2)), [0, 1, 0], np.zeros((4, 2)), ones_w(2), [1.0])
+
+    @pytest.mark.parametrize("s", [2, 5, 8])
+    def test_gradients_match_central_differences_of_the_pair_loop(self, s):
+        fs, ys, ft, w = kernel_batch(np.random.default_rng(30 + s), s, dim=3)
+        bws = [0.6, 1.7]
+        _, g_src, g_tgt = weighted_mmd_loss_grads(fs, ys, ft, w, bws)
+        fd_src = finite_difference_gradient(lambda x: mmd_pair_loop(x.reshape(s, 3), ys, ft, w.w, bws), fs.ravel())
+        fd_tgt = finite_difference_gradient(lambda x: mmd_pair_loop(fs, ys, x.reshape(s, 3), w.w, bws), ft.ravel())
+        for got, want in ((g_src, fd_src), (g_tgt, fd_tgt)):
+            assert np.abs(got.ravel() - want).max() <= 1e-7 * np.abs(want).max()
+
+    def test_odd_batch_last_row_has_zero_gradient(self):
+        fs, ys, ft, w = kernel_batch(np.random.default_rng(25), 7, dim=4)
+        value, g_src, g_tgt = weighted_mmd_loss_grads(fs, ys, ft, w)
+        assert not g_src[-1].any() and not g_tgt[-1].any()
+        assert g_src[:-1].any(axis=1).all() and g_tgt[:-1].any(axis=1).all()
+        # the last row is in no pair, so the loss ignores it altogether
+        fs[-1], ft[-1] = 5.0, -5.0
+        assert weighted_mmd_loss_grads(fs, ys, ft, w)[0] == value
+
+    def test_mean_over_joint_pairings_is_the_u_statistic(self):
+        # with fixed bandwidths, each pairing of jointly permuted rows is an
+        # unbiased draw of the U-statistic; the source labels travel with their rows
+        rng = np.random.default_rng(26)
+        s, draws = 10, 4000
+        fs, ys, ft, w = kernel_batch(rng, s, dim=2)
+        bws = [0.5, 1.0, 2.0]
+        values = []
+        for _ in range(draws):
+            perm = rng.permutation(s)
+            values.append(weighted_mmd_loss(fs[perm], ys[perm], ft[perm], w, bws))
+        se = np.std(values, ddof=1) / math.sqrt(draws)
+        assert abs(np.mean(values) - mmd_u_statistic(fs, ys, ft, w.w, bws)) < 3.0 * se
 
 
 def kernel_batch(rng, s, dim=32, k=3):
@@ -205,84 +230,6 @@ def kernel_batch(rng, s, dim=32, k=3):
     fs = np.tanh(rng.normal(size=(s, dim)))
     ft = np.tanh(rng.normal(size=(s, dim)) + 0.3)
     return fs, rng.integers(0, k, size=s), ft, WeightVector(rng.uniform(0.2, 3.0, size=k))
-
-
-def assert_same_bits(got, want):
-    assert got[0] == want[0]
-    for a, b in zip(got[1:], want[1:]):
-        assert a.tobytes() == b.tobytes()
-
-
-class TestMmdScratch:
-    """The loss reuses one scratch per thread and batch size; results must not notice."""
-
-    def test_interleaved_batch_sizes_match_fresh_arrays(self):
-        rng = np.random.default_rng(20)
-        batches = [kernel_batch(rng, s) for s in (128, 37, 128, 37, 37, 128)]
-        kept = []
-        for fs, ys, ft, w in batches:
-            got = weighted_mmd_loss_grads(fs, ys, ft, w)
-            assert_same_bits(got, mmd_loss_grads_fresh(fs, ys, ft, w.w))
-            kept.append((got, (got[0], got[1].copy(), got[2].copy())))
-        # later calls, at either size, leave earlier results untouched
-        for got, copy in kept:
-            assert_same_bits(got, copy)
-
-    def test_given_bandwidths_match_fresh_arrays(self):
-        rng = np.random.default_rng(21)
-        for s, bws in ((5, [0.3]), (64, [0.5, 1.0, 2.0]), (5, [2.0, 0.7])):
-            fs, ys, ft, w = kernel_batch(rng, s, dim=4)
-            assert_same_bits(weighted_mmd_loss_grads(fs, ys, ft, w, bws), mmd_loss_grads_fresh(fs, ys, ft, w.w, bws))
-
-    def test_each_thread_has_its_own_scratch(self):
-        rng = np.random.default_rng(22)
-        batches = [kernel_batch(rng, 96) for _ in range(2)]
-        want = [mmd_loss_grads_fresh(fs, ys, ft, w.w) for fs, ys, ft, w in batches]
-        weighted_mmd_loss_grads(*batches[0])
-        main_scratch = losses._scratch.get(96)
-        seen, errors = [], []
-
-        def worker(i):
-            try:
-                for _ in range(20):
-                    assert_same_bits(weighted_mmd_loss_grads(*batches[i]), want[i])
-                seen.append(losses._scratch.get(96))
-            except AssertionError as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert errors == []
-        assert len(seen) == 2
-        assert len({id(main_scratch), *map(id, seen)}) == 3
-        assert losses._scratch.get(96) is main_scratch
-
-    def test_warm_call_allocates_under_512_kib(self):
-        # the s x s blocks (3 stacks of 3 x 128 x 128 floats) and the pair
-        # buffer come from the scratch; fresh arrays needed 2 MiB per call
-        fs, ys, ft, w = kernel_batch(np.random.default_rng(23), 128)
-        weighted_mmd_loss_grads(fs, ys, ft, w)
-        tracemalloc.start()
-        try:
-            weighted_mmd_loss_grads(fs, ys, ft, w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 512 * 1024
-
-    def test_training_shape_matches_direct_differences(self):
-        # the library expands |a - b|^2 and forms the gradient by gemms over
-        # the coefficient blocks; the oracle subtracts rows pair by pair
-        fs, ys, ft, w = kernel_batch(np.random.default_rng(24), 128)
-        bws = median_heuristic_bandwidths(fs, ft)
-        got = weighted_mmd_loss_grads(fs, ys, ft, w, bws)
-        want = mmd_loss_grads_direct(fs, ys, ft, w.w, bws)
-        assert abs(got[0] - want[0]) <= 1e-12 * abs(want[0])
-        for a, b in zip(got[1:], want[1:]):
-            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 class TestKernelHelpers:
@@ -299,69 +246,36 @@ class TestKernelHelpers:
         assert len(bws) == 3
         assert bws[1] == pytest.approx(2 * bws[0])
         assert bws[2] == pytest.approx(4 * bws[0])
-        pooled = np.vstack([a, b])
+        # the four distances of each quadruple (2i, 2i + 1), i < 10
         d2 = []
-        for i in range(pooled.shape[0]):
-            for j in range(i + 1, pooled.shape[0]):
-                d2.append(float(np.sum((pooled[i] - pooled[j]) ** 2)))
+        for i in range(10):
+            for x, y in ((a[2 * i], a[2 * i + 1]), (b[2 * i], b[2 * i + 1]), (a[2 * i], b[2 * i + 1]), (a[2 * i + 1], b[2 * i])):
+                d2.append(float(np.sum((x - y) ** 2)))
         assert bws[1] == pytest.approx(float(np.median(d2)), rel=1e-9)
 
 
-@st.composite
-def batch_pair(draw):
-    """Two feature batches whose rows come from a small pool, so rows repeat and ties occur."""
-    dim = draw(st.integers(1, 4))
-    # multiples of 1/4 in [-100, 100]: every squared distance is exact, so
-    # the equality holds however BLAS tiles the products
-    elements = st.integers(-400, 400).map(lambda v: v / 4)
-    pool = draw(arrays(np.float64, (draw(st.integers(1, 16)), dim), elements=elements))
-    rows = st.integers(0, pool.shape[0] - 1)
-    ns = draw(st.integers(1, 12))
-    nt = draw(st.integers(1, 12))
-    idx_s = draw(st.lists(rows, min_size=ns, max_size=ns))
-    idx_t = draw(st.lists(rows, min_size=nt, max_size=nt))
-    return pool[idx_s], pool[idx_t]
-
-
 class TestMedianHeuristic:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(batch_pair())
-    @example((np.array([[0.5, -1.0]]), np.array([[2.0, 0.25]])))  # batch size 1: one pair
-    @example((np.zeros((3, 2)), np.zeros((3, 2))))  # all ties at 0
-    @example((np.ones((2, 1)), np.ones((2, 1)) * 3.0))  # 6 pairs, even count
-    def test_blockwise_median_is_the_pooled_median(self, pair):
-        fs, ft = pair
-        assert median_heuristic_bandwidths(fs, ft) == pooled_median_bandwidths(fs, ft)
-
     def test_pair_counts_of_both_parities(self):
-        # 2s^2 - s pairs: odd for odd s, even for even s; the last case is a
-        # training batch of 128 rows of 32 features
+        # 4 * (s // 2) distances; an odd batch leaves its last row out. The
+        # last case is a training batch of 128 rows of 32 features
         rng = np.random.default_rng(8)
-        for s, dim in ((1, 3), (2, 3), (3, 3), (4, 3), (7, 3), (8, 3), (128, 32)):
+        for s, dim in ((2, 3), (3, 3), (4, 3), (7, 3), (8, 3), (128, 32)):
             fs = rng.normal(size=(s, dim))
             ft = np.vstack([fs[: s // 2], rng.normal(size=(s - s // 2, dim))])
-            assert median_heuristic_bandwidths(fs, ft) == pooled_median_bandwidths(fs, ft)
+            assert median_heuristic_bandwidths(fs, ft) == pytest.approx(pair_median_bandwidths(fs, ft), rel=1e-12)
 
-    @pytest.mark.parametrize("ns,nt", [(1, 2), (2, 1), (3, 3), (4, 5), (5, 5), (6, 3), (2, 2), (4, 4)])
-    def test_partition_median_is_np_median_at_both_parities(self, ns, nt):
-        # the union of the blocks' pairs, with ties; odd counts have one
-        # middle element, even counts average the two middle ones
-        rng = np.random.default_rng(10 * ns + nt)
-        blocks = [np.round(3.0 * rng.random(shape), 1) for shape in ((ns, ns), (nt, nt), (ns, nt))]
-        union = np.concatenate([blocks[0][np.triu_indices(ns, 1)], blocks[1][np.triu_indices(nt, 1)], blocks[2].ravel()])
-        want = [scale * max(float(np.median(union)), 1e-12) for scale in losses.MMD_SCALES]
-        assert losses._median_bandwidths(*blocks) == want
-        assert losses._median_bandwidths(*blocks, np.empty(union.size)) == want
+    def test_ties_at_zero_are_floored(self):
+        assert median_heuristic_bandwidths(np.zeros((4, 2)), np.zeros((4, 2))) == [s * 1e-12 for s in losses.MMD_SCALES]
 
     def test_the_loss_takes_the_public_median_at_both_parities(self):
-        # the loss's median comes from its scratch pair buffer; odd s gives
-        # an odd pair count, so the middle element alone is the median
         rng = np.random.default_rng(9)
-        for s in (1, 2, 3, 4, 7, 8, 127, 128):
+        for s in (2, 3, 4, 7, 8, 127, 128):
             fs, ys, ft, w = kernel_batch(rng, s, dim=5)
-            assert (2 * s * s - s) % 2 == s % 2
             bws = median_heuristic_bandwidths(fs, ft)
-            assert_same_bits(weighted_mmd_loss_grads(fs, ys, ft, w), weighted_mmd_loss_grads(fs, ys, ft, w, bws))
+            got, want = weighted_mmd_loss_grads(fs, ys, ft, w), weighted_mmd_loss_grads(fs, ys, ft, w, bws)
+            assert got[0] == want[0]
+            for a, b in zip(got[1:], want[1:]):
+                assert a.tobytes() == b.tobytes()
 
 
 class TestTypedErrors:
@@ -391,6 +305,14 @@ class TestTypedErrors:
             pytest.param(
                 lambda: losses.weighted_mmd_loss_grads(np.eye(3), [0, 1, 0], np.eye(3), ones_w(2), [-1.0]),
                 InvalidValue, "bandwidths must be finite and > 0, got [-1.0]", id="mmd-bad-bandwidth",
+            ),
+            pytest.param(
+                lambda: losses.weighted_mmd_loss_grads(np.ones((1, 2)), [0], np.zeros((1, 2)), ones_w(2), [1.0]),
+                InvalidValue, "the kernel loss pairs rows, so it needs at least 2 per batch, got 1", id="mmd-one-row",
+            ),
+            pytest.param(
+                lambda: losses.median_heuristic_bandwidths(np.ones((1, 2)), np.zeros((1, 2))),
+                InvalidValue, "the kernel loss pairs rows, so it needs at least 2 per batch, got 1", id="median-one-row",
             ),
         ],
     )
