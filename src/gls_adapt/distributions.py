@@ -129,7 +129,7 @@ def check_labels(labels, k: float, name: str) -> np.ndarray:
         raise ShapeMismatch(f"{name} must be 1-d, got shape {arr.shape}")
     if arr.dtype.kind not in "iu":
         raise InvalidValue(f"{name} must be integers, got dtype {arr.dtype}")
-    if arr.size and (arr.min() < 0 or arr.max() >= k):
+    if arr.size and (np.minimum.reduce(arr) < 0 or np.maximum.reduce(arr) >= k):
         raise InvalidValue(f"{name} must lie in [0, {k})")
     return arr
 
@@ -147,8 +147,8 @@ def check_rows(matrix, k: int, name: str) -> np.ndarray:
         raise ShapeMismatch(f"{name} has shape {arr.shape}, expected (n, {k})")
     with np.errstate(over="ignore", invalid="ignore"):
         sums = arr @ np.ones(k)
-    if not (np.abs(sums - 1.0) <= ROW_TOL).all():
+    if not np.logical_and.reduce(np.abs(sums - 1.0) <= ROW_TOL):
         raise ShapeMismatch(f"{name} rows must be finite and sum to 1 within {ROW_TOL}")
-    if (arr < -ROW_TOL).any():
+    if np.logical_or.reduce(arr < -ROW_TOL, axis=None):
         raise ShapeMismatch(f"{name} has an entry below -{ROW_TOL}")
     return arr

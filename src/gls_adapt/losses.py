@@ -36,7 +36,7 @@ MMD_SCALES = (0.5, 1.0, 2.0)
 
 def _check_discriminator(out, name: str) -> np.ndarray:
     arr = np.asarray(out, dtype=float).reshape(-1)
-    if not ((arr > 0.0) & (arr < 1.0)).all():  # NaN fails both comparisons
+    if not np.logical_and.reduce((arr > 0.0) & (arr < 1.0)):  # NaN fails both comparisons
         raise InvalidValue(f"{name} must lie strictly inside (0, 1)")
     return arr
 
@@ -68,7 +68,7 @@ def weighted_da_loss_grads(d_src, labels_src, d_tgt, w: WeightVector):
     s = ds.size
     src = np.maximum(ds, LOG_EPS)
     tgt = np.maximum(1.0 - dt, LOG_EPS)
-    value = float(-(np.sum(ws * np.log(src)) + np.sum(np.log(tgt))) / s)
+    value = float(-(np.add.reduce(ws * np.log(src)) + np.add.reduce(np.log(tgt))) / s)
     return value, -ws / src / s, 1.0 / tgt / s
 
 
@@ -84,7 +84,7 @@ def _nll_grads(p: np.ndarray, labels, class_coeff: np.ndarray):
     picked = np.maximum(p[rows, labels], LOG_EPS)
     grad = np.zeros_like(p)
     grad[rows, labels] = -coeff / picked / p.shape[0]
-    return float(-np.mean(coeff * np.log(picked))), grad
+    return float(-(np.add.reduce(coeff * np.log(picked)) / p.shape[0])), grad
 
 
 def cross_entropy_loss_grads(preds, labels):
@@ -108,7 +108,7 @@ def weighted_classification_loss_grads(preds, labels, p_source: Categorical, w: 
     p = np.asarray(preds, dtype=float)
     if p.ndim != 2 or p.shape[1] != p_source.k:
         raise ShapeMismatch(f"preds has shape {p.shape}, expected (n, {p_source.k})")
-    if np.any(p_source.probs == 0):
+    if np.logical_or.reduce(p_source.probs == 0):
         raise InvalidValue("source label distribution has a zero entry")
     coeff = 1.0 / (p_source.k * p_source.probs)
     if w is not None:
@@ -140,7 +140,14 @@ def _pair_differences(feats_src, feats_tgt) -> tuple[int, np.ndarray]:
 
 
 def _median_bandwidths(sq: np.ndarray) -> list[float]:
-    med = max(float(np.median(sq)), 1e-12)
+    """``MMD_SCALES`` times the median of ``sq``, an even count of squared distances, floored at 1e-12.
+
+    The median is np.median's: the mean of the two middle values, or NaN
+    when any value is NaN (NaN sorts last).
+    """
+    half = sq.size // 2
+    part = np.partition(sq, (half - 1, half, -1), axis=None)
+    med = math.nan if math.isnan(part[-1]) else max(float(part[half - 1] + part[half]) / 2.0, 1e-12)
     return [s * med for s in MMD_SCALES]
 
 
@@ -181,12 +188,10 @@ def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, b
     m = s // 2
     w_a, w_b = ws[0 : s - 1 : 2], ws[1::2]
     coef = np.stack([w_a * w_b, np.ones(m), -w_a, -w_b])
-    kern = np.zeros_like(sq)
-    slope = np.zeros_like(sq)  # sum of k / bw: d/dx exp(-|x|^2 / bw) = -(2 / bw) x exp(-|x|^2 / bw)
-    for bw in bandwidths:
-        k_bw = np.exp(-sq / bw)
-        kern += k_bw
-        slope += k_bw / bw
+    bw = np.array(bandwidths)[:, None, None]
+    k_bw = np.exp(-sq / bw)  # one (4, m) kernel block per bandwidth, summed in bandwidth order
+    kern = np.add.reduce(k_bw, axis=0)
+    slope = np.add.reduce(k_bw / bw, axis=0)  # sum of k / bw: d/dx exp(-|x|^2 / bw) = -(2 / bw) x exp(-|x|^2 / bw)
     grad = diff * ((2.0 / m) * coef * slope)[:, :, None]
     g_src, g_tgt = np.zeros((2, s, diff.shape[2]))
     g_src[0 : s - 1 : 2] = grad[0] + grad[2]

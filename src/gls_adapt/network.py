@@ -37,8 +37,13 @@ _HEADS = ("softmax", "sigmoid", "tanh")
 class Mlp:
     """Dense net: out = head(W_L(...tanh(W_0 x + b_0)...) + b_L).
 
-    Weights are initialized uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) from
-    the supplied generator, so construction order is reproducible.
+    All parameters live in one contiguous vector ``params``, laid out
+    W_0, b_0, W_1, b_1, ... with each W row-major; ``weights`` and
+    ``biases`` are tuples of views into it, so an in-place write to either
+    changes ``params``. ``velocity``, the momentum SGD velocity, has the
+    same layout and is zero until the first step. Weights are initialized
+    uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) from the supplied generator in
+    that order, so construction is reproducible.
     """
 
     def __init__(self, layer_sizes, head, rng):
@@ -49,14 +54,24 @@ class Mlp:
             raise ConfigInvalid(f"head must be one of {_HEADS}")
         self.layer_sizes = sizes
         self.head = head
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
-        # momentum SGD's per-layer (weight, bias) velocities, zero until the first step
-        self.velocities = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(self.weights, self.biases)]
+        self.params = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:])))
+        self.weights, self.biases = self._layers(self.params)
+        for w, b in zip(self.weights, self.biases):
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+        self.velocity = np.zeros_like(self.params)
+
+    def _layers(self, flat: np.ndarray) -> tuple[tuple, tuple]:
+        """The per-layer (weights, biases) views of a vector laid out as ``params``."""
+        weights, biases = [], []
+        pos = 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out))
+            pos += fan_in * fan_out
+            biases.append(flat[pos : pos + fan_out])
+            pos += fan_out
+        return tuple(weights), tuple(biases)
 
     @property
     def in_dim(self) -> int:
@@ -76,7 +91,7 @@ class Mlp:
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             pre = a @ w + b
-            a = np.tanh(pre) if i < last else pre
+            a = np.tanh(pre, out=pre) if i < last else pre
             inputs.append(a)
         out = self._head(a)
         cache = {"inputs": inputs, "out": out}
@@ -84,16 +99,29 @@ class Mlp:
 
     def _head(self, pre: np.ndarray) -> np.ndarray:
         if self.head == "softmax":
-            shifted = pre - pre.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
+            # the row maxima column by column: the same values as
+            # pre.max(axis=1), without numpy's slow narrow-axis reduction
+            top = pre[:, 0]
+            for j in range(1, pre.shape[1]):
+                top = np.maximum(top, pre[:, j])
+            e = np.exp(pre - top[:, None])
             return e / e.sum(axis=1, keepdims=True)
         if self.head == "sigmoid":
             out = 1.0 / (1.0 + np.exp(-pre))
-            return np.clip(out, SIGMOID_CLIP, 1.0 - SIGMOID_CLIP)
+            return np.minimum(np.maximum(out, SIGMOID_CLIP, out=out), 1.0 - SIGMOID_CLIP, out=out)
         return np.tanh(pre)
 
     def backward(self, cache, grad_out: np.ndarray):
-        """Backpropagate dL/d(output); return (per-layer grads, dL/d(input))."""
+        """Backpropagate dL/d(output); return (dL/d(params), dL/d(input)).
+
+        The parameter gradient is a fresh vector laid out as ``params``.
+        """
+        grad = np.empty_like(self.params)
+        return grad, self._backprop(cache, grad_out, grad, True)
+
+    def _backprop(self, cache, grad_out: np.ndarray, grad: np.ndarray | None, input_grad: bool):
+        """:meth:`backward` that writes dL/d(params) into ``grad`` unless it is None,
+        and returns dL/d(input) only if ``input_grad``."""
         inputs = cache["inputs"]
         out = cache["out"]
         if self.head == "softmax":
@@ -103,18 +131,20 @@ class Mlp:
             delta = grad_out * out * (1.0 - out)
         else:
             delta = grad_out * (1.0 - out * out)
-        grads = [None] * len(self.weights)
+        if grad is not None:
+            grad_w, grad_b = self._layers(grad)
         for i in range(len(self.weights) - 1, -1, -1):
-            a_prev = inputs[i]
-            grads[i] = (a_prev.T @ delta, delta.sum(axis=0))
+            if grad is not None:
+                np.matmul(inputs[i].T, delta, out=grad_w[i])
+                np.add.reduce(delta, axis=0, out=grad_b[i])
             if i > 0:
                 delta = (delta @ self.weights[i].T) * (1.0 - inputs[i] * inputs[i])
-        return grads, delta @ self.weights[0].T
+        return delta @ self.weights[0].T if input_grad else None
 
 
 @dataclass
 class ModelState:
-    """Feature extractor, classifier and discriminator; each net keeps its own velocities.
+    """Feature extractor, classifier and discriminator; each net keeps its own velocity.
 
     ``version`` counts updates, so :func:`backward` rejects a stale cache.
     Owned by a single training run; never shared across threads.
@@ -142,11 +172,11 @@ class ModelState:
 
 @dataclass
 class ModelGrads:
-    """Per-net parameter gradients; None marks an untouched net."""
+    """Per-net parameter gradients, each a vector laid out as that net's ``params``; None marks an untouched net."""
 
-    g: list | None = None
-    h: list | None = None
-    d: list | None = None
+    g: np.ndarray | None = None
+    h: np.ndarray | None = None
+    d: np.ndarray | None = None
 
 
 def init_model_state(
@@ -244,6 +274,10 @@ def backward(
     loss, h descends the classification loss alone, and g descends the
     classification loss while ascending the alignment loss scaled by
     ``reversal`` (gradient reversal).
+
+    Each gradient in the returned :class:`ModelGrads` is a fresh vector.
+    Nothing the step does not use is computed: not g's input gradient, and
+    not h's gradient along the CDAN chain when ``grad_preds`` replaces it.
     """
     if cache["version"] != state.version:
         raise ConfigInvalid("forward cache predates the last parameter update")
@@ -255,34 +289,30 @@ def backward(
         grads.d, dz = state.d.backward(cache["d"], grad_out)
         if state.d.in_dim != state.g.out_dim:
             du3 = dz.reshape(dz.shape[0], state.k, state.feature_dim)
-            grads.h, dz_chain = state.h.backward(cache["h"], np.einsum("nkz,nz->nk", du3, cache["z"]))
+            # h's gradient along this chain is wanted only when the classification call below does not replace it
+            grads.h = None if grad_preds is not None else np.empty_like(state.h.params)
+            dz_chain = state.h._backprop(cache["h"], np.einsum("nkz,nz->nk", du3, cache["z"]), grads.h, True)
             dz = np.einsum("nkz,nk->nz", du3, cache["p"]) + dz_chain
     if grad_preds is not None:
         grads.h, dz_cls = state.h.backward(cache["h"], grad_preds)
         dz = dz_cls if dz is None else dz_cls - reversal * dz
-    grads.g, _ = state.g.backward(cache["g"], dz)
+    grads.g = np.empty_like(state.g.params)
+    state.g._backprop(cache["g"], dz, grads.g, False)
     return grads
 
 
 def sgd_step(state: ModelState, grads: ModelGrads, lr: float, momentum: float) -> ModelState:
-    """v <- momentum * v + grad;  param <- param - lr * v. Mutates in place."""
+    """v <- momentum * v + grad;  params <- params - lr * v, one net's vector at a time. Mutates in place."""
     for name in ("g", "h", "d"):
-        net_grads = getattr(grads, name)
-        if net_grads is None:
+        grad = getattr(grads, name)
+        if grad is None:
             continue
         net = getattr(state, name)
-        if len(net_grads) != len(net.weights):
-            raise ShapeMismatch(f"gradient list length mismatch for net {name}")
-        for i, (gw, gb) in enumerate(net_grads):
-            if gw.shape != net.weights[i].shape or gb.shape != net.biases[i].shape:
-                raise ShapeMismatch(f"gradient shape mismatch for net {name} layer {i}")
-            vw, vb = net.velocities[i]
-            vw *= momentum
-            vw += gw
-            vb *= momentum
-            vb += gb
-            net.weights[i] -= lr * vw
-            net.biases[i] -= lr * vb
+        if np.shape(grad) != net.params.shape:
+            raise ShapeMismatch(f"gradient for net {name} has shape {np.shape(grad)}, expected {net.params.shape}")
+        v = net.velocity
+        v *= momentum
+        v += grad
+        net.params -= lr * v
     state.version += 1
     return state
-

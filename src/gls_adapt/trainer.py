@@ -22,6 +22,7 @@ their losses, and the oracle variants pin them to the true ratios.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -236,7 +237,7 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
                 loss_da, g_src, g_tgt = align_loss(out[:s], ys, out[s:], w_da)
                 grad_da = np.concatenate([g_src, g_tgt]).reshape(out.shape)
             grads = network.backward(state, cache, grad_da, grad_preds, config.reversal_coeff)
-            if not (np.isfinite(loss_da) and np.isfinite(loss_c)):
+            if not (math.isfinite(loss_da) and math.isfinite(loss_c)):
                 raise NonFiniteValue(
                     f"epoch {epoch} batch {batch}: loss_da={loss_da!r}, loss_c={loss_c!r}"
                 )

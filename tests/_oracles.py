@@ -195,6 +195,46 @@ def pair_median_bandwidths(feats_src, feats_tgt, scales=(0.5, 1.0, 2.0)):
     return [s * med for s in scales]
 
 
+def median_bandwidths_np(sq, scales=(0.5, 1.0, 2.0)):
+    """The median heuristic as ``np.median`` of the squared distances ``sq``, floored at 1e-12."""
+    med = max(float(np.median(sq)), 1e-12)
+    return [s * med for s in scales]
+
+
+def mmd_grads_bandwidth_loop(feats_src, labels_src, feats_tgt, w, bandwidths=None):
+    """The linear-time kernel loss and its gradients, one exp per bandwidth.
+
+    A frozen copy of ``losses.weighted_mmd_loss_grads`` before it stacked
+    the bandwidths into one exp, with the bandwidths, when None, from
+    :func:`median_bandwidths_np`. ``w`` is the weight array.
+    """
+    fs = np.asarray(feats_src, dtype=float)
+    ft = np.asarray(feats_tgt, dtype=float)
+    s = fs.shape[0]
+    s_a, s_b, t_a, t_b = fs[0 : s - 1 : 2], fs[1::2], ft[0 : s - 1 : 2], ft[1::2]
+    diff = np.stack([s_a - s_b, t_a - t_b, s_a - t_b, s_b - t_a])
+    ws = np.asarray(w, dtype=float)[np.asarray(labels_src)]
+    sq = np.einsum("pmd,pmd->pm", diff, diff)
+    if bandwidths is None:
+        bandwidths = median_bandwidths_np(sq)
+    m = s // 2
+    w_a, w_b = ws[0 : s - 1 : 2], ws[1::2]
+    coef = np.stack([w_a * w_b, np.ones(m), -w_a, -w_b])
+    kern = np.zeros_like(sq)
+    slope = np.zeros_like(sq)
+    for bw in bandwidths:
+        k_bw = np.exp(-sq / bw)
+        kern += k_bw
+        slope += k_bw / bw
+    grad = diff * ((2.0 / m) * coef * slope)[:, :, None]
+    g_src, g_tgt = np.zeros((2, s, diff.shape[2]))
+    g_src[0 : s - 1 : 2] = grad[0] + grad[2]
+    g_src[1::2] = grad[3] - grad[0]
+    g_tgt[0 : s - 1 : 2] = grad[1] - grad[3]
+    g_tgt[1::2] = -grad[1] - grad[2]
+    return -float(np.sum(coef * kern)) / m, g_src, g_tgt
+
+
 def mmd_u_statistic(feats_src, labels_src, feats_tgt, w, bandwidths):
     """Minus the quadratic weighted squared-MMD U-statistic of the batch, from :func:`rbf_kernel`.
 
@@ -227,27 +267,72 @@ def finite_difference_gradient(fn, params, h=1e-5):
 
 
 def flatten_net_params(net):
-    return np.concatenate([t.ravel() for pair in zip(net.weights, net.biases) for t in pair])
+    return net.params.copy()
 
 
 def set_net_params(net, flat):
-    pos = 0
-    for i in range(len(net.weights)):
-        w, b = net.weights[i], net.biases[i]
-        net.weights[i] = flat[pos : pos + w.size].reshape(w.shape).copy()
-        pos += w.size
-        net.biases[i] = flat[pos : pos + b.size].copy()
-        pos += b.size
-    assert pos == flat.size
-
-
-def flatten_grads(grads):
-    return np.concatenate([t.ravel() for gw, gb in grads for t in (gw, gb)])
+    # in place: the net's weights and biases are views of params
+    net.params[...] = flat
 
 
 def random_categorical(rng, k, floor=0.05):
     raw = rng.uniform(floor, 1.0, size=k)
     return raw / raw.sum()
+
+
+def layer_views(net, flat):
+    """The per-layer (W, b) views of a vector laid out W_0, b_0, W_1, b_1, ..., each W row-major."""
+    views, pos = [], 0
+    for w, b in zip(net.weights, net.biases):
+        views.append((flat[pos : pos + w.size].reshape(w.shape), flat[pos + w.size : pos + w.size + b.size]))
+        pos += w.size + b.size
+    assert pos == flat.size
+    return views
+
+
+def mlp_head(head, pre):
+    """A net's output from its last pre-activation, as ``Mlp`` computed it with one numpy call per step."""
+    if head == "softmax":
+        shifted = pre - pre.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        return e / e.sum(axis=1, keepdims=True)
+    if head == "sigmoid":
+        return np.clip(1.0 / (1.0 + np.exp(-pre)), 1e-12, 1.0 - 1e-12)
+    return np.tanh(pre)
+
+
+def mlp_backward_per_layer(net, cache, grad_out):
+    """``Mlp.backward`` as it was before the gradient became one vector: ([(dW, db), ...], dL/d(input))."""
+    inputs, out = cache["inputs"], cache["out"]
+    if net.head == "softmax":
+        inner = (grad_out * out).sum(axis=1, keepdims=True)
+        delta = out * (grad_out - inner)
+    elif net.head == "sigmoid":
+        delta = grad_out * out * (1.0 - out)
+    else:
+        delta = grad_out * (1.0 - out * out)
+    grads = [None] * len(net.weights)
+    for i in range(len(net.weights) - 1, -1, -1):
+        grads[i] = (inputs[i].T @ delta, delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (1.0 - inputs[i] * inputs[i])
+    return grads, delta @ net.weights[0].T
+
+
+def sgd_step_per_layer(weights, biases, velocities, grads, lr, momentum):
+    """One momentum step on per-layer arrays, as ``network.sgd_step`` took it before each net kept one vector.
+
+    ``velocities`` holds a (vw, vb) pair and ``grads`` a (gw, gb) pair per
+    layer; ``weights``, ``biases`` and ``velocities`` change in place.
+    """
+    for i, (gw, gb) in enumerate(grads):
+        vw, vb = velocities[i]
+        vw *= momentum
+        vw += gw
+        vb *= momentum
+        vb += gb
+        weights[i] -= lr * vw
+        biases[i] -= lr * vb
 
 
 def rbf_kernel(a, b, bandwidths):
@@ -259,15 +344,6 @@ def rbf_kernel(a, b, bandwidths):
     b = np.asarray(b, dtype=float)
     sq = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
     return sum(np.exp(-sq / bw) for bw in bandwidths)
-
-
-def add_grads(a, b):
-    """Layer-by-layer sum of two per-net gradient lists; None marks an untouched net."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return [(aw + bw, ab + bb) for (aw, ab), (bw, bb) in zip(a, b)]
 
 
 def binned_histogram(feats, pooled, weights=None, bins=16):

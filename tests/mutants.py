@@ -86,8 +86,8 @@ MUTANTS = [
     Mutant(
         "mmd-bandwidth-coefficient-dropped",
         "losses.py",
-        "slope += k_bw / bw",
-        "slope += k_bw",
+        "np.add.reduce(k_bw / bw, axis=0)",
+        "np.add.reduce(k_bw, axis=0)",
         ("tests/test_losses.py",),
     ),
     Mutant(
@@ -110,6 +110,48 @@ MUTANTS = [
         "if arr.size != rows:",
         "if arr.size > rows:",
         ("tests/test_losses.py",),
+    ),
+    Mutant(
+        "median-nan-check-dropped",
+        "losses.py",
+        "math.nan if math.isnan(part[-1]) else ",
+        "",
+        ("tests/test_losses.py",),
+    ),
+    Mutant(
+        "row-negativity-check-dropped",
+        "distributions.py",
+        "if np.logical_or.reduce(arr < -ROW_TOL, axis=None):",
+        "if False:",
+        ("tests/test_distributions.py", "tests/test_estimator.py"),
+    ),
+    Mutant(
+        "row-sum-errstate-dropped",
+        "distributions.py",
+        'with np.errstate(over="ignore", invalid="ignore"):',
+        "if True:",
+        ("tests/test_distributions.py", "tests/test_estimator.py"),
+    ),
+    Mutant(
+        "infer-single-row-block-shift-dropped",
+        "network.py",
+        "if n > 1 and n % BLOCK_ROWS == 1:",
+        "if False:",
+        ("tests/test_network.py",),
+    ),
+    Mutant(
+        "infer-writes-a-fresh-feature-buffer",
+        "trainer.py",
+        "network.infer(state, data.features, features_out)",
+        "network.infer(state, data.features, np.empty_like(features_out))",
+        ("tests/test_trainer.py",),
+    ),
+    Mutant(
+        "momentum-decay-dropped",
+        "network.py",
+        "v *= momentum",
+        "v *= 1.0",
+        ("tests/test_network.py",),
     ),
 ]
 

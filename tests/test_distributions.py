@@ -8,7 +8,7 @@ import pytest
 
 from gls_adapt.datagen import Dataset, make_shift_task
 from gls_adapt.diagnostics import balanced_error_rate, binned_divergences, bound_suite, conditional_error_gap
-from gls_adapt.distributions import Categorical, empirical_label_dist, jsd, l1_distance
+from gls_adapt.distributions import Categorical, check_labels, check_rows, empirical_label_dist, jsd, l1_distance
 from gls_adapt.errors import InvalidValue, NonFiniteValue, ShapeMismatch
 from gls_adapt.estimator import ConfusionAccumulator, WeightVector
 from gls_adapt.losses import (
@@ -279,6 +279,12 @@ class TestOneRowRule:
     @pytest.mark.parametrize("entry", ROW_ENTRY_POINTS)
     def test_good_rows_pass(self, entry):
         ROW_ENTRY_POINTS[entry](GOOD_ROWS)
+
+    def test_empty_rows_and_labels_pass(self):
+        assert check_rows(np.empty((0, 3)), 3, "rows").shape == (0, 3)
+        assert check_labels(np.empty(0, dtype=np.int64), 3, "labels").shape == (0,)
+        acc = ConfusionAccumulator(3).accumulate(np.empty((0, 3)), np.empty(0, dtype=np.int64), np.empty((0, 3)))
+        assert not acc.c_hat.any() and not acc.mu_hat.any() and acc.n_source == acc.n_target == 0
 
 
 def test_only_distributions_holds_a_label_or_row_rule():

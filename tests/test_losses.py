@@ -19,6 +19,8 @@ from gls_adapt.network import outer_map
 
 from _oracles import (
     finite_difference_gradient,
+    median_bandwidths_np,
+    mmd_grads_bandwidth_loop,
     mmd_pair_loop,
     mmd_u_statistic,
     pair_median_bandwidths,
@@ -276,6 +278,45 @@ class TestMedianHeuristic:
             assert got[0] == want[0]
             for a, b in zip(got[1:], want[1:]):
                 assert a.tobytes() == b.tobytes()
+
+
+    @pytest.mark.parametrize("row", [0, 77, 127])
+    def test_a_nan_feature_row_gives_nan_bandwidths(self, row):
+        # as np.median does: NaN sorts last, so a partition alone would not see it
+        rng = np.random.default_rng(row)
+        fs, ft = rng.normal(size=(2, 128, 32))
+        fs[row, 5] = np.nan
+        bws = median_heuristic_bandwidths(fs, ft)
+        assert len(bws) == len(losses.MMD_SCALES) and all(math.isnan(bw) for bw in bws)
+        assert all(math.isnan(bw) for bw in median_bandwidths_np(np.array([1.0, np.nan, 2.0, 3.0])))
+
+
+class TestEqualsTheBandwidthLoop:
+    """The stacked bandwidths and the partition median give the per-bandwidth loop's and np.median's bits."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_median_heuristic(self, seed):
+        # the benchmark's training batch: 128 rows a side, 32 features
+        fs, ys, ft, w = kernel_batch(np.random.default_rng(seed), 128, dim=32)
+        got = weighted_mmd_loss_grads(fs, ys, ft, w)
+        want = mmd_grads_bandwidth_loop(fs, ys, ft, w.w)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert np.array_equal(a, b)
+        diff = np.stack([fs[0::2] - fs[1::2], ft[0::2] - ft[1::2], fs[0::2] - ft[1::2], fs[1::2] - ft[0::2]])
+        assert median_heuristic_bandwidths(fs, ft) == median_bandwidths_np(np.einsum("pmd,pmd->pm", diff, diff))
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 13])
+    @pytest.mark.parametrize("s", [2, 7, 128])
+    def test_given_bandwidths(self, count, s):
+        rng = np.random.default_rng(count * s)
+        fs, ys, ft, w = kernel_batch(rng, s, dim=32)
+        bws = list(rng.uniform(0.05, 40.0, size=count))
+        got = weighted_mmd_loss_grads(fs, ys, ft, w, bws)
+        want = mmd_grads_bandwidth_loop(fs, ys, ft, w.w, bws)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert np.array_equal(a, b)
 
 
 class TestTypedErrors:

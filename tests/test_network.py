@@ -18,11 +18,13 @@ from gls_adapt.network import (
 )
 
 from _oracles import (
-    add_grads,
     finite_difference_gradient,
-    flatten_grads,
     flatten_net_params,
+    layer_views,
+    mlp_backward_per_layer,
+    mlp_head,
     set_net_params,
+    sgd_step_per_layer,
 )
 
 
@@ -31,6 +33,23 @@ def small_state(conditional=False, seed=0):
         input_dim=3, k=3, feature_dim=4, g_hidden=(5,), d_hidden=(5,), conditional=conditional,
         rng=np.random.default_rng(seed),
     )
+
+
+def benchmark_state(conditional, seed=0):
+    """The model the benchmark trains: 2 inputs, 3 classes, 32 features, d reading 32 or 96 inputs."""
+    return init_model_state(input_dim=2, k=3, conditional=conditional, rng=np.random.default_rng(seed))
+
+
+def training_step_grads(state, rng, conditional, s=128):
+    """Forward, losses and backward of one training step on 2 * s stacked rows, as train takes it."""
+    x = rng.normal(scale=2.0, size=(2 * s, 2))
+    ys = rng.integers(0, 3, size=s)
+    out, cache = forward(state, x, discriminate=True)
+    _, grad_c = losses.cross_entropy_loss_grads(cache["p"][:s], ys)
+    grad_preds = np.zeros_like(cache["p"])
+    grad_preds[:s] = grad_c
+    _, g_src, g_tgt = losses.weighted_da_loss_grads(out[:s], ys, out[s:], WeightVector(np.array([0.5, 1.0, 2.0])))
+    return backward(state, cache, np.concatenate([g_src, g_tgt])[:, None], grad_preds, 20.0)
 
 
 def model_of(g_sizes, h_sizes, d_sizes):
@@ -50,8 +69,8 @@ class TestForward:
 
     def test_one_layer_hand_computation(self):
         net = Mlp([2, 1], head="tanh", rng=np.random.default_rng(1))
-        net.weights[0] = np.array([[2.0], [-1.0]])
-        net.biases[0] = np.array([0.5])
+        net.weights[0][...] = [[2.0], [-1.0]]
+        net.biases[0][...] = [0.5]
         out, _ = net.forward(np.array([[1.0, 3.0]]))
         assert out[0, 0] == pytest.approx(np.tanh(2.0 - 3.0 + 0.5))
 
@@ -146,12 +165,8 @@ class TestBackward:
         _, cache = forward(state, x, discriminate=True)
         grads = backward(state, cache, np.ones((4, 1)))
         fused = backward(state, cache, np.ones((4, 1)), np.zeros((4, 3)), 1.0)
-        for (gw, gb), (rw, rb) in zip(grads.g, fused.g):
-            assert np.array_equal(rw, -gw)
-            assert np.array_equal(rb, -gb)
-        for (gw, gb), (rw, rb) in zip(grads.d, fused.d):
-            assert np.array_equal(rw, gw)
-            assert np.array_equal(rb, gb)
+        assert np.array_equal(fused.g, -grads.g)
+        assert np.array_equal(fused.d, grads.d)
 
     def test_stale_cache_detected(self):
         state = small_state(seed=6)
@@ -192,13 +207,12 @@ class TestTrainingStepBackward:
 
         cls = backward(state, cache_c, None, gpred)
         align = backward(state, cache, grad_out)
-        np.testing.assert_allclose(flatten_grads(fused.h), flatten_grads(cls.h), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(fused.h, cls.h, rtol=1e-12, atol=1e-15)
         if not discriminate:
             assert fused.d is None
         else:
-            np.testing.assert_array_equal(flatten_grads(fused.d), flatten_grads(align.d))
-        theta = add_grads(cls.g, [(-reversal * gw, -reversal * gb) for gw, gb in align.g])
-        np.testing.assert_allclose(flatten_grads(fused.g), flatten_grads(theta), rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(fused.d, align.d)
+        np.testing.assert_allclose(fused.g, cls.g - reversal * align.g, rtol=1e-12, atol=1e-15)
 
     def test_needs_a_gradient(self):
         state = small_state(seed=17)
@@ -226,9 +240,8 @@ def assert_grad_matches(state, net_name, loss_fn, analytic, rel_tol=1e-4):
     fd = finite_difference_gradient(
         lambda f: loss_through_params(state, net_name, f, loss_fn), flat0
     )
-    got = flatten_grads(analytic)
     denom = max(float(np.linalg.norm(fd)), 1e-10)
-    assert np.linalg.norm(got - fd) / denom < rel_tol
+    assert np.linalg.norm(analytic - fd) / denom < rel_tol
 
 
 class TestGradientsAgainstFiniteDifferences:
@@ -266,10 +279,8 @@ class TestGradientsAgainstFiniteDifferences:
         _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), labels, dt.ravel(), w)
         back_s = backward(state, cs, gs[:, None])
         back_t = backward(state, ct, gt[:, None])
-        g_total = add_grads(back_s.g, back_t.g)
-        d_total = add_grads(back_s.d, back_t.d)
-        assert_grad_matches(state, "g", value, g_total)
-        assert_grad_matches(state, "d", value, d_total)
+        assert_grad_matches(state, "g", value, back_s.g + back_t.g)
+        assert_grad_matches(state, "d", value, back_s.d + back_t.d)
 
     def test_weighted_da_through_outer_product(self):
         rng = np.random.default_rng(9)
@@ -289,9 +300,9 @@ class TestGradientsAgainstFiniteDifferences:
         _, gs, gt = losses.weighted_da_loss_grads(ds.ravel(), labels, dt.ravel(), w)
         back_s = backward(state, cs, gs[:, None])
         back_t = backward(state, ct, gt[:, None])
-        assert_grad_matches(state, "g", value, add_grads(back_s.g, back_t.g))
-        assert_grad_matches(state, "h", value, add_grads(back_s.h, back_t.h))
-        assert_grad_matches(state, "d", value, add_grads(back_s.d, back_t.d))
+        assert_grad_matches(state, "g", value, back_s.g + back_t.g)
+        assert_grad_matches(state, "h", value, back_s.h + back_t.h)
+        assert_grad_matches(state, "d", value, back_s.d + back_t.d)
 
     def test_weighted_mmd_wrt_g(self):
         rng = np.random.default_rng(10)
@@ -312,7 +323,7 @@ class TestGradientsAgainstFiniteDifferences:
         _, g_zs, g_zt = losses.weighted_mmd_loss_grads(zs, labels, zt, w, bw)
         back_s = backward(state, cs, g_zs)
         back_t = backward(state, ct, g_zt)
-        assert_grad_matches(state, "g", value, add_grads(back_s.g, back_t.g))
+        assert_grad_matches(state, "g", value, back_s.g + back_t.g)
 
 
 class TestTypedErrors:
@@ -338,8 +349,8 @@ class TestTypedErrors:
                 ShapeMismatch, "discriminator must read z or the outer product", id="state-discriminator-input",
             ),
             pytest.param(
-                lambda: sgd_step(small_state(), ModelGrads(g=[]), lr=0.1, momentum=0.9),
-                ShapeMismatch, "gradient list length mismatch for net g", id="sgd-gradient-count",
+                lambda: sgd_step(small_state(), ModelGrads(g=np.zeros(0)), lr=0.1, momentum=0.9),
+                ShapeMismatch, "gradient for net g has shape (0,), expected (44,)", id="sgd-gradient-count",
             ),
         ],
     )
@@ -353,34 +364,117 @@ class TestSgd:
     def test_momentum_zero_is_plain_descent(self):
         state = small_state(seed=11)
         w0 = state.g.weights[0].copy()
-        g = [(np.ones_like(w), np.ones_like(b)) for w, b in zip(state.g.weights, state.g.biases)]
-        sgd_step(state, ModelGrads(g=g), lr=1.0, momentum=0.0)
+        sgd_step(state, ModelGrads(g=np.ones_like(state.g.params)), lr=1.0, momentum=0.0)
         assert np.allclose(state.g.weights[0], w0 - 1.0)
 
     def test_two_steps_match_hand_unrolled_recursion(self):
         state = small_state(seed=12)
         w0 = state.h.weights[0].copy()
-        g1 = [(np.full_like(w, 0.5), np.full_like(b, 0.5)) for w, b in zip(state.h.weights, state.h.biases)]
-        g2 = [(np.full_like(w, -0.25), np.full_like(b, -0.25)) for w, b in zip(state.h.weights, state.h.biases)]
-        sgd_step(state, ModelGrads(h=g1), lr=0.1, momentum=0.9)
-        sgd_step(state, ModelGrads(h=g2), lr=0.1, momentum=0.9)
+        sgd_step(state, ModelGrads(h=np.full_like(state.h.params, 0.5)), lr=0.1, momentum=0.9)
+        sgd_step(state, ModelGrads(h=np.full_like(state.h.params, -0.25)), lr=0.1, momentum=0.9)
         v1 = 0.5
         v2 = 0.9 * v1 - 0.25
         expected = w0 - 0.1 * v1 - 0.1 * v2
-        assert np.allclose(state.h.weights[0], expected, atol=1e-15)
+        assert np.array_equal(state.h.weights[0], expected)
 
     def test_zero_grads_keep_params(self):
         state = small_state(seed=13)
-        w0 = state.d.weights[0].copy()
-        g = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(state.d.weights, state.d.biases)]
-        sgd_step(state, ModelGrads(d=g), lr=0.5, momentum=0.9)
-        assert np.array_equal(state.d.weights[0], w0)
+        p0 = state.d.params.copy()
+        sgd_step(state, ModelGrads(d=np.zeros_like(state.d.params)), lr=0.5, momentum=0.9)
+        assert np.array_equal(state.d.params, p0)
 
     def test_shape_mismatch(self):
+        # a gradient one entry short or long, for each net, is refused by name
         state = small_state(seed=14)
-        bad = [(np.zeros((2, 2)), np.zeros(2))] * len(state.g.weights)
-        with pytest.raises(ShapeMismatch):
-            sgd_step(state, ModelGrads(g=bad), 0.1, 0.0)
+        for name in ("g", "h", "d"):
+            size = getattr(state, name).params.size
+            for bad in (size - 1, size + 1):
+                with pytest.raises(ShapeMismatch, match=rf"^gradient for net {name} has shape \({bad},\), expected \({size},\)$"):
+                    sgd_step(state, ModelGrads(**{name: np.zeros(bad)}), 0.1, 0.0)
+
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_equals_the_per_layer_step_over_momentum_steps(self, conditional):
+        # the benchmark's shapes and its training step's gradients, through five steps
+        state = benchmark_state(conditional, seed=3)
+        nets = [getattr(state, name) for name in ("g", "h", "d")]
+        ref = [
+            ([w.copy() for w in net.weights], [b.copy() for b in net.biases],
+             [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)])
+            for net in nets
+        ]
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            grads = training_step_grads(state, rng, conditional)
+            for net, (weights, biases, velocities), grad in zip(nets, ref, (grads.g, grads.h, grads.d)):
+                sgd_step_per_layer(weights, biases, velocities, layer_views(net, grad), 0.05, 0.9)
+            sgd_step(state, grads, 0.05, 0.9)
+            for net, (weights, biases, velocities) in zip(nets, ref):
+                want = np.concatenate([t.ravel() for pair in zip(weights, biases) for t in pair])
+                assert np.array_equal(net.params, want)
+                assert np.array_equal(net.velocity, np.concatenate([t.ravel() for pair in velocities for t in pair]))
+
+
+class TestParameterVector:
+    """Each net keeps its parameters in one vector; its layers are views of it."""
+
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_layers_are_views_in_draw_order(self, conditional):
+        state = benchmark_state(conditional, seed=5)
+        draws = np.random.default_rng(5)
+        for net in (state.g, state.h, state.d):
+            want = []
+            for (w, b), (vw, vb) in zip(zip(net.weights, net.biases), layer_views(net, net.params)):
+                for t, view in ((w, vw), (b, vb)):
+                    assert t.shape == view.shape and t.ctypes.data == view.ctypes.data
+                    assert t.base is net.params
+                bound = 1.0 / np.sqrt(w.shape[0])
+                want += [draws.uniform(-bound, bound, size=w.shape).ravel(), draws.uniform(-bound, bound, size=b.shape)]
+            assert np.array_equal(net.params, np.concatenate(want))
+            assert net.velocity.shape == net.params.shape and not net.velocity.any()
+
+    def test_layers_cannot_be_rebound(self):
+        net = small_state().g
+        with pytest.raises(TypeError):
+            net.weights[0] = np.zeros_like(net.weights[0])
+        with pytest.raises(TypeError):
+            net.biases[0] = np.zeros_like(net.biases[0])
+        net.biases[1][...] = 7.0
+        assert np.array_equal(net.params[-net.biases[1].size :], np.full(net.biases[1].size, 7.0))
+
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_backwards_return_independent_vectors(self, conditional):
+        state = small_state(conditional=conditional, seed=18)
+        _, cache = forward(state, np.random.default_rng(18).normal(size=(6, 3)), discriminate=True)
+        grad_out, grad_preds = np.ones((6, 1)), np.full((6, 3), 0.1)
+        first = backward(state, cache, grad_out, grad_preds, 1.0)
+        second = backward(state, cache, grad_out, grad_preds, 1.0)
+        for name in ("g", "h", "d"):
+            a, b = getattr(first, name), getattr(second, name)
+            assert a.shape == getattr(state, name).params.shape
+            assert not np.shares_memory(a, b)
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_backward_equals_the_per_layer_reference(self, conditional):
+        # each net's backward at the benchmark's 256 stacked rows
+        state = benchmark_state(conditional, seed=6)
+        rng = np.random.default_rng(6)
+        _, cache = forward(state, rng.normal(scale=2.0, size=(256, 2)), discriminate=True)
+        for name in ("g", "h", "d"):
+            net, net_cache = getattr(state, name), cache[name]
+            grad_out = rng.normal(size=net_cache["out"].shape)
+            grad, grad_in = net.backward(net_cache, grad_out)
+            ref, ref_in = mlp_backward_per_layer(net, net_cache, grad_out)
+            assert np.array_equal(grad, np.concatenate([t.ravel() for pair in ref for t in pair]))
+            assert np.array_equal(grad_in, ref_in)
+
+    @pytest.mark.parametrize("head, k", [("softmax", k) for k in range(2, 11)] + [("sigmoid", 1), ("tanh", 32)])
+    def test_head_equals_the_reference(self, head, k):
+        rng = np.random.default_rng(k)
+        net = Mlp([32, k], head, rng)
+        x = rng.normal(scale=30.0, size=(256, 32))  # wide enough to saturate the sigmoid into its clip
+        out, _ = net.forward(x)
+        assert np.array_equal(out, mlp_head(head, x @ net.weights[0] + net.biases[0]))
 
 
 class TestDeterminismAndCheckpoints:

@@ -324,6 +324,23 @@ class TestNonFiniteLoss:
         with pytest.raises(NonFiniteValue, match="epoch 1 batch 2"):
             train(tiny_config(algorithm="dann", epochs=2, batches_per_epoch=5), *tiny_task())
 
+    def test_a_nan_feature_row_stops_the_kernel_loss(self, monkeypatch):
+        # NaN features give NaN median-heuristic bandwidths, so the loss is NaN too
+        real = network.forward
+        calls = []
+
+        def nan_row_on_eighth_step(state, x, discriminate=False):
+            out, cache = real(state, x, discriminate)
+            if len(x) == 64:  # a training step's stacked batch; evaluate's blocks are longer
+                calls.append(len(x))
+                if len(calls) == 8:
+                    out[3] = np.nan
+            return out, cache
+
+        monkeypatch.setattr(network, "forward", nan_row_on_eighth_step)
+        with pytest.raises(NonFiniteValue, match=r"^epoch 1 batch 2: loss_da=nan, loss_c="):
+            train(tiny_config(algorithm="iwjan", epochs=2, batches_per_epoch=5), *tiny_task())
+
 
 class TestTraceCsv:
     def test_columns(self, tmp_path):
