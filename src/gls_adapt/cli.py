@@ -1,5 +1,6 @@
-"""Batch entry point: dataset generation, training runs, divergence sweeps,
-standalone weight estimation and bound verification, all emitting CSV.
+"""Batch entry point: dataset generation, training runs with optional
+per-epoch bound checks, divergence sweeps and standalone weight
+estimation, all emitting CSV.
 
 Options can come from a flat ``key = value`` config file; command-line
 flags override file values, and a file key that names no option of the
@@ -192,15 +193,6 @@ def _make_domains(
     return src, tgt
 
 
-def _load_or_make_datasets(ns, opts, seed):
-    """The --source/--target pair, both given the larger class count, else generated domains."""
-    if not ns.source:
-        return _make_domains(seed, subsample=ns.subsample, **opts)
-    src, tgt = read_dataset_csv(ns.source), read_dataset_csv(ns.target)
-    k = max(src.k, tgt.k)
-    return Dataset(src.features, src.labels, k), Dataset(tgt.features, tgt.labels, k)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -227,25 +219,18 @@ def cmd_generate(ns) -> int:
     return 0
 
 
-def _write_run(out: Path, suffix: str, trace, k: int, reports, full_precision: bool) -> None:
-    """Write a run's trace{suffix}.csv and, unless ``reports`` is None, its checks to bounds{suffix}.csv."""
+def _write_run(out: Path, run: str, trace, k: int, reports, full_precision: bool) -> None:
+    """Write trace_{run}.csv and, unless ``reports`` is None, the run's checks to bounds_{run}.csv."""
     w_cols = ",".join(f"w_{i}" for i in range(k))
     header = f"epoch,acc_src,acc_tgt,loss_da,loss_c,{w_cols},w_dist,jsd_label"
     rows = [
         (r.epoch, r.acc_src, r.acc_tgt, r.loss_da, r.loss_c, *map(float, r.w), r.w_dist, r.jsd_label)
         for r in trace.records
     ]
-    _write_table(out / f"trace{suffix}.csv", header, rows, full_precision)
+    _write_table(out / f"trace_{run}.csv", header, rows, full_precision)
     if reports is not None:
         rows = [(r.check, ep, r.lhs, r.rhs, int(r.holds), r.slack) for ep, r in reports]
-        _write_table(out / f"bounds{suffix}.csv", "check,epoch,lhs,rhs,holds,slack", rows, full_precision)
-
-
-def _report_checks(what: str, reports) -> int:
-    """Print how many bound checks ran and failed; the exit code is 1 if any failed."""
-    n_fail = sum(1 for _, r in reports if not r.holds)
-    print(f"{what}: {len(reports)} checks, {n_fail} violations")
-    return 1 if n_fail else 0
+        _write_table(out / f"bounds_{run}.csv", "check,epoch,lhs,rhs,holds,slack", rows, full_precision)
 
 
 def cmd_train(ns) -> int:
@@ -264,11 +249,16 @@ def cmd_train(ns) -> int:
         for alg in algorithms
         for s in seeds
     }
-    source, target = _load_or_make_datasets(ns, domain_opts, seed)
+    if ns.source:  # _resolve has checked that --target comes with it
+        src, tgt = read_dataset_csv(ns.source), read_dataset_csv(ns.target)
+        k = max(src.k, tgt.k)  # a class missing from one file is still a class of the pair
+        source, target = Dataset(src.features, src.labels, k), Dataset(tgt.features, tgt.labels, k)
+    else:
+        source, target = _make_domains(seed, subsample=ns.subsample, **domain_opts)
     best, reports = {}, []
     for (alg, s), cfg in configs.items():  # one run per call, so each run's files are written when it ends
         [(trace, run)] = train_many([(cfg, source, target)], bounds=ns.bounds)
-        _write_run(ns.out, f"_{alg}_seed{s}", trace, source.k, run if ns.bounds else None, ns.full_precision)
+        _write_run(ns.out, f"{alg}_seed{s}", trace, source.k, run if ns.bounds else None, ns.full_precision)
         reports += run
         best[(alg, s)] = (max(r.acc_src for r in trace.records), trace.best_target_accuracy())
     rows = []
@@ -283,7 +273,11 @@ def cmd_train(ns) -> int:
     header = "algorithm,seed,best_acc_src,best_acc_tgt,mean_best_acc_tgt,win_fraction_vs_base"
     _write_table(ns.out / "summary.csv", header, rows, ns.full_precision)
     print(f"wrote {ns.out / 'summary.csv'} ({len(algorithms)} algorithms x {len(seeds)} seeds)")
-    return _report_checks(f"wrote {ns.out / 'bounds_*.csv'} ({len(configs)} runs)", reports) if ns.bounds else 0
+    if not ns.bounds:
+        return 0
+    n_fail = sum(1 for _, r in reports if not r.holds)
+    print(f"wrote {ns.out / 'bounds_*.csv'} ({len(configs)} runs): {len(reports)} checks, {n_fail} violations")
+    return 1 if n_fail else 0
 
 
 def cmd_sweep_jsd(ns) -> int:
@@ -355,15 +349,6 @@ def cmd_estimate_weights(ns) -> int:
     return 0
 
 
-def cmd_verify_bounds(ns) -> int:
-    train_opts, domain_opts, seed = _resolve(ns)
-    source, target = _load_or_make_datasets(ns, domain_opts, seed)
-    cfg = TrainConfig(algorithm=ns.algorithm, seed=seed, **train_opts)
-    [(trace, reports)] = train_many([(cfg, source, target)], bounds=True)
-    _write_run(ns.out, "", trace, source.k, reports, ns.full_precision)
-    return _report_checks(f"wrote {ns.out / 'bounds.csv'}", reports)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # main prints it as one error line, not a usage dump
         raise ParseError(message)
@@ -376,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, train=False, domain=True, seed=True, datasets=False, subsample=False):
+    def command(name, func, help, train=False, domain=True, seed=True, subsample=False):
         """A subcommand with the flags every command has and the options that _resolve reads."""
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", default=None, help="flat key = value options file")
@@ -387,9 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         for opt, typ in (tables[0] | tables[1] | tables[2]).items():
             p.add_argument(f"--{opt.replace('_', '-')}", type=typ, default=argparse.SUPPRESS, dest=opt)
-        if datasets:
-            p.add_argument("--source", default=None)
-            p.add_argument("--target", default=None)
         if subsample:
             p.add_argument("--subsample", type=float, default=None)
         p.set_defaults(func=func, tables=tables)
@@ -398,10 +380,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = command("generate", cmd_generate, "write a synthetic source/target pair", subsample=True)
     p_gen.add_argument("--conditional-shift", type=float, default=0.0, dest="conditional_shift")
 
-    p_train = command(
-        "train", cmd_train, "train one or more algorithms over seeds",
-        train=True, datasets=True, subsample=True,
-    )
+    p_train = command("train", cmd_train, "train one or more algorithms over seeds", train=True, subsample=True)
+    p_train.add_argument("--source", default=None)
+    p_train.add_argument("--target", default=None)
     p_train.add_argument("--algorithms", type=lambda t: str(t).split(","), default=["iwdan"])
     p_train.add_argument("--seeds", type=_parse_ints, default=None)
     p_train.add_argument("--bounds", action="store_true")
@@ -419,12 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--source-labels", required=True, dest="source_labels")
     p_est.add_argument("--target-preds", required=True, dest="target_preds")
     p_est.add_argument("--p-source", type=_parse_floats, default=None, dest="p_source")
-
-    p_ver = command(
-        "verify-bounds", cmd_verify_bounds, "train once and log every bound check",
-        train=True, datasets=True, subsample=True,
-    )
-    p_ver.add_argument("--algorithm", default="iwdan")
 
     return parser
 

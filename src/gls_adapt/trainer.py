@@ -89,6 +89,10 @@ class TrainConfig:
             raise ConfigInvalid(f"unknown algorithm {self.algorithm!r}")
         if self.epochs < 1 or self.batches_per_epoch < 1 or self.batch_size < 1:
             raise ConfigInvalid("epochs, batches_per_epoch and batch_size must be >= 1")
+        if ALGORITHMS[self.algorithm][0] == "jan" and self.batch_size < 2:
+            raise ConfigInvalid(
+                f"{self.algorithm}'s kernel loss pairs rows, so batch_size must be >= 2, got {self.batch_size}"
+            )
         if not 0.0 <= self.ema_lambda <= 1.0:
             raise ConfigInvalid("ema_lambda must lie in [0, 1]")
         if self.weight_update_period < 1:

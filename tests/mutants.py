@@ -153,6 +153,27 @@ MUTANTS = [
         "v *= 1.0",
         ("tests/test_network.py",),
     ),
+    Mutant(
+        "bound-violations-exit-0",
+        "cli.py",
+        "1 if n_fail else 0",
+        "0",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "one-dataset-file-accepted",
+        "cli.py",
+        "not (ns.source and ns.target)",
+        "not (ns.source or ns.target)",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "kernel-loss-batch-size-check-dropped",
+        "trainer.py",
+        "self.batch_size < 2",
+        "self.batch_size < 1",
+        ("tests/test_trainer.py", "tests/test_cli.py"),
+    ),
 ]
 
 FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)

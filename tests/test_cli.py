@@ -195,6 +195,8 @@ class TestTrain:
         header, rows = read_csv_dict(out / "bounds_iwdan_seed0.csv")
         assert header == ["check", "epoch", "lhs", "rhs", "holds", "slack"]
         assert len(rows) == 2 * 4
+        assert {r["holds"] for r in rows} == {"1"}
+        assert (out / "trace_iwdan_seed0.csv").exists()
 
     def test_bad_feature_dim_is_one_line_error(self, tmp_path, capsys):
         rc = run(["train", "--feature-dim", 0, "--out", tmp_path / "x"])
@@ -252,6 +254,24 @@ class TestTrain:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_empty_target_class_names_the_sample_count(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = run(["train", "--bounds", "--target-label-dist", "0.5,0.5,0", "--n", 600, "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: class 2: ") and err.endswith(" source / 0 target samples, need 50\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_kernel_loss_with_one_row_batches_fails_before_any_run(self, tmp_path, capsys):
+        # dann alone would train; iwjan's config is refused before dann's run starts
+        out = tmp_path / "x"
+        argv = ["train", "--algorithms", "dann,iwjan", "--batch-size", 1, "--n", 300, "--epochs", 2]
+        assert run([*argv, "--batches-per-epoch", 3, "--out", out]) == 1
+        message = "iwjan's kernel loss pairs rows, so batch_size must be >= 2, got 1"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_loads_datasets_from_files(self, tmp_path):
         data = tmp_path / "data"
         run(["generate", "--out", data, "--n", 300, "--seed", "4"])
@@ -298,7 +318,7 @@ class TestTrain:
         assert capsys.readouterr().err == "error: every class needs at least one source sample\n"
         assert not (tmp_path / "runs").exists()
 
-    @pytest.mark.parametrize("command", ["train", "verify-bounds"])
+    @pytest.mark.parametrize("command", ["train"])
     def test_feature_dims_that_differ_are_one_line_error(self, tmp_path, capsys, command):
         for dim in (2, 3):
             run(["generate", "--out", tmp_path / f"d{dim}", "--n", 300, "--dim", dim])
@@ -309,7 +329,7 @@ class TestTrain:
         assert capsys.readouterr().err == "error: feature dims differ: 2 vs 3\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "verify-bounds"])
+    @pytest.mark.parametrize("command", ["train"])
     @pytest.mark.parametrize("flag", ["--source", "--target"])
     def test_one_dataset_file_is_one_line_error(self, tmp_path, capsys, command, flag):
         out = tmp_path / "runs"
@@ -391,8 +411,8 @@ class TestOptionsAreUsedOrRejected:
             (["train"], "k = 3\nn_source = 300\n", None, "n_source"),
             (["estimate-weights", "--config", "does-not-exist.cfg"], None, "predictions", "does-not-exist.cfg"),
             (["train", "--n", 50, "--k", 7, "--subsample", 0.1], None, "datasets", "--k"),
-            (["verify-bounds"], "n = 50\n", "datasets", "run.cfg: n: "),
-            (["verify-bounds", "--subsample", 0.1], None, "datasets", "--subsample"),
+            (["train", "--bounds"], "n = 50\n", "datasets", "run.cfg: n: "),
+            (["train", "--bounds", "--subsample", 0.1], None, "datasets", "--subsample"),
             (["estimate-weights"], "seed = 3\n", "predictions", "seed: not an option of estimate-weights"),
         ],
         ids=[
@@ -430,7 +450,6 @@ class TestOptionsAreUsedOrRejected:
             ["generate", "--n", 200],
             ["train", "--n", 200, *TINY_RUN, "--algorithms", "none"],
             ["sweep-jsd", "--n", 200, *TINY_RUN, "--tasks", 1],
-            ["verify-bounds", "--n", 600, *TINY_RUN],
             ["estimate-weights"],
         ],
         ids=lambda argv: argv[0],
@@ -505,7 +524,7 @@ class TestOptionsAreUsedOrRejected:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["generate", "train", "sweep-jsd", "estimate-weights", "verify-bounds"])
+    @pytest.mark.parametrize("command", ["generate", "train", "sweep-jsd", "estimate-weights"])
     def test_out_naming_a_file_fails_before_any_work(self, tmp_path, capsys, command):
         # the directory is made with the first file, so without this check a
         # train run would be spent before the file was found in the way
@@ -514,6 +533,15 @@ class TestOptionsAreUsedOrRejected:
         assert run([command, "--out", out]) == 1
         assert capsys.readouterr() == ("", f"error: argument --out: {out} exists and is not a directory\n")
         assert out.read_text() == "kept\n"
+
+    def test_removed_command_is_one_line_error(self, tmp_path, capsys):
+        # verify-bounds --algorithm A is now train --bounds --algorithms A
+        out = tmp_path / "vb"
+        assert run(["verify-bounds", "--algorithm", "iwdan", "--out", out]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.count("\n") == 1
+        assert err.startswith("error: argument command: invalid choice: 'verify-bounds'")
+        assert not out.exists()
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -731,7 +759,7 @@ class TestEstimateWeights:
 
 
 class TestBoundsExitCode:
-    @pytest.mark.parametrize("command", ["train", "verify-bounds"])
+    @pytest.mark.parametrize("command", ["train"])
     def test_failed_check_exits_1_after_writing_every_file(self, tmp_path, monkeypatch, capsys, command):
         def failing_hook(source, target, sink):
             return lambda epoch, state, record: sink.append(
@@ -741,16 +769,11 @@ class TestBoundsExitCode:
         monkeypatch.setattr(trainer, "make_bound_hook", failing_hook)
         out = tmp_path / "runs"
         argv = [command, "--n", 200, "--epochs", 2, "--batches-per-epoch", 2, "--feature-dim", 8]
-        argv += ["--out", out]
-        argv += ["--bounds", "--algorithms", "none,dann", "--seeds", "0"] if command == "train" else []
+        argv += ["--out", out, "--bounds", "--algorithms", "none,dann", "--seeds", "0"]
         assert run(argv) == 1
-        if command == "train":
-            runs = [f"{kind}_{alg}_seed0.csv" for alg in ("none", "dann") for kind in ("trace", "bounds")]
-            names = ["summary.csv", *runs]
-            assert capsys.readouterr().out.splitlines()[-1].endswith(": 4 checks, 4 violations")
-        else:
-            names = ["trace.csv", "bounds.csv"]
-            assert capsys.readouterr().out.splitlines()[-1].endswith(": 2 checks, 2 violations")
+        runs = [f"{kind}_{alg}_seed0.csv" for alg in ("none", "dann") for kind in ("trace", "bounds")]
+        names = ["summary.csv", *runs]
+        assert capsys.readouterr().out.splitlines()[-1].endswith(": 4 checks, 4 violations")
         assert sorted(p.name for p in out.iterdir()) == sorted(names)
         _, rows = read_csv_dict(out / names[-1])
         assert [r["holds"] for r in rows] == ["0", "0"]
@@ -828,66 +851,3 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
         assert not (tmp_path / "s").exists()
 
-
-class TestVerifyBounds:
-    def test_empty_target_class_names_the_sample_count(self, tmp_path, capsys):
-        out = tmp_path / "vb"
-        rc = run(["verify-bounds", "--target-label-dist", "0.5,0.5,0", "--n", 600, "--out", out])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: class 2: ") and err.endswith(" source / 0 target samples, need 50\n")
-        assert err.count("\n") == 1
-        assert not out.exists()
-
-    def test_writes_bounds_and_trace(self, tmp_path):
-        out = tmp_path / "vb"
-        rc = run(
-            [
-                "verify-bounds",
-                "--out",
-                out,
-                "--n",
-                600,
-                "--epochs",
-                2,
-                "--batches-per-epoch",
-                4,
-                "--feature-dim",
-                8,
-                "--algorithm",
-                "iwdan",
-                "--seed",
-                "0",
-            ]
-        )
-        assert rc == 0
-        header, rows = read_csv_dict(out / "bounds.csv")
-        assert header == ["check", "epoch", "lhs", "rhs", "holds", "slack"]
-        assert {r["holds"] for r in rows} == {"1"}
-        assert (out / "trace.csv").exists()
-
-    def test_full_precision_sidecar(self, tmp_path):
-        out = tmp_path / "vb"
-        rc = run(
-            [
-                "verify-bounds",
-                "--out",
-                out,
-                "--n",
-                600,
-                "--epochs",
-                1,
-                "--batches-per-epoch",
-                3,
-                "--feature-dim",
-                8,
-                "--algorithm",
-                "iwdan",
-                "--full-precision",
-            ]
-        )
-        assert rc == 0
-        assert (out / "bounds.raw.csv").exists()
-        short = (out / "bounds.csv").read_text()
-        raw = (out / "bounds.raw.csv").read_text()
-        assert len(raw) >= len(short)

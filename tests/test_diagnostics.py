@@ -471,17 +471,18 @@ class TestDiscriminatorOptimum:
 
 class TestReportCsv:
     def test_rows(self, tmp_path):
-        # the verify-bounds command writes exactly the reports the bound hook collects
+        # train --bounds writes exactly the reports the bound hook collects
         src, tgt = make_shift_task(k=3, n_source=600, n_target=600, seed=0)
         write_dataset_csv(src, tmp_path / "source.csv")
         write_dataset_csv(tgt, tmp_path / "target.csv")
         opts = dict(epochs=1, batches_per_epoch=3, feature_dim=8)
-        argv = ["verify-bounds", "--full-precision", "--seed", "0", "--out", str(tmp_path)]
+        argv = ["train", "--bounds", "--algorithms", "iwdan", "--full-precision", "--seed", "0"]
+        argv += ["--out", str(tmp_path)]
         argv += ["--source", str(tmp_path / "source.csv"), "--target", str(tmp_path / "target.csv")]
         for name, value in opts.items():
             argv += [f"--{name.replace('_', '-')}", str(value)]
         assert main(argv) == 0
-        lines = (tmp_path / "bounds.raw.csv").read_text().splitlines()
+        lines = (tmp_path / "bounds_iwdan_seed0.raw.csv").read_text().splitlines()
         assert lines[0] == "check,epoch,lhs,rhs,holds,slack"
         assert lines[1].startswith("lower_bound,0,")
         assert all(line.count(",") == 5 for line in lines)

@@ -2,9 +2,7 @@
 
 The fixtures under ``tests/golden/`` pin the full-precision CSVs of small
 runs: `train --bounds` over every algorithm, `estimate-weights` on fixed
-prediction files, and `generate`. `verify-bounds`, for a plain and a
-conditional discriminator, must write the same bytes as the `train`
-fixtures of the same algorithm. A refactor that claims "same behaviour" must
+prediction files, and `generate`. A refactor that claims "same behaviour" must
 leave them unchanged. A mismatching CSV fails with the largest absolute
 change in each of its columns. Regenerate the fixtures with
 ``PYTHONPATH=src python tests/test_golden.py`` only for a change whose
@@ -44,19 +42,10 @@ FILES = [
 
 # The other commands, each writing into its own directory.
 COMMANDS = {
-    "verify-bounds-iwdan": ["bounds.raw.csv", "trace.raw.csv"],
-    "verify-bounds-iwcdan": ["bounds.raw.csv", "trace.raw.csv"],
     "estimate-weights": ["weights.raw.csv", "confusion.raw.csv"],
     "generate": ["source.csv", "target.csv", "manifest.txt"],
 }
 COMMAND_FILES = [f"{name}/{f}" for name, files in COMMANDS.items() for f in files]
-# verify-bounds trains the same run as `train`, so its files must equal the
-# train fixtures; every other command file has a fixture of its own name.
-SAME_AS_TRAIN = {
-    f"verify-bounds-{alg}/{kind}.raw.csv": f"{kind}_{alg}_seed{SEED}.raw.csv"
-    for alg in ("iwdan", "iwcdan")
-    for kind in ("bounds", "trace")
-}
 
 
 def column_changes(got: bytes, want: bytes) -> str:
@@ -119,9 +108,7 @@ def _write_prediction_files(out: Path) -> list:
 
 
 def _run_command(name: str, out: Path) -> None:
-    if name.startswith("verify-bounds-"):
-        argv = ["verify-bounds", "--algorithm", name.rsplit("-", 1)[1], *DOMAIN, *TRAIN]
-    elif name == "estimate-weights":
+    if name == "estimate-weights":
         argv = ["estimate-weights", *_write_prediction_files(out)]
     else:
         argv = ["generate", *DOMAIN, "--subsample", "0.5", "--conditional-shift", "0.3"]
@@ -150,7 +137,7 @@ def test_matches_golden(run_dir, name):
 
 @pytest.mark.parametrize("name", COMMAND_FILES)
 def test_command_matches_golden(command_dir, name):
-    assert_same_bytes(command_dir / name, GOLDEN / SAME_AS_TRAIN.get(name, name))
+    assert_same_bytes(command_dir / name, GOLDEN / name)
 
 
 if __name__ == "__main__":
@@ -158,7 +145,7 @@ if __name__ == "__main__":
         _run(Path(tmp))
         for name in COMMANDS:
             _run_command(name, Path(tmp))
-        for name in FILES + [f for f in COMMAND_FILES if f not in SAME_AS_TRAIN]:
+        for name in FILES + COMMAND_FILES:
             new, old = Path(tmp) / name, GOLDEN / name
             old.parent.mkdir(exist_ok=True)
             if old.exists() and new.read_bytes() == old.read_bytes():

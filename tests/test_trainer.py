@@ -179,6 +179,13 @@ class TestTrainBasics:
         with pytest.raises(ConfigInvalid, match="^seed must be >= 0, got -1$"):
             tiny_config(seed=-1)
 
+    def test_kernel_loss_needs_two_rows_per_batch(self):
+        # the adversarial losses take a one-row batch; the kernel loss pairs rows
+        assert tiny_config(algorithm="iwdan", batch_size=1).batch_size == 1
+        assert tiny_config(algorithm="jan", batch_size=2).batch_size == 2
+        with pytest.raises(ConfigInvalid, match="^iwjan's kernel loss pairs rows, so batch_size must be >= 2, got 1$"):
+            tiny_config(algorithm="iwjan", batch_size=1)
+
     @pytest.mark.parametrize("field", ["lr", "reversal_coeff"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_step_sizes_are_rejected(self, field, value):
