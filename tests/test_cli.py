@@ -195,6 +195,12 @@ class TestTrain:
         header, rows = read_csv_dict(out / "bounds_iwdan_seed0.csv")
         assert header == ["check", "epoch", "lhs", "rhs", "holds", "slack"]
         assert len(rows) == 2 * 4
+
+    def test_bounds_flag_checks_hold_and_trace_is_written(self, tmp_path):
+        out = tmp_path / "runs"
+        argv = ["train", "--out", out, "--n", 600, "--epochs", 2, "--batches-per-epoch", 4]
+        assert run([*argv, "--feature-dim", 8, "--algorithms", "iwdan", "--seeds", "0", "--bounds"]) == 0
+        _, rows = read_csv_dict(out / "bounds_iwdan_seed0.csv")
         assert {r["holds"] for r in rows} == {"1"}
         assert (out / "trace_iwdan_seed0.csv").exists()
 
