@@ -93,6 +93,10 @@ class ConfusionAccumulator:
         labels = check_labels(source_labels, self.k, "source_labels")
         if labels.shape[0] != sp.shape[0]:
             raise ShapeMismatch(f"source_labels has shape {labels.shape}, expected ({sp.shape[0]},)")
+        return self._accumulate(sp, labels, tp)
+
+    def _accumulate(self, sp: np.ndarray, labels: np.ndarray, tp: np.ndarray) -> "ConfusionAccumulator":
+        """:meth:`accumulate`'s arithmetic, on arrays that have passed its checks."""
         # Column y receives the prediction vectors of all samples with true label y.
         self.c_hat += sp.T @ self._eye.take(labels, axis=0)  # take: a fancy index is slower at 2,400 rows
         self.mu_hat += np.einsum("ij->j", tp)

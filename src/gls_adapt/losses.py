@@ -6,6 +6,11 @@ function returns ``(value, grad...)``: the batch value and its derivative
 with respect to those outputs, so the caller can route it through
 backpropagation. The plain-named function returns the value alone. With all-ones weights each
 weighted loss reduces exactly to its unweighted base version.
+
+Each ``*_grads`` function checks its inputs and then calls one private
+kernel, the loss's only arithmetic, which takes validated arrays with the
+source rows and the target rows stacked. The training step checks each of
+its arrays once and calls the kernels directly.
 """
 
 from __future__ import annotations
@@ -64,37 +69,65 @@ def weighted_da_loss_grads(d_src, labels_src, d_tgt, w: WeightVector):
     dt = _check_discriminator(d_tgt, "d_tgt")
     if ds.size != dt.size:
         raise ShapeMismatch(f"paired batches of sizes {ds.size} and {dt.size}")
-    ws = w.w[_labels(labels_src, len(w), ds.size)]
     s = ds.size
-    src = np.maximum(ds, LOG_EPS)
-    tgt = np.maximum(1.0 - dt, LOG_EPS)
+    ws = w.w[_labels(labels_src, len(w), s)]
+    grad = np.empty(2 * s)
+    value = _da(np.concatenate([ds, dt]), ws, grad)
+    return value, grad[:s], grad[s:]
+
+
+def _da(d: np.ndarray, ws: np.ndarray, grad: np.ndarray) -> float:
+    """The adversarial loss of :func:`weighted_da_loss_grads` on the stacked (2s,) output d, source rows first.
+
+    ``ws`` holds the s source rows' weights. Writes d(loss)/d(d) into
+    ``grad``, a (2s,) array, and returns the value.
+    """
+    s = ws.size
+    src = np.maximum(d[:s], LOG_EPS)
+    tgt = np.subtract(1.0, d[s:])
+    np.maximum(tgt, LOG_EPS, out=tgt)
     value = float(-(np.add.reduce(ws * np.log(src)) + np.add.reduce(np.log(tgt))) / s)
-    return value, -ws / src / s, 1.0 / tgt / s
+    np.divide(np.negative(ws), src, out=grad[:s])
+    np.divide(1.0, tgt, out=grad[s:])
+    grad /= s
+    return value
 
 
 def weighted_da_loss(d_src, labels_src, d_tgt, w: WeightVector) -> float:
     return weighted_da_loss_grads(d_src, labels_src, d_tgt, w)[0]
 
 
-def _nll_grads(p: np.ndarray, labels, class_coeff: np.ndarray):
-    """Mean of -class_coeff[y_i] * log p_i[y_i] and its gradient in the (n, k) predictions p."""
-    labels = _labels(labels, p.shape[1], p.shape[0])
+def _nll(p: np.ndarray, labels: np.ndarray, class_coeff: np.ndarray, grad: np.ndarray) -> float:
+    """Mean of -class_coeff[y_i] * log p_i[y_i] over the (n, k) predictions p; the classification losses' arithmetic.
+
+    Writes its gradient in p into ``grad``, an (n, k) array, and returns
+    the value.
+    """
+    n = p.shape[0]
     coeff = class_coeff[labels]
-    rows = np.arange(p.shape[0])
+    rows = np.arange(n)
     picked = np.maximum(p[rows, labels], LOG_EPS)
-    grad = np.zeros_like(p)
-    grad[rows, labels] = -coeff / picked / p.shape[0]
-    return float(-(np.add.reduce(coeff * np.log(picked)) / p.shape[0])), grad
+    grad.fill(0.0)
+    grad[rows, labels] = -coeff / picked / n
+    return float(-(np.add.reduce(coeff * np.log(picked)) / n))
 
 
 def cross_entropy_loss_grads(preds, labels):
     """Plain mean negative log likelihood of the true labels: (value, d/d(preds))."""
     p = np.asarray(preds, dtype=float)
-    return _nll_grads(p, labels, np.ones(p.shape[1]))
+    labels = _labels(labels, p.shape[1], p.shape[0])
+    grad = np.empty_like(p)
+    return _nll(p, labels, np.ones(p.shape[1]), grad), grad
 
 
 def cross_entropy_loss(preds, labels) -> float:
     return cross_entropy_loss_grads(preds, labels)[0]
+
+
+def _class_coeff(p_source: Categorical, w: WeightVector | None) -> np.ndarray:
+    """The balanced classification loss's per-class factors 1 / (k * p_S(y)), times w_y when ``w`` is given."""
+    coeff = 1.0 / (p_source.k * p_source.probs)
+    return coeff if w is None else coeff * w.w
 
 
 def weighted_classification_loss_grads(preds, labels, p_source: Categorical, w: WeightVector | None = None):
@@ -110,33 +143,40 @@ def weighted_classification_loss_grads(preds, labels, p_source: Categorical, w: 
         raise ShapeMismatch(f"preds has shape {p.shape}, expected (n, {p_source.k})")
     if np.logical_or.reduce(p_source.probs == 0):
         raise InvalidValue("source label distribution has a zero entry")
-    coeff = 1.0 / (p_source.k * p_source.probs)
-    if w is not None:
-        coeff = coeff * w.w
-    return _nll_grads(p, labels, coeff)
+    labels = _labels(labels, p_source.k, p.shape[0])
+    grad = np.empty_like(p)
+    return _nll(p, labels, _class_coeff(p_source, w), grad), grad
 
 
 def weighted_classification_loss(preds, labels, p_source: Categorical, w: WeightVector | None = None) -> float:
     return weighted_classification_loss_grads(preds, labels, p_source, w)[0]
 
 
-def _pair_differences(feats_src, feats_tgt) -> tuple[int, np.ndarray]:
-    """The batch size s and the (4, s // 2, d) differences s_a - s_b, t_a - t_b, s_a - t_b, s_b - t_a.
-
-    Row pair i is a = 2i, b = 2i + 1 of each batch; the last row of an odd
-    batch is in no pair.
-    """
+def _feature_pair(feats_src, feats_tgt) -> tuple[np.ndarray, np.ndarray]:
+    """The two feature batches as float arrays, once they are (s, d) each with s >= 2."""
     fs = np.asarray(feats_src, dtype=float)
     ft = np.asarray(feats_tgt, dtype=float)
     if fs.ndim != 2 or ft.ndim != 2 or fs.shape[1] != ft.shape[1]:
         raise ShapeMismatch(f"feature shapes {fs.shape} and {ft.shape} are incompatible")
     if fs.shape[0] != ft.shape[0]:
         raise ShapeMismatch(f"paired batches of sizes {fs.shape[0]} and {ft.shape[0]}")
+    if fs.shape[0] < 2:
+        raise InvalidValue(f"the kernel loss pairs rows, so it needs at least 2 per batch, got {fs.shape[0]}")
+    return fs, ft
+
+
+def _pair_differences(fs: np.ndarray, ft: np.ndarray) -> np.ndarray:
+    """The (4, s // 2, d) differences s_a - s_b, t_a - t_b, s_a - t_b, s_b - t_a of two (s, d) batches.
+
+    Row pair i is a = 2i, b = 2i + 1 of each batch; the last row of an odd
+    batch is in no pair.
+    """
     s = fs.shape[0]
-    if s < 2:
-        raise InvalidValue(f"the kernel loss pairs rows, so it needs at least 2 per batch, got {s}")
     s_a, s_b, t_a, t_b = fs[0 : s - 1 : 2], fs[1::2], ft[0 : s - 1 : 2], ft[1::2]
-    return s, np.stack([s_a - s_b, t_a - t_b, s_a - t_b, s_b - t_a])
+    diff = np.empty((4, s // 2, fs.shape[1]))
+    for out, (a, b) in zip(diff, ((s_a, s_b), (t_a, t_b), (s_a, t_b), (s_b, t_a))):
+        np.subtract(a, b, out=out)
+    return diff
 
 
 def _median_bandwidths(sq: np.ndarray) -> list[float]:
@@ -153,7 +193,7 @@ def _median_bandwidths(sq: np.ndarray) -> list[float]:
 
 def median_heuristic_bandwidths(feats_src, feats_tgt) -> list[float]:
     """Median squared distance of the 4 * (s // 2) row pairs the kernel loss compares, times each of ``MMD_SCALES``."""
-    diff = _pair_differences(feats_src, feats_tgt)[1]
+    diff = _pair_differences(*_feature_pair(feats_src, feats_tgt))
     return _median_bandwidths(np.einsum("pmd,pmd->pm", diff, diff))
 
 
@@ -174,17 +214,29 @@ def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, b
     between the w-reweighted source batch and the target batch. Returns
     (value, d(loss)/d(feats_src), d(loss)/d(feats_tgt)).
     """
-    s, diff = _pair_differences(feats_src, feats_tgt)
+    fs, ft = _feature_pair(feats_src, feats_tgt)
+    s = fs.shape[0]
     ws = w.w[_labels(labels_src, len(w), s)]
-    sq = np.einsum("pmd,pmd->pm", diff, diff)
-    if bandwidths is None:
-        bandwidths = _median_bandwidths(sq)
-    else:
+    if bandwidths is not None:
         bandwidths = [float(bw) for bw in bandwidths]
         if not bandwidths:
             raise InvalidValue("bandwidths is empty")
         if not all(math.isfinite(bw) and bw > 0.0 for bw in bandwidths):
             raise InvalidValue(f"bandwidths must be finite and > 0, got {bandwidths}")
+    value, grad = _mmd(fs, ft, ws, bandwidths)
+    return value, grad[:s], grad[s:]
+
+
+def _mmd(fs: np.ndarray, ft: np.ndarray, ws: np.ndarray, bandwidths=None) -> tuple[float, np.ndarray]:
+    """The kernel loss of :func:`weighted_mmd_loss_grads` on two (s, d) batches and the source rows' weights ``ws``.
+
+    Returns the value and the stacked (2s, d) gradient, source rows first.
+    """
+    s = fs.shape[0]
+    diff = _pair_differences(fs, ft)
+    sq = np.einsum("pmd,pmd->pm", diff, diff)
+    if bandwidths is None:
+        bandwidths = _median_bandwidths(sq)
     m = s // 2
     w_a, w_b = ws[0 : s - 1 : 2], ws[1::2]
     coef = np.stack([w_a * w_b, np.ones(m), -w_a, -w_b])
@@ -192,13 +244,16 @@ def weighted_mmd_loss_grads(feats_src, labels_src, feats_tgt, w: WeightVector, b
     k_bw = np.exp(-sq / bw)  # one (4, m) kernel block per bandwidth, summed in bandwidth order
     kern = np.add.reduce(k_bw, axis=0)
     slope = np.add.reduce(k_bw / bw, axis=0)  # sum of k / bw: d/dx exp(-|x|^2 / bw) = -(2 / bw) x exp(-|x|^2 / bw)
-    grad = diff * ((2.0 / m) * coef * slope)[:, :, None]
-    g_src, g_tgt = np.zeros((2, s, diff.shape[2]))
-    g_src[0 : s - 1 : 2] = grad[0] + grad[2]
-    g_src[1::2] = grad[3] - grad[0]
-    g_tgt[0 : s - 1 : 2] = grad[1] - grad[3]
-    g_tgt[1::2] = -grad[1] - grad[2]
-    return -float(np.sum(coef * kern)) / m, g_src, g_tgt
+    grad = np.multiply(diff, ((2.0 / m) * coef * slope)[:, :, None], out=diff)
+    g = np.empty((2 * s, diff.shape[2]))
+    g_src, g_tgt = g[:s], g[s:]
+    np.add(grad[0], grad[2], out=g_src[0 : s - 1 : 2])
+    np.subtract(grad[3], grad[0], out=g_src[1::2])
+    np.subtract(grad[1], grad[3], out=g_tgt[0 : s - 1 : 2])
+    np.subtract(np.negative(grad[1], out=g_tgt[1::2]), grad[2], out=g_tgt[1::2])
+    if s % 2:
+        g_src[-1] = g_tgt[-1] = 0.0
+    return -float(np.sum(coef * kern)) / m, g
 
 
 def weighted_mmd_loss(feats_src, labels_src, feats_tgt, w: WeightVector, bandwidths) -> float:

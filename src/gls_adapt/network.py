@@ -34,6 +34,21 @@ BLOCK_ROWS = 256
 _HEADS = ("softmax", "sigmoid", "tanh")
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1, keepdims=True)``, with its bits.
+
+    Below 8 columns numpy adds a row's entries left to right, so one add per
+    column gives the same sums without its slow narrow-axis reduction; from 8
+    columns on it groups them differently, and the reduction stays.
+    """
+    if a.shape[1] >= 8:
+        return a.sum(axis=1, keepdims=True)
+    total = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total[:, None]
+
+
 class Mlp:
     """Dense net: out = head(W_L(...tanh(W_0 x + b_0)...) + b_L).
 
@@ -105,7 +120,7 @@ class Mlp:
             for j in range(1, pre.shape[1]):
                 top = np.maximum(top, pre[:, j])
             e = np.exp(pre - top[:, None])
-            return e / e.sum(axis=1, keepdims=True)
+            return e / _row_sums(e)
         if self.head == "sigmoid":
             out = 1.0 / (1.0 + np.exp(-pre))
             return np.minimum(np.maximum(out, SIGMOID_CLIP, out=out), 1.0 - SIGMOID_CLIP, out=out)
@@ -125,7 +140,7 @@ class Mlp:
         inputs = cache["inputs"]
         out = cache["out"]
         if self.head == "softmax":
-            inner = (grad_out * out).sum(axis=1, keepdims=True)
+            inner = _row_sums(grad_out * out)
             delta = out * (grad_out - inner)
         elif self.head == "sigmoid":
             delta = grad_out * out * (1.0 - out)

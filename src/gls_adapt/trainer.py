@@ -9,7 +9,9 @@ discriminator). A step makes one forward over the stacked batch
 discriminator output, and one backward, which yields all three nets'
 gradients (g's and h's alone under ``none``, which aligns nothing). The
 same forward's predictions, taken before the update, feed the soft
-confusion accumulator, so a step makes no other pass. At the end of every
+confusion accumulator, so a step makes no other pass. A step checks each
+of its arrays once, where the first consumer would check it, and then
+calls the losses' and the accumulator's kernels directly. At the end of every
 ``weight_update_period``-th epoch the constrained least-squares estimate
 from the accumulator is blended into the running weights with an
 exponential moving average; a new accumulator then starts, so one
@@ -30,8 +32,8 @@ import numpy as np
 
 from . import losses, network
 from .datagen import Dataset
-from .distributions import jsd
-from .errors import ConfigInvalid, InvalidValue, NonFiniteValue, ShapeMismatch
+from .distributions import check_rows, jsd
+from .errors import ConfigInvalid, GlsAdaptError, InvalidValue, NonFiniteValue, ShapeMismatch
 from .estimator import ConfusionAccumulator, WeightVector, ema_update, solve_qp, true_weights
 from .network import ModelState
 
@@ -204,8 +206,13 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
     s = config.batch_size
     # the adversarial losses read d's output on the stacked batch, jan's reads z
     discriminate = base in ("dann", "cdan")
-    align_loss = losses.weighted_mmd_loss_grads if kernel else losses.weighted_da_loss_grads
     acc = ConfusionAccumulator(k)
+    # a step's stacked batch [source; target] and the gradients whose shape
+    # the step fixes, overwritten every step; the classification loss reads
+    # the source rows only, so the target rows of its gradient stay zero
+    x = np.empty((2 * s, source.dim))
+    grad_preds = np.zeros((2 * s, k))
+    grad_d = np.empty((2 * s, 1))
     trace = TrainTrace()
     # evaluate writes the features the hook reads into buffers kept for the
     # whole run: fresh ones each epoch would be page-faulted in every time
@@ -220,32 +227,35 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
         # the weights change only at an epoch's end
         w_da = w_model if weighted and config.weight_da_loss else ones
         # the kernel variant also scales its classification loss by w
-        w_c = (p_source, w_model if kernel else None) if weighted and config.weight_c_loss else None
+        if weighted and config.weight_c_loss:
+            class_coeff = losses._class_coeff(p_source, w_model if kernel else None)
+        else:
+            class_coeff = np.ones(k)
         for batch in range(config.batches_per_epoch):
             idx_s = rng.integers(0, source.n, size=s)
             idx_t = rng.integers(0, target.n, size=s)
-            x = np.concatenate([source.features[idx_s], target.features[idx_t]])
+            np.take(source.features, idx_s, axis=0, out=x[:s])
+            np.take(target.features, idx_t, axis=0, out=x[s:])
             ys = source.labels[idx_s]
 
             out, cache = network.forward(state, x, discriminate)
             preds = cache["p"]
-            if w_c is None:
-                loss_c, grad_c = losses.cross_entropy_loss_grads(preds[:s], ys)
-            else:
-                loss_c, grad_c = losses.weighted_classification_loss_grads(preds[:s], ys, *w_c)
-            # the classification loss reads the source rows only
-            grad_preds = np.zeros_like(preds)
-            grad_preds[:s] = grad_c
+            losses._labels(ys, k, s)
+            loss_c = losses._nll(preds[:s], ys, class_coeff, grad_preds[:s])
             loss_da, grad_da = 0.0, None
-            if base is not None:
-                loss_da, g_src, g_tgt = align_loss(out[:s], ys, out[s:], w_da)
-                grad_da = np.concatenate([g_src, g_tgt]).reshape(out.shape)
+            if kernel:
+                loss_da, grad_da = losses._mmd(out[:s], out[s:], w_da.w[ys])
+            elif discriminate:
+                d = _check_halves(losses._check_discriminator, out, s, "d_src", "d_tgt")
+                loss_da = losses._da(d, w_da.w[ys], grad_d.reshape(-1))
+                grad_da = grad_d
             grads = network.backward(state, cache, grad_da, grad_preds, config.reversal_coeff)
             if not (math.isfinite(loss_da) and math.isfinite(loss_c)):
                 raise NonFiniteValue(
                     f"epoch {epoch} batch {batch}: loss_da={loss_da!r}, loss_c={loss_c!r}"
                 )
-            acc.accumulate(preds[:s], ys, preds[s:])
+            _check_halves(lambda a, name: check_rows(a, k, name), preds, s, "source_preds", "target_preds")
+            acc._accumulate(preds[:s], ys, preds[s:])
             network.sgd_step(state, grads, config.lr, config.momentum)
             loss_da_sum += loss_da
             loss_c_sum += loss_c
@@ -276,6 +286,20 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
         if epoch_hook is not None:
             epoch_hook(epoch, state, replace(record, feats_src=views[0], feats_tgt=views[1]))
     return state, trace
+
+
+def _check_halves(check, stacked: np.ndarray, s: int, src_name: str, tgt_name: str) -> np.ndarray:
+    """``check(stacked, name)`` over a step's stacked batch, source rows first, in one call.
+
+    When it fails, each half is checked in turn, so the error is the one a
+    check of that half alone raises and names it.
+    """
+    try:
+        return check(stacked, "the stacked batch")
+    except GlsAdaptError:
+        check(stacked[:s], src_name)
+        check(stacked[s:], tgt_name)
+        raise
 
 
 def make_bound_hook(source: Dataset, target: Dataset, sink: list):

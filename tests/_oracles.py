@@ -158,6 +158,27 @@ def accumulated_sums(batches, k):
     return c_hat, mu_hat
 
 
+def da_loss_grads_reference(d_src, ws, d_tgt, log_eps=1e-12):
+    """The adversarial loss and its two gradients as ``weighted_da_loss_grads`` computed them on its own
+    halves, before the loss became a kernel on the stacked output: ``ws`` holds the source rows' weights."""
+    s = d_src.size
+    src = np.maximum(d_src, log_eps)
+    tgt = np.maximum(1.0 - d_tgt, log_eps)
+    value = float(-(np.add.reduce(ws * np.log(src)) + np.add.reduce(np.log(tgt))) / s)
+    return value, -ws / src / s, 1.0 / tgt / s
+
+
+def nll_grads_reference(p, labels, class_coeff, log_eps=1e-12):
+    """Mean of -class_coeff[y] * log p[y] and its gradient, as the classification losses computed them
+    before the loss became a kernel that writes into a reused buffer."""
+    coeff = class_coeff[labels]
+    rows = np.arange(p.shape[0])
+    picked = np.maximum(p[rows, labels], log_eps)
+    grad = np.zeros_like(p)
+    grad[rows, labels] = -coeff / picked / p.shape[0]
+    return float(-(np.add.reduce(coeff * np.log(picked)) / p.shape[0])), grad
+
+
 def _kernel_sum(a, b, bandwidths):
     d2 = float(np.sum((a - b) ** 2))
     return sum(math.exp(-d2 / bw) for bw in bandwidths)

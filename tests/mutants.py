@@ -93,8 +93,8 @@ MUTANTS = [
     Mutant(
         "mmd-second-pair-member-sign-flipped",
         "losses.py",
-        "g_src[1::2] = grad[3] - grad[0]",
-        "g_src[1::2] = grad[3] + grad[0]",
+        "np.subtract(grad[3], grad[0], out=g_src[1::2])",
+        "np.add(grad[3], grad[0], out=g_src[1::2])",
         ("tests/test_losses.py",),
     ),
     Mutant(
@@ -117,6 +117,48 @@ MUTANTS = [
         "math.nan if math.isnan(part[-1]) else ",
         "",
         ("tests/test_losses.py",),
+    ),
+    Mutant(
+        "classification-gradient-buffer-not-cleared",
+        "losses.py",
+        "grad.fill(0.0)",
+        "pass",
+        ("tests/test_losses.py",),
+    ),
+    Mutant(
+        "step-label-check-dropped",
+        "trainer.py",
+        "losses._labels(ys, k, s)",
+        "pass",
+        ("tests/test_trainer.py",),
+    ),
+    Mutant(
+        "step-discriminator-check-dropped",
+        "trainer.py",
+        'd = _check_halves(losses._check_discriminator, out, s, "d_src", "d_tgt")',
+        "d = out.reshape(-1)",
+        ("tests/test_trainer.py",),
+    ),
+    Mutant(
+        "step-rows-check-dropped",
+        "trainer.py",
+        '_check_halves(lambda a, name: check_rows(a, k, name), preds, s, "source_preds", "target_preds")',
+        "pass",
+        ("tests/test_trainer.py",),
+    ),
+    Mutant(
+        "stacked-check-failure-names-no-half",
+        "trainer.py",
+        "check(stacked[:s], src_name)",
+        "pass",
+        ("tests/test_trainer.py",),
+    ),
+    Mutant(
+        "softmax-column-sum-threshold-moved",
+        "network.py",
+        "if a.shape[1] >= 8:",
+        "if a.shape[1] >= 9:",
+        ("tests/test_network.py",),
     ),
     Mutant(
         "row-negativity-check-dropped",

@@ -233,6 +233,18 @@ class TestSumsMatchTheReference:
         c_ref, mu_ref = accumulated_sums(batches, k)
         assert np.array_equal(acc.c_hat, c_ref) and np.array_equal(acc.mu_hat, mu_ref)
 
+    def test_kernel_equals_accumulate(self):
+        # the training step checks the stacked predictions itself and calls the kernel on its halves
+        rng = np.random.default_rng(11)
+        public, kernel = ConfusionAccumulator(3), ConfusionAccumulator(3)
+        for _ in range(3):
+            preds = _softmax(rng.standard_normal((256, 3)) * 2.0)
+            labels = rng.integers(0, 3, size=128)
+            assert public.accumulate(preds[:128], labels, preds[128:]) is public
+            assert kernel._accumulate(preds[:128], labels, preds[128:]) is kernel
+        assert np.array_equal(kernel.c_hat, public.c_hat) and np.array_equal(kernel.mu_hat, public.mu_hat)
+        assert (kernel.n_source, kernel.n_target) == (public.n_source, public.n_target) == (384, 384)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_fortran_ordered_input_agrees_within_rounding(self, seed):
         # the reference sums F-ordered columns pairwise, the accumulator row by row

@@ -18,11 +18,13 @@ from gls_adapt.losses import (
 from gls_adapt.network import outer_map
 
 from _oracles import (
+    da_loss_grads_reference,
     finite_difference_gradient,
     median_bandwidths_np,
     mmd_grads_bandwidth_loop,
     mmd_pair_loop,
     mmd_u_statistic,
+    nll_grads_reference,
     pair_median_bandwidths,
     rbf_kernel,
 )
@@ -317,6 +319,65 @@ class TestEqualsTheBandwidthLoop:
         assert got[0] == want[0]
         for a, b in zip(got[1:], want[1:]):
             assert np.array_equal(a, b)
+
+
+class TestKernelsEqualThePublicLosses:
+    """Each public loss is its checks and then one kernel. Called as the training step calls them,
+    on views of one stacked batch and with reused gradient buffers, the kernels give the public
+    losses' bits, and those equal the losses' earlier one-call-per-step arithmetic."""
+
+    S, D, K = 128, 32, 3
+
+    def batch(self, seed):
+        rng = np.random.default_rng(seed)
+        return rng, rng.integers(0, self.K, size=self.S), WeightVector(rng.uniform(0.2, 3.0, size=self.K))
+
+    def test_adversarial(self):
+        rng, ys, w = self.batch(0)
+        s = self.S
+        d = rng.uniform(0.01, 0.99, size=(2 * s, 1))
+        d[:3] = [[1e-13], [0.5], [1.0 - 1e-13]]  # the log clamp on both sides
+        d[s : s + 2] = [[1e-13], [1.0 - 1e-13]]
+        value, g_src, g_tgt = losses.weighted_da_loss_grads(d[:s], ys, d[s:], w)
+        grad = np.full((2 * s, 1), np.nan)  # a reused buffer: the kernel writes every entry
+        assert losses._da(d.reshape(-1), w.w[ys], grad.reshape(-1)) == value
+        assert np.array_equal(grad.reshape(-1), np.concatenate([g_src, g_tgt]))
+        want = da_loss_grads_reference(d[:s, 0], w.w[ys], d[s:, 0])
+        assert value == want[0] and np.array_equal(g_src, want[1]) and np.array_equal(g_tgt, want[2])
+
+    @pytest.mark.parametrize("weighting", ["plain", "balanced", "balanced-and-w"])
+    def test_classification(self, weighting):
+        rng, ys, w = self.batch(1)
+        s, k = self.S, self.K
+        preds = rng.dirichlet(np.ones(k), size=2 * s)
+        preds[0, ys[0]] = 0.0  # the log clamp
+        p_s = Categorical([0.6, 0.25, 0.15])
+        if weighting == "plain":
+            value, want_grad = losses.cross_entropy_loss_grads(preds[:s], ys)
+            coeff = np.ones(k)
+        else:
+            w_c = w if weighting == "balanced-and-w" else None
+            value, want_grad = losses.weighted_classification_loss_grads(preds[:s], ys, p_s, w_c)
+            coeff = losses._class_coeff(p_s, w_c)
+        grad = np.full((2 * s, k), np.nan)  # last step's gradient: the kernel clears what it does not set
+        grad[s:] = 0.0
+        assert losses._nll(preds[:s], ys, coeff, grad[:s]) == value
+        assert np.array_equal(grad[:s], want_grad) and not grad[s:].any()
+        ref_value, ref_grad = nll_grads_reference(preds[:s], ys, coeff)
+        assert value == ref_value and np.array_equal(want_grad, ref_grad)
+
+    @pytest.mark.parametrize("bandwidths", [None, [0.3, 1.1, 7.0]])
+    @pytest.mark.parametrize("s", [128, 127])
+    def test_kernel(self, s, bandwidths):
+        rng, ys, w = self.batch(s)
+        ys = ys[:s]
+        z = np.tanh(rng.normal(size=(2 * s, self.D)))
+        value, g_src, g_tgt = losses.weighted_mmd_loss_grads(z[:s], ys, z[s:], w, bandwidths)
+        got, grad = losses._mmd(z[:s], z[s:], w.w[ys], bandwidths)
+        assert got == value and grad.shape == (2 * s, self.D)
+        assert np.array_equal(grad, np.concatenate([g_src, g_tgt]))
+        want = mmd_grads_bandwidth_loop(z[:s], ys, z[s:], w.w, bandwidths)
+        assert value == want[0] and np.array_equal(g_src, want[1]) and np.array_equal(g_tgt, want[2])
 
 
 class TestTypedErrors:

@@ -106,6 +106,19 @@ class TestForward:
         assert np.allclose(got, [[3.0, 4.0, 0.0, 0.0]])
 
 
+class TestRowSums:
+    """The softmax's row sums, column by column below 8 columns, keep numpy's reduction's bits."""
+
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_equal_numpys_row_sums(self, k):
+        rng = np.random.default_rng(k)
+        # the head sums exponentials; its backward sums signed products
+        for a in (np.exp(rng.normal(scale=3.0, size=(256, k))), rng.normal(size=(256, k))):
+            got = network._row_sums(a)
+            assert got.shape == (256, 1)
+            assert np.array_equal(got, a.sum(axis=1, keepdims=True))
+
+
 class TestInfer:
     """The blocked full-data pass must give one unblocked forward's bits."""
 

@@ -9,7 +9,7 @@ import pytest
 
 from gls_adapt.cli import main
 from gls_adapt.datagen import Dataset, make_shift_task, write_dataset_csv
-from gls_adapt import losses, network, trainer
+from gls_adapt import estimator, losses, network, trainer
 from gls_adapt.estimator import ConfusionAccumulator
 from gls_adapt.errors import ConfigInvalid, InvalidValue, NonFiniteValue, ShapeMismatch
 from gls_adapt.network import init_model_state
@@ -319,15 +319,16 @@ class TestMmdFamily:
 
 class TestNonFiniteLoss:
     def test_error_names_epoch_and_batch(self, monkeypatch):
-        real = losses.cross_entropy_loss_grads
+        # the step calls the classification loss's kernel, not the public loss
+        real = losses._nll
         calls = []
 
-        def nan_on_eighth_call(preds, labels):
-            value, grad = real(preds, labels)
+        def nan_on_eighth_call(p, labels, class_coeff, grad):
+            value = real(p, labels, class_coeff, grad)
             calls.append(value)
-            return (float("nan") if len(calls) == 8 else value), grad
+            return float("nan") if len(calls) == 8 else value
 
-        monkeypatch.setattr(losses, "cross_entropy_loss_grads", nan_on_eighth_call)
+        monkeypatch.setattr(losses, "_nll", nan_on_eighth_call)
         with pytest.raises(NonFiniteValue, match="epoch 1 batch 2"):
             train(tiny_config(algorithm="dann", epochs=2, batches_per_epoch=5), *tiny_task())
 
@@ -347,6 +348,75 @@ class TestNonFiniteLoss:
         monkeypatch.setattr(network, "forward", nan_row_on_eighth_step)
         with pytest.raises(NonFiniteValue, match=r"^epoch 1 batch 2: loss_da=nan, loss_c="):
             train(tiny_config(algorithm="iwjan", epochs=2, batches_per_epoch=5), *tiny_task())
+
+
+class TestStepChecks:
+    """A step checks each batch array once, and a failing run still raises where and what it raised
+    when each consumer checked its own arrays: the discriminator check before the alignment loss,
+    the finiteness check of both losses, then the prediction rows, with the half at fault named."""
+
+    S = 32  # tiny_config's batch_size
+
+    @staticmethod
+    def poison_g_after(monkeypatch, steps):
+        """From the update of step ``steps`` on, g's parameters are NaN, as in a diverged run."""
+        real = network.sgd_step
+        done = []
+
+        def sgd_step(state, grads, lr, momentum):
+            real(state, grads, lr, momentum)
+            done.append(state.version)
+            if len(done) == steps:
+                state.g.params[:] = np.nan
+            return state
+
+        monkeypatch.setattr(network, "sgd_step", sgd_step)
+        return done
+
+    @pytest.mark.parametrize(
+        "algorithm, error, message",
+        [
+            ("iwdan", InvalidValue, r"d_src must lie strictly inside \(0, 1\)"),
+            ("iwcdan", InvalidValue, r"d_src must lie strictly inside \(0, 1\)"),
+            ("iwjan", NonFiniteValue, r"epoch 1 batch 2: loss_da=nan, loss_c=nan"),
+            ("none", NonFiniteValue, r"epoch 1 batch 2: loss_da=0\.0, loss_c=nan"),
+        ],
+    )
+    def test_a_diverging_run_fails_at_the_same_check(self, monkeypatch, algorithm, error, message):
+        done = self.poison_g_after(monkeypatch, 7)
+        with pytest.raises(error, match=f"^{message}$"):
+            train(tiny_config(algorithm=algorithm, epochs=2, batches_per_epoch=5), *tiny_task())
+        assert len(done) == 7  # the eighth step raised before its update
+
+    @pytest.mark.parametrize("half, name", [(0, "d_src"), (1, "d_tgt")])
+    def test_a_nan_discriminator_output_names_its_half(self, monkeypatch, half, name):
+        real = network.forward
+
+        def forward(state, x, discriminate=False):
+            out, cache = real(state, x, discriminate)
+            if discriminate:
+                out[half * self.S + 3] = np.nan
+            return out, cache
+
+        monkeypatch.setattr(network, "forward", forward)
+        with pytest.raises(InvalidValue, match=rf"^{name} must lie strictly inside \(0, 1\)$"):
+            train(tiny_config(algorithm="iwdan", epochs=1, batches_per_epoch=2), *tiny_task())
+
+    @pytest.mark.parametrize("algorithm", ["none", "iwdan"])
+    @pytest.mark.parametrize("half, name", [(0, "source_preds"), (1, "target_preds")])
+    def test_unnormalized_predictions_name_their_half(self, monkeypatch, algorithm, half, name):
+        # finite, so both losses pass, but one row sums to 2: the accumulator's row check fails
+        real = network.forward
+
+        def forward(state, x, discriminate=False):
+            out, cache = real(state, x, discriminate)
+            if len(x) == 2 * self.S:  # a training step's stacked batch; evaluate's blocks are longer
+                cache["p"][half * self.S + 5] *= 2.0
+            return out, cache
+
+        monkeypatch.setattr(network, "forward", forward)
+        with pytest.raises(ShapeMismatch, match=rf"^{name} rows must be finite and sum to 1 within 1e-06$"):
+            train(tiny_config(algorithm=algorithm, epochs=1, batches_per_epoch=2), *tiny_task())
 
 
 class TestTraceCsv:
@@ -546,9 +616,10 @@ class TestStepPasses:
 
         passes = PassCounter(monkeypatch)
         monkeypatch.setattr(network, "backward", counting("backward", network.backward))
-        monkeypatch.setattr(losses, "weighted_mmd_loss_grads", counting("mmd", losses.weighted_mmd_loss_grads))
+        # the step calls the alignment losses' kernels; the public losses only check and call them
+        monkeypatch.setattr(losses, "_mmd", counting("mmd", losses._mmd))
         monkeypatch.setattr(losses, "median_heuristic_bandwidths", counting("mmd", losses.median_heuristic_bandwidths))
-        monkeypatch.setattr(losses, "weighted_da_loss_grads", counting("adv", losses.weighted_da_loss_grads))
+        monkeypatch.setattr(losses, "_da", counting("adv", losses._da))
         epochs = 2
         cfg = tiny_config(algorithm=algorithm, epochs=epochs, batches_per_epoch=3)
         train(cfg, src, tgt)
@@ -561,20 +632,47 @@ class TestStepPasses:
         assert counts["adv"] == (steps if algorithm in ("dann", "iwdan", "iwcdan") else 0)
         assert passes.full_data_counts() == {"evaluate": 2 * epochs, "evaluate_rows": epochs * (src.n + tgt.n)}
 
+    @pytest.mark.parametrize("algorithm", ["none", "dann", "iwdan", "iwcdan", "iwjan"])
+    def test_each_batch_array_is_checked_once_per_step(self, monkeypatch, algorithm):
+        # one label check of the s labels, one discriminator check of d's stacked output
+        # and one row check of the stacked predictions, counted by the arrays they see
+        src, tgt = tiny_task()
+        seen = Counter()
+
+        def recording(kind, fn):
+            def wrapped(arr, *args):
+                seen[kind, np.shape(arr)] += 1
+                return fn(arr, *args)
+
+            return wrapped
+
+        for module in (losses, estimator):
+            monkeypatch.setattr(module, "check_labels", recording("labels", module.check_labels))
+        for module in (trainer, estimator):
+            monkeypatch.setattr(module, "check_rows", recording("rows", module.check_rows))
+        monkeypatch.setattr(losses, "_check_discriminator", recording("d", losses._check_discriminator))
+        cfg = tiny_config(algorithm=algorithm, epochs=2, batches_per_epoch=3)
+        train(cfg, src, tgt)
+        steps, s = 2 * 3, cfg.batch_size
+        want = {("labels", (s,)): steps, ("rows", (2 * s, src.k)): steps}
+        if algorithm in ("dann", "iwdan", "iwcdan"):
+            want["d", (2 * s, 1)] = steps
+        assert dict(seen) == want
+
     def test_kernel_bandwidths_are_the_median_heuristic(self, monkeypatch):
         src, tgt = tiny_task()
-        real_loss, real_median = losses.weighted_mmd_loss_grads, losses._median_bandwidths
+        real_loss, real_median = losses._mmd, losses._median_bandwidths
         feats, used = [], []
 
-        def loss(feats_src, labels_src, feats_tgt, w, bandwidths=None):
-            feats.append((feats_src.copy(), feats_tgt.copy()))
-            return real_loss(feats_src, labels_src, feats_tgt, w, bandwidths)
+        def loss(fs, ft, ws, bandwidths=None):
+            feats.append((fs.copy(), ft.copy()))
+            return real_loss(fs, ft, ws, bandwidths)
 
         def median(sq):
             used.append(real_median(sq))
             return used[-1]
 
-        monkeypatch.setattr(losses, "weighted_mmd_loss_grads", loss)
+        monkeypatch.setattr(losses, "_mmd", loss)
         monkeypatch.setattr(losses, "_median_bandwidths", median)
         train(tiny_config(algorithm="iwjan", epochs=1, batches_per_epoch=4), src, tgt)
         monkeypatch.undo()
@@ -590,7 +688,7 @@ class TestConfusionAccumulation:
     def test_reads_each_steps_pre_update_predictions(self, monkeypatch, algorithm):
         src, tgt = tiny_task()
         real_backward = network.backward
-        real_accumulate, real_finalize = ConfusionAccumulator.accumulate, ConfusionAccumulator.finalize
+        real_accumulate, real_finalize = ConfusionAccumulator._accumulate, ConfusionAccumulator.finalize
         step_preds, accumulated, finalized = [], [], []
 
         def backward(state, cache, *args):
@@ -607,7 +705,8 @@ class TestConfusionAccumulation:
             return real_finalize(self)
 
         monkeypatch.setattr(network, "backward", backward)
-        monkeypatch.setattr(ConfusionAccumulator, "accumulate", accumulate)
+        # the step checks its predictions itself and calls the accumulator's kernel
+        monkeypatch.setattr(ConfusionAccumulator, "_accumulate", accumulate)
         monkeypatch.setattr(ConfusionAccumulator, "finalize", finalize)
         cfg = tiny_config(algorithm=algorithm, epochs=4, batches_per_epoch=3, weight_update_period=2)
         train(cfg, src, tgt)
