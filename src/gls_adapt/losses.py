@@ -1,7 +1,8 @@
 """Adversarial, classification and kernel-discrepancy losses.
 
-Every loss takes raw model outputs; the two alignment losses share the
-argument order ``(out_src, labels_src, out_tgt, w)``. Each ``*_grads``
+Every loss takes raw model outputs (d's logits, the predictions or the
+features); the two alignment losses share the argument order
+``(out_src, labels_src, out_tgt, w)``. Each ``*_grads``
 function returns ``(value, grad...)``: the batch value and its derivative
 with respect to those outputs, so the caller can route it through
 backpropagation. The plain-named function returns the value alone. With all-ones weights each
@@ -9,8 +10,8 @@ weighted loss reduces exactly to its unweighted base version.
 
 Each ``*_grads`` function checks its inputs and then calls one private
 kernel, the loss's only arithmetic, which takes validated arrays with the
-source rows and the target rows stacked. The training step checks each of
-its arrays once and calls the kernels directly.
+source rows and the target rows stacked. The training step calls the
+kernels directly and checks their results once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import numpy as np
 
 from .distributions import Categorical, check_labels
-from .errors import InvalidValue, ShapeMismatch
+from .errors import InvalidValue, NonFiniteValue, ShapeMismatch
 from .estimator import WeightVector
 
 __all__ = [
@@ -41,8 +42,8 @@ MMD_SCALES = (0.5, 1.0, 2.0)
 
 def _check_discriminator(out, name: str) -> np.ndarray:
     arr = np.asarray(out, dtype=float).reshape(-1)
-    if not np.logical_and.reduce((arr > 0.0) & (arr < 1.0)):  # NaN fails both comparisons
-        raise InvalidValue(f"{name} must lie strictly inside (0, 1)")
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue(f"{name} must be finite logits")
     return arr
 
 
@@ -57,12 +58,13 @@ def _labels(labels, k: int, rows: int) -> np.ndarray:
 
 
 def weighted_da_loss_grads(d_src, labels_src, d_tgt, w: WeightVector):
-    """Importance-weighted discriminator loss on a paired batch.
+    """Importance-weighted logistic loss on a paired batch of d's logits a, each finite.
 
-    -(1/s) * sum_i [ w_{y_i} * log d(src_i) + log(1 - d(tgt_i)) ]
+    (1/s) * sum_i [ w_{y_i} * softplus(-a(src_i)) + softplus(a(tgt_i)) ]
 
-    The discriminator is trained to drive this down (source toward 1,
-    target toward 0); the feature extractor is trained to drive it up.
+    is DANN's -(1/s) sum_i [w_{y_i} log sigma(a(src_i)) + log(1 - sigma(a(tgt_i)))]
+    (Ganin et al. 2016, arXiv 1505.07818), finite for every finite logit. d
+    is trained to drive it down; the feature extractor to drive it up.
     Returns (value, d(loss)/d(d_src), d(loss)/d(d_tgt)).
     """
     ds = _check_discriminator(d_src, "d_src")
@@ -76,19 +78,19 @@ def weighted_da_loss_grads(d_src, labels_src, d_tgt, w: WeightVector):
     return value, grad[:s], grad[s:]
 
 
-def _da(d: np.ndarray, ws: np.ndarray, grad: np.ndarray) -> float:
-    """The adversarial loss of :func:`weighted_da_loss_grads` on the stacked (2s,) output d, source rows first.
+def _da(a: np.ndarray, ws: np.ndarray, grad: np.ndarray) -> float:
+    """The adversarial loss of :func:`weighted_da_loss_grads` on the stacked (2s,) logits a, source rows first.
 
-    ``ws`` holds the s source rows' weights. Writes d(loss)/d(d) into
-    ``grad``, a (2s,) array, and returns the value.
+    ``ws`` holds the s source rows' weights. Writes d(loss)/d(a), w_y (sigma(a) - 1) / s on the
+    source rows and sigma(a) / s on the target rows, into ``grad``, a (2s,) array; returns the value.
     """
     s = ws.size
-    src = np.maximum(d[:s], LOG_EPS)
-    tgt = np.subtract(1.0, d[s:])
-    np.maximum(tgt, LOG_EPS, out=tgt)
-    value = float(-(np.add.reduce(ws * np.log(src)) + np.add.reduce(np.log(tgt))) / s)
-    np.divide(np.negative(ws), src, out=grad[:s])
-    np.divide(1.0, tgt, out=grad[s:])
+    with np.errstate(invalid="ignore"):  # a NaN logit gives a NaN value, which the training step reports
+        sp_neg = np.logaddexp(0.0, -a)  # softplus(-a) = -log sigma(a)
+        value = float((np.add.reduce(ws * sp_neg[:s]) + np.add.reduce(np.logaddexp(0.0, a[s:]))) / s)
+    sigma = np.exp(np.negative(sp_neg, out=sp_neg), out=sp_neg)  # exp(-softplus(-a)) cannot overflow
+    np.multiply(ws, sigma[:s] - 1.0, out=grad[:s])
+    grad[s:] = sigma[s:]
     grad /= s
     return value
 

@@ -1,8 +1,8 @@
 """Small dense networks with hand-written backpropagation and momentum SGD.
 
 Three nets make up a model: a feature extractor g, a softmax classifier h
-on top of g, and a sigmoid discriminator d that reads either the feature
-vector or the prediction/feature outer product.
+on top of g, and a discriminator d whose linear head outputs a logit and
+which reads either the feature vector or the prediction/feature outer product.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ __all__ = [
     "sgd_step",
 ]
 
-SIGMOID_CLIP = 1e-12
 # Rows per forward in a full-data pass. One block's temporaries are small
 # enough to be reused from the heap instead of mapped fresh on every pass;
 # 128, 256, 512 and 1,024 rows trained within the run-to-run noise (~15%).
 BLOCK_ROWS = 256
 
-_HEADS = ("softmax", "sigmoid", "tanh")
+_HEADS = ("softmax", "linear", "tanh")
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -121,10 +120,7 @@ class Mlp:
                 top = np.maximum(top, pre[:, j])
             e = np.exp(pre - top[:, None])
             return e / _row_sums(e)
-        if self.head == "sigmoid":
-            out = 1.0 / (1.0 + np.exp(-pre))
-            return np.minimum(np.maximum(out, SIGMOID_CLIP, out=out), 1.0 - SIGMOID_CLIP, out=out)
-        return np.tanh(pre)
+        return pre if self.head == "linear" else np.tanh(pre)
 
     def backward(self, cache, grad_out: np.ndarray):
         """Backpropagate dL/d(output); return (dL/d(params), dL/d(input)).
@@ -142,10 +138,8 @@ class Mlp:
         if self.head == "softmax":
             inner = _row_sums(grad_out * out)
             delta = out * (grad_out - inner)
-        elif self.head == "sigmoid":
-            delta = grad_out * out * (1.0 - out)
         else:
-            delta = grad_out * (1.0 - out * out)
+            delta = grad_out if self.head == "linear" else grad_out * (1.0 - out * out)
         if grad is not None:
             grad_w, grad_b = self._layers(grad)
         for i in range(len(self.weights) - 1, -1, -1):
@@ -212,7 +206,7 @@ def init_model_state(
     g = Mlp([input_dim, *g_hidden, feature_dim], head="tanh", rng=rng)
     h = Mlp([feature_dim, k], head="softmax", rng=rng)
     d_in = feature_dim * k if conditional else feature_dim
-    d = Mlp([d_in, *d_hidden, 1], head="sigmoid", rng=rng)
+    d = Mlp([d_in, *d_hidden, 1], head="linear", rng=rng)
     return ModelState(g=g, h=h, d=d)
 
 
@@ -227,10 +221,10 @@ def forward(state: ModelState, x: np.ndarray, discriminate: bool = False):
     """Run the composed model; return (what an alignment loss reads, cache).
 
     Without ``discriminate`` that is the features z = g(x). With it, that is
-    sigmoid d(z), or sigmoid d(p (x) z) when d is sized for the outer
-    product, where p = softmax h(z). The cache feeds :func:`backward`. It
-    always holds z and p, so one pass feeds both losses of a training step,
-    and it holds d's layer inputs under "d" only when d ran.
+    d's logit d(z), or d(p (x) z) when d is sized for the outer product,
+    where p = softmax h(z). The cache feeds :func:`backward`. It always
+    holds z and p, so one pass feeds both losses of a training step, and it
+    holds d's layer inputs under "d" only when d ran.
     """
     z, cg = state.g.forward(np.asarray(x, dtype=float))
     p, ch = state.h.forward(z)
@@ -279,7 +273,7 @@ def backward(
 
     The cache must come from a forward pass against the current parameters.
     ``grad_out`` is the alignment loss's gradient in the forward's output:
-    in d's output if the cache holds "d", else in z. When d reads the outer
+    in d's logit if the cache holds "d", else in z. When d reads the outer
     product, the feature gradient includes both the direct path and the
     chain through the classifier. ``grad_preds`` is the classification
     loss's gradient in the cached predictions p. Either may be None, but

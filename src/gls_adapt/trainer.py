@@ -9,9 +9,9 @@ discriminator). A step makes one forward over the stacked batch
 discriminator output, and one backward, which yields all three nets'
 gradients (g's and h's alone under ``none``, which aligns nothing). The
 same forward's predictions, taken before the update, feed the soft
-confusion accumulator, so a step makes no other pass. A step checks each
-of its arrays once, where the first consumer would check it, and then
-calls the losses' and the accumulator's kernels directly. At the end of every
+confusion accumulator, so a step makes no other pass. A step calls the
+losses' and the accumulator's kernels directly, then makes one check,
+:func:`_check_step`, whose failures name the epoch and batch. At the end of every
 ``weight_update_period``-th epoch the constrained least-squares estimate
 from the accumulator is blended into the running weights with an
 exponential moving average; a new accumulator then starts, so one
@@ -32,8 +32,8 @@ import numpy as np
 
 from . import losses, network
 from .datagen import Dataset
-from .distributions import check_rows, jsd
-from .errors import ConfigInvalid, GlsAdaptError, InvalidValue, NonFiniteValue, ShapeMismatch
+from .distributions import jsd
+from .errors import ConfigInvalid, InvalidValue, NonFiniteValue, ShapeMismatch
 from .estimator import ConfusionAccumulator, WeightVector, ema_update, solve_qp, true_weights
 from .network import ModelState
 
@@ -66,6 +66,9 @@ ALGORITHMS = {
     "iwjan": ("jan", "estimated"),
     "iwjan_o": ("jan", "oracle"),
 }
+
+# every |logit| of a saturated d's batch exceeds -log(LOG_EPS) ~ 27.63, where sigmoid(-|a|) < LOG_EPS
+SATURATED_LOGIT = -math.log(losses.LOG_EPS)
 
 
 @dataclass(frozen=True)
@@ -240,21 +243,15 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
 
             out, cache = network.forward(state, x, discriminate)
             preds = cache["p"]
-            losses._labels(ys, k, s)
             loss_c = losses._nll(preds[:s], ys, class_coeff, grad_preds[:s])
             loss_da, grad_da = 0.0, None
             if kernel:
                 loss_da, grad_da = losses._mmd(out[:s], out[s:], w_da.w[ys])
             elif discriminate:
-                d = _check_halves(losses._check_discriminator, out, s, "d_src", "d_tgt")
-                loss_da = losses._da(d, w_da.w[ys], grad_d.reshape(-1))
+                loss_da = losses._da(out.reshape(-1), w_da.w[ys], grad_d.reshape(-1))
                 grad_da = grad_d
             grads = network.backward(state, cache, grad_da, grad_preds, config.reversal_coeff)
-            if not (math.isfinite(loss_da) and math.isfinite(loss_c)):
-                raise NonFiniteValue(
-                    f"epoch {epoch} batch {batch}: loss_da={loss_da!r}, loss_c={loss_c!r}"
-                )
-            _check_halves(lambda a, name: check_rows(a, k, name), preds, s, "source_preds", "target_preds")
+            _check_step(epoch, batch, loss_da, loss_c, preds, out if discriminate else None)
             acc._accumulate(preds[:s], ys, preds[s:])
             network.sgd_step(state, grads, config.lr, config.momentum)
             loss_da_sum += loss_da
@@ -288,18 +285,21 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
     return state, trace
 
 
-def _check_halves(check, stacked: np.ndarray, s: int, src_name: str, tgt_name: str) -> np.ndarray:
-    """``check(stacked, name)`` over a step's stacked batch, source rows first, in one call.
+def _check_step(epoch: int, batch: int, loss_da: float, loss_c: float, preds: np.ndarray, logits) -> None:
+    """A training step's one check, after its backward; each failure names the epoch and batch.
 
-    When it fails, each half is checked in turn, so the error is the one a
-    check of that half alone raises and names it.
+    Both losses and every prediction must be finite (no loss reads the target
+    predictions under ``none``; a finite softmax row is a probability row),
+    and d's stacked ``logits``, None if d did not run, must not be saturated.
     """
-    try:
-        return check(stacked, "the stacked batch")
-    except GlsAdaptError:
-        check(stacked[:s], src_name)
-        check(stacked[s:], tgt_name)
-        raise
+    where = f"epoch {epoch} batch {batch}"
+    if not (math.isfinite(loss_da) and math.isfinite(loss_c)):
+        raise NonFiniteValue(f"{where}: loss_da={loss_da!r}, loss_c={loss_c!r}")
+    if not np.isfinite(preds).all():
+        raise NonFiniteValue(f"{where}: the predictions are not finite")
+    low = 0.0 if logits is None else float(np.abs(logits).min())
+    if low > SATURATED_LOGIT:
+        raise InvalidValue(f"{where}: the discriminator is saturated, min |logit| {low:.4g} > {SATURATED_LOGIT:.4g}")
 
 
 def make_bound_hook(source: Dataset, target: Dataset, sink: list):

@@ -159,13 +159,24 @@ def accumulated_sums(batches, k):
 
 
 def da_loss_grads_reference(d_src, ws, d_tgt, log_eps=1e-12):
-    """The adversarial loss and its two gradients as ``weighted_da_loss_grads`` computed them on its own
-    halves, before the loss became a kernel on the stacked output: ``ws`` holds the source rows' weights."""
+    """The adversarial loss and its two gradients in the discriminator's probabilities d = sigmoid(a).
+
+    This is the probability formula ``weighted_da_loss_grads`` used before
+    it took logits, with its log floor ``log_eps``: the value
+    -(1/s) sum [ws log d_src + log(1 - d_tgt)] and its gradients in d_src
+    and d_tgt. ``ws`` holds the source rows' weights. Multiply a gradient by
+    d (1 - d) to compare it with one in the logits.
+    """
     s = d_src.size
     src = np.maximum(d_src, log_eps)
     tgt = np.maximum(1.0 - d_tgt, log_eps)
     value = float(-(np.add.reduce(ws * np.log(src)) + np.add.reduce(np.log(tgt))) / s)
     return value, -ws / src / s, 1.0 / tgt / s
+
+
+def logit(d):
+    """The a with sigmoid(a) = d, to a few ulps: for d >= 1/2, 1 - d is exact, so log1p(-d) is log(1 - d)."""
+    return np.log(d) - np.log1p(-d)
 
 
 def nll_grads_reference(p, labels, class_coeff, log_eps=1e-12):
@@ -317,8 +328,8 @@ def mlp_head(head, pre):
         shifted = pre - pre.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=1, keepdims=True)
-    if head == "sigmoid":
-        return np.clip(1.0 / (1.0 + np.exp(-pre)), 1e-12, 1.0 - 1e-12)
+    if head == "linear":
+        return pre
     return np.tanh(pre)
 
 
@@ -328,8 +339,8 @@ def mlp_backward_per_layer(net, cache, grad_out):
     if net.head == "softmax":
         inner = (grad_out * out).sum(axis=1, keepdims=True)
         delta = out * (grad_out - inner)
-    elif net.head == "sigmoid":
-        delta = grad_out * out * (1.0 - out)
+    elif net.head == "linear":
+        delta = grad_out
     else:
         delta = grad_out * (1.0 - out * out)
     grads = [None] * len(net.weights)

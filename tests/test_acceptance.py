@@ -24,6 +24,7 @@ from _oracles import (
     check_discriminator_optimum,
     finite_difference_gradient,
     flatten_net_params,
+    logit,
     qp_grid_oracle,
     qp_objective,
     random_categorical,
@@ -359,15 +360,16 @@ def test_criterion_8_base_version_collapse():
         dt = rng.uniform(0.02, 0.98, size=s)
         ys = rng.integers(0, k, size=s)
         base_dann = float(-(np.sum(np.log(ds)) + np.sum(np.log(1.0 - dt))) / s)
-        worst = max(worst, abs(losses.weighted_da_loss(ds, ys, dt, ones) - base_dann))
+        worst = max(worst, abs(losses.weighted_da_loss(logit(ds), ys, logit(dt), ones) - base_dann))
 
         feats = rng.normal(size=(s, 3))
         preds = rng.dirichlet(np.ones(k), size=s)
         u = network.outer_map(preds, feats)
-        d_of_u = 1.0 / (1.0 + np.exp(-u.sum(axis=1)))  # stand-in discriminator
+        a_of_u = u.sum(axis=1)  # stand-in discriminator's logit
+        d_of_u = 1.0 / (1.0 + np.exp(-a_of_u))
         base_cdan = float(-(np.sum(np.log(d_of_u)) + np.sum(np.log(1.0 - d_of_u))) / s)
         worst = max(
-            worst, abs(losses.weighted_da_loss(d_of_u, ys, d_of_u, ones) - base_cdan)
+            worst, abs(losses.weighted_da_loss(a_of_u, ys, a_of_u, ones) - base_cdan)
         )
 
         ft = rng.normal(size=(s, 3))

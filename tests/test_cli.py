@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import fields
 
@@ -223,6 +224,16 @@ class TestTrain:
         rc = run(["train", flag, value, "--epochs", 1, "--n", 200, "--out", tmp_path / "x"])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_collapsing_run_is_one_line_error_naming_its_epoch_and_batch(self, tmp_path, capsys):
+        # the step size drives d to saturation; the warnings filter turns any warning on the way into a failure
+        argv = ["train", "--lr", 50, "--reversal-coeff", 1e5, "--momentum", 0.99, "--epochs", 2]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run([*argv, "--algorithms", "iwdan", "--out", tmp_path / "x"])
+        assert rc == 1 and not caught
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(r"error: epoch \d+ batch \d+: [^\n]+\n", err)
 
     def test_unknown_algorithm_fails_before_any_run(self, tmp_path, capsys):
         out = tmp_path / "x"

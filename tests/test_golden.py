@@ -4,12 +4,19 @@ The fixtures under ``tests/golden/`` pin the full-precision CSVs of small
 runs: `train --bounds` over every algorithm, `estimate-weights` on fixed
 prediction files, and `generate`. A refactor that claims "same behaviour" must
 leave them unchanged. A mismatching CSV fails with the largest absolute
-change in each of its columns. Regenerate the fixtures with
+change in each of its columns, and with the environment the fixtures were
+recorded in next to the running one. Regenerate the fixtures with
 ``PYTHONPATH=src python tests/test_golden.py`` only for a change whose
 new outputs are intended and stated; it rewrites the fixtures that
-changed and prints those changes.
+changed, prints those changes and records the environment in
+``ENVIRONMENT.txt``.
+
+The bits belong to that environment: OpenBLAS picks its gemm kernels by
+CPU core, and numpy its ufunc loops by SIMD target, and both change the
+rounding.
 """
 
+import ctypes
 import shutil
 import tempfile
 from pathlib import Path
@@ -21,6 +28,7 @@ from gls_adapt.cli import main
 from gls_adapt.trainer import ALGORITHMS
 
 GOLDEN = Path(__file__).parent / "golden"
+ENVIRONMENT = GOLDEN / "ENVIRONMENT.txt"
 SEED = 0
 DOMAIN = [
     "--seed", str(SEED),
@@ -71,10 +79,36 @@ def column_changes(got: bytes, want: bytes) -> str:
     return "max |change| per column: " + ", ".join(parts)
 
 
+def environment() -> str:
+    """numpy's version, OpenBLAS's version and core, and numpy's enabled AVX-512 targets, as one line."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = "unknown"
+    # the OpenBLAS that numpy's wheel vendors names the core it picked at load time
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    avx512 = [t for t in __cpu_dispatch__ if __cpu_features__.get(t) and (t == "X86_V4" or t.startswith("AVX512"))]
+    return (
+        f"numpy {np.__version__}; {blas.get('name')} {blas.get('version')} core {core}; "
+        f"AVX-512 targets: {' '.join(avx512) or 'none'}"
+    )
+
+
 def assert_same_bytes(got: Path, want: Path) -> None:
     a, b = got.read_bytes(), want.read_bytes()
     if a != b:
-        pytest.fail(f"{want.relative_to(GOLDEN)} differs; {column_changes(a, b)}", pytrace=False)
+        recorded = ENVIRONMENT.read_text().strip() if ENVIRONMENT.exists() else "not recorded"
+        pytest.fail(
+            f"{want.relative_to(GOLDEN)} differs; {column_changes(a, b)}\n"
+            f"  recorded in: {recorded}\n  running in:  {environment()}",
+            pytrace=False,
+        )
 
 
 def _run(out: Path) -> None:
@@ -140,6 +174,16 @@ def test_command_matches_golden(command_dir, name):
     assert_same_bytes(command_dir / name, GOLDEN / name)
 
 
+def test_a_mismatch_names_the_recorded_and_the_running_environment(tmp_path):
+    got = tmp_path / "summary.raw.csv"
+    got.write_bytes(b"algorithm\n")
+    with pytest.raises(pytest.fail.Exception) as info:
+        assert_same_bytes(got, GOLDEN / "summary.raw.csv")
+    lines = str(info.value).splitlines()
+    assert lines[1:] == [f"  recorded in: {ENVIRONMENT.read_text().strip()}", f"  running in:  {environment()}"]
+    assert lines[2].startswith("  running in:  numpy ")
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         _run(Path(tmp))
@@ -155,3 +199,4 @@ if __name__ == "__main__":
             else:
                 print(f"{name}: new")
             shutil.copyfile(new, old)
+    ENVIRONMENT.write_text(environment() + "\n", encoding="ascii")

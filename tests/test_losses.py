@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gls_adapt import losses
 from gls_adapt.distributions import Categorical
-from gls_adapt.errors import InvalidValue, ShapeMismatch
+from gls_adapt.errors import InvalidValue, NonFiniteValue, ShapeMismatch
 from gls_adapt.estimator import WeightVector
 from gls_adapt.losses import (
     cross_entropy_loss,
@@ -20,6 +23,7 @@ from gls_adapt.network import outer_map
 from _oracles import (
     da_loss_grads_reference,
     finite_difference_gradient,
+    logit,
     median_bandwidths_np,
     mmd_grads_bandwidth_loop,
     mmd_pair_loop,
@@ -36,19 +40,26 @@ def ones_w(k):
     return WeightVector(np.ones(k))
 
 
+# sigmoid(-20): probabilities in [SIGMOID_20, 1 - SIGMOID_20] have logits in [-20, 20]
+SIGMOID_20 = 1.0 / (1.0 + math.exp(20.0))
+
+
 class TestWeightedDaLoss:
+    """The adversarial loss reads d's logits; d = sigmoid(a) is the probability that a row is a source row."""
+
     def test_constant_half_outputs(self):
+        # logit 0 is probability 1/2
         n = 8
-        d = np.full(n, 0.5)
+        a = np.zeros(n)
         labels = np.zeros(n, dtype=int)
-        assert weighted_da_loss(d, labels, d, ones_w(2)) == pytest.approx(2 * LN2, abs=1e-12)
+        assert weighted_da_loss(a, labels, a, ones_w(2)) == pytest.approx(2 * LN2, abs=1e-12)
 
     def test_single_sample_weight_two(self):
-        val = weighted_da_loss([0.5], [1], [0.5], WeightVector(np.array([1.0, 2.0])))
+        val = weighted_da_loss([0.0], [1], [0.0], WeightVector(np.array([1.0, 2.0])))
         assert val == pytest.approx(3 * LN2, abs=1e-12)
 
     def test_equals_base_formula_with_unit_weights(self):
-        # independent evaluation of the unweighted adversarial loss
+        # independent evaluation of the unweighted adversarial loss in the probabilities
         rng = np.random.default_rng(0)
         for _ in range(25):
             n = int(rng.integers(1, 30))
@@ -56,19 +67,63 @@ class TestWeightedDaLoss:
             dt = rng.uniform(0.01, 0.99, size=n)
             labels = rng.integers(0, 3, size=n)
             base = -(np.sum(np.log(ds)) + np.sum(np.log(1 - dt))) / n
-            got = weighted_da_loss(ds, labels, dt, ones_w(3))
+            got = weighted_da_loss(logit(ds), labels, logit(dt), ones_w(3))
             assert abs(got - base) <= 1e-12
 
     def test_rejects_out_of_range(self):
-        for bad in (0.0, 1.0, np.nan, np.inf, -np.inf):
-            with pytest.raises(InvalidValue, match=r"d_src must lie strictly inside \(0, 1\)"):
+        # every finite logit is in range
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteValue, match=r"^d_src must be finite logits$"):
                 weighted_da_loss([0.5, bad], [0, 1], [0.5, 0.5], ones_w(2))
-            with pytest.raises(InvalidValue, match=r"d_tgt must lie strictly inside \(0, 1\)"):
+            with pytest.raises(NonFiniteValue, match=r"^d_tgt must be finite logits$"):
                 weighted_da_loss([0.5, 0.5], [0, 1], [bad, 0.5], ones_w(2))
 
     def test_batch_size_mismatch(self):
         with pytest.raises(ShapeMismatch, match="paired batches of sizes 2 and 1"):
             weighted_da_loss([0.5, 0.5], [0, 1], [0.5], ones_w(2))
+
+
+class TestDaLossOnLogits:
+    """The softplus form agrees with the probability formula it replaced and never overflows."""
+
+    @staticmethod
+    def loss(a, ws):
+        s = ws.size
+        return losses.weighted_da_loss_grads(a[:s], np.arange(s), a[s:], WeightVector(np.append(ws, 1.0)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_the_probability_formula(self, data):
+        # the probabilities of logits in [-20, 20], far above the probability formula's log floor
+        s = data.draw(st.integers(1, 16))
+        d = data.draw(arrays(float, 2 * s, elements=st.floats(SIGMOID_20, 1.0 - SIGMOID_20)))
+        ws = data.draw(arrays(float, s, elements=st.floats(0.0, 10.0)))
+        value, g_src, g_tgt = self.loss(logit(d), ws)
+        want, want_src, want_tgt = da_loss_grads_reference(d[:s], ws, d[s:])
+        slope = d * (1.0 - d)  # d sigmoid(a) / da
+        assert abs(value - want) <= 1e-12
+        assert np.abs(g_src - want_src * slope[:s]).max() <= 1e-12
+        assert np.abs(g_tgt - want_tgt * slope[s:]).max() <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_stays_finite_up_to_1e300(self, data):
+        s = data.draw(st.integers(1, 16))
+        logits = st.floats(-1e300, 1e300) | st.sampled_from([-1e300, -30.0, 0.0, 30.0, 1e300])
+        a = data.draw(arrays(float, 2 * s, elements=logits))
+        ws = data.draw(arrays(float, s, elements=st.floats(0.0, 10.0)))
+        value, g_src, g_tgt = self.loss(a, ws)
+        assert math.isfinite(value) and value >= 0.0
+        # each gradient entry is w (sigma(a) - 1) / s or sigma(a) / s, so it lies in [-w / s, 0] or [0, 1 / s]
+        assert np.all((-ws / s <= g_src) & (g_src <= 0.0))
+        assert np.all((0.0 <= g_tgt) & (g_tgt <= 1.0 / s))
+
+    def test_saturated_logits_give_the_loss_the_clamp_hid(self):
+        # confidently wrong on both sides, where the probability formula's floor capped each row at 27.63
+        a = np.array([-125.8, 125.8])
+        value, g_src, g_tgt = losses.weighted_da_loss_grads(a[:1], [0], a[1:], ones_w(2))
+        assert value == pytest.approx(2 * 125.8, rel=1e-15)
+        assert g_src == pytest.approx(-1.0) and g_tgt == pytest.approx(1.0)
 
 
 class TestWeightedClassificationLoss:
@@ -324,7 +379,9 @@ class TestEqualsTheBandwidthLoop:
 class TestKernelsEqualThePublicLosses:
     """Each public loss is its checks and then one kernel. Called as the training step calls them,
     on views of one stacked batch and with reused gradient buffers, the kernels give the public
-    losses' bits, and those equal the losses' earlier one-call-per-step arithmetic."""
+    losses' bits. The classification and kernel losses also equal their earlier one-call-per-step
+    arithmetic; the adversarial loss now reads logits, and TestDaLossOnLogits compares it with the
+    probability formula it replaced."""
 
     S, D, K = 128, 32, 3
 
@@ -335,15 +392,13 @@ class TestKernelsEqualThePublicLosses:
     def test_adversarial(self):
         rng, ys, w = self.batch(0)
         s = self.S
-        d = rng.uniform(0.01, 0.99, size=(2 * s, 1))
-        d[:3] = [[1e-13], [0.5], [1.0 - 1e-13]]  # the log clamp on both sides
-        d[s : s + 2] = [[1e-13], [1.0 - 1e-13]]
-        value, g_src, g_tgt = losses.weighted_da_loss_grads(d[:s], ys, d[s:], w)
+        a = rng.normal(scale=3.0, size=(2 * s, 1))
+        a[:3] = [[-40.0], [0.0], [40.0]]  # beyond -log(LOG_EPS) = 27.63 on both sides
+        a[s : s + 2] = [[-40.0], [40.0]]
+        value, g_src, g_tgt = losses.weighted_da_loss_grads(a[:s], ys, a[s:], w)
         grad = np.full((2 * s, 1), np.nan)  # a reused buffer: the kernel writes every entry
-        assert losses._da(d.reshape(-1), w.w[ys], grad.reshape(-1)) == value
+        assert losses._da(a.reshape(-1), w.w[ys], grad.reshape(-1)) == value
         assert np.array_equal(grad.reshape(-1), np.concatenate([g_src, g_tgt]))
-        want = da_loss_grads_reference(d[:s, 0], w.w[ys], d[s:, 0])
-        assert value == want[0] and np.array_equal(g_src, want[1]) and np.array_equal(g_tgt, want[2])
 
     @pytest.mark.parametrize("weighting", ["plain", "balanced", "balanced-and-w"])
     def test_classification(self, weighting):

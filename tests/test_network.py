@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gls_adapt import losses, network
-from gls_adapt.distributions import Categorical
+from gls_adapt.distributions import Categorical, check_rows
 from gls_adapt.errors import ConfigInvalid, GlsAdaptError, ShapeMismatch
 from gls_adapt.estimator import WeightVector
 from gls_adapt.network import (
@@ -55,7 +58,7 @@ def training_step_grads(state, rng, conditional, s=128):
 def model_of(g_sizes, h_sizes, d_sizes):
     """A model built straight from its three nets' layer sizes, unchecked by init_model_state."""
     rng = np.random.default_rng(0)
-    return ModelState(g=Mlp(g_sizes, "tanh", rng), h=Mlp(h_sizes, "softmax", rng), d=Mlp(d_sizes, "sigmoid", rng))
+    return ModelState(g=Mlp(g_sizes, "tanh", rng), h=Mlp(h_sizes, "softmax", rng), d=Mlp(d_sizes, "linear", rng))
 
 
 class TestForward:
@@ -117,6 +120,20 @@ class TestRowSums:
             got = network._row_sums(a)
             assert got.shape == (256, 1)
             assert np.array_equal(got, a.sum(axis=1, keepdims=True))
+
+
+class TestSoftmaxRows:
+    """A finite pre-activation gives probability rows, so the training step checks only that predictions are finite."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 10))
+    def test_every_row_passes_the_row_check(self, data, k):
+        finite = st.floats(-1e300, 1e300) | st.sampled_from([-1e300, 1e300, 0.0])
+        pre = data.draw(arrays(float, st.tuples(st.integers(1, 8), st.just(k)), elements=finite))
+        net = Mlp([1, k], "softmax", np.random.default_rng(0))
+        out = net._head(pre)
+        assert np.isfinite(out).all()
+        check_rows(out, k, "softmax rows")
 
 
 class TestInfer:
@@ -481,11 +498,11 @@ class TestParameterVector:
             assert np.array_equal(grad, np.concatenate([t.ravel() for pair in ref for t in pair]))
             assert np.array_equal(grad_in, ref_in)
 
-    @pytest.mark.parametrize("head, k", [("softmax", k) for k in range(2, 11)] + [("sigmoid", 1), ("tanh", 32)])
+    @pytest.mark.parametrize("head, k", [("softmax", k) for k in range(2, 11)] + [("linear", 1), ("tanh", 32)])
     def test_head_equals_the_reference(self, head, k):
         rng = np.random.default_rng(k)
         net = Mlp([32, k], head, rng)
-        x = rng.normal(scale=30.0, size=(256, 32))  # wide enough to saturate the sigmoid into its clip
+        x = rng.normal(scale=30.0, size=(256, 32))  # wide enough to saturate tanh and the softmax
         out, _ = net.forward(x)
         assert np.array_equal(out, mlp_head(head, x @ net.weights[0] + net.biases[0]))
 

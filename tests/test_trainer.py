@@ -351,9 +351,8 @@ class TestNonFiniteLoss:
 
 
 class TestStepChecks:
-    """A step checks each batch array once, and a failing run still raises where and what it raised
-    when each consumer checked its own arrays: the discriminator check before the alignment loss,
-    the finiteness check of both losses, then the prediction rows, with the half at fault named."""
+    """A step makes one check, after its backward, and each failure names the epoch and the batch:
+    both losses must be finite, every prediction must be finite, and d must not be saturated."""
 
     S = 32  # tiny_config's batch_size
 
@@ -373,11 +372,24 @@ class TestStepChecks:
         monkeypatch.setattr(network, "sgd_step", sgd_step)
         return done
 
+    @staticmethod
+    def patch_step_forward(monkeypatch, edit):
+        """``edit(out, cache)`` on the forward of every training step; evaluate's forwards pass untouched."""
+        real = network.forward
+
+        def forward(state, x, discriminate=False):
+            out, cache = real(state, x, discriminate)
+            if len(x) == 2 * TestStepChecks.S:  # a training step's stacked batch; evaluate's blocks are longer
+                edit(out, cache)
+            return out, cache
+
+        monkeypatch.setattr(network, "forward", forward)
+
     @pytest.mark.parametrize(
         "algorithm, error, message",
         [
-            ("iwdan", InvalidValue, r"d_src must lie strictly inside \(0, 1\)"),
-            ("iwcdan", InvalidValue, r"d_src must lie strictly inside \(0, 1\)"),
+            ("iwdan", NonFiniteValue, r"epoch 1 batch 2: loss_da=nan, loss_c=nan"),
+            ("iwcdan", NonFiniteValue, r"epoch 1 batch 2: loss_da=nan, loss_c=nan"),
             ("iwjan", NonFiniteValue, r"epoch 1 batch 2: loss_da=nan, loss_c=nan"),
             ("none", NonFiniteValue, r"epoch 1 batch 2: loss_da=0\.0, loss_c=nan"),
         ],
@@ -388,35 +400,49 @@ class TestStepChecks:
             train(tiny_config(algorithm=algorithm, epochs=2, batches_per_epoch=5), *tiny_task())
         assert len(done) == 7  # the eighth step raised before its update
 
-    @pytest.mark.parametrize("half, name", [(0, "d_src"), (1, "d_tgt")])
-    def test_a_nan_discriminator_output_names_its_half(self, monkeypatch, half, name):
-        real = network.forward
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_a_nan_logit_in_either_half_stops_the_step(self, monkeypatch, half):
+        def edit(out, cache):
+            out[half * self.S + 3] = np.nan
 
-        def forward(state, x, discriminate=False):
-            out, cache = real(state, x, discriminate)
-            if discriminate:
-                out[half * self.S + 3] = np.nan
-            return out, cache
-
-        monkeypatch.setattr(network, "forward", forward)
-        with pytest.raises(InvalidValue, match=rf"^{name} must lie strictly inside \(0, 1\)$"):
+        self.patch_step_forward(monkeypatch, edit)
+        with pytest.raises(NonFiniteValue, match=r"^epoch 0 batch 0: loss_da=nan, loss_c=[0-9.]+$"):
             train(tiny_config(algorithm="iwdan", epochs=1, batches_per_epoch=2), *tiny_task())
 
-    @pytest.mark.parametrize("algorithm", ["none", "iwdan"])
-    @pytest.mark.parametrize("half, name", [(0, "source_preds"), (1, "target_preds")])
-    def test_unnormalized_predictions_name_their_half(self, monkeypatch, algorithm, half, name):
-        # finite, so both losses pass, but one row sums to 2: the accumulator's row check fails
-        real = network.forward
+    def test_nan_target_predictions_alone_stop_the_step(self, monkeypatch):
+        # under none no loss reads the target rows, so both losses stay finite
+        def edit(out, cache):
+            cache["p"][self.S + 5] = np.nan
 
-        def forward(state, x, discriminate=False):
-            out, cache = real(state, x, discriminate)
-            if len(x) == 2 * self.S:  # a training step's stacked batch; evaluate's blocks are longer
-                cache["p"][half * self.S + 5] *= 2.0
-            return out, cache
+        self.patch_step_forward(monkeypatch, edit)
+        with pytest.raises(NonFiniteValue, match=r"^epoch 0 batch 0: the predictions are not finite$"):
+            train(tiny_config(algorithm="none", epochs=1, batches_per_epoch=2), *tiny_task())
 
-        monkeypatch.setattr(network, "forward", forward)
-        with pytest.raises(ShapeMismatch, match=rf"^{name} rows must be finite and sum to 1 within 1e-06$"):
-            train(tiny_config(algorithm=algorithm, epochs=1, batches_per_epoch=2), *tiny_task())
+    @pytest.mark.parametrize("algorithm", ["iwdan", "iwcdan"])
+    def test_a_saturated_discriminator_stops_the_step(self, monkeypatch, algorithm):
+        # every |logit| just past -log(LOG_EPS) = 27.63, with both signs, from the third step on
+        steps = []
+
+        def edit(out, cache):
+            steps.append(None)
+            if len(steps) >= 3:
+                out[: self.S] = 28.0
+                out[self.S :] = -28.0
+                out[::5] *= -1.0
+
+        self.patch_step_forward(monkeypatch, edit)
+        with pytest.raises(InvalidValue) as info:
+            train(tiny_config(algorithm=algorithm, epochs=1, batches_per_epoch=5), *tiny_task())
+        assert str(info.value) == "epoch 0 batch 2: the discriminator is saturated, min |logit| 28 > 27.63"
+
+    def test_one_logit_inside_the_bound_is_not_saturation(self, monkeypatch):
+        def edit(out, cache):
+            out[:] = 28.0
+            out[7] = 27.6
+
+        self.patch_step_forward(monkeypatch, edit)
+        _, trace = train(tiny_config(algorithm="iwdan", epochs=1, batches_per_epoch=3), *tiny_task())
+        assert len(trace) == 1
 
 
 class TestTraceCsv:
@@ -634,8 +660,8 @@ class TestStepPasses:
 
     @pytest.mark.parametrize("algorithm", ["none", "dann", "iwdan", "iwcdan", "iwjan"])
     def test_each_batch_array_is_checked_once_per_step(self, monkeypatch, algorithm):
-        # one label check of the s labels, one discriminator check of d's stacked output
-        # and one row check of the stacked predictions, counted by the arrays they see
+        # the step's guard sees the stacked predictions and, when d ran, its stacked logits once;
+        # no label, row or discriminator check runs inside a step
         src, tgt = tiny_task()
         seen = Counter()
 
@@ -646,17 +672,24 @@ class TestStepPasses:
 
             return wrapped
 
+        def guard(epoch, batch, loss_da, loss_c, preds, logits):
+            seen["preds", preds.shape] += 1
+            if logits is not None:
+                seen["logits", logits.shape] += 1
+            return real_guard(epoch, batch, loss_da, loss_c, preds, logits)
+
+        real_guard = trainer._check_step
         for module in (losses, estimator):
             monkeypatch.setattr(module, "check_labels", recording("labels", module.check_labels))
-        for module in (trainer, estimator):
-            monkeypatch.setattr(module, "check_rows", recording("rows", module.check_rows))
+        monkeypatch.setattr(estimator, "check_rows", recording("rows", estimator.check_rows))
         monkeypatch.setattr(losses, "_check_discriminator", recording("d", losses._check_discriminator))
+        monkeypatch.setattr(trainer, "_check_step", guard)
         cfg = tiny_config(algorithm=algorithm, epochs=2, batches_per_epoch=3)
         train(cfg, src, tgt)
         steps, s = 2 * 3, cfg.batch_size
-        want = {("labels", (s,)): steps, ("rows", (2 * s, src.k)): steps}
+        want = {("preds", (2 * s, src.k)): steps}
         if algorithm in ("dann", "iwdan", "iwcdan"):
-            want["d", (2 * s, 1)] = steps
+            want["logits", (2 * s, 1)] = steps
         assert dict(seen) == want
 
     def test_kernel_bandwidths_are_the_median_heuristic(self, monkeypatch):
