@@ -25,9 +25,9 @@ __all__ = [
     "sgd_step",
 ]
 
-# Rows per forward in a full-data pass. One block's temporaries are small
-# enough to be reused from the heap instead of mapped fresh on every pass;
-# 128, 256, 512 and 1,024 rows trained within the run-to-run noise (~15%).
+# Rows per forward in a full-data pass. One block's arrays, one per layer,
+# are small enough to be reused from the heap instead of mapped fresh on
+# every pass; 128, 256, 512 and 1,024 rows trained within the noise (~15%).
 BLOCK_ROWS = 256
 
 _HEADS = ("softmax", "linear", "tanh")
@@ -96,20 +96,20 @@ class Mlp:
         return self.layer_sizes[-1]
 
     def forward(self, x: np.ndarray):
-        """Return (output, cache). cache holds the per-layer inputs."""
+        """Return (output, cache). cache holds the L layer inputs, ``x`` first, and the output.
+        Each layer works in place on the product it allocates, so ``x`` is never written."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeMismatch(f"input has shape {x.shape}, expected (n, {self.in_dim})")
-        inputs = [x]
-        a = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            pre = a @ w + b
-            a = np.tanh(pre, out=pre) if i < last else pre
+        inputs, a = [], x
+        for w, b in zip(self.weights, self.biases):
             inputs.append(a)
+            a = a @ w
+            a += b
+            if len(inputs) < len(self.weights):
+                np.tanh(a, out=a)
         out = self._head(a)
-        cache = {"inputs": inputs, "out": out}
-        return out, cache
+        return out, {"inputs": inputs, "out": out}
 
     def _head(self, pre: np.ndarray) -> np.ndarray:
         if self.head == "softmax":
@@ -118,9 +118,11 @@ class Mlp:
             top = pre[:, 0]
             for j in range(1, pre.shape[1]):
                 top = np.maximum(top, pre[:, j])
-            e = np.exp(pre - top[:, None])
-            return e / _row_sums(e)
-        return pre if self.head == "linear" else np.tanh(pre)
+            pre -= top[:, None]
+            np.exp(pre, out=pre)
+            pre /= _row_sums(pre)
+            return pre
+        return pre if self.head == "linear" else np.tanh(pre, out=pre)
 
     def backward(self, cache, grad_out: np.ndarray):
         """Backpropagate dL/d(output); return (dL/d(params), dL/d(input)).
@@ -138,8 +140,12 @@ class Mlp:
         if self.head == "softmax":
             inner = _row_sums(grad_out * out)
             delta = out * (grad_out - inner)
+        elif self.head == "linear":
+            delta = grad_out
         else:
-            delta = grad_out if self.head == "linear" else grad_out * (1.0 - out * out)
+            delta = out * out
+            np.subtract(1.0, delta, out=delta)
+            delta *= grad_out
         if grad is not None:
             grad_w, grad_b = self._layers(grad)
         for i in range(len(self.weights) - 1, -1, -1):
@@ -147,7 +153,10 @@ class Mlp:
                 np.matmul(inputs[i].T, delta, out=grad_w[i])
                 np.add.reduce(delta, axis=0, out=grad_b[i])
             if i > 0:
-                delta = (delta @ self.weights[i].T) * (1.0 - inputs[i] * inputs[i])
+                t = inputs[i] * inputs[i]
+                np.subtract(1.0, t, out=t)
+                delta = delta @ self.weights[i].T
+                delta *= t
         return delta @ self.weights[0].T if input_grad else None
 
 

@@ -6,12 +6,15 @@ against code that shares nothing with them.
 """
 
 import math
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from gls_adapt.distributions import Categorical, jsd
 from gls_adapt.errors import ShapeMismatch
+from gls_adapt.estimator import WeightVector, solve_qp
+from gls_adapt.losses import weighted_da_loss_grads
 
 
 def kl_terms(p, q):
@@ -426,21 +429,13 @@ def conditional_gap_reference(feats_src, labels_src, feats_tgt, labels_tgt, seed
     return gaps
 
 
-# Criterion 7's oracle, moved here from the library, which never called it:
-# the optimal binned discriminator identity on random binned densities, not
-# on a run. Unlike the rest of this file it uses the library's jsd.
+# Criterion 7's oracle: the optimal binned discriminator identity on random
+# binned densities, not on a run, scored by the library's adversarial loss.
+# Unlike the rest of this file it uses the library's jsd and loss.
 EXACT_TOL = 1e-8
 LOG4 = float(np.log(4.0))
-
-
-def _discriminator_objective(p_w: np.ndarray, q: np.ndarray, d: np.ndarray) -> float:
-    # terms with zero mass contribute nothing regardless of d there
-    val = 0.0
-    mask_p = p_w > 0
-    mask_q = q > 0
-    val -= float(np.sum(p_w[mask_p] * np.log(d[mask_p])))
-    val -= float(np.sum(q[mask_q] * np.log(1.0 - d[mask_q])))
-    return val
+# the logit of a bin that only one density gives mass: softplus(-40) = 4.2e-18 of that mass is lost
+EMPTY_BIN_LOGIT = 40.0
 
 
 class DiscriminatorOptimum(NamedTuple):
@@ -450,36 +445,235 @@ class DiscriminatorOptimum(NamedTuple):
     best_improvement: float
 
 
+def binned_da_loss(p_w: Categorical, q_counts: np.ndarray, logits: np.ndarray) -> float:
+    """sum_j [p_w(j) softplus(-a_j) + q(j) softplus(a_j)], q = q_counts / sum, scored by ``weighted_da_loss_grads``.
+
+    Both sides have s rows, s the least multiple of sum(q_counts) that is
+    at least k. Bin j is q(j) s target rows at logit a_j and one source row
+    at a_j of class j, whose weight is s p_w(j); the other s - k source
+    rows are of an extra class of weight 0. The loss's 1/s leaves each bin
+    its masses.
+    """
+    k = p_w.k
+    reps = -(-k // int(q_counts.sum()))
+    s = int(q_counts.sum()) * reps
+    src = np.zeros(s)
+    src[:k] = logits
+    labels = np.full(s, k)
+    labels[:k] = np.arange(k)
+    w = WeightVector(np.append(s * p_w.probs, 0.0))
+    return weighted_da_loss_grads(src, labels, np.repeat(logits, q_counts * reps), w)[0]
+
+
 def check_discriminator_optimum(
     p_w: Categorical,
-    q: Categorical,
+    q_counts,
     perturbations: int = 100,
     seed: int = 0,
 ) -> DiscriminatorOptimum:
-    """Optimal binned discriminator identity.
+    """Optimal binned discriminator identity, scored by the library's adversarial loss.
 
-    d*(x) = p_w(x) / (p_w(x) + q(x)) must achieve objective value
-    log 4 - 2 * jsd(p_w, q), and no perturbed discriminator may do
-    better. ``lhs`` is the larger of the identity defect and the best
-    improvement any perturbation achieved (0 when none did), and
-    ``holds`` says whether it is at most ``EXACT_TOL``. ``i_star`` is
-    d*'s objective value.
+    q is ``Categorical.normalize(q_counts)``: target rows realize it exactly
+    (:func:`binned_da_loss`). d*(x) = p_w(x) / (p_w(x) + q(x)), at logit
+    log(p_w / q) (+-``EMPTY_BIN_LOGIT`` where one mass is zero), must
+    achieve loss log 4 - 2 * jsd(p_w, q), and no perturbed discriminator
+    may do better. ``lhs`` is the larger of the identity defect and the
+    best improvement any perturbation achieved (0 when none did), and
+    ``holds`` says whether it is at most ``EXACT_TOL``. ``i_star`` is d*'s
+    loss.
     """
-    if p_w.k != q.k:
-        raise ShapeMismatch(f"binned densities have lengths {p_w.k} and {q.k}")
-    a = p_w.probs
-    b = q.probs
-    denom = a + b
-    d_star = np.where(denom > 0, a / np.maximum(denom, 1e-300), 0.5)
-    d_star = np.clip(d_star, 1e-300, 1.0 - 1e-16)
-    i_star = _discriminator_objective(a, b, d_star)
-    target = LOG4 - 2.0 * jsd(p_w, q)
-    defect = abs(i_star - target)
+    q_counts = np.asarray(q_counts)
+    if p_w.k != q_counts.size:
+        raise ShapeMismatch(f"binned densities have lengths {p_w.k} and {q_counts.size}")
+    q = Categorical.normalize(q_counts)
+    a, b = p_w.probs, q.probs
+    with np.errstate(divide="ignore"):
+        a_star = np.where(a > 0, np.log(a), 0.0) - np.where(b > 0, np.log(b), 0.0)
+    a_star = np.where((a > 0) == (b > 0), a_star, np.where(a > 0, EMPTY_BIN_LOGIT, -EMPTY_BIN_LOGIT))
+    i_star = binned_da_loss(p_w, q_counts, a_star)
+    defect = abs(i_star - (LOG4 - 2.0 * jsd(p_w, q)))
+    d_star = 1.0 / (1.0 + np.exp(-a_star))
     rng = np.random.default_rng(seed)
     best_improvement = 0.0
     for _ in range(perturbations):
         noise = rng.normal(scale=rng.uniform(0.01, 0.3), size=a.size)
         d_pert = np.clip(d_star + noise, 1e-12, 1.0 - 1e-12)
-        best_improvement = max(best_improvement, i_star - _discriminator_objective(a, b, d_pert))
+        best_improvement = max(best_improvement, i_star - binned_da_loss(p_w, q_counts, logit(d_pert)))
     lhs = max(defect, best_improvement)
     return DiscriminatorOptimum(lhs, lhs <= EXACT_TOL, i_star, best_improvement)
+
+
+# The training loop written for reading: a check of the composed step that
+# holds under any gemm, since it shares none of the library's stacking,
+# buffers or kernels. Bases and weightings as in trainer.ALGORITHMS.
+REFERENCE_ALGORITHMS = {
+    "none": (None, "ones"),
+    "dann": ("dann", "ones"),
+    "iwdan": ("dann", "estimated"),
+    "iwdan_o": ("dann", "oracle"),
+    "cdan": ("cdan", "ones"),
+    "iwcdan": ("cdan", "estimated"),
+    "iwcdan_o": ("cdan", "oracle"),
+    "jan": ("jan", "ones"),
+    "iwjan": ("jan", "estimated"),
+    "iwjan_o": ("jan", "oracle"),
+}
+
+
+def _reference_net(sizes, head, rng):
+    """A net's head, per-layer weights and biases and zero (vW, vb) velocities; each layer draws W, then b,
+    from uniform(+-1/sqrt(fan_in))."""
+    net = SimpleNamespace(head=head, weights=[], biases=[], velocity=[])
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        bound = 1.0 / math.sqrt(fan_in)
+        net.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        net.biases.append(rng.uniform(-bound, bound, size=fan_out))
+        net.velocity.append((np.zeros((fan_in, fan_out)), np.zeros(fan_out)))
+    return net
+
+
+def _reference_forward(net, x):
+    """(output, layer inputs) of one net on ``x``: tanh hidden layers, then the head on the last pre-activation."""
+    inputs = [x]
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        inputs.append(np.tanh(inputs[-1] @ w + b))
+    return mlp_head(net.head, inputs[-1] @ net.weights[-1] + net.biases[-1]), inputs
+
+
+def _reference_backward(net, inputs, out, grad_out):
+    """([(dW, db), ...], dL/d(input)) of one net, by :func:`mlp_backward_per_layer`."""
+    return mlp_backward_per_layer(net, {"inputs": inputs, "out": out}, grad_out)
+
+
+def _add_grads(first, second):
+    return [(dw1 + dw2, db1 + db2) for (dw1, db1), (dw2, db2) in zip(first, second)]
+
+
+def _reference_confusion(net_g, net_h, data, k):
+    """Argmax accuracy and the row-normalized confusion matrix of one unblocked pass over ``data``."""
+    z, _ = _reference_forward(net_g, np.asarray(data.features))
+    hard = _reference_forward(net_h, z)[0].argmax(axis=1)
+    conf = np.zeros((k, k))
+    for y, pred in zip(data.labels, hard):
+        conf[y, pred] += 1.0
+    for y in range(k):
+        if conf[y].sum() > 0:
+            conf[y] /= conf[y].sum()
+    return float(np.mean(hard == data.labels)), conf
+
+
+def train_reference(config, source, target):
+    """``trainer.train`` as a plain loop; returns ({"g", "h", "d"}: parameter vector, [per-epoch dict]).
+
+    It draws from ``default_rng(config.seed)`` in the library's order (g's,
+    h's and d's layers, then each batch's source and target indices) and
+    runs each net on the source half and on the target half separately.
+    The losses are :func:`nll_grads_reference`, :func:`da_loss_grads_reference`
+    on sigmoid(logit), with its gradient taken back to the logit by
+    d (1 - d), and :func:`mmd_grads_bandwidth_loop`. d descends the
+    alignment loss, h the classification loss, and g the classification
+    loss minus ``reversal_coeff`` times the alignment loss. Each parameter
+    vector is laid out W_0, b_0, W_1, b_1, ... as ``Mlp.params``; the
+    dicts hold the ``EpochRecord`` fields that a trace keeps.
+    """
+    base, weighting = REFERENCE_ALGORITHMS[config.algorithm]
+    k, s = source.k, config.batch_size
+    p_s = np.bincount(source.labels, minlength=k) / source.n
+    p_t = np.bincount(target.labels, minlength=k) / target.n
+    w_star = p_t / p_s
+    rng = np.random.default_rng(config.seed)
+    g = _reference_net([source.dim, 64, config.feature_dim], "tanh", rng)
+    h = _reference_net([config.feature_dim, k], "softmax", rng)
+    d_in = config.feature_dim * k if base == "cdan" else config.feature_dim
+    d = _reference_net([d_in, 32, 1], "linear", rng)
+
+    w_est = np.ones(k)
+    w_model = w_star if weighting == "oracle" else w_est
+    batches, records = [], []
+    for epoch in range(config.epochs):
+        w_da = w_model if weighting != "ones" and config.weight_da_loss else np.ones(k)
+        class_coeff = np.ones(k)
+        if weighting != "ones" and config.weight_c_loss:
+            class_coeff = 1.0 / (k * p_s) * (w_model if base == "jan" else 1.0)
+        loss_da_sum = loss_c_sum = 0.0
+        for _ in range(config.batches_per_epoch):
+            idx_s = rng.integers(0, source.n, size=s)
+            idx_t = rng.integers(0, target.n, size=s)
+            ys = source.labels[idx_s]
+            halves = []
+            for x in (source.features[idx_s], target.features[idx_t]):
+                z, g_inputs = _reference_forward(g, x)
+                p, h_inputs = _reference_forward(h, z)
+                halves.append(SimpleNamespace(z=z, p=p, g_inputs=g_inputs, h_inputs=h_inputs))
+            src, tgt = halves
+            batches.append((src.p, ys, tgt.p))
+
+            loss_c, grad_p = nll_grads_reference(src.p, ys, class_coeff)
+            grads_h, dz_cls = _reference_backward(h, src.h_inputs, src.p, grad_p)
+            src.dz, tgt.dz = dz_cls, np.zeros_like(tgt.z)
+            grads_d = None
+            if base == "jan":
+                loss_da, src.dz_da, tgt.dz_da = mmd_grads_bandwidth_loop(src.z, ys, tgt.z, w_da)
+            elif base is not None:
+                for half in halves:
+                    if base == "cdan":
+                        half.d_in = (half.p[:, :, None] * half.z[:, None, :]).reshape(s, -1)
+                    else:
+                        half.d_in = half.z
+                    half.logit, half.d_inputs = _reference_forward(d, half.d_in)
+                    half.sigma = 1.0 / (1.0 + np.exp(-half.logit[:, 0]))
+                loss_da, grad_src, grad_tgt = da_loss_grads_reference(src.sigma, w_da[ys], tgt.sigma)
+                for half, grad in ((src, grad_src), (tgt, grad_tgt)):
+                    grad_logit = (grad * half.sigma * (1.0 - half.sigma))[:, None]
+                    grads, du = _reference_backward(d, half.d_inputs, half.logit, grad_logit)
+                    grads_d = grads if grads_d is None else _add_grads(grads_d, grads)
+                    if base == "cdan":  # du/dz = p, plus the chain through p = h(z)
+                        du3 = du.reshape(s, k, -1)
+                        dp = np.einsum("nkz,nz->nk", du3, half.z)
+                        dz_chain = _reference_backward(h, half.h_inputs, half.p, dp)[1]
+                        du = np.einsum("nkz,nk->nz", du3, half.p) + dz_chain
+                    half.dz_da = du
+            else:
+                loss_da = 0.0
+            grads_g = None
+            for half in halves:
+                dz = half.dz if base is None else half.dz - config.reversal_coeff * half.dz_da
+                grads = _reference_backward(g, half.g_inputs, half.z, dz)[0]
+                grads_g = grads if grads_g is None else _add_grads(grads_g, grads)
+
+            for net, grads in ((g, grads_g), (h, grads_h), (d, grads_d)):
+                if grads is not None:
+                    sgd_step_per_layer(net.weights, net.biases, net.velocity, grads, config.lr, config.momentum)
+            loss_da_sum += loss_da
+            loss_c_sum += loss_c
+
+        if (epoch + 1) % config.weight_update_period == 0:
+            c_sum, mu_sum = accumulated_sums(batches, k)
+            n_src = sum(b[0].shape[0] for b in batches)
+            n_tgt = sum(b[2].shape[0] for b in batches)
+            w_qp = solve_qp(c_sum / n_src, Categorical.normalize(mu_sum / n_tgt), Categorical(p_s)).w
+            w_est = config.ema_lambda * w_qp + (1.0 - config.ema_lambda) * w_est
+            batches = []
+            if weighting != "oracle":
+                w_model = w_est
+        acc_src, conf_src = _reference_confusion(g, h, source, k)
+        acc_tgt, conf_tgt = _reference_confusion(g, h, target, k)
+        records.append(
+            dict(
+                epoch=epoch,
+                acc_src=acc_src,
+                acc_tgt=acc_tgt,
+                loss_da=loss_da_sum / config.batches_per_epoch,
+                loss_c=loss_c_sum / config.batches_per_epoch,
+                w=np.array(w_model),
+                w_dist=float(np.linalg.norm(w_model - w_star)),
+                jsd_label=jsd_terms(p_s, p_t),
+                conf_src=conf_src,
+                conf_tgt=conf_tgt,
+            )
+        )
+    params = {
+        name: np.concatenate([t.ravel() for pair in zip(net.weights, net.biases) for t in pair])
+        for name, net in zip("ghd", (g, h, d))
+    }
+    return params, records

@@ -144,7 +144,7 @@ MUTANTS = [
         "losses.py",
         "sp_neg = np.logaddexp(0.0, -a)",
         "sp_neg = np.logaddexp(0.0, a)",
-        ("tests/test_losses.py",),
+        ("tests/test_losses.py", "tests/test_acceptance.py"),
     ),
     Mutant(
         "softmax-column-sum-threshold-moved",
@@ -180,6 +180,27 @@ MUTANTS = [
         "network.infer(state, data.features, features_out)",
         "network.infer(state, data.features, np.empty_like(features_out))",
         ("tests/test_trainer.py",),
+    ),
+    Mutant(
+        "hidden-tanh-derivative-written-into-the-cached-input",
+        "network.py",
+        "t = inputs[i] * inputs[i]",
+        "t = np.multiply(inputs[i], inputs[i], out=inputs[i])",
+        ("tests/test_network.py",),
+    ),
+    Mutant(
+        "softmax-written-into-the-callers-array",
+        "network.py",
+        "            a = a @ w\n",
+        "            a = np.matmul(a, w, out=a if a.shape[1] == w.shape[1] else None)\n",
+        ("tests/test_network.py",),
+    ),
+    Mutant(
+        "softmax-backward-written-into-grad-out",
+        "network.py",
+        "delta = out * (grad_out - inner)",
+        "delta = np.multiply(out, np.subtract(grad_out, inner, out=grad_out), out=grad_out)",
+        ("tests/test_network.py",),
     ),
     Mutant(
         "momentum-decay-dropped",

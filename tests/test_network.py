@@ -507,6 +507,74 @@ class TestParameterVector:
         assert np.array_equal(out, mlp_head(head, x @ net.weights[0] + net.biases[0]))
 
 
+def cache_arrays(cache):
+    """(name, array) for every array a ``forward`` cache holds."""
+    arrays = [("z", cache["z"]), ("p", cache["p"])]
+    for net in ("g", "h", "d"):
+        if net in cache:
+            arrays += [(f"{net} input {i}", a) for i, a in enumerate(cache[net]["inputs"])]
+            arrays.append((f"{net} out", cache[net]["out"]))
+    return arrays
+
+
+STEP_CASES = [(False, False), (False, True), (True, True)]
+
+
+class TestInPlaceContract:
+    """Each layer computes in place on the arrays its own call allocates, never on one its caller holds."""
+
+    @pytest.mark.parametrize(
+        "sizes, head",
+        [([3, 3], "softmax"), ([3, 5, 3], "softmax"), ([3, 3], "tanh"), ([3, 5, 4], "tanh"), ([3, 5, 1], "linear")],
+    )
+    def test_mlp_forward_leaves_x(self, sizes, head):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(6, 3))
+        keep = x.copy()
+        Mlp(sizes, head, rng).forward(x)
+        assert x.tobytes() == keep.tobytes()
+
+    @pytest.mark.parametrize("conditional, discriminate", STEP_CASES)
+    def test_network_forward_leaves_x(self, conditional, discriminate):
+        x = np.random.default_rng(31).normal(size=(6, 3))
+        keep = x.copy()
+        forward(small_state(conditional, seed=31), x, discriminate)
+        assert x.tobytes() == keep.tobytes()
+
+    @pytest.mark.parametrize("conditional, discriminate", STEP_CASES)
+    def test_backward_leaves_its_arguments_and_the_cache(self, conditional, discriminate):
+        rng = np.random.default_rng(32)
+        state = small_state(conditional, seed=32)
+        out, cache = forward(state, rng.normal(size=(6, 3)), discriminate)
+        grad_out, grad_preds = rng.normal(size=out.shape), rng.normal(size=cache["p"].shape)
+        arrays = [("grad_out", grad_out), ("grad_preds", grad_preds), *cache_arrays(cache)]
+        before = [a.tobytes() for _, a in arrays]
+        for args in ((grad_out, grad_preds, 2.0), (grad_out,), (None, grad_preds)):
+            backward(state, cache, *args)
+            assert [name for (name, a), b in zip(arrays, before) if a.tobytes() != b] == []
+
+    @pytest.mark.parametrize("conditional, discriminate", STEP_CASES)
+    def test_two_forwards_share_no_memory(self, conditional, discriminate):
+        rng = np.random.default_rng(33)
+        state = small_state(conditional, seed=33)
+        first, second = (forward(state, rng.normal(size=(6, 3)), discriminate) for _ in range(2))
+        for (name, a), (_, b) in zip(cache_arrays(first[1]), cache_arrays(second[1])):
+            assert not np.shares_memory(a, b), name
+        assert not np.shares_memory(first[0], second[0])
+
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_cache_holds_the_layer_inputs(self, conditional):
+        state = benchmark_state(conditional, seed=34)
+        x = np.random.default_rng(34).normal(size=(8, 2))
+        _, cache = forward(state, x, discriminate=True)
+        for name in ("g", "h", "d"):
+            net, inputs = getattr(state, name), cache[name]["inputs"]
+            assert len(inputs) == len(net.weights)
+            for a, w, b, nxt in zip(inputs, net.weights, net.biases, inputs[1:]):
+                assert np.array_equal(nxt, np.tanh(a @ w + b))
+        assert cache["g"]["inputs"][0] is x and cache["h"]["inputs"][0] is cache["z"]
+
+
 class TestDeterminismAndCheckpoints:
     def test_same_seed_same_params_after_steps(self):
         def run():
