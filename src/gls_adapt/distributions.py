@@ -8,6 +8,7 @@ lives in [0, ln 2]. Zero-probability terms follow the usual convention
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,19 +40,20 @@ class Categorical:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float)
+        arr = np.array(self.probs, dtype=float)  # a copy, which the instance then owns
         if arr.ndim != 1:
             raise ShapeMismatch(f"probs must be a 1-d vector, got shape {arr.shape}")
         if arr.size < 2:
             raise InvalidValue("a categorical needs at least 2 categories")
-        if not np.isfinite(arr).all():
-            raise NonFiniteValue("probs contains non-finite entries")
-        if (arr < 0).any():
-            raise InvalidValue("probs contains negative entries")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOL:
+        # One min and one sum accept a valid vector: a NaN or -inf fails the min, a +inf
+        # the sum. The sum waits for the min, so inf - inf is never summed.
+        total = float(np.add.reduce(arr)) if np.minimum.reduce(arr) >= 0.0 else math.nan
+        if not abs(total - 1.0) <= SUM_TOL:
+            if not np.isfinite(arr).all():
+                raise NonFiniteValue("probs contains non-finite entries")
+            if (arr < 0).any():
+                raise InvalidValue("probs contains negative entries")
             raise InvalidValue(f"probs sum to {total!r}, expected 1 within {SUM_TOL}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -59,8 +61,8 @@ class Categorical:
     def normalize(cls, raw) -> "Categorical":
         """Build a Categorical from nonnegative masses, dividing by their sum."""
         arr = np.asarray(raw, dtype=float)
-        total = arr.sum()
-        if not np.isfinite(total) or total <= 0:
+        total = np.add.reduce(arr, axis=None)
+        if not 0.0 < total < math.inf:
             raise InvalidValue("cannot normalize: masses must be nonnegative with positive sum")
         return cls(arr / total)
 
@@ -140,15 +142,21 @@ def check_rows(matrix, k: int, name: str) -> np.ndarray:
     Each row sum must lie within ``ROW_TOL`` of 1 and no entry below
     ``-ROW_TOL``. The sums come from one matrix-vector product, written so
     that a NaN, infinite or overflowing row sum (inf - inf is NaN, a huge
-    finite row sums to inf) raises here instead of warning.
+    finite row sums to inf) raises here instead of warning. A row holding a
+    NaN or an infinity has a NaN or infinite sum and fails first, so the
+    smallest entry, read after the sums, is finite. A matrix with no rows
+    passes.
     """
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != k:
         raise ShapeMismatch(f"{name} has shape {arr.shape}, expected (n, {k})")
+    if not arr.shape[0]:
+        return arr
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = arr @ np.ones(k)
-    if not np.logical_and.reduce(np.abs(sums - 1.0) <= ROW_TOL):
+        dev = arr @ np.ones(k)
+    dev -= 1.0
+    if not np.maximum.reduce(np.abs(dev, out=dev)) <= ROW_TOL:
         raise ShapeMismatch(f"{name} rows must be finite and sum to 1 within {ROW_TOL}")
-    if np.logical_or.reduce(arr < -ROW_TOL, axis=None):
+    if np.minimum.reduce(arr, axis=None) < -ROW_TOL:
         raise ShapeMismatch(f"{name} has an entry below -{ROW_TOL}")
     return arr

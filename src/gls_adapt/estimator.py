@@ -52,12 +52,11 @@ class WeightVector:
     w: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.w, dtype=float)
+        arr = np.array(self.w, dtype=float)  # a copy, which the instance then owns
         if arr.ndim != 1 or arr.size < 2:
             raise ShapeMismatch(f"w must be a vector of length >= 2, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise NonFiniteValue("w contains non-finite entries")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "w", arr)
 
@@ -149,13 +148,23 @@ def solve_qp(
 
     Active-set method on the nonnegativity constraints with one minimum-norm
     ``lstsq`` KKT solve on C^T C per working set, which keeps rank-deficient
-    problems deterministic; ties go to the lowest index. A direction of
-    descent that the solve drops as numerically flat is followed to the
-    boundary. The loop stops when the dual sign holds on the active set, and
-    the answer must pass a certificate: stationarity on the free set and
-    |w . p_S - 1| within ``KKT_TOL`` * (1 + max|C^T C| max w + max|C^T mu|).
-    Raises ``NonFiniteValue`` with the residual when it does not, when C is
-    not finite, or when ``MAX_ITER`` iterations end without a KKT point.
+    problems deterministic; ties go to the lowest index. The first working
+    set frees every class, so it solves the whole bordered system as built;
+    a later one gathers its rows from it. A direction of descent that the
+    solve drops as numerically flat is followed to the boundary. The loop
+    stops when the dual sign holds on the active set (with every class free
+    there is none to check), and the answer must pass a certificate:
+    stationarity on the free set and |w . p_S - 1| within ``KKT_TOL`` *
+    (1 + max|C^T C| max w + max|C^T mu|). Raises ``NonFiniteValue`` with the
+    residual when it does not, when C is not finite, or when ``MAX_ITER``
+    iterations end without a KKT point.
+
+    A known limit: on classes that C cannot tell apart (columns in the
+    ratio of their p_S to within about 1e-9), the answer can sit up to about
+    5e-10 above the grid optimum while it passes its certificate. The
+    objective is flat to that order along a long direction, and a free-set
+    residual below ``SLOPE_TOL`` times the scale, or an active-set
+    multiplier above -1e-10, is accepted there.
     """
     c = np.asarray(c, dtype=float)
     k = p_source.k
@@ -166,12 +175,12 @@ def solve_qp(
     if mu.k != k:
         raise ShapeMismatch(f"mu has length {mu.k}, expected {k}")
     p = p_source.probs
-    if (p <= 0).any():
+    if not np.minimum.reduce(p) > 0.0:
         raise InvalidValue("p_source must be strictly positive")
-    zero_cols = np.flatnonzero(~c.any(axis=0))
-    if zero_cols.size:
+    used = np.logical_or.reduce(c, axis=0)
+    if not np.logical_and.reduce(used):
         warnings.warn(
-            f"confusion matrix has all-zero columns for classes {zero_cols.tolist()}; "
+            f"confusion matrix has all-zero columns for classes {np.flatnonzero(~used).tolist()}; "
             "their weights are determined by the constraints only",
             RuntimeWarning,
             stacklevel=2,
@@ -191,14 +200,17 @@ def solve_qp(
     kept = np.ones(k + 1, dtype=bool)
     free = kept[:k]  # a view: the multiplier's row is always kept
     w = np.ones(k)  # w = 1 is always feasible since p sums to 1
+    # The first working set frees every class, so it is the whole system: no gather, no scatter.
+    idx, kkt, rhs = np.arange(k), kkt_all, rhs_all
 
     for _ in range(MAX_ITER):
-        rows = kept.nonzero()[0]
-        idx, nf = rows[:-1], rows.size - 1
-        kkt, rhs = kkt_all[rows[:, None], rows], rhs_all[rows]
+        nf = idx.size
         sol, _, rank, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
-        cand = np.zeros(k)
-        cand[idx], nu = sol[:nf], sol[nf]
+        if nf == k:
+            cand = sol[:k]
+        else:
+            cand = np.zeros(k)
+            cand[idx] = sol[:nf]
         if rank <= nf:  # lstsq dropped a numerically flat direction; the residual shows it
             res = kkt[:nf] @ sol - rhs[:nf]
             pf = p[idx]
@@ -206,23 +218,23 @@ def solve_qp(
             step[idx] = (res @ pf) / (pf @ pf) * pf - res  # descent along w.p = 1
         if rank <= nf and np.abs(step).max() > SLOPE_TOL * (1.0 + h_max * np.abs(sol).max() + b_max):
             # the objective still falls along it: follow it to the boundary
-            drops = idx[step[idx] < 0]
-        elif (sol[:nf] >= -feas_tol).all():
-            w = np.maximum(cand, 0.0) * free
-            lagr = h @ w - b + nu * p
+            w = _step_to_boundary(w, step, idx[step[idx] < 0], free)
+        elif np.minimum.reduce(sol[:nf]) >= -feas_tol:
+            w = np.maximum(cand, 0.0)  # cand is 0 off the free set already
+            lagr = h @ w
+            lagr -= b
+            lagr += sol[nf] * p
+            if nf == k:
+                break  # no class is held at zero, so no dual sign can fail
             viol = ~free & (lagr < -dual_tol)
             if not viol.any():
                 break
             free[viol.argmax()] = True
-            continue
         else:
             # Step toward the candidate until the first coordinate hits zero.
-            step, drops = cand - w, idx[sol[:nf] < -feas_tol]
-        alphas = w[drops] / -step[drops]
-        j = alphas.argmin()
-        w = w + alphas[j] * step
-        free[drops[j]] = False
-        w = np.maximum(w, 0.0) * free
+            w = _step_to_boundary(w, cand - w, idx[sol[:nf] < -feas_tol], free)
+        rows = kept.nonzero()[0]
+        idx, kkt, rhs = rows[:-1], kkt_all[rows[:, None], rows], rhs_all[rows]
     else:
         raise NonFiniteValue(f"solve_qp did not converge in {MAX_ITER} active-set iterations")
 
@@ -231,6 +243,15 @@ def solve_qp(
     if not residual <= tol:
         raise NonFiniteValue(f"solve_qp answer fails its KKT certificate: residual {residual:.3g} > {tol:.3g}")
     return WeightVector(w)
+
+
+def _step_to_boundary(w: np.ndarray, step: np.ndarray, drops: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """``w`` moved along ``step`` until the first of ``drops`` reaches zero; that class leaves ``free``."""
+    alphas = w[drops] / -step[drops]
+    j = alphas.argmin()
+    w = w + alphas[j] * step
+    free[drops[j]] = False
+    return np.maximum(w, 0.0) * free
 
 
 def ema_update(w_prev: WeightVector, w_qp: WeightVector, lam: float) -> WeightVector:

@@ -6,13 +6,15 @@ against code that shares nothing with them.
 """
 
 import math
+import warnings
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
+from gls_adapt import estimator
 from gls_adapt.distributions import Categorical, jsd
-from gls_adapt.errors import ShapeMismatch
+from gls_adapt.errors import InvalidValue, NonFiniteValue, ShapeMismatch
 from gls_adapt.estimator import WeightVector, solve_qp
 from gls_adapt.losses import weighted_da_loss_grads
 
@@ -143,6 +145,93 @@ def qp_grid_oracle(c, mu, p, rounds=16, pts=41):
 
     best = min(candidates, key=lambda pair: pair[1])
     return best[0], best[1]
+
+
+def solve_qp_reference(c, mu: Categorical, p_source: Categorical) -> WeightVector:
+    """A frozen copy of ``estimator.solve_qp`` before its fast paths.
+
+    The same checks, the same active-set iterations and the same
+    certificate, written with no shortcut for the all-free first working
+    set: every iteration gathers its KKT system from the full one and
+    scatters the solution back. It reads ``MAX_ITER``, ``KKT_TOL`` and
+    ``SLOPE_TOL`` from the library, so a patched constant patches both, and
+    it calls ``np.linalg.lstsq`` by attribute, as the library does, so both
+    see the same LAPACK and the same patched solver.
+    """
+    c = np.asarray(c, dtype=float)
+    k = p_source.k
+    if c.shape != (k, k):
+        raise ShapeMismatch(f"C has shape {c.shape}, expected ({k}, {k})")
+    if not np.isfinite(c).all():
+        raise NonFiniteValue("C contains non-finite entries")
+    if mu.k != k:
+        raise ShapeMismatch(f"mu has length {mu.k}, expected {k}")
+    p = p_source.probs
+    if (p <= 0).any():
+        raise InvalidValue("p_source must be strictly positive")
+    zero_cols = np.flatnonzero(~c.any(axis=0))
+    if zero_cols.size:
+        warnings.warn(
+            f"confusion matrix has all-zero columns for classes {zero_cols.tolist()}; "
+            "their weights are determined by the constraints only",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+
+    h = c.T @ c
+    b = c.T @ mu.probs
+    h_max, b_max = np.abs(h).max(), np.abs(b).max()
+
+    feas_tol = 1e-12
+    dual_tol = 1e-10
+    # KKT system of all classes bordered by w.p = 1; a working set keeps its free rows and the last
+    kkt_all = np.zeros((k + 1, k + 1))
+    kkt_all[:k, :k] = h
+    kkt_all[:k, k] = kkt_all[k, :k] = p
+    rhs_all = np.concatenate((b, [1.0]))
+    kept = np.ones(k + 1, dtype=bool)
+    free = kept[:k]  # a view: the multiplier's row is always kept
+    w = np.ones(k)  # w = 1 is always feasible since p sums to 1
+
+    for _ in range(estimator.MAX_ITER):
+        rows = kept.nonzero()[0]
+        idx, nf = rows[:-1], rows.size - 1
+        kkt, rhs = kkt_all[rows[:, None], rows], rhs_all[rows]
+        sol, _, rank, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        cand = np.zeros(k)
+        cand[idx], nu = sol[:nf], sol[nf]
+        if rank <= nf:  # lstsq dropped a numerically flat direction; the residual shows it
+            res = kkt[:nf] @ sol - rhs[:nf]
+            pf = p[idx]
+            step = np.zeros(k)
+            step[idx] = (res @ pf) / (pf @ pf) * pf - res  # descent along w.p = 1
+        if rank <= nf and np.abs(step).max() > estimator.SLOPE_TOL * (1.0 + h_max * np.abs(sol).max() + b_max):
+            # the objective still falls along it: follow it to the boundary
+            drops = idx[step[idx] < 0]
+        elif (sol[:nf] >= -feas_tol).all():
+            w = np.maximum(cand, 0.0) * free
+            lagr = h @ w - b + nu * p
+            viol = ~free & (lagr < -dual_tol)
+            if not viol.any():
+                break
+            free[viol.argmax()] = True
+            continue
+        else:
+            # Step toward the candidate until the first coordinate hits zero.
+            step, drops = cand - w, idx[sol[:nf] < -feas_tol]
+        alphas = w[drops] / -step[drops]
+        j = alphas.argmin()
+        w = w + alphas[j] * step
+        free[drops[j]] = False
+        w = np.maximum(w, 0.0) * free
+    else:
+        raise NonFiniteValue(f"solve_qp did not converge in {estimator.MAX_ITER} active-set iterations")
+
+    residual = max(np.abs(lagr[free]).max(), abs(w @ p - 1.0))
+    tol = estimator.KKT_TOL * (1.0 + h_max * w.max() + b_max)
+    if not residual <= tol:
+        raise NonFiniteValue(f"solve_qp answer fails its KKT certificate: residual {residual:.3g} > {tol:.3g}")
+    return WeightVector(w)
 
 
 def accumulated_sums(batches, k):

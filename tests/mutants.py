@@ -156,7 +156,7 @@ MUTANTS = [
     Mutant(
         "row-negativity-check-dropped",
         "distributions.py",
-        "if np.logical_or.reduce(arr < -ROW_TOL, axis=None):",
+        "if np.minimum.reduce(arr, axis=None) < -ROW_TOL:",
         "if False:",
         ("tests/test_distributions.py", "tests/test_estimator.py"),
     ),
@@ -166,6 +166,34 @@ MUTANTS = [
         'with np.errstate(over="ignore", invalid="ignore"):',
         "if True:",
         ("tests/test_distributions.py", "tests/test_estimator.py"),
+    ),
+    Mutant(
+        "categorical-fast-path-accepts-plus-inf",
+        "distributions.py",
+        "float(np.add.reduce(arr))",
+        "float(np.add.reduce(arr[np.isfinite(arr)]))",
+        ("tests/test_distributions.py",),
+    ),
+    Mutant(
+        "qp-all-free-shortcut-skips-the-certificate",
+        "estimator.py",
+        "            if nf == k:\n                break",
+        "            if nf == k:\n                return WeightVector(w)",
+        ("tests/test_estimator.py",),
+    ),
+    Mutant(
+        "qp-dual-sign-check-dropped",
+        "estimator.py",
+        "            if not viol.any():\n                break",
+        "            break",
+        ("tests/test_estimator.py",),
+    ),
+    Mutant(
+        "qp-flat-direction-branch-dropped",
+        "estimator.py",
+        "if rank <= nf and np.abs(step).max() >",
+        "if False and np.abs(step).max() >",
+        ("tests/test_estimator.py",),
     ),
     Mutant(
         "infer-single-row-block-shift-dropped",

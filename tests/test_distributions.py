@@ -9,7 +9,7 @@ import pytest
 from gls_adapt.datagen import Dataset, make_shift_task
 from gls_adapt.diagnostics import balanced_error_rate, binned_divergences, bound_suite, conditional_error_gap
 from gls_adapt.distributions import Categorical, check_labels, check_rows, empirical_label_dist, jsd, l1_distance
-from gls_adapt.errors import InvalidValue, NonFiniteValue, ShapeMismatch
+from gls_adapt.errors import GlsAdaptError, InvalidValue, NonFiniteValue, ShapeMismatch
 from gls_adapt.estimator import ConfusionAccumulator, WeightVector
 from gls_adapt.losses import (
     cross_entropy_loss_grads,
@@ -71,6 +71,41 @@ class TestCategorical:
         c = cat(0.5, 0.5)
         with pytest.raises(ValueError):
             c.probs[0] = 0.9
+
+
+# Categorical accepts a vector with one min and one sum and only then looks for the
+# cause; each invalid vector keeps the class and message of the checks taken in order
+CATEGORICAL_ERRORS = {
+    "nan": ([np.nan, 0.5, 0.5], NonFiniteValue, "probs contains non-finite entries"),
+    "+inf": ([0.5, np.inf, 0.5], NonFiniteValue, "probs contains non-finite entries"),
+    "-inf": ([-np.inf, 1.0, 1.0], NonFiniteValue, "probs contains non-finite entries"),
+    "inf-and-minus-inf": ([np.inf, -np.inf], NonFiniteValue, "probs contains non-finite entries"),
+    "nan-and-negative": ([-1.0, np.nan, 2.0], NonFiniteValue, "probs contains non-finite entries"),
+    "negative": ([-0.1, 1.1], InvalidValue, "probs contains negative entries"),
+    "negative-and-huge": ([-1.0, 1e308, 1e308], InvalidValue, "probs contains negative entries"),
+    "sum-above-1": ([0.5, 0.6], InvalidValue, "probs sum to 1.1, expected 1 within 1e-09"),
+    "sum-below-1": ([0.25, 0.5], InvalidValue, "probs sum to 0.75, expected 1 within 1e-09"),
+}
+
+
+class TestCategoricalErrorOrder:
+    @pytest.mark.parametrize("case", CATEGORICAL_ERRORS)
+    def test_class_and_message(self, case):
+        probs, error, message = CATEGORICAL_ERRORS[case]
+        with pytest.raises(GlsAdaptError) as info:
+            Categorical(np.array(probs))
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_finite_entries_whose_sum_overflows(self):
+        # every entry is finite and nonnegative: the sum is the fault, and numpy warns as it overflows
+        with pytest.warns(RuntimeWarning, match="overflow encountered in reduce"):
+            with pytest.raises(GlsAdaptError) as info:
+                Categorical(np.array([1e308, 1e308]))
+        assert type(info.value) is InvalidValue and str(info.value) == "probs sum to inf, expected 1 within 1e-09"
+
+    @pytest.mark.parametrize("probs", [[1.0, 0.0], [0.0, 0.25, 0.75], [0.5 + 5e-10, 0.5]])
+    def test_edges_pass(self, probs):
+        assert np.array_equal(Categorical(np.array(probs)).probs, probs)
 
 
 class TestJsd:
@@ -285,6 +320,39 @@ class TestOneRowRule:
         assert check_labels(np.empty(0, dtype=np.int64), 3, "labels").shape == (0,)
         acc = ConfusionAccumulator(3).accumulate(np.empty((0, 3)), np.empty(0, dtype=np.int64), np.empty((0, 3)))
         assert not acc.c_hat.any() and not acc.mu_hat.any() and acc.n_source == acc.n_target == 0
+
+
+class TestRowRuleErrorOrder:
+    """The row sums fail first on a NaN or an infinity; the smallest entry is read only after them."""
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            pytest.param([np.nan, 1.0, 0.0], "rows rows must be finite and sum to 1 within 1e-06", id="nan"),
+            pytest.param([-np.inf, 1.0, 1.0], "rows rows must be finite and sum to 1 within 1e-06", id="-inf"),
+            pytest.param([-np.inf, np.inf, 1.0], "rows rows must be finite and sum to 1 within 1e-06", id="inf-minus-inf"),
+            pytest.param([1e300, -1e300, 1.0], "rows has an entry below -1e-06", id="cancelling-huge-entries"),
+            pytest.param([1.0 + 2e-6, -2e-6, 0.0], "rows has an entry below -1e-06", id="small-negative"),
+        ],
+    )
+    def test_class_and_message(self, row, message):
+        rows = np.array([[0.5, 0.25, 0.25], row, [0.0, 0.0, 1.0]])
+        with pytest.raises(GlsAdaptError) as info:
+            check_rows(rows, 3, "rows")
+        assert type(info.value) is ShapeMismatch and str(info.value) == message
+
+    def test_cancelling_huge_entries_sum_to_one(self):
+        # the negativity check, not the sum, is what refuses this row
+        assert (np.array([[1e300, -1e300, 1.0]]) @ np.ones(3))[0] == 1.0
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_no_rows_pass(self, k):
+        empty = np.empty((0, k))
+        assert check_rows(empty, k, "rows") is empty
+
+    def test_no_columns_fail(self):
+        with pytest.raises(ShapeMismatch, match="rows rows must be finite and sum to 1"):
+            check_rows(np.empty((2, 0)), 0, "rows")
 
 
 def test_only_distributions_holds_a_label_or_row_rule():

@@ -19,7 +19,14 @@ from gls_adapt.estimator import (
     true_weights,
 )
 
-from _oracles import accumulated_sums, kkt_residual, qp_grid_oracle, qp_objective, random_categorical
+from _oracles import (
+    accumulated_sums,
+    kkt_residual,
+    qp_grid_oracle,
+    qp_objective,
+    random_categorical,
+    solve_qp_reference,
+)
 
 
 def cat(*probs):
@@ -580,12 +587,14 @@ class TestSolveQp:
     def test_certificate_rejects_a_perturbed_kkt_solve(self, monkeypatch, broken):
         # an interior optimum, so the first working set is the last; with C = diag(p)
         # a shift of w by 1e-6 / p moves the gradient along p, which no free-set
-        # direction can descend, so only the certificate sees the broken w.p = 1
+        # direction can descend, so only the certificate sees the broken w.p = 1; it is
+        # reached by the all-free first working set, in one solve
         args = (np.diag([0.5, 0.3, 0.2]), cat(0.2, 0.3, 0.5), cat(0.5, 0.3, 0.2))
         assert np.allclose(solve_qp(*args).w, [0.4, 1.0, 2.5])
-        lstsq = np.linalg.lstsq
+        lstsq, sizes = np.linalg.lstsq, []
 
         def perturbed(a, rhs, rcond=None):
+            sizes.append(a.shape[0])
             sol, *rest = lstsq(a, rhs, rcond=rcond)
             if broken == "normalization":
                 sol[:-1] += 1e-6 / a[-1, :-1]  # the last KKT row is p
@@ -596,10 +605,157 @@ class TestSolveQp:
         monkeypatch.setattr(np.linalg, "lstsq", perturbed)
         with pytest.raises(NonFiniteValue, match="fails its KKT certificate: residual"):
             solve_qp(*args)
+        assert sizes == [4]
 
     def test_non_finite_confusion_raises(self):
         with pytest.raises(NonFiniteValue, match="C contains non-finite entries"):
             solve_qp(np.array([[0.5, np.nan], [0.0, 0.5]]), cat(0.5, 0.5), cat(0.5, 0.5))
+
+
+QP_STYLES = (
+    "accumulated", "matched", "duplicated", "rank-1", "zero-column", "interior", "indistinguishable", "weak",
+)
+
+
+def oracle_problem(j):
+    """Problem ``j`` of the oracle suite: k = 2 + j % 9 and style ``QP_STYLES[j % 8]``, so the
+    first 72 problems meet every pair once. Returns (style, C, mu, p_source)."""
+    rng = np.random.default_rng([2024, j])
+    k, style = 2 + j % 9, QP_STYLES[j % len(QP_STYLES)]
+    if style in ("accumulated", "matched"):
+        # prediction rows as estimate-weights reads them; some target classes get no mass
+        counts = 5 + rng.multinomial(300, rng.dirichlet(np.full(k, 4.0)))
+        labels = rng.permutation(np.repeat(np.arange(k), counts))
+        source = _softmax(3.0 * np.eye(k)[labels] + rng.standard_normal((labels.size, k)))
+        zero = rng.choice(k, size=max(1, k // 3), replace=False) if j % 3 == 0 else []
+        if style == "matched":
+            reps = rng.integers(1, 3, size=k)
+            reps[zero] = 0
+            target = np.concatenate([np.repeat(source[labels == y], reps[y], axis=0) for y in range(k)])
+        else:
+            p_target = rng.dirichlet(np.ones(k))
+            p_target[zero] = 0.0
+            target_labels = np.repeat(np.arange(k), rng.multinomial(300, p_target / p_target.sum()))
+            target = _softmax(4.0 * np.eye(k)[target_labels] + rng.standard_normal((target_labels.size, k)))
+        c, mu = ConfusionAccumulator(k).accumulate(source, labels, target).finalize()
+        return style, c, mu, Categorical(counts / labels.size)
+    # a classifier barely better than chance: classes leave the working set and come back
+    c, p_s = random_confusion(rng, k, diag_boost=0.05 if style == "weak" else 0.6)
+    mu = Categorical(random_categorical(rng, k, floor=0.0))
+    if style == "duplicated":
+        c[:, -1] = c[:, 0]
+    elif style == "rank-1":
+        c = np.outer(random_categorical(rng, k), p_s)
+    elif style == "zero-column":
+        c[:, rng.choice(k, size=1 + j % 2, replace=False)] = 0.0
+    elif style == "interior":
+        w_star = rng.uniform(0.5, 1.5, size=k)
+        mu = Categorical.normalize(c @ (w_star / (w_star @ p_s)))
+    elif style == "indistinguishable":
+        # the last column stands to the first in the ratio of their classes' mass, up to 1e-8
+        c[:, -1] = c[:, 0] * p_s[-1] / p_s[0] * (1.0 + 1e-8 * rng.random(k))
+    return style, c, mu, Categorical(p_s)
+
+
+ORACLE_SUITE = [oracle_problem(j) for j in range(240)]
+
+
+def solve_warned(solver, style, c, mu, p):
+    if style == "zero-column":
+        with pytest.warns(RuntimeWarning, match="confusion matrix has all-zero columns for classes"):
+            return solver(c, mu, p)
+    return solver(c, mu, p)
+
+
+def counted_lstsq(monkeypatch):
+    """Patch ``np.linalg.lstsq`` to record each call's (rank, system size); return the record."""
+    calls, lstsq = [], np.linalg.lstsq
+
+    def counting(a, rhs, rcond=None):
+        out = lstsq(a, rhs, rcond=rcond)
+        calls.append((int(out[2]), a.shape[0]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    return calls
+
+
+class TestSolveQpMatchesTheReference:
+    """``solve_qp`` returns the frozen reference's bytes, its errors and its ``lstsq`` calls."""
+
+    def test_same_bytes_over_the_suite(self):
+        styles = {style for style, *_ in ORACLE_SUITE}
+        assert len(ORACLE_SUITE) >= 200 and styles == set(QP_STYLES)
+        assert {c.shape[0] for _, c, _, _ in ORACLE_SUITE} == set(range(2, 11))
+        for j, (style, c, mu, p) in enumerate(ORACLE_SUITE):
+            got = solve_warned(solve_qp, style, c, mu, p).w
+            want = solve_warned(solve_qp_reference, style, c, mu, p).w
+            assert got.tobytes() == want.tobytes(), (j, style, got, want)
+
+    def test_same_lstsq_calls_over_the_suite(self, monkeypatch):
+        calls = counted_lstsq(monkeypatch)
+        solves = {solve_qp: [], solve_qp_reference: []}  # per problem, the (rank, size) of each call
+        for style, c, mu, p in ORACLE_SUITE:
+            for solver, record in solves.items():
+                start = len(calls)
+                solve_warned(solver, style, c, mu, p)
+                record.append(calls[start:])
+        assert solves[solve_qp] == solves[solve_qp_reference]  # so the totals match too
+        counts = [len(record) for record in solves[solve_qp]]
+        # the suite reaches every branch: interior optima, several working sets, a class freed
+        # again after it left (a system larger than the one before it) and a flat direction
+        assert all(n == 1 for n, (style, *_) in zip(counts, ORACLE_SUITE) if style == "interior")
+        assert max(counts) >= 4
+        assert any(later[1] > earlier[1] for record in solves[solve_qp] for earlier, later in zip(record, record[1:]))
+        assert any(rank < size - 1 for rank, size in calls)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param((np.eye(2), cat(0.2, 0.3, 0.5), cat(0.2, 0.3, 0.5)), id="c-shape"),
+            pytest.param((np.eye(3), cat(0.5, 0.5), cat(0.2, 0.3, 0.5)), id="mu-length"),
+            pytest.param((np.array([[0.5, np.nan], [0.0, 0.5]]), cat(0.5, 0.5), cat(0.5, 0.5)), id="nan-c"),
+            pytest.param((np.array([[0.5, -np.inf], [0.0, 0.5]]), cat(0.5, 0.5), cat(0.5, 0.5)), id="inf-c"),
+            pytest.param((np.array([[np.inf, 0.0], [0.0, 0.5]]), cat(0.5, 0.5, 0.0), cat(0.5, 0.5)), id="inf-c-and-mu"),
+            pytest.param((np.eye(2) / 2, cat(0.5, 0.5), cat(1.0, 0.0)), id="zero-p-source"),
+        ],
+    )
+    def test_same_errors_on_invalid_input(self, args):
+        with pytest.raises(GlsAdaptError) as want:
+            solve_qp_reference(*args)
+        with pytest.raises(type(want.value)) as got:
+            solve_qp(*args)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_same_error_when_the_iterations_run_out(self, monkeypatch, max_iter):
+        c, p_s = random_confusion(np.random.default_rng(0), 8)
+        args = (c, Categorical(0.9 * np.eye(8)[0] + 0.1 / 8), Categorical(p_s))
+        monkeypatch.setattr(estimator, "MAX_ITER", max_iter)
+        message = f"solve_qp did not converge in {max_iter} active-set iterations"
+        for solver in (solve_qp_reference, solve_qp):
+            with pytest.raises(NonFiniteValue) as info:
+                solver(*args)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("style", QP_STYLES)
+    def test_same_error_when_the_certificate_fails(self, monkeypatch, style):
+        # every solve's w is pushed off w.p = 1, so the certificate sees it on every path
+        c, mu, p = next(problem for problem in ORACLE_SUITE if problem[0] == style)[1:]
+        lstsq = np.linalg.lstsq
+
+        def perturbed(a, rhs, rcond=None):
+            sol, *rest = lstsq(a, rhs, rcond=rcond)
+            sol[:-1] += 1e-6
+            return (sol, *rest)
+
+        monkeypatch.setattr(np.linalg, "lstsq", perturbed)
+        messages = []
+        for solver in (solve_qp_reference, solve_qp):
+            with pytest.raises(NonFiniteValue) as info:
+                solve_warned(solver, style, c, mu, p)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] and "fails its KKT certificate" in messages[0]
 
 
 class TestEmaUpdate:
