@@ -165,7 +165,8 @@ def _label_dist(name: str, probs, k: int):
         return None
     flag = "--" + name.replace("_", "-")
     try:
-        dist = Categorical(np.asarray(probs, dtype=float))
+        with np.errstate(over="ignore"):  # an overflowing sum is reported by the error alone
+            dist = Categorical(np.asarray(probs, dtype=float))
     except GlsAdaptError as exc:
         raise type(exc)(f"{exc} ({flag})") from exc
     if dist.k != k:

@@ -34,6 +34,7 @@ __all__ = [
 CONDITION_CAP = 1e8
 KKT_TOL = 1e-9  # relative tolerance of solve_qp's certificate
 SLOPE_TOL = 1e-12  # relative free-set residual of a KKT solve that counts as descent
+DUAL_TOL = 1e-10  # an active-set multiplier below -DUAL_TOL frees its class
 MAX_ITER = 200  # active-set iterations before solve_qp gives up
 
 
@@ -152,12 +153,13 @@ def solve_qp(
     set frees every class, so it solves the whole bordered system as built;
     a later one gathers its rows from it. A direction of descent that the
     solve drops as numerically flat is followed to the boundary. The loop
-    stops when the dual sign holds on the active set (with every class free
-    there is none to check), and the answer must pass a certificate:
-    stationarity on the free set and |w . p_S - 1| within ``KKT_TOL`` *
-    (1 + max|C^T C| max w + max|C^T mu|). Raises ``NonFiniteValue`` with the
-    residual when it does not, when C is not finite, or when ``MAX_ITER``
-    iterations end without a KKT point.
+    stops when the dual sign holds on the active set to within ``DUAL_TOL``
+    (with every class free there is none to check), and the answer must
+    pass a certificate of all three KKT conditions: stationarity on the free
+    set, no negative multiplier on the active set and |w . p_S - 1|, each
+    within ``KKT_TOL`` * (1 + max|C^T C| max w + max|C^T mu|). Raises
+    ``NonFiniteValue`` with the residual when it does not, when C is not
+    finite, or when ``MAX_ITER`` iterations end without a KKT point.
 
     A known limit: on classes that C cannot tell apart (columns in the
     ratio of their p_S to within about 1e-9), the answer can sit up to about
@@ -191,7 +193,6 @@ def solve_qp(
     h_max, b_max = np.abs(h).max(), np.abs(b).max()
 
     feas_tol = 1e-12
-    dual_tol = 1e-10
     # KKT system of all classes bordered by w.p = 1; a working set keeps its free rows and the last
     kkt_all = np.zeros((k + 1, k + 1))
     kkt_all[:k, :k] = h
@@ -226,7 +227,7 @@ def solve_qp(
             lagr += sol[nf] * p
             if nf == k:
                 break  # no class is held at zero, so no dual sign can fail
-            viol = ~free & (lagr < -dual_tol)
+            viol = ~free & (lagr < -DUAL_TOL)
             if not viol.any():
                 break
             free[viol.argmax()] = True
@@ -238,7 +239,8 @@ def solve_qp(
     else:
         raise NonFiniteValue(f"solve_qp did not converge in {MAX_ITER} active-set iterations")
 
-    residual = max(np.abs(lagr[free]).max(), abs(w @ p - 1.0))
+    # stationarity on the free set, the dual sign on the active set, and w.p = 1
+    residual = max(np.abs(lagr[free]).max(), -np.minimum.reduce(lagr, where=~free, initial=0.0), abs(w @ p - 1.0))
     tol = KKT_TOL * (1.0 + h_max * w.max() + b_max)
     if not residual <= tol:
         raise NonFiniteValue(f"solve_qp answer fails its KKT certificate: residual {residual:.3g} > {tol:.3g}")

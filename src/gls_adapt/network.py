@@ -19,16 +19,10 @@ __all__ = [
     "ModelGrads",
     "init_model_state",
     "forward",
-    "infer",
     "backward",
     "outer_map",
     "sgd_step",
 ]
-
-# Rows per forward in a full-data pass. One block's arrays, one per layer,
-# are small enough to be reused from the heap instead of mapped fresh on
-# every pass; 128, 256, 512 and 1,024 rows trained within the noise (~15%).
-BLOCK_ROWS = 256
 
 _HEADS = ("softmax", "linear", "tanh")
 
@@ -243,36 +237,6 @@ def forward(state: ModelState, x: np.ndarray, discriminate: bool = False):
     d_in = z if state.d.in_dim == state.g.out_dim else outer_map(p, z)
     dout, cache["d"] = state.d.forward(d_in)
     return dout, cache
-
-
-def infer(state: ModelState, x: np.ndarray, features_out: np.ndarray) -> np.ndarray:
-    """The predictions h(g(x)) for all rows of ``x``, (n, k), computed in row blocks.
-
-    Each call of the module's ``forward`` sees at most ``BLOCK_ROWS`` rows,
-    and only its z and cached p are kept, so a full-data pass needs one
-    block's memory. On OpenBLAS's SkylakeX (AVX-512) kernels the output
-    equals one unblocked forward bit for bit: blocks start on multiples of
-    128 rows, so those kernels tile the rows as in one call, and no block
-    is a single row of a longer input (numpy hands a one-row product to
-    gemv, which rounds differently from gemm). Its Haswell kernels do not:
-    a 257-row input, split 128 + 129, differs from one forward.
-
-    ``features_out``, an (n, feature_dim) array, receives every block's
-    features z, the forward's output.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    stops = [*range(BLOCK_ROWS, n, BLOCK_ROWS), n]
-    if n > 1 and n % BLOCK_ROWS == 1:
-        stops[-2] -= BLOCK_ROWS // 2
-    out = np.empty((n, state.k))
-    start = 0
-    for stop in stops:
-        z, cache = forward(state, x[start:stop])
-        out[start:stop] = cache["p"]
-        features_out[start:stop] = z
-        start = stop
-    return out
 
 
 def backward(

@@ -189,6 +189,13 @@ MUTANTS = [
         ("tests/test_estimator.py",),
     ),
     Mutant(
+        "qp-certificate-dual-sign-dropped",
+        "estimator.py",
+        " -np.minimum.reduce(lagr, where=~free, initial=0.0),",
+        "",
+        ("tests/test_estimator.py",),
+    ),
+    Mutant(
         "qp-flat-direction-branch-dropped",
         "estimator.py",
         "if rank <= nf and np.abs(step).max() >",
@@ -196,17 +203,10 @@ MUTANTS = [
         ("tests/test_estimator.py",),
     ),
     Mutant(
-        "infer-single-row-block-shift-dropped",
-        "network.py",
-        "if n > 1 and n % BLOCK_ROWS == 1:",
-        "if False:",
-        ("tests/test_network.py",),
-    ),
-    Mutant(
         "infer-writes-a-fresh-feature-buffer",
         "trainer.py",
-        "network.infer(state, data.features, features_out)",
-        "network.infer(state, data.features, np.empty_like(features_out))",
+        "features_out[start:stop] = z",
+        "np.empty_like(features_out)[start:stop] = z",
         ("tests/test_trainer.py",),
     ),
     Mutant(
@@ -242,6 +242,13 @@ MUTANTS = [
         "cli.py",
         "1 if n_fail else 0",
         "0",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "label-dist-overflow-warning-shown",
+        "cli.py",
+        'with np.errstate(over="ignore"):',
+        "if True:",
         ("tests/test_cli.py",),
     ),
     Mutant(

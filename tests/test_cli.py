@@ -775,6 +775,22 @@ class TestEstimateWeights:
         assert capsys.readouterr().err == f"error: {sl}: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["generate", "train", "estimate-weights"])
+def test_overflowing_label_dist_is_one_line_error(tmp_path, capsys, command):
+    # finite entries whose sum overflows: the error alone reports it, with no numpy warning
+    if command == "estimate-weights":
+        sp, sl, tp, _, _ = TestEstimateWeights().write_inputs(tmp_path, n=20)
+        argv = [command, "--source-preds", sp, "--source-labels", sl, "--target-preds", tp, "--p-source"]
+        flag = "--p-source"
+    else:
+        argv = [command, "--n", 50, "--source-label-dist"]
+        flag = "--source-label-dist"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "1e308,1e308,1e308", "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr() == ("", f"error: probs sum to inf, expected 1 within 1e-09 ({flag})\n")
+
+
 class TestBoundsExitCode:
     @pytest.mark.parametrize("command", ["train"])
     def test_failed_check_exits_1_after_writing_every_file(self, tmp_path, monkeypatch, capsys, command):

@@ -607,6 +607,23 @@ class TestSolveQp:
             solve_qp(*args)
         assert sizes == [4]
 
+    def test_certificate_rejects_an_early_stop(self, monkeypatch):
+        # with the loop's dual-sign test off, the solver stops at the first feasible
+        # working set; where that is not the optimum an active-set multiplier is
+        # negative, which only the certificate's dual-sign term then sees
+        monkeypatch.setattr(estimator, "DUAL_TOL", np.inf)
+        refused = []
+        for j, (style, c, mu, p) in enumerate(ORACLE_SUITE):
+            try:
+                w = solve_warned(solve_qp, style, c, mu, p).w
+            except NonFiniteValue as exc:
+                assert "fails its KKT certificate" in str(exc)
+                refused.append(j)
+                continue
+            residual, scale = kkt_residual(c, mu.probs, p.probs, w)
+            assert residual <= 1e-9 * scale, (j, style)
+        assert refused
+
     def test_non_finite_confusion_raises(self):
         with pytest.raises(NonFiniteValue, match="C contains non-finite entries"):
             solve_qp(np.array([[0.5, np.nan], [0.0, 0.5]]), cat(0.5, 0.5), cat(0.5, 0.5))

@@ -14,7 +14,6 @@ from gls_adapt.network import (
     ModelState,
     backward,
     forward,
-    infer,
     init_model_state,
     outer_map,
     sgd_step,
@@ -134,39 +133,6 @@ class TestSoftmaxRows:
         out = net._head(pre)
         assert np.isfinite(out).all()
         check_rows(out, k, "softmax rows")
-
-
-class TestInfer:
-    """The blocked full-data pass must give one unblocked forward's bits."""
-
-    # output names which of infer's two results is compared: the returned
-    # predictions or the features written into features_out
-    @pytest.mark.parametrize("output", ["features", "classify"])
-    @pytest.mark.parametrize("conditional", [False, True])
-    @pytest.mark.parametrize("n", [1, network.BLOCK_ROWS, network.BLOCK_ROWS + 1, 3000])
-    def test_equals_one_unblocked_forward(self, monkeypatch, conditional, output, n):
-        # the default training model, as evaluate runs it
-        state = init_model_state(input_dim=2, k=3, conditional=conditional, rng=np.random.default_rng(n))
-        x = np.random.default_rng(1).normal(scale=2.0, size=(n, 2))
-        z, cache = forward(state, x)
-        want = cache["p"] if output == "classify" else z
-        rows = []
-
-        def counting(state, x, discriminate=False):
-            rows.append(len(x))
-            return forward(state, x, discriminate)
-
-        monkeypatch.setattr(network, "forward", counting)
-        feats = np.empty((n, state.feature_dim))
-        preds = infer(state, x, feats)
-        got = preds if output == "classify" else feats
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        # every block goes through the module's forward, none longer than
-        # BLOCK_ROWS, and a longer input never leaves a single-row block
-        assert sum(rows) == n
-        assert max(rows) <= network.BLOCK_ROWS
-        assert n == 1 or min(rows) > 1
 
 
 class TestBackward:

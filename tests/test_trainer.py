@@ -104,6 +104,46 @@ class TestEvaluate:
             tracemalloc.stop()
         assert peak < 1024 * 1024
 
+    # output names which of evaluate's results is checked: the features written
+    # into features_out, or the accuracy and confusion it scores
+    @pytest.mark.parametrize("output", ["features", "classify"])
+    @pytest.mark.parametrize("conditional", [False, True])
+    @pytest.mark.parametrize("n", [1, trainer.BLOCK_ROWS, trainer.BLOCK_ROWS + 1, 3000])
+    def test_scores_the_blocks_it_forwards(self, monkeypatch, conditional, output, n):
+        # the default training model; every check compares evaluate with the
+        # forwards it made, so it holds under any BLAS
+        state = init_model_state(input_dim=2, k=3, conditional=conditional, rng=np.random.default_rng(n))
+        rng = np.random.default_rng(1)
+        data = Dataset(rng.normal(scale=2.0, size=(n, 2)), rng.integers(0, 3, size=n), 3)
+        blocks = []
+        real_forward = network.forward
+
+        def recording(state, x, discriminate=False):
+            z, cache = real_forward(state, x, discriminate)
+            blocks.append((x.copy(), z.copy(), cache["p"].copy()))
+            return z, cache
+
+        monkeypatch.setattr(network, "forward", recording)
+        feats = np.full((n, state.feature_dim), np.nan)
+        acc, conf = evaluate(state, data, feats)
+        # every block goes through the module's forward, none longer than
+        # BLOCK_ROWS, and together they are the rows in order
+        rows, z, p = (np.concatenate(part) for part in zip(*blocks))
+        assert max(len(x) for x, _, _ in blocks) <= trainer.BLOCK_ROWS
+        assert rows.tobytes() == data.features.tobytes()
+        if output == "features":
+            assert feats.tobytes() == z.tobytes()
+        else:
+            hard = p.argmax(axis=1)
+            assert acc == np.count_nonzero(hard == data.labels) / n
+            want = np.zeros((3, 3))
+            for y, yhat in zip(data.labels, hard):
+                want[y, yhat] += 1
+            for row in want:
+                if row.sum() > 0:
+                    row /= row.sum()
+            assert conf.tobytes() == want.tobytes()
+
     def test_dimension_mismatch(self):
         src, _ = tiny_task()
         state = init_model_state(input_dim=5, k=3, rng=np.random.default_rng(0))
@@ -602,7 +642,7 @@ class PassCounter:
 
     def full_data_counts(self):
         """The counts without the batch forwards, after checking the block size."""
-        assert 0 < self.counts["max_full_block"] <= network.BLOCK_ROWS
+        assert 0 < self.counts["max_full_block"] <= trainer.BLOCK_ROWS
         return {k: v for k, v in self.counts.items() if k not in ("batch_forward", "batch_rows", "max_full_block")}
 
 
