@@ -58,12 +58,14 @@ def _out_dir(text) -> Path:
     return Path(text)
 
 
-def _parse_floats(text) -> list[float]:
-    return [float(v) for v in str(text).split(",") if v.strip()]
+def _parse_list(convert):
+    """An option type for comma-separated entries: each is stripped and converted, and empty ones are dropped."""
 
+    def parse(text) -> list:
+        return [convert(v.strip()) for v in str(text).split(",") if v.strip()]
 
-def _parse_ints(text) -> list[int]:
-    return [int(v) for v in str(text).split(",") if v.strip()]
+    parse.__name__ = f"{convert.__name__} list"  # argparse names it: "invalid int list value: 'x'"
+    return parse
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -106,8 +108,8 @@ _DOMAIN_OPTS = {
     "n": int,
     "sigma": float,
     "radius": float,
-    "source_label_dist": _parse_floats,
-    "target_label_dist": _parse_floats,
+    "source_label_dist": _parse_list(float),
+    "target_label_dist": _parse_list(float),
 }
 
 
@@ -238,9 +240,9 @@ def cmd_train(ns) -> int:
     train_opts, domain_opts, seed = _resolve(ns)
     algorithms = ns.algorithms
     seeds = [seed] if ns.seeds is None else ns.seeds
-    if not seeds:
-        raise ConfigInvalid("--seeds lists no seed")
-    for flag, values in (("--algorithms", algorithms), ("--seeds", seeds)):
+    for flag, what, values in (("--algorithms", "algorithm", algorithms), ("--seeds", "seed", seeds)):
+        if not values:
+            raise ConfigInvalid(f"{flag} lists no {what}")
         repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if repeated is not None:
             raise ConfigInvalid(f"{flag} lists {repeated} more than once")
@@ -292,10 +294,12 @@ def cmd_sweep_jsd(ns) -> int:
     configs = [TrainConfig(algorithm=alg, seed=seed, **train_opts) for alg in (base, variant)]
     base_src, base_tgt = _make_domains(seed, **domain_opts)
     tasks = jsd_task_suite(base_src, base_tgt, count=ns.tasks, seed=seed)
-    runs = [(cfg, t.source, t.target) for t in tasks for cfg in configs]
-    acc = [trace.best_target_accuracy() for trace, _ in train_many(runs, jobs=ns.jobs)]
-    pairs = zip(tasks, acc[::2], acc[1::2])  # each task's base run, then its variant's
-    rows = [(i, t.jsd_label, acc_b, acc_v, acc_v - acc_b) for i, (t, acc_b, acc_v) in enumerate(pairs)]
+    runs = [(cfg, src, tgt) for src, tgt in tasks for cfg in configs]
+    traces = [trace for trace, _ in train_many(runs, jobs=ns.jobs)]
+    rows = []
+    for i, (t_base, t_var) in enumerate(zip(traces[::2], traces[1::2])):  # each task's base run, then its variant's
+        acc_b, acc_v = t_base.best_target_accuracy(), t_var.best_target_accuracy()
+        rows.append((i, t_base.records[0].jsd_label, acc_b, acc_v, acc_v - acc_b))
     _write_table(ns.out / "sweep.csv", "task_id,jsd,acc_base,acc_variant,gain", rows, ns.full_precision)
     print(f"wrote {ns.out / 'sweep.csv'} ({len(rows)} tasks)")
     return 0
@@ -384,8 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train = command("train", cmd_train, "train one or more algorithms over seeds", train=True, subsample=True)
     p_train.add_argument("--source", default=None)
     p_train.add_argument("--target", default=None)
-    p_train.add_argument("--algorithms", type=lambda t: str(t).split(","), default=["iwdan"])
-    p_train.add_argument("--seeds", type=_parse_ints, default=None)
+    p_train.add_argument("--algorithms", type=_parse_list(str), default=["iwdan"])
+    p_train.add_argument("--seeds", type=_parse_list(int), default=None)
     p_train.add_argument("--bounds", action="store_true")
 
     p_sweep = command("sweep-jsd", cmd_sweep_jsd, "gain vs label-divergence scatter", train=True)
@@ -400,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--source-preds", required=True, dest="source_preds")
     p_est.add_argument("--source-labels", required=True, dest="source_labels")
     p_est.add_argument("--target-preds", required=True, dest="target_preds")
-    p_est.add_argument("--p-source", type=_parse_floats, default=None, dest="p_source")
+    p_est.add_argument("--p-source", type=_parse_list(float), default=None, dest="p_source")
 
     return parser
 
@@ -409,7 +413,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (GlsAdaptError, OSError) as exc:
+    except (GlsAdaptError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,6 @@ from .errors import ConfigInvalid, InvalidValue, ParseError
 
 __all__ = [
     "Dataset",
-    "Task",
     "make_shift_task",
     "subsample_protocol",
     "jsd_task_suite",
@@ -149,6 +148,16 @@ def make_shift_task(
     return tuple(domains)
 
 
+def _keep_rows(data: Dataset, sizes, rng) -> Dataset:
+    """``sizes[y]`` rows of class y, drawn without replacement, or all where the size is None; row order is kept."""
+    keep = []
+    for y, size in enumerate(sizes):
+        idx = np.flatnonzero(data.labels == y)
+        keep.append(idx if size is None else rng.choice(idx, size=size, replace=False))
+    order = np.sort(np.concatenate(keep))
+    return Dataset(data.features[order], data.labels[order], data.k)
+
+
 def subsample_protocol(data: Dataset, fraction: float, seed: int = 0) -> Dataset:
     """Keep only ``fraction`` of the samples in the first half of the classes.
 
@@ -157,38 +166,12 @@ def subsample_protocol(data: Dataset, fraction: float, seed: int = 0) -> Dataset
     """
     if not 0.0 < fraction <= 1.0:
         raise ConfigInvalid(f"fraction must lie in (0, 1], got {fraction!r}")
-    rng = np.random.default_rng(seed)
-    first_half = (data.k + 1) // 2
-    keep: list[np.ndarray] = []
-    for y in range(data.k):
-        idx = np.flatnonzero(data.labels == y)
-        if y < first_half:
-            m = int(np.floor(fraction * idx.size))
-            if m < 1:
-                raise InvalidValue(f"class {y} would keep 0 of {idx.size} samples")
-            idx = rng.choice(idx, size=m, replace=False)
-        keep.append(idx)
-    order = np.sort(np.concatenate(keep))
-    return Dataset(features=data.features[order], labels=data.labels[order], k=data.k)
-
-
-@dataclass(frozen=True)
-class Task:
-    """One adaptation task tagged with its label-distribution divergence."""
-
-    source: Dataset
-    target: Dataset
-    jsd_label: float
-
-
-def _apply_keep_vector(data: Dataset, keep: np.ndarray, rng) -> Dataset:
-    idx_all: list[np.ndarray] = []
-    for y in range(data.k):
-        idx = np.flatnonzero(data.labels == y)
-        m = max(1, int(round(keep[y] * idx.size)))
-        idx_all.append(rng.choice(idx, size=min(m, idx.size), replace=False))
-    order = np.sort(np.concatenate(idx_all))
-    return Dataset(data.features[order], data.labels[order], data.k)
+    counts = np.bincount(data.labels, minlength=data.k)
+    sizes = [int(np.floor(fraction * n)) if y < (data.k + 1) // 2 else None for y, n in enumerate(counts)]
+    if 0 in sizes:
+        y = sizes.index(0)
+        raise InvalidValue(f"class {y} would keep 0 of {counts[y]} samples")
+    return _keep_rows(data, sizes, np.random.default_rng(seed))
 
 
 def jsd_task_suite(
@@ -196,15 +179,17 @@ def jsd_task_suite(
     base_target: Dataset,
     count: int,
     seed: int = 0,
-) -> list[Task]:
-    """Generate adaptation tasks with an approximately uniform spread of
-    label-distribution divergences.
+) -> list[tuple[Dataset, Dataset]]:
+    """Generate (source, target) adaptation tasks with an approximately
+    uniform spread of label-distribution divergences.
 
     Per-class keep fractions are drawn in [0.1, 1]^k; half of the tasks
-    subsample the source, half the target. A large candidate pool is
-    scored by the divergence its keep vector would induce, and one
-    candidate is selected per rung of an evenly spaced divergence ladder
-    inside ``JSD_ENVELOPE`` (automatic replacement for hand rejection).
+    subsample the source, half the target, and the other side is the base
+    dataset itself. A large candidate pool is scored by the divergence its
+    keep vector would induce, and one candidate is selected per rung of an
+    evenly spaced divergence ladder inside ``JSD_ENVELOPE`` (automatic
+    replacement for hand rejection). Class y of the subsampled side keeps
+    round(keep_y * n_y) of its n_y rows, at least one and at most all.
     """
     if count < 1:
         raise InvalidValue(f"count must be >= 1, got {count}")
@@ -213,14 +198,13 @@ def jsd_task_suite(
     k = base_source.k
     rng = np.random.default_rng(seed)
     n_src_tasks = (count + 1) // 2
-    sides = ["source"] * n_src_tasks + ["target"] * (count - n_src_tasks)
 
     pool = max(80, 30 * count)
     exponents = rng.uniform(0.4, 5.0, size=pool)
     raw = rng.uniform(0.0, 1.0, size=(pool, k))
     keeps = 0.1 + 0.9 * raw ** exponents[:, None]
 
-    tasks: list[Task] = []
+    tasks = []
     for side, n_side in (("source", n_src_tasks), ("target", count - n_src_tasks)):
         if n_side == 0:
             continue
@@ -238,11 +222,9 @@ def jsd_task_suite(
             order = np.argsort(np.abs(cand_jsd - target_jsd))
             pick = next(int(i) for i in order if int(i) not in used)
             used.add(pick)
-            sub = _apply_keep_vector(base, keeps[pick], rng)
-            src = sub if side == "source" else base_source
-            tgt = base_target if side == "source" else sub
-            realized = jsd(src.label_distribution(), tgt.label_distribution())
-            tasks.append(Task(source=src, target=tgt, jsd_label=realized))
+            sizes = [min(max(1, int(round(keep * n))), int(n)) for keep, n in zip(keeps[pick], counts)]
+            sub = _keep_rows(base, sizes, rng)
+            tasks.append((sub, base_target) if side == "source" else (base_source, sub))
     return tasks
 
 

@@ -85,9 +85,8 @@ def _da(a: np.ndarray, ws: np.ndarray, grad: np.ndarray) -> float:
     source rows and sigma(a) / s on the target rows, into ``grad``, a (2s,) array; returns the value.
     """
     s = ws.size
-    with np.errstate(invalid="ignore"):  # a NaN logit gives a NaN value, which the training step reports
-        sp_neg = np.logaddexp(0.0, -a)  # softplus(-a) = -log sigma(a)
-        value = float((np.add.reduce(ws * sp_neg[:s]) + np.add.reduce(np.logaddexp(0.0, a[s:]))) / s)
+    sp_neg = np.logaddexp(0.0, -a)  # softplus(-a) = -log sigma(a)
+    value = float((np.add.reduce(ws * sp_neg[:s]) + np.add.reduce(np.logaddexp(0.0, a[s:]))) / s)
     sigma = np.exp(np.negative(sp_neg, out=sp_neg), out=sp_neg)  # exp(-softplus(-a)) cannot overflow
     np.multiply(ws, sigma[:s] - 1.0, out=grad[:s])
     grad[s:] = sigma[s:]

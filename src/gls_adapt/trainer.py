@@ -255,15 +255,17 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
             np.take(target.features, idx_t, axis=0, out=x[s:])
             ys = source.labels[idx_s]
 
-            out, cache = network.forward(state, x, discriminate)
-            preds = cache["p"]
-            loss_c = losses._nll(preds[:s], ys, class_coeff, grad_preds[:s])
-            loss_da, grad_da = 0.0, None
-            if kernel:
-                loss_da, grad_da = losses._mmd(out[:s], out[s:], w_da.w[ys])
-            elif discriminate:
-                loss_da = losses._da(out.reshape(-1), w_da.w[ys], grad_d.reshape(-1))
-                grad_da = grad_d
+            # an overflow or NaN here reaches a loss or a prediction, which _check_step reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                out, cache = network.forward(state, x, discriminate)
+                preds = cache["p"]
+                loss_c = losses._nll(preds[:s], ys, class_coeff, grad_preds[:s])
+                loss_da, grad_da = 0.0, None
+                if kernel:
+                    loss_da, grad_da = losses._mmd(out[:s], out[s:], w_da.w[ys])
+                elif discriminate:
+                    loss_da = losses._da(out.reshape(-1), w_da.w[ys], grad_d.reshape(-1))
+                    grad_da = grad_d
             grads = network.backward(state, cache, grad_da, grad_preds, config.reversal_coeff)
             _check_step(epoch, batch, loss_da, loss_c, preds, out if discriminate else None)
             acc._accumulate(preds[:s], ys, preds[s:])

@@ -203,7 +203,7 @@ MUTANTS = [
         ("tests/test_estimator.py",),
     ),
     Mutant(
-        "infer-writes-a-fresh-feature-buffer",
+        "evaluate-writes-a-fresh-feature-buffer",
         "trainer.py",
         "features_out[start:stop] = z",
         "np.empty_like(features_out)[start:stop] = z",
@@ -257,6 +257,27 @@ MUTANTS = [
         "not (ns.source and ns.target)",
         "not (ns.source or ns.target)",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "list-parser-keeps-empty-entries",
+        "cli.py",
+        'for v in str(text).split(",") if v.strip()]',
+        'for v in str(text).split(",")]',
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "step-errstate-dropped",
+        "trainer.py",
+        'with np.errstate(over="ignore", invalid="ignore"):',
+        "if True:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "keep-rows-order-dropped",
+        "datagen.py",
+        "order = np.sort(np.concatenate(keep))",
+        "order = np.concatenate(keep)",
+        ("tests/test_datagen.py",),
     ),
     Mutant(
         "kernel-loss-batch-size-check-dropped",

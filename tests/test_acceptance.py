@@ -133,14 +133,18 @@ def sweep_runs():
     tasks = jsd_task_suite(base_src, base_tgt, count=24, seed=7)
     start = time.perf_counter()
     runs = [
-        (TrainConfig(algorithm=alg, epochs=20, seed=5, reversal_coeff=20.0), task.source, task.target)
-        for task in tasks
+        (TrainConfig(algorithm=alg, epochs=20, seed=5, reversal_coeff=20.0), source, target)
+        for source, target in tasks
         for alg in ("dann", "iwdan")
     ]
     results = train_pooled(runs, bounds=True)
     elapsed = time.perf_counter() - start
-    acc = [trace.best_target_accuracy() for trace, _ in results]
-    rows = [(task.jsd_label, acc_iw - acc_da) for task, acc_da, acc_iw in zip(tasks, acc[::2], acc[1::2])]
+    traces = [trace for trace, _ in results]
+    # each task's divergence is the one its dann run's trace records
+    rows = [
+        (da.records[0].jsd_label, iw.best_target_accuracy() - da.best_target_accuracy())
+        for da, iw in zip(traces[::2], traces[1::2])
+    ]
     bounds = [b for _, reports in results for b in reports]
     return {"rows": np.array(rows), "bounds": bounds, "elapsed": elapsed}
 

@@ -235,6 +235,51 @@ class TestTrain:
         out, err = capsys.readouterr()
         assert out == "" and re.fullmatch(r"error: epoch \d+ batch \d+: [^\n]+\n", err)
 
+    @pytest.mark.parametrize("algorithm", list(trainer.ALGORITHMS))
+    def test_a_diverging_run_is_one_line_error(self, tmp_path, capsys, algorithm):
+        # every overflow on the way reaches a loss or a prediction, which the step's check reports
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["train", "--lr", 1e308, "--epochs", 2, "--algorithms", algorithm, "--out", tmp_path / "x"])
+        assert rc == 1 and not caught
+        out, err = capsys.readouterr()
+        assert out == "" and re.fullmatch(r"error: epoch \d+ batch \d+: [^\n]+\n", err)
+
+    def test_out_of_memory_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        # a real huge allocation fails at once or later depending on the host's overcommit policy
+        message = "Unable to allocate 47.3 TiB for an array with shape (100000000000, 65) and data type float64"
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(trainer.network, "init_model_state", no_memory)
+        rc = run(["train", "--n", 200, "--epochs", 1, "--out", tmp_path / "x"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "flag,value,parsed",
+        [
+            ("--algorithms", "iwdan,", ["iwdan"]),
+            ("--algorithms", ",iwdan", ["iwdan"]),
+            ("--algorithms", "iwdan, dann", ["iwdan", "dann"]),
+            ("--algorithms", " iwdan ,,dann ", ["iwdan", "dann"]),
+            ("--seeds", "1,", [1]),
+            ("--seeds", "1, 2", [1, 2]),
+            ("--source-label-dist", " 0.5, 0.5,", [0.5, 0.5]),
+        ],
+    )
+    def test_list_options_strip_entries_and_drop_empty_ones(self, flag, value, parsed):
+        ns = cli._build_parser().parse_args(["train", flag, value])
+        assert getattr(ns, flag[2:].replace("-", "_")) == parsed
+
+    @pytest.mark.parametrize("value", ["", ",", " , "])
+    def test_empty_algorithm_list_is_one_line_error(self, tmp_path, capsys, value):
+        rc = run(["train", "--algorithms", value, "--epochs", 1, "--n", 200, "--out", tmp_path / "x"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --algorithms lists no algorithm\n"
+        assert not (tmp_path / "x").exists()
+
     def test_unknown_algorithm_fails_before_any_run(self, tmp_path, capsys):
         out = tmp_path / "x"
         rc = run(["train", "--algorithms", "dann,nope", "--epochs", 1, "--n", 200, "--out", out])

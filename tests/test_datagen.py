@@ -168,39 +168,63 @@ class TestLabelShiftByConstruction:
         assert np.array_equal(np.bincount(tgt.labels), [600, 600, 1800])
 
 
+def indexed_domain(labels, k):
+    """A dataset whose feature 0 is each row's index, so a subsample shows which rows it kept."""
+    labels = np.asarray(labels)
+    return Dataset(np.arange(labels.size, dtype=float)[:, None], labels, k)
+
+
+def assert_increasing_subsequence(kept, base):
+    rows = kept.features[:, 0].astype(int)
+    assert np.all(np.diff(rows) > 0)
+    assert np.array_equal(kept.labels, base.labels[rows])
+
+
+class TestKeptRowOrder:
+    def test_subsample_keeps_base_order(self):
+        base = indexed_domain(np.random.default_rng(30).integers(0, 5, size=400), 5)
+        for fraction in (0.3, 0.5, 1.0):
+            assert_increasing_subsequence(subsample_protocol(base, fraction, seed=31), base)
+
+    def test_every_suite_pair_keeps_base_order(self):
+        rng = np.random.default_rng(32)
+        src = indexed_domain(rng.integers(0, 4, size=500), 4)
+        tgt = indexed_domain(rng.integers(0, 4, size=300), 4)
+        for source, target in jsd_task_suite(src, tgt, count=8, seed=33):
+            assert_increasing_subsequence(source, src)
+            assert_increasing_subsequence(target, tgt)
+
+
 class TestJsdTaskSuite:
     def test_spread_and_tagging(self):
         src, tgt = make_shift_task(k=10, n_source=4000, n_target=4000, sigma=0.2, seed=10)
         tasks = jsd_task_suite(src, tgt, count=100, seed=11)
         assert len(tasks) == 100
-        jsds = np.array([t.jsd_label for t in tasks])
+        jsds = np.array([jsd(s.label_distribution(), t.label_distribution()) for s, t in tasks])
         assert jsds.min() < 0.005
         assert jsds.max() > 0.08
         # a subsampled side is a new dataset; the other side is the base one
-        n_src_side = sum(1 for t in tasks if t.target is tgt)
+        n_src_side = sum(1 for _, t in tasks if t is tgt)
         assert n_src_side == 50
-        assert all((t.source is src) != (t.target is tgt) for t in tasks)
-        for t in tasks[:5]:
-            expect = jsd(t.source.label_distribution(), t.target.label_distribution())
-            assert t.jsd_label == pytest.approx(expect, abs=1e-12)
+        assert all((s is src) != (t is tgt) for s, t in tasks)
 
     def test_source_side_keeps_target_untouched(self):
         src, tgt = make_shift_task(k=3, n_source=1500, n_target=1500, seed=12)
         tasks = jsd_task_suite(src, tgt, count=6, seed=13)
-        for t in tasks:
-            if t.target is tgt:
-                assert t.source is not src
-                assert t.source.n <= src.n
+        for source, target in tasks:
+            if target is tgt:
+                assert source is not src
+                assert source.n <= src.n
             else:
-                assert t.source is src
-                assert t.target.n <= tgt.n
+                assert source is src
+                assert target.n <= tgt.n
 
     def test_all_ones_keep_vector_preserves_divergence(self):
-        from gls_adapt.datagen import _apply_keep_vector
+        from gls_adapt.datagen import _keep_rows
 
         src, tgt = make_shift_task(k=3, n_source=900, n_target=900, seed=17)
         rng = np.random.default_rng(18)
-        kept = _apply_keep_vector(src, np.ones(3), rng)
+        kept = _keep_rows(src, np.bincount(src.labels), rng)
         assert kept.n == src.n
         base = jsd(src.label_distribution(), tgt.label_distribution())
         assert jsd(kept.label_distribution(), tgt.label_distribution()) == pytest.approx(
@@ -208,20 +232,21 @@ class TestJsdTaskSuite:
         )
 
     def test_single_class_keep_induces_imbalance(self):
-        from gls_adapt.datagen import _apply_keep_vector
+        from gls_adapt.datagen import _keep_rows
 
         src, tgt = make_shift_task(k=3, n_source=900, n_target=900, seed=19)
         rng = np.random.default_rng(20)
-        kept = _apply_keep_vector(src, np.array([0.1, 1.0, 1.0]), rng)
+        kept = _keep_rows(src, [round(0.1 * np.sum(src.labels == 0)), None, None], rng)
         assert jsd(kept.label_distribution(), tgt.label_distribution()) > 0.01
 
     def test_deterministic(self):
         src, tgt = make_shift_task(k=3, n_source=900, n_target=900, seed=14)
         a = jsd_task_suite(src, tgt, count=4, seed=15)
         b = jsd_task_suite(src, tgt, count=4, seed=15)
-        for ta, tb in zip(a, b):
-            assert np.array_equal(ta.source.features, tb.source.features)
-            assert ta.jsd_label == tb.jsd_label
+        for pa, pb in zip(a, b):
+            for da, db in zip(pa, pb):
+                assert np.array_equal(da.features, db.features)
+                assert np.array_equal(da.labels, db.labels)
 
     def test_invalid_count(self):
         src, tgt = make_shift_task(k=3, n_source=600, n_target=600, seed=16)
