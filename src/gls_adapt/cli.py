@@ -287,6 +287,8 @@ def cmd_sweep_jsd(ns) -> int:
     train_opts, domain_opts, seed = _resolve(ns)
     if ns.jobs < 1:
         raise ConfigInvalid(f"--jobs must be >= 1, got {ns.jobs}")
+    if ns.tasks < 1:
+        raise ConfigInvalid(f"--tasks must be >= 1, got {ns.tasks}")
     variant = ns.algorithm
     base = _BASE_OF.get(variant)
     if base is None:

@@ -3,11 +3,20 @@
 Three nets make up a model: a feature extractor g, a softmax classifier h
 on top of g, and a discriminator d whose linear head outputs a logit and
 which reads either the feature vector or the prediction/feature outer product.
+
+The model keeps its parameters in one vector and its momentum velocity in
+another, laid out g, h, d; each net's parameters, velocity, weights and
+biases are views of them. :func:`backward` writes all three gradients into
+one vector of that layout, and :func:`sgd_step` updates the model's vectors
+in three in-place operations. A :class:`Workspace` holds every array a
+forward and backward write, so a training run allocates them once; without
+one, each call allocates its own, through the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +26,7 @@ __all__ = [
     "Mlp",
     "ModelState",
     "ModelGrads",
+    "Workspace",
     "init_model_state",
     "forward",
     "backward",
@@ -36,10 +46,29 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     """
     if a.shape[1] >= 8:
         return a.sum(axis=1, keepdims=True)
-    total = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
+    total = a[:, 0].copy() if a.shape[1] == 1 else np.add(a[:, 0], a[:, 1])
+    for j in range(2, a.shape[1]):
         total += a[:, j]
     return total[:, None]
+
+
+class NetBuffers(NamedTuple):
+    """One net's part of a :class:`Workspace`; a None entry is allocated by the call that needs it.
+
+    Per layer i, ``outputs[i]`` and ``deltas[i]`` are (rows, fan_out_i): the
+    layer's output and dL/d(its pre-activation). ``derivs[i]``, for i < L - 1,
+    holds the tanh derivative of layer i's output. ``grad_in`` is dL/d(input).
+    ``bias_rows[i]``, also (rows, fan_out_i), repeats layer i's bias in every
+    row once :meth:`Workspace.load_biases` has run: numpy adds it about twice
+    as fast as the broadcast bias, with the same sums, so a pass of several
+    forwards between two updates loads it once.
+    """
+
+    outputs: tuple | None = None
+    deltas: tuple | None = None
+    derivs: tuple | None = None
+    grad_in: np.ndarray | None = None
+    bias_rows: tuple | None = None
 
 
 class Mlp:
@@ -51,7 +80,8 @@ class Mlp:
     changes ``params``. ``velocity``, the momentum SGD velocity, has the
     same layout and is zero until the first step. Weights are initialized
     uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) from the supplied generator in
-    that order, so construction is reproducible.
+    that order, so construction is reproducible. A :class:`ModelState`
+    moves both vectors into the model's.
     """
 
     def __init__(self, layer_sizes, head, rng):
@@ -62,13 +92,17 @@ class Mlp:
             raise ConfigInvalid(f"head must be one of {_HEADS}")
         self.layer_sizes = sizes
         self.head = head
-        self.params = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:])))
-        self.weights, self.biases = self._layers(self.params)
+        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+        self._bind(np.empty(size), np.zeros(size))
         for w, b in zip(self.weights, self.biases):
             bound = 1.0 / np.sqrt(w.shape[0])
             w[...] = rng.uniform(-bound, bound, size=w.shape)
             b[...] = rng.uniform(-bound, bound, size=b.shape)
-        self.velocity = np.zeros_like(self.params)
+
+    def _bind(self, params: np.ndarray, velocity: np.ndarray) -> None:
+        """Keep the parameters in ``params`` and the velocity in ``velocity``; the layers become views of ``params``."""
+        self.params, self.velocity = params, velocity
+        self.weights, self.biases = self._layers(params)
 
     def _layers(self, flat: np.ndarray) -> tuple[tuple, tuple]:
         """The per-layer (weights, biases) views of a vector laid out as ``params``."""
@@ -81,6 +115,19 @@ class Mlp:
             pos += fan_out
         return tuple(weights), tuple(biases)
 
+    def _buffers(self, rows: int, input_grad: bool) -> NetBuffers:
+        """Arrays for a forward and backward of ``rows`` rows; ``grad_in`` only if ``input_grad``."""
+        widths = self.layer_sizes[1:]
+        deltas = [np.empty((rows, m)) for m in widths]
+        if self.head == "linear":
+            deltas[-1] = None  # a linear head's delta is the gradient it is given
+        return NetBuffers(
+            outputs=tuple(np.empty((rows, m)) for m in widths),
+            deltas=tuple(deltas),
+            derivs=tuple(np.empty((rows, m)) for m in widths[:-1]),
+            grad_in=np.empty((rows, self.in_dim)) if input_grad else None,
+        )
+
     @property
     def in_dim(self) -> int:
         return self.layer_sizes[0]
@@ -89,21 +136,27 @@ class Mlp:
     def out_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    def forward(self, x: np.ndarray):
+    def forward(self, x: np.ndarray, bufs: NetBuffers = NetBuffers()):
         """Return (output, cache). cache holds the L layer inputs, ``x`` first, and the output.
-        Each layer works in place on the product it allocates, so ``x`` is never written."""
+
+        Layer i writes its output into ``bufs.outputs[i]``, an (n, fan_out_i)
+        array, or into an array it allocates when there is none, and works in
+        place on that array alone, so ``x`` is never written. It adds
+        ``bufs.bias_rows[i]`` when given, else the bias.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeMismatch(f"input has shape {x.shape}, expected (n, {self.in_dim})")
+        none = (None,) * len(self.weights)
         inputs, a = [], x
-        for w, b in zip(self.weights, self.biases):
+        for w, b, buf, rows in zip(self.weights, self.biases, bufs.outputs or none, bufs.bias_rows or none):
             inputs.append(a)
-            a = a @ w
-            a += b
+            a = np.matmul(a, w, out=buf)
+            a += b if rows is None else rows
             if len(inputs) < len(self.weights):
                 np.tanh(a, out=a)
-        out = self._head(a)
-        return out, {"inputs": inputs, "out": out}
+        y = self._head(a)
+        return y, {"inputs": inputs, "out": y}
 
     def _head(self, pre: np.ndarray) -> np.ndarray:
         if self.head == "softmax":
@@ -124,54 +177,77 @@ class Mlp:
         The parameter gradient is a fresh vector laid out as ``params``.
         """
         grad = np.empty_like(self.params)
-        return grad, self._backprop(cache, grad_out, grad, True)
+        return grad, self._backprop(cache, grad_out, self._layers(grad), True)
 
-    def _backprop(self, cache, grad_out: np.ndarray, grad: np.ndarray | None, input_grad: bool):
-        """:meth:`backward` that writes dL/d(params) into ``grad`` unless it is None,
-        and returns dL/d(input) only if ``input_grad``."""
+    def _backprop(self, cache, grad_out: np.ndarray, grad, input_grad: bool, bufs: NetBuffers = NetBuffers()):
+        """:meth:`backward` that writes dL/d(params) into ``grad``, per-layer (weights, biases)
+        views as :meth:`_layers` gives them, unless it is None, and returns dL/d(input) only if
+        ``input_grad``. Each array it computes goes into its ``bufs`` entry, or a fresh one."""
         inputs = cache["inputs"]
         out = cache["out"]
+        last = len(self.weights) - 1
+        deltas = bufs.deltas or (None,) * (last + 1)
+        derivs = bufs.derivs or (None,) * last
         if self.head == "softmax":
             inner = _row_sums(grad_out * out)
-            delta = out * (grad_out - inner)
+            delta = np.subtract(grad_out, inner, out=deltas[last])
+            delta *= out
         elif self.head == "linear":
             delta = grad_out
         else:
-            delta = out * out
+            delta = np.square(out, out=deltas[last])
             np.subtract(1.0, delta, out=delta)
             delta *= grad_out
-        if grad is not None:
-            grad_w, grad_b = self._layers(grad)
-        for i in range(len(self.weights) - 1, -1, -1):
+        for i in range(last, -1, -1):
             if grad is not None:
-                np.matmul(inputs[i].T, delta, out=grad_w[i])
-                np.add.reduce(delta, axis=0, out=grad_b[i])
+                np.matmul(inputs[i].T, delta, out=grad[0][i])
+                np.add.reduce(delta, axis=0, out=grad[1][i])
             if i > 0:
-                t = inputs[i] * inputs[i]
+                t = np.square(inputs[i], out=derivs[i - 1])
                 np.subtract(1.0, t, out=t)
-                delta = delta @ self.weights[i].T
+                delta = np.matmul(delta, self.weights[i].T, out=deltas[i - 1])
                 delta *= t
-        return delta @ self.weights[0].T if input_grad else None
+        return np.matmul(delta, self.weights[0].T, out=bufs.grad_in) if input_grad else None
 
 
 @dataclass
 class ModelState:
-    """Feature extractor, classifier and discriminator; each net keeps its own velocity.
+    """Feature extractor, classifier and discriminator, with the model's two vectors.
 
-    ``version`` counts updates, so :func:`backward` rejects a stale cache.
-    Owned by a single training run; never shared across threads.
+    ``params`` and ``velocity`` are laid out g, h, d; each net's vectors,
+    weights and biases are views of them. ``version`` counts updates, so
+    :func:`backward` rejects a stale cache. Owned by a single training run;
+    never shared across threads.
     """
 
     g: Mlp
     h: Mlp
     d: Mlp
     version: int = field(init=False, default=0)
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+    velocity: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.h.in_dim != self.g.out_dim:
             raise ShapeMismatch("classifier input dim must equal feature dim")
         if self.d.in_dim not in (self.g.out_dim, self.g.out_dim * self.h.out_dim):
             raise ShapeMismatch("discriminator must read z or the outer product")
+        nets = (self.g, self.h, self.d)
+        self.params = np.concatenate([net.params for net in nets])
+        self.velocity = np.concatenate([net.velocity for net in nets])
+        for net, params, velocity in zip(nets, self.split(self.params), self.split(self.velocity)):
+            net._bind(params, velocity)
+
+    def split(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """g's, h's and d's parts of a vector laid out as ``params``, as views."""
+        a = self.g.params.size
+        b = a + self.h.params.size
+        return flat[:a], flat[a:b], flat[b:]
+
+    @property
+    def conditional(self) -> bool:
+        """Whether d reads the prediction/feature outer product rather than z."""
+        return self.d.in_dim != self.g.out_dim
 
     @property
     def k(self) -> int:
@@ -182,13 +258,93 @@ class ModelState:
         return self.g.out_dim
 
 
-@dataclass
 class ModelGrads:
-    """Per-net parameter gradients, each a vector laid out as that net's ``params``; None marks an untouched net."""
+    """The three nets' parameter gradients in one vector, ``vector``, laid out as :attr:`ModelState.params`.
 
-    g: np.ndarray | None = None
-    h: np.ndarray | None = None
-    d: np.ndarray | None = None
+    ``g``, ``h`` and ``d`` are each net's part, laid out as that net's
+    ``params``, and ``layers[name]`` that part's per-layer (weights, biases)
+    views; all are views of ``vector``, built once here. A new one is zero.
+    """
+
+    def __init__(self, state: ModelState):
+        self.vector = np.zeros_like(state.params)
+        self.g, self.h, self.d = state.split(self.vector)
+        self.layers = {name: getattr(state, name)._layers(getattr(self, name)) for name in ("g", "h", "d")}
+
+
+class Workspace(NamedTuple):
+    """Every array a :func:`forward` and :func:`backward` over ``rows`` rows write, allocated once.
+
+    ``g``, ``h`` and ``d`` are the nets' :class:`NetBuffers`; ``outer`` is
+    d's input when it reads the outer product; ``dp``, ``dz_da`` and ``dz``
+    are the gradients in p, and in z from the alignment loss and from the
+    step. A call on a workspace overwrites what the previous call on it
+    left. Build one with :meth:`allocate` or :meth:`for_features`.
+    """
+
+    g: NetBuffers = NetBuffers()
+    h: NetBuffers = NetBuffers()
+    d: NetBuffers = NetBuffers()
+    outer: np.ndarray | None = None
+    dp: np.ndarray | None = None
+    dz_da: np.ndarray | None = None
+    dz: np.ndarray | None = None
+
+    @classmethod
+    def allocate(cls, state: ModelState, rows: int, discriminate: bool) -> "Workspace":
+        """Buffers for ``rows`` rows; d's and the outer product's only if ``discriminate``."""
+        outer = discriminate and state.conditional
+        return cls(
+            g=state.g._buffers(rows, False),
+            h=state.h._buffers(rows, True),
+            d=state.d._buffers(rows, True) if discriminate else NetBuffers(),
+            outer=np.empty((rows, state.d.in_dim)) if outer else None,
+            dp=np.empty((rows, state.k)) if outer else None,
+            dz_da=np.empty((rows, state.feature_dim)) if outer else None,
+            dz=np.empty((rows, state.feature_dim)),
+        )
+
+    @classmethod
+    def for_features(cls, state: ModelState, rows: int) -> "Workspace":
+        """Buffers, bias rows included, for forwards of ``rows`` rows that run neither d nor a
+        backward and write z where :meth:`with_features` says."""
+
+        def empty(widths):
+            return tuple(np.empty((rows, m)) for m in widths)
+
+        g = state.g.layer_sizes[1:]
+        return cls(
+            g=NetBuffers(outputs=(*empty(g[:-1]), None), bias_rows=empty(g)),
+            h=NetBuffers(outputs=empty([state.k]), bias_rows=empty([state.k])),
+        )
+
+    def load_biases(self, state: ModelState) -> None:
+        """Repeat each layer's current bias in every row of its ``bias_rows``; valid until the next update."""
+        for net, bufs in ((state.g, self.g), (state.h, self.h), (state.d, self.d)):
+            for rows, b in zip(bufs.bias_rows or (), net.biases):
+                rows[...] = b
+
+    def head(self, n: int) -> "Workspace":
+        """This workspace over its first ``n`` rows: each buffer a view of the same memory."""
+        return self if n == len(self.h.outputs[0]) else _first_rows(self, n)
+
+    def with_features(self, z: np.ndarray) -> "Workspace":
+        """This workspace with g's output, the features, written into ``z`` instead."""
+        g = self.g
+        return Workspace(NetBuffers((*g.outputs[:-1], z), *g[1:]), *self[1:])
+
+
+def _first_rows(tree, n: int):
+    if isinstance(tree, np.ndarray):
+        return tree[:n]
+    if isinstance(tree, tuple):
+        parts = [_first_rows(t, n) for t in tree]
+        return tree._make(parts) if hasattr(tree, "_make") else tuple(parts)
+    return tree
+
+
+# a forward or backward without a workspace allocates every array it writes
+_FRESH = Workspace()
 
 
 def init_model_state(
@@ -213,14 +369,18 @@ def init_model_state(
     return ModelState(g=g, h=h, d=d)
 
 
-def outer_map(preds: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    """Row-wise flattened outer product (pred_1 * z, ..., pred_k * z)."""
+def outer_map(preds: np.ndarray, feats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise flattened outer product (pred_1 * z, ..., pred_k * z), written into ``out``, (n, k * z), if given."""
     if preds.shape[0] != feats.shape[0]:
         raise ShapeMismatch("preds and feats must have the same number of rows")
-    return np.einsum("nk,nz->nkz", preds, feats).reshape(preds.shape[0], -1)
+    n, k = preds.shape
+    if out is None:
+        out = np.empty((n, k * feats.shape[1]))
+    np.einsum("nk,nz->nkz", preds, feats, out=out.reshape(n, k, -1))
+    return out
 
 
-def forward(state: ModelState, x: np.ndarray, discriminate: bool = False):
+def forward(state: ModelState, x: np.ndarray, discriminate: bool = False, workspace: Workspace | None = None):
     """Run the composed model; return (what an alignment loss reads, cache).
 
     Without ``discriminate`` that is the features z = g(x). With it, that is
@@ -228,19 +388,24 @@ def forward(state: ModelState, x: np.ndarray, discriminate: bool = False):
     where p = softmax h(z). The cache feeds :func:`backward`. It always
     holds z and p, so one pass feeds both losses of a training step, and it
     holds d's layer inputs under "d" only when d ran.
+
+    ``workspace``, over exactly x's rows, receives every array the pass
+    computes, and the cache keeps it for :func:`backward`; the next call on
+    it overwrites them. Without one, the arrays are fresh.
     """
-    z, cg = state.g.forward(np.asarray(x, dtype=float))
-    p, ch = state.h.forward(z)
-    cache = {"version": state.version, "g": cg, "h": ch, "z": z, "p": p}
+    ws = _FRESH if workspace is None else workspace
+    z, cg = state.g.forward(np.asarray(x, dtype=float), ws.g)
+    p, ch = state.h.forward(z, ws.h)
+    cache = {"version": state.version, "g": cg, "h": ch, "z": z, "p": p, "workspace": ws}
     if not discriminate:
         return z, cache
-    d_in = z if state.d.in_dim == state.g.out_dim else outer_map(p, z)
-    dout, cache["d"] = state.d.forward(d_in)
+    d_in = outer_map(p, z, ws.outer) if state.conditional else z
+    dout, cache["d"] = state.d.forward(d_in, ws.d)
     return dout, cache
 
 
 def backward(
-    state: ModelState, cache, grad_out: np.ndarray | None, grad_preds=None, reversal: float = 1.0
+    state: ModelState, cache, grad_out: np.ndarray | None, grad_preds=None, reversal: float = 1.0, out=None
 ) -> ModelGrads:
     """Backpropagate a forward's output gradients into parameter gradients.
 
@@ -257,7 +422,9 @@ def backward(
     classification loss while ascending the alignment loss scaled by
     ``reversal`` (gradient reversal).
 
-    Each gradient in the returned :class:`ModelGrads` is a fresh vector.
+    The gradients go into ``out``, a :class:`ModelGrads` of this state, or a
+    new one, which is returned; a net that gets no gradient gets zeros. The
+    arrays in between go into the forward's workspace, if it had one.
     Nothing the step does not use is computed: not g's input gradient, and
     not h's gradient along the CDAN chain when ``grad_preds`` replaces it.
     """
@@ -265,36 +432,45 @@ def backward(
         raise ConfigInvalid("forward cache predates the last parameter update")
     if grad_out is None and grad_preds is None:
         raise ConfigInvalid("backward needs grad_out, grad_preds or both")
-    grads = ModelGrads()
+    ws = cache["workspace"]
+    grads = ModelGrads(state) if out is None else out
+    d_ran = grad_out is not None and "d" in cache
+    chain = d_ran and state.conditional
     dz = grad_out
-    if grad_out is not None and "d" in cache:
-        grads.d, dz = state.d.backward(cache["d"], grad_out)
-        if state.d.in_dim != state.g.out_dim:
+    if d_ran:
+        dz = state.d._backprop(cache["d"], grad_out, grads.layers["d"], True, ws.d)
+        if chain:
             du3 = dz.reshape(dz.shape[0], state.k, state.feature_dim)
+            dp = np.einsum("nkz,nz->nk", du3, cache["z"], out=ws.dp)
             # h's gradient along this chain is wanted only when the classification call below does not replace it
-            grads.h = None if grad_preds is not None else np.empty_like(state.h.params)
-            dz_chain = state.h._backprop(cache["h"], np.einsum("nkz,nz->nk", du3, cache["z"]), grads.h, True)
-            dz = np.einsum("nkz,nk->nz", du3, cache["p"]) + dz_chain
+            h_layers = grads.layers["h"] if grad_preds is None else None
+            dz_chain = state.h._backprop(cache["h"], dp, h_layers, True, ws.h)
+            dz = np.einsum("nkz,nk->nz", du3, cache["p"], out=ws.dz_da)
+            dz += dz_chain
+    else:
+        grads.d.fill(0.0)
     if grad_preds is not None:
-        grads.h, dz_cls = state.h.backward(cache["h"], grad_preds)
-        dz = dz_cls if dz is None else dz_cls - reversal * dz
-    grads.g = np.empty_like(state.g.params)
-    state.g._backprop(cache["g"], dz, grads.g, False)
+        dz_cls = state.h._backprop(cache["h"], grad_preds, grads.layers["h"], True, ws.h)
+        if dz is None:
+            dz = dz_cls
+        else:
+            dz = np.subtract(dz_cls, np.multiply(reversal, dz, out=ws.dz), out=ws.dz)
+    elif not chain:
+        grads.h.fill(0.0)
+    state.g._backprop(cache["g"], dz, grads.layers["g"], False, ws.g)
     return grads
 
 
 def sgd_step(state: ModelState, grads: ModelGrads, lr: float, momentum: float) -> ModelState:
-    """v <- momentum * v + grad;  params <- params - lr * v, one net's vector at a time. Mutates in place."""
-    for name in ("g", "h", "d"):
-        grad = getattr(grads, name)
-        if grad is None:
-            continue
-        net = getattr(state, name)
-        if np.shape(grad) != net.params.shape:
-            raise ShapeMismatch(f"gradient for net {name} has shape {np.shape(grad)}, expected {net.params.shape}")
-        v = net.velocity
-        v *= momentum
-        v += grad
-        net.params -= lr * v
+    """v <- momentum * v + grad;  params <- params - lr * v, on the model's vectors. Mutates in place.
+
+    A net whose gradient is zero still moves while its velocity decays.
+    """
+    if grads.vector.shape != state.params.shape:
+        raise ShapeMismatch(f"gradient has shape {grads.vector.shape}, expected {state.params.shape}")
+    v = state.velocity
+    v *= momentum
+    v += grads.vector
+    state.params -= lr * v
     state.version += 1
     return state

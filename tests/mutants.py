@@ -44,29 +44,29 @@ MUTANTS = [
     Mutant(
         "reversal-sign-flipped",
         "network.py",
-        "dz_cls - reversal * dz",
-        "dz_cls + reversal * dz",
+        "np.subtract(dz_cls, np.multiply(reversal, dz",
+        "np.add(dz_cls, np.multiply(reversal, dz",
         ("tests/test_network.py",),
     ),
     Mutant(
         "cdan-chain-dropped",
         "network.py",
-        'np.einsum("nkz,nk->nz", du3, cache["p"]) + dz_chain',
-        'np.einsum("nkz,nk->nz", du3, cache["p"])',
+        "dz += dz_chain",
+        "dz += 0.0",
         ("tests/test_network.py",),
     ),
     Mutant(
         "d-fed-z-not-outer-product",
         "network.py",
-        "else outer_map(p, z)",
-        "else outer_map(np.ones_like(p), z)",
+        "outer_map(p, z, ws.outer)",
+        "outer_map(np.ones_like(p), z, ws.outer)",
         ("tests/test_network.py",),
     ),
     Mutant(
         "classification-gradient-dropped-without-alignment",
         "network.py",
-        "dz = dz_cls if dz is None else",
-        "dz = np.zeros_like(dz_cls) if dz is None else",
+        "dz = dz_cls\n",
+        "dz = np.zeros_like(dz_cls)\n",
         ("tests/test_network.py",),
     ),
     Mutant(
@@ -205,29 +205,29 @@ MUTANTS = [
     Mutant(
         "evaluate-writes-a-fresh-feature-buffer",
         "trainer.py",
-        "features_out[start:stop] = z",
-        "np.empty_like(features_out)[start:stop] = z",
+        "ws.with_features(features_out[start:stop])",
+        "ws.with_features(np.empty_like(features_out)[start:stop])",
         ("tests/test_trainer.py",),
     ),
     Mutant(
         "hidden-tanh-derivative-written-into-the-cached-input",
         "network.py",
-        "t = inputs[i] * inputs[i]",
-        "t = np.multiply(inputs[i], inputs[i], out=inputs[i])",
+        "t = np.square(inputs[i], out=derivs[i - 1])",
+        "t = np.square(inputs[i], out=inputs[i])",
         ("tests/test_network.py",),
     ),
     Mutant(
         "softmax-written-into-the-callers-array",
         "network.py",
-        "            a = a @ w\n",
-        "            a = np.matmul(a, w, out=a if a.shape[1] == w.shape[1] else None)\n",
+        "a = np.matmul(a, w, out=buf)",
+        "a = np.matmul(a, w, out=a if a.shape[1] == w.shape[1] else buf)",
         ("tests/test_network.py",),
     ),
     Mutant(
         "softmax-backward-written-into-grad-out",
         "network.py",
-        "delta = out * (grad_out - inner)",
-        "delta = np.multiply(out, np.subtract(grad_out, inner, out=grad_out), out=grad_out)",
+        "delta = np.subtract(grad_out, inner, out=deltas[last])",
+        "delta = np.subtract(grad_out, inner, out=grad_out)",
         ("tests/test_network.py",),
     ),
     Mutant(
@@ -278,6 +278,36 @@ MUTANTS = [
         "order = np.sort(np.concatenate(keep))",
         "order = np.concatenate(keep)",
         ("tests/test_datagen.py",),
+    ),
+    Mutant(
+        "untouched-net-gradient-not-zeroed",
+        "network.py",
+        "        grads.d.fill(0.0)\n",
+        "        pass\n",
+        ("tests/test_network.py",),
+    ),
+    Mutant(
+        "evaluate-last-block-not-trimmed",
+        "trainer.py",
+        "ws = ws.head(len(block))",
+        "ws = ws",
+        ("tests/test_trainer.py",),
+    ),
+    Mutant(
+        "runs-share-the-velocity-vector",
+        "network.py",
+        "self.velocity = np.concatenate([net.velocity for net in nets])",
+        "self.velocity = init_model_state.__dict__.setdefault("
+        "self.g.params.size + self.h.params.size + self.d.params.size, "
+        "np.concatenate([net.velocity for net in nets]))",
+        ("tests/test_trainer.py",),
+    ),
+    Mutant(
+        "sweep-task-count-check-dropped",
+        "cli.py",
+        "if ns.tasks < 1:",
+        "if False:",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "kernel-loss-batch-size-check-dropped",

@@ -476,6 +476,7 @@ class TestOptionsAreUsedOrRejected:
             (["train", "--bounds"], "n = 50\n", "datasets", "run.cfg: n: "),
             (["train", "--bounds", "--subsample", 0.1], None, "datasets", "--subsample"),
             (["estimate-weights"], "seed = 3\n", "predictions", "seed: not an option of estimate-weights"),
+            (["sweep-jsd", "--tasks", 0], None, None, "error: --tasks must be >= 1, got 0\n"),
         ],
         ids=[
             "unknown-key",
@@ -486,6 +487,7 @@ class TestOptionsAreUsedOrRejected:
             "domain-key-with-files",
             "subsample-with-files",
             "estimate-weights-seed-key",
+            "sweep-no-tasks",
         ],
     )
     def test_is_one_line_error_and_writes_nothing(self, tmp_path, capsys, argv, config, inputs, needle):

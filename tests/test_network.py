@@ -169,7 +169,7 @@ class TestBackward:
         x = np.random.default_rng(6).normal(size=(4, 3))
         _, cache = forward(state, x)
         grads = backward(state, cache, None, np.ones((4, 3)))
-        sgd_step(state, ModelGrads(g=grads.g), 0.1, 0.0)
+        sgd_step(state, grads, 0.1, 0.0)
         with pytest.raises(ConfigInvalid, match="forward cache predates the last parameter update"):
             backward(state, cache, None, np.ones((4, 3)))
 
@@ -205,7 +205,7 @@ class TestTrainingStepBackward:
         align = backward(state, cache, grad_out)
         np.testing.assert_allclose(fused.h, cls.h, rtol=1e-12, atol=1e-15)
         if not discriminate:
-            assert fused.d is None
+            assert not fused.d.any()
         else:
             np.testing.assert_array_equal(fused.d, align.d)
         np.testing.assert_allclose(fused.g, cls.g - reversal * align.g, rtol=1e-12, atol=1e-15)
@@ -345,8 +345,8 @@ class TestTypedErrors:
                 ShapeMismatch, "discriminator must read z or the outer product", id="state-discriminator-input",
             ),
             pytest.param(
-                lambda: sgd_step(small_state(), ModelGrads(g=np.zeros(0)), lr=0.1, momentum=0.9),
-                ShapeMismatch, "gradient for net g has shape (0,), expected (44,)", id="sgd-gradient-count",
+                lambda: sgd_step(small_state(), ModelGrads(small_state(conditional=True)), lr=0.1, momentum=0.9),
+                ShapeMismatch, "gradient has shape (130,), expected (90,)", id="sgd-gradient-count",
             ),
         ],
     )
@@ -356,18 +356,28 @@ class TestTypedErrors:
         assert str(info.value) == message
 
 
+def grads_of(state, **parts):
+    """A ModelGrads of ``state`` whose named nets' parts hold the given values and whose others are zero."""
+    grads = ModelGrads(state)
+    for name, value in parts.items():
+        getattr(grads, name)[...] = value
+    return grads
+
+
 class TestSgd:
     def test_momentum_zero_is_plain_descent(self):
         state = small_state(seed=11)
         w0 = state.g.weights[0].copy()
-        sgd_step(state, ModelGrads(g=np.ones_like(state.g.params)), lr=1.0, momentum=0.0)
+        others = np.concatenate([state.h.params, state.d.params])
+        sgd_step(state, grads_of(state, g=1.0), lr=1.0, momentum=0.0)
         assert np.allclose(state.g.weights[0], w0 - 1.0)
+        assert np.array_equal(np.concatenate([state.h.params, state.d.params]), others)
 
     def test_two_steps_match_hand_unrolled_recursion(self):
         state = small_state(seed=12)
         w0 = state.h.weights[0].copy()
-        sgd_step(state, ModelGrads(h=np.full_like(state.h.params, 0.5)), lr=0.1, momentum=0.9)
-        sgd_step(state, ModelGrads(h=np.full_like(state.h.params, -0.25)), lr=0.1, momentum=0.9)
+        sgd_step(state, grads_of(state, h=0.5), lr=0.1, momentum=0.9)
+        sgd_step(state, grads_of(state, h=-0.25), lr=0.1, momentum=0.9)
         v1 = 0.5
         v2 = 0.9 * v1 - 0.25
         expected = w0 - 0.1 * v1 - 0.1 * v2
@@ -375,18 +385,28 @@ class TestSgd:
 
     def test_zero_grads_keep_params(self):
         state = small_state(seed=13)
-        p0 = state.d.params.copy()
-        sgd_step(state, ModelGrads(d=np.zeros_like(state.d.params)), lr=0.5, momentum=0.9)
-        assert np.array_equal(state.d.params, p0)
+        p0 = state.params.copy()
+        sgd_step(state, ModelGrads(state), lr=0.5, momentum=0.9)
+        assert np.array_equal(state.params, p0)
+
+    def test_an_untouched_net_keeps_moving_while_its_velocity_decays(self):
+        # the update runs on the whole model vector, so a zero gradient does not stop a net with velocity
+        state = small_state(seed=19)
+        sgd_step(state, grads_of(state, d=1.0), lr=0.1, momentum=0.5)
+        d1 = state.d.params.copy()
+        sgd_step(state, grads_of(state, g=1.0), lr=0.1, momentum=0.5)
+        assert np.array_equal(state.d.velocity, np.full_like(d1, 0.5))
+        assert np.array_equal(state.d.params, d1 - 0.1 * state.d.velocity)
 
     def test_shape_mismatch(self):
-        # a gradient one entry short or long, for each net, is refused by name
+        # a gradient vector one entry short or long is refused with both shapes
         state = small_state(seed=14)
-        for name in ("g", "h", "d"):
-            size = getattr(state, name).params.size
-            for bad in (size - 1, size + 1):
-                with pytest.raises(ShapeMismatch, match=rf"^gradient for net {name} has shape \({bad},\), expected \({size},\)$"):
-                    sgd_step(state, ModelGrads(**{name: np.zeros(bad)}), 0.1, 0.0)
+        size = state.params.size
+        for bad in (size - 1, size + 1):
+            grads = ModelGrads(state)
+            grads.vector = np.zeros(bad)
+            with pytest.raises(ShapeMismatch, match=rf"^gradient has shape \({bad},\), expected \({size},\)$"):
+                sgd_step(state, grads, 0.1, 0.0)
 
     @pytest.mark.parametrize("conditional", [False, True])
     def test_equals_the_per_layer_step_over_momentum_steps(self, conditional):
@@ -411,22 +431,27 @@ class TestSgd:
 
 
 class TestParameterVector:
-    """Each net keeps its parameters in one vector; its layers are views of it."""
+    """The model keeps its parameters in one vector, laid out g, h, d; each net's vector and layers are views of it."""
 
     @pytest.mark.parametrize("conditional", [False, True])
     def test_layers_are_views_in_draw_order(self, conditional):
         state = benchmark_state(conditional, seed=5)
         draws = np.random.default_rng(5)
+        pos = 0
         for net in (state.g, state.h, state.d):
             want = []
             for (w, b), (vw, vb) in zip(zip(net.weights, net.biases), layer_views(net, net.params)):
                 for t, view in ((w, vw), (b, vb)):
                     assert t.shape == view.shape and t.ctypes.data == view.ctypes.data
-                    assert t.base is net.params
+                    assert t.base is state.params
                 bound = 1.0 / np.sqrt(w.shape[0])
                 want += [draws.uniform(-bound, bound, size=w.shape).ravel(), draws.uniform(-bound, bound, size=b.shape)]
             assert np.array_equal(net.params, np.concatenate(want))
+            for own, model in ((net.params, state.params), (net.velocity, state.velocity)):
+                assert own.base is model and own.ctypes.data == model[pos:].ctypes.data
+            pos += net.params.size
             assert net.velocity.shape == net.params.shape and not net.velocity.any()
+        assert pos == state.params.size == state.velocity.size
 
     def test_layers_cannot_be_rebound(self):
         net = small_state().g
@@ -541,6 +566,72 @@ class TestInPlaceContract:
         assert cache["g"]["inputs"][0] is x and cache["h"]["inputs"][0] is cache["z"]
 
 
+class TestWorkspace:
+    """A forward and backward through a workspace write its buffers and give the fresh calls' arrays, bit for bit."""
+
+    @pytest.mark.parametrize("conditional, discriminate", STEP_CASES)
+    def test_equals_the_fresh_calls_at_the_benchmark_shapes(self, conditional, discriminate):
+        # 256 stacked rows, feature_dim 32, d 32 or 96 wide; from the second step on
+        # every buffer holds the previous step's arrays
+        state = benchmark_state(conditional, seed=40)
+        ws = network.Workspace.allocate(state, 256, discriminate)
+        grads = ModelGrads(state)
+        rng = np.random.default_rng(40)
+        for _ in range(3):
+            x = rng.normal(scale=2.0, size=(256, 2))
+            fresh_out, fresh = forward(state, x, discriminate)
+            out, cache = forward(state, x, discriminate, ws)
+            assert np.shares_memory(cache["z"], ws.g.outputs[-1]) and np.shares_memory(cache["p"], ws.h.outputs[0])
+            assert np.array_equal(out, fresh_out)
+            for (name, a), (_, b) in zip(cache_arrays(cache), cache_arrays(fresh), strict=True):
+                assert np.array_equal(a, b), name
+            grad_out = rng.normal(size=out.shape)
+            grad_preds = np.zeros((256, 3))
+            grad_preds[:128] = rng.normal(size=(128, 3))
+            for args in ((grad_out, grad_preds, 20.0), (grad_out,), (None, grad_preds)):
+                want = backward(state, fresh, *args)
+                got = backward(state, cache, *args, out=grads)
+                assert got is grads
+                assert np.array_equal(got.vector, want.vector)
+            backward(state, cache, grad_out, grad_preds, 20.0, grads)
+            sgd_step(state, grads, 0.05, 0.9)
+
+    @pytest.mark.parametrize("conditional, discriminate", STEP_CASES)
+    def test_a_net_without_a_gradient_gets_zeros(self, conditional, discriminate):
+        # the out vector starts as NaN, as a buffer may hold anything
+        state = small_state(conditional, seed=41)
+        rng = np.random.default_rng(41)
+        out, cache = forward(state, rng.normal(size=(6, 3)), discriminate)
+        grad_out, grad_preds = rng.normal(size=out.shape), rng.normal(size=(6, 3))
+        for args in ((grad_out, grad_preds, 2.0), (grad_out,), (None, grad_preds)):
+            grads = ModelGrads(state)
+            grads.vector[:] = np.nan
+            backward(state, cache, *args, out=grads)
+            d_ran = discriminate and args[0] is not None
+            classified = len(args) > 1 and args[1] is not None
+            untouched = {"d": not d_ran, "h": not classified and not (d_ran and conditional)}
+            for name, zero in untouched.items():
+                part = getattr(grads, name)
+                assert (not part.any()) if zero else np.isfinite(part).all(), name
+            assert np.isfinite(grads.g).all()
+
+    def test_feature_workspace_equals_the_fresh_forward(self):
+        # bias rows loaded once serve every forward until the next update; a shorter call uses the first rows
+        state = benchmark_state(False, seed=42)
+        ws = network.Workspace.for_features(state, 256)
+        rng = np.random.default_rng(42)
+        for _ in range(2):
+            ws.load_biases(state)
+            for n in (256, 100, 1):
+                x = rng.normal(scale=2.0, size=(n, 2))
+                z = np.empty((n, 32))
+                out, cache = forward(state, x, False, ws.head(n).with_features(z))
+                _, fresh = forward(state, x)
+                assert out is cache["z"] and np.shares_memory(out, z)
+                assert z.tobytes() == fresh["z"].tobytes() and cache["p"].tobytes() == fresh["p"].tobytes()
+            sgd_step(state, grads_of(state, g=0.01, h=-0.02), 0.05, 0.9)
+
+
 class TestDeterminismAndCheckpoints:
     def test_same_seed_same_params_after_steps(self):
         def run():
@@ -552,7 +643,7 @@ class TestDeterminismAndCheckpoints:
                 _, cache = forward(state, x)
                 _, gpred = losses.cross_entropy_loss_grads(cache["p"], labels)
                 grads = backward(state, cache, None, gpred)
-                sgd_step(state, ModelGrads(g=grads.g, h=grads.h), 0.05, 0.9)
+                sgd_step(state, grads, 0.05, 0.9)
             return flatten_net_params(state.g), flatten_net_params(state.h)
 
         a_g, a_h = run()

@@ -118,8 +118,8 @@ class TestEvaluate:
         blocks = []
         real_forward = network.forward
 
-        def recording(state, x, discriminate=False):
-            z, cache = real_forward(state, x, discriminate)
+        def recording(state, x, discriminate=False, workspace=None):
+            z, cache = real_forward(state, x, discriminate, workspace)
             blocks.append((x.copy(), z.copy(), cache["p"].copy()))
             return z, cache
 
@@ -143,6 +143,31 @@ class TestEvaluate:
                 if row.sum() > 0:
                     row /= row.sum()
             assert conf.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [257, 3000])
+    def test_a_reused_workspace_scores_only_the_last_blocks_rows(self, monkeypatch, n):
+        # a run's workspace holds a longer dataset's rows from its previous pass;
+        # the last, shorter block reads and scores its own rows alone
+        state = init_model_state(input_dim=2, k=3, rng=np.random.default_rng(n))
+        rng = np.random.default_rng(2)
+        longer = Dataset(rng.normal(scale=2.0, size=(4000, 2)), rng.integers(0, 3, size=4000), 3)
+        data = Dataset(rng.normal(scale=2.0, size=(n, 2)), rng.integers(0, 3, size=n), 3)
+        ws = network.Workspace.for_features(state, trainer.BLOCK_ROWS)
+        evaluate(state, longer, features_buffer(state, longer), ws)
+        fresh = features_buffer(state, data)
+        want = evaluate(state, data, fresh)
+        lengths = []
+        real_forward = network.forward
+
+        def recording(state, x, discriminate=False, workspace=None):
+            lengths.append(len(x))
+            return real_forward(state, x, discriminate, workspace)
+
+        monkeypatch.setattr(network, "forward", recording)
+        feats = features_buffer(state, data)
+        acc, conf = evaluate(state, data, feats, ws)
+        assert lengths[-1] == n % trainer.BLOCK_ROWS and sum(lengths) == n
+        assert acc == want[0] and conf.tobytes() == want[1].tobytes() and feats.tobytes() == fresh.tobytes()
 
     def test_dimension_mismatch(self):
         src, _ = tiny_task()
@@ -339,6 +364,32 @@ class TestReferenceTrainer:
             assert_close(getattr(state, name).params, params[name], f"{name}'s parameters")
 
 
+class TestRunBuffers:
+    """A run allocates its buffers once and shares none of them with another run."""
+
+    @pytest.mark.parametrize("algorithm", ["iwdan", "iwcdan", "iwjan"])
+    def test_a_second_run_leaves_the_first_runs_state(self, algorithm):
+        src, tgt = tiny_task()
+        cfg = tiny_config(algorithm=algorithm, epochs=2)
+        first, _ = train(cfg, src, tgt)
+        kept = (first.params.tobytes(), first.velocity.tobytes())
+        second, _ = train(replace(cfg, seed=1), src, tgt)
+        assert (first.params.tobytes(), first.velocity.tobytes()) == kept
+        for a in (first.params, first.velocity):
+            for b in (second.params, second.velocity):
+                assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("algorithm", ["none", "jan", "iwjan", "iwjan_o"])
+    def test_d_stays_at_its_initial_values_without_an_adversarial_loss(self, algorithm):
+        src, tgt = tiny_task()
+        cfg = tiny_config(algorithm=algorithm, epochs=2)
+        state, _ = train(cfg, src, tgt)
+        initial = init_model_state(input_dim=src.dim, k=src.k, feature_dim=cfg.feature_dim, rng=np.random.default_rng(cfg.seed))
+        assert state.d.params.tobytes() == initial.d.params.tobytes()
+        assert not state.d.velocity.any()
+        assert state.g.velocity.any() and state.h.velocity.any()
+
+
 class TestOracleSmoothProgress:
     def test_oracle_target_accuracy_nondecreasing_smoothed(self):
         src, tgt = make_shift_task(
@@ -415,8 +466,8 @@ class TestNonFiniteLoss:
         real = network.forward
         calls = []
 
-        def nan_row_on_eighth_step(state, x, discriminate=False):
-            out, cache = real(state, x, discriminate)
+        def nan_row_on_eighth_step(state, x, discriminate=False, workspace=None):
+            out, cache = real(state, x, discriminate, workspace)
             if len(x) == 64:  # a training step's stacked batch; evaluate's blocks are longer
                 calls.append(len(x))
                 if len(calls) == 8:
@@ -455,8 +506,8 @@ class TestStepChecks:
         """``edit(out, cache)`` on the forward of every training step; evaluate's forwards pass untouched."""
         real = network.forward
 
-        def forward(state, x, discriminate=False):
-            out, cache = real(state, x, discriminate)
+        def forward(state, x, discriminate=False, workspace=None):
+            out, cache = real(state, x, discriminate, workspace)
             if len(x) == 2 * TestStepChecks.S:  # a training step's stacked batch; evaluate's blocks are longer
                 edit(out, cache)
             return out, cache
@@ -614,7 +665,7 @@ class PassCounter:
         self.callers = []
         real_forward = network.forward
 
-        def forward(state, x, discriminate=False):
+        def forward(state, x, discriminate=False, workspace=None):
             if self.callers:
                 assert not discriminate
                 self.counts[f"{self.callers[-1]}_rows"] += len(x)
@@ -622,7 +673,7 @@ class PassCounter:
             else:
                 self.counts["batch_forward"] += 1
                 self.counts["batch_rows"] += len(x)
-            return real_forward(state, x, discriminate)
+            return real_forward(state, x, discriminate, workspace)
 
         monkeypatch.setattr(network, "forward", forward)
         monkeypatch.setattr(trainer, "evaluate", self.within("evaluate", trainer.evaluate))
@@ -720,6 +771,7 @@ class TestStepPasses:
 
         passes = PassCounter(monkeypatch)
         monkeypatch.setattr(network, "backward", counting("backward", network.backward))
+        monkeypatch.setattr(network, "sgd_step", counting("sgd_step", network.sgd_step))
         # the step calls the alignment losses' kernels; the public losses only check and call them
         monkeypatch.setattr(losses, "_mmd", counting("mmd", losses._mmd))
         monkeypatch.setattr(losses, "median_heuristic_bandwidths", counting("mmd", losses.median_heuristic_bandwidths))
@@ -731,7 +783,7 @@ class TestStepPasses:
         # one stacked forward of 2s rows, before the update; none stacks the target rows too
         assert passes.counts["batch_forward"] == steps
         assert passes.counts["batch_rows"] == steps * 2 * cfg.batch_size
-        assert counts["backward"] == steps
+        assert counts["backward"] == counts["sgd_step"] == steps
         assert counts["mmd"] == (steps if algorithm == "iwjan" else 0)
         assert counts["adv"] == (steps if algorithm in ("dann", "iwdan", "iwcdan") else 0)
         assert passes.full_data_counts() == {"evaluate": 2 * epochs, "evaluate_rows": epochs * (src.n + tgt.n)}
