@@ -58,17 +58,12 @@ class NetBuffers(NamedTuple):
     Per layer i, ``outputs[i]`` and ``deltas[i]`` are (rows, fan_out_i): the
     layer's output and dL/d(its pre-activation). ``derivs[i]``, for i < L - 1,
     holds the tanh derivative of layer i's output. ``grad_in`` is dL/d(input).
-    ``bias_rows[i]``, also (rows, fan_out_i), repeats layer i's bias in every
-    row once :meth:`Workspace.load_biases` has run: numpy adds it about twice
-    as fast as the broadcast bias, with the same sums, so a pass of several
-    forwards between two updates loads it once.
     """
 
     outputs: tuple | None = None
     deltas: tuple | None = None
     derivs: tuple | None = None
     grad_in: np.ndarray | None = None
-    bias_rows: tuple | None = None
 
 
 class Mlp:
@@ -141,18 +136,17 @@ class Mlp:
 
         Layer i writes its output into ``bufs.outputs[i]``, an (n, fan_out_i)
         array, or into an array it allocates when there is none, and works in
-        place on that array alone, so ``x`` is never written. It adds
-        ``bufs.bias_rows[i]`` when given, else the bias.
+        place on that array alone, so ``x`` is never written.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeMismatch(f"input has shape {x.shape}, expected (n, {self.in_dim})")
         none = (None,) * len(self.weights)
         inputs, a = [], x
-        for w, b, buf, rows in zip(self.weights, self.biases, bufs.outputs or none, bufs.bias_rows or none):
+        for w, b, buf in zip(self.weights, self.biases, bufs.outputs or none):
             inputs.append(a)
             a = np.matmul(a, w, out=buf)
-            a += b if rows is None else rows
+            a += b
             if len(inputs) < len(self.weights):
                 np.tanh(a, out=a)
         y = self._head(a)
@@ -171,18 +165,14 @@ class Mlp:
             return pre
         return pre if self.head == "linear" else np.tanh(pre, out=pre)
 
-    def backward(self, cache, grad_out: np.ndarray):
-        """Backpropagate dL/d(output); return (dL/d(params), dL/d(input)).
-
-        The parameter gradient is a fresh vector laid out as ``params``.
-        """
-        grad = np.empty_like(self.params)
-        return grad, self._backprop(cache, grad_out, self._layers(grad), True)
-
     def _backprop(self, cache, grad_out: np.ndarray, grad, input_grad: bool, bufs: NetBuffers = NetBuffers()):
-        """:meth:`backward` that writes dL/d(params) into ``grad``, per-layer (weights, biases)
-        views as :meth:`_layers` gives them, unless it is None, and returns dL/d(input) only if
-        ``input_grad``. Each array it computes goes into its ``bufs`` entry, or a fresh one."""
+        """Backpropagate dL/d(output) through the net whose forward left ``cache``.
+
+        dL/d(params) goes into ``grad``, per-layer (weights, biases) views as
+        :meth:`_layers` gives them, unless it is None; dL/d(input) is returned
+        only if ``input_grad``. Each array it computes goes into its ``bufs``
+        entry, or a fresh one.
+        """
         inputs = cache["inputs"]
         out = cache["out"]
         last = len(self.weights) - 1
@@ -279,7 +269,7 @@ class Workspace(NamedTuple):
     d's input when it reads the outer product; ``dp``, ``dz_da`` and ``dz``
     are the gradients in p, and in z from the alignment loss and from the
     step. A call on a workspace overwrites what the previous call on it
-    left. Build one with :meth:`allocate` or :meth:`for_features`.
+    left. Build one with :meth:`allocate`.
     """
 
     g: NetBuffers = NetBuffers()
@@ -303,44 +293,6 @@ class Workspace(NamedTuple):
             dz_da=np.empty((rows, state.feature_dim)) if outer else None,
             dz=np.empty((rows, state.feature_dim)),
         )
-
-    @classmethod
-    def for_features(cls, state: ModelState, rows: int) -> "Workspace":
-        """Buffers, bias rows included, for forwards of ``rows`` rows that run neither d nor a
-        backward and write z where :meth:`with_features` says."""
-
-        def empty(widths):
-            return tuple(np.empty((rows, m)) for m in widths)
-
-        g = state.g.layer_sizes[1:]
-        return cls(
-            g=NetBuffers(outputs=(*empty(g[:-1]), None), bias_rows=empty(g)),
-            h=NetBuffers(outputs=empty([state.k]), bias_rows=empty([state.k])),
-        )
-
-    def load_biases(self, state: ModelState) -> None:
-        """Repeat each layer's current bias in every row of its ``bias_rows``; valid until the next update."""
-        for net, bufs in ((state.g, self.g), (state.h, self.h), (state.d, self.d)):
-            for rows, b in zip(bufs.bias_rows or (), net.biases):
-                rows[...] = b
-
-    def head(self, n: int) -> "Workspace":
-        """This workspace over its first ``n`` rows: each buffer a view of the same memory."""
-        return self if n == len(self.h.outputs[0]) else _first_rows(self, n)
-
-    def with_features(self, z: np.ndarray) -> "Workspace":
-        """This workspace with g's output, the features, written into ``z`` instead."""
-        g = self.g
-        return Workspace(NetBuffers((*g.outputs[:-1], z), *g[1:]), *self[1:])
-
-
-def _first_rows(tree, n: int):
-    if isinstance(tree, np.ndarray):
-        return tree[:n]
-    if isinstance(tree, tuple):
-        parts = [_first_rows(t, n) for t in tree]
-        return tree._make(parts) if hasattr(tree, "_make") else tuple(parts)
-    return tree
 
 
 # a forward or backward without a workspace allocates every array it writes

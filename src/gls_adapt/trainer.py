@@ -13,8 +13,8 @@ same forward's predictions, taken before the update, feed the soft
 confusion accumulator, so a step makes no other pass. A step calls the
 losses' and the accumulator's kernels directly, then makes one check,
 :func:`_check_step`, whose failures name the epoch and batch. A run
-allocates its buffers once: the step's forward, backward and update, and
-each epoch's :func:`evaluate`, write into them. At the end of every
+allocates the step's buffers once, and its forward, backward and update
+write into them. At the end of every
 ``weight_update_period``-th epoch the constrained least-squares estimate
 from the accumulator is blended into the running weights with an
 exponential moving average; a new accumulator then starts, so one
@@ -153,41 +153,29 @@ class TrainTrace:
 
 
 # Rows per forward in evaluate's full-data pass. The reason is memory, not
-# arithmetic: one block's arrays, one per layer, are small enough to be kept
-# for the run; 1,024-row blocks trained about 1% faster, within the noise,
-# and move the bits of the datasets whose row count is 1 more than a
-# multiple of 256, whose last row is a block of its own.
+# arithmetic: one block's arrays, one per layer, are small enough to be
+# reused from the heap instead of mapped fresh on every pass; 128, 256, 512
+# and 1,024 rows trained within the noise (~15%).
 BLOCK_ROWS = 256
 
 
-def evaluate(
-    state: ModelState, data: Dataset, features_out: np.ndarray, workspace: network.Workspace | None = None
-) -> tuple[float, np.ndarray]:
+def evaluate(state: ModelState, data: Dataset, features_out: np.ndarray) -> tuple[float, np.ndarray]:
     """Argmax accuracy and the row-normalized confusion matrix.
 
     Row y holds the empirical distribution of predictions among samples
     whose true class is y; rows for absent classes are left at zero. One
     pass of :func:`network.forward` over blocks of at most ``BLOCK_ROWS``
     rows, in order, gives the predictions: each block writes its features
-    z straight into ``features_out``, a C-contiguous (n, feature_dim)
-    array, and the argmax of its cached predictions p into the labels that
-    are scored. The blocks' other arrays go into the first rows of
-    ``workspace``, a :meth:`network.Workspace.for_features` of at least
-    min(n, ``BLOCK_ROWS``) rows whose bias rows this call loads, or into
-    one it allocates.
+    z into ``features_out``, (n, feature_dim), and the argmax of its cached
+    predictions p into the labels that are scored.
     """
     if data.dim != state.g.in_dim:
         raise ShapeMismatch(f"data dim {data.dim} != model input dim {state.g.in_dim}")
-    rows = min(BLOCK_ROWS, data.n)
-    ws = (network.Workspace.for_features(state, rows) if workspace is None else workspace).head(rows)
-    ws.load_biases(state)
     hard = np.empty(data.n, dtype=np.intp)
     for start in range(0, data.n, BLOCK_ROWS):
-        block = data.features[start : start + BLOCK_ROWS]
-        if len(block) < rows:  # the last block is shorter
-            ws = ws.head(len(block))
-        stop = start + len(block)
-        _, cache = network.forward(state, block, False, ws.with_features(features_out[start:stop]))
+        stop = start + BLOCK_ROWS
+        z, cache = network.forward(state, data.features[start:stop])
+        features_out[start:stop] = z
         cache["p"].argmax(axis=1, out=hard[start:stop])
     acc = float(np.mean(hard == data.labels))
     k = state.k
@@ -242,14 +230,13 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
     # the run's buffers: the stacked batch [source; target], the loss
     # gradients whose shape the step fixes, the model gradient and the
     # workspace of the step's forward and backward, all overwritten every
-    # step, and evaluate's workspace; the classification loss reads the
-    # source rows only, so the target rows of its gradient stay zero
+    # step; the classification loss reads the source rows only, so the
+    # target rows of its gradient stay zero
     x = np.empty((2 * s, source.dim))
     grad_preds = np.zeros((2 * s, k))
     grad_d = np.empty((2 * s, 1))
     grads = network.ModelGrads(state)
     step_ws = network.Workspace.allocate(state, 2 * s, discriminate)
-    eval_ws = network.Workspace.for_features(state, min(BLOCK_ROWS, max(source.n, target.n)))
     trace = TrainTrace()
     # evaluate writes the features the hook reads into buffers kept for the
     # whole run: fresh ones each epoch would be page-faulted in every time
@@ -301,8 +288,8 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
             if not oracle:
                 w_model = w_est
 
-        acc_src, conf_src = evaluate(state, source, feats[0], eval_ws)
-        acc_tgt, conf_tgt = evaluate(state, target, feats[1], eval_ws)
+        acc_src, conf_src = evaluate(state, source, feats[0])
+        acc_tgt, conf_tgt = evaluate(state, target, feats[1])
         record = EpochRecord(
             epoch=epoch,
             acc_src=acc_src,

@@ -205,8 +205,8 @@ MUTANTS = [
     Mutant(
         "evaluate-writes-a-fresh-feature-buffer",
         "trainer.py",
-        "ws.with_features(features_out[start:stop])",
-        "ws.with_features(np.empty_like(features_out)[start:stop])",
+        "features_out[start:stop] = z",
+        "np.empty_like(features_out)[start:stop] = z",
         ("tests/test_trainer.py",),
     ),
     Mutant(
@@ -287,10 +287,10 @@ MUTANTS = [
         ("tests/test_network.py",),
     ),
     Mutant(
-        "evaluate-last-block-not-trimmed",
+        "evaluate-last-partial-block-skipped",
         "trainer.py",
-        "ws = ws.head(len(block))",
-        "ws = ws",
+        "for start in range(0, data.n, BLOCK_ROWS):",
+        "for start in range(0, data.n // BLOCK_ROWS * BLOCK_ROWS, BLOCK_ROWS):",
         ("tests/test_trainer.py",),
     ),
     Mutant(

@@ -144,31 +144,6 @@ class TestEvaluate:
                     row /= row.sum()
             assert conf.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", [257, 3000])
-    def test_a_reused_workspace_scores_only_the_last_blocks_rows(self, monkeypatch, n):
-        # a run's workspace holds a longer dataset's rows from its previous pass;
-        # the last, shorter block reads and scores its own rows alone
-        state = init_model_state(input_dim=2, k=3, rng=np.random.default_rng(n))
-        rng = np.random.default_rng(2)
-        longer = Dataset(rng.normal(scale=2.0, size=(4000, 2)), rng.integers(0, 3, size=4000), 3)
-        data = Dataset(rng.normal(scale=2.0, size=(n, 2)), rng.integers(0, 3, size=n), 3)
-        ws = network.Workspace.for_features(state, trainer.BLOCK_ROWS)
-        evaluate(state, longer, features_buffer(state, longer), ws)
-        fresh = features_buffer(state, data)
-        want = evaluate(state, data, fresh)
-        lengths = []
-        real_forward = network.forward
-
-        def recording(state, x, discriminate=False, workspace=None):
-            lengths.append(len(x))
-            return real_forward(state, x, discriminate, workspace)
-
-        monkeypatch.setattr(network, "forward", recording)
-        feats = features_buffer(state, data)
-        acc, conf = evaluate(state, data, feats, ws)
-        assert lengths[-1] == n % trainer.BLOCK_ROWS and sum(lengths) == n
-        assert acc == want[0] and conf.tobytes() == want[1].tobytes() and feats.tobytes() == fresh.tobytes()
-
     def test_dimension_mismatch(self):
         src, _ = tiny_task()
         state = init_model_state(input_dim=5, k=3, rng=np.random.default_rng(0))
