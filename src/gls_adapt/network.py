@@ -8,15 +8,14 @@ The model keeps its parameters in one vector and its momentum velocity in
 another, laid out g, h, d; each net's parameters, velocity, weights and
 biases are views of them. :func:`backward` writes all three gradients into
 one vector of that layout, and :func:`sgd_step` updates the model's vectors
-in three in-place operations. A :class:`Workspace` holds every array a
-forward and backward write, so a training run allocates them once; without
-one, each call allocates its own, through the same code.
+in three in-place operations. Every pass allocates the arrays it computes
+and works in place only on those, so no input, cache or gradient it is
+given is ever written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +25,6 @@ __all__ = [
     "Mlp",
     "ModelState",
     "ModelGrads",
-    "Workspace",
     "init_model_state",
     "forward",
     "backward",
@@ -50,20 +48,6 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     for j in range(2, a.shape[1]):
         total += a[:, j]
     return total[:, None]
-
-
-class NetBuffers(NamedTuple):
-    """One net's part of a :class:`Workspace`; a None entry is allocated by the call that needs it.
-
-    Per layer i, ``outputs[i]`` and ``deltas[i]`` are (rows, fan_out_i): the
-    layer's output and dL/d(its pre-activation). ``derivs[i]``, for i < L - 1,
-    holds the tanh derivative of layer i's output. ``grad_in`` is dL/d(input).
-    """
-
-    outputs: tuple | None = None
-    deltas: tuple | None = None
-    derivs: tuple | None = None
-    grad_in: np.ndarray | None = None
 
 
 class Mlp:
@@ -110,19 +94,6 @@ class Mlp:
             pos += fan_out
         return tuple(weights), tuple(biases)
 
-    def _buffers(self, rows: int, input_grad: bool) -> NetBuffers:
-        """Arrays for a forward and backward of ``rows`` rows; ``grad_in`` only if ``input_grad``."""
-        widths = self.layer_sizes[1:]
-        deltas = [np.empty((rows, m)) for m in widths]
-        if self.head == "linear":
-            deltas[-1] = None  # a linear head's delta is the gradient it is given
-        return NetBuffers(
-            outputs=tuple(np.empty((rows, m)) for m in widths),
-            deltas=tuple(deltas),
-            derivs=tuple(np.empty((rows, m)) for m in widths[:-1]),
-            grad_in=np.empty((rows, self.in_dim)) if input_grad else None,
-        )
-
     @property
     def in_dim(self) -> int:
         return self.layer_sizes[0]
@@ -131,21 +102,18 @@ class Mlp:
     def out_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    def forward(self, x: np.ndarray, bufs: NetBuffers = NetBuffers()):
+    def forward(self, x: np.ndarray):
         """Return (output, cache). cache holds the L layer inputs, ``x`` first, and the output.
 
-        Layer i writes its output into ``bufs.outputs[i]``, an (n, fan_out_i)
-        array, or into an array it allocates when there is none, and works in
-        place on that array alone, so ``x`` is never written.
+        Each layer works in place on the product it allocates, so ``x`` is never written.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeMismatch(f"input has shape {x.shape}, expected (n, {self.in_dim})")
-        none = (None,) * len(self.weights)
         inputs, a = [], x
-        for w, b, buf in zip(self.weights, self.biases, bufs.outputs or none):
+        for w, b in zip(self.weights, self.biases):
             inputs.append(a)
-            a = np.matmul(a, w, out=buf)
+            a = a @ w
             a += b
             if len(inputs) < len(self.weights):
                 np.tanh(a, out=a)
@@ -165,39 +133,36 @@ class Mlp:
             return pre
         return pre if self.head == "linear" else np.tanh(pre, out=pre)
 
-    def _backprop(self, cache, grad_out: np.ndarray, grad, input_grad: bool, bufs: NetBuffers = NetBuffers()):
+    def _backprop(self, cache, grad_out: np.ndarray, grad, input_grad: bool):
         """Backpropagate dL/d(output) through the net whose forward left ``cache``.
 
         dL/d(params) goes into ``grad``, per-layer (weights, biases) views as
         :meth:`_layers` gives them, unless it is None; dL/d(input) is returned
-        only if ``input_grad``. Each array it computes goes into its ``bufs``
-        entry, or a fresh one.
+        only if ``input_grad``. Each delta and tanh derivative is an array it
+        allocates, so neither ``grad_out`` nor the cache is written.
         """
         inputs = cache["inputs"]
         out = cache["out"]
-        last = len(self.weights) - 1
-        deltas = bufs.deltas or (None,) * (last + 1)
-        derivs = bufs.derivs or (None,) * last
         if self.head == "softmax":
             inner = _row_sums(grad_out * out)
-            delta = np.subtract(grad_out, inner, out=deltas[last])
+            delta = grad_out - inner
             delta *= out
         elif self.head == "linear":
             delta = grad_out
         else:
-            delta = np.square(out, out=deltas[last])
+            delta = np.square(out)
             np.subtract(1.0, delta, out=delta)
             delta *= grad_out
-        for i in range(last, -1, -1):
+        for i in range(len(self.weights) - 1, -1, -1):
             if grad is not None:
                 np.matmul(inputs[i].T, delta, out=grad[0][i])
                 np.add.reduce(delta, axis=0, out=grad[1][i])
             if i > 0:
-                t = np.square(inputs[i], out=derivs[i - 1])
+                t = np.square(inputs[i])
                 np.subtract(1.0, t, out=t)
-                delta = np.matmul(delta, self.weights[i].T, out=deltas[i - 1])
+                delta = delta @ self.weights[i].T
                 delta *= t
-        return np.matmul(delta, self.weights[0].T, out=bufs.grad_in) if input_grad else None
+        return delta @ self.weights[0].T if input_grad else None
 
 
 @dataclass
@@ -262,43 +227,6 @@ class ModelGrads:
         self.layers = {name: getattr(state, name)._layers(getattr(self, name)) for name in ("g", "h", "d")}
 
 
-class Workspace(NamedTuple):
-    """Every array a :func:`forward` and :func:`backward` over ``rows`` rows write, allocated once.
-
-    ``g``, ``h`` and ``d`` are the nets' :class:`NetBuffers`; ``outer`` is
-    d's input when it reads the outer product; ``dp``, ``dz_da`` and ``dz``
-    are the gradients in p, and in z from the alignment loss and from the
-    step. A call on a workspace overwrites what the previous call on it
-    left. Build one with :meth:`allocate`.
-    """
-
-    g: NetBuffers = NetBuffers()
-    h: NetBuffers = NetBuffers()
-    d: NetBuffers = NetBuffers()
-    outer: np.ndarray | None = None
-    dp: np.ndarray | None = None
-    dz_da: np.ndarray | None = None
-    dz: np.ndarray | None = None
-
-    @classmethod
-    def allocate(cls, state: ModelState, rows: int, discriminate: bool) -> "Workspace":
-        """Buffers for ``rows`` rows; d's and the outer product's only if ``discriminate``."""
-        outer = discriminate and state.conditional
-        return cls(
-            g=state.g._buffers(rows, False),
-            h=state.h._buffers(rows, True),
-            d=state.d._buffers(rows, True) if discriminate else NetBuffers(),
-            outer=np.empty((rows, state.d.in_dim)) if outer else None,
-            dp=np.empty((rows, state.k)) if outer else None,
-            dz_da=np.empty((rows, state.feature_dim)) if outer else None,
-            dz=np.empty((rows, state.feature_dim)),
-        )
-
-
-# a forward or backward without a workspace allocates every array it writes
-_FRESH = Workspace()
-
-
 def init_model_state(
     input_dim: int,
     k: int,
@@ -321,38 +249,30 @@ def init_model_state(
     return ModelState(g=g, h=h, d=d)
 
 
-def outer_map(preds: np.ndarray, feats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise flattened outer product (pred_1 * z, ..., pred_k * z), written into ``out``, (n, k * z), if given."""
+def outer_map(preds: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """Row-wise flattened outer product (pred_1 * z, ..., pred_k * z)."""
     if preds.shape[0] != feats.shape[0]:
         raise ShapeMismatch("preds and feats must have the same number of rows")
-    n, k = preds.shape
-    if out is None:
-        out = np.empty((n, k * feats.shape[1]))
-    np.einsum("nk,nz->nkz", preds, feats, out=out.reshape(n, k, -1))
-    return out
+    return np.einsum("nk,nz->nkz", preds, feats).reshape(preds.shape[0], -1)
 
 
-def forward(state: ModelState, x: np.ndarray, discriminate: bool = False, workspace: Workspace | None = None):
+def forward(state: ModelState, x: np.ndarray, discriminate: bool = False):
     """Run the composed model; return (what an alignment loss reads, cache).
 
     Without ``discriminate`` that is the features z = g(x). With it, that is
     d's logit d(z), or d(p (x) z) when d is sized for the outer product,
     where p = softmax h(z). The cache feeds :func:`backward`. It always
     holds z and p, so one pass feeds both losses of a training step, and it
-    holds d's layer inputs under "d" only when d ran.
-
-    ``workspace``, over exactly x's rows, receives every array the pass
-    computes, and the cache keeps it for :func:`backward`; the next call on
-    it overwrites them. Without one, the arrays are fresh.
+    holds d's layer inputs under "d" only when d ran. Every array the pass
+    computes is its own, so the cache shares no memory with another pass's.
     """
-    ws = _FRESH if workspace is None else workspace
-    z, cg = state.g.forward(np.asarray(x, dtype=float), ws.g)
-    p, ch = state.h.forward(z, ws.h)
-    cache = {"version": state.version, "g": cg, "h": ch, "z": z, "p": p, "workspace": ws}
+    z, cg = state.g.forward(np.asarray(x, dtype=float))
+    p, ch = state.h.forward(z)
+    cache = {"version": state.version, "g": cg, "h": ch, "z": z, "p": p}
     if not discriminate:
         return z, cache
-    d_in = outer_map(p, z, ws.outer) if state.conditional else z
-    dout, cache["d"] = state.d.forward(d_in, ws.d)
+    d_in = outer_map(p, z) if state.conditional else z
+    dout, cache["d"] = state.d.forward(d_in)
     return dout, cache
 
 
@@ -376,40 +296,40 @@ def backward(
 
     The gradients go into ``out``, a :class:`ModelGrads` of this state, or a
     new one, which is returned; a net that gets no gradient gets zeros. The
-    arrays in between go into the forward's workspace, if it had one.
-    Nothing the step does not use is computed: not g's input gradient, and
-    not h's gradient along the CDAN chain when ``grad_preds`` replaces it.
+    arrays in between are the call's own; neither gradient given nor the
+    cache is written. Nothing the step does not use is computed: not g's
+    input gradient, and not h's gradient along the CDAN chain when
+    ``grad_preds`` replaces it.
     """
     if cache["version"] != state.version:
         raise ConfigInvalid("forward cache predates the last parameter update")
     if grad_out is None and grad_preds is None:
         raise ConfigInvalid("backward needs grad_out, grad_preds or both")
-    ws = cache["workspace"]
     grads = ModelGrads(state) if out is None else out
     d_ran = grad_out is not None and "d" in cache
     chain = d_ran and state.conditional
     dz = grad_out
     if d_ran:
-        dz = state.d._backprop(cache["d"], grad_out, grads.layers["d"], True, ws.d)
+        dz = state.d._backprop(cache["d"], grad_out, grads.layers["d"], True)
         if chain:
             du3 = dz.reshape(dz.shape[0], state.k, state.feature_dim)
-            dp = np.einsum("nkz,nz->nk", du3, cache["z"], out=ws.dp)
+            dp = np.einsum("nkz,nz->nk", du3, cache["z"])
             # h's gradient along this chain is wanted only when the classification call below does not replace it
             h_layers = grads.layers["h"] if grad_preds is None else None
-            dz_chain = state.h._backprop(cache["h"], dp, h_layers, True, ws.h)
-            dz = np.einsum("nkz,nk->nz", du3, cache["p"], out=ws.dz_da)
+            dz_chain = state.h._backprop(cache["h"], dp, h_layers, True)
+            dz = np.einsum("nkz,nk->nz", du3, cache["p"])
             dz += dz_chain
     else:
         grads.d.fill(0.0)
     if grad_preds is not None:
-        dz_cls = state.h._backprop(cache["h"], grad_preds, grads.layers["h"], True, ws.h)
+        dz_cls = state.h._backprop(cache["h"], grad_preds, grads.layers["h"], True)
         if dz is None:
             dz = dz_cls
         else:
-            dz = np.subtract(dz_cls, np.multiply(reversal, dz, out=ws.dz), out=ws.dz)
+            dz = dz_cls - reversal * dz
     elif not chain:
         grads.h.fill(0.0)
-    state.g._backprop(cache["g"], dz, grads.layers["g"], False, ws.g)
+    state.g._backprop(cache["g"], dz, grads.layers["g"], False)
     return grads
 
 

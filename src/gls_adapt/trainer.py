@@ -13,8 +13,9 @@ same forward's predictions, taken before the update, feed the soft
 confusion accumulator, so a step makes no other pass. A step calls the
 losses' and the accumulator's kernels directly, then makes one check,
 :func:`_check_step`, whose failures name the epoch and batch. A run
-allocates the step's buffers once, and its forward, backward and update
-write into them. At the end of every
+keeps one model gradient and the stacked batch and loss-gradient buffers,
+which every step overwrites; the forward and backward allocate their own
+arrays. At the end of every
 ``weight_update_period``-th epoch the constrained least-squares estimate
 from the accumulator is blended into the running weights with an
 exponential moving average; a new accumulator then starts, so one
@@ -95,6 +96,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigInvalid(f"unknown algorithm {self.algorithm!r}")
+        if self.feature_dim < 1:
+            raise ConfigInvalid(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.epochs < 1 or self.batches_per_epoch < 1 or self.batch_size < 1:
             raise ConfigInvalid("epochs, batches_per_epoch and batch_size must be >= 1")
         if ALGORITHMS[self.algorithm][0] == "jan" and self.batch_size < 2:
@@ -228,15 +231,13 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
     discriminate = base in ("dann", "cdan")
     acc = ConfusionAccumulator(k)
     # the run's buffers: the stacked batch [source; target], the loss
-    # gradients whose shape the step fixes, the model gradient and the
-    # workspace of the step's forward and backward, all overwritten every
-    # step; the classification loss reads the source rows only, so the
-    # target rows of its gradient stay zero
+    # gradients whose shape the step fixes and the model gradient, all
+    # overwritten every step; the classification loss reads the source rows
+    # only, so the target rows of its gradient stay zero
     x = np.empty((2 * s, source.dim))
     grad_preds = np.zeros((2 * s, k))
     grad_d = np.empty((2 * s, 1))
     grads = network.ModelGrads(state)
-    step_ws = network.Workspace.allocate(state, 2 * s, discriminate)
     trace = TrainTrace()
     # evaluate writes the features the hook reads into buffers kept for the
     # whole run: fresh ones each epoch would be page-faulted in every time
@@ -264,7 +265,7 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
 
             # an overflow or NaN here reaches a loss or a prediction, which _check_step reports
             with np.errstate(over="ignore", invalid="ignore"):
-                out, cache = network.forward(state, x, discriminate, step_ws)
+                out, cache = network.forward(state, x, discriminate)
                 preds = cache["p"]
                 loss_c = losses._nll(preds[:s], ys, class_coeff, grad_preds[:s])
                 loss_da, grad_da = 0.0, None

@@ -44,8 +44,8 @@ MUTANTS = [
     Mutant(
         "reversal-sign-flipped",
         "network.py",
-        "np.subtract(dz_cls, np.multiply(reversal, dz",
-        "np.add(dz_cls, np.multiply(reversal, dz",
+        "dz = dz_cls - reversal * dz",
+        "dz = dz_cls + reversal * dz",
         ("tests/test_network.py",),
     ),
     Mutant(
@@ -58,8 +58,8 @@ MUTANTS = [
     Mutant(
         "d-fed-z-not-outer-product",
         "network.py",
-        "outer_map(p, z, ws.outer)",
-        "outer_map(np.ones_like(p), z, ws.outer)",
+        "outer_map(p, z)",
+        "outer_map(np.ones_like(p), z)",
         ("tests/test_network.py",),
     ),
     Mutant(
@@ -212,21 +212,21 @@ MUTANTS = [
     Mutant(
         "hidden-tanh-derivative-written-into-the-cached-input",
         "network.py",
-        "t = np.square(inputs[i], out=derivs[i - 1])",
+        "t = np.square(inputs[i])",
         "t = np.square(inputs[i], out=inputs[i])",
         ("tests/test_network.py",),
     ),
     Mutant(
         "softmax-written-into-the-callers-array",
         "network.py",
-        "a = np.matmul(a, w, out=buf)",
-        "a = np.matmul(a, w, out=a if a.shape[1] == w.shape[1] else buf)",
+        "a = a @ w",
+        "a = np.matmul(a, w, out=a if a.shape[1] == w.shape[1] else None)",
         ("tests/test_network.py",),
     ),
     Mutant(
         "softmax-backward-written-into-grad-out",
         "network.py",
-        "delta = np.subtract(grad_out, inner, out=deltas[last])",
+        "delta = grad_out - inner",
         "delta = np.subtract(grad_out, inner, out=grad_out)",
         ("tests/test_network.py",),
     ),
@@ -314,6 +314,34 @@ MUTANTS = [
         "trainer.py",
         "self.batch_size < 2",
         "self.batch_size < 1",
+        ("tests/test_trainer.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "weight-update-period-shifted-by-one-epoch",
+        "trainer.py",
+        "if (epoch + 1) % config.weight_update_period == 0:",
+        "if epoch % config.weight_update_period == 0:",
+        ("tests/test_trainer.py",),
+    ),
+    Mutant(
+        "ema-blend-weights-swapped",
+        "estimator.py",
+        "lam * w_qp.w + (1.0 - lam) * w_prev.w",
+        "lam * w_prev.w + (1.0 - lam) * w_qp.w",
+        ("tests/test_trainer.py",),
+    ),
+    Mutant(
+        "kernel-pair-weights-swapped",
+        "losses.py",
+        "w_a, w_b = ws[0 : s - 1 : 2], ws[1::2]",
+        "w_a, w_b = ws[1::2], ws[0 : s - 1 : 2]",
+        ("tests/test_trainer.py",),
+    ),
+    Mutant(
+        "feature-dim-check-dropped",
+        "trainer.py",
+        "if self.feature_dim < 1:",
+        "if False:",
         ("tests/test_trainer.py", "tests/test_cli.py"),
     ),
 ]

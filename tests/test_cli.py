@@ -477,6 +477,7 @@ class TestOptionsAreUsedOrRejected:
             (["train", "--bounds", "--subsample", 0.1], None, "datasets", "--subsample"),
             (["estimate-weights"], "seed = 3\n", "predictions", "seed: not an option of estimate-weights"),
             (["sweep-jsd", "--tasks", 0], None, None, "error: --tasks must be >= 1, got 0\n"),
+            (["train", "--feature-dim", 0], None, None, "error: feature_dim must be >= 1, got 0\n"),
         ],
         ids=[
             "unknown-key",
@@ -488,6 +489,7 @@ class TestOptionsAreUsedOrRejected:
             "subsample-with-files",
             "estimate-weights-seed-key",
             "sweep-no-tasks",
+            "train-no-features",
         ],
     )
     def test_is_one_line_error_and_writes_nothing(self, tmp_path, capsys, argv, config, inputs, needle):

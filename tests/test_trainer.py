@@ -1,16 +1,19 @@
 import concurrent.futures
 import os
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gls_adapt.cli import main
 from gls_adapt.datagen import Dataset, make_shift_task, write_dataset_csv
 from gls_adapt import estimator, losses, network, trainer
-from gls_adapt.estimator import ConfusionAccumulator
+from gls_adapt.estimator import ConfusionAccumulator, solve_qp
 from gls_adapt.errors import ConfigInvalid, InvalidValue, NonFiniteValue, ShapeMismatch
 from gls_adapt.network import init_model_state
 from gls_adapt.trainer import (
@@ -118,8 +121,8 @@ class TestEvaluate:
         blocks = []
         real_forward = network.forward
 
-        def recording(state, x, discriminate=False, workspace=None):
-            z, cache = real_forward(state, x, discriminate, workspace)
+        def recording(state, x, discriminate=False):
+            z, cache = real_forward(state, x, discriminate)
             blocks.append((x.copy(), z.copy(), cache["p"].copy()))
             return z, cache
 
@@ -220,6 +223,8 @@ class TestTrainBasics:
             replace(tiny_config(), epochs=0)
         with pytest.raises(ConfigInvalid, match="^seed must be >= 0, got -1$"):
             tiny_config(seed=-1)
+        with pytest.raises(ConfigInvalid, match="^feature_dim must be >= 1, got 0$"):
+            tiny_config(feature_dim=0)
 
     def test_kernel_loss_needs_two_rows_per_batch(self):
         # the adversarial losses take a one-row batch; the kernel loss pairs rows
@@ -310,12 +315,39 @@ class TestAblationIdentity:
 REFERENCE_RTOL = 1e-10
 TRACE_COLUMNS = ("acc_src", "acc_tgt", "loss_da", "loss_c", "w", "w_dist", "jsd_label", "conf_src", "conf_tgt")
 
+# Over the configuration space the two sides drift further apart, by rounding alone: in each
+# case below, moving every input feature by one ulp moved the library's own trace by as much
+# as the reference did. Measured over 4,300 draws of test_agrees_over_the_configuration_space's
+# space (1,300 under README's Haswell command), then checked against these bounds over 1,000
+# fresh draws (500 under that command), none failing:
+# - 12 steps at reversal 20 and momentum 0.85 grew a gap of 1.6e-10 (iwjan_o's loss_da), so
+#   SPACE_RTOL leaves a margin of 60x;
+# - the weight estimate is fixed only to about kappa^2 rounding units, kappa the condition
+#   number of the confusion estimate the QP solves (its normal matrix has kappa^2); the
+#   largest gap was 7.3e-16 kappa^2 (4.4e-8 at kappa 1.8e4, feature_dim 1 and k 9), so
+#   QP_RTOL_PER_KAPPA2 leaves a margin of 14x. A singular estimate bounds nothing;
+# - the kernel loss's gradient grows as 1 / bandwidth, and at reversal 20 saturated features
+#   can drive the median-heuristic bandwidth toward 1e-12. Below BW_RESOLVED gaps reached 0.4
+#   relative, so such a run's trajectory bounds nothing; 5% of the fresh draws fell there.
+SPACE_RTOL = 1e-8
+QP_RTOL_PER_KAPPA2 = 1e-14
+BW_RESOLVED = 1e-3
 
-def assert_close(lib, ref, what):
-    """|lib - ref| <= REFERENCE_RTOL * max|lib|, over the whole array."""
+
+def assert_close(lib, ref, what, rtol=REFERENCE_RTOL):
+    """|lib - ref| <= rtol * max|lib|, over the whole array; equal arrays pass at any rtol."""
     lib, ref = np.asarray(lib, dtype=float), np.asarray(ref, dtype=float)
     gap = float(np.max(np.abs(lib - ref)))
-    assert gap <= REFERENCE_RTOL * float(np.max(np.abs(lib))), f"{what}: gap {gap:.3g}"
+    assert gap == 0.0 or gap <= rtol * float(np.max(np.abs(lib))), f"{what}: gap {gap:.3g}"
+
+
+def shifted_task(k, seed, n=120):
+    """A label-shift pair with exact class counts: source mass rising over the classes, target mass falling."""
+    p = np.linspace(1.0, 2.0, k)
+    p /= p.sum()
+    return make_shift_task(
+        k=k, n_source=n, n_target=n, sigma=0.3, p_source=p, p_target=p[::-1], seed=seed, exact_counts=True
+    )
 
 
 class TestReferenceTrainer:
@@ -338,9 +370,68 @@ class TestReferenceTrainer:
         for name in ("g", "h", "d"):
             assert_close(getattr(state, name).params, params[name], f"{name}'s parameters")
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        algorithm=st.sampled_from(list(ALGORITHMS)),
+        k=st.integers(2, 10),
+        epochs=st.integers(1, 3),
+        batches=st.integers(1, 4),
+        batch_size=st.integers(2, 33),
+        feature_dim=st.sampled_from([1, 8, 32]),
+        period=st.integers(1, 3),
+        ema_lambda=st.floats(0.0, 1.0),
+        flags=st.tuples(st.booleans(), st.booleans()),
+        reversal=st.sampled_from([0.0, 1.0, 20.0]),
+        momentum=st.floats(0.0, 0.95),
+        seed=st.integers(0, 999),
+    )
+    def test_agrees_over_the_configuration_space(
+        self, algorithm, k, epochs, batches, batch_size, feature_dim, period, ema_lambda, flags, reversal, momentum, seed
+    ):
+        cfg = TrainConfig(
+            algorithm=algorithm, epochs=epochs, batches_per_epoch=batches, batch_size=batch_size, momentum=momentum,
+            ema_lambda=ema_lambda, seed=seed, weight_update_period=period, weight_da_loss=flags[0],
+            weight_c_loss=flags[1], feature_dim=feature_dim, reversal_coeff=reversal,
+        )
+        src, tgt = shifted_task(k, seed)
+        # the condition number of each confusion estimate train solves, and the smallest
+        # bandwidth of each step's kernel loss, in order
+        kappas, bandwidths = [], []
+        median_bandwidths = losses._median_bandwidths
+
+        def recording_qp(c, mu, p_source):
+            kappas.append(np.linalg.cond(c))
+            return solve_qp(c, mu, p_source)
+
+        def recording_bandwidths(sq):
+            bws = median_bandwidths(sq)
+            bandwidths.append(min(bws))
+            return bws
+
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+            # both sides warn when a class gets no prediction mass
+            warnings.filterwarnings("ignore", "confusion matrix has all-zero columns", RuntimeWarning)
+            patch.setattr(trainer, "solve_qp", recording_qp)
+            patch.setattr(losses, "_median_bandwidths", recording_bandwidths)
+            state, trace = train(cfg, src, tgt)
+            params, records = train_reference(cfg, src, tgt)
+        # whether the estimates feed the losses, and so every later value
+        fed = ALGORITHMS[algorithm][1] == "estimated" and (cfg.weight_da_loss or cfg.weight_c_loss)
+        for record, ref in zip(trace.records, records, strict=True):
+            assert record.epoch == ref["epoch"]
+            done = record.epoch + 1
+            resolved = min(bandwidths[: done * batches], default=np.inf) >= BW_RESOLVED
+            trajectory = SPACE_RTOL if resolved else np.inf
+            estimate = max(trajectory, QP_RTOL_PER_KAPPA2 * max(kappas[: done // period], default=1.0) ** 2)
+            for column in TRACE_COLUMNS:
+                rtol = estimate if fed or column in ("w", "w_dist") else trajectory
+                assert_close(getattr(record, column), ref[column], f"epoch {record.epoch} {column}", rtol)
+        for name in ("g", "h", "d"):
+            assert_close(getattr(state, name).params, params[name], f"{name}'s parameters", estimate if fed else trajectory)
+
 
 class TestRunBuffers:
-    """A run allocates its buffers once and shares none of them with another run."""
+    """A run trains its own parameter and velocity vectors and shares neither with another run."""
 
     @pytest.mark.parametrize("algorithm", ["iwdan", "iwcdan", "iwjan"])
     def test_a_second_run_leaves_the_first_runs_state(self, algorithm):
@@ -441,8 +532,8 @@ class TestNonFiniteLoss:
         real = network.forward
         calls = []
 
-        def nan_row_on_eighth_step(state, x, discriminate=False, workspace=None):
-            out, cache = real(state, x, discriminate, workspace)
+        def nan_row_on_eighth_step(state, x, discriminate=False):
+            out, cache = real(state, x, discriminate)
             if len(x) == 64:  # a training step's stacked batch; evaluate's blocks are longer
                 calls.append(len(x))
                 if len(calls) == 8:
@@ -481,8 +572,8 @@ class TestStepChecks:
         """``edit(out, cache)`` on the forward of every training step; evaluate's forwards pass untouched."""
         real = network.forward
 
-        def forward(state, x, discriminate=False, workspace=None):
-            out, cache = real(state, x, discriminate, workspace)
+        def forward(state, x, discriminate=False):
+            out, cache = real(state, x, discriminate)
             if len(x) == 2 * TestStepChecks.S:  # a training step's stacked batch; evaluate's blocks are longer
                 edit(out, cache)
             return out, cache
@@ -640,7 +731,7 @@ class PassCounter:
         self.callers = []
         real_forward = network.forward
 
-        def forward(state, x, discriminate=False, workspace=None):
+        def forward(state, x, discriminate=False):
             if self.callers:
                 assert not discriminate
                 self.counts[f"{self.callers[-1]}_rows"] += len(x)
@@ -648,7 +739,7 @@ class PassCounter:
             else:
                 self.counts["batch_forward"] += 1
                 self.counts["batch_rows"] += len(x)
-            return real_forward(state, x, discriminate, workspace)
+            return real_forward(state, x, discriminate)
 
         monkeypatch.setattr(network, "forward", forward)
         monkeypatch.setattr(trainer, "evaluate", self.within("evaluate", trainer.evaluate))
