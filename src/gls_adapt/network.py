@@ -5,12 +5,12 @@ on top of g, and a discriminator d whose linear head outputs a logit and
 which reads either the feature vector or the prediction/feature outer product.
 
 The model keeps its parameters in one vector and its momentum velocity in
-another, laid out g, h, d; each net's parameters, velocity, weights and
-biases are views of them. :func:`backward` writes all three gradients into
-one vector of that layout, and :func:`sgd_step` updates the model's vectors
-in three in-place operations. Every pass allocates the arrays it computes
-and works in place only on those, so no input, cache or gradient it is
-given is ever written.
+another, laid out g, h, d; each net's parameters, weights and biases are
+views of the first, and the velocity is the model's alone. :func:`backward`
+writes all three gradients into one vector of that layout, and
+:func:`sgd_step` updates the model's vectors in three in-place operations.
+Every pass allocates the arrays it computes and works in place only on
+those, so no input, cache or gradient it is given is ever written.
 """
 
 from __future__ import annotations
@@ -56,11 +56,10 @@ class Mlp:
     All parameters live in one contiguous vector ``params``, laid out
     W_0, b_0, W_1, b_1, ... with each W row-major; ``weights`` and
     ``biases`` are tuples of views into it, so an in-place write to either
-    changes ``params``. ``velocity``, the momentum SGD velocity, has the
-    same layout and is zero until the first step. Weights are initialized
-    uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) from the supplied generator in
-    that order, so construction is reproducible. A :class:`ModelState`
-    moves both vectors into the model's.
+    changes ``params``. Weights are initialized uniform(-1/sqrt(fan_in),
+    1/sqrt(fan_in)) from the supplied generator in that order, so
+    construction is reproducible. A :class:`ModelState` moves ``params``
+    into the model's vector.
     """
 
     def __init__(self, layer_sizes, head, rng):
@@ -72,15 +71,15 @@ class Mlp:
         self.layer_sizes = sizes
         self.head = head
         size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
-        self._bind(np.empty(size), np.zeros(size))
+        self._bind(np.empty(size))
         for w, b in zip(self.weights, self.biases):
             bound = 1.0 / np.sqrt(w.shape[0])
             w[...] = rng.uniform(-bound, bound, size=w.shape)
             b[...] = rng.uniform(-bound, bound, size=b.shape)
 
-    def _bind(self, params: np.ndarray, velocity: np.ndarray) -> None:
-        """Keep the parameters in ``params`` and the velocity in ``velocity``; the layers become views of ``params``."""
-        self.params, self.velocity = params, velocity
+    def _bind(self, params: np.ndarray) -> None:
+        """Keep the parameters in ``params``; the layers become views of it."""
+        self.params = params
         self.weights, self.biases = self._layers(params)
 
     def _layers(self, flat: np.ndarray) -> tuple[tuple, tuple]:
@@ -169,8 +168,9 @@ class Mlp:
 class ModelState:
     """Feature extractor, classifier and discriminator, with the model's two vectors.
 
-    ``params`` and ``velocity`` are laid out g, h, d; each net's vectors,
-    weights and biases are views of them. ``version`` counts updates, so
+    ``params`` and ``velocity``, the momentum SGD velocity, zero until the
+    first step, are laid out g, h, d; each net's ``params``, weights and
+    biases are views of ``params``. ``version`` counts updates, so
     :func:`backward` rejects a stale cache. Owned by a single training run;
     never shared across threads.
     """
@@ -189,9 +189,9 @@ class ModelState:
             raise ShapeMismatch("discriminator must read z or the outer product")
         nets = (self.g, self.h, self.d)
         self.params = np.concatenate([net.params for net in nets])
-        self.velocity = np.concatenate([net.velocity for net in nets])
-        for net, params, velocity in zip(nets, self.split(self.params), self.split(self.velocity)):
-            net._bind(params, velocity)
+        self.velocity = np.zeros_like(self.params)
+        for net, params in zip(nets, self.split(self.params)):
+            net._bind(params)
 
     def split(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """g's, h's and d's parts of a vector laid out as ``params``, as views."""

@@ -15,11 +15,10 @@ losses' and the accumulator's kernels directly, then makes one check,
 :func:`_check_step`, whose failures name the epoch and batch. A run
 keeps one model gradient and the stacked batch and loss-gradient buffers,
 which every step overwrites; the forward and backward allocate their own
-arrays. At the end of every
-``weight_update_period``-th epoch the constrained least-squares estimate
-from the accumulator is blended into the running weights with an
-exponential moving average; a new accumulator then starts, so one
-estimate pools the batches of ``weight_update_period`` epochs.
+arrays. Each epoch opens its own accumulator, and at the epoch's end the
+constrained least-squares estimate from it is blended into the running
+weights with an exponential moving average, so one estimate reads one
+epoch's batches.
 
 The estimation bookkeeping runs for every algorithm so that traces are
 comparable; only the importance-weighted variants feed the weights into
@@ -87,7 +86,6 @@ class TrainConfig:
     momentum: float = 0.9
     ema_lambda: float = 0.5
     seed: int = 0
-    weight_update_period: int = 1
     weight_da_loss: bool = True
     weight_c_loss: bool = True
     feature_dim: int = 32
@@ -106,8 +104,6 @@ class TrainConfig:
             )
         if not 0.0 <= self.ema_lambda <= 1.0:
             raise ConfigInvalid("ema_lambda must lie in [0, 1]")
-        if self.weight_update_period < 1:
-            raise ConfigInvalid("weight_update_period must be >= 1")
         if self.lr <= 0 or not 0.0 <= self.momentum < 1.0:
             raise ConfigInvalid("need lr > 0 and momentum in [0, 1)")
         for name in ("lr", "reversal_coeff"):
@@ -174,6 +170,8 @@ def evaluate(state: ModelState, data: Dataset, features_out: np.ndarray) -> tupl
     """
     if data.dim != state.g.in_dim:
         raise ShapeMismatch(f"data dim {data.dim} != model input dim {state.g.in_dim}")
+    if features_out.shape != (data.n, state.feature_dim):
+        raise ShapeMismatch(f"features_out has shape {features_out.shape}, expected {(data.n, state.feature_dim)}")
     hard = np.empty(data.n, dtype=np.intp)
     for start in range(0, data.n, BLOCK_ROWS):
         stop = start + BLOCK_ROWS
@@ -229,7 +227,6 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
     s = config.batch_size
     # the adversarial losses read d's output on the stacked batch, jan's reads z
     discriminate = base in ("dann", "cdan")
-    acc = ConfusionAccumulator(k)
     # the run's buffers: the stacked batch [source; target], the loss
     # gradients whose shape the step fixes and the model gradient, all
     # overwritten every step; the classification loss reads the source rows
@@ -256,6 +253,7 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
             class_coeff = losses._class_coeff(p_source, w_model if kernel else None)
         else:
             class_coeff = np.ones(k)
+        acc = ConfusionAccumulator(k)
         for batch in range(config.batches_per_epoch):
             idx_s = rng.integers(0, source.n, size=s)
             idx_t = rng.integers(0, target.n, size=s)
@@ -281,13 +279,11 @@ def train(config: TrainConfig, source: Dataset, target: Dataset, epoch_hook=None
             loss_da_sum += loss_da
             loss_c_sum += loss_c
 
-        if (epoch + 1) % config.weight_update_period == 0:
-            c_hat, mu_hat = acc.finalize()
-            w_qp = solve_qp(c_hat, mu_hat, p_source)
-            w_est = ema_update(w_est, w_qp, config.ema_lambda)
-            acc = ConfusionAccumulator(k)
-            if not oracle:
-                w_model = w_est
+        c_hat, mu_hat = acc.finalize()
+        w_qp = solve_qp(c_hat, mu_hat, p_source)
+        w_est = ema_update(w_est, w_qp, config.ema_lambda)
+        if not oracle:
+            w_model = w_est
 
         acc_src, conf_src = evaluate(state, source, feats[0])
         acc_tgt, conf_tgt = evaluate(state, target, feats[1])

@@ -678,13 +678,14 @@ def train_reference(config, source, target):
 
     w_est = np.ones(k)
     w_model = w_star if weighting == "oracle" else w_est
-    batches, records = [], []
+    records = []
     for epoch in range(config.epochs):
         w_da = w_model if weighting != "ones" and config.weight_da_loss else np.ones(k)
         class_coeff = np.ones(k)
         if weighting != "ones" and config.weight_c_loss:
             class_coeff = 1.0 / (k * p_s) * (w_model if base == "jan" else 1.0)
         loss_da_sum = loss_c_sum = 0.0
+        batches = []
         for _ in range(config.batches_per_epoch):
             idx_s = rng.integers(0, source.n, size=s)
             idx_t = rng.integers(0, target.n, size=s)
@@ -736,15 +737,13 @@ def train_reference(config, source, target):
             loss_da_sum += loss_da
             loss_c_sum += loss_c
 
-        if (epoch + 1) % config.weight_update_period == 0:
-            c_sum, mu_sum = accumulated_sums(batches, k)
-            n_src = sum(b[0].shape[0] for b in batches)
-            n_tgt = sum(b[2].shape[0] for b in batches)
-            w_qp = solve_qp(c_sum / n_src, Categorical.normalize(mu_sum / n_tgt), Categorical(p_s)).w
-            w_est = config.ema_lambda * w_qp + (1.0 - config.ema_lambda) * w_est
-            batches = []
-            if weighting != "oracle":
-                w_model = w_est
+        c_sum, mu_sum = accumulated_sums(batches, k)
+        n_src = sum(b[0].shape[0] for b in batches)
+        n_tgt = sum(b[2].shape[0] for b in batches)
+        w_qp = solve_qp(c_sum / n_src, Categorical.normalize(mu_sum / n_tgt), Categorical(p_s)).w
+        w_est = config.ema_lambda * w_qp + (1.0 - config.ema_lambda) * w_est
+        if weighting != "oracle":
+            w_model = w_est
         acc_src, conf_src = _reference_confusion(g, h, source, k)
         acc_tgt, conf_tgt = _reference_confusion(g, h, target, k)
         records.append(

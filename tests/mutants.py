@@ -296,10 +296,8 @@ MUTANTS = [
     Mutant(
         "runs-share-the-velocity-vector",
         "network.py",
-        "self.velocity = np.concatenate([net.velocity for net in nets])",
-        "self.velocity = init_model_state.__dict__.setdefault("
-        "self.g.params.size + self.h.params.size + self.d.params.size, "
-        "np.concatenate([net.velocity for net in nets]))",
+        "self.velocity = np.zeros_like(self.params)",
+        "self.velocity = init_model_state.__dict__.setdefault(self.params.size, np.zeros_like(self.params))",
         ("tests/test_trainer.py",),
     ),
     Mutant(
@@ -317,10 +315,10 @@ MUTANTS = [
         ("tests/test_trainer.py", "tests/test_cli.py"),
     ),
     Mutant(
-        "weight-update-period-shifted-by-one-epoch",
+        "accumulator-pools-every-epoch",
         "trainer.py",
-        "if (epoch + 1) % config.weight_update_period == 0:",
-        "if epoch % config.weight_update_period == 0:",
+        "        acc = ConfusionAccumulator(k)\n        for batch in range",
+        "        acc = acc if epoch else ConfusionAccumulator(k)\n        for batch in range",
         ("tests/test_trainer.py",),
     ),
     Mutant(

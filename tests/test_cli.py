@@ -478,6 +478,7 @@ class TestOptionsAreUsedOrRejected:
             (["estimate-weights"], "seed = 3\n", "predictions", "seed: not an option of estimate-weights"),
             (["sweep-jsd", "--tasks", 0], None, None, "error: --tasks must be >= 1, got 0\n"),
             (["train", "--feature-dim", 0], None, None, "error: feature_dim must be >= 1, got 0\n"),
+            (["train"], "weight_update_period = 2\n", None, "weight_update_period: not an option of train\n"),
         ],
         ids=[
             "unknown-key",
@@ -490,6 +491,7 @@ class TestOptionsAreUsedOrRejected:
             "estimate-weights-seed-key",
             "sweep-no-tasks",
             "train-no-features",
+            "train-update-period-key",
         ],
     )
     def test_is_one_line_error_and_writes_nothing(self, tmp_path, capsys, argv, config, inputs, needle):
@@ -574,12 +576,13 @@ class TestOptionsAreUsedOrRejected:
             (["train", "--lr", "y"], "argument --lr: invalid float value: 'y'"),
             (["generate", "--epochs", "2"], "unrecognized arguments: --epochs 2"),
             (["estimate-weights", "--seed", "3"], "unrecognized arguments: --seed 3"),
+            (["sweep-jsd", "--weight-update-period", "2"], "unrecognized arguments: --weight-update-period 2"),
             (
                 ["estimate-weights", "--source-labels", "l.csv", "--target-preds", "p.csv"],
                 "the following arguments are required: --source-preds",
             ),
         ],
-        ids=["seed", "n", "lr", "unknown-flag", "estimate-weights-seed", "missing-required"],
+        ids=["seed", "n", "lr", "unknown-flag", "estimate-weights-seed", "sweep-update-period", "missing-required"],
     )
     def test_malformed_command_line_is_one_line_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"

@@ -395,8 +395,9 @@ class TestSgd:
         sgd_step(state, grads_of(state, d=1.0), lr=0.1, momentum=0.5)
         d1 = state.d.params.copy()
         sgd_step(state, grads_of(state, g=1.0), lr=0.1, momentum=0.5)
-        assert np.array_equal(state.d.velocity, np.full_like(d1, 0.5))
-        assert np.array_equal(state.d.params, d1 - 0.1 * state.d.velocity)
+        velocity = state.split(state.velocity)[2]
+        assert np.array_equal(velocity, np.full_like(d1, 0.5))
+        assert np.array_equal(state.d.params, d1 - 0.1 * velocity)
 
     def test_shape_mismatch(self):
         # a gradient vector one entry short or long is refused with both shapes
@@ -424,10 +425,10 @@ class TestSgd:
             for net, (weights, biases, velocities), grad in zip(nets, ref, (grads.g, grads.h, grads.d)):
                 sgd_step_per_layer(weights, biases, velocities, layer_views(net, grad), 0.05, 0.9)
             sgd_step(state, grads, 0.05, 0.9)
-            for net, (weights, biases, velocities) in zip(nets, ref):
+            for net, velocity, (weights, biases, velocities) in zip(nets, state.split(state.velocity), ref):
                 want = np.concatenate([t.ravel() for pair in zip(weights, biases) for t in pair])
                 assert np.array_equal(net.params, want)
-                assert np.array_equal(net.velocity, np.concatenate([t.ravel() for pair in velocities for t in pair]))
+                assert np.array_equal(velocity, np.concatenate([t.ravel() for pair in velocities for t in pair]))
 
 
 class TestParameterVector:
@@ -438,7 +439,7 @@ class TestParameterVector:
         state = benchmark_state(conditional, seed=5)
         draws = np.random.default_rng(5)
         pos = 0
-        for net in (state.g, state.h, state.d):
+        for net, velocity in zip((state.g, state.h, state.d), state.split(state.velocity)):
             want = []
             for (w, b), (vw, vb) in zip(zip(net.weights, net.biases), layer_views(net, net.params)):
                 for t, view in ((w, vw), (b, vb)):
@@ -447,10 +448,10 @@ class TestParameterVector:
                 bound = 1.0 / np.sqrt(w.shape[0])
                 want += [draws.uniform(-bound, bound, size=w.shape).ravel(), draws.uniform(-bound, bound, size=b.shape)]
             assert np.array_equal(net.params, np.concatenate(want))
-            for own, model in ((net.params, state.params), (net.velocity, state.velocity)):
+            for own, model in ((net.params, state.params), (velocity, state.velocity)):
                 assert own.base is model and own.ctypes.data == model[pos:].ctypes.data
             pos += net.params.size
-            assert net.velocity.shape == net.params.shape and not net.velocity.any()
+            assert velocity.shape == net.params.shape and not velocity.any() and not hasattr(net, "velocity")
         assert pos == state.params.size == state.velocity.size
 
     def test_layers_cannot_be_rebound(self):

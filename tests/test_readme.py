@@ -54,6 +54,14 @@ def test_every_flag_is_documented():
     assert missing == []
 
 
+def test_train_config_key_row_names_exactly_the_train_options():
+    # the other direction from test_every_flag_is_documented: a deleted field must leave the row too
+    lines = (ROOT / "README.md").read_text().splitlines()
+    row = next(line for line in lines if line.startswith("| `train`, `sweep-jsd` |"))
+    listed = re.search(r"the train options (.*?) \(", row).group(1)
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(cli._TRAIN_OPTS)
+
+
 def test_every_error_class_is_raised():
     # every subclass names one cause; the base class names none and is not a ValueError
     tree = ast.parse((PACKAGE / "errors.py").read_text())

@@ -1,5 +1,6 @@
 import concurrent.futures
 import os
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -153,6 +154,16 @@ class TestEvaluate:
         with pytest.raises(ShapeMismatch, match="data dim 2 != model input dim 5"):
             evaluate(state, src, features_buffer(state, src))
 
+    @pytest.mark.parametrize("shape", [(400, 32), (200, 32), (300, 8)], ids=["more-rows", "fewer-rows", "narrower"])
+    def test_features_out_of_another_shape_is_refused(self, shape):
+        # numpy's broadcast error came out instead, naming only a block's shapes
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.normal(size=(300, 2)), rng.integers(0, 3, size=300), 3)
+        state = init_model_state(input_dim=2, k=3, rng=rng)
+        message = f"features_out has shape {shape}, expected (300, 32)"
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+            evaluate(state, data, np.zeros(shape))
+
 
 class TestTrainBasics:
     def test_all_algorithms_run_and_trace(self):
@@ -202,16 +213,6 @@ class TestTrainBasics:
         _, trace = train(cfg, src, tgt)
         assert trace.best_target_accuracy() == max(r.acc_tgt for r in trace.records)
 
-    def test_weight_update_period(self):
-        src, tgt = tiny_task()
-        cfg = tiny_config(algorithm="iwdan", epochs=4, weight_update_period=2)
-        _, trace = train(cfg, src, tgt)
-        # no update after epochs 0 and 2 (1-indexed periods), weights move
-        # only after epochs 1 and 3
-        assert np.array_equal(trace.records[0].w, np.ones(3))
-        assert not np.array_equal(trace.records[1].w, trace.records[0].w)
-        assert np.array_equal(trace.records[2].w, trace.records[1].w)
-
     def test_config_validation(self):
         with pytest.raises(ConfigInvalid):
             tiny_config(algorithm="nope")
@@ -247,10 +248,6 @@ class TestTrainBasics:
     @pytest.mark.parametrize(
         "make, error, message",
         [
-            pytest.param(
-                lambda: tiny_config(weight_update_period=0),
-                ConfigInvalid, "weight_update_period must be >= 1", id="config-update-period",
-            ),
             pytest.param(
                 lambda: train(tiny_config(), tiny_task()[0], Dataset(np.zeros((4, 2)), [0, 1, 0, 1], 2)),
                 ShapeMismatch, "class counts differ: 3 vs 2", id="train-class-counts",
@@ -378,7 +375,6 @@ class TestReferenceTrainer:
         batches=st.integers(1, 4),
         batch_size=st.integers(2, 33),
         feature_dim=st.sampled_from([1, 8, 32]),
-        period=st.integers(1, 3),
         ema_lambda=st.floats(0.0, 1.0),
         flags=st.tuples(st.booleans(), st.booleans()),
         reversal=st.sampled_from([0.0, 1.0, 20.0]),
@@ -386,11 +382,11 @@ class TestReferenceTrainer:
         seed=st.integers(0, 999),
     )
     def test_agrees_over_the_configuration_space(
-        self, algorithm, k, epochs, batches, batch_size, feature_dim, period, ema_lambda, flags, reversal, momentum, seed
+        self, algorithm, k, epochs, batches, batch_size, feature_dim, ema_lambda, flags, reversal, momentum, seed
     ):
         cfg = TrainConfig(
             algorithm=algorithm, epochs=epochs, batches_per_epoch=batches, batch_size=batch_size, momentum=momentum,
-            ema_lambda=ema_lambda, seed=seed, weight_update_period=period, weight_da_loss=flags[0],
+            ema_lambda=ema_lambda, seed=seed, weight_da_loss=flags[0],
             weight_c_loss=flags[1], feature_dim=feature_dim, reversal_coeff=reversal,
         )
         src, tgt = shifted_task(k, seed)
@@ -422,7 +418,7 @@ class TestReferenceTrainer:
             done = record.epoch + 1
             resolved = min(bandwidths[: done * batches], default=np.inf) >= BW_RESOLVED
             trajectory = SPACE_RTOL if resolved else np.inf
-            estimate = max(trajectory, QP_RTOL_PER_KAPPA2 * max(kappas[: done // period], default=1.0) ** 2)
+            estimate = max(trajectory, QP_RTOL_PER_KAPPA2 * max(kappas[:done], default=1.0) ** 2)
             for column in TRACE_COLUMNS:
                 rtol = estimate if fed or column in ("w", "w_dist") else trajectory
                 assert_close(getattr(record, column), ref[column], f"epoch {record.epoch} {column}", rtol)
@@ -452,8 +448,9 @@ class TestRunBuffers:
         state, _ = train(cfg, src, tgt)
         initial = init_model_state(input_dim=src.dim, k=src.k, feature_dim=cfg.feature_dim, rng=np.random.default_rng(cfg.seed))
         assert state.d.params.tobytes() == initial.d.params.tobytes()
-        assert not state.d.velocity.any()
-        assert state.g.velocity.any() and state.h.velocity.any()
+        g, h, d = state.split(state.velocity)
+        assert not d.any()
+        assert g.any() and h.any()
 
 
 class TestOracleSmoothProgress:
@@ -911,7 +908,7 @@ class TestStepPasses:
 
 
 class TestConfusionAccumulation:
-    """The ratio estimate reads each step's own forward, pooled over the update period."""
+    """The ratio estimate reads each step's own forward, and each epoch makes its own estimate."""
 
     @pytest.mark.parametrize("algorithm", ["none", "iwdan"])
     def test_reads_each_steps_pre_update_predictions(self, monkeypatch, algorithm):
@@ -937,7 +934,7 @@ class TestConfusionAccumulation:
         # the step checks its predictions itself and calls the accumulator's kernel
         monkeypatch.setattr(ConfusionAccumulator, "_accumulate", accumulate)
         monkeypatch.setattr(ConfusionAccumulator, "finalize", finalize)
-        cfg = tiny_config(algorithm=algorithm, epochs=4, batches_per_epoch=3, weight_update_period=2)
+        cfg = tiny_config(algorithm=algorithm, epochs=4, batches_per_epoch=3)
         train(cfg, src, tgt)
         s = cfg.batch_size
         assert len(accumulated) == len(step_preds) == cfg.epochs * cfg.batches_per_epoch
@@ -945,8 +942,8 @@ class TestConfusionAccumulation:
             assert p.shape == (2 * s, src.k)
             assert p_src.tobytes() == p[:s].tobytes()
             assert p_tgt.tobytes() == p[s:].tobytes()
-        pooled = cfg.weight_update_period * cfg.batches_per_epoch * s
-        assert finalized == [(pooled, pooled)] * (cfg.epochs // cfg.weight_update_period)
+        rows = cfg.batches_per_epoch * s
+        assert finalized == [(rows, rows)] * cfg.epochs
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
